@@ -13,14 +13,17 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/fused"
 	"repro/internal/gpu"
+	"repro/internal/jit"
 	"repro/internal/nir"
 	"repro/internal/vm"
 )
 
 // Engine is the process-wide execution backend of the adaptive VM: it owns
 // the worker pool that morsel-parallel queries draw from, the device placer,
-// and the prepared-statement cache that lets concurrent sessions share one
-// adaptive VM per distinct program. Create one Engine per process (or per
+// the prepared-statement cache that lets concurrent sessions share one
+// adaptive VM per distinct program, and the JIT compile service every one of
+// its VMs — prepared programs and query expressions alike — gets its traces
+// from. Create one Engine per process (or per
 // tenant) and hand out lightweight sessions from it:
 //
 //	eng, _ := advm.NewEngine(advm.WithParallelism(8))
@@ -49,6 +52,12 @@ type Engine struct {
 	useClock int64
 
 	pool *workerPool
+
+	// jit generates trace code in the background and caches it by fragment
+	// shape: no Run or Query ever waits for code generation, and a program
+	// or lambda that differs from an earlier one only in its constants
+	// reuses that one's code (see EngineStats.JITTemplates).
+	jit *jit.Service
 
 	tablesMu sync.Mutex
 	tables   map[string]*colstore.Table // open stored tables by directory
@@ -167,7 +176,9 @@ func newEngine(o options) *Engine {
 		cpu:    device.NewCPU(),
 		cache:  make(map[nir.Fingerprint]*prepEntry),
 		fcache: fused.NewCache(0),
+		jit:    jit.NewService(),
 	}
+	e.opt.cfg.Compiler = e.jit
 	if o.device != DeviceCPU {
 		e.ensureGPU()
 	}
@@ -253,8 +264,9 @@ func (e *Engine) Prepare(src string, externals map[string]Kind) (*Prepared, erro
 }
 
 // evictLRU drops the least-recently-prepared cache entry (caller holds mu).
-// Outstanding Prepared handles keep the evicted VM alive and functional;
-// the engine merely stops unifying future Prepare calls onto it.
+// Outstanding Prepared handles keep the evicted VM alive and functional —
+// it runs with the traces it has — but the engine stops unifying future
+// Prepare calls onto it and stops generating code for it.
 func (e *Engine) evictLRU() {
 	var victim *prepEntry
 	for _, entry := range e.cache {
@@ -264,6 +276,7 @@ func (e *Engine) evictLRU() {
 	}
 	if victim != nil {
 		delete(e.cache, victim.fp)
+		victim.vm.Close()
 		e.cacheEvictions.Add(1)
 	}
 }
@@ -295,14 +308,17 @@ func (e *Engine) OpenTable(dir string) (*StoredTable, error) {
 
 // Close marks the engine closed: subsequent Prepare, Session, Run and Query
 // calls — including on sessions and prepared statements already handed out —
-// return an error matching ErrClosed, and the worker pool stops granting
-// parallel workers. Executions already in flight finish normally, with one
+// return an error matching ErrClosed, the worker pool stops granting
+// parallel workers, and the compile service drops its queue and stops its
+// workers. Executions already in flight finish normally (interpreting
+// whatever was not yet compiled), with one
 // exception: stored tables opened through OpenTable have their file mappings
 // released by Close, so queries streaming from them must be drained first.
 // Close is idempotent.
 func (e *Engine) Close() error {
 	e.closed.Store(true)
 	e.pool.close()
+	e.jit.Close()
 	e.tablesMu.Lock()
 	tables := e.tables
 	e.tables = nil
@@ -346,6 +362,20 @@ type EngineStats struct {
 	// counts guard failures that reverted a fused loop to the interpreter
 	// mid-query.
 	FusedQueries, FusedDeopts int64
+	// JITTemplates is the population of the compile service's template
+	// cache: one entry per distinct fragment shape — operators, kinds and
+	// dataflow, blind to constants and names — whose trace code has been
+	// generated. JITTemplateMisses counts the code generations started
+	// (each charged the modeled compile latency, on a background worker);
+	// JITTemplateHits counts the fragments served from the cache or from a
+	// generation already under way. JITCompileQueueDepth is the number of
+	// generations queued or running right now; JITCompilesDropped counts
+	// those abandoned because the requesting VM was gone while others were
+	// waiting, the queue was full or the engine closed.
+	JITTemplates                       int
+	JITTemplateHits, JITTemplateMisses int64
+	JITCompileQueueDepth               int
+	JITCompilesDropped                 int64
 	// Tiers is the per-fingerprint hotness state of tiered execution,
 	// sorted by fingerprint.
 	Tiers []TierInfo
@@ -386,6 +416,7 @@ func (e *Engine) Stats() EngineStats {
 	e.tiersMu.Unlock()
 	sort.Slice(tiers, func(i, j int) bool { return tiers[i].Fingerprint < tiers[j].Fingerprint })
 	fusedProgs, _, _ := e.fcache.Stats()
+	js := e.jit.Stats()
 	return EngineStats{
 		Sessions:         e.sessions.Load(),
 		Prepares:         e.prepares.Load(),
@@ -401,7 +432,14 @@ func (e *Engine) Stats() EngineStats {
 		FusedPrograms:    fusedProgs,
 		FusedQueries:     e.fusedQueries.Load(),
 		FusedDeopts:      e.fusedDeopts.Load(),
-		Tiers:            tiers,
+
+		JITTemplates:         js.Templates,
+		JITTemplateHits:      js.Hits,
+		JITTemplateMisses:    js.Misses,
+		JITCompileQueueDepth: js.QueueDepth,
+		JITCompilesDropped:   js.Dropped,
+
+		Tiers: tiers,
 	}
 }
 

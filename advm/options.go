@@ -75,10 +75,12 @@ func WithHotThresholds(calls int64, cumulative time.Duration) Option {
 	}
 }
 
-// WithSyncOptimizer selects synchronous optimization: the VM examines the
-// profile between runs (and chunk batches) instead of using the concurrent
-// background optimizer. Deterministic — useful for tests, and for
-// benchmarks that must charge compile time to the measured total.
+// WithSyncOptimizer selects synchronous optimization for program runs: the
+// VM examines the profile only between runs and waits for the traces of hot
+// segments — still generated through the engine's compile service and its
+// template cache — before Run returns. Deterministic — useful for tests, and
+// for benchmarks that must charge compile time to the measured total. By
+// default no Run or Query ever waits for code generation.
 func WithSyncOptimizer(sync bool) Option {
 	return func(o *options) error { o.cfg.Sync = sync; return nil }
 }
@@ -90,8 +92,9 @@ func WithMicroAdaptive(on bool) Option {
 	return func(o *options) error { o.cfg.MicroAdaptive = on; return nil }
 }
 
-// WithOptimizeInterval sets how often the asynchronous optimizer re-examines
-// the profile.
+// WithOptimizeInterval sets how often a running program re-examines its
+// profile for segments that turned hot (every run additionally ends with one
+// examination).
 func WithOptimizeInterval(d time.Duration) Option {
 	return func(o *options) error {
 		if d <= 0 {
@@ -109,9 +112,10 @@ type JITOptions struct {
 	// (0 = default).
 	TileSize int
 	// CompileLatency models code-generation cost for a fragment of n
-	// operations; compilation stalls that long before a trace is injected.
-	// Nil selects the calibrated default model; NoCompileLatency disables
-	// the model entirely.
+	// operations: the engine's background compile service stalls that long
+	// when it generates the code of a fragment shape it has not seen, before
+	// the traces are injected. Nil selects the calibrated default model;
+	// NoCompileLatency disables the model entirely.
 	CompileLatency func(n int) time.Duration
 }
 

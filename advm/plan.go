@@ -391,13 +391,12 @@ func (p *Plan) buildParallelTopK(b *builder) (engine.Operator, bool, error) {
 // stageOn instantiates a filter/compute node on top of child with the
 // session's JIT settings.
 func (p *Plan) stageOn(s *Session, child engine.Operator) engine.Operator {
+	j := engine.ExprJIT{On: s.opt.jitEnabled, Opt: s.opt.cfg.JIT, Compiler: s.eng.jit}
 	switch p.kind {
 	case planFilter:
-		return engine.NewFilter(child, p.lambda, p.col).
-			SetMode(p.mode).SetJIT(s.opt.jitEnabled, s.opt.cfg.JIT)
+		return engine.NewFilter(child, p.lambda, p.col).SetMode(p.mode).SetJIT(j)
 	case planCompute:
-		return engine.NewCompute(child, p.out, p.lambda, p.outKind, p.cols...).
-			SetMode(p.mode).SetJIT(s.opt.jitEnabled, s.opt.cfg.JIT)
+		return engine.NewCompute(child, p.out, p.lambda, p.outKind, p.cols...).SetMode(p.mode).SetJIT(j)
 	}
 	panic("advm: not a pipeline stage")
 }

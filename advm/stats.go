@@ -56,6 +56,12 @@ type Stats struct {
 	// InjectedTraces and RevertedTraces count optimizer injections and
 	// micro-adaptive deoptimizations over the session's lifetime.
 	InjectedTraces, RevertedTraces int
+	// TemplateHits and TemplateMisses split the injected traces by where
+	// their code came from: hits were instantiated from a template the
+	// engine's compile service had already generated (for an earlier program
+	// or lambda of the same shape, whatever its constants); misses had their
+	// code generated for this program.
+	TemplateHits, TemplateMisses int
 	// GuardFailures counts trace guard misses (situation changes executed
 	// through the interpreted fallback) across currently installed traces.
 	GuardFailures int64
@@ -137,6 +143,7 @@ func vmStats(v *vm.VM, st *Stats) {
 		}
 	}
 	st.CompiledSegments = v.CompiledSegments()
+	st.TemplateHits, st.TemplateMisses = v.TemplateStats()
 	prof := v.Interp.Prof
 	for _, seg := range v.Interp.Segments {
 		for _, tr := range v.Traces(seg.ID) {

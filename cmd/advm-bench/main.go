@@ -15,6 +15,7 @@
 //	advm-bench -exp E6    # CPU/GPU placement series (modeled costs)
 //	advm-bench -exp E17   # advm-serve throughput, 1 vs 8 concurrent clients
 //	advm-bench -exp E18   # disk-backed colstore scans vs in-RAM, zone-map skipping
+//	advm-bench -exp E22   # first-execution latency: JIT off / template miss / template hit, cold Q6
 //	advm-bench -exp all   # everything
 package main
 
@@ -50,9 +51,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1,F1,F2,F3,E1,E3,E5,E6,E15,E16,E17,E18,E19,E20,E21) or all")
+	exp := flag.String("exp", "all", "experiment id (T1,F1,F2,F3,E1,E3,E5,E6,E15,E16,E17,E18,E19,E20,E21,E22) or all")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for E1/E15/E20")
-	benchjson := flag.String("benchjson", "", "directory to write BENCH_q1/q6/q3/device/server/colstore/fused/multicore/trace.json perf records into (runs E15–E21 only)")
+	benchjson := flag.String("benchjson", "", "directory to write BENCH_q1/q6/q3/device/server/colstore/fused/multicore/trace/jitcache.json perf records into (runs E15–E22 only)")
 	data := flag.String("data", os.Getenv("TPCH_DATA_DIR"),
 		"directory of pre-generated TPC-H tables (tpch-gen -binary); generated on the fly when empty or missing")
 	traceOut := flag.String("trace-out", "",
@@ -76,6 +77,7 @@ func main() {
 		expE19(*data, *benchjson)
 		expE20(*sf, *data, *benchjson)
 		expE21(*data, *benchjson)
+		expE22(*data, *benchjson)
 		return
 	}
 
@@ -135,6 +137,10 @@ func main() {
 	}
 	if all || *exp == "E21" {
 		expE21(*data, "")
+		ran = true
+	}
+	if all || *exp == "E22" {
+		expE22(*data, "")
 		ran = true
 	}
 	if !ran {

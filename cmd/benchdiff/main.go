@@ -21,8 +21,9 @@ import (
 	"strings"
 )
 
-// benchRecord mirrors the BENCH_*.json schema written by advm-bench. Five
-// record flavors share it: query records carry serial vs parallel ns/op,
+// benchRecord mirrors the BENCH_*.json schema written by advm-bench. Seven
+// record flavors share it (trace and jitcache records are described at their
+// fields): query records carry serial vs parallel ns/op,
 // device records (BENCH_device.json) carry CPU-only vs adaptive-placement
 // ns/op for the same parallel query, colstore records (BENCH_colstore.json)
 // carry serial in-RAM vs disk-backed legs of Q1/Q6, fused records
@@ -97,6 +98,22 @@ type benchRecord struct {
 	Q6TraceOnNsOp   int64   `json:"q6_trace_on_ns_op,omitempty"`
 	TraceMaxRegress float64 `json:"trace_max_regress,omitempty"`
 
+	// Jitcache-record fields (non-zero ProgHitNsOp marks the flavor): the
+	// latency of a never-seen program (Prepare + two runs) with the JIT
+	// off, as a template miss and as a template hit, and of a cold Q6 with
+	// the JIT on and off. Every leg is a one-caller latency and gated
+	// against the baseline; HitVsJITOff (JIT-off ÷ hit, from the current
+	// record alone) is additionally gated against the baseline's
+	// HitVsJITOffFloor — running compiled from the template cache must not
+	// cost more than not compiling.
+	ProgJITOffNsOp   int64   `json:"prog_jit_off_ns_op,omitempty"`
+	ProgMissNsOp     int64   `json:"prog_template_miss_ns_op,omitempty"`
+	ProgHitNsOp      int64   `json:"prog_template_hit_ns_op,omitempty"`
+	Q6ColdJITOnNsOp  int64   `json:"q6_cold_jit_on_ns_op,omitempty"`
+	Q6ColdJITOffNsOp int64   `json:"q6_cold_jit_off_ns_op,omitempty"`
+	HitVsJITOff      float64 `json:"hit_vs_jit_off,omitempty"`
+	HitVsJITOffFloor float64 `json:"hit_vs_jit_off_floor,omitempty"`
+
 	// Per-query speedup floors, read from the *baseline* record: when the
 	// checked-in baseline carries e.g. "q3_speedup_floor": 1.0, the current
 	// record's q3_speedup is gated against that floor instead of the default
@@ -121,8 +138,9 @@ type diffRow struct {
 	Skipped        string // non-empty = not gated, with the reason
 	NotReproducing bool   // current record reports non-identical results
 
-	// Speedup rows (multicore records) compare dimensionless speedup factors
-	// against an absolute floor instead of ns/op against the baseline.
+	// Speedup rows (multicore and jitcache records) compare dimensionless
+	// speedup factors against an absolute floor instead of ns/op against the
+	// baseline.
 	IsSpeedup    bool
 	BaseX, CurX  float64 // baseline / current speedup factors
 	SpeedupFloor float64 // gate floor the current speedup must clear
@@ -183,7 +201,7 @@ func main() {
 	for _, r := range rows {
 		if r.Regressed && r.IsSpeedup {
 			failed = true
-			fmt.Fprintf(os.Stderr, "benchdiff: %s %s is %.2fx, below the %.2fx floor — parallel execution is not paying off\n",
+			fmt.Fprintf(os.Stderr, "benchdiff: %s %s is %.2fx, below the %.2fx floor\n",
 				r.Bench, r.Metric, r.CurX, r.SpeedupFloor)
 		} else if r.Regressed {
 			failed = true
@@ -345,6 +363,29 @@ func diffRecords(base, cur benchRecord, maxRegress float64) []diffRow {
 			on.Skipped = "informational (price of tracing on)"
 		}
 		rows = []diffRow{off, on}
+	} else if base.ProgHitNsOp > 0 || cur.ProgHitNsOp > 0 {
+		// Jitcache record: five one-caller latencies, plus the current
+		// record's own JIT-off ÷ template-hit ratio against the baseline's
+		// floor (default 1 − max-regress).
+		ratio := diffRow{
+			Bench: base.Benchmark, Metric: "hit-vs-jit-off", IsSpeedup: true,
+			BaseX: base.HitVsJITOff, CurX: cur.HitVsJITOff, SpeedupFloor: 1 - maxRegress,
+		}
+		if base.HitVsJITOffFloor > 0 {
+			ratio.SpeedupFloor = base.HitVsJITOffFloor
+		}
+		if ratio.BaseX > 0 {
+			ratio.Ratio = ratio.CurX / ratio.BaseX
+		}
+		ratio.Regressed = ratio.CurX < ratio.SpeedupFloor
+		rows = []diffRow{
+			mk("prog-jit-off", base.ProgJITOffNsOp, cur.ProgJITOffNsOp),
+			mk("prog-template-miss", base.ProgMissNsOp, cur.ProgMissNsOp),
+			mk("prog-template-hit", base.ProgHitNsOp, cur.ProgHitNsOp),
+			ratio,
+			mk("q6-cold-jit-on", base.Q6ColdJITOnNsOp, cur.Q6ColdJITOnNsOp),
+			mk("q6-cold-jit-off", base.Q6ColdJITOffNsOp, cur.Q6ColdJITOffNsOp),
+		}
 	} else if base.Q1SerialNsOp > 0 || cur.Q1SerialNsOp > 0 {
 		// Multicore record: Q1/Q3/Q6 serial legs are calibration-gated like
 		// any serial measurement; the parallel legs are reported (skipped on

@@ -411,3 +411,61 @@ func TestDiffRecordsTraceFlavor(t *testing.T) {
 		}
 	}
 }
+
+func TestDiffRecordsJitcacheFlavor(t *testing.T) {
+	base := benchRecord{
+		Benchmark: "jitcache", GOMAXPROCS: 2, Identical: true, CalibNs: 100,
+		ProgJITOffNsOp: 4700, ProgMissNsOp: 4700, ProgHitNsOp: 3600,
+		Q6ColdJITOnNsOp: 2600, Q6ColdJITOffNsOp: 2300,
+		HitVsJITOff: 1.3, HitVsJITOffFloor: 0.8,
+	}
+	cur := base
+	rows := diffRecords(base, cur, 0.25)
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
+	}
+	for _, r := range rows {
+		if r.Regressed || r.Skipped != "" {
+			t.Fatalf("identical records wrongly gated: %+v", r)
+		}
+	}
+
+	// The hit leg at 1.3× the JIT-off leg of the same record: every leg is
+	// still within 25% of its baseline except the hit leg, and the ratio
+	// falls through the 0.8 floor.
+	cur.ProgHitNsOp = 6100
+	cur.HitVsJITOff = 4700.0 / 6100
+	byMetric := map[string]diffRow{}
+	for _, r := range diffRecords(base, cur, 0.25) {
+		byMetric[r.Metric] = r
+	}
+	if r := byMetric["hit-vs-jit-off"]; !r.Regressed || !r.IsSpeedup || r.SpeedupFloor != 0.8 {
+		t.Fatalf("hit leg slower than 1.25× JIT-off not flagged: %+v", r)
+	}
+	if r := byMetric["prog-template-hit"]; !r.Regressed {
+		t.Fatalf("hit leg +69%% over its baseline not flagged: %+v", r)
+	}
+	if r := byMetric["prog-jit-off"]; r.Regressed {
+		t.Fatalf("unchanged leg flagged: %+v", r)
+	}
+
+	// A slow host moves every leg and the calibration together: nothing
+	// regresses, and the ratio — taken within one record — does not move.
+	slow := base
+	slow.CalibNs = 200
+	slow.ProgJITOffNsOp, slow.ProgMissNsOp, slow.ProgHitNsOp = 9400, 9400, 7200
+	slow.Q6ColdJITOnNsOp, slow.Q6ColdJITOffNsOp = 5200, 4600
+	for _, r := range diffRecords(base, slow, 0.25) {
+		if r.Regressed {
+			t.Fatalf("calibration-normalized slow host flagged: %+v", r)
+		}
+	}
+
+	// Without a baseline floor the default 1 − max-regress applies.
+	base.HitVsJITOffFloor = 0
+	for _, r := range diffRecords(base, cur, 0.25) {
+		if r.Metric == "hit-vs-jit-off" && (r.SpeedupFloor != 0.75 || r.Regressed) {
+			t.Fatalf("default floor: %+v", r)
+		}
+	}
+}

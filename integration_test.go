@@ -15,7 +15,7 @@ import (
 
 // TestEndToEndFigure2AllExecutionModes is the repo-level integration test:
 // the paper's example program must produce identical results interpreted,
-// compiled synchronously, and compiled by the background optimizer mid-run —
+// compiled synchronously, and compiled by the background compile service —
 // all driven through the public advm API.
 func TestEndToEndFigure2AllExecutionModes(t *testing.T) {
 	kinds := map[string]advm.Kind{"some_data": advm.I64, "v": advm.I64, "w": advm.I64}

@@ -154,6 +154,79 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
+// TestTemplateWarmEngineIdentical pits a fresh engine against engines that
+// stay alive across every seed and so answer later cases' lambdas from the
+// JIT template cache: expression traces instantiated from a template that
+// was generated for another query, with other constants, must reproduce the
+// fresh serial reference byte for byte, at parallelism 1, 4 and 8. Tiering
+// is off so every filter and compute runs in an expression VM, and chunks
+// are short so those VMs turn hot within one query.
+func TestTemplateWarmEngineIdentical(t *testing.T) {
+	seeds := int64(16)
+	if testing.Short() {
+		seeds = 5
+	}
+	ctx := context.Background()
+	common := []advm.Option{
+		advm.WithTieredExecution(false),
+		advm.WithChunkLen(64),
+		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
+	}
+	workers := []int{1, 4, 8}
+	warm := make([]*advm.Engine, len(workers))
+	for i, w := range workers {
+		eng, err := advm.NewEngine(append([]advm.Option{advm.WithParallelism(w)}, common...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		warm[i] = eng
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		c := NewCase(seed)
+		fresh, err := advm.NewSession(append([]advm.Option{advm.WithParallelism(1), advm.WithJIT(false)}, common...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Collect(ctx, fresh, c.Plan)
+		fresh.Close()
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.Desc, err)
+		}
+		for i, eng := range warm {
+			sess, err := eng.Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Twice: the second execution finds even this case's own shapes
+			// cached and runs traced from its first hot check.
+			for pass := 0; pass < 2; pass++ {
+				got, err := Collect(ctx, sess, c.Plan)
+				if err != nil {
+					t.Fatalf("%s [par%d pass %d]: %v", c.Desc, workers[i], pass, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s [par%d pass %d]: %d rows, fresh engine produced %d", c.Desc, workers[i], pass, len(got), len(want))
+				}
+				for r := range want {
+					if got[r] != want[r] {
+						t.Fatalf("%s [par%d pass %d]: row %d differs\n got: %s\nwant: %s", c.Desc, workers[i], pass, r, got[r], want[r])
+					}
+				}
+			}
+			sess.Close()
+		}
+	}
+	// Not every random plan has a lambda, but across the seeds the warm
+	// engines must have served traces from cached templates — zero hits
+	// means this leg compared interpreters.
+	for i, eng := range warm {
+		if st := eng.Stats(); st.JITTemplateHits == 0 || st.JITTemplates == 0 {
+			t.Fatalf("par%d engine: %d templates, %d hits; the template cache was never exercised", workers[i], st.JITTemplates, st.JITTemplateHits)
+		}
+	}
+}
+
 // TestTopKTiesDeterminism pins the parallel top-k's tie-breaking contract:
 // with a sort key of only five distinct values, almost every comparison is a
 // tie, so which rows make the cut is decided entirely by table order — the

@@ -32,21 +32,36 @@ type exprVM struct {
 	env    *interp.Env
 }
 
-// vmConfigForExpr: synchronous optimization between chunks keeps the engine
-// deterministic; compile latency stays modeled.
-func vmConfigForExpr(enableJIT bool) vm.Config {
+// ExprJIT configures trace compilation in an operator's expression VM.
+type ExprJIT struct {
+	// On enables compilation; off, the expression is interpreted for good.
+	On bool
+	// Opt tunes compilation (tile size, modeled compile latency).
+	Opt jit.Options
+	// Compiler is the engine's compile service. Expression VMs are private
+	// to one operator instance of one query, but their traces come from the
+	// service's shared template cache, so a lambda shape's code generation
+	// is paid once per engine — by a background worker — and not once per
+	// operator, worker and query. Nil gives each VM a private service.
+	Compiler *jit.Service
+}
+
+// vmConfigForExpr is the expression VMs' configuration: a chunk is one run,
+// so the hot check at the end of every run is a check per chunk.
+func vmConfigForExpr(j ExprJIT) vm.Config {
 	cfg := vm.DefaultConfig()
-	cfg.Sync = true
 	cfg.HotCalls = 16
-	if !enableJIT {
+	if !j.On {
 		cfg.HotCalls = 1 << 62
 		cfg.HotNanos = 1 << 62
 	}
+	cfg.JIT = j.Opt
+	cfg.Compiler = j.Compiler
 	return cfg
 }
 
 // newExprVM lowers "map (\params -> body) cols..." into a VM.
-func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind vector.Kind, enableJIT bool, jitOpt jit.Options) (*exprVM, error) {
+func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind vector.Kind, j ExprJIT) (*exprVM, error) {
 	var sb strings.Builder
 	for i, col := range inCols {
 		fmt.Fprintf(&sb, "let c%d = read 0 %s\n", i, col)
@@ -69,10 +84,8 @@ func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind ve
 	if err != nil {
 		return nil, fmt.Errorf("%w: normalizing %q: %v", ErrExpr, lambda, err)
 	}
-	cfg := vmConfigForExpr(enableJIT)
-	cfg.JIT = jitOpt
 	e := &exprVM{
-		vm:     vm.New(np, cfg),
+		vm:     vm.New(np, vmConfigForExpr(j)),
 		outVec: vector.New(outKind, 0, vector.DefaultChunkLen),
 		ext:    map[string]*vector.Vector{},
 		inCols: inCols,
@@ -144,6 +157,15 @@ func (e *exprVM) evalWindow(ctx context.Context, inputs []*vector.Vector) (*vect
 // Profile exposes the underlying VM profile (for tests and reports).
 func (e *exprVM) Profile() *profile.Profile { return e.vm.Interp.Prof }
 
+// close retires the VM with its operator: compiles still queued for it are
+// dropped instead of generated. Safe on a nil receiver (operator never
+// opened).
+func (e *exprVM) close() {
+	if e != nil {
+		e.vm.Close()
+	}
+}
+
 // EvalMode selects how Compute and Filter treat incoming selection vectors
 // (§III-C: "one could also specialize for different selectivities").
 type EvalMode int
@@ -179,8 +201,7 @@ type Compute struct {
 	evm     *exprVM
 	selEW   *profile.EWMA
 	outKind vector.Kind
-	jitOn   bool
-	jitOpt  jit.Options
+	jit     ExprJIT
 
 	// FullEvals / SelectiveEvals count flavor decisions (for experiments).
 	FullEvals, SelectiveEvals int
@@ -192,19 +213,15 @@ func NewCompute(child Operator, outName, lambda string, outKind vector.Kind, col
 	return &Compute{
 		child: child, outName: outName, lambda: lambda, cols: cols,
 		outKind: outKind, mode: EvalAdaptive, selEW: profile.NewEWMA(0.3),
-		jitOn: true,
+		jit: ExprJIT{On: true},
 	}
 }
 
 // SetMode fixes the evaluation flavor (default adaptive).
 func (c *Compute) SetMode(m EvalMode) *Compute { c.mode = m; return c }
 
-// SetJIT enables/disables trace compilation in the expression VM.
-func (c *Compute) SetJIT(on bool, opt jit.Options) *Compute {
-	c.jitOn = on
-	c.jitOpt = opt
-	return c
-}
+// SetJIT configures trace compilation in the expression VM.
+func (c *Compute) SetJIT(j ExprJIT) *Compute { c.jit = j; return c }
 
 // Schema implements Operator.
 func (c *Compute) Schema() []ColInfo {
@@ -229,7 +246,7 @@ func (c *Compute) Open(ctx context.Context) error {
 			return fmt.Errorf("engine: compute input %q not produced by child", col)
 		}
 	}
-	evm, err := newExprVM(c.lambda, c.cols, kinds, c.outKind, c.jitOn, c.jitOpt)
+	evm, err := newExprVM(c.lambda, c.cols, kinds, c.outKind, c.jit)
 	if err != nil {
 		return err
 	}
@@ -297,7 +314,10 @@ func (c *Compute) Next(ctx context.Context) (*vector.Chunk, error) {
 }
 
 // Close implements Operator.
-func (c *Compute) Close() error { return c.child.Close() }
+func (c *Compute) Close() error {
+	c.evm.close()
+	return c.child.Close()
+}
 
 // Filter narrows the chunk's selection vector with a DSL predicate.
 type Filter struct {
@@ -307,8 +327,7 @@ type Filter struct {
 	mode   EvalMode
 	evm    *exprVM
 	selEW  *profile.EWMA
-	jitOn  bool
-	jitOpt jit.Options
+	jit    ExprJIT
 
 	// Observed counts rows in/out for selectivity reporting.
 	RowsIn, RowsOut int64
@@ -320,19 +339,15 @@ type Filter struct {
 func NewFilter(child Operator, lambda, col string) *Filter {
 	return &Filter{
 		child: child, lambda: lambda, col: col,
-		mode: EvalAdaptive, selEW: profile.NewEWMA(0.3), jitOn: true,
+		mode: EvalAdaptive, selEW: profile.NewEWMA(0.3), jit: ExprJIT{On: true},
 	}
 }
 
 // SetMode fixes the evaluation flavor.
 func (f *Filter) SetMode(m EvalMode) *Filter { f.mode = m; return f }
 
-// SetJIT enables/disables trace compilation in the predicate VM.
-func (f *Filter) SetJIT(on bool, opt jit.Options) *Filter {
-	f.jitOn = on
-	f.jitOpt = opt
-	return f
-}
+// SetJIT configures trace compilation in the predicate VM.
+func (f *Filter) SetJIT(j ExprJIT) *Filter { f.jit = j; return f }
 
 // Selectivity returns the observed pass rate.
 func (f *Filter) Selectivity() float64 {
@@ -360,7 +375,7 @@ func (f *Filter) Open(ctx context.Context) error {
 	if !found {
 		return fmt.Errorf("engine: filter column %q not produced by child", f.col)
 	}
-	evm, err := newExprVM(f.lambda, []string{f.col}, []vector.Kind{kind}, vector.Bool, f.jitOn, f.jitOpt)
+	evm, err := newExprVM(f.lambda, []string{f.col}, []vector.Kind{kind}, vector.Bool, f.jit)
 	if err != nil {
 		return err
 	}
@@ -426,7 +441,10 @@ func (f *Filter) Next(ctx context.Context) (*vector.Chunk, error) {
 }
 
 // Close implements Operator.
-func (f *Filter) Close() error { return f.child.Close() }
+func (f *Filter) Close() error {
+	f.evm.close()
+	return f.child.Close()
+}
 
 func shallowChunk(c *vector.Chunk) *vector.Chunk {
 	out := vector.NewChunk()

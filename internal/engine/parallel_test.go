@@ -29,9 +29,9 @@ func genTable(t testing.TB, n int, seed int64) *vector.DSMStore {
 // pipelineOn builds the test pipeline filter(k<700) → compute(v2 = v*3+1) →
 // compute(g = f*1.5) on an arbitrary leaf.
 func pipelineOn(leaf Operator) Operator {
-	f := NewFilter(leaf, `(\k -> k < 700)`, "k").SetJIT(true, jit.Options{CompileLatency: jit.NoCompileLatency})
-	c1 := NewCompute(f, "v2", `(\v -> v * 3 + 1)`, vector.I64, "v").SetJIT(true, jit.Options{CompileLatency: jit.NoCompileLatency})
-	return NewCompute(c1, "g", `(\x -> x * 1.5)`, vector.F64, "f").SetJIT(true, jit.Options{CompileLatency: jit.NoCompileLatency})
+	f := NewFilter(leaf, `(\k -> k < 700)`, "k").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	c1 := NewCompute(f, "v2", `(\v -> v * 3 + 1)`, vector.I64, "v").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	return NewCompute(c1, "g", `(\x -> x * 1.5)`, vector.F64, "f").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
 }
 
 // materialize collects every selected row of op into flat slices.

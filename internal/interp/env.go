@@ -54,15 +54,38 @@ type Env struct {
 	// executions honor cancellation and deadlines. It is installed for the
 	// duration of one RunContext call.
 	ctx context.Context
-	// poll, when non-nil, runs at the same boundaries. The VM uses it as a
-	// cooperative optimization hook so adaptivity does not depend on a
-	// background goroutine winning the scheduler (GOMAXPROCS=1).
+	// poll, when non-nil, runs at the same boundaries. The VM uses it to
+	// examine the profile on the interpreting goroutine, so noticing a hot
+	// segment does not depend on a background goroutine winning the
+	// scheduler (GOMAXPROCS=1).
 	poll func()
+
+	// profWeight is the number of executions the one being profiled stands
+	// for (see Interpreter.SetProfileSampling).
+	profWeight int
+	// scratch is reusable per-chunk working storage for compiled traces.
+	scratch []*vector.Vector
 }
 
 // SetPoll installs a function invoked at segment boundaries while the
-// environment executes. The VM uses it for cooperative optimization.
+// environment executes. The VM uses it for its hot checks.
 func (e *Env) SetPoll(poll func()) { e.poll = poll }
+
+// ProfWeight is the number of executions the step being profiled stands for;
+// steps pass it to Profile.RecordWeighted.
+func (e *Env) ProfWeight() int { return e.profWeight }
+
+// Scratch returns a zeroed slice of n vector slots that stays valid until
+// the next Scratch call on this environment. Traces use it for their
+// per-chunk operand tables instead of allocating one per chunk.
+func (e *Env) Scratch(n int) []*vector.Vector {
+	if cap(e.scratch) < n {
+		e.scratch = make([]*vector.Vector, n)
+	}
+	s := e.scratch[:n]
+	clear(s)
+	return s
+}
 
 // NewEnv creates an environment for prog with the given external bindings.
 // Every external declared by the program must be bound; missing or
@@ -78,9 +101,10 @@ func NewEnv(prog *nir.Program, ext map[string]*vector.Vector) (*Env, error) {
 		}
 	}
 	return &Env{
-		Prog: prog,
-		Regs: make([]Slot, len(prog.Regs)),
-		Ext:  ext,
+		Prog:       prog,
+		Regs:       make([]Slot, len(prog.Regs)),
+		Ext:        ext,
+		profWeight: 1,
 	}, nil
 }
 

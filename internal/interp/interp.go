@@ -42,7 +42,7 @@ func (s *InstrStep) Run(env *Env, prof *profile.Profile) error {
 	if err != nil {
 		return err
 	}
-	prof.Record(s.In.ID, tuples, time.Since(start).Nanoseconds())
+	prof.RecordWeighted(s.In.ID, tuples, time.Since(start).Nanoseconds(), env.ProfWeight())
 	if s.In.Op == nir.OpSelect || s.In.Op == nir.OpSelectCmp {
 		in := env.FlowOf(s.In.A).Len()
 		out := env.FlowOf(s.In.Dst).Len()
@@ -104,7 +104,15 @@ type Interpreter struct {
 	Prog     *nir.Program
 	Segments []*Segment
 	plans    []atomic.Pointer[Plan]
-	tree     []execNode
+	// sampleEvery[seg] > 1 profiles only one execution in that many of the
+	// segment (see SetProfileSampling); sampleTick[seg] counts them. The
+	// count belongs to the interpreter, not to an environment, so which
+	// executions are sampled is unrelated to where a run starts: a run's
+	// first chunk, which allocates the register buffers, is as likely to be
+	// picked as any other.
+	sampleEvery []atomic.Int32
+	sampleTick  []atomic.Uint32
+	tree        []execNode
 
 	// Prof receives per-instruction statistics when Profiling is true.
 	Prof      *profile.Profile
@@ -120,6 +128,8 @@ func New(prog *nir.Program) *Interpreter {
 	}
 	it.tree = it.build(prog.Body)
 	it.plans = make([]atomic.Pointer[Plan], len(it.Segments))
+	it.sampleEvery = make([]atomic.Int32, len(it.Segments))
+	it.sampleTick = make([]atomic.Uint32, len(it.Segments))
 	for i, seg := range it.Segments {
 		it.plans[i].Store(seg.DefaultPlan())
 	}
@@ -185,6 +195,17 @@ func (it *Interpreter) InstallPlan(segID int, p *Plan) error {
 	return nil
 }
 
+// SetProfileSampling makes segment segID profile only one execution in
+// every (≤ 1 = all of them, the default). The VM thins profiling out once a
+// segment's optimization decision is final: the per-instruction clock reads
+// are the dominant interpretation overhead of a hot loop, and a settled
+// segment only needs them to keep Stats and the micro-adaptive comparison
+// fed. Sampled executions are recorded with weight every, so counters stay
+// estimates of the true totals.
+func (it *Interpreter) SetProfileSampling(segID, every int) {
+	it.sampleEvery[segID].Store(int32(every))
+}
+
 // Plan returns the currently installed plan of a segment.
 func (it *Interpreter) Plan(segID int) *Plan { return it.plans[segID].Load() }
 
@@ -229,8 +250,14 @@ func (it *Interpreter) runNodes(nodes []execNode, env *Env) error {
 			}
 			plan := it.plans[n.seg].Load()
 			prof := it.Prof
+			env.profWeight = 1
 			if !it.Profiling {
 				prof = nil
+			} else if every := it.sampleEvery[n.seg].Load(); every > 1 {
+				if it.sampleTick[n.seg].Add(1)%uint32(every) != 0 {
+					prof = nil
+				}
+				env.profWeight = int(every)
 			}
 			for _, step := range plan.Steps {
 				if err := step.Run(env, prof); err != nil {

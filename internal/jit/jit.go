@@ -23,20 +23,23 @@
 // configurable latency charged before a trace becomes available. The default
 // grows linearly with fragment size, mirroring "optimizer passes tend to
 // take longer with an increasing amount of code".
+//
+// Code is generated per fragment *shape*, not per fragment (shape.go,
+// template.go): a template is register- and constant-blind, and a Trace is a
+// template bound to one program's registers. The Service (service.go) keeps
+// templates in an engine-wide cache and generates missing ones on background
+// workers, so the latency above is paid once per shape and never by the
+// goroutine that runs the program.
 package jit
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/depgraph"
 	"repro/internal/interp"
 	"repro/internal/nir"
-	"repro/internal/primitive"
 	"repro/internal/profile"
-	"repro/internal/vector"
 )
 
 // Options configure trace compilation.
@@ -44,9 +47,9 @@ type Options struct {
 	// TileSize is the register-block window for fused element-wise runs.
 	TileSize int
 	// CompileLatency models the cost of code generation + optimization for
-	// a fragment of n nodes. Compile sleeps for this long before returning,
-	// so asynchronous compilation pipelines behave like the real thing.
-	// Nil means DefaultCompileLatency; use NoCompileLatency to disable.
+	// a fragment of n nodes: generating a template stalls for this long
+	// before the template becomes available. Nil means
+	// DefaultCompileLatency; use NoCompileLatency to disable.
 	CompileLatency func(n int) time.Duration
 	// Guard, when non-nil, is checked before every trace execution; a false
 	// result triggers deoptimization (interpret the member instructions).
@@ -66,90 +69,74 @@ func DefaultCompileLatency(n int) time.Duration {
 // NoCompileLatency disables the compile-cost model (for tests).
 func NoCompileLatency(int) time.Duration { return 0 }
 
-// compiledOp executes one fused unit of the trace over a whole chunk.
-type compiledOp func(env *interp.Env) error
-
 // Trace is a compiled fragment, pluggable into the interpreter as a plan
-// step.
+// step: a template patched with one program's registers and instructions.
 type Trace struct {
-	ids    []int
-	instrs []*nir.Instr
-	ops    []compiledOp
-	prog   *nir.Program
-	guard  func(*interp.Env) bool
-	label  string
+	tmpl *template
+	binding
+	guard func(*interp.Env) bool
+	// cached: the template came out of a Service's cache (or an in-flight
+	// compile another program had already paid for) instead of being
+	// generated for this trace.
+	cached bool
 
 	// Stats for the VM's micro-adaptive comparison (atomics: the VM reads
-	// them from the optimizer goroutine).
+	// them while other goroutines run the trace).
 	calls  atomic.Int64
+	timed  atomic.Int64
 	nanos  atomic.Int64
 	deopts atomic.Int64
 }
 
 // Compile builds a trace for a fragment, charging the simulated compile
-// latency before returning.
+// latency before returning. It generates the fragment's code afresh on the
+// caller's goroutine; VMs compile through a Service instead.
 func Compile(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment, opt Options) (*Trace, error) {
-	if opt.TileSize <= 0 {
-		opt.TileSize = DefaultTileSize
+	s, b := shapeOf(prog, g, frag, opt)
+	t, err := compileTemplate(s)
+	if err != nil {
+		return nil, err
 	}
-	if opt.CompileLatency == nil {
-		opt.CompileLatency = DefaultCompileLatency
-	}
-	tr := &Trace{prog: prog, guard: opt.Guard}
-	for _, n := range frag.Nodes {
-		in := g.Nodes[n].Instr
-		tr.instrs = append(tr.instrs, in)
-		tr.ids = append(tr.ids, in.ID)
-	}
-	var parts []string
-	i := 0
-	for i < len(tr.instrs) {
-		if run := elementwiseRun(prog, tr.instrs, i); len(run) > 0 {
-			op, fusedOps, err := compileRun(prog, run, opt.TileSize)
-			if err != nil {
-				return nil, err
-			}
-			tr.ops = append(tr.ops, op)
-			if len(run) > 1 {
-				parts = append(parts, fmt.Sprintf("fused×%d(%d passes)", len(run), fusedOps))
-			} else {
-				parts = append(parts, run[0].Op.String())
-			}
-			i += len(run)
-			continue
-		}
-		op, err := compileSingle(tr.instrs[i])
-		if err != nil {
-			return nil, err
-		}
-		tr.ops = append(tr.ops, op)
-		parts = append(parts, tr.instrs[i].Op.String())
-		i++
-	}
-	tr.label = fmt.Sprintf("trace[%s]", strings.Join(parts, "+"))
-	if d := opt.CompileLatency(len(frag.Nodes)); d > 0 {
+	if d := opt.latency(t.nodes); d > 0 {
 		time.Sleep(d)
 	}
-	return tr, nil
+	return t.bind(b, opt, false), nil
+}
+
+// latency is the modeled code-generation time for a fragment of n nodes.
+func (o Options) latency(n int) time.Duration {
+	if o.CompileLatency == nil {
+		return DefaultCompileLatency(n)
+	}
+	return o.CompileLatency(n)
 }
 
 // Covers implements interp.Step.
 func (tr *Trace) Covers() []int { return tr.ids }
 
 // Describe implements interp.Step.
-func (tr *Trace) Describe() string { return tr.label }
+func (tr *Trace) Describe() string { return tr.tmpl.label }
+
+// TemplateHit reports whether the trace was instantiated from an already
+// generated template rather than compiled for this program.
+func (tr *Trace) TemplateHit() bool { return tr.cached }
 
 // Calls returns how often the trace executed (guard passes only).
 func (tr *Trace) Calls() int64 { return tr.calls.Load() }
 
+// TimedCalls returns how many executions contributed to NanosPerCall.
+func (tr *Trace) TimedCalls() int64 { return tr.timed.Load() }
+
 // Deopts returns how often the guard failed.
 func (tr *Trace) Deopts() int64 { return tr.deopts.Load() }
 
-// NanosPerCall reports the trace's observed mean cost. The first call is
-// excluded: it pays one-time buffer allocation and cache warmup that would
+// NanosPerCall reports the trace's observed mean cost over the executions
+// that were timed: those the interpreter profiled (all of them until the
+// segment's optimization decision is final, a sample afterwards), minus the
+// first, which pays one-time buffer allocation and cache warmup that would
 // bias the micro-adaptive comparison against fresh traces.
 func (tr *Trace) NanosPerCall() float64 {
-	c := tr.calls.Load() - 1
+	c := tr.timed.Load()
 	if c <= 0 {
 		return 0
 	}
@@ -157,29 +144,42 @@ func (tr *Trace) NanosPerCall() float64 {
 }
 
 // Run implements interp.Step: execute the compiled ops, or deoptimize to
-// the interpreter when the guard fails.
+// the interpreter when the guard fails. The execution is timed only when the
+// interpreter profiles it (prof non-nil).
 func (tr *Trace) Run(env *interp.Env, prof *profile.Profile) error {
 	if tr.guard != nil && !tr.guard(env) {
 		tr.deopts.Add(1)
 		return tr.deopt(env, prof)
 	}
-	start := time.Now()
-	for _, op := range tr.ops {
-		if err := op(env); err != nil {
+	if prof == nil {
+		if err := tr.exec(env); err != nil {
 			return err
 		}
+		tr.calls.Add(1)
+		return nil
+	}
+	start := time.Now()
+	if err := tr.exec(env); err != nil {
+		return err
 	}
 	elapsed := time.Since(start).Nanoseconds()
 	if tr.calls.Add(1) > 1 {
 		tr.nanos.Add(elapsed) // first call is warmup; see NanosPerCall
+		tr.timed.Add(1)
 	}
-	if prof != nil {
-		first := tr.instrs[0]
-		n := 0
-		if first.Dst != nir.NoReg && !tr.prog.Reg(first.Dst).Scalar {
-			n = env.FlowOf(first.Dst).Len()
+	n := 0
+	if d := tr.tmpl.firstDst; d >= 0 {
+		n = env.FlowOf(tr.regs[d]).Len()
+	}
+	prof.RecordWeighted(tr.ids[0], n, elapsed, env.ProfWeight())
+	return nil
+}
+
+func (tr *Trace) exec(env *interp.Env) error {
+	for _, op := range tr.tmpl.ops {
+		if err := op(tr, env); err != nil {
+			return err
 		}
-		prof.Record(first.ID, n, elapsed)
 	}
 	return nil
 }
@@ -193,311 +193,4 @@ func (tr *Trace) deopt(env *interp.Env, prof *profile.Profile) error {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Run detection and compilation
-
-// elementwiseRun returns the maximal run of element-wise instructions
-// starting at index i (possibly length 1), or nil if instrs[i] is not
-// element-wise.
-func elementwiseRun(prog *nir.Program, instrs []*nir.Instr, i int) []*nir.Instr {
-	isEW := func(in *nir.Instr) bool {
-		switch in.Op {
-		case nir.OpMapBin, nir.OpMapCmp, nir.OpMapUn:
-			return true
-		case nir.OpCast:
-			return !prog.Reg(in.A).Scalar
-		}
-		return false
-	}
-	var run []*nir.Instr
-	for j := i; j < len(instrs); j++ {
-		if !isEW(instrs[j]) {
-			break
-		}
-		run = append(run, instrs[j])
-	}
-	return run
-}
-
-// compileSingle handles the non-element-wise member ops. They execute
-// through the shared opcode implementation; the trace still saves their
-// per-op profiling and plan-step dispatch overhead.
-func compileSingle(in *nir.Instr) (compiledOp, error) {
-	switch in.Op {
-	case nir.OpRead, nir.OpWrite, nir.OpGather, nir.OpIota, nir.OpCondense, nir.OpFold:
-		in := in
-		return func(env *interp.Env) error {
-			_, err := interp.ExecInstr(env, in)
-			return err
-		}, nil
-	}
-	return nil, fmt.Errorf("jit: operation %v is not compilable", in.Op)
-}
-
-// pass is one windowed kernel application inside a fused run. All operand
-// buffers are resolved per chunk (resolve), then the kernel runs once per
-// window (exec).
-type pass struct {
-	dst  nir.Reg
-	kind vector.Kind
-	// covers lists the member instructions this pass implements (2 for a
-	// fused constant pair, else 1).
-	covers []*nir.Instr
-	exec   func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error
-}
-
-// runCompiled is the compiled form of an element-wise run: a list of passes
-// swept window by window over the chunk.
-type runCompiled struct {
-	prog     *nir.Program
-	inputs   []nir.Reg
-	passes   []pass
-	tileSize int
-}
-
-func compileRun(prog *nir.Program, run []*nir.Instr, tileSize int) (compiledOp, int, error) {
-	rc := &runCompiled{prog: prog, tileSize: tileSize}
-
-	defined := map[nir.Reg]bool{}
-	useCount := map[nir.Reg]int{}
-	for _, in := range run {
-		defined[in.Dst] = true
-		for _, u := range in.Uses() {
-			useCount[u]++
-		}
-	}
-	seen := map[nir.Reg]bool{}
-	for _, in := range run {
-		for _, u := range in.Uses() {
-			if !defined[u] && !prog.Reg(u).Scalar && !seen[u] {
-				seen[u] = true
-				rc.inputs = append(rc.inputs, u)
-			}
-		}
-	}
-	if len(rc.inputs) == 0 {
-		return nil, 0, fmt.Errorf("jit: element-wise run has no flow input")
-	}
-	usedOutside := map[nir.Reg]bool{}
-	inRun := map[*nir.Instr]bool{}
-	for _, m := range run {
-		inRun[m] = true
-	}
-	prog.Walk(func(other *nir.Instr) {
-		if inRun[other] {
-			return
-		}
-		for _, u := range other.Uses() {
-			usedOutside[u] = true
-		}
-	})
-
-	// Pair fusion: merge instrs[i] and instrs[i+1] when i+1 is a constant
-	// map consuming i's output, i's output is used nowhere else, and a
-	// fused kernel exists.
-	i := 0
-	for i < len(run) {
-		if i+1 < len(run) {
-			a, b := run[i], run[i+1]
-			if a.Op == nir.OpMapBin && b.Op == nir.OpMapBin &&
-				!prog.Reg(a.A).Scalar && prog.Reg(a.B).Scalar &&
-				b.A == a.Dst && prog.Reg(b.B).Scalar &&
-				a.Kind == b.Kind &&
-				!usedOutside[a.Dst] && useCount[a.Dst] == 1 {
-				if k, ok := primitive.MapPair(a.Kind, a.Arith, b.Arith); ok {
-					a2, b2 := a, b
-					rc.passes = append(rc.passes, pass{
-						dst: b.Dst, kind: b.Kind, covers: []*nir.Instr{a, b},
-						exec: func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-							k(dst, operand(env, bufs, a2.A), env.ScalarOf(a2.B), env.ScalarOf(b2.B), sel, lo, hi)
-							return nil
-						},
-					})
-					i += 2
-					continue
-				}
-			}
-		}
-		p, err := compilePass(prog, run[i])
-		if err != nil {
-			return nil, 0, err
-		}
-		rc.passes = append(rc.passes, p)
-		i++
-	}
-	return rc.run, len(rc.passes), nil
-}
-
-// operand resolves a register to its buffer: an in-run output or an outside
-// flow.
-func operand(env *interp.Env, bufs map[nir.Reg]*vector.Vector, r nir.Reg) *vector.Vector {
-	if v, ok := bufs[r]; ok {
-		return v
-	}
-	return env.FlowOf(r).Vec
-}
-
-func (rc *runCompiled) run(env *interp.Env) error {
-	base := env.FlowOf(rc.inputs[0])
-	if base.Vec == nil {
-		return fmt.Errorf("jit: input register r%d is empty", rc.inputs[0])
-	}
-	n := base.Vec.Len()
-	sel := base.Sel
-	for _, u := range rc.inputs[1:] {
-		f := env.FlowOf(u)
-		if f.Vec == nil || f.Vec.Len() != n {
-			return fmt.Errorf("jit: misaligned run inputs (r%d)", u)
-		}
-		if f.Sel != nil {
-			sel = f.Sel
-		}
-	}
-
-	// Allocate every pass output once, full chunk size.
-	bufs := make(map[nir.Reg]*vector.Vector, len(rc.passes))
-	for _, p := range rc.passes {
-		bufs[p.dst] = env.OutBuf(p.dst, p.kind, n)
-	}
-
-	span := n
-	if sel != nil {
-		span = len(sel)
-	}
-	step := rc.tileSize
-	if step <= 0 || len(rc.passes) == 1 {
-		step = span
-	}
-	if step == 0 {
-		step = 1 // empty chunk: single no-op window
-	}
-	for lo := 0; lo < span || (span == 0 && lo == 0); lo += step {
-		hi := lo + step
-		if hi > span {
-			hi = span
-		}
-		for _, p := range rc.passes {
-			if err := p.exec(env, bufs[p.dst], bufs, sel, lo, hi); err != nil {
-				return err
-			}
-		}
-		if span == 0 {
-			break
-		}
-	}
-	for _, p := range rc.passes {
-		env.SetFlow(p.dst, interp.Flow{Vec: bufs[p.dst], Sel: sel})
-	}
-	// Mark covered intermediate dsts (fused-away) as aliases of their
-	// consumer? They are dead by construction; leave them unset.
-	return nil
-}
-
-// compilePass resolves kernel and operand plumbing for one member.
-func compilePass(prog *nir.Program, in *nir.Instr) (pass, error) {
-	outKind := in.Kind
-	if in.Op == nir.OpMapCmp {
-		outKind = vector.Bool
-	}
-	p := pass{dst: in.Dst, kind: outKind, covers: []*nir.Instr{in}}
-	in2 := in
-	switch in.Op {
-	case nir.OpMapBin, nir.OpMapCmp:
-		aScalar := prog.Reg(in.A).Scalar
-		bScalar := prog.Reg(in.B).Scalar
-		switch {
-		case !aScalar && !bScalar:
-			if in.Op == nir.OpMapBin {
-				k, ok := primitive.MapBinVV(in.Kind, in.Arith)
-				if !ok {
-					return p, fmt.Errorf("jit: no kernel map.bin.%v<%v> vv", in.Arith, in.Kind)
-				}
-				p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-					k(dst, operand(env, bufs, in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-					return nil
-				}
-				return p, nil
-			}
-			k, ok := primitive.MapCmpVV(in.Kind, in.Cmp)
-			if !ok {
-				return p, fmt.Errorf("jit: no kernel map.cmp.%v<%v> vv", in.Cmp, in.Kind)
-			}
-			p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-				k(dst, operand(env, bufs, in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-				return nil
-			}
-			return p, nil
-
-		case !aScalar && bScalar:
-			if in.Op == nir.OpMapBin {
-				k, ok := primitive.MapBinVS(in.Kind, in.Arith)
-				if !ok {
-					return p, fmt.Errorf("jit: no kernel map.bin.%v<%v> vs", in.Arith, in.Kind)
-				}
-				p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-					k(dst, operand(env, bufs, in2.A), env.ScalarOf(in2.B), sel, lo, hi)
-					return nil
-				}
-				return p, nil
-			}
-			k, ok := primitive.MapCmpVS(in.Kind, in.Cmp)
-			if !ok {
-				return p, fmt.Errorf("jit: no kernel map.cmp.%v<%v> vs", in.Cmp, in.Kind)
-			}
-			p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-				k(dst, operand(env, bufs, in2.A), env.ScalarOf(in2.B), sel, lo, hi)
-				return nil
-			}
-			return p, nil
-
-		case aScalar && !bScalar:
-			if in.Op == nir.OpMapBin {
-				k, ok := primitive.MapBinSV(in.Kind, in.Arith)
-				if !ok {
-					return p, fmt.Errorf("jit: no kernel map.bin.%v<%v> sv", in.Arith, in.Kind)
-				}
-				p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-					k(dst, env.ScalarOf(in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-					return nil
-				}
-				return p, nil
-			}
-			k, ok := primitive.MapCmpSV(in.Kind, in.Cmp)
-			if !ok {
-				return p, fmt.Errorf("jit: no kernel map.cmp.%v<%v> sv", in.Cmp, in.Kind)
-			}
-			p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-				k(dst, env.ScalarOf(in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-				return nil
-			}
-			return p, nil
-		}
-		return p, fmt.Errorf("jit: map with two scalar operands")
-
-	case nir.OpMapUn:
-		k, ok := primitive.MapUn(in.Kind, in.Unary)
-		if !ok {
-			return p, fmt.Errorf("jit: no kernel map.un.%v<%v>", in.Unary, in.Kind)
-		}
-		p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-			k(dst, operand(env, bufs, in2.A), sel, lo, hi)
-			return nil
-		}
-		return p, nil
-
-	case nir.OpCast:
-		p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-			src := operand(env, bufs, in2.A)
-			k, ok := primitive.Cast(src.Kind(), in2.Kind)
-			if !ok {
-				return fmt.Errorf("jit: no cast kernel %v→%v", src.Kind(), in2.Kind)
-			}
-			k(dst, src, sel, lo, hi)
-			return nil
-		}
-		return p, nil
-	}
-	return p, fmt.Errorf("jit: %v is not element-wise", in.Op)
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // Profile holds per-instruction counters, indexed by the normalizer-assigned
-// instruction ID. All counters are updated with atomic operations so a
-// background optimizer may read them while the interpreter runs.
+// instruction ID. All counters are updated with atomic operations so the
+// optimizer may read them while other goroutines run the program.
 type Profile struct {
 	n      int
 	calls  []atomic.Int64
@@ -45,6 +45,16 @@ func (p *Profile) Record(id, tuples int, ns int64) {
 	p.calls[id].Add(1)
 	p.tuples[id].Add(int64(tuples))
 	p.nanos[id].Add(ns)
+}
+
+// RecordWeighted notes one sampled execution standing for w executions: the
+// interpreter times only one chunk in w once a segment's optimization
+// decision is final, and scales the sample so counters stay estimates of the
+// true totals.
+func (p *Profile) RecordWeighted(id, tuples int, ns int64, w int) {
+	p.calls[id].Add(int64(w))
+	p.tuples[id].Add(int64(tuples) * int64(w))
+	p.nanos[id].Add(ns * int64(w))
 }
 
 // RecordSel notes a selection event: in rows entered, out rows survived.

@@ -57,6 +57,13 @@ type engineStatsJSON struct {
 	FusedPrograms    int   `json:"fused_programs"`
 	FusedQueries     int64 `json:"fused_queries"`
 	FusedDeopts      int64 `json:"fused_deopts"`
+	// The JIT compile service: trace code is generated once per fragment
+	// shape on background workers and cached; see advm.EngineStats.
+	JITTemplates         int   `json:"jit_templates"`
+	JITTemplateHits      int64 `json:"jit_template_hits"`
+	JITTemplateMisses    int64 `json:"jit_template_misses"`
+	JITCompileQueueDepth int   `json:"jit_compile_queue_depth"`
+	JITCompilesDropped   int64 `json:"jit_compiles_dropped"`
 }
 
 // tierInfoJSON is one plan fingerprint's tiered-execution state.
@@ -82,6 +89,11 @@ type preparedInfo struct {
 	Runs           int64  `json:"runs"`
 	InjectedTraces int    `json:"injected_traces"`
 	RevertedTraces int    `json:"reverted_traces"`
+	// TemplateHits counts the injected traces whose code the engine's
+	// compile service already had (generated for an earlier program of the
+	// same shape); TemplateMisses those generated for this program.
+	TemplateHits   int    `json:"template_hits"`
+	TemplateMisses int    `json:"template_misses"`
 	State          string `json:"state"`
 	// Tier classifies the program's cumulative run count against the
 	// engine's tiered-execution thresholds: repeated /v1/exec of one
@@ -105,6 +117,12 @@ func engineJSON(st advm.EngineStats) engineStatsJSON {
 		FusedPrograms:    st.FusedPrograms,
 		FusedQueries:     st.FusedQueries,
 		FusedDeopts:      st.FusedDeopts,
+
+		JITTemplates:         st.JITTemplates,
+		JITTemplateHits:      st.JITTemplateHits,
+		JITTemplateMisses:    st.JITTemplateMisses,
+		JITCompileQueueDepth: st.JITCompileQueueDepth,
+		JITCompilesDropped:   st.JITCompilesDropped,
 	}
 }
 
@@ -152,6 +170,8 @@ func (s *Server) snapshotStats() statsResponse {
 			Runs:           st.Runs,
 			InjectedTraces: st.InjectedTraces,
 			RevertedTraces: st.RevertedTraces,
+			TemplateHits:   st.TemplateHits,
+			TemplateMisses: st.TemplateMisses,
 			State:          st.State,
 			Tier:           p.Tier(),
 		})
@@ -359,6 +379,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("advm_fused_programs", "Specialized programs resident in the fused code cache.", float64(st.Engine.FusedPrograms))
 	p.counter("advm_fused_queries_total", "Queries that executed fused loops.", float64(st.Engine.FusedQueries))
 	p.counter("advm_fused_deopts_total", "Fused-loop guard failures that reverted to the interpreter.", float64(st.Engine.FusedDeopts))
+
+	p.gauge("advm_jit_templates", "Fragment shapes whose trace code is resident in the compile service's template cache.", float64(st.Engine.JITTemplates))
+	p.counter("advm_jit_template_hits_total", "Trace fragments served from a cached template or a compile already under way.", float64(st.Engine.JITTemplateHits))
+	p.counter("advm_jit_template_misses_total", "Template compiles started (each pays the modeled compile latency on a background worker).", float64(st.Engine.JITTemplateMisses))
+	p.gauge("advm_jit_compile_queue_depth", "Template compiles queued or running.", float64(st.Engine.JITCompileQueueDepth))
+	p.counter("advm_jit_compiles_dropped_total", "Compiles abandoned: requesting VM gone, queue full or engine closed.", float64(st.Engine.JITCompilesDropped))
 
 	p.gauge("advm_server_inflight", "Queries currently executing.", float64(st.Admission.Running))
 	p.gauge("advm_server_queue_depth", "Requests currently queued for admission.", float64(st.Admission.Queued))

@@ -22,6 +22,11 @@ type Q1Options struct {
 	PreAgg engine.PreAggMode
 }
 
+// exprJIT is the expression-VM configuration of these standalone pipelines:
+// no engine owns them, so every expression VM compiles through a private
+// service.
+func (o Q1Options) exprJIT() engine.ExprJIT { return engine.ExprJIT{On: o.JIT, Opt: o.JITOpt} }
+
 // Q1Engine answers Q1 through the engine pipeline
 // scan → filter(shipdate ≤ cutoff) → disc_price → charge → hash aggregate,
 // with every expression lowered through the DSL into the adaptive VM. With
@@ -35,13 +40,13 @@ func Q1Engine(ctx context.Context, st *vector.DSMStore, cutoff int64, opts Q1Opt
 		return nil, err
 	}
 	filter := engine.NewFilter(scan, fmt.Sprintf(`(\d -> d <= %d)`, cutoff), "l_shipdate").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	discPrice := engine.NewCompute(filter, "disc_price",
 		`(\p d -> p * (1.0 - d))`, vector.F64, "l_extendedprice", "l_discount").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	charge := engine.NewCompute(discPrice, "charge",
 		`(\dp t -> dp * (1.0 + t))`, vector.F64, "disc_price", "l_tax").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	agg := engine.NewHashAgg(charge,
 		[]string{"l_returnflag", "l_linestatus"},
 		[]engine.Aggregate{
@@ -186,13 +191,13 @@ func Q6Engine(ctx context.Context, st *vector.DSMStore, p Q6Params, opts Q1Optio
 		return 0, err
 	}
 	f1 := engine.NewFilter(scan, fmt.Sprintf(`(\d -> (d >= %d) && (d < %d))`, p.ShipLo, p.ShipHi), "l_shipdate").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	f2 := engine.NewFilter(f1, fmt.Sprintf(`(\x -> (x >= %v) && (x <= %v))`, p.DiscLo, p.DiscHi), "l_discount").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	f3 := engine.NewFilter(f2, fmt.Sprintf(`(\q -> q < %d)`, p.QtyMax), "l_quantity").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	rev := engine.NewCompute(f3, "revenue", `(\p d -> p * d)`, vector.F64, "l_extendedprice", "l_discount").
-		SetMode(opts.Mode).SetJIT(opts.JIT, opts.JITOpt)
+		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	agg := engine.NewHashAgg(rev, nil, []engine.Aggregate{
 		{Func: engine.AggSum, Col: "revenue", As: "revenue"},
 	})

@@ -5,6 +5,13 @@
 // fragments into fused traces, injects them into the interpreter, and keeps
 // interpreting the partially optimized program.
 //
+// Code generation never runs on the goroutine that executes the program: a
+// hot segment is partitioned in place (microseconds) and its fragments are
+// handed to a jit.Service, which answers from its template cache or
+// generates the missing templates on background workers while the VM keeps
+// interpreting. Finished traces are swapped into the segment's plan
+// atomically and take effect at the next segment boundary.
+//
 // The VM is micro-adaptive in the sense of [24] generalized by the paper:
 // after injecting a trace it keeps comparing the trace's measured cost
 // against the interpreter's historical cost for the same instructions, and
@@ -15,6 +22,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -62,16 +70,21 @@ type Config struct {
 	// HotNanos is the cumulative time after which a segment is considered
 	// hot regardless of call count.
 	HotNanos int64
-	// OptimizeInterval is how often the optimizer re-examines the profile.
+	// OptimizeInterval is how often a running program re-examines its
+	// profile (every run also ends with one examination).
 	OptimizeInterval time.Duration
 	// JIT configures trace compilation (tile size, compile-latency model).
 	JIT jit.Options
+	// Compiler is the compile service the VM requests traces from: the
+	// owning engine's, so templates are shared with every other VM. Nil
+	// gives the VM a private service, released by Close.
+	Compiler *jit.Service
 	// Constraints configure the dependency-graph partitioner.
 	Constraints depgraph.Constraints
-	// Sync makes optimization synchronous: the VM checks for hot segments
-	// between program runs instead of using a background optimizer. Useful
-	// for deterministic tests and for benchmarks that charge compile time
-	// to the measured total.
+	// Sync makes optimization synchronous: the VM examines hot segments
+	// only between program runs and waits for their traces — generated
+	// through the same service and template cache — before returning.
+	// For deterministic tests; production VMs never wait for codegen.
 	Sync bool
 	// MicroAdaptive keeps comparing injected traces against the
 	// interpreter's historical cost and reverts losing traces.
@@ -96,13 +109,14 @@ func DefaultConfig() Config {
 
 // segState tracks per-segment optimization status.
 type segState struct {
-	compiled     bool
-	reverted     bool // compilation tried and lost; do not recompile
-	traces       []*jit.Trace
-	interpNanos  float64 // historical interpreter cost per run of the segment
-	interpCalls  int64
-	fragmentIDs  [][]int
-	guardFactory func(segID int) func(*interp.Env) bool
+	compiled bool
+	pending  bool // traces requested from the compile service, not yet back
+	reverted bool // compilation tried and lost; do not recompile
+	settled  bool // compiled and measured long enough to thin profiling out
+	traces   []*jit.Trace
+	// interpNanos is the interpreter's historical cost per segment execution
+	// of the instructions the traces replaced.
+	interpNanos float64
 }
 
 // VM is the adaptive virtual machine for one normalized program. It may be
@@ -118,21 +132,15 @@ type VM struct {
 	mu           sync.Mutex
 	transitions  []Transition
 	segs         []segState
-	activeRuns   int                            // concurrent RunContext calls (under mu)
-	optimizer    *optimizerHandle               // live background optimizer (under mu)
 	guards       map[int]func(*interp.Env) bool // segment → situation guard
+	ownsCompiler bool
+	closed       atomic.Bool
 	optimizing   atomic.Bool
 	pollCount    atomic.Int64
 	lastOptimize atomic.Int64 // time of the last optimizer pass, ns since start
-}
-
-// optimizerHandle is the lifecycle of one background optimizer goroutine.
-// Each goroutine owns a distinct handle, so overlapping run generations
-// (last run of one burst still shutting the optimizer down while the first
-// run of the next burst starts a new one) never share channels.
-type optimizerHandle struct {
-	stop chan struct{}
-	done chan struct{}
+	// templateHits / templateMisses count injected traces by where their code
+	// came from (under mu).
+	templateHits, templateMisses int
 }
 
 // New creates a VM for prog.
@@ -153,9 +161,28 @@ func New(prog *nir.Program, cfg Config) *VM {
 		segs:   make([]segState, len(it.Segments)),
 		guards: map[int]func(*interp.Env) bool{},
 	}
+	if vm.cfg.Compiler == nil {
+		vm.cfg.Compiler = jit.NewService()
+		vm.ownsCompiler = true
+	}
 	vm.state.Store(int32(StateInterpret))
 	return vm
 }
+
+// Close tells the VM it will not be run again: compiles still queued on its
+// behalf are dropped instead of generated, traces that arrive late are
+// discarded, and a private compile service is released. Running a closed VM
+// still works; it just stops optimizing. Close is idempotent.
+func (vm *VM) Close() {
+	if vm.closed.Swap(true) {
+		return
+	}
+	if vm.ownsCompiler {
+		vm.cfg.Compiler.Close()
+	}
+}
+
+func (vm *VM) alive() bool { return !vm.closed.Load() }
 
 // NewEnv binds external arrays for a program execution.
 func (vm *VM) NewEnv(ext map[string]*vector.Vector) (*interp.Env, error) {
@@ -190,9 +217,7 @@ func (vm *VM) SetGuard(segID int, g func(*interp.Env) bool) {
 	vm.mu.Unlock()
 }
 
-// Run executes the program once. With Sync=false a background optimizer
-// accompanies the execution; with Sync=true optimization happens between
-// runs (call MaybeOptimize explicitly or rely on Run's epilogue).
+// Run executes the program once; see RunContext.
 func (vm *VM) Run(env *interp.Env) error {
 	return vm.RunContext(context.Background(), env)
 }
@@ -202,103 +227,53 @@ func (vm *VM) Run(env *interp.Env) error {
 // aborts within one chunk of the cancellation and the returned error wraps
 // ctx.Err().
 //
-// With Sync=false the asynchronous Optimize→GenerateCode→InjectFunctions
-// cycle accompanies the run twice over: a background goroutine ticks every
-// OptimizeInterval, and the interpreter additionally polls the optimizer
-// cooperatively at segment boundaries when the background goroutine is
-// starved (e.g. GOMAXPROCS=1), so mid-run compilation does not depend on
-// scheduler luck.
+// The Optimize→GenerateCode→InjectFunctions cycle accompanies the run
+// without ever stalling it: the interpreter examines the profile at segment
+// boundaries (at most once per OptimizeInterval) and once more when the run
+// ends, hot segments are handed to the compile service, and the run goes on
+// interpreting until their traces are swapped in — by the service's worker,
+// or right away when the templates were cached. With Sync the examination
+// happens only after the run and waits for the traces.
 func (vm *VM) RunContext(ctx context.Context, env *interp.Env) error {
-	if vm.cfg.Sync {
-		err := vm.Interp.RunContext(ctx, env)
-		if err == nil {
-			// No optimization epilogue for a failed or cancelled run: the
-			// modeled compile latency would delay the error's return and
-			// spend JIT work on an execution that was aborted.
-			vm.MaybeOptimize()
-		}
-		return err
+	if !vm.cfg.Sync {
+		env.SetPoll(vm.poll)
+		// Deferred so a panic out of the interpreter (propagated to an
+		// embedder that recovers) leaves a reusable environment behind.
+		defer env.SetPoll(nil)
 	}
-	vm.startOptimizer()
-	env.SetPoll(vm.cooperativePoll)
-	// Deferred so a panic out of the interpreter (propagated to an embedder
-	// that recovers) still shuts the optimizer down and keeps the
-	// activeRuns accounting correct.
-	defer func() {
-		env.SetPoll(nil)
-		vm.stopOptimizer()
-	}()
-	return vm.Interp.RunContext(ctx, env)
+	err := vm.Interp.RunContext(ctx, env)
+	if err == nil {
+		// A failed or cancelled run gets no epilogue: its profile describes
+		// an execution that was aborted.
+		vm.MaybeOptimize()
+	}
+	return err
 }
 
-// startOptimizer accounts one active run and launches the background
-// optimizer when it is the first.
-func (vm *VM) startOptimizer() {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.activeRuns++
-	if vm.activeRuns == 1 {
-		h := &optimizerHandle{stop: make(chan struct{}), done: make(chan struct{})}
-		vm.optimizer = h
-		go vm.optimizerLoop(h)
-	}
-}
-
-// stopOptimizer retires one active run and, when it was the last, shuts the
-// background optimizer down and waits for it to exit.
-func (vm *VM) stopOptimizer() {
-	vm.mu.Lock()
-	var h *optimizerHandle
-	vm.activeRuns--
-	if vm.activeRuns == 0 {
-		h, vm.optimizer = vm.optimizer, nil
-	}
-	vm.mu.Unlock()
-	if h != nil {
-		close(h.stop)
-		<-h.done
-	}
-}
-
-// cooperativePoll runs at segment boundaries of an asynchronous run. It
-// invokes the optimizer inline when no optimization pass has happened for
-// several OptimizeIntervals — the background ticker goroutine never gets
-// scheduled on a fully loaded single-core machine, and adaptivity must not
-// depend on it.
-func (vm *VM) cooperativePoll() {
+// poll runs at segment boundaries of a run and examines the profile when
+// none of the VM's runs has for an OptimizeInterval. It runs on the
+// interpreting goroutine, so adaptivity does not depend on a background
+// goroutine winning the scheduler (GOMAXPROCS=1); what it starts is only
+// ever a request to the compile service.
+func (vm *VM) poll() {
 	if vm.pollCount.Add(1)%pollStride != 0 {
 		return
 	}
 	last := time.Duration(vm.lastOptimize.Load())
-	if time.Since(vm.start)-last < 4*vm.cfg.OptimizeInterval {
+	if time.Since(vm.start)-last < vm.cfg.OptimizeInterval {
 		return
 	}
 	vm.MaybeOptimize()
 }
 
-// pollStride amortizes the time.Since call in cooperativePoll across segment
+// pollStride amortizes the time.Since call in poll across segment
 // executions.
 const pollStride = 16
 
-// optimizerLoop is the background incarnation of the Optimize→GenerateCode→
-// InjectFunctions cycle.
-func (vm *VM) optimizerLoop(h *optimizerHandle) {
-	defer close(h.done)
-	ticker := time.NewTicker(vm.cfg.OptimizeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-h.stop:
-			return
-		case <-ticker.C:
-			vm.MaybeOptimize()
-		}
-	}
-}
-
-// MaybeOptimize examines the profile, compiles hot segments that are not yet
-// compiled, and reverts regressing traces. It is safe to call concurrently
-// with Run and with itself (concurrent callers coalesce into one pass).
+// MaybeOptimize examines the profile, requests traces for hot segments that
+// are not yet compiled, and reverts regressing traces. It is safe to call
+// concurrently with Run and with itself (concurrent callers coalesce into
+// one pass).
 func (vm *VM) MaybeOptimize() {
 	if !vm.optimizing.CompareAndSwap(false, true) {
 		return // another caller is already optimizing
@@ -313,30 +288,32 @@ func (vm *VM) MaybeOptimize() {
 	}
 }
 
-// segmentStats sums profile counters across a segment's instructions.
-func (vm *VM) segmentStats(segID int) (calls, nanos int64) {
-	seg := vm.Interp.Segments[segID]
+// segmentStats reads the segment's profile once: how often it executed, the
+// time its instructions took in total, and the share of that time spent in
+// the instructions listed in members (nil = none).
+func (vm *VM) segmentStats(segID int, members map[int]bool) (calls, nanos, memberNanos int64) {
 	prof := vm.Interp.Prof
-	for _, in := range seg.Instrs {
-		c := prof.Calls(in.ID)
-		if c > calls {
+	for _, in := range vm.Interp.Segments[segID].Instrs {
+		if c := prof.Calls(in.ID); c > calls {
 			calls = c
 		}
-		nanos += prof.Nanos(in.ID)
+		ns := prof.Nanos(in.ID)
+		nanos += ns
+		if members[in.ID] {
+			memberNanos += ns
+		}
 	}
-	return calls, nanos
+	return calls, nanos, memberNanos
 }
 
 func (vm *VM) maybeOptimizeSegment(segID int) {
 	vm.mu.Lock()
-	st := &vm.segs[segID]
-	if st.compiled || st.reverted {
-		vm.mu.Unlock()
+	st := vm.segs[segID]
+	vm.mu.Unlock()
+	if st.compiled || st.pending || st.reverted {
 		return
 	}
-	vm.mu.Unlock()
-
-	calls, nanos := vm.segmentStats(segID)
+	calls, nanos, _ := vm.segmentStats(segID, nil)
 	if calls < vm.cfg.HotCalls && nanos < vm.cfg.HotNanos {
 		return
 	}
@@ -347,100 +324,147 @@ func (vm *VM) maybeOptimizeSegment(segID int) {
 	g := depgraph.Build(seg.Instrs, vm.Interp.Prof)
 	frags := depgraph.Partition(g, vm.cfg.Constraints)
 	if len(frags) == 0 {
-		vm.transition(StateInterpret, segID, "nothing to compile")
-		vm.mu.Lock()
-		vm.segs[segID].reverted = true // don't re-examine
-		vm.mu.Unlock()
+		vm.giveUp(segID, "nothing to compile")
 		return
 	}
 	units, err := depgraph.Schedule(g, frags)
 	if err != nil {
-		vm.transition(StateInterpret, segID, "schedule failed: "+err.Error())
-		vm.mu.Lock()
-		vm.segs[segID].reverted = true
-		vm.mu.Unlock()
+		vm.giveUp(segID, "schedule failed: "+err.Error())
 		return
 	}
 
-	// GenerateCode: compile each fragment (charges simulated latency).
+	// GenerateCode: ask the compile service for one trace per fragment.
 	vm.transition(StateGenerateCode, segID, fmt.Sprintf("%d fragments", len(frags)))
-	opts := vm.cfg.JIT
+	req := jit.Request{Prog: vm.Prog, Graph: g, Opt: vm.cfg.JIT, Alive: vm.alive}
+	for _, u := range units {
+		if u.Fragment != nil {
+			req.Frags = append(req.Frags, u.Fragment)
+		}
+	}
 	vm.mu.Lock()
 	if gd, ok := vm.guards[segID]; ok {
-		opts.Guard = gd
+		req.Opt.Guard = gd
 	}
+	vm.segs[segID].pending = true
 	vm.mu.Unlock()
-	var steps []interp.Step
-	var traces []*jit.Trace
-	var fragIDs [][]int
+
+	if vm.cfg.Sync {
+		traces, err := vm.cfg.Compiler.CompileNow(req)
+		vm.compiled(segID, units, traces, err)
+		return
+	}
+	req.Done = func(traces []*jit.Trace, err error) { vm.compiled(segID, units, traces, err) }
+	if traces, pending, err := vm.cfg.Compiler.Submit(req); !pending {
+		vm.compiled(segID, units, traces, err)
+	}
+}
+
+// giveUp leaves the segment interpreted for good (until Recompile).
+func (vm *VM) giveUp(segID int, why string) {
+	vm.transition(StateInterpret, segID, why)
+	vm.mu.Lock()
+	vm.segs[segID].pending = false
+	vm.segs[segID].reverted = true
+	vm.mu.Unlock()
+	vm.Interp.SetProfileSampling(segID, settledSampleEvery)
+}
+
+// compiled receives the compile service's answer for a segment — on the
+// requesting goroutine when the templates were cached, on a service worker
+// otherwise — and injects the traces.
+func (vm *VM) compiled(segID int, units []depgraph.Unit, traces []*jit.Trace, err error) {
+	if !vm.alive() {
+		return
+	}
+	if err != nil {
+		why := "compile failed: "
+		if errors.Is(err, jit.ErrDropped) {
+			why = "compile dropped: "
+		}
+		vm.giveUp(segID, why+err.Error())
+		return
+	}
+	seg := vm.Interp.Segments[segID]
+	steps := make([]interp.Step, 0, len(units))
+	members := map[int]bool{}
+	hits := 0
+	next := 0
 	for _, u := range units {
 		if u.Fragment == nil {
 			steps = append(steps, &interp.InstrStep{In: seg.Instrs[u.Node]})
 			continue
 		}
-		tr, err := jit.Compile(vm.Prog, g, u.Fragment, opts)
-		if err != nil {
-			vm.transition(StateInterpret, segID, "compile failed: "+err.Error())
-			vm.mu.Lock()
-			vm.segs[segID].reverted = true
-			vm.mu.Unlock()
-			return
-		}
+		tr := traces[next]
+		next++
 		steps = append(steps, tr)
-		traces = append(traces, tr)
-		fragIDs = append(fragIDs, u.Fragment.InstrIDs(g))
+		for _, id := range tr.Covers() {
+			members[id] = true
+		}
+		if tr.TemplateHit() {
+			hits++
+		}
 	}
 
 	// InjectFunctions: install the partially compiled plan.
-	vm.transition(StateInjectFunctions, segID, describeSteps(steps))
-	// Record the interpreter's historical cost for the micro-adaptive
-	// comparison before the trace starts skewing the profile.
-	_, nanosBefore := vm.segmentStats(segID)
-	callsBefore, _ := vm.segmentStats(segID)
+	vm.transition(StateInjectFunctions, segID,
+		fmt.Sprintf("inject %d traces (%d from cached templates) into %d-step plan", len(traces), hits, len(steps)))
+	// Record what the interpreter spent on the instructions the traces
+	// replace — one reading, before the traces start skewing the profile.
+	calls, _, memberNanos := vm.segmentStats(segID, members)
 	if err := vm.Interp.InstallPlan(segID, &interp.Plan{Steps: steps}); err != nil {
-		vm.transition(StateInterpret, segID, "inject failed: "+err.Error())
-		vm.mu.Lock()
-		vm.segs[segID].reverted = true
-		vm.mu.Unlock()
+		vm.giveUp(segID, "inject failed: "+err.Error())
 		return
 	}
 	vm.mu.Lock()
-	st = &vm.segs[segID]
-	st.compiled = true
+	st := &vm.segs[segID]
+	st.compiled, st.pending, st.settled = true, false, false
 	st.traces = traces
-	st.fragmentIDs = fragIDs
-	if callsBefore > 0 {
-		st.interpNanos = float64(nanosBefore) / float64(callsBefore)
+	st.interpNanos = 0
+	if calls > 0 {
+		st.interpNanos = float64(memberNanos) / float64(calls)
 	}
-	st.interpCalls = callsBefore
+	vm.templateHits += hits
+	vm.templateMisses += len(traces) - hits
 	vm.mu.Unlock()
+	if !vm.cfg.MicroAdaptive {
+		vm.Interp.SetProfileSampling(segID, settledSampleEvery)
+	}
 	vm.transition(StateInterpret, segID, "resume with partially optimized program")
 }
 
+// Traces are judged against the interpreter once each has judgeCalls timed
+// executions: fewer, and one slow chunk decides. A segment whose decision is
+// then final — compiled and not losing, or left interpreted for good — is
+// profiled on one execution in settledSampleEvery: the per-instruction clock
+// reads are the largest fixed cost of a hot loop, and from here on they only
+// feed Stats and the continuing revert check.
+const (
+	judgeCalls         = 16
+	settledSampleEvery = 16
+)
+
 // maybeRevertSegment reverts a compiled segment whose traces measure slower
-// than the interpreter did (micro-adaptivity), or whose guards keep failing.
+// than the interpreter did on the same instructions (micro-adaptivity), or
+// whose guards keep failing.
 func (vm *VM) maybeRevertSegment(segID int) {
 	vm.mu.Lock()
-	st := &vm.segs[segID]
+	st := vm.segs[segID]
+	vm.mu.Unlock()
 	if !st.compiled {
-		vm.mu.Unlock()
 		return
 	}
-	traces := st.traces
-	interpNanos := st.interpNanos
-	vm.mu.Unlock()
 
 	var traceNanos float64
-	var enough bool
 	var guardFailures int64
-	for _, tr := range traces {
-		if tr.Calls() >= 4 {
-			enough = true
+	measured := true
+	for _, tr := range st.traces {
+		if tr.TimedCalls() < judgeCalls {
+			measured = false
 		}
-		traceNanos += tr.NanosPerCall() * float64(len(traces)) / float64(len(traces))
+		traceNanos += tr.NanosPerCall()
 		guardFailures += tr.Deopts()
 	}
-	if !enough || interpNanos == 0 {
+	if !measured || st.interpNanos == 0 {
 		// Persistent guard failure with no successful calls: the situation
 		// changed for good; drop the stale specialization so the segment
 		// can be re-specialized later.
@@ -449,8 +473,15 @@ func (vm *VM) maybeRevertSegment(segID int) {
 		}
 		return
 	}
-	if traceNanos > interpNanos*vm.cfg.RevertFactor {
-		vm.revert(segID, fmt.Sprintf("trace %.0fns/call vs interp %.0fns/call", traceNanos, interpNanos))
+	if traceNanos > st.interpNanos*vm.cfg.RevertFactor {
+		vm.revert(segID, fmt.Sprintf("trace %.0fns/call vs interp %.0fns/call", traceNanos, st.interpNanos))
+		return
+	}
+	if !st.settled {
+		vm.mu.Lock()
+		vm.segs[segID].settled = true
+		vm.mu.Unlock()
+		vm.Interp.SetProfileSampling(segID, settledSampleEvery)
 	}
 }
 
@@ -463,6 +494,7 @@ func (vm *VM) revert(segID int, why string) {
 		vm.segs[segID].reverted = true
 		vm.segs[segID].traces = nil
 		vm.mu.Unlock()
+		vm.Interp.SetProfileSampling(segID, settledSampleEvery)
 	}
 	vm.transition(StateInterpret, segID, "deoptimized")
 }
@@ -473,7 +505,10 @@ func (vm *VM) revert(segID int, why string) {
 func (vm *VM) Recompile() {
 	vm.mu.Lock()
 	for i := range vm.segs {
-		vm.segs[i].reverted = false
+		if vm.segs[i].reverted {
+			vm.segs[i].reverted = false
+			vm.Interp.SetProfileSampling(i, 1)
+		}
 	}
 	vm.mu.Unlock()
 }
@@ -499,12 +534,11 @@ func (vm *VM) Traces(segID int) []*jit.Trace {
 	return vm.segs[segID].traces
 }
 
-func describeSteps(steps []interp.Step) string {
-	compiled := 0
-	for _, s := range steps {
-		if _, ok := s.(*jit.Trace); ok {
-			compiled++
-		}
-	}
-	return fmt.Sprintf("inject %d traces into %d-step plan", compiled, len(steps))
+// TemplateStats reports, over every trace injected so far, how many were
+// instantiated from a template that was already generated (cached, or being
+// compiled for another program) and how many were compiled for this VM.
+func (vm *VM) TemplateStats() (hits, misses int) {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	return vm.templateHits, vm.templateMisses
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -139,9 +140,10 @@ func containsSubsequence(seq, sub []State) bool {
 	return j == len(sub)
 }
 
-// TestBackgroundOptimizerCompilesMidRun uses the async optimizer on a
-// long-running loop: compilation must happen while Run is still executing.
-func TestBackgroundOptimizerCompilesMidRun(t *testing.T) {
+// TestCompileServiceInjectsMidRun uses the default asynchronous mode on a
+// long-running loop: the compile service's worker must generate and inject
+// the traces while Run is still executing.
+func TestCompileServiceInjectsMidRun(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
 	cfg.HotCalls = 2
@@ -158,7 +160,7 @@ func TestBackgroundOptimizerCompilesMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(v.CompiledSegments()) == 0 {
-		t.Fatal("background optimizer never compiled the hot loop")
+		t.Fatal("compile service never delivered the hot loop's traces")
 	}
 	trExecuted := int64(0)
 	for _, segID := range v.CompiledSegments() {
@@ -301,6 +303,252 @@ func TestGuardedTraceFallsBackOnSituationChange(t *testing.T) {
 	// specialization so the VM can re-specialize for the new situation.
 	if len(v.CompiledSegments()) != 0 {
 		t.Fatal("stale specialization kept despite persistent guard failure")
+	}
+}
+
+// TestRevertComparesMemberInstructionsOnly is the regression test for the
+// micro-adaptive baseline: a losing trace must be reverted even when it sits
+// beside an expensive instruction that was never compiled. The trace here
+// really loses — a one-element tile makes its fused run dispatch a kernel per
+// element — and the segment's filter, which stays interpreted, is made to look
+// a thousand times more expensive than everything else in the profile.
+// Measured against the whole segment's interpreter cost (the old baseline)
+// the trace would look like a bargain forever.
+func TestRevertComparesMemberInstructionsOnly(t *testing.T) {
+	src := `
+mut i
+mut k
+i := 0
+k := 0
+loop {
+  let xs = read i data
+  if len(xs) == 0 then break
+  let r = map (\x -> (x * 3 + 7) * (x - 1)) xs
+  let f = condense (filter (\x -> x > 0) r)
+  write out k f
+  k := k + len(f)
+  i := i + len(xs)
+}
+`
+	np := normalizeSrc(t, src, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
+	cfg := DefaultConfig()
+	cfg.Sync = true
+	cfg.HotCalls = 2
+	cfg.HotNanos = 1 << 62
+	cfg.JIT.CompileLatency = jit.NoCompileLatency
+	cfg.JIT.TileSize = 1
+	v := New(np, cfg)
+	defer v.Close()
+
+	filterID, segID := -1, -1
+	for _, seg := range v.Interp.Segments {
+		for _, in := range seg.Instrs {
+			if in.Op == nir.OpSelectCmp || in.Op == nir.OpSelect {
+				filterID, segID = in.ID, seg.ID
+			}
+		}
+	}
+	if filterID < 0 {
+		t.Fatalf("no filter instruction in:\n%s", np)
+	}
+	v.Interp.Prof.Record(filterID, 0, int64(time.Hour))
+
+	run := func() []int64 {
+		ext := mkData(1 << 15)
+		env, err := v.NewEnv(ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Run(env); err != nil {
+			t.Fatal(err)
+		}
+		return ext["out"].I64()
+	}
+	run() // interprets, then compiles in the Sync epilogue
+	if !containsInt(v.CompiledSegments(), segID) {
+		t.Fatalf("segment %d with the map chain was not compiled; transitions: %v", segID, v.Transitions())
+	}
+	for _, tr := range v.Traces(segID) {
+		for _, id := range tr.Covers() {
+			if id == filterID {
+				t.Fatal("the filter was compiled into a trace; the test needs it interpreted")
+			}
+		}
+	}
+	var got []int64
+	for i := 0; i < 3; i++ {
+		got = run()
+	}
+	if containsInt(v.CompiledSegments(), segID) {
+		t.Fatalf("a trace an order of magnitude slower than the interpreter survived beside an expensive uncompiled instruction; transitions: %v", v.Transitions())
+	}
+	var want []int64
+	for _, x := range mkData(1 << 15)["data"].I64() {
+		if y := (x*3 + 7) * (x - 1); y > 0 {
+			want = append(want, y)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("out has %d elements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("out[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunNeverWaitsForCodegen: with a 200 ms compile latency a cold run of a
+// loop that turns hot within its first chunks still returns in a fraction of
+// that — the request goes to the compile service and the run keeps
+// interpreting — and once the worker has delivered, a later run executes
+// through the injected trace.
+func TestRunNeverWaitsForCodegen(t *testing.T) {
+	const latency = 200 * time.Millisecond
+	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
+	cfg := DefaultConfig()
+	cfg.HotCalls = 2
+	cfg.JIT.CompileLatency = func(int) time.Duration { return latency }
+	v := New(np, cfg)
+	defer v.Close()
+
+	run := func() time.Duration {
+		ext := mkData(1 << 16)
+		env, err := v.NewEnv(ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := v.Run(env); err != nil {
+			t.Fatal(err)
+		}
+		d := time.Since(start)
+		want := wantOut(ext)
+		for i, got := range ext["out"].I64() {
+			if got != want[i] {
+				t.Fatalf("out[%d] = %d, want %d", i, got, want[i])
+			}
+		}
+		return d
+	}
+	if d := run(); d > latency/2 {
+		t.Fatalf("cold run took %v with a %v compile latency: it waited for code generation", d, latency)
+	}
+	requested := false
+	for _, tr := range v.Transitions() {
+		requested = requested || tr.To == StateGenerateCode
+	}
+	if !requested {
+		t.Fatalf("the cold run never asked for code; transitions: %v", v.Transitions())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(v.CompiledSegments()) == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if len(v.CompiledSegments()) == 0 {
+		t.Fatalf("the compile service never delivered; transitions: %v", v.Transitions())
+	}
+	run()
+	var calls int64
+	for _, segID := range v.CompiledSegments() {
+		for _, tr := range v.Traces(segID) {
+			calls += tr.Calls()
+		}
+	}
+	if calls == 0 && len(v.CompiledSegments()) > 0 {
+		t.Fatal("the later run did not execute the injected trace")
+	}
+}
+
+// TestSyncCompilesThroughSharedTemplates: two Sync VMs for programs of one
+// shape on one compile service. The second finds the first's template: same
+// path, same cache, no second code generation.
+func TestSyncCompilesThroughSharedTemplates(t *testing.T) {
+	svc := jit.NewService()
+	defer svc.Close()
+	kinds := map[string]vector.Kind{"data": vector.I64, "out": vector.I64}
+	for i, c := range []string{"7", "9"} {
+		np := normalizeSrc(t, strings.ReplaceAll(bigLoopSrc, "7", c), kinds)
+		cfg := DefaultConfig()
+		cfg.Sync = true
+		cfg.HotCalls = 2
+		cfg.HotNanos = 1 << 62
+		cfg.MicroAdaptive = false
+		cfg.JIT.CompileLatency = jit.NoCompileLatency
+		cfg.Compiler = svc
+		v := New(np, cfg)
+		env, err := v.NewEnv(mkData(1 << 14))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Run(env); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := v.TemplateStats()
+		if hits+misses == 0 {
+			t.Fatalf("VM %d injected no trace; transitions: %v", i, v.Transitions())
+		}
+		if i == 0 && hits != 0 || i == 1 && misses != 0 {
+			t.Fatalf("VM %d: %d template hits, %d misses; the first VM must generate, the second must reuse", i, hits, misses)
+		}
+		v.Close() // a shared service stays open
+	}
+	if st := svc.Stats(); st.Misses == 0 || st.Hits != st.Misses {
+		t.Fatalf("service stats %+v, want every shape generated once and hit once", st)
+	}
+}
+
+// TestSettledSegmentThinsProfiling: once a compiled segment has been judged,
+// only one execution in settledSampleEvery is timed, while the profile's
+// counters — scaled by the sampling weight — keep tracking true totals.
+func TestSettledSegmentThinsProfiling(t *testing.T) {
+	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
+	cfg := DefaultConfig()
+	cfg.Sync = true
+	cfg.HotCalls = 2
+	cfg.HotNanos = 1 << 62
+	cfg.RevertFactor = 1e9 // judge, never revert
+	cfg.JIT.CompileLatency = jit.NoCompileLatency
+	v := New(np, cfg)
+	defer v.Close()
+	const chunks = 1 << 7
+	for i := 0; i < 4; i++ {
+		env, err := v.NewEnv(mkData(chunks * vector.DefaultChunkLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Run(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var loop int
+	var tr *jit.Trace
+	for _, segID := range v.CompiledSegments() {
+		for _, cand := range v.Traces(segID) {
+			if tr == nil || cand.Calls() > tr.Calls() {
+				loop, tr = segID, cand
+			}
+		}
+	}
+	if tr == nil {
+		t.Fatalf("nothing compiled; transitions: %v", v.Transitions())
+	}
+	v.mu.Lock()
+	settled := v.segs[loop].settled
+	v.mu.Unlock()
+	if !settled {
+		t.Fatalf("segment %d was not settled after %d trace calls", loop, tr.Calls())
+	}
+	// Three traced runs: the first is timed in full until the judgement, the
+	// others on one chunk in settledSampleEvery.
+	if timed, calls := tr.TimedCalls(), tr.Calls(); timed > calls/2 {
+		t.Fatalf("%d of %d trace executions were timed; profiling was not thinned out", timed, calls)
+	}
+	// The segment executed 4×(chunks+1) times; the weighted profile of its
+	// first traced instruction must stay within a sampling period of that.
+	got := v.Interp.Prof.Calls(tr.Covers()[0])
+	if want := int64(4 * (chunks + 1)); got < want-2*settledSampleEvery || got > want+2*settledSampleEvery {
+		t.Fatalf("profile reports %d executions of a segment that ran %d times", got, want)
 	}
 }
 
