@@ -191,7 +191,7 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := advm.NewSession(advm.WithOptimizeInterval(-time.Second)); err == nil {
 		t.Fatal("negative optimize interval accepted")
 	}
-	if _, err := advm.NewSession(advm.WithDevice(advm.DeviceKind(99))); err == nil {
+	if _, err := advm.NewSession(advm.WithDevicePolicy(advm.DeviceKind(99))); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -339,7 +339,7 @@ func TestQueryScanDestinations(t *testing.T) {
 
 func TestWithDevicePlacement(t *testing.T) {
 	for _, policy := range []advm.DeviceKind{advm.DeviceCPU, advm.DeviceGPU, advm.DeviceAuto} {
-		sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds, advm.WithDevice(policy))
+		sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds, advm.WithDevicePolicy(policy))
 		ext, _ := chunkLoopBindings(1 << 12)
 		if err := sess.Run(context.Background(), ext); err != nil {
 			t.Fatal(err)

@@ -325,24 +325,10 @@ func (d DeviceKind) String() string {
 	return fmt.Sprintf("DeviceKind(%d)", int(d))
 }
 
-// WithDevice selects the placement policy. The GPU backend is the modeled
-// coprocessor of the reproduction: placement decisions (and their modeled
-// costs) are real and observable through Stats, execution itself runs on the
-// host.
-func WithDevice(d DeviceKind) Option {
-	return func(o *options) error {
-		switch d {
-		case DeviceCPU, DeviceGPU, DeviceAuto:
-			o.device = d
-			return nil
-		}
-		return fmt.Errorf("unknown device policy %v", d)
-	}
-}
-
 // WithDevicePolicy selects the device-placement policy for both program
-// runs and relational queries (it is WithDevice under the name the
-// heterogeneous-execution documentation uses).
+// runs and relational queries. The GPU backend is the modeled coprocessor of
+// the reproduction: placement decisions (and their modeled costs) are real
+// and observable through Stats, execution itself runs on the host.
 //
 // For queries executing with WithParallelism(n) > 1, the policy governs
 // where each dispatched morsel of a streaming segment — a scan with its
@@ -364,4 +350,13 @@ func WithDevice(d DeviceKind) Option {
 // modeled GPU executes on the host, so placement only re-schedules work.
 // Decisions are observable per query via Rows.Placements and per session
 // via Stats.MorselPlacements.
-func WithDevicePolicy(d DeviceKind) Option { return WithDevice(d) }
+func WithDevicePolicy(d DeviceKind) Option {
+	return func(o *options) error {
+		switch d {
+		case DeviceCPU, DeviceGPU, DeviceAuto:
+			o.device = d
+			return nil
+		}
+		return fmt.Errorf("unknown device policy %v", d)
+	}
+}

@@ -1,12 +1,13 @@
 // Package repro holds the experiment benchmark harness: one Benchmark per
-// table/figure/claim in DESIGN.md's experiment index (T1, F1–F3, E1–E14).
-// EXPERIMENTS.md records the paper-vs-measured comparison for each.
+// table, figure or quantitative claim of the paper that the reproduction
+// covers (T1, F1–F3, E1–E14). `advm-bench -exp` prints T1, F1–F3, E1, E3, E5
+// and E6 in human-readable form; end-to-end performance is measured by the
+// repo benchmark (BENCHMARK.json and benchmark/).
 package repro
 
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -241,7 +242,7 @@ func BenchmarkExpF3_Partition(b *testing.B) {
 // E1 — TPC-H Q1 strategy comparison ([12] vs [17]).
 
 func BenchmarkExpE1_Q1(b *testing.B) {
-	st := benchTable(b, "lineitem", 0.01)
+	st := tpch.GenLineitem(0.01, 42)
 	cl := tpch.Compact(st)
 	b.Run("tuple_at_a_time_compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -694,60 +695,6 @@ func BenchmarkExpE11_Morsel(b *testing.B) {
 				)
 			}
 		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E15 — morsel-parallel query execution through the public engine API:
-// Q1/Q6/Q3 serial vs WithParallelism(4). The CI bench smoke job additionally
-// persists these numbers as BENCH_*.json via `advm-bench -benchjson`.
-
-// benchTable loads a pre-generated table from $TPCH_DATA_DIR when the CI job
-// (or a developer) has run `tpch-gen -binary` there, and generates it
-// otherwise — so the bench smoke does not re-derive the tables per binary.
-func benchTable(b *testing.B, table string, sf float64) *vector.DSMStore {
-	b.Helper()
-	st, err := tpch.LoadOrGen(os.Getenv("TPCH_DATA_DIR"), table, sf, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return st
-}
-
-func BenchmarkExpE15_ParallelQuery(b *testing.B) {
-	st := benchTable(b, "lineitem", 0.02)
-	ord := benchTable(b, "orders", 0.02)
-	cust := benchTable(b, "customer", 0.02)
-	eng, err := advm.NewEngine(
-		advm.WithParallelism(4),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	plans := map[string]func() *advm.Plan{
-		"q1": func() *advm.Plan { return tpch.PlanQ1(st) },
-		"q6": func() *advm.Plan { return tpch.PlanQ6(st, tpch.DefaultQ6Params()) },
-		"q3": func() *advm.Plan { return tpch.PlanQ3(st, ord, cust, tpch.DefaultQ3Params()) },
-	}
-	for _, q := range []string{"q1", "q6", "q3"} {
-		for _, workers := range []int{1, 4} {
-			sess, err := eng.Session(advm.WithParallelism(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/workers=%d", q, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rows, err := sess.Query(b.Context(), plans[q]())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := rows.Count(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

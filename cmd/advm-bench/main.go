@@ -1,9 +1,11 @@
-// Command advm-bench regenerates the experiment tables and series from
-// DESIGN.md's per-experiment index in human-readable form. Each experiment
-// id maps to a reproduction target (Table I, Figures 1–3, or an imported
-// quantitative claim E1–E14); `go test -bench` provides the statistically
-// rigorous numbers, while this tool prints the qualitative artifacts
-// (catalogues, transition logs, partitions, decision series).
+// Command advm-bench prints the paper's reproduction artifacts in
+// human-readable form and runs the repo's two CI perf micro-gates. Each
+// experiment id maps to a reproduction target — Table I, Figures 1–3, or one
+// of the quantitative claims E1, E3, E5, E6 — or to a gate: E20 (multi-core
+// speedup floors) and E21 (the tracing-off tax). The root package's
+// `go test -bench` harness benchmarks the claims E1–E14; end-to-end
+// performance is measured by the repo benchmark (BENCHMARK.json and
+// benchmark/), not here.
 //
 //	advm-bench -exp T1    # skeleton catalogue
 //	advm-bench -exp F1    # Figure-1 state machine transition log
@@ -13,10 +15,11 @@
 //	advm-bench -exp E3    # selectivity specialization series
 //	advm-bench -exp E5    # compressed execution with scheme drift
 //	advm-bench -exp E6    # CPU/GPU placement series (modeled costs)
-//	advm-bench -exp E17   # advm-serve throughput, 1 vs 8 concurrent clients
-//	advm-bench -exp E18   # disk-backed colstore scans vs in-RAM, zone-map skipping
-//	advm-bench -exp E22   # first-execution latency: JIT off / template miss / template hit, cold Q6
+//	advm-bench -exp E20   # multi-core scaling: serial vs 4 workers, speedups
+//	advm-bench -exp E21   # tracing overhead: serial Q6, tracing off vs on
 //	advm-bench -exp all   # everything
+//
+//	advm-bench -sf 0.02 -benchjson dir   # E20 + E21 → BENCH_multicore.json, BENCH_trace.json
 package main
 
 import (
@@ -24,15 +27,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/advm"
@@ -45,39 +43,21 @@ import (
 	"repro/internal/interp"
 	"repro/internal/jit"
 	"repro/internal/nir"
-	"repro/internal/server"
 	"repro/internal/tpch"
 	"repro/internal/vector"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1,F1,F2,F3,E1,E3,E5,E6,E15,E16,E17,E18,E19,E20,E21,E22) or all")
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for E1/E15/E20")
-	benchjson := flag.String("benchjson", "", "directory to write BENCH_q1/q6/q3/device/server/colstore/fused/multicore/trace/jitcache.json perf records into (runs E15–E22 only)")
+	exp := flag.String("exp", "all", "experiment id (T1,F1,F2,F3,E1,E3,E5,E6,E20,E21) or all")
+	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for E1/E20")
+	benchjson := flag.String("benchjson", "", "directory to write the BENCH_multicore.json (E20) and BENCH_trace.json (E21) perf records into (runs E20 and E21 only)")
 	data := flag.String("data", os.Getenv("TPCH_DATA_DIR"),
 		"directory of pre-generated TPC-H tables (tpch-gen -binary); generated on the fly when empty or missing")
-	traceOut := flag.String("trace-out", "",
-		"write a Chrome trace-event JSON of one traced -trace-query run to this file and exit (chrome://tracing, Perfetto)")
-	traceQuery := flag.String("trace-query", "q3", "named query for -trace-out (q1, q6, q3)")
 	flag.Parse()
 
-	if *traceOut != "" {
-		if err := writeTraceOut(*traceQuery, *sf, *data, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "advm-bench: -trace-out:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *benchjson != "" {
-		expE15(*sf, *data, *benchjson)
-		expE16(*sf, *data, *benchjson)
-		expE17(*sf, *data, *benchjson)
-		expE18(*data, *benchjson)
-		expE19(*data, *benchjson)
 		expE20(*sf, *data, *benchjson)
 		expE21(*data, *benchjson)
-		expE22(*data, *benchjson)
 		return
 	}
 
@@ -111,26 +91,6 @@ func main() {
 		expE6()
 		ran = true
 	}
-	if all || *exp == "E15" {
-		expE15(*sf, *data, "")
-		ran = true
-	}
-	if all || *exp == "E16" {
-		expE16(*sf, *data, "")
-		ran = true
-	}
-	if all || *exp == "E17" {
-		expE17(*sf, *data, "")
-		ran = true
-	}
-	if all || *exp == "E18" {
-		expE18(*data, "")
-		ran = true
-	}
-	if all || *exp == "E19" {
-		expE19(*data, "")
-		ran = true
-	}
 	if all || *exp == "E20" {
 		expE20(*sf, *data, "")
 		ran = true
@@ -139,12 +99,8 @@ func main() {
 		expE21(*data, "")
 		ran = true
 	}
-	if all || *exp == "E22" {
-		expE22(*data, "")
-		ran = true
-	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "advm-bench: unknown experiment %q (run `go test -bench ExpXX .` for the others)\n", *exp)
+		fmt.Fprintf(os.Stderr, "advm-bench: unknown experiment %q (`go test -bench ExpXX .` covers E1–E14)\n", *exp)
 		os.Exit(2)
 	}
 }
@@ -381,29 +337,13 @@ func expE5() {
 	}
 }
 
-// benchRecord is one BENCH_*.json perf record: serial vs parallel ns/op for
-// a query, so future changes have a trajectory to compare against. CalibNs
-// measures a fixed scalar workload on the same host in the same process —
-// the denominator benchdiff uses to compare records taken on machines of
-// different speeds (or under different load) without drowning in noise.
-type benchRecord struct {
-	Benchmark     string  `json:"benchmark"`
-	ScaleFactor   float64 `json:"scale_factor"`
-	Rows          int     `json:"rows"`
-	Workers       int     `json:"workers"`
-	Iters         int     `json:"iters"`
-	SerialNsOp    int64   `json:"serial_ns_op"`
-	Parallel4NsOp int64   `json:"parallel4_ns_op"`
-	Speedup       float64 `json:"speedup"`
-	Identical     bool    `json:"identical"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	CalibNs       int64   `json:"calib_ns"`
-}
-
 // calibSink defeats dead-code elimination in calibrate.
 var calibSink int64
 
-// calibrate times a fixed single-threaded integer workload (best of 3).
+// calibrate times a fixed single-threaded integer workload (best of 3). Every
+// perf record carries it as calib_ns — a measure of this host's speed in this
+// process, the denominator benchdiff uses to compare records taken on
+// machines of different speeds (or under different load).
 func calibrate() int64 {
 	var best time.Duration
 	for r := 0; r < 3; r++ {
@@ -443,234 +383,6 @@ func benchCollect(sess *advm.Session, plan *advm.Plan) ([][]advm.Value, error) {
 	return out, rows.Err()
 }
 
-// expE15 measures morsel-parallel query execution: Q1, Q6 and the
-// three-table Q3 serial vs WithParallelism(4), verifying byte-identical
-// results. With outDir != "" it writes BENCH_q1/q6/q3.json there (the CI
-// perf trajectory); a result mismatch is fatal either way. dataDir reuses
-// pre-generated tables (tpch-gen -binary) instead of regenerating them.
-func expE15(sf float64, dataDir, outDir string) {
-	const workers = 4
-	// Best-of-7: the records feed a ±25% CI gate, and the smallest query
-	// (Q6, single-digit ms) needs the extra repetitions to keep scheduler
-	// and GC noise out of the minimum.
-	const iters = 7
-	header(fmt.Sprintf("E15 — morsel-parallel query execution (SF %.3f, %d workers)", sf, workers))
-	st, err := tpch.LoadOrGen(dataDir, "lineitem", sf, 42)
-	if err != nil {
-		fatalE15(err)
-	}
-	ord, err := tpch.LoadOrGen(dataDir, "orders", sf, 42)
-	if err != nil {
-		fatalE15(err)
-	}
-	cust, err := tpch.LoadOrGen(dataDir, "customer", sf, 42)
-	if err != nil {
-		fatalE15(err)
-	}
-	calibNs := calibrate()
-	fmt.Printf("%d lineitem rows, GOMAXPROCS=%d, calib=%v\n\n",
-		st.Rows(), runtime.GOMAXPROCS(0), time.Duration(calibNs).Round(time.Microsecond))
-
-	eng, err := advm.NewEngine(
-		advm.WithParallelism(workers),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		fatalE15(err)
-	}
-	defer eng.Close()
-	serial, err := eng.Session(advm.WithParallelism(1))
-	if err != nil {
-		fatalE15(err)
-	}
-	parallel, err := eng.Session()
-	if err != nil {
-		fatalE15(err)
-	}
-
-	measure := func(sess *advm.Session, plan func(advm.TableSource) *advm.Plan) (time.Duration, [][]advm.Value) {
-		var best time.Duration
-		var rows [][]advm.Value
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			r, err := benchCollect(sess, plan(st))
-			d := time.Since(start)
-			if err != nil {
-				fatalE15(err)
-			}
-			if best == 0 || d < best {
-				best, rows = d, r
-			}
-		}
-		return best, rows
-	}
-
-	q6p := tpch.DefaultQ6Params()
-	q3p := tpch.DefaultQ3Params()
-	for _, q := range []struct {
-		name string
-		plan func(advm.TableSource) *advm.Plan
-	}{
-		{"q1", tpch.PlanQ1},
-		{"q6", func(st advm.TableSource) *advm.Plan { return tpch.PlanQ6(st, q6p) }},
-		{"q3", func(st advm.TableSource) *advm.Plan { return tpch.PlanQ3(st, ord, cust, q3p) }},
-	} {
-		serialNs, want := measure(serial, q.plan)
-		parallelNs, got := measure(parallel, q.plan)
-		if !sameResults(want, got) {
-			fatalE15(fmt.Errorf("%s: parallel result differs from serial", q.name))
-		}
-		rec := benchRecord{
-			Benchmark: q.name, ScaleFactor: sf, Rows: st.Rows(),
-			Workers: workers, Iters: iters,
-			SerialNsOp: serialNs.Nanoseconds(), Parallel4NsOp: parallelNs.Nanoseconds(),
-			Speedup:    float64(serialNs) / float64(parallelNs),
-			Identical:  true,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			CalibNs:    calibNs,
-		}
-		fmt.Printf("  %-4s serial %12v   parallel(%d) %12v   speedup %.2fx   identical=%v\n",
-			q.name, serialNs.Round(time.Microsecond), workers,
-			parallelNs.Round(time.Microsecond), rec.Speedup, rec.Identical)
-		if outDir != "" {
-			data, err := json.MarshalIndent(rec, "", "  ")
-			if err != nil {
-				fatalE15(err)
-			}
-			path := filepath.Join(outDir, "BENCH_"+q.name+".json")
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-				fatalE15(err)
-			}
-			fmt.Printf("       wrote %s\n", path)
-		}
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("\n  note: single-core host — expect no parallel speedup here")
-	}
-}
-
-func fatalE15(err error) {
-	fmt.Fprintln(os.Stderr, "advm-bench: E15:", err)
-	os.Exit(1)
-}
-
-// deviceRecord is the BENCH_device.json perf record: the same parallel Q6
-// measured under the CPU-only policy and under adaptive device placement.
-// Wall times should be close (the modeled GPU executes on the host; the
-// adaptive leg adds only placement bookkeeping), and the morsel counts
-// document where the placer actually sent the work.
-type deviceRecord struct {
-	Benchmark    string  `json:"benchmark"`
-	ScaleFactor  float64 `json:"scale_factor"`
-	Rows         int     `json:"rows"`
-	Workers      int     `json:"workers"`
-	Iters        int     `json:"iters"`
-	CPUNsOp      int64   `json:"cpu_ns_op"`
-	AdaptiveNsOp int64   `json:"adaptive_ns_op"`
-	GPUMorsels   int64   `json:"gpu_morsels"`
-	CPUMorsels   int64   `json:"cpu_morsels"`
-	Identical    bool    `json:"identical"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	CalibNs      int64   `json:"calib_ns"`
-}
-
-// expE16 measures heterogeneous morsel placement on TPC-H Q6: parallel
-// CPU-only vs the adaptive DeviceAuto policy, verifying byte-identical
-// results against serial execution and reporting where the morsels ran.
-// With outDir != "" it writes BENCH_device.json there for the CI gate.
-func expE16(sf float64, dataDir, outDir string) {
-	const workers = 4
-	const iters = 7
-	header(fmt.Sprintf("E16 — adaptive morsel placement on Q6 (SF %.3f, %d workers)", sf, workers))
-	st, err := tpch.LoadOrGen(dataDir, "lineitem", sf, 42)
-	if err != nil {
-		fatalE16(err)
-	}
-	calibNs := calibrate()
-	q6p := tpch.DefaultQ6Params()
-	plan := func(st *advm.Table) *advm.Plan { return tpch.PlanQ6(st, q6p) }
-
-	eng, err := advm.NewEngine(
-		advm.WithParallelism(workers),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		fatalE16(err)
-	}
-	defer eng.Close()
-	serial, err := eng.Session(advm.WithParallelism(1))
-	if err != nil {
-		fatalE16(err)
-	}
-	cpuOnly, err := eng.Session(advm.WithDevicePolicy(advm.DeviceCPU))
-	if err != nil {
-		fatalE16(err)
-	}
-	adaptive, err := eng.Session(advm.WithDevicePolicy(advm.DeviceAuto))
-	if err != nil {
-		fatalE16(err)
-	}
-
-	measure := func(sess *advm.Session) (time.Duration, [][]advm.Value) {
-		var best time.Duration
-		var rows [][]advm.Value
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			r, err := benchCollect(sess, plan(st))
-			d := time.Since(start)
-			if err != nil {
-				fatalE16(err)
-			}
-			if best == 0 || d < best {
-				best, rows = d, r
-			}
-		}
-		return best, rows
-	}
-
-	// One serial run suffices for the reference rows (no timing needed).
-	want, err := benchCollect(serial, plan(st))
-	if err != nil {
-		fatalE16(err)
-	}
-	cpuNs, gotCPU := measure(cpuOnly)
-	// Warm the residency cache and the placer bias before measuring the
-	// adaptive leg: the paper's offload story is about repeated queries
-	// over the same (resident) table.
-	if _, err := benchCollect(adaptive, plan(st)); err != nil {
-		fatalE16(err)
-	}
-	adaptiveNs, gotAdaptive := measure(adaptive)
-
-	identical := sameResults(want, gotCPU) && sameResults(want, gotAdaptive)
-	if !identical {
-		fatalE16(fmt.Errorf("device-policy results differ from serial"))
-	}
-	place := adaptive.Stats().MorselPlacements
-	rec := deviceRecord{
-		Benchmark: "device_q6", ScaleFactor: sf, Rows: st.Rows(),
-		Workers: workers, Iters: iters,
-		CPUNsOp: cpuNs.Nanoseconds(), AdaptiveNsOp: adaptiveNs.Nanoseconds(),
-		GPUMorsels: place["gpu"], CPUMorsels: place["cpu"],
-		Identical:  true,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CalibNs:    calibNs,
-	}
-	fmt.Printf("  q6   cpu-only %12v   adaptive %12v   morsels cpu=%d gpu=%d   identical=%v\n",
-		cpuNs.Round(time.Microsecond), adaptiveNs.Round(time.Microsecond),
-		rec.CPUMorsels, rec.GPUMorsels, rec.Identical)
-	fmt.Printf("       modeled transfer %v\n", adaptive.Stats().MorselTransfer.Round(time.Microsecond))
-	if outDir != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fatalE16(err)
-		}
-		path := filepath.Join(outDir, "BENCH_device.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatalE16(err)
-		}
-		fmt.Printf("       wrote %s\n", path)
-	}
-}
-
 // sameResults compares two collected result sets exactly.
 func sameResults(a, b [][]advm.Value) bool {
 	if len(a) != len(b) {
@@ -689,416 +401,24 @@ func sameResults(a, b [][]advm.Value) bool {
 	return true
 }
 
-func fatalE16(err error) {
-	fmt.Fprintln(os.Stderr, "advm-bench: E16:", err)
-	os.Exit(1)
-}
-
-// expE17 measures advm-serve end to end over loopback HTTP: TPC-H Q6
-// through POST /v1/query with 1 client and with 8 concurrent clients
-// against one engine, checking that every streamed response is
-// byte-identical to the single-client reference. With outDir != "" it
-// writes BENCH_server.json (query-record flavor: serial = 1-client ns per
-// query, parallel = per-query ns at 8 clients) for the CI gate.
-func expE17(sf float64, dataDir, outDir string) {
-	const clients = 8
-	const itersPerClient = 12
-	header(fmt.Sprintf("E17 — advm-serve throughput (SF %.3f, 1 vs %d clients)", sf, clients))
-	li, err := tpch.LoadOrGen(dataDir, "lineitem", sf, 42)
+// writeRecord writes one perf record as indented JSON to outDir/name.
+func writeRecord(outDir, name string, rec any) error {
+	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		fatalE17(err)
+		return err
 	}
-	calibNs := calibrate()
-
-	eng, err := advm.NewEngine(
-		advm.WithParallelism(4),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		fatalE17(err)
+	path := filepath.Join(outDir, name)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	defer eng.Close()
-	srv := server.New(eng, server.Config{MaxConcurrent: clients, MaxQueue: 4 * clients})
-	srv.RegisterTable("lineitem", li)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const reqBody = `{"query":"q6","opts":{"parallelism":4}}`
-	query := func() (string, error) {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(reqBody))
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("status %d: %s", resp.StatusCode, b)
-		}
-		return string(b), nil
-	}
-
-	// Warm up (JIT, residency, connection pool), and fix the reference body.
-	want, err := query()
-	if err != nil {
-		fatalE17(err)
-	}
-
-	run := func(clients int) (nsPerQuery int64, identical bool) {
-		identical = true
-		bodies := make([][]string, clients)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < itersPerClient; i++ {
-					b, err := query()
-					if err != nil {
-						fatalE17(err)
-					}
-					bodies[c] = append(bodies[c], b)
-				}
-			}(c)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		for _, bs := range bodies {
-			for _, b := range bs {
-				if b != want {
-					identical = false
-				}
-			}
-		}
-		return wall.Nanoseconds() / int64(clients*itersPerClient), identical
-	}
-
-	oneNs, oneSame := run(1)
-	eightNs, eightSame := run(clients)
-	identical := oneSame && eightSame
-	if !identical {
-		fatalE17(fmt.Errorf("concurrent responses differ from the single-client reference"))
-	}
-	rec := benchRecord{
-		Benchmark: "server_q6", ScaleFactor: sf, Rows: li.Rows(),
-		Workers: clients, Iters: itersPerClient,
-		SerialNsOp: oneNs, Parallel4NsOp: eightNs,
-		Speedup:    float64(oneNs) / float64(eightNs),
-		Identical:  identical,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CalibNs:    calibNs,
-	}
-	fmt.Printf("  q6   1 client %12v/query   %d clients %12v/query   throughput ×%.2f   identical=%v\n",
-		time.Duration(oneNs).Round(time.Microsecond), clients,
-		time.Duration(eightNs).Round(time.Microsecond), rec.Speedup, identical)
-	fmt.Printf("       engine: %+v\n", eng.Stats())
-	if outDir != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fatalE17(err)
-		}
-		path := filepath.Join(outDir, "BENCH_server.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatalE17(err)
-		}
-		fmt.Printf("       wrote %s\n", path)
-	}
-}
-
-func fatalE17(err error) {
-	fmt.Fprintln(os.Stderr, "advm-bench: E17:", err)
-	os.Exit(1)
-}
-
-// colstoreRecord is the BENCH_colstore.json perf record: TPC-H Q1 and Q6
-// measured serially over the in-RAM generated table, over the compressed
-// colstore directory with zone-map pruning disabled (every segment decoded
-// from disk), and with pruning on — documenting what disk-backed execution
-// costs and what the zone maps claw back. All six legs are serial, so
-// benchdiff gates them all (calibration-normalized).
-type colstoreRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	ScaleFactor     float64 `json:"scale_factor"`
-	Rows            int     `json:"rows"`
-	Iters           int     `json:"iters"`
-	Q1RAMNsOp       int64   `json:"q1_ram_ns_op"`
-	Q1ColdNsOp      int64   `json:"q1_cold_ns_op"`
-	Q1SkipNsOp      int64   `json:"q1_skip_ns_op"`
-	Q6RAMNsOp       int64   `json:"q6_ram_ns_op"`
-	Q6ColdNsOp      int64   `json:"q6_cold_ns_op"`
-	Q6SkipNsOp      int64   `json:"q6_skip_ns_op"`
-	SegmentsScanned int64   `json:"segments_scanned"`
-	SegmentsSkipped int64   `json:"segments_skipped"`
-	Identical       bool    `json:"identical"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	CalibNs         int64   `json:"calib_ns"`
-}
-
-// expE18 measures disk-backed columnar execution: Q1 and Q6 over the in-RAM
-// lineitem table vs the same queries streaming from a compressed colstore
-// directory, with zone-map segment skipping off ("cold": every segment is
-// decoded) and on. The scale factor is pinned at 0.1 so the record tracks a
-// fixed workload regardless of -sf. Results must be byte-identical across
-// all legs, and the skipping legs must actually prune segments. With
-// outDir != "" it writes BENCH_colstore.json there for the CI gate.
-func expE18(dataDir, outDir string) {
-	const sf = 0.1
-	// Best-of-7, matching E15: the records feed the ±25% CI gate and the
-	// serial legs need the repetitions to keep scheduler noise out of the
-	// minimum.
-	const iters = 7
-	header(fmt.Sprintf("E18 — disk-backed colstore scans (SF %.3f, serial)", sf))
-	root := dataDir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "advm-colstore")
-		if err != nil {
-			fatalE18(err)
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
-	}
-	st, err := tpch.LoadOrGen(root, "lineitem", sf, 42)
-	if err != nil {
-		fatalE18(err)
-	}
-	dir, err := tpch.LoadOrGenColstore(root, "lineitem", sf, 42)
-	if err != nil {
-		fatalE18(err)
-	}
-	calibNs := calibrate()
-
-	eng, err := advm.NewEngine(
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		fatalE18(err)
-	}
-	defer eng.Close()
-	ram, err := eng.Session(advm.WithParallelism(1))
-	if err != nil {
-		fatalE18(err)
-	}
-	cold, err := eng.Session(advm.WithParallelism(1), advm.WithScanPruning(false))
-	if err != nil {
-		fatalE18(err)
-	}
-	skip, err := eng.Session(advm.WithParallelism(1))
-	if err != nil {
-		fatalE18(err)
-	}
-	stored, err := eng.OpenTable(dir)
-	if err != nil {
-		fatalE18(err)
-	}
-	fmt.Printf("%d lineitem rows, colstore %s\n\n", st.Rows(), dir)
-
-	measure := func(sess *advm.Session, plan *advm.Plan) (time.Duration, [][]advm.Value) {
-		var best time.Duration
-		var rows [][]advm.Value
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			r, err := benchCollect(sess, plan)
-			d := time.Since(start)
-			if err != nil {
-				fatalE18(err)
-			}
-			if best == 0 || d < best {
-				best, rows = d, r
-			}
-		}
-		return best, rows
-	}
-
-	q6p := tpch.DefaultQ6Params()
-	rec := colstoreRecord{
-		Benchmark: "colstore", ScaleFactor: sf, Rows: st.Rows(), Iters: iters,
-		Identical:  true,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CalibNs:    calibNs,
-	}
-	for _, q := range []struct {
-		name            string
-		plan            func(advm.TableSource) *advm.Plan
-		ramNs, coldNs   *int64
-		skipNs          *int64
-		wantSkipSkipped bool
-	}{
-		{"q1", tpch.PlanQ1, &rec.Q1RAMNsOp, &rec.Q1ColdNsOp, &rec.Q1SkipNsOp, false},
-		{"q6", func(src advm.TableSource) *advm.Plan { return tpch.PlanQ6(src, q6p) },
-			&rec.Q6RAMNsOp, &rec.Q6ColdNsOp, &rec.Q6SkipNsOp, true},
-	} {
-		ramD, want := measure(ram, q.plan(st))
-		coldD, gotCold := measure(cold, q.plan(stored))
-		before := sessSkipped(skip)
-		skipD, gotSkip := measure(skip, q.plan(stored))
-		if !sameResults(want, gotCold) || !sameResults(want, gotSkip) {
-			fatalE18(fmt.Errorf("%s: colstore result differs from in-RAM", q.name))
-		}
-		if q.wantSkipSkipped && sessSkipped(skip) == before {
-			fatalE18(fmt.Errorf("%s: zone maps skipped no segments", q.name))
-		}
-		*q.ramNs, *q.coldNs, *q.skipNs = ramD.Nanoseconds(), coldD.Nanoseconds(), skipD.Nanoseconds()
-		fmt.Printf("  %-4s ram %12v   colstore %12v   +skipping %12v\n",
-			q.name, ramD.Round(time.Microsecond), coldD.Round(time.Microsecond),
-			skipD.Round(time.Microsecond))
-	}
-	sst := skip.Stats()
-	rec.SegmentsScanned, rec.SegmentsSkipped = sst.SegmentsScanned, sst.SegmentsSkipped
-	fmt.Printf("       skipping legs: %d segments decoded, %d pruned by zone maps\n",
-		rec.SegmentsScanned, rec.SegmentsSkipped)
-	if outDir != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fatalE18(err)
-		}
-		path := filepath.Join(outDir, "BENCH_colstore.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatalE18(err)
-		}
-		fmt.Printf("       wrote %s\n", path)
-	}
-}
-
-// sessSkipped reads a session's lifetime zone-map skip counter.
-func sessSkipped(sess *advm.Session) int64 {
-	return sess.Stats().SegmentsSkipped
-}
-
-func fatalE18(err error) {
-	fmt.Fprintln(os.Stderr, "advm-bench: E18:", err)
-	os.Exit(1)
-}
-
-// fusedRecord is the BENCH_fused.json perf record: serial Q1 and Q6 run by
-// the vectorized interpreter (tiered execution off) vs the same plans with
-// tiering forced hot, so every execution runs its scan→filter→compute
-// segment as one specialized fused loop. Q6FusedNsOp doubles as the flavor
-// marker benchdiff dispatches on. All legs are serial, so benchdiff gates
-// them all (calibration-normalized).
-type fusedRecord struct {
-	Benchmark    string  `json:"benchmark"`
-	ScaleFactor  float64 `json:"scale_factor"`
-	Rows         int     `json:"rows"`
-	Iters        int     `json:"iters"`
-	Q1InterpNsOp int64   `json:"q1_interp_ns_op"`
-	Q1FusedNsOp  int64   `json:"q1_fused_ns_op"`
-	Q6InterpNsOp int64   `json:"q6_interp_ns_op"`
-	Q6FusedNsOp  int64   `json:"q6_fused_ns_op"`
-	FusedQueries int64   `json:"fused_queries"`
-	FusedDeopts  int64   `json:"fused_deopts"`
-	Identical    bool    `json:"identical"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	CalibNs      int64   `json:"calib_ns"`
-}
-
-// expE19 measures tiered execution: serial Q1 and Q6 interpreted (tiering
-// off) vs forced hot (WithTierThresholds(1, 1) — fused loops from the first
-// execution). The scale factor is pinned at 0.1 so the record tracks a fixed
-// workload regardless of -sf. Results must be byte-identical across the
-// tiers, and the hot legs must actually mount fused loops. With outDir != ""
-// it writes BENCH_fused.json there for the CI gate.
-func expE19(dataDir, outDir string) {
-	const sf = 0.1
-	// Best-of-7, matching E15/E18: the records feed the ±25% CI gate.
-	const iters = 7
-	header(fmt.Sprintf("E19 — tiered execution: fused loops vs interpreter (SF %.3f, serial)", sf))
-	st, err := tpch.LoadOrGen(dataDir, "lineitem", sf, 42)
-	if err != nil {
-		fatalE19(err)
-	}
-	calibNs := calibrate()
-
-	eng, err := advm.NewEngine(
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		fatalE19(err)
-	}
-	defer eng.Close()
-	interp, err := eng.Session(advm.WithParallelism(1), advm.WithTieredExecution(false))
-	if err != nil {
-		fatalE19(err)
-	}
-	hot, err := eng.Session(advm.WithParallelism(1), advm.WithTierThresholds(1, 1))
-	if err != nil {
-		fatalE19(err)
-	}
-	fmt.Printf("%d lineitem rows, GOMAXPROCS=%d, calib=%v\n\n",
-		st.Rows(), runtime.GOMAXPROCS(0), time.Duration(calibNs).Round(time.Microsecond))
-
-	measure := func(sess *advm.Session, plan func() *advm.Plan) (time.Duration, [][]advm.Value) {
-		var best time.Duration
-		var rows [][]advm.Value
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			r, err := benchCollect(sess, plan())
-			d := time.Since(start)
-			if err != nil {
-				fatalE19(err)
-			}
-			if best == 0 || d < best {
-				best, rows = d, r
-			}
-		}
-		return best, rows
-	}
-
-	q6p := tpch.DefaultQ6Params()
-	rec := fusedRecord{
-		Benchmark: "fused", ScaleFactor: sf, Rows: st.Rows(), Iters: iters,
-		Identical:  true,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CalibNs:    calibNs,
-	}
-	for _, q := range []struct {
-		name              string
-		plan              func() *advm.Plan
-		interpNs, fusedNs *int64
-	}{
-		{"q1", func() *advm.Plan { return tpch.PlanQ1(st) }, &rec.Q1InterpNsOp, &rec.Q1FusedNsOp},
-		{"q6", func() *advm.Plan { return tpch.PlanQ6(st, q6p) }, &rec.Q6InterpNsOp, &rec.Q6FusedNsOp},
-	} {
-		before := hot.Stats().FusedQueries
-		interpD, want := measure(interp, q.plan)
-		fusedD, got := measure(hot, q.plan)
-		if !sameResults(want, got) {
-			fatalE19(fmt.Errorf("%s: fused result differs from interpreted", q.name))
-		}
-		if hot.Stats().FusedQueries == before {
-			fatalE19(fmt.Errorf("%s: forced-hot leg mounted no fused loops", q.name))
-		}
-		*q.interpNs, *q.fusedNs = interpD.Nanoseconds(), fusedD.Nanoseconds()
-		fmt.Printf("  %-4s interpreted %12v   fused %12v   ratio %.2f   identical=%v\n",
-			q.name, interpD.Round(time.Microsecond), fusedD.Round(time.Microsecond),
-			float64(fusedD)/float64(interpD), rec.Identical)
-	}
-	hst := hot.Stats()
-	rec.FusedQueries, rec.FusedDeopts = hst.FusedQueries, hst.FusedDeopts
-	fmt.Printf("       hot legs: %d fused queries, %d deopts\n", rec.FusedQueries, rec.FusedDeopts)
-	if outDir != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fatalE19(err)
-		}
-		path := filepath.Join(outDir, "BENCH_fused.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatalE19(err)
-		}
-		fmt.Printf("       wrote %s\n", path)
-	}
-}
-
-func fatalE19(err error) {
-	fmt.Fprintln(os.Stderr, "advm-bench: E19:", err)
-	os.Exit(1)
+	fmt.Printf("       wrote %s\n", path)
+	return nil
 }
 
 // multicoreRecord is the BENCH_multicore.json perf record: Q1, Q3 and Q6
 // serial vs WithParallelism(4) in one record, taken with the intended
-// GOMAXPROCS for the parallel legs. Q1SerialNsOp doubles as the flavor
-// marker benchdiff dispatches on. Unlike the per-query records (whose
-// parallel legs are informational), this record's speedups are *gated*:
-// benchdiff fails when a speedup drops below its floor while the recording
+// GOMAXPROCS for the parallel legs. Its speedups are *gated*: benchdiff
+// fails when a speedup drops below its floor while the recording
 // host actually had NumCPU ≥ Workers cores — an undersubscribed host (such
 // as a single-core container) skips the speedup gate instead of failing it.
 type multicoreRecord struct {
@@ -1249,15 +569,9 @@ func expE20(sf float64, dataDir, outDir string) {
 			runtime.NumCPU(), workers)
 	}
 	if outDir != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
+		if err := writeRecord(outDir, "BENCH_multicore.json", rec); err != nil {
 			fatalE20(err)
 		}
-		path := filepath.Join(outDir, "BENCH_multicore.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatalE20(err)
-		}
-		fmt.Printf("       wrote %s\n", path)
 	}
 }
 
@@ -1391,77 +705,13 @@ func expE21(dataDir, outDir string) {
 		offD.Round(time.Microsecond), onD.Round(time.Microsecond),
 		100*(float64(onD)/float64(offD)-1), rec.Identical)
 	if outDir != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
+		if err := writeRecord(outDir, "BENCH_trace.json", rec); err != nil {
 			fatalE21(err)
 		}
-		path := filepath.Join(outDir, "BENCH_trace.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatalE21(err)
-		}
-		fmt.Printf("       wrote %s\n", path)
 	}
 }
 
 func fatalE21(err error) {
 	fmt.Fprintln(os.Stderr, "advm-bench: E21:", err)
 	os.Exit(1)
-}
-
-// writeTraceOut runs one named TPC-H query traced at the morsels level on
-// four workers and writes its Chrome trace-event JSON (load it in
-// chrome://tracing or Perfetto to see per-worker morsel timelines).
-func writeTraceOut(name string, sf float64, dataDir, path string) error {
-	li, err := tpch.LoadOrGen(dataDir, "lineitem", sf, 42)
-	if err != nil {
-		return err
-	}
-	var mkPlan func() *advm.Plan
-	switch name {
-	case "q1":
-		mkPlan = func() *advm.Plan { return tpch.PlanQ1(li) }
-	case "q6":
-		mkPlan = func() *advm.Plan { return tpch.PlanQ6(li, tpch.DefaultQ6Params()) }
-	case "q3":
-		ord, err := tpch.LoadOrGen(dataDir, "orders", sf, 42)
-		if err != nil {
-			return err
-		}
-		cust, err := tpch.LoadOrGen(dataDir, "customer", sf, 42)
-		if err != nil {
-			return err
-		}
-		mkPlan = func() *advm.Plan { return tpch.PlanQ3(li, ord, cust, tpch.DefaultQ3Params()) }
-	default:
-		return fmt.Errorf("unknown -trace-query %q (have q1, q6, q3)", name)
-	}
-	eng, err := advm.NewEngine(
-		advm.WithParallelism(4),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	sess, err := eng.Session()
-	if err != nil {
-		return err
-	}
-	rows, err := sess.QueryTraced(context.Background(), mkPlan(), advm.TraceMorsels)
-	if err != nil {
-		return err
-	}
-	n, err := rows.Count()
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rows.Trace().WriteChromeJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%s, %d result rows, parallelism 4)\n", path, name, n)
-	return nil
 }

@@ -1,7 +1,12 @@
-// Command benchdiff is the CI perf-regression gate: it compares freshly
-// measured BENCH_*.json perf records (written by `advm-bench -benchjson`)
-// against the checked-in baseline and fails when any query's serial or
-// parallel ns/op regressed beyond the threshold.
+// Command benchdiff is the CI micro-gate over the two BENCH_*.json records
+// `advm-bench -benchjson` writes: multicore (E20: Q1/Q3/Q6 and a
+// high-cardinality aggregation, serial vs parallel, with speedup floors) and
+// trace (E21: serial Q6 with tracing off, held to a 2% tax). It compares them
+// against the checked-in baselines and fails when a serial ns/op regressed
+// beyond the threshold, a speedup fell below its floor, the tracing-off leg
+// regressed beyond its own threshold, or a record reports non-identical
+// results. End-to-end performance is measured by the repo benchmark
+// (BENCHMARK.json, benchmark/), not here.
 //
 //	benchdiff -baseline bench/baseline -current . -max-regress 0.25
 //
@@ -21,55 +26,22 @@ import (
 	"strings"
 )
 
-// benchRecord mirrors the BENCH_*.json schema written by advm-bench. Seven
-// record flavors share it (trace and jitcache records are described at their
-// fields): query records carry serial vs parallel ns/op,
-// device records (BENCH_device.json) carry CPU-only vs adaptive-placement
-// ns/op for the same parallel query, colstore records (BENCH_colstore.json)
-// carry serial in-RAM vs disk-backed legs of Q1/Q6, fused records
-// (BENCH_fused.json) carry serial interpreted vs forced-hot fused legs of
-// Q1/Q6 under tiered execution, and multicore records
-// (BENCH_multicore.json) carry Q1/Q3/Q6 serial vs parallel legs with their
-// speedups, gated against a floor when the recording host had enough cores.
+// benchRecord mirrors the BENCH_*.json schema written by advm-bench. Its
+// `benchmark` field names the record: "multicore" (BENCH_multicore.json) or
+// "trace" (BENCH_trace.json); any other name is an error, so a stale or
+// foreign record cannot pass the gate by matching no rule.
 type benchRecord struct {
-	Benchmark     string  `json:"benchmark"`
-	ScaleFactor   float64 `json:"scale_factor"`
-	Rows          int     `json:"rows"`
-	Workers       int     `json:"workers"`
-	SerialNsOp    int64   `json:"serial_ns_op"`
-	Parallel4NsOp int64   `json:"parallel4_ns_op"`
-	Speedup       float64 `json:"speedup"`
-	Identical     bool    `json:"identical"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	CalibNs       int64   `json:"calib_ns"`
+	Benchmark  string `json:"benchmark"`
+	Workers    int    `json:"workers"`
+	Identical  bool   `json:"identical"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CalibNs    int64  `json:"calib_ns"`
 
-	// Device-record fields (non-zero CPUNsOp marks the flavor).
-	CPUNsOp      int64 `json:"cpu_ns_op,omitempty"`
-	AdaptiveNsOp int64 `json:"adaptive_ns_op,omitempty"`
-	GPUMorsels   int64 `json:"gpu_morsels,omitempty"`
-	CPUMorsels   int64 `json:"cpu_morsels,omitempty"`
-
-	// Colstore-record fields (non-zero Q6SkipNsOp marks the flavor). All
-	// legs are serial measurements, so every one is gated.
-	Q1RAMNsOp  int64 `json:"q1_ram_ns_op,omitempty"`
-	Q1ColdNsOp int64 `json:"q1_cold_ns_op,omitempty"`
-	Q1SkipNsOp int64 `json:"q1_skip_ns_op,omitempty"`
-	Q6RAMNsOp  int64 `json:"q6_ram_ns_op,omitempty"`
-	Q6ColdNsOp int64 `json:"q6_cold_ns_op,omitempty"`
-	Q6SkipNsOp int64 `json:"q6_skip_ns_op,omitempty"`
-
-	// Fused-record fields (non-zero Q6FusedNsOp marks the flavor). All legs
-	// are serial measurements, so every one is gated.
-	Q1InterpNsOp int64 `json:"q1_interp_ns_op,omitempty"`
-	Q1FusedNsOp  int64 `json:"q1_fused_ns_op,omitempty"`
-	Q6InterpNsOp int64 `json:"q6_interp_ns_op,omitempty"`
-	Q6FusedNsOp  int64 `json:"q6_fused_ns_op,omitempty"`
-
-	// Multicore-record fields (non-zero Q1SerialNsOp marks the flavor). The
-	// serial legs are calibration-gated like any serial measurement; the
-	// speedups are gated against a floor — but only when the *current* host
-	// actually had NumCPU ≥ Workers, because an undersubscribed host cannot
-	// exhibit parallel speedup no matter how healthy the scheduler is.
+	// Multicore-record fields. The serial legs are calibration-gated like
+	// any serial measurement; the speedups are gated against a floor — but
+	// only when the *current* host actually had NumCPU ≥ Workers, because an
+	// undersubscribed host cannot exhibit parallel speedup no matter how
+	// healthy the scheduler is.
 	Q1SerialNsOp int64   `json:"q1_serial_ns_op,omitempty"`
 	Q1ParNsOp    int64   `json:"q1_par_ns_op,omitempty"`
 	Q1Speedup    float64 `json:"q1_speedup,omitempty"`
@@ -88,31 +60,15 @@ type benchRecord struct {
 	HCSpeedup    float64 `json:"hc_speedup,omitempty"`
 	NumCPU       int     `json:"num_cpu,omitempty"`
 
-	// Trace-record fields (non-zero Q6TraceOffNsOp marks the flavor). The
-	// off leg is the one that matters: it is serial Q6 with the tracing
-	// hooks compiled in but disabled, gated against the pre-tracing baseline
-	// with the tighter TraceMaxRegress threshold from the baseline record
-	// (observability must be free when off). The traced leg is reported but
-	// not gated — its cost is the price of asking for a trace.
+	// Trace-record fields. The off leg is the one that matters: it is
+	// serial Q6 with the tracing hooks compiled in but disabled, gated
+	// against the pre-tracing baseline with the tighter TraceMaxRegress
+	// threshold from the baseline record (observability must be free when
+	// off). The traced leg is reported but not gated — its cost is the price
+	// of asking for a trace.
 	Q6TraceOffNsOp  int64   `json:"q6_trace_off_ns_op,omitempty"`
 	Q6TraceOnNsOp   int64   `json:"q6_trace_on_ns_op,omitempty"`
 	TraceMaxRegress float64 `json:"trace_max_regress,omitempty"`
-
-	// Jitcache-record fields (non-zero ProgHitNsOp marks the flavor): the
-	// latency of a never-seen program (Prepare + two runs) with the JIT
-	// off, as a template miss and as a template hit, and of a cold Q6 with
-	// the JIT on and off. Every leg is a one-caller latency and gated
-	// against the baseline; HitVsJITOff (JIT-off ÷ hit, from the current
-	// record alone) is additionally gated against the baseline's
-	// HitVsJITOffFloor — running compiled from the template cache must not
-	// cost more than not compiling.
-	ProgJITOffNsOp   int64   `json:"prog_jit_off_ns_op,omitempty"`
-	ProgMissNsOp     int64   `json:"prog_template_miss_ns_op,omitempty"`
-	ProgHitNsOp      int64   `json:"prog_template_hit_ns_op,omitempty"`
-	Q6ColdJITOnNsOp  int64   `json:"q6_cold_jit_on_ns_op,omitempty"`
-	Q6ColdJITOffNsOp int64   `json:"q6_cold_jit_off_ns_op,omitempty"`
-	HitVsJITOff      float64 `json:"hit_vs_jit_off,omitempty"`
-	HitVsJITOffFloor float64 `json:"hit_vs_jit_off_floor,omitempty"`
 
 	// Per-query speedup floors, read from the *baseline* record: when the
 	// checked-in baseline carries e.g. "q3_speedup_floor": 1.0, the current
@@ -138,9 +94,8 @@ type diffRow struct {
 	Skipped        string // non-empty = not gated, with the reason
 	NotReproducing bool   // current record reports non-identical results
 
-	// Speedup rows (multicore and jitcache records) compare dimensionless
-	// speedup factors against an absolute floor instead of ns/op against the
-	// baseline.
+	// Speedup rows (multicore record) compare dimensionless speedup factors
+	// against an absolute floor instead of ns/op against the baseline.
 	IsSpeedup    bool
 	BaseX, CurX  float64 // baseline / current speedup factors
 	SpeedupFloor float64 // gate floor the current speedup must clear
@@ -210,7 +165,7 @@ func main() {
 		}
 		if r.NotReproducing {
 			failed = true
-			fmt.Fprintf(os.Stderr, "benchdiff: %s reports non-identical parallel results\n", r.Bench)
+			fmt.Fprintf(os.Stderr, "benchdiff: %s reports non-identical results\n", r.Bench)
 		}
 	}
 	if failed {
@@ -268,7 +223,11 @@ func diffDirs(baseline, current string, maxRegress float64) ([]diffRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline %s has no current record: %w", filepath.Base(basePath), err)
 		}
-		rows = append(rows, diffRecords(base, cur, maxRegress)...)
+		recRows, err := diffRecords(base, cur, maxRegress)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", filepath.Base(basePath), err)
+		}
+		rows = append(rows, recRows...)
 	}
 	// The reverse direction must not narrow silently either: a freshly
 	// emitted record without a checked-in baseline is an ungated benchmark.
@@ -286,8 +245,13 @@ func diffDirs(baseline, current string, maxRegress float64) ([]diffRow, error) {
 	return rows, nil
 }
 
-// diffRecords compares one baseline/current record pair.
-func diffRecords(base, cur benchRecord, maxRegress float64) []diffRow {
+// diffRecords compares one baseline/current record pair. A pair that is not
+// two multicore or two trace records is an error: gating it by no rule would
+// report rows that can never regress.
+func diffRecords(base, cur benchRecord, maxRegress float64) ([]diffRow, error) {
+	if base.Benchmark != cur.Benchmark {
+		return nil, fmt.Errorf("baseline record %q compared with current record %q", base.Benchmark, cur.Benchmark)
+	}
 	normalize := base.CalibNs > 0 && cur.CalibNs > 0
 	mk := func(metric string, baseNs, curNs int64) diffRow {
 		r := diffRow{Bench: base.Benchmark, Metric: metric, BaseNs: baseNs, CurNs: curNs}
@@ -301,46 +265,10 @@ func diffRecords(base, cur benchRecord, maxRegress float64) []diffRow {
 		}
 		return r
 	}
-	// Calibration normalizes single-thread speed, not core count: a parallel
-	// measurement from a host with a different GOMAXPROCS says nothing about
-	// a regression, so such legs are reported but not gated.
-	skipParallel := func(r diffRow) diffRow {
-		if base.GOMAXPROCS != cur.GOMAXPROCS {
-			r.Regressed = false
-			r.Skipped = fmt.Sprintf("cores differ (%d vs %d)", base.GOMAXPROCS, cur.GOMAXPROCS)
-		}
-		return r
-	}
 
 	var rows []diffRow
-	if base.CPUNsOp > 0 || cur.CPUNsOp > 0 {
-		// Device record: both legs run the parallel query (CPU-only policy
-		// vs adaptive placement), so both are parallel measurements.
-		rows = []diffRow{
-			skipParallel(mk("cpu-only", base.CPUNsOp, cur.CPUNsOp)),
-			skipParallel(mk("adaptive", base.AdaptiveNsOp, cur.AdaptiveNsOp)),
-		}
-	} else if base.Q6SkipNsOp > 0 || cur.Q6SkipNsOp > 0 {
-		// Colstore record: serial Q1/Q6 over the in-RAM table, the colstore
-		// directory decoding every segment, and with zone-map skipping on.
-		rows = []diffRow{
-			mk("q1-ram", base.Q1RAMNsOp, cur.Q1RAMNsOp),
-			mk("q1-colstore", base.Q1ColdNsOp, cur.Q1ColdNsOp),
-			mk("q1-skipping", base.Q1SkipNsOp, cur.Q1SkipNsOp),
-			mk("q6-ram", base.Q6RAMNsOp, cur.Q6RAMNsOp),
-			mk("q6-colstore", base.Q6ColdNsOp, cur.Q6ColdNsOp),
-			mk("q6-skipping", base.Q6SkipNsOp, cur.Q6SkipNsOp),
-		}
-	} else if base.Q6FusedNsOp > 0 || cur.Q6FusedNsOp > 0 {
-		// Fused record: serial Q1/Q6 through the vectorized interpreter vs
-		// forced-hot tiered execution running specialized fused loops.
-		rows = []diffRow{
-			mk("q1-interpreted", base.Q1InterpNsOp, cur.Q1InterpNsOp),
-			mk("q1-fused", base.Q1FusedNsOp, cur.Q1FusedNsOp),
-			mk("q6-interpreted", base.Q6InterpNsOp, cur.Q6InterpNsOp),
-			mk("q6-fused", base.Q6FusedNsOp, cur.Q6FusedNsOp),
-		}
-	} else if base.Q6TraceOffNsOp > 0 || cur.Q6TraceOffNsOp > 0 {
+	switch base.Benchmark {
+	case "trace":
 		// Trace record: serial Q6 with tracing compiled in but off. Gated
 		// with the baseline's trace_max_regress when present (tighter than
 		// the general threshold: disabled tracing must cost nothing), else
@@ -363,34 +291,11 @@ func diffRecords(base, cur benchRecord, maxRegress float64) []diffRow {
 			on.Skipped = "informational (price of tracing on)"
 		}
 		rows = []diffRow{off, on}
-	} else if base.ProgHitNsOp > 0 || cur.ProgHitNsOp > 0 {
-		// Jitcache record: five one-caller latencies, plus the current
-		// record's own JIT-off ÷ template-hit ratio against the baseline's
-		// floor (default 1 − max-regress).
-		ratio := diffRow{
-			Bench: base.Benchmark, Metric: "hit-vs-jit-off", IsSpeedup: true,
-			BaseX: base.HitVsJITOff, CurX: cur.HitVsJITOff, SpeedupFloor: 1 - maxRegress,
-		}
-		if base.HitVsJITOffFloor > 0 {
-			ratio.SpeedupFloor = base.HitVsJITOffFloor
-		}
-		if ratio.BaseX > 0 {
-			ratio.Ratio = ratio.CurX / ratio.BaseX
-		}
-		ratio.Regressed = ratio.CurX < ratio.SpeedupFloor
-		rows = []diffRow{
-			mk("prog-jit-off", base.ProgJITOffNsOp, cur.ProgJITOffNsOp),
-			mk("prog-template-miss", base.ProgMissNsOp, cur.ProgMissNsOp),
-			mk("prog-template-hit", base.ProgHitNsOp, cur.ProgHitNsOp),
-			ratio,
-			mk("q6-cold-jit-on", base.Q6ColdJITOnNsOp, cur.Q6ColdJITOnNsOp),
-			mk("q6-cold-jit-off", base.Q6ColdJITOffNsOp, cur.Q6ColdJITOffNsOp),
-		}
-	} else if base.Q1SerialNsOp > 0 || cur.Q1SerialNsOp > 0 {
+	case "multicore":
 		// Multicore record: Q1/Q3/Q6 serial legs are calibration-gated like
 		// any serial measurement; the parallel legs are reported (skipped on
-		// a core-count mismatch like every parallel leg); the speedups are
-		// gated against an absolute floor. The floor uses only the *current*
+		// a core-count mismatch, see skipParallel); the speedups are gated
+		// against an absolute floor. The floor uses only the *current*
 		// record: a baseline taken on a small host must not exempt a real
 		// multi-core regression, and a current record from an undersubscribed
 		// host (NumCPU < Workers) skips the floor instead of failing it —
@@ -399,6 +304,17 @@ func diffRecords(base, cur benchRecord, maxRegress float64) []diffRow {
 		// Each query's floor defaults to 1 − max-regress; a baseline record
 		// carrying a per-query floor (e.g. "q3_speedup_floor": 1.0) overrides
 		// it, so a proven speedup cannot silently erode back below 1x.
+		//
+		// Calibration normalizes single-thread speed, not core count: a
+		// parallel measurement from a host with a different GOMAXPROCS says
+		// nothing about a regression, so such legs are reported but not gated.
+		skipParallel := func(r diffRow) diffRow {
+			if base.GOMAXPROCS != cur.GOMAXPROCS {
+				r.Regressed = false
+				r.Skipped = fmt.Sprintf("cores differ (%d vs %d)", base.GOMAXPROCS, cur.GOMAXPROCS)
+			}
+			return r
+		}
 		defFloor := 1 - maxRegress
 		mkSpeedup := func(metric string, baseX, curX, baseFloor float64) diffRow {
 			floor := defFloor
@@ -437,16 +353,13 @@ func diffRecords(base, cur benchRecord, maxRegress float64) []diffRow {
 				skipParallel(mk("hc-parallel", base.HCParNsOp, cur.HCParNsOp)),
 				mkSpeedup("hc-speedup", base.HCSpeedup, cur.HCSpeedup, base.HCSpeedupFloor))
 		}
-	} else {
-		rows = []diffRow{
-			mk("serial", base.SerialNsOp, cur.SerialNsOp),
-			skipParallel(mk(fmt.Sprintf("parallel%d", base.Workers), base.Parallel4NsOp, cur.Parallel4NsOp)),
-		}
+	default:
+		return nil, fmt.Errorf("unknown record %q: benchdiff gates only the multicore and trace records", base.Benchmark)
 	}
 	if !cur.Identical {
 		rows[0].NotReproducing = true
 	}
-	return rows
+	return rows, nil
 }
 
 func loadRecord(path string) (benchRecord, error) {

@@ -19,29 +19,66 @@ func writeRecord(t *testing.T, dir, name string, rec benchRecord) {
 	}
 }
 
+// mustDiff is diffRecords at the default 25% threshold for a pair the test
+// expects to be comparable.
+func mustDiff(t *testing.T, base, cur benchRecord) []diffRow {
+	t.Helper()
+	rows, err := diffRecords(base, cur, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// multicoreBase is a healthy BENCH_multicore.json record from a 4-core host.
+func multicoreBase() benchRecord {
+	return benchRecord{
+		Benchmark: "multicore", Workers: 4, GOMAXPROCS: 4, NumCPU: 4,
+		Identical: true, CalibNs: 100,
+		Q1SerialNsOp: 4000, Q1ParNsOp: 2000, Q1Speedup: 2.0,
+		Q3SerialNsOp: 3000, Q3ParNsOp: 1500, Q3Speedup: 2.0,
+		Q6SerialNsOp: 1000, Q6ParNsOp: 500, Q6Speedup: 2.0,
+	}
+}
+
+// slower multiplies every ns/op leg of a multicore record by f.
+func slower(r benchRecord, f int64) benchRecord {
+	r.Q1SerialNsOp *= f
+	r.Q1ParNsOp *= f
+	r.Q3SerialNsOp *= f
+	r.Q3ParNsOp *= f
+	r.Q6SerialNsOp *= f
+	r.Q6ParNsOp *= f
+	return r
+}
+
+// traceBase is a healthy BENCH_trace.json record with the 2% off-leg gate.
+func traceBase() benchRecord {
+	return benchRecord{
+		Benchmark: "trace", GOMAXPROCS: 1, Identical: true, CalibNs: 100,
+		Q6TraceOffNsOp: 1000, TraceMaxRegress: 0.02,
+	}
+}
+
 func TestDiffDirsGate(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
-	writeRecord(t, base, "BENCH_q1.json", benchRecord{
-		Benchmark: "q1", Workers: 4, SerialNsOp: 1000, Parallel4NsOp: 400, Identical: true,
-	})
-	writeRecord(t, base, "BENCH_q3.json", benchRecord{
-		Benchmark: "q3", Workers: 4, SerialNsOp: 2000, Parallel4NsOp: 800, Identical: true,
-	})
-	// q1 within threshold, q3 serial regressed 50%.
-	writeRecord(t, cur, "BENCH_q1.json", benchRecord{
-		Benchmark: "q1", Workers: 4, SerialNsOp: 1200, Parallel4NsOp: 380, Identical: true,
-	})
-	writeRecord(t, cur, "BENCH_q3.json", benchRecord{
-		Benchmark: "q3", Workers: 4, SerialNsOp: 3000, Parallel4NsOp: 900, Identical: true,
-	})
+	writeRecord(t, base, "BENCH_multicore.json", multicoreBase())
+	writeRecord(t, base, "BENCH_trace.json", traceBase())
+	// The trace off leg within its 2% gate, multicore q3 serial regressed 50%.
+	mc := multicoreBase()
+	mc.Q3SerialNsOp = 4500
+	tr := traceBase()
+	tr.Q6TraceOffNsOp = 1010
+	writeRecord(t, cur, "BENCH_multicore.json", mc)
+	writeRecord(t, cur, "BENCH_trace.json", tr)
 
 	rows, err := diffDirs(base, cur, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	if len(rows) != 11 {
+		t.Fatalf("rows = %d, want 11 (9 multicore + 2 trace)", len(rows))
 	}
 	regressed := map[string]bool{}
 	for _, r := range rows {
@@ -49,18 +86,18 @@ func TestDiffDirsGate(t *testing.T) {
 			regressed[r.Bench+"/"+r.Metric] = true
 		}
 	}
-	if len(regressed) != 1 || !regressed["q3/serial"] {
-		t.Fatalf("regressions = %v, want only q3/serial", regressed)
+	if len(regressed) != 1 || !regressed["multicore/q3-serial"] {
+		t.Fatalf("regressions = %v, want only multicore/q3-serial", regressed)
 	}
 	table := renderTable(rows, 0.25)
-	if !strings.Contains(table, "REGRESSED") || !strings.Contains(table, "| q1 | serial |") {
+	if !strings.Contains(table, "REGRESSED") || !strings.Contains(table, "| trace | q6-trace-off |") {
 		t.Fatalf("table missing expected content:\n%s", table)
 	}
 }
 
 func TestDiffDirsMissingCurrent(t *testing.T) {
 	base := t.TempDir()
-	writeRecord(t, base, "BENCH_q6.json", benchRecord{Benchmark: "q6", Workers: 4, SerialNsOp: 10, Parallel4NsOp: 10, Identical: true})
+	writeRecord(t, base, "BENCH_trace.json", traceBase())
 	if _, err := diffDirs(base, t.TempDir(), 0.25); err == nil {
 		t.Fatal("missing current record accepted")
 	}
@@ -70,31 +107,41 @@ func TestDiffDirsMissingCurrent(t *testing.T) {
 // with 2× slower queries is no regression; the same slowdown without the
 // calibration excuse is.
 func TestDiffRecordsCalibrationNormalized(t *testing.T) {
-	base := benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 1000, Parallel4NsOp: 500, Identical: true, CalibNs: 100}
-	slowHost := benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 2000, Parallel4NsOp: 1000, Identical: true, CalibNs: 200}
-	for _, r := range diffRecords(base, slowHost, 0.25) {
+	base := multicoreBase()
+	slowHost := slower(multicoreBase(), 2)
+	slowHost.CalibNs = 200
+	for _, r := range mustDiff(t, base, slowHost) {
+		if r.IsSpeedup {
+			continue
+		}
 		if !r.Normalized || r.Regressed {
 			t.Fatalf("slow-host row regressed despite calibration: %+v", r)
 		}
 	}
-	realRegression := benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 2000, Parallel4NsOp: 1000, Identical: true, CalibNs: 100}
-	rows := diffRecords(base, realRegression, 0.25)
-	if !rows[0].Regressed || !rows[1].Regressed {
-		t.Fatalf("same-speed host 2x slowdown not flagged: %+v", rows)
+	realRegression := slower(multicoreBase(), 2)
+	for _, r := range mustDiff(t, base, realRegression) {
+		if !r.IsSpeedup && !r.Regressed {
+			t.Fatalf("same-speed host 2x slowdown not flagged: %+v", r)
+		}
 	}
 }
 
 // TestDiffRecordsSkipsParallelOnCoreMismatch: a parallel measurement from a
 // host with a different core count is not comparable — gate serial only.
 func TestDiffRecordsSkipsParallelOnCoreMismatch(t *testing.T) {
-	base := benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 1000, Parallel4NsOp: 1500, Identical: true, GOMAXPROCS: 1}
-	cur := benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 1000, Parallel4NsOp: 5000, Identical: true, GOMAXPROCS: 4}
-	rows := diffRecords(base, cur, 0.25)
-	if rows[0].Skipped != "" || rows[1].Skipped == "" {
-		t.Fatalf("want only the parallel leg skipped: %+v", rows)
+	base := multicoreBase()
+	base.GOMAXPROCS = 1
+	cur := multicoreBase()
+	cur.Q1ParNsOp = 10000
+	byMetric := map[string]diffRow{}
+	for _, r := range mustDiff(t, base, cur) {
+		byMetric[r.Metric] = r
 	}
-	if rows[1].Regressed {
-		t.Fatalf("cross-core parallel leg must not gate: %+v", rows[1])
+	if byMetric["q1-serial"].Skipped != "" || byMetric["q1-parallel"].Skipped == "" {
+		t.Fatalf("want only the parallel leg skipped: %+v", byMetric)
+	}
+	if r := byMetric["q1-parallel"]; r.Regressed {
+		t.Fatalf("cross-core parallel leg must not gate: %+v", r)
 	}
 }
 
@@ -103,10 +150,9 @@ func TestDiffRecordsSkipsParallelOnCoreMismatch(t *testing.T) {
 func TestDiffDirsExtraCurrentFails(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
-	rec := benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 100, Parallel4NsOp: 50, Identical: true}
-	writeRecord(t, base, "BENCH_q1.json", rec)
-	writeRecord(t, cur, "BENCH_q1.json", rec)
-	writeRecord(t, cur, "BENCH_q4.json", benchRecord{Benchmark: "q4", Workers: 4, SerialNsOp: 9, Parallel4NsOp: 9, Identical: true})
+	writeRecord(t, base, "BENCH_trace.json", traceBase())
+	writeRecord(t, cur, "BENCH_trace.json", traceBase())
+	writeRecord(t, cur, "BENCH_multicore.json", multicoreBase())
 	if _, err := diffDirs(base, cur, 0.25); err == nil {
 		t.Fatal("current record without baseline accepted")
 	}
@@ -115,8 +161,10 @@ func TestDiffDirsExtraCurrentFails(t *testing.T) {
 func TestDiffDirsNonIdenticalFails(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
-	writeRecord(t, base, "BENCH_q1.json", benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 100, Parallel4NsOp: 50, Identical: true})
-	writeRecord(t, cur, "BENCH_q1.json", benchRecord{Benchmark: "q1", Workers: 4, SerialNsOp: 100, Parallel4NsOp: 50, Identical: false})
+	writeRecord(t, base, "BENCH_trace.json", traceBase())
+	diverged := traceBase()
+	diverged.Identical = false
+	writeRecord(t, cur, "BENCH_trace.json", diverged)
 	rows, err := diffDirs(base, cur, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -132,47 +180,57 @@ func TestDiffDirsNonIdenticalFails(t *testing.T) {
 	}
 }
 
-// TestDiffRecordsDeviceFlavor: BENCH_device.json records gate the CPU-only
-// and adaptive legs instead of serial/parallel, and both legs skip on a
-// core-count mismatch (they are parallel measurements).
-func TestDiffRecordsDeviceFlavor(t *testing.T) {
-	base := benchRecord{
-		Benchmark: "device_q6", Workers: 4, GOMAXPROCS: 8, Identical: true,
-		CPUNsOp: 1000, AdaptiveNsOp: 1100, CalibNs: 100,
+// TestDiffDirsUnknownRecordFails: a record that is neither multicore nor
+// trace is an error naming its file — not rows that can never regress.
+func TestDiffDirsUnknownRecordFails(t *testing.T) {
+	base := t.TempDir()
+	cur := t.TempDir()
+	bogus := []byte(`{"benchmark":"bogus","identical":true}`)
+	for _, dir := range []string{base, cur} {
+		if err := os.WriteFile(filepath.Join(dir, "BENCH_bogus.json"), bogus, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cur := base
-	cur.AdaptiveNsOp = 1500 // adaptive leg regressed ~36%
-	rows := diffRecords(base, cur, 0.25)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	byMetric := map[string]diffRow{}
-	for _, r := range rows {
-		byMetric[r.Metric] = r
-	}
-	if r := byMetric["cpu-only"]; r.Regressed {
-		t.Fatalf("cpu-only leg wrongly regressed: %+v", r)
-	}
-	if r := byMetric["adaptive"]; !r.Regressed {
-		t.Fatalf("adaptive leg not flagged: %+v", r)
+	_, err := diffDirs(base, cur, 0.25)
+	if err == nil || !strings.Contains(err.Error(), "BENCH_bogus.json") {
+		t.Fatalf("unknown record: err = %v, want an error naming BENCH_bogus.json", err)
 	}
 
-	cur.GOMAXPROCS = 2
-	for _, r := range diffRecords(base, cur, 0.25) {
-		if r.Regressed || r.Skipped == "" {
-			t.Fatalf("device leg should skip on core mismatch: %+v", r)
-		}
+	// Two known records of different kinds under one name do not compare.
+	if _, err := diffRecords(multicoreBase(), traceBase(), 0.25); err == nil {
+		t.Fatal("multicore baseline compared with a trace record")
 	}
 }
 
-// multicoreBase is a healthy BENCH_multicore.json record from a 4-core host.
-func multicoreBase() benchRecord {
-	return benchRecord{
-		Benchmark: "multicore", Workers: 4, GOMAXPROCS: 4, NumCPU: 4,
-		Identical: true, CalibNs: 100,
-		Q1SerialNsOp: 4000, Q1ParNsOp: 2000, Q1Speedup: 2.0,
-		Q3SerialNsOp: 3000, Q3ParNsOp: 1500, Q3Speedup: 2.0,
-		Q6SerialNsOp: 1000, Q6ParNsOp: 500, Q6Speedup: 2.0,
+// TestCheckedInBaselineHoldsOnlyTheGates: bench/baseline holds exactly the
+// two records advm-bench -benchjson writes, and gates clean against itself,
+// so a retired record cannot linger there.
+func TestCheckedInBaselineHoldsOnlyTheGates(t *testing.T) {
+	dir := filepath.Join("..", "..", "bench", "baseline")
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range paths {
+		rec, err := loadRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "BENCH_" + rec.Benchmark + ".json"; filepath.Base(p) != want {
+			t.Fatalf("%s holds a %q record", p, rec.Benchmark)
+		}
+		names = append(names, rec.Benchmark)
+	}
+	if strings.Join(names, ",") != "multicore,trace" {
+		t.Fatalf("checked-in baselines = %v, want [multicore trace]", names)
+	}
+	rows, err := diffDirs(dir, dir, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts, _ := summarize(rows); counts.Regressed != 0 {
+		t.Fatalf("baseline regresses against itself: %+v", counts)
 	}
 }
 
@@ -182,7 +240,7 @@ func TestDiffRecordsMulticoreFlavor(t *testing.T) {
 	base := multicoreBase()
 	cur := multicoreBase()
 	cur.Q3Speedup = 0.6 // parallel Q3 barely above half of serial — below 0.75 floor
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(rows))
 	}
@@ -215,7 +273,7 @@ func TestDiffRecordsMulticoreSerialGated(t *testing.T) {
 	base := multicoreBase()
 	cur := multicoreBase()
 	cur.Q1SerialNsOp = 8000 // 2× slower, same calib
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	found := false
 	for _, r := range rows {
 		if r.Metric == "q1-serial" && r.Regressed {
@@ -236,7 +294,7 @@ func TestDiffRecordsMulticoreUndersubscribedSkips(t *testing.T) {
 	cur := multicoreBase()
 	cur.GOMAXPROCS, cur.NumCPU = 1, 1
 	cur.Q1Speedup, cur.Q3Speedup, cur.Q6Speedup = 0.7, 0.5, 0.8
-	for _, r := range diffRecords(base, cur, 0.25) {
+	for _, r := range mustDiff(t, base, cur) {
 		if strings.HasSuffix(r.Metric, "-speedup") {
 			if r.Regressed || r.Skipped == "" {
 				t.Fatalf("undersubscribed speedup leg should skip: %+v", r)
@@ -252,7 +310,7 @@ func TestDiffRecordsMulticoreUndersubscribedSkips(t *testing.T) {
 	base.Q1Speedup = 0.7
 	cur = multicoreBase()
 	cur.Q1Speedup = 0.5
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	found := false
 	for _, r := range rows {
 		if r.Metric == "q1-speedup" && r.Regressed {
@@ -270,7 +328,7 @@ func TestDiffRecordsMulticoreNotReproducing(t *testing.T) {
 	base := multicoreBase()
 	cur := multicoreBase()
 	cur.Identical = false
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	if !rows[0].NotReproducing {
 		t.Fatal("non-identical multicore record not flagged")
 	}
@@ -285,7 +343,7 @@ func TestDiffRecordsMulticorePerQueryFloor(t *testing.T) {
 	cur := multicoreBase()
 	cur.Q3Speedup = 0.9 // clears the default 0.75 floor, not the raised 1.0
 	cur.Q1Speedup = 0.9 // q1 keeps the default floor: must pass
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	byMetric := map[string]diffRow{}
 	for _, r := range rows {
 		byMetric[r.Metric] = r
@@ -304,12 +362,12 @@ func TestDiffRecordsMulticorePerQueryFloor(t *testing.T) {
 func TestDiffRecordsMulticoreHCLeg(t *testing.T) {
 	base := multicoreBase()
 	cur := multicoreBase()
-	if n := len(diffRecords(base, cur, 0.25)); n != 9 {
+	if n := len(mustDiff(t, base, cur)); n != 9 {
 		t.Fatalf("rows without hc leg = %d, want 9", n)
 	}
 	base.HCSerialNsOp, base.HCParNsOp, base.HCSpeedup = 5000, 2500, 2.0
 	cur.HCSerialNsOp, cur.HCParNsOp, cur.HCSpeedup = 5000, 10000, 0.5
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	if len(rows) != 12 {
 		t.Fatalf("rows with hc leg = %d, want 12", len(rows))
 	}
@@ -331,7 +389,7 @@ func TestSummarizeSkipLines(t *testing.T) {
 	base := multicoreBase()
 	cur := multicoreBase()
 	cur.GOMAXPROCS, cur.NumCPU = 1, 1
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	counts, lines := summarize(rows)
 	if counts.Skipped == 0 || counts.Regressed != 0 {
 		t.Fatalf("counts = %+v, want skipped > 0 and no regressions", counts)
@@ -348,21 +406,9 @@ func TestSummarizeSkipLines(t *testing.T) {
 	}
 
 	// A healthy same-host run skips nothing.
-	counts, lines = summarize(diffRecords(multicoreBase(), multicoreBase(), 0.25))
+	counts, lines = summarize(mustDiff(t, multicoreBase(), multicoreBase()))
 	if counts.Skipped != 0 || len(lines) != 0 {
 		t.Fatalf("healthy run reports skips: %+v %v", counts, lines)
-	}
-}
-
-// TestDiffRecordsDeviceNotReproducing: a device record reporting
-// non-identical results fails the gate.
-func TestDiffRecordsDeviceNotReproducing(t *testing.T) {
-	base := benchRecord{Benchmark: "device_q6", Workers: 4, Identical: true, CPUNsOp: 1000, AdaptiveNsOp: 1000}
-	cur := base
-	cur.Identical = false
-	rows := diffRecords(base, cur, 0.25)
-	if !rows[0].NotReproducing {
-		t.Fatal("non-identical device record not flagged")
 	}
 }
 
@@ -370,14 +416,11 @@ func TestDiffRecordsDeviceNotReproducing(t *testing.T) {
 // the baseline's tighter trace_max_regress and leave the traced leg
 // informational.
 func TestDiffRecordsTraceFlavor(t *testing.T) {
-	base := benchRecord{
-		Benchmark: "trace", GOMAXPROCS: 1, Identical: true, CalibNs: 100,
-		Q6TraceOffNsOp: 1000, TraceMaxRegress: 0.02,
-	}
+	base := traceBase()
 	cur := base
 	cur.Q6TraceOffNsOp = 1010 // +1%: inside the 2% trace gate
 	cur.Q6TraceOnNsOp = 1200
-	rows := diffRecords(base, cur, 0.25)
+	rows := mustDiff(t, base, cur)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -395,7 +438,7 @@ func TestDiffRecordsTraceFlavor(t *testing.T) {
 	// +5% on the off leg breaks the 2% trace gate even though the global
 	// threshold is 25%.
 	cur.Q6TraceOffNsOp = 1050
-	rows = diffRecords(base, cur, 0.25)
+	rows = mustDiff(t, base, cur)
 	for _, r := range rows {
 		if r.Metric == "q6-trace-off" && !r.Regressed {
 			t.Fatalf("off leg beyond trace_max_regress not flagged: %+v", r)
@@ -404,68 +447,10 @@ func TestDiffRecordsTraceFlavor(t *testing.T) {
 
 	// Without a baseline trace_max_regress the global threshold applies.
 	base.TraceMaxRegress = 0
-	rows = diffRecords(base, cur, 0.25)
+	rows = mustDiff(t, base, cur)
 	for _, r := range rows {
 		if r.Metric == "q6-trace-off" && r.Regressed {
 			t.Fatalf("off leg within global threshold wrongly flagged: %+v", r)
-		}
-	}
-}
-
-func TestDiffRecordsJitcacheFlavor(t *testing.T) {
-	base := benchRecord{
-		Benchmark: "jitcache", GOMAXPROCS: 2, Identical: true, CalibNs: 100,
-		ProgJITOffNsOp: 4700, ProgMissNsOp: 4700, ProgHitNsOp: 3600,
-		Q6ColdJITOnNsOp: 2600, Q6ColdJITOffNsOp: 2300,
-		HitVsJITOff: 1.3, HitVsJITOffFloor: 0.8,
-	}
-	cur := base
-	rows := diffRecords(base, cur, 0.25)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.Regressed || r.Skipped != "" {
-			t.Fatalf("identical records wrongly gated: %+v", r)
-		}
-	}
-
-	// The hit leg at 1.3× the JIT-off leg of the same record: every leg is
-	// still within 25% of its baseline except the hit leg, and the ratio
-	// falls through the 0.8 floor.
-	cur.ProgHitNsOp = 6100
-	cur.HitVsJITOff = 4700.0 / 6100
-	byMetric := map[string]diffRow{}
-	for _, r := range diffRecords(base, cur, 0.25) {
-		byMetric[r.Metric] = r
-	}
-	if r := byMetric["hit-vs-jit-off"]; !r.Regressed || !r.IsSpeedup || r.SpeedupFloor != 0.8 {
-		t.Fatalf("hit leg slower than 1.25× JIT-off not flagged: %+v", r)
-	}
-	if r := byMetric["prog-template-hit"]; !r.Regressed {
-		t.Fatalf("hit leg +69%% over its baseline not flagged: %+v", r)
-	}
-	if r := byMetric["prog-jit-off"]; r.Regressed {
-		t.Fatalf("unchanged leg flagged: %+v", r)
-	}
-
-	// A slow host moves every leg and the calibration together: nothing
-	// regresses, and the ratio — taken within one record — does not move.
-	slow := base
-	slow.CalibNs = 200
-	slow.ProgJITOffNsOp, slow.ProgMissNsOp, slow.ProgHitNsOp = 9400, 9400, 7200
-	slow.Q6ColdJITOnNsOp, slow.Q6ColdJITOffNsOp = 5200, 4600
-	for _, r := range diffRecords(base, slow, 0.25) {
-		if r.Regressed {
-			t.Fatalf("calibration-normalized slow host flagged: %+v", r)
-		}
-	}
-
-	// Without a baseline floor the default 1 − max-regress applies.
-	base.HitVsJITOffFloor = 0
-	for _, r := range diffRecords(base, cur, 0.25) {
-		if r.Metric == "hit-vs-jit-off" && (r.SpeedupFloor != 0.75 || r.Regressed) {
-			t.Fatalf("default floor: %+v", r)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // the placer routing small/cold kernels to the CPU and large/resident ones
 // to the simulated GPU, with modeled costs for both. The second half drives
 // the same policy through the public advm API: a session opened with
-// advm.WithDevice(advm.DeviceAuto) records a placement decision per run,
+// advm.WithDevicePolicy(advm.DeviceAuto) records a placement decision per run,
 // observable via Stats.
 //
 // Run: go run ./examples/gpuoffload
@@ -98,7 +98,7 @@ func queryDemo() {
 // session runs a small program over growing inputs and records where the
 // modeled-cost policy would place each run.
 func sessionDemo() {
-	fmt.Println("\n=== advm session with WithDevice(DeviceAuto) ===")
+	fmt.Println("\n=== advm session with WithDevicePolicy(DeviceAuto) ===")
 	src := `
 mut i
 i := 0
@@ -111,7 +111,7 @@ loop {
 }
 `
 	sess, err := advm.Compile(src, map[string]advm.Kind{"data": advm.I64, "out": advm.I64},
-		advm.WithDevice(advm.DeviceAuto))
+		advm.WithDevicePolicy(advm.DeviceAuto))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 
 // This file builds the TPC-H reference queries through the *public* advm
 // plan builder — the single source of truth for every harness that drives
-// Q1/Q6 end-to-end over the embedding API (integration tests, the E15
-// benchmarks, advm-bench's perf records), so the measured and the verified
-// query cannot drift apart.
+// Q1/Q3/Q6 end-to-end over the embedding API (integration tests, the repo
+// benchmark, advm-bench's E20/E21 perf records), so the measured and the
+// verified query cannot drift apart.
 
 // PlanQ1 builds the full TPC-H Q1 (filter → disc_price → charge → grouped
 // aggregation, all eight aggregates) as a public plan over a lineitem table
