@@ -100,6 +100,43 @@ func TestSessionRunCompilesHotLoop(t *testing.T) {
 	}
 }
 
+// TestShiftsInterpretedAndTraced: x << 3 over [10] is [80] and x >> 2 over
+// [1000] is [250] whether the program is interpreted or runs through the
+// injected traces, whose templates call the same shift kernels.
+func TestShiftsInterpretedAndTraced(t *testing.T) {
+	const src = `
+let xs = read 0 a 1
+let ys = read 0 b 1
+write shl 0 (map (\x -> x << 3) xs)
+write shr 0 (map (\y -> y >> 2) ys)
+`
+	kinds := map[string]advm.Kind{"a": advm.I64, "b": advm.I64, "shl": advm.I64, "shr": advm.I64}
+	sess := advm.MustCompile(src, kinds,
+		advm.WithSyncOptimizer(true),
+		advm.WithMicroAdaptive(false),
+		advm.WithHotThresholds(1, 0),
+		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
+	traced := false
+	for run := 0; run < 10 && !traced; run++ {
+		traced = len(sess.Stats().CompiledSegments) > 0
+		shl, shr := advm.NewVector(advm.I64, 0, 1), advm.NewVector(advm.I64, 0, 1)
+		if err := sess.Run(t.Context(), map[string]*advm.Vector{
+			"a": advm.FromI64([]int64{10}), "b": advm.FromI64([]int64{1000}), "shl": shl, "shr": shr,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if shl.Len() != 1 || shl.I64()[0] != 80 || shr.Len() != 1 || shr.I64()[0] != 250 {
+			t.Fatalf("run %d (traced=%v): 10 << 3 = %v, 1000 >> 2 = %v; want [80], [250]", run, traced, shl, shr)
+		}
+	}
+	if !traced {
+		t.Fatalf("no run went through an injected trace: %+v", sess.Stats().Transitions)
+	}
+	if st := sess.Stats(); st.GuardFailures != 0 {
+		t.Fatalf("%d guard failures: the traced runs fell back to the interpreter", st.GuardFailures)
+	}
+}
+
 func TestSessionRunConcurrent(t *testing.T) {
 	sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds,
 		advm.WithHotThresholds(4, 0),

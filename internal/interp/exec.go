@@ -365,11 +365,11 @@ func scalarArith(op nir.ArithOp, kind vector.Kind, a, b vector.Value) (vector.Va
 		case nir.AMul:
 			r = x * y
 		case nir.ADiv:
-			r = x / y
+			r = primitive.Div(x, y)
 		case nir.AMin:
-			r = math.Min(x, y)
+			r = primitive.Min(x, y)
 		case nir.AMax:
-			r = math.Max(x, y)
+			r = primitive.Max(x, y)
 		default:
 			return vector.Value{}, fmt.Errorf("interp: scalar op %v not defined on f64", op)
 		}
@@ -385,17 +385,9 @@ func scalarArith(op nir.ArithOp, kind vector.Kind, a, b vector.Value) (vector.Va
 	case nir.AMul:
 		r = x * y
 	case nir.ADiv:
-		if y == 0 {
-			r = 0
-		} else {
-			r = x / y
-		}
+		r = primitive.Div(x, y)
 	case nir.AMod:
-		if y == 0 {
-			r = 0
-		} else {
-			r = x % y
-		}
+		r = primitive.Mod(x, y)
 	case nir.AAnd:
 		r = x & y
 	case nir.AOr:
@@ -403,19 +395,13 @@ func scalarArith(op nir.ArithOp, kind vector.Kind, a, b vector.Value) (vector.Va
 	case nir.AXor:
 		r = x ^ y
 	case nir.AShl:
-		r = x << (uint64(y) & 63)
+		r = primitive.Shl(x, y)
 	case nir.AShr:
-		r = x >> (uint64(y) & 63)
+		r = primitive.Shr(x, y)
 	case nir.AMin:
-		r = x
-		if y < x {
-			r = y
-		}
+		r = primitive.Min(x, y)
 	case nir.AMax:
-		r = x
-		if y > x {
-			r = y
-		}
+		r = primitive.Max(x, y)
 	default:
 		return vector.Value{}, fmt.Errorf("interp: unknown scalar op %v", op)
 	}

@@ -379,6 +379,24 @@ write outF 0 (map (\x -> x / 2.0) xs)
 	}
 }
 
+// TestVectorShifts: a shift mapped over a flow shifts by the count mod 64,
+// as the same shift on scalars does — not (x << n) & 63.
+func TestVectorShifts(t *testing.T) {
+	src := `
+let xs = read 0 a 1
+let ys = read 0 b 1
+write shl 0 (map (\x -> x << 3) xs)
+write shr 0 (map (\y -> y >> 2) ys)
+`
+	shl, shr := vector.New(vector.I64, 0, 1), vector.New(vector.I64, 0, 1)
+	runProgram(t, src, map[string]*vector.Vector{
+		"a": vector.FromI64([]int64{10}), "b": vector.FromI64([]int64{1000}), "shl": shl, "shr": shr,
+	})
+	if shl.Len() != 1 || shl.I64()[0] != 80 || shr.Len() != 1 || shr.I64()[0] != 250 {
+		t.Fatalf("10 << 3 = %v, 1000 >> 2 = %v; want [80], [250]", shl, shr)
+	}
+}
+
 func TestReadPastEndYieldsShortAndEmptyFlows(t *testing.T) {
 	data := vector.FromI64([]int64{1, 2, 3})
 	out := vector.New(vector.I64, 0, 4)

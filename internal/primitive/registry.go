@@ -5,11 +5,24 @@
 // our compilation infrastructure, such that they will be available during
 // runtime with near to zero compilation effort."
 //
-// In this reproduction the kernels are generated ahead of time
-// (gen_kernels.py → kernels_gen.go): one monomorphic tight loop per
-// (operation, element kind, operand shape) combination, each in a
-// no-selection and a selection-vector variant — the classic
-// MonetDB/Vectorwise primitive matrix.
+// The registry is the classic MonetDB/Vectorwise primitive matrix: one
+// monomorphic tight loop per (operation, element kind, operand shape), each
+// with a no-selection and a selection-vector path. kernels.go writes each
+// (operation, operand shape) once as a generic function and its init
+// registers one instantiation per element kind; Go compiles a separate copy
+// for every basic element type, so no generator is involved. Three rules
+// keep those copies as fast as hand-specialised loops:
+//
+//   - Reach a vector's storage through vector.Data[T], which switches on the
+//     type of a nil *T; boxing the slice into an interface allocates on
+//     every call.
+//   - Register the generic kernel itself, never a closure returned by a
+//     generic factory: such closures run the loop several times slower.
+//     Derive anything kind-specific (a fold's result kind) from T inside the
+//     kernel.
+//   - Keep function values and per-element switches out of loops: the element
+//     functions (Div, Min, …) are plain generic functions that inline, and
+//     the bool connectives are separate plain loops.
 package primitive
 
 import (
@@ -202,50 +215,66 @@ func Iota(dst *vector.Vector, start int64) {
 }
 
 // Gather reads data at the positions given by the selected elements of idx:
-// dst[i] = data[idx[i]] for i in sel. Out-of-range indexes produce the zero
-// value (the host is expected to validate bounds; zero-fill keeps kernels
-// total, matching the safe-division convention).
+// dst[i] = data[idx[i]] for i in sel; dst and data have the same kind.
+// Out-of-range indexes produce the zero value (the host is expected to
+// validate bounds; zero-fill keeps kernels total, matching the safe-division
+// convention).
 func Gather(dst, data, idx *vector.Vector, sel vector.Sel) {
-	n := data.Len()
-	ix := toIndexes(idx)
-	apply := func(i int) {
-		j := ix(i)
-		if j < 0 || j >= int64(n) {
-			dst.Set(i, zeroOf(dst.Kind()))
-			return
-		}
-		dst.Set(i, data.Get(int(j)))
-	}
 	switch dst.Kind() {
-	case vector.I64:
-		dd, dv := dst.I64(), data.I64()
-		forSel(dst.Len(), sel, func(i int) {
-			if j := ix(i); j >= 0 && j < int64(n) {
-				dd[i] = dv[j]
-			} else {
-				dd[i] = 0
-			}
-		})
+	case vector.Bool:
+		gatherKind[bool](dst, data, idx, sel)
+	case vector.I8:
+		gatherKind[int8](dst, data, idx, sel)
+	case vector.I16:
+		gatherKind[int16](dst, data, idx, sel)
 	case vector.I32:
-		dd, dv := dst.I32(), data.I32()
-		forSel(dst.Len(), sel, func(i int) {
-			if j := ix(i); j >= 0 && j < int64(n) {
-				dd[i] = dv[j]
-			} else {
-				dd[i] = 0
-			}
-		})
+		gatherKind[int32](dst, data, idx, sel)
+	case vector.I64:
+		gatherKind[int64](dst, data, idx, sel)
 	case vector.F64:
-		dd, dv := dst.F64(), data.F64()
-		forSel(dst.Len(), sel, func(i int) {
-			if j := ix(i); j >= 0 && j < int64(n) {
-				dd[i] = dv[j]
-			} else {
-				dd[i] = 0
-			}
-		})
+		gatherKind[float64](dst, data, idx, sel)
+	case vector.Str:
+		gatherKind[string](dst, data, idx, sel)
 	default:
-		forSel(dst.Len(), sel, apply)
+		panic(fmt.Sprintf("primitive: cannot gather into a %v vector", dst.Kind()))
+	}
+}
+
+func gatherKind[T vector.Elem](dst, data, idx *vector.Vector, sel vector.Sel) {
+	d, src := vector.Data[T](dst), vector.Data[T](data)
+	switch idx.Kind() {
+	case vector.I8:
+		gather(d, src, idx.I8(), sel)
+	case vector.I16:
+		gather(d, src, idx.I16(), sel)
+	case vector.I32:
+		gather(d, src, idx.I32(), sel)
+	case vector.I64:
+		gather(d, src, idx.I64(), sel)
+	default:
+		panic(fmt.Sprintf("primitive: index vector must be integer, got %v", idx.Kind()))
+	}
+}
+
+func gather[T vector.Elem, I integer](dst, data []T, idx []I, sel vector.Sel) {
+	n := int64(len(data))
+	var zero T
+	if sel == nil {
+		for i := range dst {
+			if j := int64(idx[i]); j >= 0 && j < n {
+				dst[i] = data[j]
+			} else {
+				dst[i] = zero
+			}
+		}
+		return
+	}
+	for _, i := range sel {
+		if j := int64(idx[i]); j >= 0 && j < n {
+			dst[i] = data[j]
+		} else {
+			dst[i] = zero
+		}
 	}
 }
 
@@ -323,19 +352,6 @@ func lessValue(a, b vector.Value) bool {
 		return a.S < b.S
 	default:
 		return a.I < b.I
-	}
-}
-
-func zeroOf(k vector.Kind) vector.Value {
-	switch k {
-	case vector.F64:
-		return vector.F64Value(0)
-	case vector.Str:
-		return vector.StrValue("")
-	case vector.Bool:
-		return vector.BoolValue(false)
-	default:
-		return vector.IntValue(k, 0)
 	}
 }
 

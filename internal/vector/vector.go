@@ -287,6 +287,38 @@ func (v *Vector) F64() []float64 { v.kindCheck(F64); return v.f64 }
 // Str returns the backing string slice. Panics if the kind differs.
 func (v *Vector) Str() []string { v.kindCheck(Str); return v.str }
 
+// Elem is the set of Go element types a Vector stores, one per Kind.
+type Elem interface {
+	bool | int8 | int16 | int32 | int64 | float64 | string
+}
+
+// Data returns the backing slice as []T: the generic form of the Bool, I8,
+// …, Str accessors, and like them it panics if T does not match the kind.
+// It does not allocate: the switch is on the type of a nil *T, and the
+// slice is reached through a pointer to its field, so nothing is boxed.
+func Data[T Elem](v *Vector) []T {
+	var p any
+	var k Kind
+	switch any((*T)(nil)).(type) {
+	case *bool:
+		p, k = &v.b, Bool
+	case *int8:
+		p, k = &v.i8, I8
+	case *int16:
+		p, k = &v.i16, I16
+	case *int32:
+		p, k = &v.i32, I32
+	case *int64:
+		p, k = &v.i64, I64
+	case *float64:
+		p, k = &v.f64, F64
+	case *string:
+		p, k = &v.str, Str
+	}
+	v.kindCheck(k)
+	return *p.(*[]T)
+}
+
 // Clone returns a deep copy of v.
 func (v *Vector) Clone() *Vector {
 	out := New(v.kind, v.n, v.n)

@@ -79,6 +79,37 @@ func TestNewAndAccessors(t *testing.T) {
 	_ = v.F64()
 }
 
+// TestData: Data[T] is the storage of every kind — writes through it show in
+// Get — it allocates nothing, and it panics on the wrong T like the typed
+// accessors.
+func TestData(t *testing.T) {
+	checkData(t, Bool, true)
+	checkData(t, I8, int8(-8))
+	checkData(t, I16, int16(-16))
+	checkData(t, I32, int32(-32))
+	checkData(t, I64, int64(-64))
+	checkData(t, F64, 6.4)
+	checkData(t, Str, "s")
+	defer func() {
+		if recover() == nil {
+			t.Error("Data with the wrong element type should panic")
+		}
+	}()
+	Data[int32](NewLen(I64, 1))
+}
+
+func checkData[T Elem](t *testing.T, k Kind, x T) {
+	t.Helper()
+	v := NewLen(k, 3)
+	Data[T](v)[2] = x
+	if got, zero := v.Get(2), v.Get(1); got.Equal(zero) || len(Data[T](v)) != 3 {
+		t.Errorf("%v: Data write of %v reads back as %v", k, x, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Data[T](v) }); allocs != 0 {
+		t.Errorf("%v: Data allocates %v times per call", k, allocs)
+	}
+}
+
 func TestSetLenGrow(t *testing.T) {
 	v := New(I64, 2, 4)
 	v.I64()[0], v.I64()[1] = 10, 20

@@ -149,6 +149,10 @@ func TestCompileServiceInjectsMidRun(t *testing.T) {
 	cfg.HotCalls = 2
 	cfg.OptimizeInterval = 200 * time.Microsecond
 	cfg.JIT.CompileLatency = jit.NoCompileLatency
+	// As in TestFigure1StateMachine: on a loaded machine micro-adaptive revert
+	// can deoptimize the delivered traces before Run returns and empty
+	// CompiledSegments (revert has its own test).
+	cfg.MicroAdaptive = false
 	v := New(np, cfg)
 
 	ext := mkData(1 << 21) // ~2M rows: thousands of chunks
