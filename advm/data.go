@@ -22,6 +22,9 @@ type (
 	// selection vector — the unit of streaming in Query pipelines.
 	Chunk = vector.Chunk
 	// Table is a decomposed (column-wise) store queryable with Scan.
+	// Queries read a Table in place, without copying its columns, so a
+	// Table must not be mutated (AppendRow, AppendChunk, writes through
+	// Col) while a query that reads it is open.
 	Table = vector.DSMStore
 	// TableSource is any columnar row source a Scan plan can read: an
 	// in-RAM Table, a disk-backed StoredTable opened from a colstore

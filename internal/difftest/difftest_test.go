@@ -2,10 +2,38 @@ package difftest
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/advm"
 )
+
+// tableDigest hashes every value of every column of the tables. Scans of
+// in-RAM tables hand operators views of the tables' own storage, so an
+// operator that wrote into its input would change the digest.
+func tableDigest(tables ...*advm.Table) uint64 {
+	h := fnv.New64a()
+	var b [17]byte
+	for _, tb := range tables {
+		for i := range tb.Schema().Names {
+			col := tb.Col(i)
+			for r := 0; r < col.Len(); r++ {
+				v := col.Get(r)
+				binary.LittleEndian.PutUint64(b[0:], uint64(v.I))
+				binary.LittleEndian.PutUint64(b[8:], math.Float64bits(v.F))
+				b[16] = 0
+				if v.B {
+					b[16] = 1
+				}
+				h.Write(b[:])
+				h.Write([]byte(v.S))
+			}
+		}
+	}
+	return h.Sum64()
+}
 
 // execConfig is one execution strategy to pit against the serial CPU
 // reference.
@@ -59,6 +87,13 @@ func TestDifferential(t *testing.T) {
 		} else {
 			c = NewCase(seed)
 		}
+		// Every run below must leave the in-RAM tables as generated.
+		digest := tableDigest(c.Probe, c.Build)
+		checkTables := func(leg string) {
+			if tableDigest(c.Probe, c.Build) != digest {
+				t.Fatalf("%s [%s]: the run wrote into an in-RAM table", c.Desc, leg)
+			}
+		}
 		// One serial reference per distinct morsel length: result bytes are a
 		// function of (plan, data, morsel length) — blocked f64 accumulation
 		// is pinned by the morsel boundaries — and must be *independent* of
@@ -87,6 +122,7 @@ func TestDifferential(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
+			checkTables("serial reference")
 			refs[morselLen] = want
 			return want, nil
 		}
@@ -126,6 +162,7 @@ func TestDifferential(t *testing.T) {
 					sess.Close()
 					t.Fatalf("%s [%s/%s]: %v", c.Desc, cfg.name, pl.name, err)
 				}
+				checkTables(cfg.name + "/" + pl.name)
 				if len(got) != len(want) {
 					sess.Close()
 					t.Fatalf("%s [%s/%s]: %d rows, serial produced %d", c.Desc, cfg.name, pl.name, len(got), len(want))
@@ -184,6 +221,7 @@ func TestTemplateWarmEngineIdentical(t *testing.T) {
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		c := NewCase(seed)
+		digest := tableDigest(c.Probe, c.Build)
 		fresh, err := advm.NewSession(append([]advm.Option{advm.WithParallelism(1), advm.WithJIT(false)}, common...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -204,6 +242,9 @@ func TestTemplateWarmEngineIdentical(t *testing.T) {
 				got, err := Collect(ctx, sess, c.Plan)
 				if err != nil {
 					t.Fatalf("%s [par%d pass %d]: %v", c.Desc, workers[i], pass, err)
+				}
+				if tableDigest(c.Probe, c.Build) != digest {
+					t.Fatalf("%s [par%d pass %d]: the run wrote into an in-RAM table", c.Desc, workers[i], pass)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s [par%d pass %d]: %d rows, fresh engine produced %d", c.Desc, workers[i], pass, len(got), len(want))

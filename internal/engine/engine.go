@@ -15,7 +15,17 @@
 // over a windowed scan and run them under work-stealing morsel dispatch
 // (package morsel); worker pipelines share nothing mutable except
 // read-only inputs — the table store, SharedJoinTable builds and cached
-// fused programs. Determinism is structural, not scheduled: exchanges emit
+// fused programs.
+//
+// Chunk ownership: every operator treats the columns of its input chunks as
+// read-only, and a chunk, once emitted, is never written again, so
+// consumers may hold chunks across Next calls and hand them between
+// goroutines. Chunks scanned from an in-RAM table (a vector.Viewer) alias
+// the table's storage: an operator that wrote into its input would corrupt
+// the table, and the table must not be mutated while a query reads it.
+// Operators derive new columns into storage of their own.
+//
+// Determinism is structural, not scheduled: exchanges emit
 // chunks in morsel sequence order and parallel aggregation folds per-morsel
 // pre-aggregation tables in morsel sequence order, so result bytes depend
 // on the morsel length (which pins how f64 accumulation is blocked) but
@@ -62,26 +72,20 @@ type RangeSkipper interface {
 	SkipRange(lo, hi int) bool
 }
 
-// Scan reads a stored table chunk-at-a-time.
+// Scan reads a whole stored table chunk-at-a-time: a PartScan whose window
+// every Open re-arms to the full table, so its chunks follow PartScan's
+// contract (views of in-RAM tables, fresh copies of anything else).
 type Scan struct {
-	store    vector.Store
-	skipper  RangeSkipper
-	cols     []int
-	schema   []ColInfo
-	chunkLen int
-	pos      int
-	bufs     []*vector.Vector
+	PartScan
 }
 
 // NewScan creates a scan over the named columns of store.
 func NewScan(store vector.Store, columns ...string) (*Scan, error) {
-	cols, schema, err := resolveColumns(store, columns)
+	ps, err := NewPartScan(store, columns...)
 	if err != nil {
 		return nil, err
 	}
-	s := &Scan{store: store, chunkLen: vector.DefaultChunkLen, cols: cols, schema: schema}
-	s.skipper, _ = store.(RangeSkipper)
-	return s, nil
+	return &Scan{PartScan: *ps}, nil
 }
 
 // resolveColumns maps column names (all columns when none are given) onto
@@ -105,60 +109,17 @@ func resolveColumns(store vector.Store, columns []string) ([]int, []ColInfo, err
 }
 
 // SetChunkLen overrides the scan's chunk length (default
-// vector.DefaultChunkLen). Effective on the next Open.
+// vector.DefaultChunkLen).
 func (s *Scan) SetChunkLen(n int) *Scan {
-	if n > 0 {
-		s.chunkLen = n
-	}
+	s.PartScan.SetChunkLen(n)
 	return s
 }
 
-// Schema implements Operator.
-func (s *Scan) Schema() []ColInfo { return s.schema }
-
-// Open implements Operator.
+// Open implements Operator: it rewinds the scan to the table's first row.
 func (s *Scan) Open(ctx context.Context) error {
-	s.pos = 0
-	s.bufs = make([]*vector.Vector, len(s.cols))
-	for i, ci := range s.cols {
-		s.bufs[i] = vector.NewLen(s.store.Schema().Kinds[ci], s.chunkLen)
-	}
+	s.SetRange(0, s.store.Rows())
 	return ctx.Err()
 }
-
-// Next implements Operator. As the pipeline's leaf it checks ctx once per
-// chunk, which bounds how far past a cancellation any downstream operator
-// can run.
-func (s *Scan) Next(ctx context.Context) (*vector.Chunk, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.skipper != nil {
-		for rows := s.store.Rows(); s.pos < rows; {
-			hi := s.pos + s.chunkLen
-			if hi > rows {
-				hi = rows
-			}
-			if !s.skipper.SkipRange(s.pos, hi) {
-				break
-			}
-			s.pos = hi
-		}
-	}
-	n := s.store.Scan(s.pos, s.chunkLen, s.cols, s.bufs)
-	if n == 0 {
-		return nil, nil
-	}
-	s.pos += n
-	c := vector.NewChunk()
-	for i, info := range s.schema {
-		c.Add(info.Name, s.bufs[i].Slice(0, n))
-	}
-	return c, nil
-}
-
-// Close implements Operator.
-func (s *Scan) Close() error { return nil }
 
 // Drain pulls every chunk of op through fn.
 func Drain(ctx context.Context, op Operator, fn func(*vector.Chunk) error) error {

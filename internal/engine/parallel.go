@@ -21,13 +21,18 @@ import (
 
 // PartScan is a table scan restricted to a settable row window [lo, hi).
 // The exchange resets the window once per dispatched morsel, so one PartScan
-// serves a whole worker pipeline for the lifetime of a query. Unlike Scan it
-// allocates fresh column buffers for every chunk: its chunks cross goroutine
-// boundaries and must not be overwritten while a consumer still reads them.
+// serves a whole worker pipeline for the lifetime of a query.
+//
+// No chunk it emits is ever written again, so consumers may hold chunks
+// across Next calls and goroutines. Over a vector.Viewer (an in-RAM table)
+// a chunk's columns are read-only views of the table's own storage and
+// nothing is copied; any other store is copied into fresh buffers per chunk.
 type PartScan struct {
 	store    vector.Store
+	viewer   vector.Viewer
 	skipper  RangeSkipper
 	cols     []int
+	names    []string
 	schema   []ColInfo
 	chunkLen int
 	pos, hi  int
@@ -41,6 +46,10 @@ func NewPartScan(store vector.Store, columns ...string) (*PartScan, error) {
 		return nil, err
 	}
 	s := &PartScan{store: store, chunkLen: vector.DefaultChunkLen, cols: cols, schema: schema}
+	for _, ci := range schema {
+		s.names = append(s.names, ci.Name)
+	}
+	s.viewer, _ = store.(vector.Viewer)
 	s.skipper, _ = store.(RangeSkipper)
 	return s, nil
 }
@@ -66,7 +75,9 @@ func (s *PartScan) Schema() []ColInfo { return s.schema }
 // by SetRange callers.
 func (s *PartScan) Open(ctx context.Context) error { return ctx.Err() }
 
-// Next implements Operator.
+// Next implements Operator. As the pipeline's leaf it checks ctx once per
+// chunk, which bounds how far past a cancellation any downstream operator
+// can run.
 func (s *PartScan) Next(ctx context.Context) (*vector.Chunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -91,19 +102,25 @@ func (s *PartScan) Next(ctx context.Context) (*vector.Chunk, error) {
 		n = s.chunkLen
 	}
 	bufs := make([]*vector.Vector, len(s.cols))
-	for i, ci := range s.cols {
-		bufs[i] = vector.NewLen(s.store.Schema().Kinds[ci], n)
+	var got int
+	if s.viewer != nil {
+		// One allocation holds every column's header, however many columns.
+		views := make([]vector.Vector, len(s.cols))
+		for i := range bufs {
+			bufs[i] = &views[i]
+		}
+		got = s.viewer.View(s.pos, n, s.cols, bufs)
+	} else {
+		for i, info := range s.schema {
+			bufs[i] = vector.NewLen(info.Kind, n)
+		}
+		got = s.store.Scan(s.pos, n, s.cols, bufs)
 	}
-	got := s.store.Scan(s.pos, n, s.cols, bufs)
 	if got == 0 {
 		return nil, nil
 	}
 	s.pos += got
-	c := vector.NewChunk()
-	for i, info := range s.schema {
-		c.Add(info.Name, bufs[i])
-	}
-	return c, nil
+	return vector.ChunkFrom(s.names, bufs), nil
 }
 
 // Close implements Operator.

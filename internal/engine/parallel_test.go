@@ -525,3 +525,90 @@ func TestPartScanWindow(t *testing.T) {
 		t.Fatalf("scanned %d rows in %d chunks, want 500 in 4", total, chunks)
 	}
 }
+
+// wideTable has seven columns, one per element kind and two i64s.
+func wideTable(n int) (*vector.DSMStore, *vector.NSMStore) {
+	sch := vector.NewSchema("a", vector.I64, "b", vector.F64, "c", vector.Str,
+		"d", vector.I32, "e", vector.I16, "f", vector.Bool, "g", vector.I64)
+	dsm, nsm := vector.NewDSMStore(sch), vector.NewNSMStore(sch)
+	for i := 0; i < n; i++ {
+		row := []vector.Value{
+			vector.I64Value(int64(i)), vector.F64Value(float64(i) / 4), vector.StrValue(fmt.Sprint(i % 9)),
+			vector.IntValue(vector.I32, int64(i)), vector.IntValue(vector.I16, int64(i%300)),
+			vector.BoolValue(i%3 == 0), vector.I64Value(int64(-i)),
+		}
+		dsm.AppendRow(row...)
+		nsm.AppendRow(row...)
+	}
+	return dsm, nsm
+}
+
+// scanAllocs reports the allocations of one full-length chunk scanned from
+// store through a PartScan over the named columns.
+func scanAllocs(t *testing.T, store vector.Store, columns ...string) float64 {
+	t.Helper()
+	ps, err := NewPartScan(store, columns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	return testing.AllocsPerRun(50, func() {
+		ps.SetRange(0, vector.DefaultChunkLen)
+		if c, err := ps.Next(ctx); err != nil || c == nil {
+			t.Fatalf("scan produced %v, %v", c, err)
+		}
+	})
+}
+
+// TestPartScanViewsAllocateNoColumnBuffers: over an in-RAM table a scanned
+// chunk costs the same allocations for one column as for seven, so no
+// column is copied; a store that cannot hand out views still pays a buffer
+// per column.
+func TestPartScanViewsAllocateNoColumnBuffers(t *testing.T) {
+	dsm, nsm := wideTable(2 * vector.DefaultChunkLen)
+	all := dsm.Schema().Names
+	one, seven := scanAllocs(t, dsm, "a"), scanAllocs(t, dsm, all...)
+	if one != seven {
+		t.Fatalf("view scan allocates %v objects per chunk for 1 column, %v for 7", one, seven)
+	}
+	if copied := scanAllocs(t, nsm, all...); copied < seven+7 {
+		t.Fatalf("copy scan allocates %v objects per chunk for 7 columns, want ≥ %v", copied, seven+7)
+	}
+}
+
+// TestScanChunksStayValid: chunks held across Next calls keep their rows, and
+// a view scan aliases the table rather than copying it.
+func TestScanChunksStayValid(t *testing.T) {
+	dsm, nsm := wideTable(1000)
+	for _, store := range []vector.Store{dsm, nsm} {
+		sc, err := NewScan(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.SetChunkLen(96)
+		var held []*vector.Chunk
+		if err := Drain(context.Background(), sc, func(c *vector.Chunk) error {
+			held = append(held, c)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		row := 0
+		for _, c := range held {
+			for i := 0; i < c.Width(); i++ {
+				want := dsm.Col(i).Slice(row, row+c.Len())
+				if !c.Col(i).Equal(want) {
+					t.Fatalf("%T: held chunk at row %d, column %d changed", store, row, i)
+				}
+			}
+			_, isView := store.(vector.Viewer)
+			if aliased := &c.Col(0).I64()[0] == &dsm.Col(0).I64()[row]; aliased != isView {
+				t.Fatalf("%T: chunk at row %d aliases the table: %v", store, row, aliased)
+			}
+			row += c.Len()
+		}
+		if row != 1000 {
+			t.Fatalf("%T: scanned %d rows, want 1000", store, row)
+		}
+	}
+}

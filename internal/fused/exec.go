@@ -58,6 +58,8 @@ type Exec struct {
 	probeIdx []int32
 	buildIdx []int32
 	slots    []*vector.Vector
+	scratch  []*vector.Vector // compute outputs, indexed by op
+	names    []string         // output column names, shared by emitted chunks
 
 	// Selectivity guard state.
 	warm    int
@@ -78,7 +80,12 @@ type Exec struct {
 // guard trips. ctrs may be nil.
 func NewExec(prog *Program, leaf engine.Operator, tables []*engine.SharedJoinTable,
 	ctrs *Counters, fallback func(engine.Operator) (engine.Operator, error)) *Exec {
-	return &Exec{prog: prog, leaf: leaf, tables: tables, ctrs: ctrs, fallback: fallback}
+	e := &Exec{prog: prog, leaf: leaf, tables: tables, ctrs: ctrs, fallback: fallback,
+		scratch: make([]*vector.Vector, len(prog.ops))}
+	for _, s := range prog.slots {
+		e.names = append(e.names, s.Name)
+	}
+	return e
 }
 
 // Schema implements engine.Operator.

@@ -421,3 +421,113 @@ func TestSignatureInjective(t *testing.T) {
 		t.Fatal("signature must be deterministic")
 	}
 }
+
+// TestExecHeldChunksOwnTheirColumns drains a fused Exec the way the exchange
+// and the parallel join build do: every chunk is held until the stream ends.
+// The morsel mixes chunks in which no row is dropped (computed columns copied
+// out of scratch), chunks a filter thins (every column condensed) and, in its
+// middle, a chunk whose probe fan-out trips the capacity guard, so the rest
+// of the morsel runs interpreted. Each held chunk must still equal the clone
+// taken when it was emitted: a column aliasing the Exec's reused scratch
+// would have been overwritten by later chunks.
+func TestExecHeldChunksOwnTheirColumns(t *testing.T) {
+	const chunkLen = 64
+	st := vector.NewDSMStore(vector.NewSchema("k", vector.I64, "x", vector.F64))
+	for c, mod := range []int64{30, 50, 30, 50, 0, 50, 30} {
+		for i := int64(0); i < chunkLen; i++ {
+			k := int64(90) // the fan-out key
+			if mod > 0 {
+				k = (i + int64(c)) % mod
+			}
+			st.AppendRow(vector.I64Value(k), vector.F64Value(float64(i)/4))
+		}
+	}
+	rows := vector.NewDSMStore(vector.NewSchema("bk", vector.I64, "pay", vector.I64))
+	for k := int64(0); k < 50; k++ {
+		rows.AppendRow(vector.I64Value(k), vector.I64Value(k*100))
+	}
+	for d := int64(0); d < 1000; d++ {
+		rows.AppendRow(vector.I64Value(90), vector.I64Value(d))
+	}
+	sh := engine.NewSharedJoinTable([]engine.ColInfo{ci("bk", vector.I64), ci("pay", vector.I64)},
+		func(context.Context) (*engine.JoinTable, error) { return engine.NewJoinTable(rows, "bk") })
+
+	stages := []fused.Stage{
+		{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
+		{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
+			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}},
+		{Kind: fused.StageCompute, Lambda: `(\p q -> p + q * 2)`, Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
+		{Kind: fused.StageFilter, Lambda: `(\p -> p < 3000)`, Col: "pay"},
+	}
+	chain := func(leaf engine.Operator) (engine.Operator, error) {
+		tp, err := engine.NewTableProbe(engine.NewCompute(leaf, "y", `(\k -> k * 3 + 7)`, vector.I64, "k"), sh, "k", "pay")
+		if err != nil {
+			return nil, err
+		}
+		s := engine.NewCompute(tp, "s", `(\p q -> p + q * 2)`, vector.I64, "k", "pay")
+		return engine.NewFilter(s, `(\p -> p < 3000)`, "pay"), nil
+	}
+	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}, stages)
+	if !ok {
+		t.Fatal("segment must compile")
+	}
+	leaf, err := engine.NewPartScan(st, "k", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf.SetChunkLen(chunkLen)
+	leaf.SetRange(0, st.Rows())
+	ctrs := &fused.Counters{}
+	ex := fused.NewExec(prog, leaf, []*engine.SharedJoinTable{sh}, ctrs, chain)
+	ctx := context.Background()
+	if err := ex.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	var held, clones []*vector.Chunk
+	for {
+		c, err := ex.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			break
+		}
+		held, clones = append(held, c), append(clones, c.Clone())
+	}
+	if !ex.Deopted() || ctrs.Chunks.Load() < 4 {
+		t.Fatalf("deopted=%v after %d fused chunks; the morsel must run fused chunks and then deopt",
+			ex.Deopted(), ctrs.Chunks.Load())
+	}
+	for i, c := range held {
+		want := clones[i]
+		if c.Width() != want.Width() || fmt.Sprint(c.Sel()) != fmt.Sprint(want.Sel()) {
+			t.Fatalf("chunk %d changed shape after emission", i)
+		}
+		for j := 0; j < c.Width(); j++ {
+			if !c.Col(j).Equal(want.Col(j)) {
+				t.Fatalf("chunk %d column %s changed after emission:\n got %v\nwant %v", i, c.Name(j), c.Col(j), want.Col(j))
+			}
+		}
+	}
+	got := vector.NewDSMStore(storeSchema(prog.Schema()))
+	for _, c := range held {
+		got.AppendChunk(c)
+	}
+	storesEqual(t, got, runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
+		out, err := chain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}))
+}
+
+func storeSchema(cols []engine.ColInfo) vector.Schema {
+	var sch vector.Schema
+	for _, c := range cols {
+		sch.Names = append(sch.Names, c.Name)
+		sch.Kinds = append(sch.Kinds, c.Kind)
+	}
+	return sch
+}

@@ -9,10 +9,15 @@ import (
 // tripped — in which case nothing was emitted and the caller reverts the
 // Exec to the interpreter, replaying this same chunk.
 //
-// The emitted chunk follows the interpreted aliasing contract: untouched
-// scan columns are shared with the input (exactly like the interpreter's
-// shallow chunks), computed columns and selection vectors are fresh, and
-// probe output is fully condensed fresh storage.
+// Compute ops write into per-Exec scratch reused across chunks, so the loop
+// allocates only for the rows it emits, and the emitted chunk never aliases
+// that scratch: callers may hold it across Next calls. When a filter (or the
+// input's selection) dropped rows, every column is condensed to the
+// survivors into fresh storage and the chunk has no selection vector. When
+// no row was dropped, input columns are shared read-only with the input
+// chunk, as the interpreter's shallow chunks share them, and computed
+// columns are copied out of scratch. Probe output is condensed fresh
+// storage either way.
 func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 	n := in.Len()
 	if n == 0 {
@@ -159,7 +164,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 
 		case opAffineI64:
 			src := e.slots[o.a].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.scratchOut(oi, vector.I64, curLen)
 			dst := out.I64()
 			c, d := o.ci, o.cj
 			for _, r := range idx {
@@ -168,7 +173,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opModMulI64:
 			src := e.slots[o.a].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.scratchOut(oi, vector.I64, curLen)
 			dst := out.I64()
 			m, c := o.ci, o.cj
 			for _, r := range idx {
@@ -177,7 +182,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulAddI64:
 			sa, sb := e.slots[o.a].I64(), e.slots[o.b].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.scratchOut(oi, vector.I64, curLen)
 			dst := out.I64()
 			c := o.ci
 			for _, r := range idx {
@@ -186,7 +191,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opSquareI64:
 			src := e.slots[o.a].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.scratchOut(oi, vector.I64, curLen)
 			dst := out.I64()
 			for _, r := range idx {
 				dst[r] = src[r] * src[r]
@@ -194,7 +199,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opAffineF64:
 			src := e.slots[o.a].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.scratchOut(oi, vector.F64, curLen)
 			dst := out.F64()
 			c, d := o.cf, o.cg
 			for _, r := range idx {
@@ -203,7 +208,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opSquareF64:
 			src := e.slots[o.a].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.scratchOut(oi, vector.F64, curLen)
 			dst := out.F64()
 			for _, r := range idx {
 				dst[r] = src[r] * src[r]
@@ -211,7 +216,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulF64:
 			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.scratchOut(oi, vector.F64, curLen)
 			dst := out.F64()
 			for _, r := range idx {
 				dst[r] = sa[r] * sb[r]
@@ -219,7 +224,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulConstSubF64:
 			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.scratchOut(oi, vector.F64, curLen)
 			dst := out.F64()
 			c := o.cf
 			for _, r := range idx {
@@ -228,7 +233,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulConstAddF64:
 			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.scratchOut(oi, vector.F64, curLen)
 			dst := out.F64()
 			c := o.cf
 			for _, r := range idx {
@@ -260,16 +265,33 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 		return nil, true
 	}
 
-	out := vector.NewChunk()
-	for i, v := range e.slots {
-		out.Add(e.prog.slots[i].Name, v)
-	}
+	cols := make([]*vector.Vector, len(e.slots))
 	if outRows < curLen {
-		sel := make(vector.Sel, outRows)
-		copy(sel, e.idx)
-		out.SetSel(sel)
+		for i, v := range e.slots {
+			cols[i] = vector.Condense(v, e.idx)
+		}
+	} else {
+		copy(cols, e.slots)
+		for oi, s := range e.scratch {
+			if out := e.prog.ops[oi].out; s != nil && cols[out] == s {
+				cols[out] = s.Clone()
+			}
+		}
 	}
-	return out, true
+	return vector.ChunkFrom(e.names, cols), true
+}
+
+// scratchOut returns compute op oi's output buffer resized to n rows. The
+// buffer is reused by every chunk, so its contents are only valid until the
+// chunk is emitted.
+func (e *Exec) scratchOut(oi int, kind vector.Kind, n int) *vector.Vector {
+	v := e.scratch[oi]
+	if v == nil {
+		v = vector.NewLen(kind, n)
+		e.scratch[oi] = v
+	}
+	v.SetLen(n)
+	return v
 }
 
 // runProbe matches the selected rows' keys against a join table and

@@ -408,8 +408,16 @@ func scalarArith(op nir.ArithOp, kind vector.Kind, a, b vector.Value) (vector.Va
 	return vector.IntValue(kind, r), nil
 }
 
-// scalarCmp evaluates a scalar comparison in the operand kind.
+// scalarCmp evaluates a scalar comparison in the operand kind. a > b is
+// evaluated as b < a, not as !(a <= b), so that a NaN operand makes every
+// ordered comparison false, as IEEE 754 and the kernels do.
 func scalarCmp(op nir.CmpOp, kind vector.Kind, a, b vector.Value) (vector.Value, error) {
+	switch op {
+	case nir.CGt:
+		return scalarCmp(nir.CLt, kind, b, a)
+	case nir.CGe:
+		return scalarCmp(nir.CLe, kind, b, a)
+	}
 	var lt, eq bool
 	switch kind {
 	case vector.F64:
@@ -431,10 +439,6 @@ func scalarCmp(op nir.CmpOp, kind vector.Kind, a, b vector.Value) (vector.Value,
 		r = lt
 	case nir.CLe:
 		r = lt || eq
-	case nir.CGt:
-		r = !lt && !eq
-	case nir.CGe:
-		r = !lt
 	default:
 		return vector.Value{}, fmt.Errorf("interp: unknown comparison %v", op)
 	}

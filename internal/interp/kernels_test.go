@@ -193,21 +193,6 @@ func TestKernelsMatchScalarSemantics(t *testing.T) {
 		for op := nir.CEq; op <= nir.CGe; op++ {
 			name := fmt.Sprintf("%v<%v>", op, k)
 			a, b, s := edgeVector(r, k), edgeVector(r, k), edgeValue(r, k)
-			if k == vector.F64 && (op == nir.CGt || op == nir.CGe) {
-				// scalarCmp derives gt and ge as !lt (&& !eq), which is true
-				// for a NaN operand; the kernels answer false, as IEEE 754
-				// does. Until the scalar path is fixed, compare without NaN.
-				for _, v := range []*vector.Vector{a, b} {
-					for i, x := range v.F64() {
-						if math.IsNaN(x) {
-							v.F64()[i] = 0
-						}
-					}
-				}
-				if math.IsNaN(s.F) {
-					s.F = 0
-				}
-			}
 			if f, found := primitive.MapCmpVV(k, op); found {
 				covered++
 				checkMap("map.cmp."+name+" vv", vector.Bool, func(d *vector.Vector, sel vector.Sel, lo, hi int) { f(d, a, b, sel, lo, hi) },

@@ -39,6 +39,24 @@ func ChunkOf(pairs ...any) *Chunk {
 	return c
 }
 
+// ChunkFrom builds a chunk over names and cols without copying either
+// slice: the chunk takes cols over, and names may be shared between chunks
+// (Add never writes into it). All columns must have the same length.
+func ChunkFrom(names []string, cols []*Vector) *Chunk {
+	if len(names) != len(cols) {
+		panic(fmt.Sprintf("vector.ChunkFrom: %d names for %d columns", len(names), len(cols)))
+	}
+	c := &Chunk{names: names[:len(names):len(names)], cols: cols}
+	for i, v := range cols {
+		if i == 0 {
+			c.n = v.Len()
+		} else if v.Len() != c.n {
+			panic(fmt.Sprintf("vector.ChunkFrom: column %q has %d rows, chunk has %d", names[i], v.Len(), c.n))
+		}
+	}
+	return c
+}
+
 // Add attaches a column. The first column fixes the row count; later columns
 // must match it.
 func (c *Chunk) Add(name string, v *Vector) {

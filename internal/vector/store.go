@@ -46,13 +46,27 @@ type Store interface {
 	Schema() Schema
 	// Rows returns the row count.
 	Rows() int
-	// Scan copies rows [lo, lo+n) of the named columns into dst vectors,
-	// which must have matching kinds and length ≥ n. It returns the number
-	// of rows produced.
+	// Scan copies rows [lo, lo+n) of the named columns into the caller's
+	// dst vectors, which must have matching kinds; each is resized to the
+	// rows produced. It returns the number of rows produced. The copies
+	// belong to the caller. Stores that keep their columns in RAM also
+	// implement Viewer, which skips the copy.
 	Scan(lo, n int, cols []int, dst []*Vector) int
 }
 
-// DSMStore stores each column as its own Vector (column-major).
+// Viewer is implemented by stores that can hand out their own column
+// storage instead of copying it. View has Scan's shape, but it overwrites
+// each *dst[k] with a view (see Vector.Slice) of rows [lo, lo+n) of column
+// cols[k], so the dst vectors need no storage of their own. The views alias
+// the table: whoever holds one must treat it as read-only, and the table
+// must not be mutated while a view of it is in use.
+type Viewer interface {
+	View(lo, n int, cols []int, dst []*Vector) int
+}
+
+// DSMStore stores each column as its own Vector (column-major). It is a
+// Viewer: scans read its columns in place, so it must not be mutated while
+// a scan's views are in use.
 type DSMStore struct {
 	schema Schema
 	cols   []*Vector
@@ -106,17 +120,31 @@ func (st *DSMStore) AppendRow(vals ...Value) {
 
 // Scan implements Store by copying slices of the requested columns.
 func (st *DSMStore) Scan(lo, n int, cols []int, dst []*Vector) int {
-	if lo >= st.rows {
+	if n = st.clip(lo, n); n == 0 {
 		return 0
-	}
-	if lo+n > st.rows {
-		n = st.rows - lo
 	}
 	for k, ci := range cols {
 		dst[k].SetLen(n)
 		dst[k].CopyFrom(0, st.cols[ci], lo, n)
 	}
 	return n
+}
+
+// View implements Viewer: it points the dst vectors at the requested
+// columns' own storage without copying or allocating.
+func (st *DSMStore) View(lo, n int, cols []int, dst []*Vector) int {
+	if n = st.clip(lo, n); n == 0 {
+		return 0
+	}
+	for k, ci := range cols {
+		*dst[k] = st.cols[ci].slice(lo, lo+n)
+	}
+	return n
+}
+
+// clip returns how many of the rows [lo, lo+n) exist.
+func (st *DSMStore) clip(lo, n int) int {
+	return max(0, min(n, st.rows-lo))
 }
 
 // NSMStore stores fixed-width rows contiguously (row-major). String columns

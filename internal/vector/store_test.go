@@ -66,6 +66,64 @@ func TestScanPartial(t *testing.T) {
 	}
 }
 
+// TestDSMViewMatchesScan: a view presents exactly the rows a copying scan
+// produces, clamped at the table end, and shares the table's storage.
+func TestDSMViewMatchesScan(t *testing.T) {
+	dsm := NewDSMStore(testSchema())
+	fillStore(t, dsm.AppendRow, 40)
+	cols := []int{0, 1, 2, 3, 4}
+	for _, w := range [][2]int{{0, 40}, {7, 9}, {35, 16}, {39, 1}} {
+		lo, n := w[0], w[1]
+		scanned := make([]*Vector, len(cols))
+		views := make([]Vector, len(cols))
+		viewed := make([]*Vector, len(cols))
+		for i, c := range cols {
+			scanned[i] = NewLen(testSchema().Kinds[c], 0)
+			viewed[i] = &views[i]
+		}
+		if s, v := dsm.Scan(lo, n, cols, scanned), dsm.View(lo, n, cols, viewed); s != v {
+			t.Fatalf("[%d,+%d): Scan produced %d rows, View %d", lo, n, s, v)
+		}
+		for i := range cols {
+			if !viewed[i].Equal(scanned[i]) {
+				t.Errorf("[%d,+%d) column %d: view %v, scan %v", lo, n, i, viewed[i], scanned[i])
+			}
+		}
+		if &viewed[0].I64()[0] != &dsm.Col(0).I64()[lo] {
+			t.Errorf("[%d,+%d): view does not alias the table", lo, n)
+		}
+	}
+	if dsm.View(40, 4, []int{0}, []*Vector{new(Vector)}) != 0 {
+		t.Error("view past end returns 0")
+	}
+}
+
+// TestSliceGrowthNeverWritesParent: appending to a slice, or growing it
+// with SetLen, must reallocate rather than write into the parent's storage
+// past the slice's end, for every kind.
+func TestSliceGrowthNeverWritesParent(t *testing.T) {
+	dsm := NewDSMStore(testSchema())
+	fillStore(t, dsm.AppendRow, 16)
+	for ci, k := range testSchema().Kinds {
+		parent := dsm.Col(ci)
+		want := parent.Clone()
+		grown := parent.Slice(2, 6)
+		grown.SetLen(12)
+		for i := 4; i < 12; i++ {
+			grown.Set(i, parent.Get(15))
+		}
+		appended := parent.Slice(0, 3)
+		appended.AppendValue(parent.Get(15))
+		appended.AppendVector(want)
+		if !parent.Equal(want) {
+			t.Errorf("%v: growing a view wrote into its parent:\n got %v\nwant %v", k, parent, want)
+		}
+		if appended.Len() != 4+want.Len() || !appended.Get(2).Equal(want.Get(2)) {
+			t.Errorf("%v: appended view lost its prefix: %v", k, appended)
+		}
+	}
+}
+
 func TestNSMScanSubsetOfColumns(t *testing.T) {
 	nsm := NewNSMStore(testSchema())
 	fillStore(t, nsm.AppendRow, 10)

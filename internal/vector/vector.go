@@ -341,29 +341,38 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// Slice returns a view of v[lo:hi] sharing storage with v.
+// Slice returns a view of v[lo:hi] sharing storage with v. The view's
+// capacity ends at hi, so appending to it or growing it with SetLen
+// reallocates and never writes into v past hi.
 func (v *Vector) Slice(lo, hi int) *Vector {
+	w := v.slice(lo, hi)
+	return &w
+}
+
+// slice is Slice by value, for callers that keep the Vector header in
+// storage of their own instead of allocating one.
+func (v *Vector) slice(lo, hi int) Vector {
 	if lo < 0 || hi > v.n || lo > hi {
 		panic(fmt.Sprintf("vector.Slice: range [%d:%d] out of bounds (len %d)", lo, hi, v.n))
 	}
-	out := &Vector{kind: v.kind, n: hi - lo}
+	w := Vector{kind: v.kind, n: hi - lo}
 	switch v.kind {
 	case Bool:
-		out.b = v.b[lo:hi]
+		w.b = v.b[lo:hi:hi]
 	case I8:
-		out.i8 = v.i8[lo:hi]
+		w.i8 = v.i8[lo:hi:hi]
 	case I16:
-		out.i16 = v.i16[lo:hi]
+		w.i16 = v.i16[lo:hi:hi]
 	case I32:
-		out.i32 = v.i32[lo:hi]
+		w.i32 = v.i32[lo:hi:hi]
 	case I64:
-		out.i64 = v.i64[lo:hi]
+		w.i64 = v.i64[lo:hi:hi]
 	case F64:
-		out.f64 = v.f64[lo:hi]
+		w.f64 = v.f64[lo:hi:hi]
 	case Str:
-		out.str = v.str[lo:hi]
+		w.str = v.str[lo:hi:hi]
 	}
-	return out
+	return w
 }
 
 // CopyFrom copies src[srcLo:srcLo+n] into v[dstLo:dstLo+n]. Kinds must match.

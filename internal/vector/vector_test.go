@@ -192,8 +192,8 @@ func TestCloneIndependence(t *testing.T) {
 func TestSliceView(t *testing.T) {
 	v := FromI64([]int64{0, 1, 2, 3, 4})
 	s := v.Slice(1, 4)
-	if s.Len() != 3 || s.I64()[0] != 1 {
-		t.Fatalf("slice wrong: %v", s)
+	if s.Len() != 3 || s.Cap() != 3 || s.I64()[0] != 1 {
+		t.Fatalf("slice wrong: %v (cap %d)", s, s.Cap())
 	}
 	s.I64()[0] = 42
 	if v.I64()[1] != 42 {
@@ -205,6 +205,36 @@ func TestSliceView(t *testing.T) {
 		}
 	}()
 	v.Slice(3, 10)
+}
+
+// TestChunkFrom: the chunk wraps the given columns as they are, and chunks
+// sharing one names slice never see each other's added columns.
+func TestChunkFrom(t *testing.T) {
+	names := []string{"a", "b"}
+	a, b := FromI64([]int64{1, 2}), FromF64([]float64{.5, .25})
+	c1 := ChunkFrom(names, []*Vector{a, b})
+	c2 := ChunkFrom(names, []*Vector{a, b})
+	if c1.Len() != 2 || c1.Col(0) != a || c1.Column("b") != b {
+		t.Fatalf("ChunkFrom wrong: %v", c1)
+	}
+	c1.Add("x", FromI64([]int64{7, 8}))
+	c2.Add("y", FromI64([]int64{9, 9}))
+	if c1.Name(2) != "x" || c2.Name(2) != "y" || len(names) != 2 {
+		t.Fatalf("chunks sharing names clobbered each other: %q %q", c1.Name(2), c2.Name(2))
+	}
+	for _, bad := range []func(){
+		func() { ChunkFrom(names, []*Vector{a}) },
+		func() { ChunkFrom(names, []*Vector{a, FromI64([]int64{1})}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("mismatched ChunkFrom should panic")
+				}
+			}()
+			bad()
+		}()
+	}
 }
 
 func TestCopyFromAppendVector(t *testing.T) {
