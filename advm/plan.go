@@ -164,9 +164,9 @@ func (p *Plan) Join(build *Plan, probeKey, buildKey string, payload ...string) *
 }
 
 // TopK keeps the first k rows of the plan's result ordered by the given
-// columns. The sort is stable over the input order, which keeps the result
-// deterministic under ties — parallel and serial executions emit identical
-// bytes.
+// columns. Ties keep the input order and an f64 NaN orders after every
+// number (so first under Desc), which keeps the result deterministic —
+// parallel and serial executions emit identical bytes.
 func (p *Plan) TopK(k int, by ...Order) *Plan {
 	return &Plan{kind: planTopK, child: p, k: k, by: by}
 }

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/profile"
@@ -56,24 +59,6 @@ const preAggSlots = 512
 // preAggThreshold is the pre-agg hit rate below which the flavor is
 // disabled (high-cardinality uniform keys make it pure overhead).
 const preAggThreshold = 0.5
-
-type aggState struct {
-	key    groupKey
-	counts []int64
-	sumsI  []int64
-	sumsF  []float64
-	minsI  []int64
-	maxsI  []int64
-	minsF  []float64
-	maxsF  []float64
-	firsts []vector.Value
-	seen   []bool
-}
-
-type groupKey struct {
-	i1, i2 int64
-	s1, s2 string
-}
 
 // AggOutputSchema resolves the output schema of a grouped aggregation over a
 // child schema: the key columns first, then one column per aggregate. It is
@@ -128,181 +113,561 @@ func AggOutputSchema(child []ColInfo, keys []string, aggs []Aggregate) ([]ColInf
 	return schema, nil
 }
 
-// slabStates is the stateSlab block size: one slab refill carves backing
-// arrays for this many group states at once.
-const slabStates = 64
-
-// stateSlab block-allocates aggState objects. A naive per-group allocation
-// costs ten small allocations (the state plus nine accumulator slices); for
-// high-cardinality aggregations that allocator traffic dominates the absorb
-// loop. The slab allocates one block of states and three backing arrays per
-// refill and carves fixed-capacity sub-slices out of them, so the amortized
-// cost per group is ~10/slabStates allocations. Handed-out states are never
-// reclaimed by the slab — they stay valid after the owning table is released
-// to the pool (merge adopts state pointers across tables).
-type stateSlab struct {
-	naggs  int
-	states []aggState
-	ints   []int64
-	floats []float64
-	firsts []vector.Value
-	seen   []bool
+// aggSpec is the resolved shape of one grouped aggregation, shared read-only
+// by every table that serves it: the key and aggregate definitions plus the
+// kind of each key column and of each aggregate's accumulator.
+type aggSpec struct {
+	keys     []string
+	aggs     []Aggregate
+	keyKinds []vector.Kind // I64 or Str, one per key
+	// accKinds holds one kind per aggregate: the input kind for first, f64
+	// for sums, averages and extremes of f64, i64 for those of every integer
+	// kind, and Invalid for count.
+	accKinds []vector.Kind
 }
 
-func (s *stateSlab) alloc(naggs int, key groupKey) *aggState {
-	if len(s.states) == 0 || s.naggs != naggs {
-		s.naggs = naggs
-		n := slabStates * naggs
-		s.states = make([]aggState, slabStates)
-		s.ints = make([]int64, 4*n)
-		s.floats = make([]float64, 3*n)
-		s.firsts = make([]vector.Value, n)
-		s.seen = make([]bool, n)
+// newAggSpec resolves an aggregation over a child schema and returns it
+// with the output schema (see AggOutputSchema).
+func newAggSpec(child []ColInfo, keys []string, aggs []Aggregate) (*aggSpec, []ColInfo, error) {
+	schema, err := AggOutputSchema(child, keys, aggs)
+	if err != nil {
+		return nil, nil, err
 	}
-	st := &s.states[0]
-	s.states = s.states[1:]
-	st.key = key
-	carveI := func() []int64 {
-		c := s.ints[:naggs:naggs]
-		s.ints = s.ints[naggs:]
-		return c
+	s := &aggSpec{keys: keys, aggs: aggs}
+	for _, ci := range schema[:len(keys)] {
+		s.keyKinds = append(s.keyKinds, ci.Kind)
 	}
-	carveF := func() []float64 {
-		c := s.floats[:naggs:naggs]
-		s.floats = s.floats[naggs:]
-		return c
+	for ai, a := range aggs {
+		kind := schema[len(keys)+ai].Kind
+		switch a.Func {
+		case AggCount:
+			kind = vector.Invalid
+		case AggAvg:
+			for _, ci := range child {
+				if ci.Name == a.Col {
+					kind = ci.Kind
+				}
+			}
+		}
+		if a.Func != AggFirst && kind.IsInteger() {
+			kind = vector.I64
+		}
+		s.accKinds = append(s.accKinds, kind)
 	}
-	st.counts, st.sumsI, st.minsI, st.maxsI = carveI(), carveI(), carveI(), carveI()
-	st.sumsF, st.minsF, st.maxsF = carveF(), carveF(), carveF()
-	st.firsts = s.firsts[:naggs:naggs]
-	s.firsts = s.firsts[naggs:]
-	st.seen = s.seen[:naggs:naggs]
-	s.seen = s.seen[naggs:]
-	return st
+	return s, schema, nil
 }
 
-// aggTable is a grouped-aggregation accumulator: a hash table of per-group
-// states plus the first-seen group order. It is the building block shared by
-// the serial HashAgg (one global table) and the morsel-parallel aggregation
-// (one table per morsel).
+// i64Key reports whether the table is keyed by exactly one i64 column,
+// the shape its key index serves with a map.
+func (s *aggSpec) i64Key() bool { return len(s.keyKinds) == 1 && s.keyKinds[0] == vector.I64 }
+
+// columns returns c's group-key columns and stores aggregate ai's input
+// column in vals[ai].
+func (s *aggSpec) columns(c *vector.Chunk, vals []*vector.Vector) keyCols {
+	var in keyCols
+	for k, name := range s.keys {
+		if col := c.MustColumn(name); s.keyKinds[k] == vector.I64 {
+			in.i[k] = col.I64()
+		} else {
+			in.s[k] = col.Str()
+		}
+	}
+	for ai, a := range s.aggs {
+		if a.Func != AggCount {
+			vals[ai] = c.MustColumn(a.Col)
+		}
+	}
+	return in
+}
+
+// keyCols holds group-key columns by key position: an i64 key in i, a str
+// key in s.
+type keyCols struct {
+	i [2][]int64
+	s [2][]string
+}
+
+// keysEqual reports whether row ra of a and row rb of b carry the same key.
+func keysEqual(kinds []vector.Kind, a *keyCols, ra int, b *keyCols, rb int) bool {
+	for k, kind := range kinds {
+		if kind == vector.I64 {
+			if a.i[k][ra] != b.i[k][rb] {
+				return false
+			}
+		} else if a.s[k][ra] != b.s[k][rb] {
+			return false
+		}
+	}
+	return true
+}
+
+// aggTable is a columnar grouped-aggregation accumulator. Groups have dense
+// int32 ids in first-seen order; the table keeps one typed column per key
+// and one typed accumulator column per aggregate, indexed by group id, plus
+// one row count per group that serves count and avg alike. There are no
+// nulls, so every group has at least one row: min, max and first are seeded
+// from a group's first row instead of tracking what each group has seen.
+//
+// It is the building block shared by the serial HashAgg (one global table)
+// and the morsel-parallel aggregation (one table per morsel). absorb folds a
+// chunk in two passes — keys to a group-id vector, then one typed loop per
+// aggregate — and merge folds another table the same way, its key and
+// accumulator columns standing in for the chunk's.
 type aggTable struct {
-	keys   []string
-	aggs   []Aggregate
-	groups map[groupKey]*aggState
-	order  []groupKey
-	slab   stateSlab
+	spec  *aggSpec
+	n     int // group count
+	keys  keyCols
+	count []int64
+	acc   []*vector.Vector // one per aggregate; nil for count
+
+	// Key index. One i64 key looks groups up in ids; any other keyed shape
+	// probes slots, a linear-probing table of group id + 1 (0 = empty) over
+	// the per-group key hashes.
+	ids    map[int64]int32
+	slots  []int32
+	hashes []uint64
+
+	// Scratch reused across calls.
+	gids  []int32          // group id per input row
+	fresh []int32          // input row of each group the current call created
+	in    []*vector.Vector // input column per aggregate
 }
 
-// aggTablePool recycles aggTable containers — the groups map's buckets, the
-// order slice and the slab tail — across morsels and queries. Only the
-// containers are pooled: group states are slab-allocated and adopted by
-// whichever table they are merged into, so a released table never aliases
-// live accumulator memory.
+// aggTablePool recycles aggTables — key index, key and accumulator columns
+// and scratch — across morsels and queries. Emitting copies every value out,
+// so a released table aliases nothing that is still live.
 var aggTablePool = sync.Pool{New: func() any { return new(aggTable) }}
 
-func newAggTable(keys []string, aggs []Aggregate) *aggTable {
-	return newAggTableSized(keys, aggs, 0)
-}
-
-// newAggTableSized is newAggTable with a group-count hint (0 = unknown): the
-// morsel-parallel aggregation sizes per-morsel tables from the scan's
-// zone-map distinct estimates so high-cardinality runs skip the incremental
-// map growth. A pooled table keeps whatever bucket capacity it grew to, which
-// usually exceeds the hint.
-func newAggTableSized(keys []string, aggs []Aggregate, hint int) *aggTable {
+// newAggTable takes a table for spec from the pool. hint is a group-count
+// estimate (0 = unknown): the morsel-parallel aggregation sizes per-morsel
+// tables from the scan's zone-map distinct estimates so high-cardinality
+// runs skip incremental growth.
+func newAggTable(spec *aggSpec, hint int) *aggTable {
 	t := aggTablePool.Get().(*aggTable)
-	t.keys, t.aggs = keys, aggs
-	if t.groups == nil {
-		t.groups = make(map[groupKey]*aggState, hint)
+	t.spec = spec
+	naggs := len(spec.aggs)
+	t.acc = slices.Grow(t.acc[:0], naggs)[:naggs]
+	t.in = slices.Grow(t.in[:0], naggs)[:naggs]
+	for ai, kind := range spec.accKinds {
+		switch {
+		case kind == vector.Invalid:
+			t.acc[ai] = nil
+		case t.acc[ai] == nil || t.acc[ai].Kind() != kind:
+			t.acc[ai] = vector.New(kind, 0, hint)
+		}
 	}
-	if cap(t.order) < hint {
-		t.order = make([]groupKey, 0, hint)
+	switch {
+	case spec.i64Key():
+		if t.ids == nil {
+			t.ids = make(map[int64]int32, hint)
+		}
+	case len(spec.keys) > 0:
+		size := 16
+		for size < 2*hint {
+			size *= 2
+		}
+		if len(t.slots) < size {
+			t.slots = make([]int32, size)
+		}
 	}
 	return t
 }
 
-// release returns the table's containers to the pool. Callers must be done
-// with the table itself but may keep using its states: emitted chunks copy
-// values out, and merge adopts state pointers into the surviving table, so
-// clearing the map here only drops references.
+// release returns the table to the pool. Strings are cleared so the pooled
+// columns pin nothing.
 func (t *aggTable) release() {
-	clear(t.groups)
-	t.order = t.order[:0]
-	t.keys, t.aggs = nil, nil
+	for k := range t.keys.i {
+		clear(t.keys.s[k])
+		t.keys.i[k], t.keys.s[k] = t.keys.i[k][:0], t.keys.s[k][:0]
+	}
+	for _, acc := range t.acc {
+		if acc != nil {
+			if acc.Kind() == vector.Str {
+				clear(acc.Str())
+			}
+			acc.SetLen(0)
+		}
+	}
+	clear(t.in)
+	clear(t.ids)
+	clear(t.slots)
+	t.n, t.spec = 0, nil
+	t.count, t.hashes = t.count[:0], t.hashes[:0]
 	aggTablePool.Put(t)
 }
 
-func (t *aggTable) newState(key groupKey) *aggState {
-	return t.slab.alloc(len(t.aggs), key)
+// absorb folds the selected rows of c into the table. Within a group, every
+// aggregate visits rows in chunk order, which is what keeps parallel float
+// aggregation byte-identical to serial: a group's arithmetic only depends
+// on the order of its own rows.
+func (t *aggTable) absorb(c *vector.Chunk) {
+	sel := c.Sel()
+	n := c.Len()
+	if sel != nil {
+		n = len(sel)
+	}
+	if n == 0 {
+		return
+	}
+	in := t.spec.columns(c, t.in)
+	t.group(&in, sel, n)
+	t.fold(t.in, nil, sel)
 }
 
-// global returns the state for key, creating it on first sight.
-func (t *aggTable) global(key groupKey) *aggState {
-	st, ok := t.groups[key]
-	if !ok {
-		st = t.newState(key)
-		t.groups[key] = st
-		t.order = append(t.order, key)
+// merge folds src's groups — those in sel, all of them when sel is nil —
+// into t in src's first-seen order. src must hold strictly later rows than
+// everything already in t (ParallelAgg merges the per-morsel tables in
+// morsel sequence order), so overlapping groups combine as if t had
+// absorbed src's rows: sums and counts add, first and the seeds of min and
+// max keep t's values, and new groups append in first-seen order. The
+// result is exactly the fold a single table absorbing the morsels
+// back-to-back would produce, independent of which worker ran which morsel.
+func (t *aggTable) merge(src *aggTable, sel vector.Sel) {
+	n := src.n
+	if sel != nil {
+		n = len(sel)
 	}
-	return st
+	if n == 0 {
+		return
+	}
+	t.group(&src.keys, sel, n)
+	t.fold(src.acc, src.count, sel)
 }
 
-// absorb folds every row of a condensed chunk (no selection vector) into the
-// table. Per-group accumulation order is exactly the chunk's row order, which
-// is what keeps parallel float aggregation byte-identical to serial: a group's
-// arithmetic only depends on the order of its own rows.
-func (t *aggTable) absorb(cc *vector.Chunk) {
-	keyCols := make([]*vector.Vector, len(t.keys))
-	valCols := make([]*vector.Vector, len(t.aggs))
-	for i, k := range t.keys {
-		keyCols[i] = cc.MustColumn(k)
+func rowAt(sel vector.Sel, i int) int {
+	if sel == nil {
+		return i
 	}
-	for i, a := range t.aggs {
-		if a.Func != AggCount {
-			valCols[i] = cc.MustColumn(a.Col)
+	return int(sel[i])
+}
+
+// group maps n input rows — rows sel[i], or i without a selection — to
+// group ids in t.gids, creating a group for every unseen key and recording
+// the input row that created it in t.fresh.
+func (t *aggTable) group(in *keyCols, sel vector.Sel, n int) {
+	t.gids = extend(t.gids[:0], n)
+	t.fresh = t.fresh[:0]
+	switch {
+	case len(t.spec.keys) == 0:
+		if t.n == 0 {
+			t.n = 1
+			t.fresh = append(t.fresh, int32(rowAt(sel, 0)))
+		}
+	case t.spec.i64Key():
+		t.groupI64(in.i[0], sel)
+	default:
+		t.groupHashed(in, sel)
+	}
+}
+
+// groupI64 is group for one i64 key. A row whose key equals the previous
+// row's reuses its group id without a lookup.
+func (t *aggTable) groupI64(keys []int64, sel vector.Sel) {
+	gids := t.gids
+	var prev int64
+	pg := int32(-1)
+	for i := range gids {
+		r := rowAt(sel, i)
+		k := keys[r]
+		if pg >= 0 && k == prev {
+			gids[i] = pg
+			continue
+		}
+		g, ok := t.ids[k]
+		if !ok {
+			g = int32(t.n)
+			t.ids[k] = g
+			t.keys.i[0] = append(t.keys.i[0], k)
+			t.fresh = append(t.fresh, int32(r))
+			t.n++
+		}
+		gids[i], prev, pg = g, k, g
+	}
+}
+
+// groupHashed is group for every keyed shape but one i64 key: it runs
+// groupPair specialized to the key columns' element types.
+func (t *aggTable) groupHashed(in *keyCols, sel vector.Sel) {
+	k := t.spec.keyKinds
+	switch {
+	case len(k) == 1:
+		groupPair(t, sel, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)
+	case k[0] == vector.I64 && k[1] == vector.I64:
+		groupPair(t, sel, in.i[0], in.i[1], &t.keys.i[0], &t.keys.i[1], hashI64, hashI64)
+	case k[0] == vector.I64:
+		groupPair(t, sel, in.i[0], in.s[1], &t.keys.i[0], &t.keys.s[1], hashI64, hashStr64)
+	case k[1] == vector.I64:
+		groupPair(t, sel, in.s[0], in.i[1], &t.keys.s[0], &t.keys.i[1], hashStr64, hashI64)
+	default:
+		groupPair(t, sel, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)
+	}
+}
+
+// groupPair maps rows to groups by one key column a, or two a and b, whose
+// stored columns are ta and tb: it hashes a row's key and probes the slots,
+// checking candidates against the stored keys. A row whose key equals the
+// previous row's reuses its group id without hashing or probing.
+func groupPair[A, B int64 | string](t *aggTable, sel vector.Sel, a []A, b []B, ta *[]A, tb *[]B, ha func(A) uint64, hb func(B) uint64) {
+	two := len(t.spec.keys) == 2
+	gids := t.gids
+	prev := -1
+	for i := range gids {
+		r := rowAt(sel, i)
+		if prev >= 0 && a[r] == a[prev] && (!two || b[r] == b[prev]) {
+			gids[i] = gids[i-1]
+			continue
+		}
+		prev = r
+		h := ha(a[r])
+		if two {
+			h = h*hashMul ^ hb(b[r])
+		}
+		mask := uint64(len(t.slots) - 1)
+		for s := h & mask; ; s = (s + 1) & mask {
+			e := t.slots[s]
+			if e == 0 {
+				g := int32(t.n)
+				*ta = append(*ta, a[r])
+				if two {
+					*tb = append(*tb, b[r])
+				}
+				t.hashes = append(t.hashes, h)
+				t.fresh = append(t.fresh, int32(r))
+				t.n++
+				t.slots[s] = g + 1
+				if 2*t.n > len(t.slots) {
+					t.rehash()
+				}
+				gids[i] = g
+				break
+			}
+			if g := e - 1; t.hashes[g] == h && (*ta)[g] == a[r] && (!two || (*tb)[g] == b[r]) {
+				gids[i] = g
+				break
+			}
 		}
 	}
-	upds := makeUpdaters(t.aggs, valCols)
-	keyAt := makeKeyReader(t.keys, keyCols)
-	for r := 0; r < cc.Len(); r++ {
-		st := t.global(keyAt(r))
-		for _, u := range upds {
-			u(st, r)
+}
+
+// aggHashSeed seeds the string hash of the key index. Hashes decide probe
+// sequences only, never group ids or output order, so a per-process seed
+// cannot reach results.
+var aggHashSeed = maphash.MakeSeed()
+
+const hashMul = 0x9e3779b97f4a7c15
+
+func hashStr64(s string) uint64 { return maphash.String(aggHashSeed, s) }
+
+// hashI64 is the splitmix64 finalizer: it spreads every input bit over the
+// low bits the slot index is taken from.
+func hashI64(v int64) uint64 {
+	x := uint64(v)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// rehash doubles the slot table, keeping the load factor at most one half.
+func (t *aggTable) rehash() {
+	slots := make([]int32, 2*len(t.slots))
+	mask := uint64(len(slots) - 1)
+	for g, h := range t.hashes {
+		s := h & mask
+		for slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		slots[s] = int32(g) + 1
+	}
+	t.slots = slots
+}
+
+// extend returns s resized to n elements, the ones past its old length
+// zeroed.
+func extend[T any](s []T, n int) []T {
+	old := len(s)
+	s = slices.Grow(s, n-old)[:n]
+	clear(s[old:])
+	return s
+}
+
+// fold runs one typed loop per aggregate over the rows group mapped to
+// t.gids: vals[ai] is aggregate ai's input column, read at rows sel[i] (or
+// i), and counts holds each row's row count (nil: one each). Groups group
+// just created are first seeded: sums and counts with zero, min, max and
+// first with the value of the row that created them.
+func (t *aggTable) fold(vals []*vector.Vector, counts []int64, sel vector.Sel) {
+	gids := t.gids
+	t.count = extend(t.count, t.n)
+	if counts == nil {
+		for _, g := range gids {
+			t.count[g]++
+		}
+	} else {
+		foldRows(AggSum, t.count, len(t.count), gids, counts, sel, nil)
+	}
+	for ai, a := range t.spec.aggs {
+		acc, col := t.acc[ai], vals[ai]
+		if acc == nil {
+			continue
+		}
+		old := acc.Len()
+		acc.SetLen(t.n)
+		switch {
+		case a.Func == AggFirst:
+			for j, r := range t.fresh {
+				acc.CopyFrom(old+j, col, int(r), 1)
+			}
+		case acc.Kind() == vector.F64:
+			foldRows(a.Func, acc.F64(), old, gids, col.F64(), sel, t.fresh)
+		default:
+			switch col.Kind() {
+			case vector.I8:
+				foldRows(a.Func, acc.I64(), old, gids, col.I8(), sel, t.fresh)
+			case vector.I16:
+				foldRows(a.Func, acc.I64(), old, gids, col.I16(), sel, t.fresh)
+			case vector.I32:
+				foldRows(a.Func, acc.I64(), old, gids, col.I32(), sel, t.fresh)
+			default:
+				foldRows(a.Func, acc.I64(), old, gids, col.I64(), sel, t.fresh)
+			}
 		}
 	}
 }
 
-// merge folds src into t in src's first-seen order. src must hold strictly
-// later table rows than everything already in t — ParallelAgg merges the
-// per-morsel tables in morsel sequence order — so overlapping groups combine
-// under aggState.merge's "other holds later rows" contract (sums add, First
-// keeps t's value) and new groups append in first-seen order. The result is
-// exactly the fold a single table absorbing the morsels back-to-back would
-// produce, independent of which worker ran which morsel.
-func (t *aggTable) merge(src *aggTable) {
-	for _, key := range src.order {
-		st := src.groups[key]
-		if dst, ok := t.groups[key]; ok {
-			dst.merge(t.aggs, st)
+// foldRows is the per-aggregate primitive: it seeds the groups from old on
+// (zero for sums, src[fresh[j]] for min and max) and then folds src[sel[i]]
+// (or src[i]) into acc[gids[i]], in row order.
+func foldRows[A int64 | float64, T int8 | int16 | int32 | int64 | float64](fn AggFunc, acc []A, old int, gids []int32, src []T, sel vector.Sel, fresh []int32) {
+	switch fn {
+	case AggMin:
+		for j, r := range fresh {
+			acc[old+j] = A(src[r])
+		}
+		for i, g := range gids {
+			if v := A(src[rowAt(sel, i)]); v < acc[g] {
+				acc[g] = v
+			}
+		}
+	case AggMax:
+		for j, r := range fresh {
+			acc[old+j] = A(src[r])
+		}
+		for i, g := range gids {
+			if v := A(src[rowAt(sel, i)]); v > acc[g] {
+				acc[g] = v
+			}
+		}
+	default:
+		clear(acc[old:])
+		if sel == nil {
+			src = src[:len(gids)]
+			for i, g := range gids {
+				acc[g] += A(src[i])
+			}
+			return
+		}
+		for i, g := range gids {
+			acc[g] += A(src[sel[i]])
+		}
+	}
+}
+
+// keyOrder returns the group ids sorted by key. Keys are unique, so the
+// order is total and needs no stability.
+func (t *aggTable) keyOrder() []int32 {
+	perm := make([]int32, t.n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	if len(t.spec.keys) > 0 {
+		slices.SortFunc(perm, func(a, b int32) int {
+			for k, kind := range t.spec.keyKinds {
+				var c int
+				if kind == vector.I64 {
+					c = cmp.Compare(t.keys.i[k][a], t.keys.i[k][b])
+				} else {
+					c = strings.Compare(t.keys.s[k][a], t.keys.s[k][b])
+				}
+				if c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+	}
+	return perm
+}
+
+// gather returns src[perm[0]], src[perm[1]], ….
+func gather[T any](src []T, perm []int32) []T {
+	out := make([]T, len(perm))
+	for i, g := range perm {
+		out[i] = src[g]
+	}
+	return out
+}
+
+// emitAggChunk materializes an aggregation table into one result chunk,
+// sorted by the key columns for a deterministic output order, writing each
+// output column once. Shared by HashAgg and the morsel-parallel
+// aggregation, so both emit identical bytes for identical tables.
+func emitAggChunk(schema []ColInfo, t *aggTable) *vector.Chunk {
+	perm := t.keyOrder()
+	out := vector.NewChunk()
+	nk := len(t.spec.keys)
+	for k, ci := range schema[:nk] {
+		if ci.Kind == vector.I64 {
+			out.Add(ci.Name, vector.FromI64(gather(t.keys.i[k], perm)))
 		} else {
-			t.groups[key] = st
-			t.order = append(t.order, key)
+			out.Add(ci.Name, vector.FromStr(gather(t.keys.s[k], perm)))
 		}
 	}
+	for ai, a := range t.spec.aggs {
+		ci, acc := schema[nk+ai], t.acc[ai]
+		var col *vector.Vector
+		switch {
+		case a.Func == AggCount:
+			col = vector.FromI64(gather(t.count, perm))
+		case a.Func == AggAvg:
+			d := make([]float64, len(perm))
+			for i, g := range perm {
+				if acc.Kind() == vector.F64 {
+					d[i] = acc.F64()[g] / float64(t.count[g])
+				} else {
+					d[i] = float64(acc.I64()[g]) / float64(t.count[g])
+				}
+			}
+			col = vector.FromF64(d)
+		case ci.Kind == acc.Kind():
+			col = vector.Condense(acc, perm)
+		default: // sum, min or max of a narrow integer kind, accumulated in i64
+			col = vector.NewLen(ci.Kind, len(perm))
+			for i, g := range perm {
+				col.Set(i, vector.IntValue(ci.Kind, acc.I64()[g]))
+			}
+		}
+		out.Add(a.As, col)
+	}
+	return out
 }
 
 // HashAgg groups by up to two key columns (i64 or str) and computes
-// aggregates. It is a pipeline breaker: Next drains the child on first call
-// and then streams the result groups.
+// aggregates over one columnar aggTable. It is a pipeline breaker: Next
+// drains the child on first call and then emits the result groups.
+//
+// With pre-aggregation enabled, rows first meet preAgg's cache-resident
+// groups, which flush into the global table when evicted.
 type HashAgg struct {
 	child  Operator
 	keys   []string
 	aggs   []Aggregate
 	mode   PreAggMode
 	schema []ColInfo
+	spec   *aggSpec
 
 	tbl     *aggTable
-	out     *vector.Chunk
 	emitted bool
 
 	hitEW  *profile.EWMA
@@ -350,82 +715,132 @@ func (h *HashAgg) Open(ctx context.Context) error {
 	if err := h.child.Open(ctx); err != nil {
 		return err
 	}
-	sch, err := AggOutputSchema(h.child.Schema(), h.keys, h.aggs)
+	spec, sch, err := newAggSpec(h.child.Schema(), h.keys, h.aggs)
 	if err != nil {
 		return err
 	}
-	h.schema = sch
-	h.tbl = newAggTable(h.keys, h.aggs)
+	h.spec, h.schema = spec, sch
+	h.tbl = newAggTable(spec, 0)
 	h.emitted = false
 	return nil
 }
 
-func (st *aggState) update(aggs []Aggregate, vals []vector.Value) {
-	for ai, a := range aggs {
-		switch a.Func {
-		case AggCount:
-			st.counts[ai]++
-			continue
-		case AggFirst:
-			if !st.seen[ai] {
-				st.firsts[ai] = vals[ai]
-				st.seen[ai] = true
-			}
-			continue
-		}
-		v := vals[ai]
-		st.counts[ai]++
-		if v.Kind == vector.F64 {
-			st.sumsF[ai] += v.F
-			if !st.seen[ai] || v.F < st.minsF[ai] {
-				st.minsF[ai] = v.F
-			}
-			if !st.seen[ai] || v.F > st.maxsF[ai] {
-				st.maxsF[ai] = v.F
-			}
+// preAggSlot is the direct-mapped slot of row r's key.
+func preAggSlot(kinds []vector.Kind, in *keyCols, r int) int {
+	var i [2]int64
+	var s [2]string
+	for k, kind := range kinds {
+		if kind == vector.I64 {
+			i[k] = in.i[k][r]
 		} else {
-			st.sumsI[ai] += v.I
-			if !st.seen[ai] || v.I < st.minsI[ai] {
-				st.minsI[ai] = v.I
-			}
-			if !st.seen[ai] || v.I > st.maxsI[ai] {
-				st.maxsI[ai] = v.I
-			}
+			s[k] = in.s[k][r]
 		}
-		st.seen[ai] = true
 	}
+	return int((uint64(i[0])*0x9e3779b97f4a7c15 ^ uint64(len(s[0]))<<32 ^ uint64(i[1]) ^ hashStr(s[0]) ^ hashStr(s[1])) % preAggSlots)
 }
 
-// merge folds a pre-aggregation state into the global state. other holds
-// later rows than st, so First keeps st's value when st has seen any.
-func (st *aggState) merge(aggs []Aggregate, other *aggState) {
-	for ai := range aggs {
-		if aggs[ai].Func == AggFirst {
-			if !st.seen[ai] && other.seen[ai] {
-				st.firsts[ai] = other.firsts[ai]
-				st.seen[ai] = true
-			}
-			continue
-		}
-		st.counts[ai] += other.counts[ai]
-		st.sumsI[ai] += other.sumsI[ai]
-		st.sumsF[ai] += other.sumsF[ai]
-		if other.seen[ai] {
-			if !st.seen[ai] || other.minsI[ai] < st.minsI[ai] {
-				st.minsI[ai] = other.minsI[ai]
-			}
-			if !st.seen[ai] || other.maxsI[ai] > st.maxsI[ai] {
-				st.maxsI[ai] = other.maxsI[ai]
-			}
-			if !st.seen[ai] || other.minsF[ai] < st.minsF[ai] {
-				st.minsF[ai] = other.minsF[ai]
-			}
-			if !st.seen[ai] || other.maxsF[ai] > st.maxsF[ai] {
-				st.maxsF[ai] = other.maxsF[ai]
-			}
-			st.seen[ai] = true
+// preAgg is the cache-resident pre-aggregation table of [12]: preAggSlots
+// direct-mapped slots, each pointing at one group of a small aggTable. A row
+// whose slot holds its key joins that group; any other row evicts the
+// slot's group, if any, into the global table and opens a new one. Slot
+// choice stays row at a time, since every eviction depends on the rows
+// before it; the fold itself is aggTable's.
+type preAgg struct {
+	tbl  *aggTable
+	slot [preAggSlots]int32 // group of tbl per slot; -1 = empty
+	// evict is scratch for group lists: the groups the current chunk
+	// evicted, or live's. Never nil, since merge reads a nil selection as
+	// every group.
+	evict vector.Sel
+}
+
+func newPreAgg(spec *aggSpec) *preAgg {
+	p := &preAgg{tbl: newAggTable(spec, preAggSlots), evict: make(vector.Sel, 0, preAggSlots)}
+	for s := range p.slot {
+		p.slot[s] = -1
+	}
+	return p
+}
+
+// live returns the groups the slots hold, in slot order.
+func (p *preAgg) live() vector.Sel {
+	live := p.evict[:0]
+	for _, g := range p.slot {
+		if g >= 0 {
+			live = append(live, g)
 		}
 	}
+	return live
+}
+
+// preAggregate folds the selected rows of c into p, flushing every group it
+// evicts into the global table in eviction order. An evicted group gets no
+// later rows — its key's slot points elsewhere — so flushing after the
+// chunk's fold merges exactly what a flush at eviction time would.
+func (h *HashAgg) preAggregate(p *preAgg, c *vector.Chunk) (hits, misses int) {
+	t := p.tbl
+	in := h.spec.columns(c, t.in)
+	sel := c.Sel()
+	n := c.Len()
+	if sel != nil {
+		n = len(sel)
+	}
+	t.gids = extend(t.gids[:0], n)
+	t.fresh = t.fresh[:0]
+	p.evict = p.evict[:0]
+	for i := range t.gids {
+		r := rowAt(sel, i)
+		s := preAggSlot(h.spec.keyKinds, &in, r)
+		g := p.slot[s]
+		if g >= 0 && keysEqual(h.spec.keyKinds, &t.keys, int(g), &in, r) {
+			hits++
+		} else {
+			misses++
+			if g >= 0 {
+				p.evict = append(p.evict, g)
+			}
+			for k, kind := range h.spec.keyKinds {
+				if kind == vector.I64 {
+					t.keys.i[k] = append(t.keys.i[k], in.i[k][r])
+				} else {
+					t.keys.s[k] = append(t.keys.s[k], in.s[k][r])
+				}
+			}
+			g = int32(t.n)
+			t.fresh = append(t.fresh, int32(r))
+			t.n++
+			p.slot[s] = g
+		}
+		t.gids[i] = g
+	}
+	t.fold(t.in, nil, sel)
+	h.tbl.merge(t, p.evict)
+	h.PreAggFlushes += int64(len(p.evict))
+	if t.n > 4*preAggSlots {
+		// Compact: copy the live groups, whose keys are distinct, into a
+		// fresh table in slot order, and renumber the slots to match.
+		live := p.live()
+		p.tbl = newAggTable(h.spec, preAggSlots)
+		p.tbl.merge(t, live)
+		t.release()
+		var g int32
+		for s := range p.slot {
+			if p.slot[s] >= 0 {
+				p.slot[s] = g
+				g++
+			}
+		}
+	}
+	return hits, misses
+}
+
+// flushPre merges every group p holds into the global table, in slot order,
+// and releases p.
+func (h *HashAgg) flushPre(p *preAgg) {
+	live := p.live()
+	h.tbl.merge(p.tbl, live)
+	h.PreAggFlushes += int64(len(live))
+	p.tbl.release()
 }
 
 // Next implements Operator. The aggregation is a pipeline breaker: the
@@ -435,24 +850,10 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	if h.emitted {
 		return nil, nil
 	}
-	keyCols := make([]*vector.Vector, len(h.keys))
-	valCols := make([]*vector.Vector, len(h.aggs))
-
-	// Pre-aggregation table: direct-mapped, cache resident.
-	var pre []*aggState
+	var pre *preAgg
 	if h.PreAggEnabled() {
-		pre = make([]*aggState, preAggSlots)
+		pre = newPreAgg(h.spec)
 	}
-	flushPre := func() {
-		for i, st := range pre {
-			if st != nil {
-				h.tbl.global(st.key).merge(h.aggs, st)
-				pre[i] = nil
-				h.PreAggFlushes++
-			}
-		}
-	}
-
 	for {
 		chunk, err := h.child.Next(ctx)
 		if err != nil {
@@ -461,65 +862,23 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 		if chunk == nil {
 			break
 		}
-		cc := chunk
-		if chunk.Sel() != nil {
-			cc = chunk.Condense()
-		}
-		for i, k := range h.keys {
-			keyCols[i] = cc.MustColumn(k)
-		}
-		for i, a := range h.aggs {
-			if a.Func != AggCount {
-				valCols[i] = cc.MustColumn(a.Col)
-			}
-		}
-		// Compile-time-resolved updaters: one monomorphic closure per
-		// aggregate per chunk, avoiding per-row Value boxing and the
-		// generic update switch.
-		upds := makeUpdaters(h.aggs, valCols)
-		keyAt := makeKeyReader(h.keys, keyCols)
-
 		// Re-evaluate the flavor per chunk (adaptive trigger).
 		wantPre := h.PreAggEnabled()
 		if wantPre && pre == nil {
-			pre = make([]*aggState, preAggSlots)
+			pre = newPreAgg(h.spec)
 		}
 		if !wantPre && pre != nil {
-			flushPre()
+			h.flushPre(pre)
 			pre = nil
 		}
-
-		hits, misses := 0, 0
-		apply := func(st *aggState, r int) {
-			for _, u := range upds {
-				u(st, r)
-			}
+		if pre == nil {
+			h.tbl.absorb(chunk)
+			continue
 		}
-		for r := 0; r < cc.Len(); r++ {
-			key := keyAt(r)
-			if pre != nil {
-				slot := int((uint64(key.i1)*0x9e3779b97f4a7c15 ^ uint64(len(key.s1))<<32 ^ uint64(key.i2) ^ hashStr(key.s1) ^ hashStr(key.s2)) % preAggSlots)
-				st := pre[slot]
-				if st != nil && st.key == key {
-					hits++
-					apply(st, r)
-					continue
-				}
-				misses++
-				if st != nil {
-					h.tbl.global(st.key).merge(h.aggs, st)
-					h.PreAggFlushes++
-				}
-				st = h.tbl.newState(key)
-				apply(st, r)
-				pre[slot] = st
-				continue
-			}
-			apply(h.tbl.global(key), r)
-		}
+		hits, misses := h.preAggregate(pre, chunk)
 		h.PreAggHits += int64(hits)
 		h.PreAggMisses += int64(misses)
-		if pre != nil && hits+misses > 0 {
+		if hits+misses > 0 {
 			h.hitEW.Observe(float64(hits) / float64(hits+misses))
 			if h.mode == PreAggAdaptive {
 				h.useNow = h.hitEW.Value(1) >= preAggThreshold
@@ -527,147 +886,17 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 		}
 	}
 	if pre != nil {
-		flushPre()
+		h.flushPre(pre)
 	}
-
-	// Emit groups in first-seen order (stable for tests).
-	return h.emit()
+	h.emitted = true
+	out := emitAggChunk(h.schema, h.tbl)
+	h.tbl.release()
+	h.tbl = nil
+	return out, nil
 }
 
 // Close implements Operator.
 func (h *HashAgg) Close() error { return h.child.Close() }
-
-// makeUpdaters resolves one monomorphic per-row updater per aggregate for
-// the current chunk's column vectors.
-func makeUpdaters(aggs []Aggregate, valCols []*vector.Vector) []func(st *aggState, r int) {
-	upds := make([]func(st *aggState, r int), len(aggs))
-	for ai, a := range aggs {
-		ai := ai
-		if a.Func == AggCount {
-			upds[ai] = func(st *aggState, r int) { st.counts[ai]++ }
-			continue
-		}
-		col := valCols[ai]
-		if a.Func == AggFirst {
-			upds[ai] = func(st *aggState, r int) {
-				if !st.seen[ai] {
-					st.firsts[ai] = col.Get(r)
-					st.seen[ai] = true
-				}
-			}
-			continue
-		}
-		switch col.Kind() {
-		case vector.F64:
-			d := col.F64()
-			switch a.Func {
-			case AggSum, AggAvg:
-				upds[ai] = func(st *aggState, r int) {
-					st.counts[ai]++
-					st.sumsF[ai] += d[r]
-				}
-			case AggMin:
-				upds[ai] = func(st *aggState, r int) {
-					st.counts[ai]++
-					if !st.seen[ai] || d[r] < st.minsF[ai] {
-						st.minsF[ai] = d[r]
-					}
-					st.seen[ai] = true
-				}
-			case AggMax:
-				upds[ai] = func(st *aggState, r int) {
-					st.counts[ai]++
-					if !st.seen[ai] || d[r] > st.maxsF[ai] {
-						st.maxsF[ai] = d[r]
-					}
-					st.seen[ai] = true
-				}
-			}
-		case vector.I64:
-			d := col.I64()
-			switch a.Func {
-			case AggSum, AggAvg:
-				upds[ai] = func(st *aggState, r int) {
-					st.counts[ai]++
-					st.sumsI[ai] += d[r]
-				}
-			case AggMin:
-				upds[ai] = func(st *aggState, r int) {
-					st.counts[ai]++
-					if !st.seen[ai] || d[r] < st.minsI[ai] {
-						st.minsI[ai] = d[r]
-					}
-					st.seen[ai] = true
-				}
-			case AggMax:
-				upds[ai] = func(st *aggState, r int) {
-					st.counts[ai]++
-					if !st.seen[ai] || d[r] > st.maxsI[ai] {
-						st.maxsI[ai] = d[r]
-					}
-					st.seen[ai] = true
-				}
-			}
-		}
-		if upds[ai] == nil {
-			// Generic fallback for narrower integer kinds.
-			fn := a.Func
-			col := col
-			upds[ai] = func(st *aggState, r int) {
-				v := col.Get(r)
-				st.counts[ai]++
-				switch fn {
-				case AggSum, AggAvg:
-					st.sumsI[ai] += v.I
-				case AggMin:
-					if !st.seen[ai] || v.I < st.minsI[ai] {
-						st.minsI[ai] = v.I
-					}
-					st.seen[ai] = true
-				case AggMax:
-					if !st.seen[ai] || v.I > st.maxsI[ai] {
-						st.maxsI[ai] = v.I
-					}
-					st.seen[ai] = true
-				}
-			}
-		}
-	}
-	return upds
-}
-
-// makeKeyReader resolves a typed group-key extractor for the current chunk.
-func makeKeyReader(keys []string, keyCols []*vector.Vector) func(r int) groupKey {
-	switch len(keys) {
-	case 0:
-		return func(int) groupKey { return groupKey{} }
-	case 1:
-		if keyCols[0].Kind() == vector.I64 {
-			d := keyCols[0].I64()
-			return func(r int) groupKey { return groupKey{i1: d[r]} }
-		}
-		d := keyCols[0].Str()
-		return func(r int) groupKey { return groupKey{s1: d[r]} }
-	default:
-		get1 := keyPart(keyCols[0])
-		get2 := keyPart(keyCols[1])
-		return func(r int) groupKey {
-			k := groupKey{}
-			k.i1, k.s1 = get1(r)
-			k.i2, k.s2 = get2(r)
-			return k
-		}
-	}
-}
-
-func keyPart(col *vector.Vector) func(r int) (int64, string) {
-	if col.Kind() == vector.I64 {
-		d := col.I64()
-		return func(r int) (int64, string) { return d[r], "" }
-	}
-	d := col.Str()
-	return func(r int) (int64, string) { return 0, d[r] }
-}
 
 func hashStr(s string) uint64 {
 	var h uint64 = 1469598103934665603
@@ -676,118 +905,4 @@ func hashStr(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func (h *HashAgg) emit() (*vector.Chunk, error) {
-	h.emitted = true
-	out := emitAggChunk(h.schema, h.keys, h.aggs, h.tbl)
-	h.tbl.release()
-	h.tbl = nil
-	return out, nil
-}
-
-// emitAggChunk materializes an aggregation table into one result chunk,
-// sorted by the key columns for a deterministic output order. Shared by
-// HashAgg and the morsel-parallel aggregation, so both emit identical bytes
-// for identical states.
-func emitAggChunk(schema []ColInfo, keys []string, aggs []Aggregate, tbl *aggTable) *vector.Chunk {
-	n := len(tbl.order)
-	out := vector.NewChunk()
-	for ki, ci := range schema[:len(keys)] {
-		col := vector.New(ci.Kind, 0, n)
-		for _, key := range tbl.order {
-			switch {
-			case ci.Kind == vector.I64 && ki == 0:
-				col.AppendValue(vector.I64Value(key.i1))
-			case ci.Kind == vector.I64:
-				col.AppendValue(vector.I64Value(key.i2))
-			case ki == 0:
-				col.AppendValue(vector.StrValue(key.s1))
-			default:
-				col.AppendValue(vector.StrValue(key.s2))
-			}
-		}
-		out.Add(ci.Name, col)
-	}
-	for ai, a := range aggs {
-		ci := schema[len(keys)+ai]
-		col := vector.New(ci.Kind, 0, n)
-		for _, key := range tbl.order {
-			st := tbl.groups[key]
-			switch a.Func {
-			case AggCount:
-				col.AppendValue(vector.I64Value(st.counts[ai]))
-			case AggSum:
-				if ci.Kind == vector.F64 {
-					col.AppendValue(vector.F64Value(st.sumsF[ai]))
-				} else {
-					col.AppendValue(vector.IntValue(ci.Kind, st.sumsI[ai]))
-				}
-			case AggAvg:
-				sum := st.sumsF[ai] + float64(st.sumsI[ai])
-				col.AppendValue(vector.F64Value(sum / float64(maxi64(st.counts[ai], 1))))
-			case AggMin:
-				if ci.Kind == vector.F64 {
-					col.AppendValue(vector.F64Value(st.minsF[ai]))
-				} else {
-					col.AppendValue(vector.IntValue(ci.Kind, st.minsI[ai]))
-				}
-			case AggMax:
-				if ci.Kind == vector.F64 {
-					col.AppendValue(vector.F64Value(st.maxsF[ai]))
-				} else {
-					col.AppendValue(vector.IntValue(ci.Kind, st.maxsI[ai]))
-				}
-			case AggFirst:
-				col.AppendValue(st.firsts[ai])
-			}
-		}
-		out.Add(a.As, col)
-	}
-	// Deterministic output order: sort rows by key columns.
-	sortChunkByKeys(out, len(keys))
-	return out
-}
-
-// sortChunkByKeys reorders all columns of a materialized chunk by its first
-// k columns ascending.
-func sortChunkByKeys(c *vector.Chunk, k int) {
-	n := c.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	less := func(a, b int) bool {
-		for ki := 0; ki < k; ki++ {
-			va, vb := c.Col(ki).Get(a), c.Col(ki).Get(b)
-			if va.Equal(vb) {
-				continue
-			}
-			switch va.Kind {
-			case vector.Str:
-				return va.S < vb.S
-			case vector.F64:
-				return va.F < vb.F
-			default:
-				return va.I < vb.I
-			}
-		}
-		return false
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	sel := make(vector.Sel, n)
-	for i, x := range idx {
-		sel[i] = int32(x)
-	}
-	for i := 0; i < c.Width(); i++ {
-		reordered := vector.Condense(c.Col(i), sel)
-		c.Col(i).CopyFrom(0, reordered, 0, n)
-	}
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

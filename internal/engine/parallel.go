@@ -749,8 +749,7 @@ type ParallelAgg struct {
 	store     vector.Store
 	workers   int
 	morselLen int
-	keys      []string
-	aggs      []Aggregate
+	spec      *aggSpec
 
 	leaves []*PartScan
 	pipes  []Operator
@@ -770,7 +769,7 @@ func NewParallelAgg(store vector.Store, columns []string, workers int,
 	if workers < 1 {
 		return nil, fmt.Errorf("engine: parallel aggregation needs ≥ 1 worker, got %d", workers)
 	}
-	a := &ParallelAgg{store: store, workers: workers, morselLen: morsel.DefaultMorselLen, keys: keys, aggs: aggs}
+	a := &ParallelAgg{store: store, workers: workers, morselLen: morsel.DefaultMorselLen}
 	for w := 0; w < workers; w++ {
 		leaf, err := NewPartScan(store, columns...)
 		if err != nil {
@@ -783,11 +782,11 @@ func NewParallelAgg(store vector.Store, columns []string, workers int,
 		a.leaves = append(a.leaves, leaf)
 		a.pipes = append(a.pipes, pipe)
 	}
-	sch, err := AggOutputSchema(a.pipes[0].Schema(), keys, aggs)
+	spec, sch, err := newAggSpec(a.pipes[0].Schema(), keys, aggs)
 	if err != nil {
 		return nil, err
 	}
-	a.schema = sch
+	a.spec, a.schema = spec, sch
 	return a, nil
 }
 
@@ -868,17 +867,11 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 			}
 			msp := a.startMorsel()
 			a.leaves[worker].SetRange(lo, hi)
-			tbl := newAggTableSized(a.keys, a.aggs, hint)
+			tbl := newAggTable(a.spec, hint)
 			var absorbed int64
 			absorb := func(c *vector.Chunk) {
-				cc := c
-				if c.Sel() != nil {
-					cc = c.Condense()
-				}
-				if cc.Len() > 0 {
-					tbl.absorb(cc)
-					absorbed += int64(cc.Len())
-				}
+				tbl.absorb(c)
+				absorbed += int64(c.SelectedLen())
 			}
 			if mr, ok := a.pipes[worker].(MorselRunner); ok {
 				// Device-placed pipeline: the whole morsel drain executes as
@@ -922,8 +915,8 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	// Merge the per-morsel tables in a sequence-ordered pairwise tree — each
 	// merge's right operand holds strictly later rows than its left — and
 	// emit in key order.
-	final := mergeAggTables(tables, a.workers, a.keys, a.aggs)
-	a.out = emitAggChunk(a.schema, a.keys, a.aggs, final)
+	final := mergeAggTables(tables, a.workers, a.spec)
+	a.out = emitAggChunk(a.schema, final)
 	final.release()
 	return a.out, nil
 }
@@ -947,7 +940,7 @@ func (a *ParallelAgg) tableHint() int {
 		return 0
 	}
 	hint := 0
-	for _, k := range a.keys {
+	for _, k := range a.spec.keys {
 		d := de.DistinctEstimate(k)
 		if d <= 0 {
 			return 0
@@ -972,7 +965,7 @@ func (a *ParallelAgg) tableHint() int {
 // function of (plan, data, morsel length); rounds with several pairs run
 // them concurrently since pairs touch disjoint tables. Merged-away tables
 // are released to the pool; the caller owns (and releases) the survivor.
-func mergeAggTables(tables []*aggTable, workers int, keys []string, aggs []Aggregate) *aggTable {
+func mergeAggTables(tables []*aggTable, workers int, spec *aggSpec) *aggTable {
 	live := make([]*aggTable, 0, len(tables))
 	for _, t := range tables {
 		if t != nil {
@@ -980,12 +973,12 @@ func mergeAggTables(tables []*aggTable, workers int, keys []string, aggs []Aggre
 		}
 	}
 	if len(live) == 0 {
-		return newAggTable(keys, aggs)
+		return newAggTable(spec, 0)
 	}
 	for len(live) > 1 {
 		pairs := len(live) / 2
 		mergePair := func(i int) {
-			live[2*i].merge(live[2*i+1])
+			live[2*i].merge(live[2*i+1], nil)
 			live[2*i+1].release()
 		}
 		if workers > 1 && pairs > 1 {

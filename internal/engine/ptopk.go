@@ -15,21 +15,23 @@ import (
 
 // ParallelTopK is a morsel-parallel top-k over a streaming pipeline: worker
 // pipelines process morsels concurrently under work-stealing dispatch, each
-// morsel reducing its own output — with exactly the serial operator's stable
-// sort — to at most k candidate rows slotted by the morsel's dense sequence
-// number. When the run completes, the candidates are concatenated in
-// sequence order and the same stable sort picks the global top k.
+// morsel reducing its own output — with exactly the serial operator's
+// selection, topKSelect — to at most k candidate rows slotted by the
+// morsel's dense sequence number. When the run completes, the candidates are
+// concatenated in sequence order and the same selection picks the global
+// top k.
 //
-// Determinism: a row of the global stable top-k is necessarily in the stable
-// top-k of its own morsel — if k rows of the same morsel order before it,
-// those k rows order before it globally too, and a stable sort cannot
-// reorder rows of one morsel relative to each other. Candidate selection
-// therefore never drops a winner. The sequence-ordered concatenation
-// restores table order across morsels, so the final stable sort resolves
-// ties exactly as the serial sort over the full input: in table order. There
-// is no arithmetic anywhere in the fold, so — unlike aggregation — not even
-// the morsel length participates: result bytes equal the serial TopK's at
-// every worker count, chunk length and morsel length.
+// Determinism: topKSelect orders rows totally — the order columns under
+// compareF64's NaN-aware order for f64, then table order — so the global top
+// k is a well-defined set of rows. A row in it is necessarily in the top k
+// of its own morsel: if k rows of the same morsel ordered before it, those k
+// rows would order before it globally too. Candidate selection therefore
+// never drops a winner, and the sequence-ordered concatenation restores
+// table order across morsels, so the final selection breaks ties exactly as
+// the serial one over the full input: in table order. There is no
+// arithmetic anywhere in the fold, so — unlike aggregation — not even the
+// morsel length participates: result bytes equal the serial TopK's at every
+// worker count, chunk length and morsel length.
 type ParallelTopK struct {
 	traceHook
 	store     vector.Store
@@ -207,7 +209,7 @@ func (t *ParallelTopK) Next(ctx context.Context) (*vector.Chunk, error) {
 	}
 
 	// Concatenate the candidates in morsel sequence order — restoring table
-	// order across morsels — and reduce with the same stable sort.
+	// order across morsels — and reduce with the same selection.
 	all := vector.NewDSMStore(sch)
 	for _, c := range cands {
 		if c != nil {

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/vector"
 )
@@ -14,11 +15,12 @@ type OrderSpec struct {
 	Desc bool
 }
 
-// TopK is a pipeline breaker that materializes its child, stable-sorts the
-// rows by the given order columns and emits the first k rows as one chunk.
-// The stable sort over a deterministic input order makes the result
-// deterministic even when the order columns contain ties — which is what
-// keeps a top-k over a parallel aggregation byte-identical to serial.
+// TopK is a pipeline breaker that materializes its child and emits, as one
+// chunk, the first k rows under the order columns, ties broken by input
+// order — exactly the first k rows of a stable sort. The order is total (see
+// compareF64 for NaN), so the result is deterministic even when the order
+// columns contain ties or NaN — which is what keeps a top-k over a parallel
+// aggregation, and ParallelTopK, byte-identical to serial.
 type TopK struct {
 	child Operator
 	k     int
@@ -78,20 +80,6 @@ func (t *TopK) Open(ctx context.Context) error {
 	return t.validate()
 }
 
-// valueLess orders two Values of the same kind.
-func valueLess(a, b vector.Value) bool {
-	switch a.Kind {
-	case vector.Str:
-		return a.S < b.S
-	case vector.F64:
-		return a.F < b.F
-	case vector.Bool:
-		return !a.B && b.B
-	default:
-		return a.I < b.I
-	}
-}
-
 // Next implements Operator: the first call drains the child, sorts and
 // truncates; the single result chunk is emitted once.
 func (t *TopK) Next(ctx context.Context) (*vector.Chunk, error) {
@@ -107,48 +95,121 @@ func (t *TopK) Next(ctx context.Context) (*vector.Chunk, error) {
 	return t.out, nil
 }
 
-// topKSelect stable-sorts the materialized rows by the order columns and
-// returns the first k (all of them when fewer) as one condensed chunk in
-// schema column order. The stable sort keeps tied rows in store order.
-// Shared by the serial TopK and the morsel-parallel ParallelTopK — using one
-// comparator and one materialization path is what makes the parallel fold
-// byte-identical to the serial sort.
+// topKSelect returns the first k rows (all of them when fewer) of rows
+// under the order columns, ties broken by row index, as one condensed chunk
+// in schema column order. A k-row max-heap under that total order keeps the
+// k smallest rows seen so far, so a later row only enters by ordering
+// strictly before the heap's worst row. Shared by the serial TopK and the
+// morsel-parallel ParallelTopK — one comparator and one materialization
+// path is what makes the parallel fold byte-identical to the serial one.
 func topKSelect(rows *vector.DSMStore, schema []ColInfo, k int, by []OrderSpec) *vector.Chunk {
-	orderCols := make([]*vector.Vector, len(by))
+	cols := make([]func(a, b int) int, len(by))
 	for i, o := range by {
-		orderCols[i] = rows.Col(rows.Schema().ColumnIndex(o.Col))
-	}
-	idx := make([]int, rows.Rows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		for i, o := range by {
-			va, vb := orderCols[i].Get(a), orderCols[i].Get(b)
-			if va.Equal(vb) {
-				continue
-			}
-			if o.Desc {
-				return valueLess(vb, va)
-			}
-			return valueLess(va, vb)
+		asc := compareRows(rows.Col(rows.Schema().ColumnIndex(o.Col)))
+		cols[i] = asc
+		if o.Desc {
+			cols[i] = func(a, b int) int { return asc(b, a) }
 		}
-		return false
-	})
-	n := k
-	if n > len(idx) {
-		n = len(idx)
 	}
-	sel := make(vector.Sel, n)
-	for i := 0; i < n; i++ {
-		sel[i] = int32(idx[i])
+	order := func(a, b int32) int {
+		for _, c := range cols {
+			if r := c(int(a), int(b)); r != 0 {
+				return r
+			}
+		}
+		return cmp.Compare(a, b)
 	}
+	less := func(a, b int32) bool { return order(a, b) < 0 }
+	heap := make(vector.Sel, 0, min(k, rows.Rows()))
+	for r := int32(0); int(r) < rows.Rows(); r++ {
+		if len(heap) < cap(heap) {
+			heap = append(heap, r)
+			for i := len(heap) - 1; i > 0 && less(heap[(i-1)/2], heap[i]); i = (i - 1) / 2 {
+				heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
+			}
+			continue
+		}
+		if !less(r, heap[0]) {
+			continue
+		}
+		heap[0] = r
+		for i := 0; ; {
+			worst := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(heap) && less(heap[worst], heap[c]) {
+					worst = c
+				}
+			}
+			if worst == i {
+				break
+			}
+			heap[i], heap[worst] = heap[worst], heap[i]
+			i = worst
+		}
+	}
+	slices.SortFunc(heap, order)
 	out := vector.NewChunk()
 	for i, ci := range schema {
-		out.Add(ci.Name, vector.Condense(rows.Col(i), sel))
+		out.Add(ci.Name, vector.Condense(rows.Col(i), heap))
 	}
 	return out
+}
+
+// compareRows returns the ascending order of v's rows. Every kind orders
+// naturally (false before true, strings bytewise) except f64, which follows
+// compareF64.
+func compareRows(v *vector.Vector) func(a, b int) int {
+	switch v.Kind() {
+	case vector.F64:
+		d := v.F64()
+		return func(a, b int) int { return compareF64(d[a], d[b]) }
+	case vector.Str:
+		return compareOrdered(v.Str())
+	case vector.Bool:
+		d := v.Bool()
+		return func(a, b int) int {
+			switch {
+			case d[a] == d[b]:
+				return 0
+			case d[b]:
+				return -1
+			}
+			return 1
+		}
+	case vector.I8:
+		return compareOrdered(v.I8())
+	case vector.I16:
+		return compareOrdered(v.I16())
+	case vector.I32:
+		return compareOrdered(v.I32())
+	}
+	return compareOrdered(v.I64())
+}
+
+func compareOrdered[T int8 | int16 | int32 | int64 | string](d []T) func(a, b int) int {
+	return func(a, b int) int { return cmp.Compare(d[a], d[b]) }
+}
+
+// compareF64 is the total order top-k sorts f64 columns by: numbers in
+// numeric order (-0 equal to +0), then NaN after every number, +Inf
+// included, with NaN equal to NaN. Plain < is not a strict weak order once
+// NaN appears — NaN is neither less nor greater than 1 or 2, yet 1 < 2 — so
+// any selection under it depends on the algorithm, and serial and parallel
+// top-k would disagree.
+func compareF64(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y:
+		return 0
+	case x == x: // y is NaN
+		return -1
+	case y == y: // x is NaN
+		return 1
+	}
+	return 0
 }
 
 // Close implements Operator.

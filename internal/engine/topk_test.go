@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vector"
@@ -112,5 +115,86 @@ func TestAggFirstSerial(t *testing.T) {
 		if firstS[0] != "a" || firstS[1] != "b" || firstV[0] != 10 || firstV[1] != 20 {
 			t.Fatalf("pre=%v: firsts = %v %v", pre, firstS, firstV)
 		}
+	}
+}
+
+// TestTopKNaNDeterministic: with NaN in an order column, serial TopK and
+// ParallelTopK at every worker count return the same rows, NaN ordering
+// after every number (+Inf included) — so first under Desc and last
+// ascending — with NaN rows tied among themselves and broken by the next
+// order column.
+func TestTopKNaNDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	st := vector.NewDSMStore(vector.NewSchema("k", vector.I64, "v", vector.F64))
+	for i := 0; i < 4000; i++ {
+		v := float64(rng.Intn(100))
+		switch rng.Intn(10) {
+		case 0, 1:
+			v = math.NaN()
+		case 2:
+			v = math.Inf(1)
+		}
+		st.AppendRow(vector.I64Value(int64(i)), vector.F64Value(v))
+	}
+	vals := st.Col(1).F64()
+	var nanKeys []int64
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			nanKeys = append(nanKeys, int64(i))
+		}
+	}
+	for _, desc := range []bool{true, false} {
+		by := []OrderSpec{{Col: "v", Desc: desc}, {Col: "k"}}
+		scan, err := NewScan(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := NewTopK(scan, 10, by...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := Collect(t.Context(), tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := serial.Col(0).I64()
+		for i, v := range serial.Col(1).F64() {
+			if desc && (!math.IsNaN(v) || keys[i] != nanKeys[i]) {
+				t.Fatalf("desc row %d = (%d, %v), want NaN row %d", i, keys[i], v, nanKeys[i])
+			}
+			if !desc && (math.IsNaN(v) || math.IsInf(v, 1)) {
+				t.Fatalf("asc row %d = (%d, %v), want a finite number", i, keys[i], v)
+			}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			ptk, err := NewParallelTopK(st, nil, workers, func(_ int, leaf Operator) (Operator, error) { return leaf, nil }, 10, by...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(t.Context(), ptk.SetMorselLen(256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(encodeStore(got), encodeStore(serial)) {
+				t.Fatalf("desc=%v workers=%d: parallel %v, serial %v", desc, workers, got.Col(0).I64(), keys)
+			}
+		}
+	}
+	// Ascending over the whole table, NaN rows come last.
+	scan, err := NewScan(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := NewTopK(scan, st.Rows(), OrderSpec{Col: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := Collect(t.Context(), tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := all.Col(1).F64()[all.Rows()-len(nanKeys):]
+	if !math.IsInf(all.Col(1).F64()[all.Rows()-len(nanKeys)-1], 1) || slices.ContainsFunc(tail, func(v float64) bool { return !math.IsNaN(v) }) {
+		t.Fatalf("ascending order does not end with +Inf then every NaN row")
 	}
 }
