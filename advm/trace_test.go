@@ -3,6 +3,7 @@ package advm_test
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -243,11 +244,75 @@ func TestTraceResultsUnchanged(t *testing.T) {
 	mustRowsEqualBitwise(t, got, want, "traced")
 }
 
+// TestTracingOffLeavesNoTraceState: tracing one query leaves nothing
+// behind. On a session warmed past the tier thresholds, a query traced at
+// TraceMorsels followed by the same plan at TraceOff must return no trace
+// and allocate exactly as many objects per query as the same plan on a
+// session that never traced, warmed the same way. Together with qtrace's
+// TestNilHooksAllocateNothing this states the disabled path's cost without
+// a clock.
+//
+// The aggregation tables are pooled, and a garbage collection empties the
+// pool, so the count is taken with the collector paused. Skipped under
+// -race, where sync.Pool also drops items at random.
+func TestTracingOffLeavesNoTraceState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under -race (sync.Pool drops items at random)")
+	}
+	plan := q1Plan(tpch.GenLineitem(0.01, 42))
+	warmed := func(traceOnce bool) *advm.Session {
+		eng, err := advm.NewEngine(
+			advm.WithParallelism(1),
+			advm.WithTierThresholds(2, 3),
+			advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		sess, err := eng.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 4 {
+			queryTraced(t, sess, plan, advm.TraceOff)
+		}
+		if traceOnce {
+			if _, tr := queryTraced(t, sess, plan, advm.TraceMorsels); tr == nil {
+				t.Fatal("a TraceMorsels query returned no trace")
+			}
+		}
+		return sess
+	}
+	allocs := func(sess *advm.Session) float64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(10, func() {
+			rows, err := sess.QueryTraced(context.Background(), plan, advm.TraceOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows.Tier() != "hot" {
+				t.Fatalf("query ran at tier %q, want hot", rows.Tier())
+			}
+			if _, err := rows.Count(); err != nil {
+				t.Fatal(err)
+			}
+			if rows.Trace() != nil {
+				t.Fatal("a TraceOff query returned a trace")
+			}
+		})
+	}
+	afterTrace, never := allocs(warmed(true)), allocs(warmed(false))
+	if afterTrace != never {
+		t.Fatalf("TraceOff query allocates %v objects after a traced query, %v on a session that never traced", afterTrace, never)
+	}
+	t.Logf("TraceOff query: %v allocations, traced before or not", never)
+}
+
 // BenchmarkQ6Trace measures the tracing tax on the hot Q6 path at each
-// level. The off level must stay within noise of a build predating the
-// tracing hooks (CI guards the regression via bench/baseline
-// BENCH_trace.json); ops pays two clock reads per operator call; morsels
-// adds per-morsel leaf spans.
+// level: off pays a nil check per hook (TestTracingOffLeavesNoTraceState
+// pins that it leaves no trace state behind); ops pays two clock reads per
+// operator call; morsels adds per-morsel leaf spans.
 func BenchmarkQ6Trace(b *testing.B) {
 	li := tpch.GenLineitem(0.01, 42)
 	for _, bc := range []struct {

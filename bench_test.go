@@ -1,8 +1,10 @@
 // Package repro holds the experiment benchmark harness: one Benchmark per
 // table, figure or quantitative claim of the paper that the reproduction
-// covers (T1, F1–F3, E1–E14). `advm-bench -exp` prints T1, F1–F3, E1, E3, E5
-// and E6 in human-readable form; end-to-end performance is measured by the
-// repo benchmark (BENCHMARK.json and benchmark/).
+// covers (T1, F1–F3, E1–E14). paper_test.go asserts the claims that have a
+// counted form (E12, E13) as tests, and the programs under examples/ print
+// T1's kernel count, F1/F2, E1, E3, E5 and E6 in human-readable form;
+// end-to-end performance is measured by the repo benchmark (BENCHMARK.json
+// and benchmark/).
 package repro
 
 import (
@@ -701,21 +703,30 @@ func BenchmarkExpE11_Morsel(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E12 — Bloom filters in selective hash joins.
 
-func BenchmarkExpE12_Bloom(b *testing.B) {
+// e12Dim is E12's build side: keys 0..999.
+func e12Dim() *vector.DSMStore {
 	dim := vector.NewDSMStore(vector.NewSchema("k", vector.I64))
 	for i := 0; i < 1000; i++ {
 		dim.AppendRow(vector.I64Value(int64(i)))
 	}
-	mkFact := func(domain int64) *vector.DSMStore {
-		fact := vector.NewDSMStore(vector.NewSchema("fk", vector.I64))
-		rng := rand.New(rand.NewSource(12))
-		for i := 0; i < 1<<18; i++ {
-			fact.AppendRow(vector.I64Value(rng.Int63n(domain)))
-		}
-		return fact
+	return dim
+}
+
+// e12Fact is E12's probe side: 2^18 foreign keys drawn from [0, domain), so
+// a domain of 100 000 hits e12Dim about 1% of the time and 1 000 always.
+func e12Fact(domain int64) *vector.DSMStore {
+	fact := vector.NewDSMStore(vector.NewSchema("fk", vector.I64))
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 1<<18; i++ {
+		fact.AppendRow(vector.I64Value(rng.Int63n(domain)))
 	}
-	selective := mkFact(100_000) // ~1% hit rate
-	dense := mkFact(1_000)       // ~100% hit rate
+	return fact
+}
+
+func BenchmarkExpE12_Bloom(b *testing.B) {
+	dim := e12Dim()
+	selective := e12Fact(100_000) // ~1% hit rate
+	dense := e12Fact(1_000)       // ~100% hit rate
 	for _, c := range []struct {
 		name string
 		fact *vector.DSMStore
@@ -744,17 +755,20 @@ func BenchmarkExpE12_Bloom(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E13 — adaptively triggered pre-aggregation ([12]).
 
-func BenchmarkExpE13_PreAgg(b *testing.B) {
-	mk := func(groups int64) *vector.DSMStore {
-		st := vector.NewDSMStore(vector.NewSchema("k", vector.I64, "v", vector.I64))
-		rng := rand.New(rand.NewSource(13))
-		for i := 0; i < 1<<18; i++ {
-			st.AppendRow(vector.I64Value(rng.Int63n(groups)), vector.I64Value(rng.Int63n(100)))
-		}
-		return st
+// e13Table is E13's input: 2^18 rows of (k, v) with k drawn from
+// [0, groups).
+func e13Table(groups int64) *vector.DSMStore {
+	st := vector.NewDSMStore(vector.NewSchema("k", vector.I64, "v", vector.I64))
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 1<<18; i++ {
+		st.AppendRow(vector.I64Value(rng.Int63n(groups)), vector.I64Value(rng.Int63n(100)))
 	}
-	local := mk(8)        // few hot groups: pre-agg absorbs everything
-	uniform := mk(200000) // high-cardinality: pre-agg is pure overhead
+	return st
+}
+
+func BenchmarkExpE13_PreAgg(b *testing.B) {
+	local := e13Table(8)        // few hot groups: pre-agg absorbs everything
+	uniform := e13Table(200000) // high-cardinality: pre-agg is pure overhead
 	for _, c := range []struct {
 		name string
 		st   *vector.DSMStore

@@ -1,23 +1,13 @@
-// Command advm-bench prints the paper's reproduction artifacts in
-// human-readable form and runs the repo's two CI perf micro-gates. Each
-// experiment id maps to a reproduction target — Table I, Figures 1–3, or one
-// of the quantitative claims E1, E3, E5, E6 — or to a gate: E20 (multi-core
-// speedup floors) and E21 (the tracing-off tax). The root package's
-// `go test -bench` harness benchmarks the claims E1–E14; end-to-end
-// performance is measured by the repo benchmark (BENCHMARK.json and
-// benchmark/), not here.
+// Command advm-bench takes the two perf micro-gate records that benchdiff
+// compares against bench/baseline: E20 (multi-core speedup floors) and E21
+// (the tracing-off tax). The paper's artifacts are printed by the programs
+// under examples/ and benchmarked by the root package's `go test -bench`
+// harness (E1–E14); end-to-end performance is measured by the repo benchmark
+// (BENCHMARK.json and benchmark/), not here.
 //
-//	advm-bench -exp T1    # skeleton catalogue
-//	advm-bench -exp F1    # Figure-1 state machine transition log
-//	advm-bench -exp F2    # Figure-2 program: source, IR, outputs
-//	advm-bench -exp F3    # Figure-3 dependency-graph partition (Graphviz)
-//	advm-bench -exp E1    # TPC-H Q1 strategy table
-//	advm-bench -exp E3    # selectivity specialization series
-//	advm-bench -exp E5    # compressed execution with scheme drift
-//	advm-bench -exp E6    # CPU/GPU placement series (modeled costs)
 //	advm-bench -exp E20   # multi-core scaling: serial vs 4 workers, speedups
 //	advm-bench -exp E21   # tracing overhead: serial Q6, tracing off vs on
-//	advm-bench -exp all   # everything
+//	advm-bench -exp all   # both
 //
 //	advm-bench -sf 0.02 -benchjson dir   # E20 + E21 → BENCH_multicore.json, BENCH_trace.json
 package main
@@ -27,30 +17,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
 	"repro/advm"
-	"repro/internal/compress"
-	"repro/internal/depgraph"
-	"repro/internal/device"
-	"repro/internal/dsl"
-	"repro/internal/engine"
-	"repro/internal/gpu"
-	"repro/internal/interp"
-	"repro/internal/jit"
-	"repro/internal/nir"
 	"repro/internal/tpch"
-	"repro/internal/vector"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1,F1,F2,F3,E1,E3,E5,E6,E20,E21) or all")
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for E1/E20")
-	benchjson := flag.String("benchjson", "", "directory to write the BENCH_multicore.json (E20) and BENCH_trace.json (E21) perf records into (runs E20 and E21 only)")
+	exp := flag.String("exp", "all", "experiment id (E20,E21) or all")
+	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for E20")
+	benchjson := flag.String("benchjson", "", "directory to write the BENCH_multicore.json (E20) and BENCH_trace.json (E21) perf records into")
 	data := flag.String("data", os.Getenv("TPCH_DATA_DIR"),
 		"directory of pre-generated TPC-H tables (tpch-gen -binary); generated on the fly when empty or missing")
 	flag.Parse()
@@ -63,34 +42,6 @@ func main() {
 
 	all := *exp == "all"
 	ran := false
-	if all || *exp == "T1" {
-		expT1()
-		ran = true
-	}
-	if all || *exp == "F1" || *exp == "F2" {
-		expF1F2()
-		ran = true
-	}
-	if all || *exp == "F3" {
-		expF3()
-		ran = true
-	}
-	if all || *exp == "E1" {
-		expE1(*sf)
-		ran = true
-	}
-	if all || *exp == "E3" {
-		expE3()
-		ran = true
-	}
-	if all || *exp == "E5" {
-		expE5()
-		ran = true
-	}
-	if all || *exp == "E6" {
-		expE6()
-		ran = true
-	}
 	if all || *exp == "E20" {
 		expE20(*sf, *data, "")
 		ran = true
@@ -100,241 +51,13 @@ func main() {
 		ran = true
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "advm-bench: unknown experiment %q (`go test -bench ExpXX .` covers E1–E14)\n", *exp)
+		fmt.Fprintf(os.Stderr, "advm-bench: unknown experiment %q (examples/ prints F1, F2, E1, E3, E5 and E6; `go test -bench ExpXX .` covers E1–E14)\n", *exp)
 		os.Exit(2)
 	}
 }
 
 func header(s string) {
 	fmt.Printf("\n=== %s ===\n\n", s)
-}
-
-// expT1 prints the implemented skeleton catalogue (Table I).
-func expT1() {
-	header("T1 — Table I: data-parallel skeletons")
-	rows := [][2]string{
-		{"map", "element-wise application of f on ~v (map keyword; lambdas or named fns)"},
-		{"filter", "element-wise selection with predicate p; computes a selection vector"},
-		{"fold", "reduce ~v with initial value i and reduction function r"},
-		{"read", "consecutive read from position i in ~d (dynamic count)"},
-		{"write", "consecutive write of ~v to location i of ~d"},
-		{"gather", "read from locations ~i in ~d"},
-		{"scatter", "write ~v to locations ~i of ~d with conflict fn (last/first/sum/min/max)"},
-		{"gen", "fill array with f(0..n-1)"},
-		{"condense", "eliminate the selection vector from ~v"},
-		{"merge", "abstract merge: join / union / diff / intersect over sorted flows"},
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-10s %s\n", r[0], r[1])
-	}
-	fmt.Printf("\npre-compiled vectorized kernels backing them: %d\n", advm.KernelCount())
-}
-
-// expF1F2 runs Figure 2 and prints the Figure-1 transition log.
-func expF1F2() {
-	header("F2 — Figure 2 program")
-	fmt.Print(dsl.Figure2Source)
-
-	sess := advm.MustCompile(dsl.Figure2Source, map[string]advm.Kind{
-		"some_data": advm.I64, "v": advm.I64, "w": advm.I64,
-	},
-		advm.WithSyncOptimizer(true),
-		advm.WithHotThresholds(2, 200*time.Microsecond),
-	)
-
-	data := make([]int64, 4096)
-	for i := range data {
-		data[i] = int64(i%7 - 3)
-	}
-	for r := 0; r < 3; r++ {
-		v := advm.NewVector(advm.I64, 0, 4096)
-		w := advm.NewVector(advm.I64, 0, 4096)
-		if err := sess.Run(context.Background(), map[string]*advm.Vector{
-			"some_data": advm.FromI64(data), "v": v, "w": w,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if r == 2 {
-			fmt.Printf("\noutputs after run %d: v=%s w=%s\n", r+1, v, w)
-		}
-	}
-
-	header("F1 — Figure 1 state machine transitions")
-	for _, tr := range sess.Stats().Transitions {
-		fmt.Printf("  %v\n", tr)
-	}
-	fmt.Println("\nfinal plan:")
-	fmt.Print(sess.PlanReport())
-}
-
-// expF3 prints the Figure-3 dependency graph and greedy partition.
-func expF3() {
-	header("F3 — Figure 3: dependency graph, greedily partitioned")
-	ast := dsl.MustParse(dsl.Figure2Source)
-	np, err := nir.Normalize(ast, map[string]vector.Kind{
-		"some_data": vector.I64, "v": vector.I64, "w": vector.I64,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	it := interp.New(np)
-	var seg *interp.Segment
-	for _, s := range it.Segments {
-		if seg == nil || len(s.Instrs) > len(seg.Instrs) {
-			seg = s
-		}
-	}
-	g := depgraph.Build(seg.Instrs, nil)
-	frags := depgraph.Partition(g, depgraph.DefaultConstraints())
-	for i, f := range frags {
-		fmt.Printf("function %d: %s\n", i+1, f)
-		for _, n := range f.Nodes {
-			fmt.Printf("    %s\n", g.Nodes[n].Instr)
-		}
-	}
-	fmt.Println("\nexcluded from functions (interpreted): filters and scalar glue")
-	fmt.Println("\nGraphviz:")
-	fmt.Print(depgraph.Dot(g, frags))
-}
-
-// expE1 prints the Q1 strategy table.
-func expE1(sf float64) {
-	header(fmt.Sprintf("E1 — TPC-H Q1 strategies (SF %.3f)", sf))
-	st := tpch.GenLineitem(sf, 42)
-	cl := tpch.Compact(st)
-	fmt.Printf("%d lineitem rows\n\n", st.Rows())
-
-	measure := func(label string, f func() error) {
-		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintln(os.Stderr, label, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  %-44s %12v\n", label, time.Since(start).Round(time.Microsecond))
-	}
-	measure("tuple-at-a-time compiled (HyPer-style)", func() error {
-		tpch.Q1HyPer(st, tpch.Q1Cutoff)
-		return nil
-	})
-	measure("vectorized interpreted (X100-style)", func() error {
-		_, err := tpch.Q1Engine(context.Background(), st, tpch.Q1Cutoff, tpch.Q1Options{PreAgg: engine.PreAggOff})
-		return err
-	})
-	measure("vectorized + compact types + pre-agg [12]", func() error {
-		tpch.Q1Compact(cl, tpch.Q1Cutoff)
-		return nil
-	})
-	measure("adaptive VM (JIT traces, modeled latency)", func() error {
-		_, err := tpch.Q1Engine(context.Background(), st, tpch.Q1Cutoff, tpch.Q1Options{
-			JIT: true, JITOpt: jit.Options{CompileLatency: jit.DefaultCompileLatency},
-		})
-		return err
-	})
-	fmt.Println("\nexpected shape: compact+preagg ≪ compiled < adaptive < plain vectorized")
-}
-
-// expE3 prints the selectivity specialization series.
-func expE3() {
-	header("E3 — selectivity specialization (full vs selective vs adaptive)")
-	n := 1 << 19
-	rng := rand.New(rand.NewSource(3))
-	st := advm.NewTable(advm.NewSchema("key", advm.I64, "val", advm.I64))
-	for i := 0; i < n; i++ {
-		st.AppendRow(advm.I64Value(rng.Int63n(1000)), advm.I64Value(rng.Int63n(1000)))
-	}
-	sess, err := advm.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("  %-12s %12s %12s %12s\n", "selectivity", "full", "selective", "adaptive")
-	for _, sel := range []int64{10, 100, 300, 500, 700, 900, 990} {
-		var times [3]time.Duration
-		for i, mode := range []advm.EvalMode{advm.EvalFull, advm.EvalSelective, advm.EvalAdaptive} {
-			plan := advm.Scan(st, "key", "val").
-				FilterMode(advm.EvalFull, fmt.Sprintf(`(\k -> k < %d)`, sel), "key").
-				ComputeMode(mode, "out", `(\v -> (v * 3 + 7) * (v - 1))`, advm.I64, "val")
-			start := time.Now()
-			rows, err := sess.Query(context.Background(), plan)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if _, err := rows.Count(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			times[i] = time.Since(start)
-		}
-		fmt.Printf("  %-12.3f %12v %12v %12v\n", float64(sel)/1000,
-			times[0].Round(time.Microsecond), times[1].Round(time.Microsecond), times[2].Round(time.Microsecond))
-	}
-}
-
-// expE5 prints the compressed-execution comparison.
-func expE5() {
-	header("E5 — compressed execution with per-block scheme drift")
-	rng := rand.New(rand.NewSource(5))
-	var data []int64
-	for blk := 0; blk < 64; blk++ {
-		switch blk % 3 {
-		case 0:
-			v := rng.Int63n(100)
-			for i := 0; i < compress.DefaultBlockLen; i++ {
-				if i%500 == 0 {
-					v = rng.Int63n(100)
-				}
-				data = append(data, v)
-			}
-		case 1:
-			for i := 0; i < compress.DefaultBlockLen; i++ {
-				data = append(data, int64(rng.Intn(5))*1000)
-			}
-		default:
-			for i := 0; i < compress.DefaultBlockLen; i++ {
-				data = append(data, 1<<20+rng.Int63n(512))
-			}
-		}
-	}
-	col, err := compress.BuildColumn(data, compress.DefaultBlockLen, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("  %d blocks, %d scheme changes, %.1f%% of raw size\n\n",
-		len(col.Blocks()), col.SchemeChanges(),
-		100*float64(col.CompressedBytes())/float64(8*len(data)))
-	buf := make([]int64, compress.DefaultBlockLen)
-	start := time.Now()
-	var t1 int64
-	for _, blk := range col.Blocks() {
-		blk.Decompress(buf[:blk.Len()])
-		for _, v := range buf[:blk.Len()] {
-			if v > 100 {
-				t1 += v
-			}
-		}
-	}
-	d1 := time.Since(start)
-	start = time.Now()
-	var t2 int64
-	for _, blk := range col.Blocks() {
-		t2 += blk.SumGreater(100)
-	}
-	d2 := time.Since(start)
-	sc := compress.NewAdaptiveScanner(nil)
-	start = time.Now()
-	t3 := sc.SumGreater(col, 100)
-	d3 := time.Since(start)
-	fmt.Printf("  decompress+interpret   %12v\n", d1)
-	fmt.Printf("  compressed execution   %12v\n", d2)
-	fmt.Printf("  adaptive (VM-style)    %12v   fallbacks=%d specialized=%d\n", d3, sc.Fallbacks, sc.Specialized)
-	if t1 != t2 || t2 != t3 {
-		fmt.Fprintln(os.Stderr, "results disagree!")
-		os.Exit(1)
-	}
 }
 
 // calibSink defeats dead-code elimination in calibrate.
@@ -580,31 +303,6 @@ func fatalE20(err error) {
 	os.Exit(1)
 }
 
-// expE6 prints the device placement series.
-func expE6() {
-	header("E6 — adaptive CPU/GPU placement (modeled costs)")
-	g := gpu.New(gpu.DefaultConfig())
-	cpu := device.NewCPU()
-	placer := device.NewPlacer(cpu, g)
-	fmt.Printf("  %-10s %-9s %14s %14s   %s\n", "elems", "resident", "cpu model", "gpu model", "placement")
-	for _, resident := range []bool{false, true} {
-		for _, elems := range []int{1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 24} {
-			name := fmt.Sprintf("c%d%v", elems, resident)
-			k := device.Kernel{
-				Name: name, Elems: elems, BytesIn: elems * 8, BytesOut: elems * 8,
-				OpsPerElem: 4, Inputs: []string{name},
-			}
-			if resident {
-				g.MakeResident(name, k.BytesIn)
-			}
-			d := placer.Choose(k)
-			fmt.Printf("  %-10d %-9v %14v %14v   → %s\n",
-				elems, resident, cpu.Estimate(k).Modeled, g.Estimate(k).Modeled, d.Name())
-		}
-	}
-	fmt.Printf("\n  decisions: %v\n", placer.Decisions)
-}
-
 // traceRecord is the BENCH_trace.json perf record: serial Q6 with tracing
 // off — the production default every query pays — plus the fully traced leg
 // for context. Benchdiff gates only the off leg: the tracing hooks must
@@ -630,7 +328,7 @@ type traceRecord struct {
 // stay within a few percent of the pre-tracing baseline) vs morsel-level
 // tracing (informational). The scale factor is pinned at 0.02 to track a
 // fixed workload regardless of -sf. With outDir != "" it writes
-// BENCH_trace.json there for the CI gate.
+// BENCH_trace.json there for benchdiff.
 func expE21(dataDir, outDir string) {
 	const sf = 0.02
 	const iters = 15

@@ -488,8 +488,8 @@ func minNode(ns []int) int {
 	return m
 }
 
-// Dot renders the graph in Graphviz format with fragments as clusters, used
-// by the Figure-3 report in advm-bench.
+// Dot renders the graph in Graphviz format with fragments as clusters;
+// TestPartitionReproducesFigure3 logs Figure 3 this way under -v.
 func Dot(g *Graph, frags []*Fragment) string {
 	var sb strings.Builder
 	sb.WriteString("digraph depgraph {\n  rankdir=BT;\n")

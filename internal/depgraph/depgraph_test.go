@@ -122,6 +122,7 @@ func TestPartitionReproducesFigure3(t *testing.T) {
 			t.Error("filter must not be fused into a compiled function")
 		}
 	}
+	t.Logf("Figure 3 as Graphviz (fragments are clusters):\n%s", Dot(g, frags))
 }
 
 func TestPartitionRespectsMaxInputs(t *testing.T) {

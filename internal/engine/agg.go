@@ -157,10 +157,6 @@ func newAggSpec(child []ColInfo, keys []string, aggs []Aggregate) (*aggSpec, []C
 	return s, schema, nil
 }
 
-// i64Key reports whether the table is keyed by exactly one i64 column,
-// the shape its key index serves with a map.
-func (s *aggSpec) i64Key() bool { return len(s.keyKinds) == 1 && s.keyKinds[0] == vector.I64 }
-
 // columns returns c's group-key columns and stores aggregate ai's input
 // column in vals[ai].
 func (s *aggSpec) columns(c *vector.Chunk, vals []*vector.Vector) keyCols {
@@ -220,10 +216,8 @@ type aggTable struct {
 	count []int64
 	acc   []*vector.Vector // one per aggregate; nil for count
 
-	// Key index. One i64 key looks groups up in ids; any other keyed shape
-	// probes slots, a linear-probing table of group id + 1 (0 = empty) over
-	// the per-group key hashes.
-	ids    map[int64]int32
+	// Key index: slots is a linear-probing table of group id + 1 (0 = empty)
+	// over the per-group key hashes.
 	slots  []int32
 	hashes []uint64
 
@@ -256,12 +250,7 @@ func newAggTable(spec *aggSpec, hint int) *aggTable {
 			t.acc[ai] = vector.New(kind, 0, hint)
 		}
 	}
-	switch {
-	case spec.i64Key():
-		if t.ids == nil {
-			t.ids = make(map[int64]int32, hint)
-		}
-	case len(spec.keys) > 0:
+	if len(spec.keys) > 0 {
 		size := 16
 		for size < 2*hint {
 			size *= 2
@@ -289,7 +278,6 @@ func (t *aggTable) release() {
 		}
 	}
 	clear(t.in)
-	clear(t.ids)
 	clear(t.slots)
 	t.n, t.spec = 0, nil
 	t.count, t.hashes = t.count[:0], t.hashes[:0]
@@ -347,56 +335,24 @@ func rowAt(sel vector.Sel, i int) int {
 func (t *aggTable) group(in *keyCols, sel vector.Sel, n int) {
 	t.gids = extend(t.gids[:0], n)
 	t.fresh = t.fresh[:0]
-	switch {
-	case len(t.spec.keys) == 0:
-		if t.n == 0 {
-			t.n = 1
-			t.fresh = append(t.fresh, int32(rowAt(sel, 0)))
-		}
-	case t.spec.i64Key():
-		t.groupI64(in.i[0], sel)
-	default:
+	if len(t.spec.keys) > 0 {
 		t.groupHashed(in, sel)
+	} else if t.n == 0 {
+		t.n = 1
+		t.fresh = append(t.fresh, int32(rowAt(sel, 0)))
 	}
 }
 
-// groupI64 is group for one i64 key. A row whose key equals the previous
-// row's reuses its group id without a lookup.
-func (t *aggTable) groupI64(keys []int64, sel vector.Sel) {
-	gids := t.gids
-	var prev int64
-	pg := int32(-1)
-	for i := range gids {
-		r := rowAt(sel, i)
-		k := keys[r]
-		if pg >= 0 && k == prev {
-			gids[i] = pg
-			continue
-		}
-		g, ok := t.ids[k]
-		if !ok {
-			g = int32(t.n)
-			t.ids[k] = g
-			t.keys.i[0] = append(t.keys.i[0], k)
-			t.fresh = append(t.fresh, int32(r))
-			t.n++
-		}
-		gids[i], prev, pg = g, k, g
-	}
-}
-
-// groupHashed is group for every keyed shape but one i64 key: it runs
-// groupPair specialized to the key columns' element types.
+// groupHashed is group for every keyed shape: it runs groupPair specialized
+// to the key columns' element types.
 func (t *aggTable) groupHashed(in *keyCols, sel vector.Sel) {
 	k := t.spec.keyKinds
 	switch {
-	case len(k) == 1:
-		groupPair(t, sel, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)
-	case k[0] == vector.I64 && k[1] == vector.I64:
+	case k[0] == vector.I64 && (len(k) == 1 || k[1] == vector.I64):
 		groupPair(t, sel, in.i[0], in.i[1], &t.keys.i[0], &t.keys.i[1], hashI64, hashI64)
 	case k[0] == vector.I64:
 		groupPair(t, sel, in.i[0], in.s[1], &t.keys.i[0], &t.keys.s[1], hashI64, hashStr64)
-	case k[1] == vector.I64:
+	case len(k) == 2 && k[1] == vector.I64:
 		groupPair(t, sel, in.s[0], in.i[1], &t.keys.s[0], &t.keys.i[1], hashStr64, hashI64)
 	default:
 		groupPair(t, sel, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)

@@ -6,9 +6,10 @@
 //
 // The package is designed so that disabled tracing costs a single nil
 // check: every method on *Trace and *Span is safe to call on a nil
-// receiver and returns immediately. Hot-path counters (busy time, rows,
-// loops) are atomics so concurrently executing workers can share one
-// operator span without locking.
+// receiver and returns immediately, allocating nothing unless its
+// arguments are boxed at the call site (SetAttr, Event with attrs).
+// Hot-path counters (busy time, rows, loops) are atomics so concurrently
+// executing workers can share one operator span without locking.
 package qtrace
 
 import (
@@ -183,6 +184,11 @@ func (s *Span) Child(kind Kind, name string) *Span {
 
 // Event records a zero-duration marker span under parent (or at the root
 // when parent is nil).
+//
+// Unlike the other hooks, Event with attrs is not free on a nil trace: a
+// non-constant attr Value is boxed into an any at the call site, before
+// the nil check runs, and that costs an allocation. Callers that pass
+// attrs on a hot path must check the trace for nil first.
 func (t *Trace) Event(parent *Span, name string, attrs ...Attr) {
 	if t == nil {
 		return
@@ -274,6 +280,11 @@ func (s *Span) SetWorker(w int) {
 }
 
 // SetAttr sets (or replaces) an attribute.
+//
+// Unlike the other hooks, SetAttr is not free on a nil span: a non-constant
+// v is boxed into an any at the call site, before the nil check runs, and
+// that costs an allocation. Callers on a hot path must check the span for
+// nil first.
 func (s *Span) SetAttr(key string, v any) {
 	if s == nil {
 		return

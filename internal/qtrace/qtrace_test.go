@@ -86,6 +86,50 @@ func TestNilTraceIsSafe(t *testing.T) {
 	}
 }
 
+// TestNilHooksAllocateNothing pins the disabled-tracing contract: with
+// tracing off the engine holds a nil *Trace and nil *Spans, and every hook
+// it calls on them must cost a nil check and no allocation. The exceptions
+// are SetAttr and Event with attrs: their arguments are boxed into an any at
+// the call site, before the nil check runs, so their callers guard them
+// with a nil check of their own (see their godoc).
+func TestNilHooksAllocateNothing(t *testing.T) {
+	var tr *Trace
+	var sp *Span
+	hooks := []struct {
+		name string
+		fn   func()
+	}{
+		{"Trace.Root", func() { _ = tr.Root("q") }},
+		{"Span.Child", func() { _ = sp.Child(KindOp, "x") }},
+		{"Trace.Event", func() { tr.Event(sp, "e") }},
+		{"Span.End", func() { sp.End() }},
+		{"Trace.Finish", func() { tr.Finish() }},
+		{"Span.AddTime", func() { sp.AddTime(time.Millisecond) }},
+		{"Span.AddRows", func() { sp.AddRows(7) }},
+		{"Span.AddLoop", func() { sp.AddLoop() }},
+		{"Span.SetWorker", func() { sp.SetWorker(3) }},
+		{"Trace.Now", func() { _ = tr.Now() }},
+		{"Trace.Level", func() { _ = tr.Level() }},
+		{"Trace.Morsels", func() { _ = tr.Morsels() }},
+		{"Trace.Enabled", func() { _ = tr.Enabled() }},
+		{"Trace.Spans", func() { _ = tr.Spans() }},
+		{"Trace.Tree", func() { _ = tr.Tree() }},
+		{"Trace.OpSelfTimes", func() { _ = tr.OpSelfTimes() }},
+		{"Trace.ExplainAnalyze", func() { _ = tr.ExplainAnalyze() }},
+		{"Span accessors", func() {
+			_, _, _, _ = sp.ID(), sp.Parent(), sp.Kind(), sp.Name()
+			_, _, _, _ = sp.StartNs(), sp.EndNs(), sp.DurNs(), sp.BusyNs()
+			_, _, _ = sp.Rows(), sp.Loops(), sp.Worker()
+			_, _ = sp.Attrs(), sp.Attr("k")
+		}},
+	}
+	for _, h := range hooks {
+		if n := testing.AllocsPerRun(100, h.fn); n != 0 {
+			t.Errorf("%s on a nil receiver allocates %v times per call, want 0", h.name, n)
+		}
+	}
+}
+
 // buildSample constructs a small two-level trace with morsel leaves and an
 // event, exercising the accumulation API the engine hooks use.
 func buildSample(level Level) *Trace {

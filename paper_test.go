@@ -1,0 +1,127 @@
+package repro
+
+// Tests of the paper's qualitative claims, asserted on quantities the engine
+// counts rather than on timings, so they hold on any host. Each uses the
+// data of the matching BenchmarkExp* in bench_test.go, which prices the same
+// claim under `go test -bench`.
+
+import (
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/vector"
+)
+
+// sameStore reports whether a and b hold the same columns and values.
+func sameStore(a, b *vector.DSMStore) bool {
+	if a.Rows() != b.Rows() || len(a.Schema().Names) != len(b.Schema().Names) {
+		return false
+	}
+	for i, name := range a.Schema().Names {
+		if b.Schema().Names[i] != name || !a.Col(i).Equal(b.Col(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPaperE12Bloom: the adaptive join keeps consulting its Bloom filter
+// while most probes miss the build side, and stops after the first chunk
+// when most probes hit. Every mode returns the same rows.
+func TestPaperE12Bloom(t *testing.T) {
+	dim := e12Dim()
+	for _, c := range []struct {
+		name      string
+		fact      *vector.DSMStore
+		bloomKept bool // whether adaptive mode keeps the filter throughout
+	}{
+		{"selective", e12Fact(100_000), true},
+		{"dense", e12Fact(1_000), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			probes := int64(c.fact.Rows())
+			var want *vector.DSMStore
+			for _, m := range []struct {
+				name string
+				mode engine.BloomMode
+			}{{"on", engine.BloomOn}, {"off", engine.BloomOff}, {"adaptive", engine.BloomAdaptive}} {
+				probe, _ := engine.NewScan(c.fact, "fk")
+				build, _ := engine.NewScan(dim, "k")
+				j := engine.NewHashJoin(probe, build, "fk", "k").SetBloom(m.mode)
+				got, err := engine.Collect(t.Context(), j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !sameStore(got, want) {
+					t.Fatalf("Bloom %s returns different rows than Bloom on", m.name)
+				}
+				lo, hi := probes, probes // the filter is consulted on every probe
+				switch {
+				case m.mode == engine.BloomOff:
+					lo, hi = 0, 0
+				case m.mode == engine.BloomAdaptive && !c.bloomKept:
+					lo, hi = 1, vector.DefaultChunkLen // only on the first chunk
+				}
+				t.Logf("Bloom %s: %d Bloom checks of %d probes", m.name, j.BloomChecks, j.Probes)
+				if j.Probes != probes || j.BloomChecks < lo || j.BloomChecks > hi {
+					t.Fatalf("Bloom %s: %d Bloom checks of %d probes, want %d–%d checks of %d",
+						m.name, j.BloomChecks, j.Probes, lo, hi, probes)
+				}
+			}
+		})
+	}
+}
+
+// TestPaperE13PreAgg: adaptive pre-aggregation stays on when a few groups
+// absorb nearly every row, and turns off after the first chunk when the
+// groups are too many for its cache. Every mode returns the same groups.
+func TestPaperE13PreAgg(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		st         *vector.DSMStore
+		preAggKept bool // whether adaptive mode pre-aggregates throughout
+	}{
+		{"8 groups", e13Table(8), true},
+		{"200000 groups", e13Table(200_000), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows := int64(c.st.Rows())
+			var want *vector.DSMStore
+			for _, m := range []struct {
+				name string
+				mode engine.PreAggMode
+			}{{"on", engine.PreAggOn}, {"off", engine.PreAggOff}, {"adaptive", engine.PreAggAdaptive}} {
+				scan, _ := engine.NewScan(c.st, "k", "v")
+				agg := engine.NewHashAgg(scan, []string{"k"}, []engine.Aggregate{
+					{Func: engine.AggSum, Col: "v", As: "s"},
+				}).SetPreAgg(m.mode)
+				got, err := engine.Collect(t.Context(), agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !sameStore(got, want) {
+					t.Fatalf("pre-aggregation %s returns different groups than pre-aggregation on", m.name)
+				}
+				lo, hi := rows, rows // every row meets the pre-aggregation cache
+				switch {
+				case m.mode == engine.PreAggOff:
+					lo, hi = 0, 0
+				case m.mode == engine.PreAggAdaptive && !c.preAggKept:
+					lo, hi = 1, vector.DefaultChunkLen // only the first chunk's rows
+				}
+				seen := agg.PreAggHits + agg.PreAggMisses
+				t.Logf("pre-aggregation %s: %d hits, %d misses over %d rows", m.name, agg.PreAggHits, agg.PreAggMisses, rows)
+				if seen < lo || seen > hi {
+					t.Fatalf("pre-aggregation %s: %d of %d rows met the cache, want %d–%d", m.name, seen, rows, lo, hi)
+				}
+				if m.mode == engine.PreAggAdaptive && c.preAggKept && 100*agg.PreAggHits < 99*rows {
+					t.Fatalf("adaptive: %d hits over %d rows, want ≥ 99%% hits", agg.PreAggHits, rows)
+				}
+			}
+		})
+	}
+}
