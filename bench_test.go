@@ -326,20 +326,12 @@ loop {
 // E3 — selectivity specialization: full vs selective evaluation sweep.
 
 func BenchmarkExpE3_Selectivity(b *testing.B) {
-	n := 1 << 19
-	rng := rand.New(rand.NewSource(3))
-	st := vector.NewDSMStore(vector.NewSchema("key", vector.I64, "val", vector.I64))
-	for i := 0; i < n; i++ {
-		st.AppendRow(vector.I64Value(rng.Int63n(1000)), vector.I64Value(rng.Int63n(1000)))
-	}
+	st := e3Table()
 	for _, sel := range []int64{10, 500, 990} {
 		for _, mode := range []engine.EvalMode{engine.EvalFull, engine.EvalSelective, engine.EvalAdaptive} {
 			b.Run(fmt.Sprintf("sel=%.2f/%v", float64(sel)/1000, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					scan, _ := engine.NewScan(st, "key", "val")
-					f := engine.NewFilter(scan, fmt.Sprintf(`(\k -> k < %d)`, sel), "key").SetMode(engine.EvalFull)
-					c := engine.NewCompute(f, "out", `(\v -> (v * 3 + 7) * (v - 1))`, vector.I64, "val").SetMode(mode)
-					if _, err := engine.CountRows(b.Context(), c); err != nil {
+					if _, err := engine.CountRows(b.Context(), e3Pipeline(st, sel, mode)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -348,40 +340,64 @@ func BenchmarkExpE3_Selectivity(b *testing.B) {
 	}
 }
 
+// e3Table is E3's input: 2^19 rows of (key, val), both drawn from [0, 1000).
+func e3Table() *vector.DSMStore {
+	n := 1 << 19
+	rng := rand.New(rand.NewSource(3))
+	st := vector.NewDSMStore(vector.NewSchema("key", vector.I64, "val", vector.I64))
+	for i := 0; i < n; i++ {
+		st.AppendRow(vector.I64Value(rng.Int63n(1000)), vector.I64Value(rng.Int63n(1000)))
+	}
+	return st
+}
+
+// e3Pipeline keeps the rows with key < sel (so sel/1000 of them) and
+// computes a polynomial of val over the survivors in the given flavor.
+func e3Pipeline(st *vector.DSMStore, sel int64, mode engine.EvalMode) *engine.Compute {
+	scan, _ := engine.NewScan(st, "key", "val")
+	f := engine.NewFilter(scan, fmt.Sprintf(`(\k -> k < %d)`, sel), "key").SetMode(engine.EvalFull)
+	return engine.NewCompute(f, "out", `(\v -> (v * 3 + 7) * (v - 1))`, vector.I64, "val").SetMode(mode)
+}
+
 // ---------------------------------------------------------------------------
 // E4 — on-the-fly reordering of selective operators.
 
 func BenchmarkExpE4_Reorder(b *testing.B) {
-	n := 1 << 19
-	rng := rand.New(rand.NewSource(4))
-	st := vector.NewDSMStore(vector.NewSchema("a", vector.I64, "b", vector.I64))
-	for i := 0; i < n; i++ {
-		st.AppendRow(vector.I64Value(rng.Int63n(100)), vector.I64Value(rng.Int63n(100)))
-	}
-	stages := func() []engine.Selector {
-		return []engine.Selector{
-			&engine.CmpSelector{Label: "A", Col: "a", Threshold: 90, Greater: false}, // ~90%
-			&engine.CmpSelector{Label: "B", Col: "b", Threshold: 5, Greater: false},  // ~5%
-		}
-	}
+	st := e4Table()
 	b.Run("static_bad_order", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			scan, _ := engine.NewScan(st, "a", "b")
-			ch := engine.NewAdaptiveChain(scan, false, stages()...)
-			if _, err := engine.CountRows(b.Context(), ch); err != nil {
+			if _, err := engine.CountRows(b.Context(), e4Chain(st, false)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("adaptive_order", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			scan, _ := engine.NewScan(st, "a", "b")
-			ch := engine.NewAdaptiveChain(scan, true, stages()...)
-			if _, err := engine.CountRows(b.Context(), ch); err != nil {
+			if _, err := engine.CountRows(b.Context(), e4Chain(st, true)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// e4Table is E4's input: 2^19 rows of (a, b), both drawn from [0, 100).
+func e4Table() *vector.DSMStore {
+	n := 1 << 19
+	rng := rand.New(rand.NewSource(4))
+	st := vector.NewDSMStore(vector.NewSchema("a", vector.I64, "b", vector.I64))
+	for i := 0; i < n; i++ {
+		st.AppendRow(vector.I64Value(rng.Int63n(100)), vector.I64Value(rng.Int63n(100)))
+	}
+	return st
+}
+
+// e4Chain scans st through two selectors in the bad order: A (keeps ~90 %)
+// before B (keeps ~5 %).
+func e4Chain(st *vector.DSMStore, adaptive bool) *engine.AdaptiveChain {
+	scan, _ := engine.NewScan(st, "a", "b")
+	return engine.NewAdaptiveChain(scan, adaptive,
+		&engine.CmpSelector{Label: "A", Col: "a", Threshold: 90, Greater: false},
+		&engine.CmpSelector{Label: "B", Col: "b", Threshold: 5, Greater: false})
 }
 
 // ---------------------------------------------------------------------------

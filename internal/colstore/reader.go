@@ -3,9 +3,9 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/compress"
 	"repro/internal/vector"
@@ -274,7 +274,10 @@ func (t *Table) ScanChecked(lo, n int, cols []int, dst []*vector.Vector) (int, e
 	return n, nil
 }
 
-// scanColumn fills dst with rows [lo, lo+n) of column ci.
+// scanColumn fills dst with rows [lo, lo+n) of column ci. It allocates
+// nothing: I64 and F64 rows decode straight into dst (a float's stored form
+// is its IEEE bits, so the F64 buffer is written as int64), and Str
+// dictionary codes go through a fixed stack block.
 func (t *Table) scanColumn(ci, lo, n int, dst *vector.Vector) error {
 	c := t.cols[ci]
 	filled := 0
@@ -292,32 +295,50 @@ func (t *Table) scanColumn(ci, lo, n int, dst *vector.Vector) error {
 		}
 		switch c.kind {
 		case vector.I64:
-			if got := h.block.DecompressRange(dst.I64()[filled:filled+take], from, take); got != take {
-				return fmt.Errorf("%w: segment %d range decode %d/%d", ErrCorrupt, si, got, take)
-			}
+			err = h.decode(dst.I64()[filled:filled+take], from, si)
 		case vector.F64:
 			out := dst.F64()[filled : filled+take]
-			tmp := make([]int64, take)
-			if got := h.block.DecompressRange(tmp, from, take); got != take {
-				return fmt.Errorf("%w: segment %d range decode %d/%d", ErrCorrupt, si, got, take)
-			}
-			for i, v := range tmp {
-				out[i] = math.Float64frombits(uint64(v))
-			}
+			err = h.decode(unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(out))), take), from, si)
 		case vector.Str:
-			out := dst.Str()[filled : filled+take]
-			tmp := make([]int64, take)
-			if got := h.block.DecompressRange(tmp, from, take); got != take {
-				return fmt.Errorf("%w: segment %d range decode %d/%d", ErrCorrupt, si, got, take)
-			}
-			for i, code := range tmp {
-				if code < 0 || code >= int64(len(h.dict)) {
-					return fmt.Errorf("%w: segment %d code %d outside dictionary", ErrCorrupt, si, code)
-				}
-				out[i] = h.dict[code]
-			}
+			err = h.decodeStr(dst.Str()[filled:filled+take], from, si)
+		}
+		if err != nil {
+			return err
 		}
 		filled += take
+	}
+	return nil
+}
+
+// decode fills dst with the stored values of segment si's rows [from,
+// from+len(dst)).
+func (h *segHandle) decode(dst []int64, from, si int) error {
+	if got := h.block.DecompressRange(dst, from, len(dst)); got != len(dst) {
+		return fmt.Errorf("%w: segment %d range decode %d/%d", ErrCorrupt, si, got, len(dst))
+	}
+	return nil
+}
+
+// strBlock is how many dictionary codes decodeStr decodes per call, through
+// a stack buffer.
+const strBlock = 256
+
+// decodeStr fills out with the strings of segment si's rows [from,
+// from+len(out)), checking every code against the segment's dictionary.
+func (h *segHandle) decodeStr(out []string, from, si int) error {
+	var codes [strBlock]int64
+	for done := 0; done < len(out); {
+		m := min(len(out)-done, strBlock)
+		if err := h.decode(codes[:m], from+done, si); err != nil {
+			return err
+		}
+		for i, code := range codes[:m] {
+			if code < 0 || code >= int64(len(h.dict)) {
+				return fmt.Errorf("%w: segment %d code %d outside dictionary", ErrCorrupt, si, code)
+			}
+			out[done+i] = h.dict[code]
+		}
+		done += m
 	}
 	return nil
 }

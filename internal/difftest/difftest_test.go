@@ -51,6 +51,9 @@ type execConfig struct {
 // WithTierThresholds(1, 1) mounts specialized fused loops on the very first
 // execution wherever the plan allows, so the fused paths (including their
 // guard-triggered deopts) face the same byte-identity bar as everything else.
+// par2-cpu-hot is the configuration the benchmark runs: fused loops on
+// several CPU workers with no MorselRunner between them and the parallel
+// aggregation, so its worker pipelines lend their chunks.
 var configs = []execConfig{
 	{"par1-auto", 1, 0, advm.DeviceAuto, false},
 	{"par2-cpu", 2, 1024, advm.DeviceCPU, false},
@@ -59,6 +62,7 @@ var configs = []execConfig{
 	{"par8-auto", 8, 4096, advm.DeviceAuto, false},
 	{"par8-gpu-fine", 8, 512, advm.DeviceGPU, false},
 	{"par1-hot", 1, 0, advm.DeviceAuto, true},
+	{"par2-cpu-hot", 2, 1024, advm.DeviceCPU, true},
 	{"par4-hot", 4, 1024, advm.DeviceAuto, true},
 	{"par8-gpu-hot", 8, 512, advm.DeviceGPU, true},
 }

@@ -18,12 +18,24 @@
 // fused programs.
 //
 // Chunk ownership: every operator treats the columns of its input chunks as
-// read-only, and a chunk, once emitted, is never written again, so
-// consumers may hold chunks across Next calls and hand them between
-// goroutines. Chunks scanned from an in-RAM table (a vector.Viewer) alias
-// the table's storage: an operator that wrote into its input would corrupt
-// the table, and the table must not be mutated while a query reads it.
+// read-only. Chunks scanned from an in-RAM table (a vector.Viewer) alias the
+// table's storage: an operator that wrote into its input would corrupt the
+// table, and the table must not be mutated while a query reads it.
 // Operators derive new columns into storage of their own.
+//
+// A chunk is owned by default: once emitted it is never written again, so
+// consumers may hold it across Next calls and hand it between goroutines.
+// A chunk may instead be lent: it stays valid only until its producer's
+// next Next, which may overwrite its columns, selection and header. Lending
+// is structural and starts at the pipeline breaker. ParallelAgg lends the
+// scan leaf of every worker pipeline it folds chunk by chunk (PartScan.Lend),
+// since it folds each chunk into its table — copying the keys and values it
+// keeps — before it pulls the next; an operator over a lent leaf may then
+// lend its own output (fused.Exec emits its scratch). Every consumer that
+// holds or buffers chunks must keep owned ones and therefore must not
+// lend: Exchange and its morsel drains, a MorselRunner (DeviceExec buffers
+// a whole morsel, so ParallelAgg does not lend under one), ParallelTopK,
+// the parallel join build, serial roots and the public Rows cursor.
 //
 // Determinism is structural, not scheduled: exchanges emit
 // chunks in morsel sequence order and parallel aggregation folds per-morsel

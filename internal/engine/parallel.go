@@ -23,10 +23,13 @@ import (
 // The exchange resets the window once per dispatched morsel, so one PartScan
 // serves a whole worker pipeline for the lifetime of a query.
 //
-// No chunk it emits is ever written again, so consumers may hold chunks
-// across Next calls and goroutines. Over a vector.Viewer (an in-RAM table)
-// a chunk's columns are read-only views of the table's own storage and
-// nothing is copied; any other store is copied into fresh buffers per chunk.
+// By default its chunks are owned: none is ever written again, so consumers
+// may hold chunks across Next calls and goroutines. Over a vector.Viewer (an
+// in-RAM table) a chunk's columns are read-only views of the table's own
+// storage and nothing is copied; any other store (the colstore) is decoded
+// into fresh buffers per chunk. A lent scan (see Lend) instead refills one
+// chunk header, one set of view headers and one set of decode buffers on
+// every Next, so in steady state it allocates nothing.
 type PartScan struct {
 	store    vector.Store
 	viewer   vector.Viewer
@@ -36,6 +39,11 @@ type PartScan struct {
 	schema   []ColInfo
 	chunkLen int
 	pos, hi  int
+
+	// Lent state: the buffers and chunk header every Next refills.
+	lent  bool
+	bufs  []*vector.Vector
+	chunk vector.Chunk
 }
 
 // NewPartScan creates a windowed scan over the named columns of store (all
@@ -53,6 +61,16 @@ func NewPartScan(store vector.Store, columns ...string) (*PartScan, error) {
 	s.skipper, _ = store.(RangeSkipper)
 	return s, nil
 }
+
+// Lend switches the scan to lent chunks: a chunk stays valid only until the
+// next Next, whose rows overwrite it. Only a consumer that is done with every
+// chunk before it pulls the next may lend — ParallelAgg's plain path, which
+// folds each chunk into its table and copies what it keeps. Operators
+// stacked on a lent leaf may lend their own output in turn (fused.Exec does).
+func (s *PartScan) Lend() { s.lent = true }
+
+// Lent reports whether the scan lends its chunks.
+func (s *PartScan) Lent() bool { return s.lent }
 
 // SetChunkLen overrides the scan's chunk length (default
 // vector.DefaultChunkLen).
@@ -101,26 +119,46 @@ func (s *PartScan) Next(ctx context.Context) (*vector.Chunk, error) {
 	if n > s.chunkLen {
 		n = s.chunkLen
 	}
-	bufs := make([]*vector.Vector, len(s.cols))
+	bufs := s.bufs
+	if bufs == nil {
+		bufs = s.newBufs(n)
+		if s.lent {
+			s.bufs = bufs
+		}
+	}
 	var got int
 	if s.viewer != nil {
-		// One allocation holds every column's header, however many columns.
-		views := make([]vector.Vector, len(s.cols))
-		for i := range bufs {
-			bufs[i] = &views[i]
-		}
 		got = s.viewer.View(s.pos, n, s.cols, bufs)
 	} else {
-		for i, info := range s.schema {
-			bufs[i] = vector.NewLen(info.Kind, n)
-		}
 		got = s.store.Scan(s.pos, n, s.cols, bufs)
 	}
 	if got == 0 {
 		return nil, nil
 	}
 	s.pos += got
-	return vector.ChunkFrom(s.names, bufs), nil
+	if !s.lent {
+		return vector.ChunkFrom(s.names, bufs), nil
+	}
+	s.chunk.Refill(s.names, bufs)
+	return &s.chunk, nil
+}
+
+// newBufs allocates one chunk's column vectors: bare headers for a view
+// scan, n-row buffers for a store that decodes into them.
+func (s *PartScan) newBufs(n int) []*vector.Vector {
+	bufs := make([]*vector.Vector, len(s.cols))
+	if s.viewer != nil {
+		// One allocation holds every column's header, however many columns.
+		views := make([]vector.Vector, len(s.cols))
+		for i := range bufs {
+			bufs[i] = &views[i]
+		}
+		return bufs
+	}
+	for i, info := range s.schema {
+		bufs[i] = vector.NewLen(info.Kind, n)
+	}
+	return bufs
 }
 
 // Close implements Operator.
@@ -779,6 +817,12 @@ func NewParallelAgg(store vector.Store, columns []string, workers int,
 		if err != nil {
 			return nil, err
 		}
+		// A plain pipeline is folded chunk by chunk, each chunk before the
+		// next is pulled, so its leaf may lend. A MorselRunner buffers a
+		// whole morsel before the fold and keeps owned chunks.
+		if _, buffers := pipe.(MorselRunner); !buffers {
+			leaf.Lend()
+		}
 		a.leaves = append(a.leaves, leaf)
 		a.pipes = append(a.pipes, pipe)
 	}
@@ -887,7 +931,8 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 				}
 			} else {
 				// Plain pipeline: fold chunk-by-chunk while draining, so a
-				// morsel's output (join fan-out included) never buffers.
+				// morsel's output (join fan-out included) never buffers and
+				// the pipeline's chunks may be lent (NewParallelAgg).
 				for {
 					c, err := a.pipes[worker].Next(ctx)
 					if err != nil {

@@ -61,6 +61,13 @@ type Exec struct {
 	scratch  []*vector.Vector // compute outputs, indexed by op
 	names    []string         // output column names, shared by emitted chunks
 
+	// lend is set at Open when the leaf is a lent engine.PartScan: the
+	// consumer is then done with each chunk before the next Next, so the
+	// loop emits its slots, scratch and e.idx in the reused out header
+	// instead of copying them.
+	lend bool
+	out  vector.Chunk
+
 	// Selectivity guard state.
 	warm    int
 	rateSum float64
@@ -98,6 +105,8 @@ func (e *Exec) Open(ctx context.Context) error {
 	if err := e.leaf.Open(ctx); err != nil {
 		return err
 	}
+	ps, ok := e.leaf.(*engine.PartScan)
+	e.lend = ok && ps.Lent()
 	e.resolved = e.resolved[:0]
 	for _, sh := range e.tables {
 		t, err := sh.Table(ctx)

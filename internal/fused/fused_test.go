@@ -531,3 +531,74 @@ func storeSchema(cols []engine.ColInfo) vector.Schema {
 	}
 	return sch
 }
+
+// TestLentExecAllocatesNothingPerChunk: over a lent leaf — the leaf of a
+// worker pipeline that ParallelAgg folds chunk by chunk — a filter+compute
+// loop emits its slots, scratch and selection in place, so after warm-up a
+// chunk costs no allocation at all, scan included. Each chunk, copied before
+// the next Next as the lending contract allows, still matches the
+// interpreter.
+func TestLentExecAllocatesNothingPerChunk(t *testing.T) {
+	st := testTable(64 * 256)
+	stages := []fused.Stage{
+		{Kind: fused.StageFilter, Lambda: `(\k -> (k >= 10) && (k < 80))`, Col: "k"},
+		{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
+		{Kind: fused.StageCompute, Lambda: `(\x y -> x * (1.0 - y))`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}},
+	}
+	chain := func(op engine.Operator) engine.Operator {
+		op = engine.NewFilter(op, `(\k -> (k >= 10) && (k < 80))`, "k")
+		op = engine.NewCompute(op, "y", `(\k -> k * 3 + 7)`, vector.I64, "k")
+		return engine.NewCompute(op, "z", `(\x y -> x * (1.0 - y))`, vector.F64, "x", "x")
+	}
+	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}, stages)
+	if !ok {
+		t.Fatal("segment must compile")
+	}
+	leaf, err := engine.NewPartScan(st, "k", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf.SetChunkLen(256)
+	leaf.Lend()
+	ex := fused.NewExec(prog, leaf, nil, nil, func(l engine.Operator) (engine.Operator, error) { return chain(l), nil })
+	ctx := context.Background()
+	if err := ex.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+
+	leaf.SetRange(0, st.Rows())
+	got := vector.NewDSMStore(storeSchema(prog.Schema()))
+	for {
+		c, err := ex.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			break
+		}
+		if c.Sel() == nil {
+			t.Fatal("a lent chunk the filter thinned must carry its selection, not a condensed copy")
+		}
+		got.AppendChunk(c)
+	}
+	if ex.Deopted() {
+		t.Fatal("the loop deopted; the test must measure the fused path")
+	}
+	storesEqual(t, got, runInterp(t, st, []string{"k", "x"}, chain))
+
+	leaf.SetRange(0, st.Rows())
+	for i := 0; i < 4; i++ { // warm-up: size the scratch
+		if c, err := ex.Next(ctx); c == nil || err != nil {
+			t.Fatalf("warm-up chunk %d: %v, %v", i, c, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(40, func() {
+		if c, err := ex.Next(ctx); c == nil || err != nil {
+			t.Fatalf("chunk: %v, %v", c, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lent fused loop allocates %v objects per chunk, want 0", allocs)
+	}
+}

@@ -9,11 +9,15 @@ import (
 // tripped — in which case nothing was emitted and the caller reverts the
 // Exec to the interpreter, replaying this same chunk.
 //
-// Compute ops write into per-Exec scratch reused across chunks, so the loop
-// allocates only for the rows it emits, and the emitted chunk never aliases
-// that scratch: callers may hold it across Next calls. When a filter (or the
-// input's selection) dropped rows, every column is condensed to the
-// survivors into fresh storage and the chunk has no selection vector. When
+// Compute ops write into per-Exec scratch reused across chunks. How the
+// output aliases that scratch depends on who consumes it. A lent Exec (its
+// leaf is a lent engine.PartScan) emits the slots themselves — input
+// columns, scratch and probe output — with e.idx as the selection, in one
+// reused chunk header: the chunk is valid only until the next Next, and
+// the loop allocates nothing a probe does not. An owned Exec's chunk never
+// aliases scratch, so callers may hold it across Next calls: when a filter
+// (or the input's selection) dropped rows, every column is condensed to the
+// survivors into fresh storage and the chunk has no selection vector; when
 // no row was dropped, input columns are shared read-only with the input
 // chunk, as the interpreter's shallow chunks share them, and computed
 // columns are copied out of scratch. Probe output is condensed fresh
@@ -37,6 +41,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 	}
 	curLen := n
 
+ops:
 	for oi := range e.prog.ops {
 		o := &e.prog.ops[oi]
 		idx := e.idx
@@ -246,6 +251,12 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			if !ok {
 				return nil, false // capacity guard: fan-out beyond the bound
 			}
+			if matched == 0 {
+				// No row survives: later ops would read payload slots
+				// runProbe never built, so the chunk ends here, filtered.
+				e.idx = e.idx[:0]
+				break ops
+			}
 			curLen = matched
 		}
 	}
@@ -265,6 +276,13 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 		return nil, true
 	}
 
+	if e.lend {
+		e.out.Refill(e.names, e.slots)
+		if outRows < curLen {
+			e.out.SetSel(e.idx)
+		}
+		return &e.out, true
+	}
 	cols := make([]*vector.Vector, len(e.slots))
 	if outRows < curLen {
 		for i, v := range e.slots {
@@ -299,7 +317,9 @@ func (e *Exec) scratchOut(oi int, kind vector.Kind, n int) *vector.Vector {
 // the matching probe rows, payload columns by the matching build rows —
 // probe-major, match lists in build order, exactly the serial nested-emit
 // order of the interpreted probe. Afterwards the selection is the identity
-// over the matches. ok=false when the fan-out exceeds the capacity guard.
+// over the matches. With no match nothing is gathered and the slots are left
+// as they were: the caller ends the chunk. ok=false when the fan-out exceeds
+// the capacity guard.
 func (e *Exec) runProbe(o *op, n int) (matched int, ok bool) {
 	t := e.resolved[o.table]
 	keys := e.slots[o.a].I64()
@@ -319,6 +339,9 @@ func (e *Exec) runProbe(o *op, n int) (matched int, ok bool) {
 		}
 	}
 	matched = len(e.probeIdx)
+	if matched == 0 {
+		return 0, true
+	}
 	for i, v := range e.slots {
 		e.slots[i] = vector.Condense(v, vector.Sel(e.probeIdx))
 	}

@@ -43,10 +43,19 @@ func ChunkOf(pairs ...any) *Chunk {
 // slice: the chunk takes cols over, and names may be shared between chunks
 // (Add never writes into it). All columns must have the same length.
 func ChunkFrom(names []string, cols []*Vector) *Chunk {
+	c := new(Chunk)
+	c.Refill(names, cols)
+	return c
+}
+
+// Refill points c at names and cols exactly as ChunkFrom builds a chunk, and
+// clears its selection. A producer whose chunks are only valid until its
+// next one refills a single Chunk instead of allocating one per batch.
+func (c *Chunk) Refill(names []string, cols []*Vector) {
 	if len(names) != len(cols) {
 		panic(fmt.Sprintf("vector.ChunkFrom: %d names for %d columns", len(names), len(cols)))
 	}
-	c := &Chunk{names: names[:len(names):len(names)], cols: cols}
+	*c = Chunk{names: names[:len(names):len(names)], cols: cols}
 	for i, v := range cols {
 		if i == 0 {
 			c.n = v.Len()
@@ -54,7 +63,6 @@ func ChunkFrom(names []string, cols []*Vector) *Chunk {
 			panic(fmt.Sprintf("vector.ChunkFrom: column %q has %d rows, chunk has %d", names[i], v.Len(), c.n))
 		}
 	}
-	return c
 }
 
 // Add attaches a column. The first column fixes the row count; later columns

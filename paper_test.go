@@ -6,6 +6,7 @@ package repro
 // claim under `go test -bench`.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/engine"
@@ -23,6 +24,95 @@ func sameStore(a, b *vector.DSMStore) bool {
 		}
 	}
 	return true
+}
+
+// TestPaperE3Selectivity: adaptive compute evaluates selectively — over the
+// condensed survivors — while a filter keeps few rows, in full — over every
+// row, selection kept — while it keeps nearly all, and switches back and
+// forth around the midpoint. Every flavor returns the same rows.
+func TestPaperE3Selectivity(t *testing.T) {
+	st := e3Table()
+	chunks := st.Rows() / vector.DefaultChunkLen
+	for _, c := range []struct {
+		sel      int64
+		shareMin float64 // bounds on the share of chunks evaluated in full
+		shareMax float64
+	}{
+		{10, 0, 0.01},
+		{500, 0.25, 0.75},
+		{990, 0.99, 1},
+	} {
+		t.Run(fmt.Sprintf("sel=%.2f", float64(c.sel)/1000), func(t *testing.T) {
+			var want *vector.DSMStore
+			for _, mode := range []engine.EvalMode{engine.EvalFull, engine.EvalSelective, engine.EvalAdaptive} {
+				cmp := e3Pipeline(st, c.sel, mode)
+				got, err := engine.Collect(t.Context(), cmp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !sameStore(got, want) {
+					t.Fatalf("%v evaluation returns different rows than full", mode)
+				}
+				if cmp.FullEvals+cmp.SelectiveEvals != chunks {
+					t.Fatalf("%v: %d full + %d selective evaluations, want %d chunks",
+						mode, cmp.FullEvals, cmp.SelectiveEvals, chunks)
+				}
+				if mode != engine.EvalAdaptive {
+					continue
+				}
+				t.Logf("adaptive: %d full, %d selective of %d chunks", cmp.FullEvals, cmp.SelectiveEvals, chunks)
+				if share := float64(cmp.FullEvals) / float64(chunks); share < c.shareMin || share > c.shareMax {
+					t.Fatalf("adaptive: %d of %d chunks in full, want a share in [%.2f, %.2f]",
+						cmp.FullEvals, chunks, c.shareMin, c.shareMax)
+				}
+			}
+		})
+	}
+}
+
+// TestPaperE4Reorder: with the selective predicate placed second, the static
+// chain applies the first predicate to every row and the second to the
+// ~90 % it keeps; the adaptive chain swaps them once, early, and then applies
+// little more than one predicate per row. Both return the same rows.
+func TestPaperE4Reorder(t *testing.T) {
+	st := e4Table()
+	rows := int64(st.Rows())
+	static, adaptive := e4Chain(st, false), e4Chain(st, true)
+	want, err := engine.Collect(t.Context(), static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.Collect(t.Context(), adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameStore(got, want) {
+		t.Fatal("the adaptive chain returns different rows than the static one")
+	}
+	for _, c := range []struct {
+		name     string
+		ch       *engine.AdaptiveChain
+		reorders int64
+		order    string
+		appsLo   float64 // bounds on applications per row
+		appsHi   float64
+	}{
+		{"static", static, 0, "[0 1]", 1.8, 2},
+		{"adaptive", adaptive, 1, "[1 0]", 1, 1.1},
+	} {
+		perRow := float64(c.ch.Applications) / float64(rows)
+		t.Logf("%s: %d applications over %d rows, %d reorders, order %v",
+			c.name, c.ch.Applications, rows, c.ch.Reorders, c.ch.Order())
+		if c.ch.Reorders != c.reorders || fmt.Sprint(c.ch.Order()) != c.order {
+			t.Fatalf("%s: %d reorders ending in order %v, want %d ending in %s",
+				c.name, c.ch.Reorders, c.ch.Order(), c.reorders, c.order)
+		}
+		if perRow < c.appsLo || perRow > c.appsHi {
+			t.Fatalf("%s: %.3f predicate applications per row, want %.1f–%.1f", c.name, perRow, c.appsLo, c.appsHi)
+		}
+	}
 }
 
 // TestPaperE12Bloom: the adaptive join keeps consulting its Bloom filter
