@@ -278,6 +278,20 @@ func classifyCtx(ctx context.Context, err error) error {
 	return err
 }
 
+// pipelineErr classifies a failure to build or open a query's pipeline: an
+// expression lambda that does not parse, check or normalize is ErrCompile, a
+// cancelled ctx ErrCancelled, and anything else — unknown columns, schema
+// mismatches — ErrBind.
+func pipelineErr(ctx context.Context, err error) error {
+	if errors.Is(err, engine.ErrExpr) {
+		return tagged(ErrCompile, err)
+	}
+	if c := classifyCtx(ctx, err); c != err {
+		return c
+	}
+	return tagged(ErrBind, err)
+}
+
 // Query instantiates the plan's operator pipeline and returns a streaming
 // cursor over its result. The pipeline executes lazily, chunk-at-a-time, as
 // the caller advances the cursor; nothing is materialized beyond what the
@@ -362,7 +376,7 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 	op, err := plan.build(b)
 	if err != nil {
 		s.eng.pool.release(workers)
-		return nil, tagged(ErrBind, err)
+		return nil, pipelineErr(ctx, err)
 	}
 	if workers > 1 && len(b.sharedList) > 0 {
 		// Overlap the query's join build sides: kick every shared table off
@@ -391,13 +405,7 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 	if err := op.Open(qctx); err != nil {
 		qcancel()
 		op.Close()
-		if errors.Is(err, engine.ErrExpr) {
-			return nil, tagged(ErrCompile, err)
-		}
-		if c := classifyCtx(ctx, err); c != err {
-			return nil, c
-		}
-		return nil, tagged(ErrBind, err)
+		return nil, pipelineErr(ctx, err)
 	}
 	s.queries.Add(1)
 	r := &Rows{ctx: qctx, cancel: qcancel, op: op, schema: op.Schema(), sess: s, rec: b.rec, views: b.views, mops: b.morselOps}

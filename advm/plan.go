@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/device"
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/fused"
 	"repro/internal/morsel"
@@ -93,6 +96,7 @@ type Plan struct {
 	// Filter / Compute.
 	mode    EvalMode
 	lambda  string
+	parsed  lambdaOnce
 	col     string // filter input
 	out     string // compute output
 	outKind Kind
@@ -110,6 +114,29 @@ type Plan struct {
 	// TopK.
 	k  int
 	by []Order
+}
+
+// lambdaOnce holds a filter's or compute's lambda, parsed once per plan node
+// on first use. Parsing is lazy because hot queries run fused programs
+// fetched from the code cache by the plan's canonical form and never need
+// the tree; the first query that does need it pays for it, and every later
+// query, worker and tier shares the same one.
+type lambdaOnce struct {
+	once sync.Once
+	fn   *dsl.Lambda
+	err  error
+}
+
+// fn returns the node's parsed lambda. A lambda that does not parse is an
+// expression error, which queries report under ErrCompile.
+func (p *Plan) fn() (*dsl.Lambda, error) {
+	l := &p.parsed
+	l.once.Do(func() {
+		if l.fn, l.err = dsl.ParseLambda(p.lambda); l.err != nil {
+			l.err = fmt.Errorf("%w: parsing %q: %v", engine.ErrExpr, p.lambda, l.err)
+		}
+	})
+	return l.fn, l.err
 }
 
 // Scan starts a plan reading the named columns of a table source (all
@@ -279,7 +306,11 @@ func (p *Plan) build(b *builder) (engine.Operator, error) {
 			}
 			return b.traced(p, tp), nil
 		}
-		return b.traced(p, p.stageOn(b.s, child)), nil
+		op, err := p.stageOn(b.s, child)
+		if err != nil {
+			return nil, err
+		}
+		return b.traced(p, op), nil
 	case planAggregate:
 		if stages, scan, ok := p.child.segment(); ok {
 			// An aggregation over a streaming segment always runs as the
@@ -390,13 +421,17 @@ func (p *Plan) buildParallelTopK(b *builder) (engine.Operator, bool, error) {
 
 // stageOn instantiates a filter/compute node on top of child with the
 // session's JIT settings.
-func (p *Plan) stageOn(s *Session, child engine.Operator) engine.Operator {
+func (p *Plan) stageOn(s *Session, child engine.Operator) (engine.Operator, error) {
+	fn, err := p.fn()
+	if err != nil {
+		return nil, err
+	}
 	j := engine.ExprJIT{On: s.opt.jitEnabled, Opt: s.opt.cfg.JIT, Compiler: s.eng.jit}
 	switch p.kind {
 	case planFilter:
-		return engine.NewFilter(child, p.lambda, p.col).SetMode(p.mode).SetJIT(j)
+		return engine.NewFilter(child, fn, p.col).SetMode(p.mode).SetJIT(j), nil
 	case planCompute:
-		return engine.NewCompute(child, p.out, p.lambda, p.outKind, p.cols...).SetMode(p.mode).SetJIT(j)
+		return engine.NewCompute(child, p.out, fn, p.outKind, p.cols...).SetMode(p.mode).SetJIT(j), nil
 	}
 	panic("advm: not a pipeline stage")
 }
@@ -433,20 +468,24 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 				op = b.traced(st, tp)
 				continue
 			}
-			op = b.traced(st, st.stageOn(b.s, op))
+			stage, err := st.stageOn(b.s, op)
+			if err != nil {
+				return nil, err
+			}
+			op = b.traced(st, stage)
 		}
 		return op, nil
 	}
-	prog, tables := b.fusePlan(stages, scan, shared)
+	top := scan // bare-scan segment: the fused loop's time lands on the scan span
+	if len(stages) > 0 {
+		top = stages[0]
+	}
+	prog, tables := b.fusePlan(top, stages, scan, shared)
 	if prog == nil {
 		return interp, false, nil
 	}
 	b.fusedWrapped = true
 	ctrs := b.fuseCtrs
-	top := scan // bare-scan segment: the fused loop's time lands on the scan span
-	if len(stages) > 0 {
-		top = stages[0]
-	}
 	return func(_ int, leaf engine.Operator) (engine.Operator, error) {
 		// The fused loop replaces the whole stage chain, so its time lands
 		// on the top stage's span; the inner stage spans keep the plan
@@ -464,41 +503,18 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 // not yet hot (warm plans compile and prime the cache but keep running
 // interpreted). The returned table list is the query's shared join tables in
 // program order.
-func (b *builder) fusePlan(stages []*Plan, scan *Plan, shared []*engine.SharedJoinTable) (*fused.Program, []*engine.SharedJoinTable) {
+//
+// The cache key is the segment's canonical serialization, taken at its top
+// node (segmentKey): it names every scanned column and kind, every lambda,
+// column and mode of each stage, and each probe's whole build side — all
+// the compiler reads — so equal keys imply interchangeable programs, and
+// plans sharing a segment share its program. A hit builds nothing.
+func (b *builder) fusePlan(top *Plan, stages []*Plan, scan *Plan, shared []*engine.SharedJoinTable) (*fused.Program, []*engine.SharedJoinTable) {
 	if b.fuseCtrs == nil {
 		return nil, nil
 	}
-	scanI, ok := scanInfos(b.storeFor(scan), scan.columns)
-	if !ok {
-		return nil, nil
-	}
-	var fstages []fused.Stage
-	var tables []*engine.SharedJoinTable
-	for i := len(stages) - 1; i >= 0; i-- {
-		st := stages[i]
-		switch st.kind {
-		case planFilter:
-			fstages = append(fstages, fused.Stage{Kind: fused.StageFilter, Lambda: st.lambda, Col: st.col})
-		case planCompute:
-			fstages = append(fstages, fused.Stage{
-				Kind: fused.StageCompute, Lambda: st.lambda,
-				Out: st.out, OutKind: st.outKind, Cols: st.cols,
-			})
-		case planJoin:
-			fs := fused.Stage{
-				Kind: fused.StageProbe, ProbeKey: st.probeKey,
-				Payload: st.payload, Table: len(tables),
-			}
-			for _, ci := range shared[i].Schema() {
-				fs.BuildNames = append(fs.BuildNames, ci.Name)
-				fs.BuildKinds = append(fs.BuildKinds, ci.Kind)
-			}
-			tables = append(tables, shared[i])
-			fstages = append(fstages, fs)
-		}
-	}
+	key := top.segmentKey()
 	eng := b.s.eng
-	key := b.tierFP + "\x00" + fused.Signature(scanI, fstages)
 	prog, present := eng.fcache.Lookup(key)
 	if present {
 		if prog != nil {
@@ -506,19 +522,69 @@ func (b *builder) fusePlan(stages []*Plan, scan *Plan, shared []*engine.SharedJo
 			b.traceEvent("fused-cache-hit")
 		}
 	} else {
-		var compiled bool
-		if prog, compiled = fused.Compile(scanI, fstages); compiled {
+		if prog = b.compileSegment(stages, scan, shared); prog != nil {
 			eng.fusedCompiles.Add(1)
 			b.traceEvent("fused-compile")
-		} else {
-			prog = nil
 		}
 		eng.fcache.Store(key, prog)
 	}
 	if prog == nil || b.tierN < b.s.opt.tierHot {
 		return nil, nil
 	}
+	var tables []*engine.SharedJoinTable
+	for i := len(stages) - 1; i >= 0; i-- {
+		if stages[i].kind == planJoin {
+			tables = append(tables, shared[i])
+		}
+	}
 	return prog, tables
+}
+
+// compileSegment translates a segment's plan nodes bottom-up into fused
+// stages and compiles them. It returns nil when the segment declines fusion,
+// a lambda that does not parse included: the interpreted chain then reports
+// that error.
+func (b *builder) compileSegment(stages []*Plan, scan *Plan, shared []*engine.SharedJoinTable) *fused.Program {
+	scanI, ok := scanInfos(b.storeFor(scan), scan.columns)
+	if !ok {
+		return nil
+	}
+	var fstages []fused.Stage
+	tables := 0
+	for i := len(stages) - 1; i >= 0; i-- {
+		st := stages[i]
+		switch st.kind {
+		case planFilter, planCompute:
+			fn, err := st.fn()
+			if err != nil {
+				return nil
+			}
+			if st.kind == planFilter {
+				fstages = append(fstages, fused.Stage{Kind: fused.StageFilter, Fn: fn, Col: st.col})
+			} else {
+				fstages = append(fstages, fused.Stage{
+					Kind: fused.StageCompute, Fn: fn,
+					Out: st.out, OutKind: st.outKind, Cols: st.cols,
+				})
+			}
+		case planJoin:
+			fs := fused.Stage{
+				Kind: fused.StageProbe, ProbeKey: st.probeKey,
+				Payload: st.payload, Table: tables,
+			}
+			for _, ci := range shared[i].Schema() {
+				fs.BuildNames = append(fs.BuildNames, ci.Name)
+				fs.BuildKinds = append(fs.BuildKinds, ci.Kind)
+			}
+			tables++
+			fstages = append(fstages, fs)
+		}
+	}
+	prog, ok := fused.Compile(scanI, fstages)
+	if !ok {
+		return nil
+	}
+	return prog
 }
 
 // buildFusedSerial mounts a fused loop over the serial streaming segment
@@ -753,16 +819,27 @@ func kernelSpec(store TableSource, scan *Plan, stages []*Plan) engine.KernelSpec
 // scanned table's schema and row count — and hashes it into a compact hex
 // key. Table identity is the schema and size rather than the pointer, so an
 // in-RAM copy and a colstore-backed copy of the same data share one hotness
-// entry. Distinct keys may collide in principle (it is a 64-bit hash), but
-// the fused code cache appends the full specialization signature, so a
-// collision can never execute a loop compiled for a different plan shape.
+// entry. Distinct plans may collide in principle (it is a 64-bit hash), but
+// a collision only shares a hotness counter: the fused code cache is keyed
+// by the unhashed serialization (segmentKey), so it can never execute a loop
+// compiled for a different plan shape.
 func (p *Plan) fingerprint() string {
 	h := fnv.New64a()
 	p.writeFP(h)
 	return fmt.Sprintf("p%016x", h.Sum64())
 }
 
-// writeFP streams the canonical serialization of the plan subtree.
+// segmentKey is the plan subtree's canonical serialization, unhashed: the
+// fused code cache's key for the streaming segment topped by p.
+func (p *Plan) segmentKey() string {
+	var sb strings.Builder
+	p.writeFP(&sb)
+	return sb.String()
+}
+
+// writeFP streams the canonical serialization of the plan subtree. It is
+// injective: names and lambdas are %q-quoted, counts and kinds are numbers
+// closed by a fixed delimiter, and a build side is bracketed by {}.
 func (p *Plan) writeFP(w io.Writer) {
 	switch p.kind {
 	case planScan:

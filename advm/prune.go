@@ -113,34 +113,23 @@ func extractPreds(scan *Plan, stages []*Plan) []colstore.Pred {
 		if kind != vector.I64 && kind != vector.F64 {
 			continue
 		}
-		if p, ok := predFromLambda(st.lambda, st.col, kind == vector.F64); ok {
+		fn, err := st.fn()
+		if err != nil {
+			continue // the query fails with ErrCompile when it builds the filter
+		}
+		if p, ok := predFromLambda(fn, st.col, kind == vector.F64); ok {
 			preds = append(preds, p)
 		}
 	}
 	return preds
 }
 
-// predFromLambda parses a single-parameter filter lambda and extracts the
-// interval it implies on col, when the whole body is a conjunction of
-// comparisons between the parameter and constants. Anything else — other
-// operators, derived operands, disjunctions — yields no predicate.
-func predFromLambda(lambda, col string, float bool) (colstore.Pred, bool) {
-	// Reuse the engine's expression front end: wrap the lambda in the same
-	// read → map → write program shape operators lower it into, and pull the
-	// parsed lambda back out of the AST.
-	prog, err := dsl.Parse("let c0 = read 0 x\nlet r = map " + lambda + " c0\nwrite out 0 r\n")
-	if err != nil {
-		return colstore.Pred{}, false
-	}
-	var fn *dsl.Lambda
-	for _, st := range prog.Body {
-		if let, ok := st.(*dsl.Let); ok && let.Name == "r" {
-			if m, ok := let.Val.(*dsl.MapExpr); ok {
-				fn = m.Fn
-			}
-		}
-	}
-	if fn == nil || len(fn.Params) != 1 {
+// predFromLambda extracts the interval a single-parameter filter lambda
+// implies on col, when the whole body is a conjunction of comparisons
+// between the parameter and constants. Anything else — other operators,
+// derived operands, disjunctions — yields no predicate.
+func predFromLambda(fn *dsl.Lambda, col string, float bool) (colstore.Pred, bool) {
+	if len(fn.Params) != 1 {
 		return colstore.Pred{}, false
 	}
 	p := colstore.Pred{Col: col, Float: float}

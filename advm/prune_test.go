@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/dsl"
 )
 
 // predCase drives predFromLambda over the lambda shapes the TPC-H plans and
@@ -76,7 +77,14 @@ func TestPredFromLambda(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, ok := predFromLambda(tc.lambda, "c", tc.float)
+			fn, err := dsl.ParseLambda(tc.lambda)
+			if err != nil {
+				if tc.ok {
+					t.Fatal(err)
+				}
+				return // a lambda that does not parse yields no predicate
+			}
+			p, ok := predFromLambda(fn, "c", tc.float)
 			if ok != tc.ok {
 				t.Fatalf("ok = %v, want %v (pred %+v)", ok, tc.ok, p)
 			}

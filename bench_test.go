@@ -355,8 +355,8 @@ func e3Table() *vector.DSMStore {
 // computes a polynomial of val over the survivors in the given flavor.
 func e3Pipeline(st *vector.DSMStore, sel int64, mode engine.EvalMode) *engine.Compute {
 	scan, _ := engine.NewScan(st, "key", "val")
-	f := engine.NewFilter(scan, fmt.Sprintf(`(\k -> k < %d)`, sel), "key").SetMode(engine.EvalFull)
-	return engine.NewCompute(f, "out", `(\v -> (v * 3 + 7) * (v - 1))`, vector.I64, "val").SetMode(mode)
+	f := engine.NewFilter(scan, dsl.MustParseLambda(fmt.Sprintf(`(\k -> k < %d)`, sel)), "key").SetMode(engine.EvalFull)
+	return engine.NewCompute(f, "out", dsl.MustParseLambda(`(\v -> (v * 3 + 7) * (v - 1))`), vector.I64, "val").SetMode(mode)
 }
 
 // ---------------------------------------------------------------------------

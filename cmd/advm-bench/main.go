@@ -1,15 +1,14 @@
-// Command advm-bench takes the two perf micro-gate records that benchdiff
-// compares against bench/baseline: E20 (multi-core speedup floors) and E21
-// (the tracing-off tax). The paper's artifacts are printed by the programs
-// under examples/ and benchmarked by the root package's `go test -bench`
-// harness (E1–E14); end-to-end performance is measured by the repo benchmark
-// (BENCHMARK.json and benchmark/), not here.
+// Command advm-bench takes the perf micro-gate record that benchdiff
+// compares against bench/baseline: E20 (multi-core speedup floors). The
+// paper's artifacts are printed by the programs under examples/ and
+// benchmarked by the root package's `go test -bench` harness (E1–E14);
+// end-to-end performance is measured by the repo benchmark (BENCHMARK.json
+// and benchmark/), not here.
 //
 //	advm-bench -exp E20   # multi-core scaling: serial vs 4 workers, speedups
-//	advm-bench -exp E21   # tracing overhead: serial Q6, tracing off vs on
-//	advm-bench -exp all   # both
+//	advm-bench -exp all   # the same
 //
-//	advm-bench -sf 0.02 -benchjson dir   # E20 + E21 → BENCH_multicore.json, BENCH_trace.json
+//	advm-bench -sf 0.02 -benchjson dir   # E20 → BENCH_multicore.json
 package main
 
 import (
@@ -27,33 +26,22 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E20,E21) or all")
+	exp := flag.String("exp", "all", "experiment id (E20) or all")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for E20")
-	benchjson := flag.String("benchjson", "", "directory to write the BENCH_multicore.json (E20) and BENCH_trace.json (E21) perf records into")
+	benchjson := flag.String("benchjson", "", "directory to write the BENCH_multicore.json (E20) perf record into")
 	data := flag.String("data", os.Getenv("TPCH_DATA_DIR"),
 		"directory of pre-generated TPC-H tables (tpch-gen -binary); generated on the fly when empty or missing")
 	flag.Parse()
 
 	if *benchjson != "" {
 		expE20(*sf, *data, *benchjson)
-		expE21(*data, *benchjson)
 		return
 	}
-
-	all := *exp == "all"
-	ran := false
-	if all || *exp == "E20" {
-		expE20(*sf, *data, "")
-		ran = true
-	}
-	if all || *exp == "E21" {
-		expE21(*data, "")
-		ran = true
-	}
-	if !ran {
+	if *exp != "all" && *exp != "E20" {
 		fmt.Fprintf(os.Stderr, "advm-bench: unknown experiment %q (examples/ prints F1, F2, E1, E3, E5 and E6; `go test -bench ExpXX .` covers E1–E14)\n", *exp)
 		os.Exit(2)
 	}
+	expE20(*sf, *data, "")
 }
 
 func header(s string) {
@@ -300,116 +288,5 @@ func expE20(sf float64, dataDir, outDir string) {
 
 func fatalE20(err error) {
 	fmt.Fprintln(os.Stderr, "advm-bench: E20:", err)
-	os.Exit(1)
-}
-
-// traceRecord is the BENCH_trace.json perf record: serial Q6 with tracing
-// off — the production default every query pays — plus the fully traced leg
-// for context. Benchdiff gates only the off leg: the tracing hooks must
-// stay free when disabled (a nil-check per call site), within
-// TraceMaxRegress of the baseline.
-type traceRecord struct {
-	Benchmark      string  `json:"benchmark"`
-	ScaleFactor    float64 `json:"scale_factor"`
-	Rows           int     `json:"rows"`
-	Iters          int     `json:"iters"`
-	Q6TraceOffNsOp int64   `json:"q6_trace_off_ns_op"`
-	Q6TraceOnNsOp  int64   `json:"q6_trace_on_ns_op,omitempty"`
-	Identical      bool    `json:"identical"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	CalibNs        int64   `json:"calib_ns"`
-	// TraceMaxRegress is the off-leg regression gate, read by benchdiff from
-	// the BASELINE record only (a current run cannot weaken it). Zero means
-	// benchdiff's default regression threshold applies.
-	TraceMaxRegress float64 `json:"trace_max_regress,omitempty"`
-}
-
-// expE21 measures the tracing tax on serial Q6: tracing off (gated — must
-// stay within a few percent of the pre-tracing baseline) vs morsel-level
-// tracing (informational). The scale factor is pinned at 0.02 to track a
-// fixed workload regardless of -sf. With outDir != "" it writes
-// BENCH_trace.json there for benchdiff.
-func expE21(dataDir, outDir string) {
-	const sf = 0.02
-	const iters = 15
-	header(fmt.Sprintf("E21 — tracing overhead: Q6 off vs morsel-traced (SF %.3f, serial)", sf))
-	st, err := tpch.LoadOrGen(dataDir, "lineitem", sf, 42)
-	if err != nil {
-		fatalE21(err)
-	}
-	calibNs := calibrate()
-
-	eng, err := advm.NewEngine(
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-	if err != nil {
-		fatalE21(err)
-	}
-	defer eng.Close()
-	sess, err := eng.Session(advm.WithParallelism(1))
-	if err != nil {
-		fatalE21(err)
-	}
-	fmt.Printf("%d lineitem rows, GOMAXPROCS=%d, calib=%v\n\n",
-		st.Rows(), runtime.GOMAXPROCS(0), time.Duration(calibNs).Round(time.Microsecond))
-
-	q6 := func() *advm.Plan { return tpch.PlanQ6(st, tpch.DefaultQ6Params()) }
-	measure := func(level advm.TraceLevel) time.Duration {
-		var best time.Duration
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			rows, err := sess.QueryTraced(context.Background(), q6(), level)
-			if err != nil {
-				fatalE21(err)
-			}
-			if _, err := rows.Count(); err != nil {
-				fatalE21(err)
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	offD := measure(advm.TraceOff)
-	onD := measure(advm.TraceMorsels)
-
-	// Tracing must be observation only: the traced leg returns the same rows.
-	want, err := benchCollect(sess, q6())
-	if err != nil {
-		fatalE21(err)
-	}
-	traced, err := eng.Session(advm.WithParallelism(1), advm.WithTracing(advm.TraceMorsels))
-	if err != nil {
-		fatalE21(err)
-	}
-	got, err := benchCollect(traced, q6())
-	if err != nil {
-		fatalE21(err)
-	}
-
-	rec := traceRecord{
-		Benchmark: "trace", ScaleFactor: sf, Rows: st.Rows(), Iters: iters,
-		Q6TraceOffNsOp:  offD.Nanoseconds(),
-		Q6TraceOnNsOp:   onD.Nanoseconds(),
-		Identical:       sameResults(want, got),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		CalibNs:         calibNs,
-		TraceMaxRegress: 0.02,
-	}
-	if !rec.Identical {
-		fatalE21(fmt.Errorf("traced Q6 result differs from untraced"))
-	}
-	fmt.Printf("  q6   trace-off %12v   trace-morsels %12v   tax %+.1f%%   identical=%v\n",
-		offD.Round(time.Microsecond), onD.Round(time.Microsecond),
-		100*(float64(onD)/float64(offD)-1), rec.Identical)
-	if outDir != "" {
-		if err := writeRecord(outDir, "BENCH_trace.json", rec); err != nil {
-			fatalE21(err)
-		}
-	}
-}
-
-func fatalE21(err error) {
-	fmt.Fprintln(os.Stderr, "advm-bench: E21:", err)
 	os.Exit(1)
 }

@@ -1,18 +1,13 @@
-// Command benchdiff is the micro-gate over the two BENCH_*.json records
-// `advm-bench -benchjson` writes: multicore (E20: Q1/Q3/Q6 and a
-// high-cardinality aggregation, serial vs parallel, with speedup floors) and
-// trace (E21: serial Q6 with tracing off, held to a 2% tax). It compares them
-// against the checked-in baselines and fails when a serial ns/op regressed
-// beyond the threshold, a speedup fell below its floor, the tracing-off leg
-// regressed beyond its own threshold, or a record reports non-identical
-// results. End-to-end performance is measured by the repo benchmark
-// (BENCHMARK.json, benchmark/), not here.
+// Command benchdiff is the micro-gate over the BENCH_multicore.json record
+// `advm-bench -benchjson` writes (E20: Q1/Q3/Q6 and a high-cardinality
+// aggregation, serial vs parallel, with speedup floors). It compares it
+// against the checked-in baseline and fails when a serial ns/op regressed
+// beyond the threshold, a speedup fell below its floor, or the record
+// reports non-identical results. End-to-end performance is measured by the
+// repo benchmark (BENCHMARK.json, benchmark/), not here.
 //
-// CI does not run it: the 2% tracing gate sits inside the run-to-run noise
-// of a shared runner. The properties its gates stood for are held by
-// timing-free tests instead (qtrace.TestNilHooksAllocateNothing,
-// advm.TestTracingOffLeavesNoTraceState), and parallel speedup is read from
-// the repo benchmark's morsel.par_speedup. Run it by hand:
+// CI does not run it: parallel speedup is read from the repo benchmark's
+// morsel.par_speedup. Run it by hand:
 //
 //	advm-bench -sf 0.02 -benchjson .
 //	benchdiff -baseline bench/baseline -current . -max-regress 0.25
@@ -34,9 +29,9 @@ import (
 )
 
 // benchRecord mirrors the BENCH_*.json schema written by advm-bench. Its
-// `benchmark` field names the record: "multicore" (BENCH_multicore.json) or
-// "trace" (BENCH_trace.json); any other name is an error, so a stale or
-// foreign record cannot pass the gate by matching no rule.
+// `benchmark` field names the record: "multicore" (BENCH_multicore.json);
+// any other name is an error, so a stale or foreign record cannot pass the
+// gate by matching no rule.
 type benchRecord struct {
 	Benchmark  string `json:"benchmark"`
 	Workers    int    `json:"workers"`
@@ -66,16 +61,6 @@ type benchRecord struct {
 	HCParNsOp    int64   `json:"hc_par_ns_op,omitempty"`
 	HCSpeedup    float64 `json:"hc_speedup,omitempty"`
 	NumCPU       int     `json:"num_cpu,omitempty"`
-
-	// Trace-record fields. The off leg is the one that matters: it is
-	// serial Q6 with the tracing hooks compiled in but disabled, gated
-	// against the pre-tracing baseline with the tighter TraceMaxRegress
-	// threshold from the baseline record (observability must be free when
-	// off). The traced leg is reported but not gated — its cost is the price
-	// of asking for a trace.
-	Q6TraceOffNsOp  int64   `json:"q6_trace_off_ns_op,omitempty"`
-	Q6TraceOnNsOp   int64   `json:"q6_trace_on_ns_op,omitempty"`
-	TraceMaxRegress float64 `json:"trace_max_regress,omitempty"`
 
 	// Per-query speedup floors, read from the *baseline* record: when the
 	// checked-in baseline carries e.g. "q3_speedup_floor": 1.0, the current
@@ -253,8 +238,8 @@ func diffDirs(baseline, current string, maxRegress float64) ([]diffRow, error) {
 }
 
 // diffRecords compares one baseline/current record pair. A pair that is not
-// two multicore or two trace records is an error: gating it by no rule would
-// report rows that can never regress.
+// two multicore records is an error: gating it by no rule would report rows
+// that can never regress.
 func diffRecords(base, cur benchRecord, maxRegress float64) ([]diffRow, error) {
 	if base.Benchmark != cur.Benchmark {
 		return nil, fmt.Errorf("baseline record %q compared with current record %q", base.Benchmark, cur.Benchmark)
@@ -275,29 +260,6 @@ func diffRecords(base, cur benchRecord, maxRegress float64) ([]diffRow, error) {
 
 	var rows []diffRow
 	switch base.Benchmark {
-	case "trace":
-		// Trace record: serial Q6 with tracing compiled in but off. Gated
-		// with the baseline's trace_max_regress when present (tighter than
-		// the general threshold: disabled tracing must cost nothing), else
-		// the default. The traced leg is informational — it reports what a
-		// client asking for a trace pays, but tracing-on cost is a feature
-		// knob, not a regression.
-		thr := maxRegress
-		if base.TraceMaxRegress > 0 {
-			thr = base.TraceMaxRegress
-		}
-		off := mk("q6-trace-off", base.Q6TraceOffNsOp, cur.Q6TraceOffNsOp)
-		if base.Q6TraceOffNsOp > 0 {
-			off.Regressed = off.Ratio > 1+thr
-		}
-		on := mk("q6-trace-morsels", base.Q6TraceOnNsOp, cur.Q6TraceOnNsOp)
-		on.Regressed = false
-		if base.Q6TraceOnNsOp == 0 {
-			on.Skipped = "no traced-leg baseline"
-		} else {
-			on.Skipped = "informational (price of tracing on)"
-		}
-		rows = []diffRow{off, on}
 	case "multicore":
 		// Multicore record: Q1/Q3/Q6 serial legs are calibration-gated like
 		// any serial measurement; the parallel legs are reported (skipped on
@@ -361,7 +323,7 @@ func diffRecords(base, cur benchRecord, maxRegress float64) ([]diffRow, error) {
 				mkSpeedup("hc-speedup", base.HCSpeedup, cur.HCSpeedup, base.HCSpeedupFloor))
 		}
 	default:
-		return nil, fmt.Errorf("unknown record %q: benchdiff gates only the multicore and trace records", base.Benchmark)
+		return nil, fmt.Errorf("unknown record %q: benchdiff gates only the multicore record", base.Benchmark)
 	}
 	if !cur.Identical {
 		rows[0].NotReproducing = true

@@ -52,33 +52,22 @@ func slower(r benchRecord, f int64) benchRecord {
 	return r
 }
 
-// traceBase is a healthy BENCH_trace.json record with the 2% off-leg gate.
-func traceBase() benchRecord {
-	return benchRecord{
-		Benchmark: "trace", GOMAXPROCS: 1, Identical: true, CalibNs: 100,
-		Q6TraceOffNsOp: 1000, TraceMaxRegress: 0.02,
-	}
-}
-
 func TestDiffDirsGate(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
 	writeRecord(t, base, "BENCH_multicore.json", multicoreBase())
-	writeRecord(t, base, "BENCH_trace.json", traceBase())
-	// The trace off leg within its 2% gate, multicore q3 serial regressed 50%.
+	// q1 serial within the gate (+10%), q3 serial regressed 50%.
 	mc := multicoreBase()
+	mc.Q1SerialNsOp = 4400
 	mc.Q3SerialNsOp = 4500
-	tr := traceBase()
-	tr.Q6TraceOffNsOp = 1010
 	writeRecord(t, cur, "BENCH_multicore.json", mc)
-	writeRecord(t, cur, "BENCH_trace.json", tr)
 
 	rows, err := diffDirs(base, cur, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 11 {
-		t.Fatalf("rows = %d, want 11 (9 multicore + 2 trace)", len(rows))
+	if len(rows) != 9 {
+		t.Fatalf("rows = %d, want 9", len(rows))
 	}
 	regressed := map[string]bool{}
 	for _, r := range rows {
@@ -90,14 +79,14 @@ func TestDiffDirsGate(t *testing.T) {
 		t.Fatalf("regressions = %v, want only multicore/q3-serial", regressed)
 	}
 	table := renderTable(rows, 0.25)
-	if !strings.Contains(table, "REGRESSED") || !strings.Contains(table, "| trace | q6-trace-off |") {
+	if !strings.Contains(table, "REGRESSED") || !strings.Contains(table, "| multicore | q1-serial |") {
 		t.Fatalf("table missing expected content:\n%s", table)
 	}
 }
 
 func TestDiffDirsMissingCurrent(t *testing.T) {
 	base := t.TempDir()
-	writeRecord(t, base, "BENCH_trace.json", traceBase())
+	writeRecord(t, base, "BENCH_multicore.json", multicoreBase())
 	if _, err := diffDirs(base, t.TempDir(), 0.25); err == nil {
 		t.Fatal("missing current record accepted")
 	}
@@ -150,9 +139,9 @@ func TestDiffRecordsSkipsParallelOnCoreMismatch(t *testing.T) {
 func TestDiffDirsExtraCurrentFails(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
-	writeRecord(t, base, "BENCH_trace.json", traceBase())
-	writeRecord(t, cur, "BENCH_trace.json", traceBase())
+	writeRecord(t, base, "BENCH_multicore.json", multicoreBase())
 	writeRecord(t, cur, "BENCH_multicore.json", multicoreBase())
+	writeRecord(t, cur, "BENCH_extra.json", multicoreBase())
 	if _, err := diffDirs(base, cur, 0.25); err == nil {
 		t.Fatal("current record without baseline accepted")
 	}
@@ -161,10 +150,10 @@ func TestDiffDirsExtraCurrentFails(t *testing.T) {
 func TestDiffDirsNonIdenticalFails(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
-	writeRecord(t, base, "BENCH_trace.json", traceBase())
-	diverged := traceBase()
+	writeRecord(t, base, "BENCH_multicore.json", multicoreBase())
+	diverged := multicoreBase()
 	diverged.Identical = false
-	writeRecord(t, cur, "BENCH_trace.json", diverged)
+	writeRecord(t, cur, "BENCH_multicore.json", diverged)
 	rows, err := diffDirs(base, cur, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +169,8 @@ func TestDiffDirsNonIdenticalFails(t *testing.T) {
 	}
 }
 
-// TestDiffDirsUnknownRecordFails: a record that is neither multicore nor
-// trace is an error naming its file — not rows that can never regress.
+// TestDiffDirsUnknownRecordFails: a record that is not multicore is an error
+// naming its file — not rows that can never regress.
 func TestDiffDirsUnknownRecordFails(t *testing.T) {
 	base := t.TempDir()
 	cur := t.TempDir()
@@ -196,15 +185,17 @@ func TestDiffDirsUnknownRecordFails(t *testing.T) {
 		t.Fatalf("unknown record: err = %v, want an error naming BENCH_bogus.json", err)
 	}
 
-	// Two known records of different kinds under one name do not compare.
-	if _, err := diffRecords(multicoreBase(), traceBase(), 0.25); err == nil {
-		t.Fatal("multicore baseline compared with a trace record")
+	// Records of different kinds under one name do not compare.
+	other := multicoreBase()
+	other.Benchmark = "bogus"
+	if _, err := diffRecords(multicoreBase(), other, 0.25); err == nil {
+		t.Fatal("multicore baseline compared with a bogus record")
 	}
 }
 
 // TestCheckedInBaselineHoldsOnlyTheGates: bench/baseline holds exactly the
-// two records advm-bench -benchjson writes, and gates clean against itself,
-// so a retired record cannot linger there.
+// record advm-bench -benchjson writes, and gates clean against itself, so a
+// retired record cannot linger there.
 func TestCheckedInBaselineHoldsOnlyTheGates(t *testing.T) {
 	dir := filepath.Join("..", "..", "bench", "baseline")
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
@@ -222,8 +213,8 @@ func TestCheckedInBaselineHoldsOnlyTheGates(t *testing.T) {
 		}
 		names = append(names, rec.Benchmark)
 	}
-	if strings.Join(names, ",") != "multicore,trace" {
-		t.Fatalf("checked-in baselines = %v, want [multicore trace]", names)
+	if strings.Join(names, ",") != "multicore" {
+		t.Fatalf("checked-in baselines = %v, want [multicore]", names)
 	}
 	rows, err := diffDirs(dir, dir, 0.25)
 	if err != nil {
@@ -409,48 +400,5 @@ func TestSummarizeSkipLines(t *testing.T) {
 	counts, lines = summarize(mustDiff(t, multicoreBase(), multicoreBase()))
 	if counts.Skipped != 0 || len(lines) != 0 {
 		t.Fatalf("healthy run reports skips: %+v %v", counts, lines)
-	}
-}
-
-// TestDiffRecordsTraceFlavor: trace records gate the tracing-off leg with
-// the baseline's tighter trace_max_regress and leave the traced leg
-// informational.
-func TestDiffRecordsTraceFlavor(t *testing.T) {
-	base := traceBase()
-	cur := base
-	cur.Q6TraceOffNsOp = 1010 // +1%: inside the 2% trace gate
-	cur.Q6TraceOnNsOp = 1200
-	rows := mustDiff(t, base, cur)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	byMetric := map[string]diffRow{}
-	for _, r := range rows {
-		byMetric[r.Metric] = r
-	}
-	if r := byMetric["q6-trace-off"]; r.Regressed || r.Skipped != "" || !r.Normalized {
-		t.Fatalf("in-threshold off leg wrongly gated: %+v", r)
-	}
-	if r := byMetric["q6-trace-morsels"]; r.Regressed || r.Skipped == "" {
-		t.Fatalf("traced leg must stay informational: %+v", r)
-	}
-
-	// +5% on the off leg breaks the 2% trace gate even though the global
-	// threshold is 25%.
-	cur.Q6TraceOffNsOp = 1050
-	rows = mustDiff(t, base, cur)
-	for _, r := range rows {
-		if r.Metric == "q6-trace-off" && !r.Regressed {
-			t.Fatalf("off leg beyond trace_max_regress not flagged: %+v", r)
-		}
-	}
-
-	// Without a baseline trace_max_regress the global threshold applies.
-	base.TraceMaxRegress = 0
-	rows = mustDiff(t, base, cur)
-	for _, r := range rows {
-		if r.Metric == "q6-trace-off" && r.Regressed {
-			t.Fatalf("off leg within global threshold wrongly flagged: %+v", r)
-		}
 	}
 }

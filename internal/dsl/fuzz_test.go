@@ -4,11 +4,13 @@ import (
 	"testing"
 )
 
-// FuzzParse fuzzes the DSL front end with two invariants:
+// FuzzParse fuzzes the DSL front end with two invariants, held by both
+// entry points — Parse for programs and ParseLambda for the lambdas query
+// plans carry:
 //
-//  1. Parse never panics — arbitrary bytes either produce a Program or an
-//     error.
-//  2. Accepted programs survive print → reparse: the canonical surface
+//  1. Neither parser panics — arbitrary bytes either produce a Program (a
+//     Lambda) or an error.
+//  2. Accepted input survives print → reparse: the canonical surface
 //     rendering is itself parseable, and printing again is a fixed point
 //     (so the printer and the parser agree on the grammar).
 //
@@ -30,11 +32,24 @@ func FuzzParse(f *testing.F) {
 		"let a = map (\\x -> abs(-x)) (read 0 d)\nlet b = map (\\x -> sqrt(x)) a\nwrite out 0 b",
 		"# comment\nlet a = read 1 d (2 + 3)\nwrite out 0 a",
 		"let a = map (\\x -> ((x * 3) % 5)) (read 0 d)\nlet s = fold (\\p q -> max(p, q)) -9 a\nwrite res 0 s",
+		`(\d -> (d >= 2000) && (d < 2100))`,
+		`\p d -> p * (1.0 - d)`,
+		`(\k -> k <)`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if l1, err := ParseLambda(src); err == nil {
+			out1 := l1.String()
+			l2, err := ParseLambda(out1)
+			if err != nil {
+				t.Fatalf("printed lambda does not reparse: %v\n--- input ---\n%q\n--- printed ---\n%s", err, src, out1)
+			}
+			if out2 := l2.String(); out1 != out2 {
+				t.Fatalf("lambda print is not a fixed point\n--- input ---\n%q\n--- first ---\n%s\n--- second ---\n%s", src, out1, out2)
+			}
+		}
 		p1, err := Parse(src)
 		if err != nil {
 			return // rejected input: only the no-panic property applies

@@ -69,6 +69,42 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// ParseLambda parses the source of one lambda, optionally in parentheses,
+// with nothing after it: the form query plans carry their filter predicates
+// and computed expressions in, e.g. (\p d -> p * (1.0 - d)). Error
+// positions are relative to src itself.
+func ParseLambda(src string) (*Lambda, error) {
+	toks, err := lexAll(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks, funcs: map[string]bool{}, depth: parenDepths(toks)}
+	paren := p.eat(tokOp, "(")
+	lam, err := p.parseLambda()
+	if err != nil {
+		return nil, err
+	}
+	if paren {
+		if _, err := p.expect(tokOp, ")"); err != nil {
+			return nil, err
+		}
+	}
+	if t := p.cur(); t.kind != tokEOF {
+		return nil, p.errAt(t.pos, "unexpected %s after the lambda", t)
+	}
+	return lam, nil
+}
+
+// MustParseLambda is ParseLambda that panics on error. For tests and
+// statically known lambdas.
+func MustParseLambda(src string) *Lambda {
+	l, err := ParseLambda(src)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
 type parser struct {
 	toks []token
 	pos  int

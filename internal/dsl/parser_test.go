@@ -221,6 +221,47 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseLambda: the plan-lambda entry point takes exactly one lambda,
+// parenthesized or not, and reports errors at positions in the lambda's own
+// text.
+func TestParseLambda(t *testing.T) {
+	for src, params := range map[string]int{
+		`(\k -> k < 10)`:              1,
+		`\k -> k < 10`:                1,
+		`(\p d -> p * (1.0 - d))`:     2,
+		"(\\x ->\n(x\n* 2))":          1,
+		` ( \map_ -> map_ + 1 ) -- c`: 1,
+	} {
+		l, err := ParseLambda(src)
+		if err != nil {
+			t.Errorf("ParseLambda(%q): %v", src, err)
+			continue
+		}
+		if len(l.Params) != params {
+			t.Errorf("ParseLambda(%q) has %d parameters, want %d", src, len(l.Params), params)
+		}
+		if again, err := ParseLambda(l.String()); err != nil || again.String() != l.String() {
+			t.Errorf("ParseLambda(%q) does not round-trip through %q: %v", src, l.String(), err)
+		}
+	}
+	for src, pos := range map[string]string{
+		`(\k -> k <)`:       "1:11",
+		"(\\k ->\n  k <)":   "2:6",
+		`(\k -> k) c0`:      "1:11",
+		`((\k -> k))`:       "1:2",
+		`(\k -> k`:          "1:9",
+		`\k -> k` + "\n+ 1": "2:1",
+		`f`:                 "1:1",
+		`\ -> 1`:            "1:1",
+		``:                  "1:1",
+	} {
+		_, err := ParseLambda(src)
+		if err == nil || !strings.Contains(err.Error(), "dsl: "+pos+":") {
+			t.Errorf("ParseLambda(%q) = %v, want an error at %s", src, err, pos)
+		}
+	}
+}
+
 // Round trip: print then re-parse then re-print must be a fixed point.
 // TestParseMultilineParens: inside parentheses, expressions span lines
 // freely (leading operators included) — the line-contiguity rule only

@@ -30,6 +30,14 @@ func Fprint(w io.Writer, p *Program) {
 	pr.stmts(p.Body)
 }
 
+// String renders the lambda in canonical surface syntax, which
+// ParseLambda reads back.
+func (l *Lambda) String() string {
+	var sb strings.Builder
+	(&printer{w: &sb}).expr(l)
+	return sb.String()
+}
+
 type printer struct {
 	w      io.Writer
 	indent int

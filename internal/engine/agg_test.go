@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dsl"
 	"repro/internal/vector"
 )
 
@@ -269,7 +270,7 @@ func TestAggMatrixMatchesReference(t *testing.T) {
 				if !filtered {
 					return leaf
 				}
-				return NewFilter(leaf, `(\x -> x < 60)`, "flt")
+				return NewFilter(leaf, dsl.MustParseLambda(`(\x -> x < 60)`), "flt")
 			}
 			name := fmt.Sprintf("keys=%v/sel=%v", keys, filtered)
 			scan, err := NewScan(st)

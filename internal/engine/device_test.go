@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/dsl"
 	"repro/internal/gpu"
 )
 
@@ -174,7 +175,7 @@ func TestDeviceExecOperatorPassthrough(t *testing.T) {
 func TestDeviceExecPropagatesError(t *testing.T) {
 	st := genTable(t, 10_000, 5)
 	ex, err := NewExchange(st, nil, 2, func(_ int, leaf Operator) (Operator, error) {
-		f := NewFilter(leaf, `(\k -> k <`, "k") // malformed predicate: Open fails later
+		f := NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < nope)`), "k") // unbound name: Open fails later
 		return NewDeviceExec(f, device.NewPlacer(device.NewCPU()), nil, KernelSpec{}, nil), nil
 	})
 	if err != nil {

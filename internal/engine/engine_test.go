@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dsl"
 	"repro/internal/vector"
 )
 
@@ -46,7 +47,7 @@ func TestScanRoundTrip(t *testing.T) {
 func TestComputeDerivedColumn(t *testing.T) {
 	st := testTable(3000, 2)
 	scan, _ := NewScan(st, "val", "price")
-	comp := NewCompute(scan, "scaled", `(\v p -> p * 2.0 + v)`, vector.F64, "val", "price")
+	comp := NewCompute(scan, "scaled", dsl.MustParseLambda(`(\v p -> p * 2.0 + v)`), vector.F64, "val", "price")
 	out, err := Collect(t.Context(), comp)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func TestComputeDerivedColumn(t *testing.T) {
 func TestFilterSelectivityAndCorrectness(t *testing.T) {
 	st := testTable(5000, 3)
 	scan, _ := NewScan(st, "id", "val")
-	f := NewFilter(scan, `(\v -> v < 50)`, "val")
+	f := NewFilter(scan, dsl.MustParseLambda(`(\v -> v < 50)`), "val")
 	out, err := Collect(t.Context(), f)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +98,8 @@ func TestFilterFlavorsAgree(t *testing.T) {
 	st := testTable(4000, 4)
 	for _, mode := range []EvalMode{EvalFull, EvalSelective, EvalAdaptive} {
 		scan, _ := NewScan(st, "id", "val")
-		f1 := NewFilter(scan, `(\v -> v < 30)`, "val").SetMode(EvalFull)
-		f2 := NewFilter(f1, `(\v -> v % 2 == 0)`, "val").SetMode(mode)
+		f1 := NewFilter(scan, dsl.MustParseLambda(`(\v -> v < 30)`), "val").SetMode(EvalFull)
+		f2 := NewFilter(f1, dsl.MustParseLambda(`(\v -> v % 2 == 0)`), "val").SetMode(mode)
 		out, err := Collect(t.Context(), f2)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -125,8 +126,8 @@ func TestComputeFlavorsAgree(t *testing.T) {
 	st := testTable(4000, 5)
 	for _, mode := range []EvalMode{EvalFull, EvalSelective, EvalAdaptive} {
 		scan, _ := NewScan(st, "id", "val")
-		f := NewFilter(scan, `(\v -> v < 10)`, "val") // ~10% selectivity
-		c := NewCompute(f, "sq", `(\v -> v * v)`, vector.I64, "val").SetMode(mode)
+		f := NewFilter(scan, dsl.MustParseLambda(`(\v -> v < 10)`), "val") // ~10% selectivity
+		c := NewCompute(f, "sq", dsl.MustParseLambda(`(\v -> v * v)`), vector.I64, "val").SetMode(mode)
 		out, err := Collect(t.Context(), c)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -147,8 +148,8 @@ func TestComputeFlavorsAgree(t *testing.T) {
 func TestAdaptiveComputePicksSelectiveAtLowSelectivity(t *testing.T) {
 	st := testTable(40000, 6)
 	scan, _ := NewScan(st, "id", "val")
-	f := NewFilter(scan, `(\v -> v < 2)`, "val")                 // ~2% selectivity
-	c := NewCompute(f, "sq", `(\v -> v * v)`, vector.I64, "val") // adaptive
+	f := NewFilter(scan, dsl.MustParseLambda(`(\v -> v < 2)`), "val")                 // ~2% selectivity
+	c := NewCompute(f, "sq", dsl.MustParseLambda(`(\v -> v * v)`), vector.I64, "val") // adaptive
 	if _, err := Collect(t.Context(), c); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestComputeOverWideJoinChunks(t *testing.T) {
 	probe, _ := NewScan(fact, "fk", "x")
 	build, _ := NewScan(dim, "k", "p")
 	j := NewHashJoin(probe, build, "fk", "k", "p")
-	c := NewCompute(j, "y", `(\x p -> x * 10 + p)`, vector.I64, "x", "p")
+	c := NewCompute(j, "y", dsl.MustParseLambda(`(\x p -> x * 10 + p)`), vector.I64, "x", "p")
 	out, err := Collect(t.Context(), c)
 	if err != nil {
 		t.Fatal(err)

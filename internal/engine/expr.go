@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/dsl"
 	"repro/internal/interp"
@@ -21,13 +21,13 @@ import (
 var ErrExpr = errors.New("engine: expression error")
 
 // exprVM wraps a per-operator adaptive VM for a DSL lambda applied to input
-// columns. The generated program is the front-end lowering the paper's §II
-// describes: one read per input column, the lambda body as a map, one write.
+// columns. The program is the front-end lowering the paper's §II describes:
+// one read per input column, the lambda body as a map, one write.
 type exprVM struct {
 	vm     *vm.VM
 	outVec *vector.Vector
 	ext    map[string]*vector.Vector
-	inCols []string
+	inExt  []string // external bound to each input, by position
 	kind   vector.Kind
 	env    *interp.Env
 }
@@ -60,35 +60,45 @@ func vmConfigForExpr(j ExprJIT) vm.Config {
 	return cfg
 }
 
-// newExprVM lowers "map (\params -> body) cols..." into a VM.
-func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind vector.Kind, j ExprJIT) (*exprVM, error) {
-	var sb strings.Builder
-	for i, col := range inCols {
-		fmt.Fprintf(&sb, "let c%d = read 0 %s\n", i, col)
-	}
-	sb.WriteString("let r = map " + lambda)
-	for i := range inCols {
-		fmt.Fprintf(&sb, " c%d", i)
-	}
-	sb.WriteString("\nwrite out 0 r\n")
+// exprOut is the external the lowering writes its result to. Every name the
+// lowering introduces starts with '#', which begins a comment in the DSL, so
+// no lambda can spell one: the lambda sees only its own parameters, and no
+// column name can collide with the lowering's own names.
+const exprOut = "#out"
 
-	prog, err := dsl.Parse(sb.String())
-	if err != nil {
-		return nil, fmt.Errorf("%w: lowering %q: %v", ErrExpr, lambda, err)
+// newExprVM lowers "map fn in0 in1 ..." into a VM. The program is built as
+// an AST around the already-parsed lambda:
+//
+//	let #c0 = read 0 #in0 ...
+//	let #r = map fn #c0 ...
+//	write #out 0 #r
+//
+// Inputs are named by position, never by column name.
+func newExprVM(fn *dsl.Lambda, inKinds []vector.Kind, outKind vector.Kind, j ExprJIT) (*exprVM, error) {
+	zero := &dsl.Const{Val: vector.I64Value(0)}
+	kinds := map[string]vector.Kind{exprOut: outKind}
+	inExt := make([]string, len(inKinds))
+	args := make([]dsl.Expr, len(inKinds))
+	body := make([]dsl.Stmt, 0, len(inKinds)+2)
+	for i, k := range inKinds {
+		n := strconv.Itoa(i)
+		inExt[i] = "#in" + n
+		kinds[inExt[i]] = k
+		body = append(body, &dsl.Let{Name: "#c" + n, Val: &dsl.ReadExpr{At: zero, Data: inExt[i]}})
+		args[i] = &dsl.VarRef{Name: "#c" + n}
 	}
-	kinds := map[string]vector.Kind{"out": outKind}
-	for i, col := range inCols {
-		kinds[col] = inKinds[i]
-	}
-	np, err := nir.Normalize(prog, kinds)
+	body = append(body,
+		&dsl.Let{Name: "#r", Val: &dsl.MapExpr{Fn: fn, Args: args}},
+		&dsl.WriteStmt{Dst: exprOut, At: zero, Val: &dsl.VarRef{Name: "#r"}})
+	np, err := nir.Normalize(&dsl.Program{Body: body}, kinds)
 	if err != nil {
-		return nil, fmt.Errorf("%w: normalizing %q: %v", ErrExpr, lambda, err)
+		return nil, fmt.Errorf("%w: lowering %s: %v", ErrExpr, fn, err)
 	}
 	e := &exprVM{
 		vm:     vm.New(np, vmConfigForExpr(j)),
 		outVec: vector.New(outKind, 0, vector.DefaultChunkLen),
 		ext:    map[string]*vector.Vector{},
-		inCols: inCols,
+		inExt:  inExt,
 		kind:   outKind,
 	}
 	return e, nil
@@ -134,11 +144,11 @@ func (e *exprVM) eval(ctx context.Context, inputs []*vector.Vector) (*vector.Vec
 
 // evalWindow runs the VM once over inputs of ≤ DefaultChunkLen rows.
 func (e *exprVM) evalWindow(ctx context.Context, inputs []*vector.Vector) (*vector.Vector, error) {
-	for i, col := range e.inCols {
-		e.ext[col] = inputs[i]
+	for i, name := range e.inExt {
+		e.ext[name] = inputs[i]
 	}
 	e.outVec.SetLen(0)
-	e.ext["out"] = e.outVec
+	e.ext[exprOut] = e.outVec
 	// The environment is created once and reused: rebinding happens through
 	// the shared externals map, and register buffers amortize across chunks.
 	if e.env == nil {
@@ -151,7 +161,7 @@ func (e *exprVM) evalWindow(ctx context.Context, inputs []*vector.Vector) (*vect
 	if err := e.vm.RunContext(ctx, e.env); err != nil {
 		return nil, err
 	}
-	return e.ext["out"], nil
+	return e.ext[exprOut], nil
 }
 
 // Profile exposes the underlying VM profile (for tests and reports).
@@ -195,7 +205,7 @@ const fullThreshold = 0.5
 type Compute struct {
 	child   Operator
 	outName string
-	lambda  string
+	fn      *dsl.Lambda
 	cols    []string
 	mode    EvalMode
 	evm     *exprVM
@@ -207,11 +217,11 @@ type Compute struct {
 	FullEvals, SelectiveEvals int
 }
 
-// NewCompute creates a compute operator: out := map lambda cols...
+// NewCompute creates a compute operator: out := map fn cols...
 // outKind must be the lambda's result kind.
-func NewCompute(child Operator, outName, lambda string, outKind vector.Kind, cols ...string) *Compute {
+func NewCompute(child Operator, outName string, fn *dsl.Lambda, outKind vector.Kind, cols ...string) *Compute {
 	return &Compute{
-		child: child, outName: outName, lambda: lambda, cols: cols,
+		child: child, outName: outName, fn: fn, cols: cols,
 		outKind: outKind, mode: EvalAdaptive, selEW: profile.NewEWMA(0.3),
 		jit: ExprJIT{On: true},
 	}
@@ -246,7 +256,7 @@ func (c *Compute) Open(ctx context.Context) error {
 			return fmt.Errorf("engine: compute input %q not produced by child", col)
 		}
 	}
-	evm, err := newExprVM(c.lambda, c.cols, kinds, c.outKind, c.jit)
+	evm, err := newExprVM(c.fn, kinds, c.outKind, c.jit)
 	if err != nil {
 		return err
 	}
@@ -321,13 +331,13 @@ func (c *Compute) Close() error {
 
 // Filter narrows the chunk's selection vector with a DSL predicate.
 type Filter struct {
-	child  Operator
-	lambda string
-	col    string
-	mode   EvalMode
-	evm    *exprVM
-	selEW  *profile.EWMA
-	jit    ExprJIT
+	child Operator
+	fn    *dsl.Lambda
+	col   string
+	mode  EvalMode
+	evm   *exprVM
+	selEW *profile.EWMA
+	jit   ExprJIT
 
 	// Observed counts rows in/out for selectivity reporting.
 	RowsIn, RowsOut int64
@@ -335,10 +345,10 @@ type Filter struct {
 	MaskEvals, SelEvals int
 }
 
-// NewFilter creates a filter with predicate lambda over one column.
-func NewFilter(child Operator, lambda, col string) *Filter {
+// NewFilter creates a filter with predicate fn over one column.
+func NewFilter(child Operator, fn *dsl.Lambda, col string) *Filter {
 	return &Filter{
-		child: child, lambda: lambda, col: col,
+		child: child, fn: fn, col: col,
 		mode: EvalAdaptive, selEW: profile.NewEWMA(0.3), jit: ExprJIT{On: true},
 	}
 }
@@ -375,7 +385,7 @@ func (f *Filter) Open(ctx context.Context) error {
 	if !found {
 		return fmt.Errorf("engine: filter column %q not produced by child", f.col)
 	}
-	evm, err := newExprVM(f.lambda, []string{f.col}, []vector.Kind{kind}, vector.Bool, f.jit)
+	evm, err := newExprVM(f.fn, []vector.Kind{kind}, vector.Bool, f.jit)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dsl"
 	"repro/internal/jit"
 	"repro/internal/vector"
 )
@@ -29,9 +30,9 @@ func genTable(t testing.TB, n int, seed int64) *vector.DSMStore {
 // pipelineOn builds the test pipeline filter(k<700) → compute(v2 = v*3+1) →
 // compute(g = f*1.5) on an arbitrary leaf.
 func pipelineOn(leaf Operator) Operator {
-	f := NewFilter(leaf, `(\k -> k < 700)`, "k").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
-	c1 := NewCompute(f, "v2", `(\v -> v * 3 + 1)`, vector.I64, "v").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
-	return NewCompute(c1, "g", `(\x -> x * 1.5)`, vector.F64, "f").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	f := NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < 700)`), "k").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	c1 := NewCompute(f, "v2", dsl.MustParseLambda(`(\v -> v * 3 + 1)`), vector.I64, "v").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	return NewCompute(c1, "g", dsl.MustParseLambda(`(\x -> x * 1.5)`), vector.F64, "f").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
 }
 
 // materialize collects every selected row of op into flat slices.
@@ -348,7 +349,7 @@ func TestParallelAggAllRowsFiltered(t *testing.T) {
 	st := genTable(t, 30_000, 23)
 	aggs := []Aggregate{{Func: AggSum, Col: "v", As: "s"}}
 	mk := func(leaf Operator) Operator {
-		return NewFilter(leaf, `(\k -> k < 0)`, "k") // keys are 0..999: empty
+		return NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < 0)`), "k") // keys are 0..999: empty
 	}
 	serialScan, err := NewScan(st)
 	if err != nil {

@@ -2,10 +2,13 @@ package fused
 
 import "sync"
 
-// Cache is the engine-wide fused-code cache: compiled programs keyed by
-// plan fingerprint + specialization signature. Negative entries are cached
-// too — a segment the compiler declined once is declined from the cache
-// from then on, so unfusable hot plans pay the pattern-match exactly once.
+// Cache is the engine-wide fused-code cache: compiled programs keyed by a
+// string the caller guarantees is injective over everything Compile reads —
+// the advm builder uses the segment's canonical plan serialization, in which
+// every scanned column and kind, stage lambda and column, and probe build
+// side appears. Negative entries are cached too — a segment the compiler
+// declined once is declined from the cache from then on, so unfusable hot
+// plans pay the pattern-match exactly once.
 //
 // The cache is bounded: a workload cycling through endlessly distinct plans
 // recycles the least-recently-used slot instead of growing without bound

@@ -113,21 +113,6 @@ func Compile(scan []engine.ColInfo, stages []Stage) (*Program, bool) {
 	return p, true
 }
 
-// parseLambda parses a standalone lambda expression by wrapping it in a let
-// statement (the DSL grammar has no bare-expression production).
-func parseLambda(src string) (*dsl.Lambda, bool) {
-	prog, err := dsl.Parse("let r = " + src)
-	if err != nil || len(prog.Body) != 1 {
-		return nil, false
-	}
-	let, ok := prog.Body[0].(*dsl.Let)
-	if !ok {
-		return nil, false
-	}
-	lam, ok := let.Val.(*dsl.Lambda)
-	return lam, ok
-}
-
 // constOf extracts a literal constant, looking through a folded unary minus.
 func constOf(e dsl.Expr) (vector.Value, bool) {
 	switch c := e.(type) {
@@ -160,8 +145,8 @@ func varIs(e dsl.Expr, name string) bool {
 }
 
 func (p *Program) compileFilter(st Stage, slot map[string]int) bool {
-	lam, ok := parseLambda(st.Lambda)
-	if !ok || len(lam.Params) != 1 {
+	lam := st.Fn
+	if len(lam.Params) != 1 {
 		return false
 	}
 	a, ok := slot[st.Col]
@@ -224,8 +209,8 @@ func (p *Program) compilePred(e dsl.Expr, param string, a int) bool {
 }
 
 func (p *Program) compileCompute(st Stage, slot map[string]int) bool {
-	lam, ok := parseLambda(st.Lambda)
-	if !ok || len(lam.Params) != len(st.Cols) {
+	lam := st.Fn
+	if len(lam.Params) != len(st.Cols) {
 		return false
 	}
 	if _, shadow := slot[st.Out]; shadow {

@@ -8,12 +8,13 @@
 // The tier boundary mirrors the paper's micro-adaptive machinery on the
 // query side: cold plans run the existing vectorized interpreter; once a
 // plan fingerprint crosses the warm threshold its segment is compiled and
-// cached (keyed by fingerprint + specialization signature, see Signature);
-// at the hot threshold queries execute the cached fused loop. Fused
-// execution carries guards — a selectivity upper bound learned over the
-// first chunks, and a probe fan-out capacity bound — and deoptimizes back
-// to the interpreted operator chain at a chunk boundary when a guard trips,
-// so results are byte-identical to interpreted execution in every case.
+// cached (keyed by the segment's canonical plan serialization, which the
+// caller supplies; see Cache); at the hot threshold queries execute the
+// cached fused loop. Fused execution carries guards — a selectivity upper
+// bound learned over the first chunks, and a probe fan-out capacity bound —
+// and deoptimizes back to the interpreted operator chain at a chunk
+// boundary when a guard trips, so results are byte-identical to interpreted
+// execution in every case.
 //
 // Compilation is best-effort by construction: a lambda whose shape has no
 // monomorphized snippet (or whose constant kind does not match the column)
@@ -30,10 +31,7 @@
 package fused
 
 import (
-	"fmt"
-	"strings"
-
-	"repro/internal/engine"
+	"repro/internal/dsl"
 	"repro/internal/vector"
 )
 
@@ -51,12 +49,12 @@ const (
 	StageProbe
 )
 
-// Stage describes one stage of a streaming segment in a compiler- and
-// signature-friendly form, bottom-up (scan first). The advm builder
-// translates its plan nodes into this; the fused package never sees plans.
+// Stage describes one stage of a streaming segment in a compiler-friendly
+// form, bottom-up (scan first). The advm builder translates its plan nodes
+// into this; the fused package never sees plans.
 type Stage struct {
-	Kind   StageKind
-	Lambda string // DSL lambda source (filter predicate / compute expression)
+	Kind StageKind
+	Fn   *dsl.Lambda // parsed filter predicate / compute expression
 
 	Col string // filter input column
 
@@ -69,45 +67,4 @@ type Stage struct {
 	BuildNames []string      // build-side schema column names
 	BuildKinds []vector.Kind // build-side schema column kinds
 	Table      int           // index into the per-query shared-table list
-}
-
-// Signature is the specialization key of a segment: an injective encoding of
-// the scanned columns (names and kinds) and every stage's full shape. Two
-// segments share a signature exactly when the compiler would emit the same
-// program for them, so the code cache — keyed by plan fingerprint plus this
-// signature — can never serve a loop specialized for different types,
-// predicates or join shapes.
-func Signature(scan []engine.ColInfo, stages []Stage) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scan/%d:", len(scan))
-	for _, c := range scan {
-		fmt.Fprintf(&b, "%q=%d,", c.Name, c.Kind)
-	}
-	for _, st := range stages {
-		switch st.Kind {
-		case StageFilter:
-			fmt.Fprintf(&b, ";F%q@%q", st.Lambda, st.Col)
-		case StageCompute:
-			fmt.Fprintf(&b, ";C%q->%q=%d/%d:", st.Lambda, st.Out, st.OutKind, len(st.Cols))
-			for _, c := range st.Cols {
-				fmt.Fprintf(&b, "%q,", c)
-			}
-		case StageProbe:
-			fmt.Fprintf(&b, ";J%q#%d/%d:", st.ProbeKey, st.Table, len(st.Payload))
-			for _, p := range st.Payload {
-				fmt.Fprintf(&b, "%q,", p)
-			}
-			fmt.Fprintf(&b, "|%d:", len(st.BuildNames))
-			for i, n := range st.BuildNames {
-				k := vector.Invalid
-				if i < len(st.BuildKinds) {
-					k = st.BuildKinds[i]
-				}
-				fmt.Fprintf(&b, "%q=%d,", n, k)
-			}
-		default:
-			fmt.Fprintf(&b, ";?%d", st.Kind)
-		}
-	}
-	return b.String()
 }

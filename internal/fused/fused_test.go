@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/fused"
 	"repro/internal/vector"
@@ -47,30 +48,29 @@ func TestCompileShapes(t *testing.T) {
 		ok     bool
 		ops    int
 	}{
-		{"filter-lt-i64", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> k < 10)`, Col: "k"}}, true, 1},
-		{"filter-conj", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> (k >= 3) && (k <= 90))`, Col: "k"}}, true, 2},
-		{"filter-mod-eq", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> (k % 7) == 2)`, Col: "k"}}, true, 1},
-		{"filter-f64", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\x -> x != 2.5)`, Col: "x"}}, true, 1},
-		{"filter-neg-const", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\x -> x > -1.5)`, Col: "x"}}, true, 1},
-		{"compute-affine-i64", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
-		{"compute-scale", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 5)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
-		{"compute-square", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x -> x * x)`, Out: "y", OutKind: vector.F64, Cols: []string{"x"}}}, true, 1},
-		{"compute-modmul", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> (k % 10) * 3)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
-		{"compute-muladd", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k j -> k + j * 2)`, Out: "y", OutKind: vector.I64, Cols: []string{"k", "k"}}}, true, 1},
-		{"compute-mul-f64", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x y -> x * y)`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
-		{"compute-mul-const-sub", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x y -> x * (1.0 - y))`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
-		{"compute-mul-const-add", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x y -> x * (1.0 + y))`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
+		{"filter-lt-i64", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 10)`), Col: "k"}}, true, 1},
+		{"filter-conj", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k >= 3) && (k <= 90))`), Col: "k"}}, true, 2},
+		{"filter-mod-eq", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k % 7) == 2)`), Col: "k"}}, true, 1},
+		{"filter-f64", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\x -> x != 2.5)`), Col: "x"}}, true, 1},
+		{"filter-neg-const", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\x -> x > -1.5)`), Col: "x"}}, true, 1},
+		{"compute-affine-i64", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 3 + 7)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
+		{"compute-scale", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 5)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
+		{"compute-square", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\x -> x * x)`), Out: "y", OutKind: vector.F64, Cols: []string{"x"}}}, true, 1},
+		{"compute-modmul", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> (k % 10) * 3)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
+		{"compute-muladd", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k j -> k + j * 2)`), Out: "y", OutKind: vector.I64, Cols: []string{"k", "k"}}}, true, 1},
+		{"compute-mul-f64", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\x y -> x * y)`), Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
+		{"compute-mul-const-sub", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\x y -> x * (1.0 - y))`), Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
+		{"compute-mul-const-add", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\x y -> x * (1.0 + y))`), Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
 		{"probe", []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
 			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}}}, true, 1},
 		// Declines.
-		{"kind-mismatch-const", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> k < 10.5)`, Col: "k"}}, false, 0},
-		{"unknown-col", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\v -> v < 10)`, Col: "nope"}}, false, 0},
-		{"unparsable", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> `, Col: "k"}}, false, 0},
-		{"const-on-left", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> 10 > k)`, Col: "k"}}, false, 0},
-		{"mod-zero", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> (k % 0) == 1)`, Col: "k"}}, false, 0},
-		{"compute-shadow", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 2)`, Out: "x", OutKind: vector.I64, Cols: []string{"k"}}}, false, 0},
-		{"compute-unknown-shape", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k + k)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, false, 0},
-		{"compute-wrong-out-kind", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.F64, Cols: []string{"k"}}}, false, 0},
+		{"kind-mismatch-const", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 10.5)`), Col: "k"}}, false, 0},
+		{"unknown-col", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\v -> v < 10)`), Col: "nope"}}, false, 0},
+		{"const-on-left", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> 10 > k)`), Col: "k"}}, false, 0},
+		{"mod-zero", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k % 0) == 1)`), Col: "k"}}, false, 0},
+		{"compute-shadow", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 2)`), Out: "x", OutKind: vector.I64, Cols: []string{"k"}}}, false, 0},
+		{"compute-unknown-shape", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k + k)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, false, 0},
+		{"compute-wrong-out-kind", []fused.Stage{{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 3 + 7)`), Out: "y", OutKind: vector.F64, Cols: []string{"k"}}}, false, 0},
 		{"probe-f64-key", []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "x", Payload: nil,
 			BuildNames: []string{"bk"}, BuildKinds: []vector.Kind{vector.I64}}}, false, 0},
 		{"probe-missing-payload", []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"zz"},
@@ -153,9 +153,9 @@ func TestExecMatchesInterpreter(t *testing.T) {
 	st := testTable(5000)
 	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
 	stages := []fused.Stage{
-		{Kind: fused.StageFilter, Lambda: `(\k -> (k >= 10) && (k < 80))`, Col: "k"},
-		{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
-		{Kind: fused.StageCompute, Lambda: `(\x y -> x * y)`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}},
+		{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k >= 10) && (k < 80))`), Col: "k"},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 3 + 7)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\x y -> x * y)`), Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}},
 	}
 	prog, ok := fused.Compile(scan, stages)
 	if !ok {
@@ -170,9 +170,9 @@ func TestExecMatchesInterpreter(t *testing.T) {
 		t.Fatal("steady-selectivity segment must not deopt")
 	}
 	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
-		f := engine.NewFilter(op, `(\k -> (k >= 10) && (k < 80))`, "k")
-		c1 := engine.NewCompute(f, "y", `(\k -> k * 3 + 7)`, vector.I64, "k")
-		return engine.NewCompute(c1, "z", `(\x y -> x * y)`, vector.F64, "x", "x")
+		f := engine.NewFilter(op, dsl.MustParseLambda(`(\k -> (k >= 10) && (k < 80))`), "k")
+		c1 := engine.NewCompute(f, "y", dsl.MustParseLambda(`(\k -> k * 3 + 7)`), vector.I64, "k")
+		return engine.NewCompute(c1, "z", dsl.MustParseLambda(`(\x y -> x * y)`), vector.F64, "x", "x")
 	})
 	storesEqual(t, got, want)
 	if ctrs.Chunks.Load() == 0 || ctrs.Rows.Load() != int64(got.Rows()) {
@@ -187,10 +187,10 @@ func TestExecProbeMatchesInterpreter(t *testing.T) {
 	sh := buildTable(50, 2) // keys 0..49, two matches each; keys 50..96 miss
 	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
 	stages := []fused.Stage{
-		{Kind: fused.StageFilter, Lambda: `(\k -> k < 70)`, Col: "k"},
+		{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 70)`), Col: "k"},
 		{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
 			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}, Table: 0},
-		{Kind: fused.StageCompute, Lambda: `(\p q -> p + q * 1)`, Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\p q -> p + q * 1)`), Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
 	}
 	prog, ok := fused.Compile(scan, stages)
 	if !ok {
@@ -201,12 +201,12 @@ func TestExecProbeMatchesInterpreter(t *testing.T) {
 	}
 	got, _ := runFused(t, prog, st, []string{"k", "x"}, []*engine.SharedJoinTable{sh}, nil, nil)
 	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
-		f := engine.NewFilter(op, `(\k -> k < 70)`, "k")
+		f := engine.NewFilter(op, dsl.MustParseLambda(`(\k -> k < 70)`), "k")
 		tp, err := engine.NewTableProbe(f, sh, "k", "pay")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return engine.NewCompute(tp, "s", `(\p q -> p + q * 1)`, vector.I64, "k", "pay")
+		return engine.NewCompute(tp, "s", dsl.MustParseLambda(`(\p q -> p + q * 1)`), vector.I64, "k", "pay")
 	})
 	storesEqual(t, got, want)
 }
@@ -230,14 +230,14 @@ func shiftTable() *vector.DSMStore {
 func TestExecDeoptOnSelectivityShift(t *testing.T) {
 	st := shiftTable()
 	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
-	stages := []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> k < 100)`, Col: "k"}}
+	stages := []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 100)`), Col: "k"}}
 	prog, ok := fused.Compile(scan, stages)
 	if !ok {
 		t.Fatal("must compile")
 	}
 	ctrs := &fused.Counters{}
 	fb := func(leaf engine.Operator) (engine.Operator, error) {
-		return engine.NewFilter(leaf, `(\k -> k < 100)`, "k"), nil
+		return engine.NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < 100)`), "k"), nil
 	}
 	got, ex := runFused(t, prog, st, []string{"k", "x"}, nil, ctrs, fb)
 	if !ex.Deopted() {
@@ -247,7 +247,7 @@ func TestExecDeoptOnSelectivityShift(t *testing.T) {
 		t.Fatalf("Deopts = %d, want 1", ctrs.Deopts.Load())
 	}
 	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
-		return engine.NewFilter(op, `(\k -> k < 100)`, "k")
+		return engine.NewFilter(op, dsl.MustParseLambda(`(\k -> k < 100)`), "k")
 	})
 	storesEqual(t, got, want)
 }
@@ -293,20 +293,22 @@ func TestExecAllSnippets(t *testing.T) {
 		chain  func(engine.Operator) engine.Operator
 	}
 	filt := func(lambda, col string) spec {
+		fn := dsl.MustParseLambda(lambda)
 		return spec{
 			name:   lambda,
-			stages: []fused.Stage{{Kind: fused.StageFilter, Lambda: lambda, Col: col}},
+			stages: []fused.Stage{{Kind: fused.StageFilter, Fn: fn, Col: col}},
 			chain: func(op engine.Operator) engine.Operator {
-				return engine.NewFilter(op, lambda, col)
+				return engine.NewFilter(op, fn, col)
 			},
 		}
 	}
 	comp := func(lambda string, kind vector.Kind, cols ...string) spec {
+		fn := dsl.MustParseLambda(lambda)
 		return spec{
 			name:   lambda,
-			stages: []fused.Stage{{Kind: fused.StageCompute, Lambda: lambda, Out: "o", OutKind: kind, Cols: cols}},
+			stages: []fused.Stage{{Kind: fused.StageCompute, Fn: fn, Out: "o", OutKind: kind, Cols: cols}},
 			chain: func(op engine.Operator) engine.Operator {
-				return engine.NewCompute(op, "o", lambda, kind, cols...)
+				return engine.NewCompute(op, "o", fn, kind, cols...)
 			},
 		}
 	}
@@ -345,7 +347,7 @@ func TestExecAllSnippets(t *testing.T) {
 func TestCache(t *testing.T) {
 	c := fused.NewCache(2)
 	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64)},
-		[]fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> k < 5)`, Col: "k"}})
+		[]fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 5)`), Col: "k"}})
 	if !ok {
 		t.Fatal("must compile")
 	}
@@ -381,47 +383,6 @@ func TestCache(t *testing.T) {
 	}
 }
 
-// TestSignatureInjective: every structural difference must change the
-// signature, and identical inputs must reproduce it byte-for-byte.
-func TestSignatureInjective(t *testing.T) {
-	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
-	base := []fused.Stage{
-		{Kind: fused.StageFilter, Lambda: `(\k -> k < 10)`, Col: "k"},
-		{Kind: fused.StageCompute, Lambda: `(\k -> k * 2)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
-		{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
-			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}, Table: 0},
-	}
-	sigs := map[string]string{}
-	add := func(name string, scan []engine.ColInfo, stages []fused.Stage) {
-		s := fused.Signature(scan, stages)
-		if prev, dup := sigs[s]; dup {
-			t.Fatalf("signature collision between %s and %s: %q", prev, name, s)
-		}
-		sigs[s] = name
-	}
-	clone := func(mut func([]fused.Stage)) []fused.Stage {
-		cp := append([]fused.Stage(nil), base...)
-		mut(cp)
-		return cp
-	}
-	add("base", scan, base)
-	add("scan-kind", []engine.ColInfo{ci("k", vector.I64), ci("x", vector.I64)}, base)
-	add("scan-name", []engine.ColInfo{ci("k2", vector.I64), ci("x", vector.F64)}, base)
-	add("lambda", scan, clone(func(s []fused.Stage) { s[0].Lambda = `(\k -> k < 11)` }))
-	add("filter-col", scan, clone(func(s []fused.Stage) { s[0].Col = "x" }))
-	add("out-kind", scan, clone(func(s []fused.Stage) { s[1].OutKind = vector.F64 }))
-	add("out-name", scan, clone(func(s []fused.Stage) { s[1].Out = "z" }))
-	add("probe-payload", scan, clone(func(s []fused.Stage) { s[2].Payload = nil }))
-	add("probe-table", scan, clone(func(s []fused.Stage) { s[2].Table = 1 }))
-	add("probe-build-kind", scan, clone(func(s []fused.Stage) {
-		s[2].BuildKinds = []vector.Kind{vector.I64, vector.F64}
-	}))
-	add("fewer-stages", scan, base[:2])
-	if got, want := fused.Signature(scan, base), fused.Signature(scan, base); got != want {
-		t.Fatal("signature must be deterministic")
-	}
-}
-
 // TestExecHeldChunksOwnTheirColumns drains a fused Exec the way the exchange
 // and the parallel join build do: every chunk is held until the stream ends.
 // The morsel mixes chunks in which no row is dropped (computed columns copied
@@ -453,19 +414,19 @@ func TestExecHeldChunksOwnTheirColumns(t *testing.T) {
 		func(context.Context) (*engine.JoinTable, error) { return engine.NewJoinTable(rows, "bk") })
 
 	stages := []fused.Stage{
-		{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 3 + 7)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
 		{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
 			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}},
-		{Kind: fused.StageCompute, Lambda: `(\p q -> p + q * 2)`, Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
-		{Kind: fused.StageFilter, Lambda: `(\p -> p < 3000)`, Col: "pay"},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\p q -> p + q * 2)`), Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
+		{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\p -> p < 3000)`), Col: "pay"},
 	}
 	chain := func(leaf engine.Operator) (engine.Operator, error) {
-		tp, err := engine.NewTableProbe(engine.NewCompute(leaf, "y", `(\k -> k * 3 + 7)`, vector.I64, "k"), sh, "k", "pay")
+		tp, err := engine.NewTableProbe(engine.NewCompute(leaf, "y", dsl.MustParseLambda(`(\k -> k * 3 + 7)`), vector.I64, "k"), sh, "k", "pay")
 		if err != nil {
 			return nil, err
 		}
-		s := engine.NewCompute(tp, "s", `(\p q -> p + q * 2)`, vector.I64, "k", "pay")
-		return engine.NewFilter(s, `(\p -> p < 3000)`, "pay"), nil
+		s := engine.NewCompute(tp, "s", dsl.MustParseLambda(`(\p q -> p + q * 2)`), vector.I64, "k", "pay")
+		return engine.NewFilter(s, dsl.MustParseLambda(`(\p -> p < 3000)`), "pay"), nil
 	}
 	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}, stages)
 	if !ok {
@@ -541,14 +502,14 @@ func storeSchema(cols []engine.ColInfo) vector.Schema {
 func TestLentExecAllocatesNothingPerChunk(t *testing.T) {
 	st := testTable(64 * 256)
 	stages := []fused.Stage{
-		{Kind: fused.StageFilter, Lambda: `(\k -> (k >= 10) && (k < 80))`, Col: "k"},
-		{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
-		{Kind: fused.StageCompute, Lambda: `(\x y -> x * (1.0 - y))`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}},
+		{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k >= 10) && (k < 80))`), Col: "k"},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 3 + 7)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
+		{Kind: fused.StageCompute, Fn: dsl.MustParseLambda(`(\x y -> x * (1.0 - y))`), Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}},
 	}
 	chain := func(op engine.Operator) engine.Operator {
-		op = engine.NewFilter(op, `(\k -> (k >= 10) && (k < 80))`, "k")
-		op = engine.NewCompute(op, "y", `(\k -> k * 3 + 7)`, vector.I64, "k")
-		return engine.NewCompute(op, "z", `(\x y -> x * (1.0 - y))`, vector.F64, "x", "x")
+		op = engine.NewFilter(op, dsl.MustParseLambda(`(\k -> (k >= 10) && (k < 80))`), "k")
+		op = engine.NewCompute(op, "y", dsl.MustParseLambda(`(\k -> k * 3 + 7)`), vector.I64, "k")
+		return engine.NewCompute(op, "z", dsl.MustParseLambda(`(\x y -> x * (1.0 - y))`), vector.F64, "x", "x")
 	}
 	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}, stages)
 	if !ok {

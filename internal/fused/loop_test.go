@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/vector"
 )
@@ -23,10 +24,10 @@ func TestProbeMatchingNothingCopiesNoColumn(t *testing.T) {
 		func(context.Context) (*engine.JoinTable, error) { return engine.NewJoinTable(rows, "bk") })
 	scan := []engine.ColInfo{{Name: "k", Kind: vector.I64}, {Name: "x", Kind: vector.F64}}
 	prog, ok := Compile(scan, []Stage{
-		{Kind: StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
+		{Kind: StageCompute, Fn: dsl.MustParseLambda(`(\k -> k * 3 + 7)`), Out: "y", OutKind: vector.I64, Cols: []string{"k"}},
 		{Kind: StageProbe, ProbeKey: "y", Payload: []string{"pay"},
 			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}},
-		{Kind: StageCompute, Lambda: `(\p q -> p + q * 2)`, Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
+		{Kind: StageCompute, Fn: dsl.MustParseLambda(`(\p q -> p + q * 2)`), Out: "s", OutKind: vector.I64, Cols: []string{"k", "pay"}},
 	})
 	if !ok {
 		t.Fatal("segment must compile")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/jit"
 	"repro/internal/vector"
@@ -39,13 +40,13 @@ func Q1Engine(ctx context.Context, st *vector.DSMStore, cutoff int64, opts Q1Opt
 	if err != nil {
 		return nil, err
 	}
-	filter := engine.NewFilter(scan, fmt.Sprintf(`(\d -> d <= %d)`, cutoff), "l_shipdate").
+	filter := engine.NewFilter(scan, dsl.MustParseLambda(fmt.Sprintf(`(\d -> d <= %d)`, cutoff)), "l_shipdate").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	discPrice := engine.NewCompute(filter, "disc_price",
-		`(\p d -> p * (1.0 - d))`, vector.F64, "l_extendedprice", "l_discount").
+		dsl.MustParseLambda(`(\p d -> p * (1.0 - d))`), vector.F64, "l_extendedprice", "l_discount").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	charge := engine.NewCompute(discPrice, "charge",
-		`(\dp t -> dp * (1.0 + t))`, vector.F64, "disc_price", "l_tax").
+		dsl.MustParseLambda(`(\dp t -> dp * (1.0 + t))`), vector.F64, "disc_price", "l_tax").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	agg := engine.NewHashAgg(charge,
 		[]string{"l_returnflag", "l_linestatus"},
@@ -190,13 +191,13 @@ func Q6Engine(ctx context.Context, st *vector.DSMStore, p Q6Params, opts Q1Optio
 	if err != nil {
 		return 0, err
 	}
-	f1 := engine.NewFilter(scan, fmt.Sprintf(`(\d -> (d >= %d) && (d < %d))`, p.ShipLo, p.ShipHi), "l_shipdate").
+	f1 := engine.NewFilter(scan, dsl.MustParseLambda(fmt.Sprintf(`(\d -> (d >= %d) && (d < %d))`, p.ShipLo, p.ShipHi)), "l_shipdate").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
-	f2 := engine.NewFilter(f1, fmt.Sprintf(`(\x -> (x >= %v) && (x <= %v))`, p.DiscLo, p.DiscHi), "l_discount").
+	f2 := engine.NewFilter(f1, dsl.MustParseLambda(fmt.Sprintf(`(\x -> (x >= %v) && (x <= %v))`, p.DiscLo, p.DiscHi)), "l_discount").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
-	f3 := engine.NewFilter(f2, fmt.Sprintf(`(\q -> q < %d)`, p.QtyMax), "l_quantity").
+	f3 := engine.NewFilter(f2, dsl.MustParseLambda(fmt.Sprintf(`(\q -> q < %d)`, p.QtyMax)), "l_quantity").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
-	rev := engine.NewCompute(f3, "revenue", `(\p d -> p * d)`, vector.F64, "l_extendedprice", "l_discount").
+	rev := engine.NewCompute(f3, "revenue", dsl.MustParseLambda(`(\p d -> p * d)`), vector.F64, "l_extendedprice", "l_discount").
 		SetMode(opts.Mode).SetJIT(opts.exprJIT())
 	agg := engine.NewHashAgg(rev, nil, []engine.Aggregate{
 		{Func: engine.AggSum, Col: "revenue", As: "revenue"},
