@@ -11,6 +11,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -148,6 +149,7 @@ func put(packs []uint64, i int, width uint8, v uint64) {
 	}
 }
 
+// get returns delta i by its own bit position (point access; Block.Get).
 func get(packs []uint64, i int, width uint8) uint64 {
 	bitPos := i * int(width)
 	word, off := bitPos/64, uint(bitPos%64)
@@ -159,6 +161,51 @@ func get(packs []uint64, i int, width uint8) uint64 {
 		return v
 	}
 	return v & ((1 << width) - 1)
+}
+
+// unpack writes base plus the FOR deltas [from, from+len(dst)) of packs,
+// width bits each, into dst; base 0 leaves the deltas themselves. Width 64
+// copies words. Any other width advances a bit cursor, so no value pays a
+// multiply or a divide: a value is its word shifted down by the offset, or'ed
+// with the next word shifted up by 64 minus the offset — in two steps, so
+// that offset 0 shifts the next word out with no branch. Values that start
+// in the last word have no next word to read and go through a tail loop.
+func unpack(dst []int64, packs []uint64, width uint8, base uint64, from int) {
+	if len(dst) == 0 {
+		return
+	}
+	if width == 64 {
+		for i, w := range packs[from : from+len(dst)] {
+			dst[i] = int64(base + w)
+		}
+		return
+	}
+	w := uint(width)
+	mask := uint64(1)<<w - 1
+	bit := uint(from) * w
+	lastWord := int((uint(len(packs)-1)*64 + w - 1) / w) // first value starting in it
+	body := min(len(dst), max(0, lastWord-from))
+	for i := range dst[:body] {
+		word, off := bit>>6, bit&63
+		dst[i] = int64(base + (packs[word]>>off|packs[word+1]<<(63-off)<<1)&mask)
+		bit += w
+	}
+	for i := body; i < len(dst); i++ {
+		dst[i] = int64(base + packs[bit>>6]>>(bit&63)&mask)
+		bit += w
+	}
+}
+
+// forBlock is how many values the FOR kernels unpack per call, through a
+// stack buffer.
+const forBlock = 256
+
+// unpackAt unpacks the up to forBlock values from value at on into buf,
+// base added (base 0: the unsigned deltas), and returns them.
+func (b *Block) unpackAt(buf *[forBlock]int64, base uint64, at int) []int64 {
+	vals := buf[:min(forBlock, b.n-at)]
+	unpack(vals, b.packs, b.width, base, at)
+	return vals
 }
 
 // Analyze picks the scheme with the smallest footprint for data.
@@ -226,9 +273,7 @@ func (b *Block) Decompress(dst []int64) int {
 			dst[i] = b.dict[c]
 		}
 	case FOR:
-		for i := 0; i < b.n; i++ {
-			dst[i] = b.base + int64(get(b.packs, i, b.width))
-		}
+		unpack(dst[:b.n], b.packs, b.width, uint64(b.base), 0)
 	}
 	return b.n
 }
@@ -270,9 +315,7 @@ func (b *Block) DecompressRange(dst []int64, from, n int) int {
 			dst[i] = b.dict[b.codes[from+i]]
 		}
 	case FOR:
-		for i := 0; i < n; i++ {
-			dst[i] = b.base + int64(get(b.packs, from+i, b.width))
-		}
+		unpack(dst[:n], b.packs, b.width, uint64(b.base), from)
 	}
 	return n
 }
@@ -334,15 +377,11 @@ func (b *Block) MinMax() (lo, hi int64, ok bool) {
 	case Dict:
 		lo, hi = scan(b.dict)
 	case FOR:
-		lo, hi = b.Get(0), b.Get(0)
-		for i := 1; i < b.n; i++ {
-			v := b.base + int64(get(b.packs, i, b.width))
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
+		lo, hi = math.MaxInt64, math.MinInt64
+		var buf [forBlock]int64
+		for at := 0; at < b.n; at += forBlock {
+			mn, mx := scan(b.unpackAt(&buf, uint64(b.base), at))
+			lo, hi = min(lo, mn), max(hi, mx)
 		}
 	}
 	return lo, hi, true
@@ -400,8 +439,11 @@ func (b *Block) Sum() int64 {
 		return s
 	case FOR:
 		var deltas uint64
-		for i := 0; i < b.n; i++ {
-			deltas += get(b.packs, i, b.width)
+		var buf [forBlock]int64
+		for at := 0; at < b.n; at += forBlock {
+			for _, d := range b.unpackAt(&buf, 0, at) {
+				deltas += uint64(d)
+			}
 		}
 		return b.base*int64(b.n) + int64(deltas)
 	}
@@ -447,9 +489,12 @@ func (b *Block) CountGreater(x int64) int64 {
 		}
 		t := uint64(x - b.base)
 		var c int64
-		for i := 0; i < b.n; i++ {
-			if get(b.packs, i, b.width) > t {
-				c++
+		var buf [forBlock]int64
+		for at := 0; at < b.n; at += forBlock {
+			for _, d := range b.unpackAt(&buf, 0, at) {
+				if uint64(d) > t {
+					c++
+				}
 			}
 		}
 		return c
@@ -490,10 +535,12 @@ func (b *Block) SumGreater(x int64) int64 {
 		return s
 	case FOR:
 		var s int64
-		for i := 0; i < b.n; i++ {
-			v := b.base + int64(get(b.packs, i, b.width))
-			if v > x {
-				s += v
+		var buf [forBlock]int64
+		for at := 0; at < b.n; at += forBlock {
+			for _, v := range b.unpackAt(&buf, uint64(b.base), at) {
+				if v > x {
+					s += v
+				}
 			}
 		}
 		return s

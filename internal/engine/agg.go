@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/profile"
 	"repro/internal/vector"
@@ -124,6 +125,14 @@ type aggSpec struct {
 	// for sums, averages and extremes of f64, i64 for those of every integer
 	// kind, and Invalid for count.
 	accKinds []vector.Kind
+	// accOf holds, per aggregate, the aggregate whose accumulator it reads:
+	// itself, or for a sum or avg, the first sum or avg over the same column.
+	// Both add the same rows in the same order into the same kind, so one
+	// accumulator serves both bit for bit; avg divides it at emission.
+	accOf []int
+	// strKey is set when a key is Str: groupPair then consults the table's
+	// identity memo.
+	strKey bool
 }
 
 // newAggSpec resolves an aggregation over a child schema and returns it
@@ -136,6 +145,7 @@ func newAggSpec(child []ColInfo, keys []string, aggs []Aggregate) (*aggSpec, []C
 	s := &aggSpec{keys: keys, aggs: aggs}
 	for _, ci := range schema[:len(keys)] {
 		s.keyKinds = append(s.keyKinds, ci.Kind)
+		s.strKey = s.strKey || ci.Kind == vector.Str
 	}
 	for ai, a := range aggs {
 		kind := schema[len(keys)+ai].Kind
@@ -153,6 +163,16 @@ func newAggSpec(child []ColInfo, keys []string, aggs []Aggregate) (*aggSpec, []C
 			kind = vector.I64
 		}
 		s.accKinds = append(s.accKinds, kind)
+		owner := ai
+		if a.Func == AggSum || a.Func == AggAvg {
+			for bi, b := range aggs[:ai] {
+				if (b.Func == AggSum || b.Func == AggAvg) && b.Col == a.Col {
+					owner = bi
+					break
+				}
+			}
+		}
+		s.accOf = append(s.accOf, owner)
 	}
 	return s, schema, nil
 }
@@ -199,27 +219,30 @@ func keysEqual(kinds []vector.Kind, a *keyCols, ra int, b *keyCols, rb int) bool
 
 // aggTable is a columnar grouped-aggregation accumulator. Groups have dense
 // int32 ids in first-seen order; the table keeps one typed column per key
-// and one typed accumulator column per aggregate, indexed by group id, plus
-// one row count per group that serves count and avg alike. There are no
+// and one typed accumulator column per aggregate (a sum and an avg of one
+// column share theirs), indexed by group id, plus one row count per group
+// that serves count and avg alike. There are no
 // nulls, so every group has at least one row: min, max and first are seeded
 // from a group's first row instead of tracking what each group has seen.
 //
 // It is the building block shared by the serial HashAgg (one global table)
 // and the morsel-parallel aggregation (one table per morsel). absorb folds a
 // chunk in two passes — keys to a group-id vector, then one typed loop per
-// aggregate — and merge folds another table the same way, its key and
+// accumulator — and merge folds another table the same way, its key and
 // accumulator columns standing in for the chunk's.
 type aggTable struct {
 	spec  *aggSpec
 	n     int // group count
 	keys  keyCols
 	count []int64
-	acc   []*vector.Vector // one per aggregate; nil for count
+	acc   []*vector.Vector // one per aggregate; nil for count, the owner's when shared (aggSpec.accOf)
 
 	// Key index: slots is a linear-probing table of group id + 1 (0 = empty)
 	// over the per-group key hashes.
 	slots  []int32
 	hashes []uint64
+	// memo is the identity memo of shapes with a Str key (see groupPair).
+	memo [memoSlots]memoEntry
 
 	// Scratch reused across calls.
 	gids  []int32          // group id per input row
@@ -246,6 +269,8 @@ func newAggTable(spec *aggSpec, hint int) *aggTable {
 		switch {
 		case kind == vector.Invalid:
 			t.acc[ai] = nil
+		case spec.accOf[ai] != ai:
+			t.acc[ai] = t.acc[spec.accOf[ai]]
 		case t.acc[ai] == nil || t.acc[ai].Kind() != kind:
 			t.acc[ai] = vector.New(kind, 0, hint)
 		}
@@ -263,19 +288,29 @@ func newAggTable(spec *aggSpec, hint int) *aggTable {
 }
 
 // release returns the table to the pool. Strings are cleared so the pooled
-// columns pin nothing.
+// columns and the memo pin nothing, and shared accumulators are unshared:
+// the next spec may not share, and two slots holding one vector would fold
+// two aggregates into it.
 func (t *aggTable) release() {
 	for k := range t.keys.i {
 		clear(t.keys.s[k])
 		t.keys.i[k], t.keys.s[k] = t.keys.i[k][:0], t.keys.s[k][:0]
 	}
-	for _, acc := range t.acc {
-		if acc != nil {
-			if acc.Kind() == vector.Str {
-				clear(acc.Str())
-			}
-			acc.SetLen(0)
+	for ai, acc := range t.acc {
+		if acc == nil {
+			continue
 		}
+		if t.spec.accOf[ai] != ai {
+			t.acc[ai] = nil
+			continue
+		}
+		if acc.Kind() == vector.Str {
+			clear(acc.Str())
+		}
+		acc.SetLen(0)
+	}
+	if t.spec.strKey {
+		clear(t.memo[:])
 	}
 	clear(t.in)
 	clear(t.slots)
@@ -343,28 +378,43 @@ func (t *aggTable) group(in *keyCols, sel vector.Sel, n int) {
 	}
 }
 
-// groupHashed is group for every keyed shape: it runs groupPair specialized
-// to the key columns' element types.
+// groupHashed is group for every keyed shape: groupInts for i64 keys,
+// groupMemo specialized to the key columns' element types for shapes with a
+// Str key.
 func (t *aggTable) groupHashed(in *keyCols, sel vector.Sel) {
 	k := t.spec.keyKinds
+	if !t.spec.strKey {
+		groupInts(t, sel, in.i[0], in.i[1])
+		return
+	}
+	var memo memoCols
+	ns := 0
+	for j, kind := range k {
+		if kind == vector.I64 {
+			memo.i = in.i[j]
+		} else {
+			memo.s[ns] = in.s[j]
+			ns++
+		}
+	}
 	switch {
-	case k[0] == vector.I64 && (len(k) == 1 || k[1] == vector.I64):
-		groupPair(t, sel, in.i[0], in.i[1], &t.keys.i[0], &t.keys.i[1], hashI64, hashI64)
 	case k[0] == vector.I64:
-		groupPair(t, sel, in.i[0], in.s[1], &t.keys.i[0], &t.keys.s[1], hashI64, hashStr64)
+		groupMemo(t, sel, &memo, in.i[0], in.s[1], &t.keys.i[0], &t.keys.s[1], hashI64, hashStr64)
 	case len(k) == 2 && k[1] == vector.I64:
-		groupPair(t, sel, in.s[0], in.i[1], &t.keys.s[0], &t.keys.i[1], hashStr64, hashI64)
+		groupMemo(t, sel, &memo, in.s[0], in.i[1], &t.keys.s[0], &t.keys.i[1], hashStr64, hashI64)
 	default:
-		groupPair(t, sel, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)
+		groupMemo(t, sel, &memo, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)
 	}
 }
 
-// groupPair maps rows to groups by one key column a, or two a and b, whose
-// stored columns are ta and tb: it hashes a row's key and probes the slots,
-// checking candidates against the stored keys. A row whose key equals the
-// previous row's reuses its group id without hashing or probing.
-func groupPair[A, B int64 | string](t *aggTable, sel vector.Sel, a []A, b []B, ta *[]A, tb *[]B, ha func(A) uint64, hb func(B) uint64) {
+// groupInts maps rows to groups by one i64 key column a, or two a and b: it
+// hashes a row's key and probes the slots, checking candidates against the
+// stored keys. A row whose key equals the previous row's reuses its group id
+// without hashing or probing. It is findGroup inlined, with the hash called
+// directly: high-cardinality i64 groupings probe on most rows.
+func groupInts(t *aggTable, sel vector.Sel, a, b []int64) {
 	two := len(t.spec.keys) == 2
+	ta, tb := &t.keys.i[0], &t.keys.i[1]
 	gids := t.gids
 	prev := -1
 	for i := range gids {
@@ -374,9 +424,9 @@ func groupPair[A, B int64 | string](t *aggTable, sel vector.Sel, a []A, b []B, t
 			continue
 		}
 		prev = r
-		h := ha(a[r])
+		h := hashI64(a[r])
 		if two {
-			h = h*hashMul ^ hb(b[r])
+			h = h*hashMul ^ hashI64(b[r])
 		}
 		mask := uint64(len(t.slots) - 1)
 		for s := h & mask; ; s = (s + 1) & mask {
@@ -403,6 +453,125 @@ func groupPair[A, B int64 | string](t *aggTable, sel vector.Sel, a []A, b []B, t
 			}
 		}
 	}
+}
+
+// memoCols are the key columns the identity memo reads: the Str keys in key
+// order and the i64 key of a shape that mixes the two; nil where a shape has
+// none.
+type memoCols struct {
+	s [2][]string
+	i []int64
+}
+
+// groupMemo maps rows to groups by one key column a, or two a and b, at
+// least one of them Str; memo holds the same columns. A row whose keys are
+// identical to the entry of t.memo its identity selects — every Str key with
+// the same length and data pointer, the i64 key equal — takes the entry's
+// group id without hashing; any other row probes and refills the entry.
+//
+// Rows meet the memo because equal values already share storage: a
+// generated or served table holds one literal per value, and a colstore
+// segment decodes every row of one dictionary entry to that entry's own
+// string. Identity implies equal bytes since Go strings are immutable and
+// nothing in this module builds a string over mutable memory
+// (unsafe.String); an entry holds its strings, not just their addresses, so
+// no later string can reuse a memoized address.
+func groupMemo[A, B int64 | string](t *aggTable, sel vector.Sel, memo *memoCols, a []A, b []B, ta *[]A, tb *[]B, ha func(A) uint64, hb func(B) uint64) {
+	two := len(t.spec.keys) == 2
+	ms0, ms1, mi := memo.s[0], memo.s[1], memo.i
+	gids := t.gids
+	for i := range gids {
+		r := rowAt(sel, i)
+		s0 := ms0[r]
+		var s1 string
+		var iv int64
+		if ms1 != nil {
+			s1 = ms1[r]
+		}
+		if mi != nil {
+			iv = mi[r]
+		}
+		me := &t.memo[memoSlot(s0, s1, iv)]
+		if me.g != 0 && sameStr(me.s[0], s0) && sameStr(me.s[1], s1) && me.i == iv {
+			gids[i] = me.g - 1
+			continue
+		}
+		var br B
+		if two {
+			br = b[r]
+		}
+		g := findGroup(t, a[r], br, r, ta, tb, ha, hb)
+		*me = memoEntry{s: [2]string{s0, s1}, i: iv, g: g + 1}
+		gids[i] = g
+	}
+}
+
+// findGroup returns the group of key (a, b) — b is ignored with one key —
+// whose stored key columns are ta and tb: it hashes the key and probes the
+// slots, checking candidates against the stored keys, and creates the group
+// for input row r if the key is new.
+func findGroup[A, B int64 | string](t *aggTable, a A, b B, r int, ta *[]A, tb *[]B, ha func(A) uint64, hb func(B) uint64) int32 {
+	two := len(t.spec.keys) == 2
+	h := ha(a)
+	if two {
+		h = h*hashMul ^ hb(b)
+	}
+	mask := uint64(len(t.slots) - 1)
+	for s := h & mask; ; s = (s + 1) & mask {
+		e := t.slots[s]
+		if e == 0 {
+			g := int32(t.n)
+			*ta = append(*ta, a)
+			if two {
+				*tb = append(*tb, b)
+			}
+			t.hashes = append(t.hashes, h)
+			t.fresh = append(t.fresh, int32(r))
+			t.n++
+			t.slots[s] = g + 1
+			if 2*t.n > len(t.slots) {
+				t.rehash()
+			}
+			return g
+		}
+		if g := e - 1; t.hashes[g] == h && (*ta)[g] == a && (!two || (*tb)[g] == b) {
+			return g
+		}
+	}
+}
+
+// memoBits sizes aggTable's identity memo: 1<<memoBits direct-mapped
+// entries in a fixed array of the pooled table, so memoizing allocates
+// nothing.
+const (
+	memoBits  = 6
+	memoSlots = 1 << memoBits
+)
+
+// memoEntry is one identity memo entry: a key as memoCols orders it and its
+// group id + 1 (0 = empty).
+type memoEntry struct {
+	s [2]string
+	i int64
+	g int32
+}
+
+// memoSlot is the memo entry of a key: the top bits of a multiplicative
+// hash of the Str keys' data pointers and the i64 key. Lengths are left out
+// on purpose: every prefix of one backing string shares an entry, so the
+// length check of the hit test is exercised by every such key, not only by
+// the rare hash collision.
+func memoSlot(s0, s1 string, i int64) int {
+	h := strPtr(s0)*hashMul ^ (strPtr(s1)^uint64(i))*0xbf58476d1ce4e5b9
+	return int(h >> (64 - memoBits))
+}
+
+func strPtr(s string) uint64 { return uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))) }
+
+// sameStr reports whether two strings are the same string: the same length
+// and data pointer.
+func sameStr(x, y string) bool {
+	return len(x) == len(y) && unsafe.StringData(x) == unsafe.StringData(y)
 }
 
 // aggHashSeed seeds the string hash of the key index. Hashes decide probe
@@ -448,11 +617,12 @@ func extend[T any](s []T, n int) []T {
 	return s
 }
 
-// fold runs one typed loop per aggregate over the rows group mapped to
+// fold runs one typed loop per accumulator over the rows group mapped to
 // t.gids: vals[ai] is aggregate ai's input column, read at rows sel[i] (or
-// i), and counts holds each row's row count (nil: one each). Groups group
-// just created are first seeded: sums and counts with zero, min, max and
-// first with the value of the row that created them.
+// i), and counts holds each row's row count (nil: one each). An aggregate
+// that shares another's accumulator is skipped. Groups group just created
+// are first seeded: sums and counts with zero, min, max and first with the
+// value of the row that created them.
 func (t *aggTable) fold(vals []*vector.Vector, counts []int64, sel vector.Sel) {
 	gids := t.gids
 	t.count = extend(t.count, t.n)
@@ -465,7 +635,7 @@ func (t *aggTable) fold(vals []*vector.Vector, counts []int64, sel vector.Sel) {
 	}
 	for ai, a := range t.spec.aggs {
 		acc, col := t.acc[ai], vals[ai]
-		if acc == nil {
+		if acc == nil || t.spec.accOf[ai] != ai {
 			continue
 		}
 		old := acc.Len()

@@ -17,11 +17,20 @@ import (
 // candidates of several cardinalities (k takes card values),
 // i64/i32/f64 measures (f carries NaN and ties for min/max), and flt, which
 // the selection-vector variant filters on.
+//
+// The str keys also probe the identity memo of groupPair: every s value is
+// its own string, while s2 repeats three literals; s3 holds prefixes of one
+// backing string, so its values share a data pointer and differ in length;
+// and s4 is a clone of s2, the same bytes under another identity. s3 draws
+// from its own rng, so the other columns keep their values.
 func aggMatrixTable(n, card int, seed int64) *vector.DSMStore {
 	rng := rand.New(rand.NewSource(seed))
+	prefixRng := rand.New(rand.NewSource(seed + 1))
+	backing := "abc"
 	st := vector.NewDSMStore(vector.NewSchema(
 		"k", vector.I64, "k2", vector.I64, "s", vector.Str, "s2", vector.Str,
-		"v", vector.I64, "w", vector.I32, "f", vector.F64, "g", vector.F64, "flt", vector.I64))
+		"v", vector.I64, "w", vector.I32, "f", vector.F64, "g", vector.F64, "flt", vector.I64,
+		"s3", vector.Str, "s4", vector.Str))
 	for i := 0; i < n; i++ {
 		f := float64(rng.Intn(200)) - 100.5
 		switch rng.Intn(10) {
@@ -30,16 +39,20 @@ func aggMatrixTable(n, card int, seed int64) *vector.DSMStore {
 		case 1:
 			f = 0
 		}
+		k, k2 := rng.Int63n(int64(card))-10, rng.Int63n(5)
+		s, s2 := fmt.Sprintf("s%02d", rng.Intn(30)), []string{"", "x", "yy"}[rng.Intn(3)]
 		st.AppendRow(
-			vector.I64Value(rng.Int63n(int64(card))-10),
-			vector.I64Value(rng.Int63n(5)),
-			vector.StrValue(fmt.Sprintf("s%02d", rng.Intn(30))),
-			vector.StrValue([]string{"", "x", "yy"}[rng.Intn(3)]),
+			vector.I64Value(k),
+			vector.I64Value(k2),
+			vector.StrValue(s),
+			vector.StrValue(s2),
 			vector.I64Value(rng.Int63n(2000)-1000),
 			vector.IntValue(vector.I32, rng.Int63n(1<<31)-(1<<30)),
 			vector.F64Value(f),
 			vector.F64Value((rng.Float64()-0.3)*1e3),
 			vector.I64Value(rng.Int63n(100)),
+			vector.StrValue(backing[:prefixRng.Intn(4)]),
+			vector.StrValue(strings.Clone(s2)),
 		)
 	}
 	return st
@@ -259,11 +272,14 @@ func encodeStore(st *vector.DSMStore) []string {
 // off) against refAggregate, byte for byte, across every key shape, every
 // aggregate function over i64, i32 and f64 (NaN included for min and max),
 // input chunks with and without selection vectors, morsel lengths from one
-// row to the whole table, and one and four workers.
+// row to the whole table, and one and four workers. The s3 and s4 key sets
+// are adversarial for the identity memo: strings that share a data pointer
+// but not a length, and equal strings that share nothing.
 func TestAggMatrixMatchesReference(t *testing.T) {
 	st := aggMatrixTable(3000, 50, 41)
 	flt := st.Col(st.Schema().ColumnIndex("flt")).I64()
-	for _, keys := range [][]string{nil, {"k"}, {"s"}, {"s", "k2"}, {"s", "s2"}, {"k2", "s2"}, {"k", "k2"}} {
+	for _, keys := range [][]string{nil, {"k"}, {"s"}, {"s", "k2"}, {"s", "s2"}, {"k2", "s2"}, {"k", "k2"},
+		{"s3"}, {"s3", "s2"}, {"s4", "s2"}, {"k", "s3"}} {
 		for _, filtered := range []bool{false, true} {
 			keep := func(r int) bool { return !filtered || flt[r] < 60 }
 			pipe := func(leaf Operator) Operator {
@@ -373,6 +389,113 @@ func TestAbsorbSteadyStateAllocatesNothing(t *testing.T) {
 		for _, c := range []*vector.Chunk{chunk, selected} {
 			if n := testing.AllocsPerRun(20, func() { tbl.absorb(c) }); n != 0 {
 				t.Errorf("keys=%v sel=%v: absorb allocates %v times per chunk, want 0", keys, c.Sel() != nil, n)
+			}
+		}
+		tbl.release()
+	}
+}
+
+// TestSharedAccumulatorsMatchReference: a sum and an avg over one column
+// share one accumulator — in either order, next to a min and a max of the
+// same column, which keep their own — over an integer, a narrow integer and
+// an f64 column, and the results stay byte-identical to the reference fold
+// in HashAgg and in ParallelAgg.
+func TestSharedAccumulatorsMatchReference(t *testing.T) {
+	st := aggMatrixTable(3000, 50, 44)
+	aggs := []Aggregate{
+		{Func: AggAvg, Col: "v", As: "avg_v"},
+		{Func: AggSum, Col: "v", As: "sum_v"},
+		{Func: AggMin, Col: "v", As: "min_v"},
+		{Func: AggMax, Col: "v", As: "max_v"},
+		{Func: AggSum, Col: "g", As: "sum_g"},
+		{Func: AggMin, Col: "g", As: "min_g"},
+		{Func: AggAvg, Col: "g", As: "avg_g"},
+		{Func: AggMax, Col: "g", As: "max_g"},
+		{Func: AggSum, Col: "w", As: "sum_w"},
+		{Func: AggAvg, Col: "w", As: "avg_w"},
+		{Func: AggCount, As: "n"},
+	}
+	var child []ColInfo
+	for i, name := range st.Schema().Names {
+		child = append(child, ColInfo{Name: name, Kind: st.Schema().Kinds[i]})
+	}
+	spec, _, err := newAggSpec(child, []string{"k"}, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 0, 2, 3, 4, 5, 4, 7, 8, 8, 10}; !slices.Equal(spec.accOf, want) {
+		t.Fatalf("accOf = %v, want %v", spec.accOf, want)
+	}
+	tbl := newAggTable(spec, 0)
+	for ai, owner := range spec.accOf {
+		if shares := tbl.acc[ai] == tbl.acc[owner]; owner != ai && !shares {
+			t.Errorf("aggregate %s does not share %s's accumulator", aggs[ai].As, aggs[owner].As)
+		}
+	}
+	tbl.release()
+
+	all := func(int) bool { return true }
+	for _, keys := range [][]string{{"k"}, {"s", "s2"}} {
+		scan, err := NewScan(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Collect(t.Context(), NewHashAgg(scan, keys, aggs).SetPreAgg(PreAggOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, want := encodeStore(got), refAggregate(st, keys, aggs, all, st.Rows()); !slices.Equal(g, want) {
+			t.Fatalf("keys=%v: HashAgg differs from the reference\n got: %v\nwant: %v", keys, g, want)
+		}
+		for _, morselLen := range []int{7, 512} {
+			pa, err := NewParallelAgg(st, nil, 2, func(_ int, leaf Operator) (Operator, error) { return leaf, nil }, keys, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(t.Context(), pa.SetMorselLen(morselLen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, want := encodeStore(got), refAggregate(st, keys, aggs, all, morselLen); !slices.Equal(g, want) {
+				t.Fatalf("keys=%v/morsel=%d: ParallelAgg differs from the reference\n got: %v\nwant: %v", keys, morselLen, g, want)
+			}
+		}
+	}
+}
+
+// TestReleaseUnsharesAccumulators: a pooled table that served a spec whose
+// sum and avg share an accumulator comes back, under a spec that does not
+// share and wants the same kinds in the same slots, with one vector per
+// slot — not two slots folding into one vector.
+func TestReleaseUnsharesAccumulators(t *testing.T) {
+	st := aggMatrixTable(256, 10, 45)
+	var child []ColInfo
+	cols := make([]*vector.Vector, len(st.Schema().Names))
+	for i, name := range st.Schema().Names {
+		child = append(child, ColInfo{Name: name, Kind: st.Schema().Kinds[i]})
+		cols[i] = st.Col(i)
+	}
+	chunk := vector.ChunkFrom(st.Schema().Names, cols)
+	sharing, _, err := newAggSpec(child, []string{"k"}, []Aggregate{
+		{Func: AggSum, Col: "v", As: "sum_v"}, {Func: AggAvg, Col: "v", As: "avg_v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := newAggSpec(child, []string{"k"}, []Aggregate{
+		{Func: AggSum, Col: "v", As: "sum_v"}, {Func: AggSum, Col: "k2", As: "sum_k2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 20 {
+		tbl := newAggTable(sharing, 0)
+		tbl.absorb(chunk)
+		tbl.release()
+		tbl = newAggTable(plain, 0)
+		for i, a := range tbl.acc {
+			for j, b := range tbl.acc[:i] {
+				if a == b {
+					t.Fatalf("acc slots %d and %d alias one vector after release", j, i)
+				}
 			}
 		}
 		tbl.release()
