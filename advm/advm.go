@@ -102,7 +102,6 @@ type Session struct {
 	segmentsSkipped atomic.Int64
 	morselSteals    atomic.Int64
 	fusedQueries    atomic.Int64
-	fusedDeopts     atomic.Int64
 	closed          atomic.Bool
 
 	mu               sync.Mutex
@@ -327,6 +326,9 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 	if plan == nil {
 		return nil, tagged(ErrBind, errors.New("nil plan"))
 	}
+	if err := plan.checkModes(); err != nil {
+		return nil, tagged(ErrBind, err)
+	}
 	workers := s.eng.pool.acquire(s.opt.parallelism)
 	b := &builder{s: s, workers: workers}
 	// Tracing: pre-build the plan-keyed span tree so every physical
@@ -354,11 +356,6 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 		if b.trace != nil {
 			b.troot.SetAttr("tier", tierName(n, s.opt.tierWarm, s.opt.tierHot))
 			b.troot.SetAttr("plan", fp)
-			if b.fuseCtrs != nil {
-				// Deopts surface as instant events on the query root.
-				tr, root := b.trace, b.troot
-				b.fuseCtrs.OnDeopt = func() { tr.Event(root, "deopt") }
-			}
 		}
 	}
 	if workers > 1 && s.opt.device != DeviceCPU {
@@ -411,7 +408,7 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 	r := &Rows{ctx: qctx, cancel: qcancel, op: op, schema: op.Schema(), sess: s, rec: b.rec, views: b.views, mops: b.morselOps}
 	if b.tierEnt != nil {
 		r.tier = tierName(b.tierN, s.opt.tierWarm, s.opt.tierHot)
-		r.fuse, r.fusedRun, r.entry = b.fuseCtrs, b.fusedWrapped, b.tierEnt
+		r.fusedRun, r.entry = b.fusedWrapped, b.tierEnt
 	}
 	if b.trace != nil {
 		r.trace, r.troot, r.tviews = b.trace, b.troot, b.tracedViews()

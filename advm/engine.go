@@ -78,7 +78,6 @@ type Engine struct {
 	fusedCompiles   atomic.Int64
 	fusedCacheHits  atomic.Int64
 	fusedQueries    atomic.Int64
-	fusedDeopts     atomic.Int64
 	closed          atomic.Bool
 }
 
@@ -86,7 +85,6 @@ type Engine struct {
 type tierEntry struct {
 	fp        string
 	execs     atomic.Int64 // completed+started Query calls for this plan
-	deopts    atomic.Int64 // guard failures across its fused runs
 	fusedRuns atomic.Int64 // queries that executed fused loops
 	use       int64        // last-use stamp for LRU eviction (under tiersMu)
 }
@@ -358,10 +356,13 @@ type EngineStats struct {
 	// (negative entries included).
 	FusedCompiles, FusedCacheHits int64
 	FusedPrograms                 int
-	// FusedQueries counts queries that executed fused loops; FusedDeopts
-	// counts guard failures that reverted a fused loop to the interpreter
-	// mid-query.
-	FusedQueries, FusedDeopts int64
+	// FusedQueries counts queries that executed fused loops.
+	FusedQueries int64
+	// FusedDeopts is always 0: a fused loop runs every chunk it starts, so
+	// nothing reverts to the interpreter mid-query.
+	//
+	// Deprecated: kept only so existing readers compile; it will be removed.
+	FusedDeopts int64
 	// JITTemplates is the population of the compile service's template
 	// cache: one entry per distinct fragment shape — operators, kinds and
 	// dataflow, blind to constants and names — whose trace code has been
@@ -391,8 +392,8 @@ type TierInfo struct {
 	// "cold", "warm" or "hot".
 	Tier string
 	// Execs counts queries of this plan; FusedRuns how many executed fused
-	// loops; Deopts how many guard failures reverted fused loops.
-	Execs, FusedRuns, Deopts int64
+	// loops.
+	Execs, FusedRuns int64
 }
 
 // Stats snapshots the engine's counters. Safe to call concurrently with
@@ -410,7 +411,6 @@ func (e *Engine) Stats() EngineStats {
 			Tier:        tierName(t.execs.Load(), e.opt.tierWarm, e.opt.tierHot),
 			Execs:       t.execs.Load(),
 			FusedRuns:   t.fusedRuns.Load(),
-			Deopts:      t.deopts.Load(),
 		})
 	}
 	e.tiersMu.Unlock()
@@ -431,7 +431,6 @@ func (e *Engine) Stats() EngineStats {
 		FusedCacheHits:   e.fusedCacheHits.Load(),
 		FusedPrograms:    fusedProgs,
 		FusedQueries:     e.fusedQueries.Load(),
-		FusedDeopts:      e.fusedDeopts.Load(),
 
 		JITTemplates:         js.Templates,
 		JITTemplateHits:      js.Hits,

@@ -272,10 +272,9 @@ func WithScanPruning(on bool) Option {
 // a plan's streaming segments — scan→filter→compute→probe chains — are
 // compiled into specialized fused loops and cached engine-wide (keyed by
 // the segment's canonical plan serialization); at the hot threshold
-// queries execute the fused loops, with selectivity and probe-capacity
-// guards that deopt back to the interpreter at a chunk boundary when the
-// data shifts. Results are byte-identical at every tier; transitions are
-// observable via Rows.Tier, Session.Stats and Engine.Stats.
+// queries execute the fused loops, each of which runs every chunk it starts
+// to the end of its stream. Results are byte-identical at every tier;
+// transitions are observable via Rows.Tier, Session.Stats and Engine.Stats.
 func WithTieredExecution(on bool) Option {
 	return func(o *options) error {
 		o.tiered = on

@@ -169,6 +169,22 @@ func (p *Plan) ComputeMode(mode EvalMode, out, lambda string, kind Kind, cols ..
 	return &Plan{kind: planCompute, child: p, mode: mode, out: out, lambda: lambda, outKind: kind, cols: cols}
 }
 
+// checkModes rejects a filter or compute anywhere in the plan, build sides
+// included, whose evaluation flavor is not one of the EvalMode constants.
+func (p *Plan) checkModes() error {
+	for q := p; q != nil; q = q.child {
+		if (q.kind == planFilter || q.kind == planCompute) && (q.mode < EvalAdaptive || q.mode > EvalSelective) {
+			return fmt.Errorf("unknown evaluation mode %v", q.mode)
+		}
+		if q.buildSide != nil {
+			if err := q.buildSide.checkModes(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Aggregate groups by the key columns (nil for a single global group) and
 // computes the given aggregates.
 func (p *Plan) Aggregate(keys []string, aggs ...Agg) *Plan {
@@ -442,9 +458,8 @@ func (p *Plan) stageOn(s *Session, child engine.Operator) (engine.Operator, erro
 //
 // When the plan is hot under tiered execution and the segment compiles (or is
 // already cached), the returned maker mounts the fused loop instead of the
-// interpreted stage chain — with the interpreted maker retained as the deopt
-// fallback — and fusedOK reports so. Otherwise the maker is the plain
-// interpreted chain and fusedOK is false.
+// interpreted stage chain, and fusedOK reports so. Otherwise the maker is the
+// plain interpreted chain and fusedOK is false.
 func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Operator) (engine.Operator, error), fusedOK bool, err error) {
 	shared := make([]*engine.SharedJoinTable, len(stages))
 	for i, st := range stages {
@@ -490,9 +505,7 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 		// The fused loop replaces the whole stage chain, so its time lands
 		// on the top stage's span; the inner stage spans keep the plan
 		// structure but stay at zero busy while the segment runs fused.
-		return b.traced(top, fused.NewExec(prog, leaf, tables, ctrs, func(l engine.Operator) (engine.Operator, error) {
-			return interp(0, l)
-		})), nil
+		return b.traced(top, fused.NewExec(prog, leaf, tables, ctrs)), nil
 	}, true, nil
 }
 

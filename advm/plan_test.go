@@ -287,6 +287,45 @@ func TestPlanValidationErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownEvalModeRejected: a filter or compute whose evaluation flavor
+// is none of the EvalMode constants fails under ErrBind before it counts
+// toward a tier, at every tier, on the probe and the build side alike, and
+// the mode prints as EvalMode(n) instead of panicking.
+func TestUnknownEvalModeRejected(t *testing.T) {
+	fx := newJoinFixture(100, 10, 31)
+	for _, m := range []advm.EvalMode{advm.EvalMode(7), advm.EvalMode(-1)} {
+		if got, want := m.String(), fmt.Sprintf("EvalMode(%d)", int(m)); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		cases := map[string]*advm.Plan{
+			"filter":  advm.Scan(fx.fact, "fk", "val").FilterMode(m, `(\v -> v > 1)`, "val"),
+			"compute": advm.Scan(fx.fact, "fk", "val").ComputeMode(m, "y", `(\k -> k + 1)`, advm.I64, "fk"),
+			"build side": advm.Scan(fx.fact, "fk").Join(
+				advm.Scan(fx.dim, "dk").FilterMode(m, `(\k -> k < 5)`, "dk"), "fk", "dk"),
+		}
+		for _, opts := range [][]advm.Option{nil, {advm.WithTierThresholds(1, 1)}} {
+			sess, err := advm.NewSession(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, plan := range cases {
+				if _, err := sess.Query(context.Background(), plan); !errors.Is(err, advm.ErrBind) {
+					t.Fatalf("%v %s: err = %v, want ErrBind", m, name, err)
+				}
+			}
+			if tiers := sess.Engine().Stats().Tiers; len(tiers) != 0 {
+				t.Fatalf("%v: rejected plans were counted toward tiers: %+v", m, tiers)
+			}
+			sess.Close()
+		}
+	}
+	for m, want := range map[advm.EvalMode]string{advm.EvalAdaptive: "adaptive", advm.EvalFull: "full", advm.EvalSelective: "selective"} {
+		if got := m.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
 // TestParallelGlobalCountOnly is the regression test for a pure COUNT(*)
 // under morsel-parallel aggregation: with no key columns and no aggregate
 // inputs, the parallel fold's bucket projection carried zero columns, so

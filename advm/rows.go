@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/engine"
-	"repro/internal/fused"
 	"repro/internal/qtrace"
 	"repro/internal/vector"
 )
@@ -37,10 +36,9 @@ type Rows struct {
 	views  []*colstore.PrunedTable   // pruned stored-table views of this query
 	mops   []morselStatsSource       // morsel-dispatching operators of this query
 
-	tier     string          // tier this query executed at ("" = tiering off)
-	fuse     *fused.Counters // fused telemetry (non-nil when at least warm)
-	fusedRun bool            // fused loops were mounted for this query
-	entry    *tierEntry      // engine-wide hotness entry of the plan
+	tier     string     // tier this query executed at ("" = tiering off)
+	fusedRun bool       // fused loops were mounted for this query
+	entry    *tierEntry // engine-wide hotness entry of the plan
 
 	trace  *qtrace.Trace // execution trace (nil = tracing off)
 	troot  *qtrace.Span  // query root span
@@ -284,16 +282,6 @@ func (r *Rows) Tier() string { return r.tier }
 // with a fusable segment). The result bytes are identical either way.
 func (r *Rows) Fused() bool { return r.fusedRun }
 
-// Deopts reports how many fused loops of this query hit a guard failure and
-// reverted to the interpreter mid-stream. Live while the stream is being
-// consumed, final once drained or closed; always zero below the hot tier.
-func (r *Rows) Deopts() int64 {
-	if r.fuse == nil {
-		return 0
-	}
-	return r.fuse.Deopts.Load()
-}
-
 // Close releases the pipeline's resources: it cancels the query's private
 // context — so in-flight parallel workers abort at their next chunk boundary
 // instead of draining their current morsels — then tears the pipeline down,
@@ -332,20 +320,11 @@ func (r *Rows) close() {
 			r.sess.morselSteals.Add(st)
 		}
 	}
-	if r.fuse != nil && r.sess != nil {
-		if d := r.fuse.Deopts.Load(); d > 0 {
-			r.sess.fusedDeopts.Add(d)
-			r.sess.eng.fusedDeopts.Add(d)
-			if r.entry != nil {
-				r.entry.deopts.Add(d)
-			}
-		}
-		if r.fusedRun {
-			r.sess.fusedQueries.Add(1)
-			r.sess.eng.fusedQueries.Add(1)
-			if r.entry != nil {
-				r.entry.fusedRuns.Add(1)
-			}
+	if r.fusedRun && r.sess != nil {
+		r.sess.fusedQueries.Add(1)
+		r.sess.eng.fusedQueries.Add(1)
+		if r.entry != nil {
+			r.entry.fusedRuns.Add(1)
 		}
 	}
 	if r.trace != nil {

@@ -87,9 +87,8 @@ type Stats struct {
 	// affects result bytes; see Rows.Steals for per-query counts.
 	MorselSteals int64
 	// FusedQueries counts this session's completed queries that executed
-	// fused loops under tiered execution; FusedDeopts counts their guard
-	// failures (reverts to the interpreter). See WithTieredExecution.
-	FusedQueries, FusedDeopts int64
+	// fused loops under tiered execution. See WithTieredExecution.
+	FusedQueries int64
 }
 
 // Stats snapshots the session's counters, state machine log,
@@ -104,7 +103,6 @@ func (s *Session) Stats() Stats {
 		SegmentsSkipped: s.segmentsSkipped.Load(),
 		MorselSteals:    s.morselSteals.Load(),
 		FusedQueries:    s.fusedQueries.Load(),
-		FusedDeopts:     s.fusedDeopts.Load(),
 	}
 	s.mu.Lock()
 	st.Placements = append([]Placement(nil), s.placements...)

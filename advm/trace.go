@@ -22,7 +22,7 @@ const (
 	// checks on the execution hot path.
 	TraceOff = qtrace.LevelOff
 	// TraceOps records the query/operator span tree: per-operator busy
-	// time, rows, loops, tier, and one-off events (fused compile, deopt).
+	// time, rows, loops, tier, and one-off events (fused compile).
 	TraceOps = qtrace.LevelOps
 	// TraceMorsels additionally records one leaf span per dispatched
 	// morsel with worker, steal, and device attribution — the level
@@ -213,11 +213,6 @@ func (r *Rows) finishTrace() {
 		sc, sk := r.ScanStats()
 		r.troot.SetAttr("segments_scanned", sc)
 		r.troot.SetAttr("segments_skipped", sk)
-	}
-	if r.fuse != nil {
-		if d := r.fuse.Deopts.Load(); d > 0 {
-			r.troot.SetAttr("deopts", d)
-		}
 	}
 	for _, tv := range r.tviews {
 		sc, sk := tv.view.Stats()

@@ -1,16 +1,17 @@
-// Command benchdiff is the micro-gate over the BENCH_multicore.json record
-// `advm-bench -benchjson` writes (E20: Q1/Q3/Q6 and a high-cardinality
-// aggregation, serial vs parallel, with speedup floors). It compares it
-// against the checked-in baseline and fails when a serial ns/op regressed
-// beyond the threshold, a speedup fell below its floor, or the record
-// reports non-identical results. End-to-end performance is measured by the
-// repo benchmark (BENCHMARK.json, benchmark/), not here.
+// Command benchdiff is the micro-gate over a BENCH_multicore.json record
+// (E20: Q1/Q3/Q6 and a high-cardinality aggregation, serial vs parallel,
+// with speedup floors). It compares it against the checked-in baseline and
+// fails when a serial ns/op regressed beyond the threshold, a speedup fell
+// below its floor, or the record reports non-identical results. End-to-end
+// performance is measured by the repo benchmark (BENCHMARK.json,
+// benchmark/), not here.
 //
-// CI does not run it: parallel speedup is read from the repo benchmark's
-// morsel.par_speedup. Run it by hand:
+// The record's writer is gone: parallel speedup is read from the repo
+// benchmark's morsel.par_speedup, and bench/baseline holds the last record
+// written. CI does not run benchdiff. Run it by hand on a record of that
+// schema:
 //
-//	advm-bench -sf 0.02 -benchjson .
-//	benchdiff -baseline bench/baseline -current . -max-regress 0.25
+//	benchdiff -baseline bench/baseline -current DIR -max-regress 0.25
 //
 // The diff is printed as a Markdown table on stdout and, when the
 // GITHUB_STEP_SUMMARY environment variable points at a file (as it does
@@ -28,7 +29,7 @@ import (
 	"strings"
 )
 
-// benchRecord mirrors the BENCH_*.json schema written by advm-bench. Its
+// benchRecord mirrors the BENCH_*.json record schema. Its
 // `benchmark` field names the record: "multicore" (BENCH_multicore.json);
 // any other name is an error, so a stale or foreign record cannot pass the
 // gate by matching no rule.
@@ -54,7 +55,7 @@ type benchRecord struct {
 	Q6ParNsOp    int64   `json:"q6_par_ns_op,omitempty"`
 	Q6Speedup    float64 `json:"q6_speedup,omitempty"`
 	// The high-cardinality grouped-aggregation leg (Q1-shaped plan,
-	// ~100k groups): present in records from advm-bench ≥ the leg's
+	// ~100k groups): present in records written after the leg's
 	// introduction, gated like the other multicore legs when present on
 	// either side.
 	HCSerialNsOp int64   `json:"hc_serial_ns_op,omitempty"`

@@ -194,8 +194,8 @@ func TestDiffDirsUnknownRecordFails(t *testing.T) {
 }
 
 // TestCheckedInBaselineHoldsOnlyTheGates: bench/baseline holds exactly the
-// record advm-bench -benchjson writes, and gates clean against itself, so a
-// retired record cannot linger there.
+// multicore record, and it gates clean against itself, so a retired record
+// cannot linger there.
 func TestCheckedInBaselineHoldsOnlyTheGates(t *testing.T) {
 	dir := filepath.Join("..", "..", "bench", "baseline")
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))

@@ -49,8 +49,8 @@ type execConfig struct {
 // parallel agg, shared join build), several worker counts and morsel
 // granularities, every device policy, and tiered execution forced hot —
 // WithTierThresholds(1, 1) mounts specialized fused loops on the very first
-// execution wherever the plan allows, so the fused paths (including their
-// guard-triggered deopts) face the same byte-identity bar as everything else.
+// execution wherever the plan allows, so the fused loops face the same
+// byte-identity bar as everything else.
 // par2-cpu-hot is the configuration the benchmark runs: fused loops on
 // several CPU workers with no MorselRunner between them and the parallel
 // aggregation, so its worker pipelines lend their chunks.

@@ -194,7 +194,12 @@ const (
 
 var evalNames = [...]string{EvalAdaptive: "adaptive", EvalFull: "full", EvalSelective: "selective"}
 
-func (m EvalMode) String() string { return evalNames[m] }
+func (m EvalMode) String() string {
+	if m >= 0 && int(m) < len(evalNames) {
+		return evalNames[m]
+	}
+	return fmt.Sprintf("EvalMode(%d)", int(m))
+}
 
 // fullThreshold is the selectivity above which full evaluation wins (the
 // condense overhead exceeds the wasted compute).

@@ -64,7 +64,7 @@ type op struct {
 // layout (scan columns first, then each compute/probe output bottom-up —
 // exactly the schema the interpreted operator chain would produce). One
 // Program is shared by every query and worker that hits its cache entry;
-// all per-query state (join-table handles, guards, scratch buffers) lives
+// all per-query state (join-table handles, scratch buffers) lives
 // in Exec.
 type Program struct {
 	ops    []op

@@ -10,11 +10,9 @@
 // plan fingerprint crosses the warm threshold its segment is compiled and
 // cached (keyed by the segment's canonical plan serialization, which the
 // caller supplies; see Cache); at the hot threshold queries execute the
-// cached fused loop. Fused execution carries guards — a selectivity upper
-// bound learned over the first chunks, and a probe fan-out capacity bound —
-// and deoptimizes back to the interpreted operator chain at a chunk
-// boundary when a guard trips, so results are byte-identical to interpreted
-// execution in every case.
+// cached fused loop. A fused loop runs every chunk it starts, to the end of
+// the stream: it emits exactly the bytes the interpreted operator chain
+// would, whatever the data's selectivity or join fan-out.
 //
 // Compilation is best-effort by construction: a lambda whose shape has no
 // monomorphized snippet (or whose constant kind does not match the column)
@@ -26,8 +24,7 @@
 // worker. All mutable execution state lives in the per-worker Exec wrapper
 // (one is mounted per worker pipeline, so fused loops run morsel-parallel
 // without coordination); the only cross-worker state is the Counters
-// telemetry, which is atomic. Guards and deopts are local to one Exec:
-// a worker reverting to the interpreter never affects its siblings.
+// telemetry, which is atomic.
 package fused
 
 import (

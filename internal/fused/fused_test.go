@@ -95,37 +95,70 @@ func TestCompileShapes(t *testing.T) {
 	}
 }
 
-// runFused mounts prog over a fresh scan of st and collects its output.
-func runFused(t *testing.T, prog *fused.Program, st *vector.DSMStore, cols []string,
-	tables []*engine.SharedJoinTable, ctrs *fused.Counters,
-	fallback func(engine.Operator) (engine.Operator, error)) (*vector.DSMStore, *fused.Exec) {
+// newScan returns a scan of st's cols in 256-row chunks.
+func newScan(t *testing.T, st *vector.DSMStore, cols []string) engine.Operator {
 	t.Helper()
 	leaf, err := engine.NewScan(st, cols...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	leaf.SetChunkLen(256)
-	ex := fused.NewExec(prog, leaf, tables, ctrs, fallback)
-	out, err := engine.Collect(context.Background(), ex)
-	if err != nil {
+	return leaf
+}
+
+// drain runs op to the end, collecting its output and counting the
+// non-empty chunks it emitted.
+func drain(t *testing.T, op engine.Operator) (*vector.DSMStore, int) {
+	t.Helper()
+	ctx := context.Background()
+	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return out, ex
+	defer op.Close()
+	out := vector.NewDSMStore(storeSchema(op.Schema()))
+	chunks := 0
+	for {
+		c, err := op.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			return out, chunks
+		}
+		if c.SelectedLen() > 0 {
+			chunks++
+		}
+		out.AppendChunk(c)
+	}
+}
+
+// runFused mounts prog over a fresh scan of st and collects its output and
+// its count of non-empty chunks.
+func runFused(t *testing.T, prog *fused.Program, st *vector.DSMStore, cols []string,
+	tables []*engine.SharedJoinTable, ctrs *fused.Counters) (*vector.DSMStore, int) {
+	t.Helper()
+	return drain(t, fused.NewExec(prog, newScan(t, st, cols), tables, ctrs))
 }
 
 // runInterp stacks interpreted operators over a fresh scan and collects.
 func runInterp(t *testing.T, st *vector.DSMStore, cols []string, chain func(engine.Operator) engine.Operator) *vector.DSMStore {
 	t.Helper()
-	leaf, err := engine.NewScan(st, cols...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.SetChunkLen(256)
-	out, err := engine.Collect(context.Background(), chain(leaf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := drain(t, chain(newScan(t, st, cols)))
 	return out
+}
+
+// ranFusedToTheEnd fails unless every non-empty chunk the interpreted chain
+// emits was also emitted by the fused loop itself: one fused chunk per
+// non-empty output chunk, counted by the Exec's own Counters.
+func ranFusedToTheEnd(t *testing.T, ctrs *fused.Counters, fusedChunks, interpChunks int) {
+	t.Helper()
+	if interpChunks == 0 {
+		t.Fatal("the interpreted chain emitted nothing; the test data must produce rows")
+	}
+	if n := ctrs.Chunks.Load(); n != int64(fusedChunks) || fusedChunks != interpChunks {
+		t.Fatalf("fused loop ran %d chunks, emitted %d non-empty chunks; the interpreter emits %d",
+			n, fusedChunks, interpChunks)
+	}
 }
 
 func storesEqual(t *testing.T, got, want *vector.DSMStore) {
@@ -165,10 +198,7 @@ func TestExecMatchesInterpreter(t *testing.T) {
 		t.Fatalf("Tables = %d, want 0", prog.Tables())
 	}
 	ctrs := &fused.Counters{}
-	got, ex := runFused(t, prog, st, []string{"k", "x"}, nil, ctrs, nil)
-	if ex.Deopted() {
-		t.Fatal("steady-selectivity segment must not deopt")
-	}
+	got, _ := runFused(t, prog, st, []string{"k", "x"}, nil, ctrs)
 	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
 		f := engine.NewFilter(op, dsl.MustParseLambda(`(\k -> (k >= 10) && (k < 80))`), "k")
 		c1 := engine.NewCompute(f, "y", dsl.MustParseLambda(`(\k -> k * 3 + 7)`), vector.I64, "k")
@@ -199,7 +229,7 @@ func TestExecProbeMatchesInterpreter(t *testing.T) {
 	if prog.Tables() != 1 {
 		t.Fatalf("Tables = %d, want 1", prog.Tables())
 	}
-	got, _ := runFused(t, prog, st, []string{"k", "x"}, []*engine.SharedJoinTable{sh}, nil, nil)
+	got, _ := runFused(t, prog, st, []string{"k", "x"}, []*engine.SharedJoinTable{sh}, nil)
 	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
 		f := engine.NewFilter(op, dsl.MustParseLambda(`(\k -> k < 70)`), "k")
 		tp, err := engine.NewTableProbe(f, sh, "k", "pay")
@@ -211,8 +241,8 @@ func TestExecProbeMatchesInterpreter(t *testing.T) {
 	storesEqual(t, got, want)
 }
 
-// shiftTable: a long near-empty region then a dense one, so a fused filter
-// warms its guard on ~0 selectivity and the dense region trips it.
+// shiftTable: a long near-empty region then a dense one — the selectivity
+// of a filter on k shifts from 0 to 1 mid-stream.
 func shiftTable() *vector.DSMStore {
 	st := vector.NewDSMStore(vector.NewSchema("k", vector.I64, "x", vector.F64))
 	for i := 0; i < 2048; i++ {
@@ -224,61 +254,47 @@ func shiftTable() *vector.DSMStore {
 	return st
 }
 
-// TestExecDeoptOnSelectivityShift: the guard must trip on the dense region,
-// the Exec must revert to the fallback chain, and the output must equal the
-// interpreted chain's — including the chunk that tripped.
-func TestExecDeoptOnSelectivityShift(t *testing.T) {
+// TestExecShiftingSelectivityMatchesInterpreter: a filter that passes no row
+// of the first chunks and every row of the last ones emits the interpreted
+// chain's bytes, and the fused loop runs every chunk itself.
+func TestExecShiftingSelectivityMatchesInterpreter(t *testing.T) {
 	st := shiftTable()
-	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
-	stages := []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 100)`), Col: "k"}}
-	prog, ok := fused.Compile(scan, stages)
+	cols := []string{"k", "x"}
+	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)},
+		[]fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 100)`), Col: "k"}})
 	if !ok {
 		t.Fatal("must compile")
 	}
 	ctrs := &fused.Counters{}
-	fb := func(leaf engine.Operator) (engine.Operator, error) {
-		return engine.NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < 100)`), "k"), nil
-	}
-	got, ex := runFused(t, prog, st, []string{"k", "x"}, nil, ctrs, fb)
-	if !ex.Deopted() {
-		t.Fatal("selectivity shift must deopt")
-	}
-	if ctrs.Deopts.Load() != 1 {
-		t.Fatalf("Deopts = %d, want 1", ctrs.Deopts.Load())
-	}
-	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
-		return engine.NewFilter(op, dsl.MustParseLambda(`(\k -> k < 100)`), "k")
-	})
+	got, chunks := runFused(t, prog, st, cols, nil, ctrs)
+	want, wantChunks := drain(t, engine.NewFilter(newScan(t, st, cols), dsl.MustParseLambda(`(\k -> k < 100)`), "k"))
 	storesEqual(t, got, want)
+	ranFusedToTheEnd(t, ctrs, chunks, wantChunks)
 }
 
-// TestExecProbeCapacityGuard: a build side with pathological fan-out must
-// trip the capacity guard and fall back, with identical output.
-func TestExecProbeCapacityGuard(t *testing.T) {
+// TestExecProbeFanoutMatchesInterpreter: a build side with pathological
+// fan-out — 5 keys × 2000 duplicate rows, so each chunk of probe rows emits
+// about a hundred times its length — emits the interpreted TableProbe's
+// bytes, and the fused loop runs every chunk itself.
+func TestExecProbeFanoutMatchesInterpreter(t *testing.T) {
 	st := testTable(2000)
-	sh := buildTable(5, 2000) // 5 keys × 2000 duplicate build rows
-	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
-	stages := []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
-		BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}, Table: 0}}
-	prog, ok := fused.Compile(scan, stages)
+	sh := buildTable(5, 2000)
+	cols := []string{"k", "x"}
+	prog, ok := fused.Compile([]engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)},
+		[]fused.Stage{{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
+			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}, Table: 0}})
 	if !ok {
 		t.Fatal("must compile")
 	}
-	fb := func(leaf engine.Operator) (engine.Operator, error) {
-		return engine.NewTableProbe(leaf, sh, "k", "pay")
+	ctrs := &fused.Counters{}
+	got, chunks := runFused(t, prog, st, cols, []*engine.SharedJoinTable{sh}, ctrs)
+	tp, err := engine.NewTableProbe(newScan(t, st, cols), sh, "k", "pay")
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, ex := runFused(t, prog, st, []string{"k", "x"}, []*engine.SharedJoinTable{sh}, nil, fb)
-	if !ex.Deopted() {
-		t.Fatal("pathological fan-out must deopt")
-	}
-	want := runInterp(t, st, []string{"k", "x"}, func(op engine.Operator) engine.Operator {
-		tp, err := engine.NewTableProbe(op, sh, "k", "pay")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tp
-	})
+	want, wantChunks := drain(t, tp)
 	storesEqual(t, got, want)
+	ranFusedToTheEnd(t, ctrs, chunks, wantChunks)
 }
 
 // TestExecAllSnippets runs one segment through every remaining monomorphized
@@ -337,7 +353,7 @@ func TestExecAllSnippets(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: must compile", sp.name)
 		}
-		got, _ := runFused(t, prog, st, []string{"k", "x"}, nil, nil, nil)
+		got, _ := runFused(t, prog, st, []string{"k", "x"}, nil, nil)
 		want := runInterp(t, st, []string{"k", "x"}, sp.chain)
 		storesEqual(t, got, want)
 	}
@@ -387,10 +403,9 @@ func TestCache(t *testing.T) {
 // and the parallel join build do: every chunk is held until the stream ends.
 // The morsel mixes chunks in which no row is dropped (computed columns copied
 // out of scratch), chunks a filter thins (every column condensed) and, in its
-// middle, a chunk whose probe fan-out trips the capacity guard, so the rest
-// of the morsel runs interpreted. Each held chunk must still equal the clone
-// taken when it was emitted: a column aliasing the Exec's reused scratch
-// would have been overwritten by later chunks.
+// middle, a chunk whose probe fans out a thousandfold. Each held chunk must
+// still equal the clone taken when it was emitted: a column aliasing the
+// Exec's reused scratch would have been overwritten by later chunks.
 func TestExecHeldChunksOwnTheirColumns(t *testing.T) {
 	const chunkLen = 64
 	st := vector.NewDSMStore(vector.NewSchema("k", vector.I64, "x", vector.F64))
@@ -439,7 +454,7 @@ func TestExecHeldChunksOwnTheirColumns(t *testing.T) {
 	leaf.SetChunkLen(chunkLen)
 	leaf.SetRange(0, st.Rows())
 	ctrs := &fused.Counters{}
-	ex := fused.NewExec(prog, leaf, []*engine.SharedJoinTable{sh}, ctrs, chain)
+	ex := fused.NewExec(prog, leaf, []*engine.SharedJoinTable{sh}, ctrs)
 	ctx := context.Background()
 	if err := ex.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -456,9 +471,8 @@ func TestExecHeldChunksOwnTheirColumns(t *testing.T) {
 		}
 		held, clones = append(held, c), append(clones, c.Clone())
 	}
-	if !ex.Deopted() || ctrs.Chunks.Load() < 4 {
-		t.Fatalf("deopted=%v after %d fused chunks; the morsel must run fused chunks and then deopt",
-			ex.Deopted(), ctrs.Chunks.Load())
+	if n := ctrs.Chunks.Load(); n != int64(len(held)) || n < 7 {
+		t.Fatalf("fused loop ran %d chunks, emitted %d; every chunk of the morsel must run fused", n, len(held))
 	}
 	for i, c := range held {
 		want := clones[i]
@@ -521,7 +535,7 @@ func TestLentExecAllocatesNothingPerChunk(t *testing.T) {
 	}
 	leaf.SetChunkLen(256)
 	leaf.Lend()
-	ex := fused.NewExec(prog, leaf, nil, nil, func(l engine.Operator) (engine.Operator, error) { return chain(l), nil })
+	ex := fused.NewExec(prog, leaf, nil, nil)
 	ctx := context.Background()
 	if err := ex.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -542,9 +556,6 @@ func TestLentExecAllocatesNothingPerChunk(t *testing.T) {
 			t.Fatal("a lent chunk the filter thinned must carry its selection, not a condensed copy")
 		}
 		got.AppendChunk(c)
-	}
-	if ex.Deopted() {
-		t.Fatal("the loop deopted; the test must measure the fused path")
 	}
 	storesEqual(t, got, runInterp(t, st, []string{"k", "x"}, chain))
 

@@ -5,9 +5,7 @@ import (
 )
 
 // runChunk executes the fused loop over one leaf chunk. It returns the
-// output chunk (nil when every row filtered out) and ok=false when a guard
-// tripped — in which case nothing was emitted and the caller reverts the
-// Exec to the interpreter, replaying this same chunk.
+// output chunk, or nil when every row filtered out.
 //
 // Compute ops write into per-Exec scratch reused across chunks. How the
 // output aliases that scratch depends on who consumes it. A lent Exec (its
@@ -22,10 +20,10 @@ import (
 // chunk, as the interpreter's shallow chunks share them, and computed
 // columns are copied out of scratch. Probe output is condensed fresh
 // storage either way.
-func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
+func (e *Exec) runChunk(in *vector.Chunk) *vector.Chunk {
 	n := in.Len()
 	if n == 0 {
-		return nil, true
+		return nil
 	}
 	e.slots = e.slots[:0]
 	for i := 0; i < in.Width(); i++ {
@@ -247,10 +245,7 @@ ops:
 			e.slots = append(e.slots, out)
 
 		case opProbe:
-			matched, ok := e.runProbe(o, n)
-			if !ok {
-				return nil, false // capacity guard: fan-out beyond the bound
-			}
+			matched := e.runProbe(o)
 			if matched == 0 {
 				// No row survives: later ops would read payload slots
 				// runProbe never built, so the chunk ends here, filtered.
@@ -262,18 +257,8 @@ ops:
 	}
 
 	outRows := len(e.idx)
-	rate := float64(outRows) / float64(n)
-	if e.warm < guardWarmChunks {
-		e.warm++
-		e.rateSum += rate
-		if e.warm == guardWarmChunks {
-			e.bound = guardFactor*(e.rateSum/guardWarmChunks) + guardSlack
-		}
-	} else if rate > e.bound {
-		return nil, false // selectivity guard: distribution shifted mid-stream
-	}
 	if outRows == 0 {
-		return nil, true
+		return nil
 	}
 
 	if e.lend {
@@ -281,7 +266,7 @@ ops:
 		if outRows < curLen {
 			e.out.SetSel(e.idx)
 		}
-		return &e.out, true
+		return &e.out
 	}
 	cols := make([]*vector.Vector, len(e.slots))
 	if outRows < curLen {
@@ -296,7 +281,7 @@ ops:
 			}
 		}
 	}
-	return vector.ChunkFrom(e.names, cols), true
+	return vector.ChunkFrom(e.names, cols)
 }
 
 // scratchOut returns compute op oi's output buffer resized to n rows. The
@@ -318,29 +303,22 @@ func (e *Exec) scratchOut(oi int, kind vector.Kind, n int) *vector.Vector {
 // probe-major, match lists in build order, exactly the serial nested-emit
 // order of the interpreted probe. Afterwards the selection is the identity
 // over the matches. With no match nothing is gathered and the slots are left
-// as they were: the caller ends the chunk. ok=false when the fan-out exceeds
-// the capacity guard.
-func (e *Exec) runProbe(o *op, n int) (matched int, ok bool) {
+// as they were: the caller ends the chunk. Like the interpreted probe, it
+// emits a chunk's whole fan-out at once.
+func (e *Exec) runProbe(o *op) int {
 	t := e.resolved[o.table]
 	keys := e.slots[o.a].I64()
-	limit := probeFanoutCap * n
-	if limit < 64 {
-		limit = 64
-	}
 	e.probeIdx = e.probeIdx[:0]
 	e.buildIdx = e.buildIdx[:0]
 	for _, r := range e.idx {
 		for _, m := range t.Lookup(keys[r]) {
-			if len(e.probeIdx) >= limit {
-				return 0, false
-			}
 			e.probeIdx = append(e.probeIdx, r)
 			e.buildIdx = append(e.buildIdx, m)
 		}
 	}
-	matched = len(e.probeIdx)
+	matched := len(e.probeIdx)
 	if matched == 0 {
-		return 0, true
+		return 0
 	}
 	for i, v := range e.slots {
 		e.slots[i] = vector.Condense(v, vector.Sel(e.probeIdx))
@@ -353,5 +331,5 @@ func (e *Exec) runProbe(o *op, n int) (matched int, ok bool) {
 	for i := 0; i < matched; i++ {
 		e.idx = append(e.idx, int32(i))
 	}
-	return matched, true
+	return matched
 }

@@ -2,7 +2,7 @@
 // owns a flat, append-only list of spans forming a tree: one root query
 // span, one span per plan-node operator, and (at LevelMorsels) one leaf
 // span per morsel executed by a dispatch loop, plus zero-duration event
-// spans for one-off occurrences (fused compile, deopt, ...).
+// spans for one-off occurrences (fused compile, cache hit, ...).
 //
 // The package is designed so that disabled tracing costs a single nil
 // check: every method on *Trace and *Span is safe to call on a nil
@@ -71,7 +71,7 @@ const (
 	KindOp
 	// KindMorsel is a per-morsel leaf span under a dispatching operator.
 	KindMorsel
-	// KindEvent is a zero-duration marker (compile, deopt, ...).
+	// KindEvent is a zero-duration marker (compile, cache hit, ...).
 	KindEvent
 )
 

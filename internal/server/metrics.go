@@ -56,7 +56,6 @@ type engineStatsJSON struct {
 	FusedCacheHits   int64 `json:"fused_cache_hits"`
 	FusedPrograms    int   `json:"fused_programs"`
 	FusedQueries     int64 `json:"fused_queries"`
-	FusedDeopts      int64 `json:"fused_deopts"`
 	// The JIT compile service: trace code is generated once per fragment
 	// shape on background workers and cached; see advm.EngineStats.
 	JITTemplates         int   `json:"jit_templates"`
@@ -72,7 +71,6 @@ type tierInfoJSON struct {
 	Tier        string `json:"tier"`
 	Execs       int64  `json:"execs"`
 	FusedRuns   int64  `json:"fused_runs"`
-	Deopts      int64  `json:"deopts"`
 }
 
 type serverCounters struct {
@@ -116,7 +114,6 @@ func engineJSON(st advm.EngineStats) engineStatsJSON {
 		FusedCacheHits:   st.FusedCacheHits,
 		FusedPrograms:    st.FusedPrograms,
 		FusedQueries:     st.FusedQueries,
-		FusedDeopts:      st.FusedDeopts,
 
 		JITTemplates:         st.JITTemplates,
 		JITTemplateHits:      st.JITTemplateHits,
@@ -148,7 +145,6 @@ func (s *Server) snapshotStats() statsResponse {
 			Tier:        ti.Tier,
 			Execs:       ti.Execs,
 			FusedRuns:   ti.FusedRuns,
-			Deopts:      ti.Deopts,
 		})
 	}
 
@@ -378,7 +374,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("advm_fused_cache_hits_total", "Fused-loop executions answered from the code cache.", float64(st.Engine.FusedCacheHits))
 	p.gauge("advm_fused_programs", "Specialized programs resident in the fused code cache.", float64(st.Engine.FusedPrograms))
 	p.counter("advm_fused_queries_total", "Queries that executed fused loops.", float64(st.Engine.FusedQueries))
-	p.counter("advm_fused_deopts_total", "Fused-loop guard failures that reverted to the interpreter.", float64(st.Engine.FusedDeopts))
 
 	p.gauge("advm_jit_templates", "Fragment shapes whose trace code is resident in the compile service's template cache.", float64(st.Engine.JITTemplates))
 	p.counter("advm_jit_template_hits_total", "Trace fragments served from a cached template or a compile already under way.", float64(st.Engine.JITTemplateHits))

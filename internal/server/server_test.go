@@ -650,10 +650,12 @@ func TestTieredExecutionOverHTTP(t *testing.T) {
 		"advm_fused_compiles_total ",
 		"advm_fused_cache_hits_total ",
 		"advm_fused_queries_total ",
-		"advm_fused_deopts_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "deopt") {
+		t.Fatalf("/metrics still exports a deopt series:\n%s", text)
 	}
 }
