@@ -4,10 +4,10 @@
 // Heterogeneous Hardware").
 //
 // An Engine is the process-wide backend: it owns the worker pool for
-// morsel-parallel query execution, the device placer, and the
-// prepared-statement cache through which concurrent sessions share one
-// adaptive VM per distinct program — and therefore share its profile,
-// injected JIT traces and micro-adaptive decisions:
+// morsel-parallel query execution and the prepared-statement cache through
+// which concurrent sessions share one adaptive VM per distinct program — and
+// therefore share its profile, injected JIT traces and micro-adaptive
+// decisions:
 //
 //	eng, err := advm.NewEngine(advm.WithParallelism(8))
 //	defer eng.Close()
@@ -50,14 +50,14 @@
 // an order-preserving exchange, hash joins build partitioned shared tables
 // in parallel and probe them from every worker, and grouped aggregations
 // pre-aggregate per morsel and merge in morsel sequence order. Query output
-// is byte-identical to serial execution at every worker count and device
-// policy; only the morsel length (WithMorselLen), which pins how
-// floating-point accumulation is blocked, is part of result identity.
+// is byte-identical to serial execution at every worker count; only the
+// morsel length (WithMorselLen), which pins how floating-point accumulation
+// is blocked, is part of result identity.
 //
 // Session.Stats and Engine.Stats expose the observability surface: the
 // Figure-1 state machine transition log, the per-instruction profile,
-// injected and reverted trace counts, device placement decisions, and the
-// prepared-statement cache and worker pool counters.
+// injected and reverted trace counts, and the prepared-statement cache and
+// worker pool counters.
 package advm
 
 import (
@@ -67,9 +67,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/fused"
@@ -84,9 +82,9 @@ import (
 // operators, while profiling data and injected traces persist inside the
 // session and keep improving later executions.
 //
-// Sessions created by Engine.Session share that engine's worker pool,
-// prepared-statement cache and device placer; sessions created by Compile
-// or NewSession own a private engine (closed with the session).
+// Sessions created by Engine.Session share that engine's worker pool and
+// prepared-statement cache; sessions created by Compile or NewSession own a
+// private engine (closed with the session).
 type Session struct {
 	eng   *Engine
 	owned bool // Close also closes the (private) engine
@@ -103,11 +101,6 @@ type Session struct {
 	morselSteals    atomic.Int64
 	fusedQueries    atomic.Int64
 	closed          atomic.Bool
-
-	mu               sync.Mutex
-	placements       []Placement
-	morselPlacements map[string]int64
-	morselTransfer   time.Duration
 }
 
 // NewSession creates a standalone query-only session (no compiled program):
@@ -240,16 +233,12 @@ func (s *Session) Run(ctx context.Context, bindings map[string]*Vector) error {
 	if err := s.vm.RunContext(ctx, env); err != nil {
 		return classifyCtx(ctx, err)
 	}
-	// Record only completed executions, keeping Stats.Placements consistent
-	// with Stats.Runs.
-	s.recordPlacement(s.prog, bindings)
 	s.runs.Add(1)
 	return nil
 }
 
 // RunPrepared executes a prepared program within the session: semantics
-// match Prepared.Run, plus the execution is counted in the session's Stats
-// and placed by the session's device policy.
+// match Prepared.Run, plus the execution is counted in the session's Stats.
 func (s *Session) RunPrepared(ctx context.Context, p *Prepared, bindings map[string]*Vector) error {
 	if err := s.checkOpen(); err != nil {
 		return err
@@ -260,7 +249,6 @@ func (s *Session) RunPrepared(ctx context.Context, p *Prepared, bindings map[str
 	if err := p.Run(ctx, bindings); err != nil {
 		return err
 	}
-	s.recordPlacement(p.entry.prog, bindings)
 	s.runs.Add(1)
 	return nil
 }
@@ -318,7 +306,7 @@ func (s *Session) Query(ctx context.Context, plan *Plan) (*Rows, error) {
 // returned cursor carries an execution trace — Rows.Trace, complete once
 // the cursor is drained or closed — whose span tree mirrors the plan:
 // per-operator busy time, rows and loops, and at TraceMorsels one leaf span
-// per dispatched morsel with worker, steal and device attribution.
+// per dispatched morsel with worker and steal attribution.
 func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel) (*Rows, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
@@ -358,18 +346,6 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 			b.troot.SetAttr("plan", fp)
 		}
 	}
-	if workers > 1 && s.opt.device != DeviceCPU {
-		// Heterogeneous execution: worker pipelines get a DeviceExec top, so
-		// every dispatched morsel is costed and placed (adaptively for
-		// DeviceAuto, pinned for DeviceGPU) on the engine-global devices.
-		placer, gpuDev := s.eng.placementBackend()
-		b.rec = engine.NewPlacementRecorder()
-		if s.opt.device == DeviceGPU {
-			b.forced = gpuDev
-		} else {
-			b.placer = placer
-		}
-	}
 	op, err := plan.build(b)
 	if err != nil {
 		s.eng.pool.release(workers)
@@ -391,10 +367,6 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 		// Nothing in the plan could fan out; return the permits immediately.
 		s.eng.pool.release(workers)
 	}
-	if b.exchanges == 0 {
-		// Nothing fanned out, so no DeviceExec was instantiated either.
-		b.rec = nil
-	}
 	// The query gets a private, cancellable context: Rows.Close cancels it,
 	// so abandoning a stream mid-way aborts in-flight parallel workers at
 	// their next chunk boundary and returns pooled workers promptly.
@@ -405,7 +377,7 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 		return nil, pipelineErr(ctx, err)
 	}
 	s.queries.Add(1)
-	r := &Rows{ctx: qctx, cancel: qcancel, op: op, schema: op.Schema(), sess: s, rec: b.rec, views: b.views, mops: b.morselOps}
+	r := &Rows{ctx: qctx, cancel: qcancel, op: op, schema: op.Schema(), sess: s, views: b.views, mops: b.morselOps}
 	if b.tierEnt != nil {
 		r.tier = tierName(b.tierN, s.opt.tierWarm, s.opt.tierHot)
 		r.fusedRun, r.entry = b.fusedWrapped, b.tierEnt
@@ -414,22 +386,6 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 		r.trace, r.troot, r.tviews = b.trace, b.troot, b.tracedViews()
 	}
 	return r, nil
-}
-
-// mergeMorselPlacements folds one completed query's placement counts into
-// the session's lifetime totals (observable via Stats).
-func (s *Session) mergeMorselPlacements(rec *engine.PlacementRecorder) {
-	counts := rec.Counts()
-	transfer := rec.Transfer()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.morselPlacements == nil {
-		s.morselPlacements = make(map[string]int64, len(counts))
-	}
-	for dev, n := range counts {
-		s.morselPlacements[dev] += n
-	}
-	s.morselTransfer += transfer
 }
 
 // prebuildOp starts every shared join-table build of a parallel query
@@ -510,43 +466,3 @@ func planReport(v *vm.VM) string {
 // KernelCount reports the number of pre-compiled vectorized kernels
 // available to the interpreter ("generated and compiled during startup").
 func KernelCount() int { return primitive.Count() }
-
-// recordPlacement runs the device-placement model for one program execution
-// and records the decision (observable via Stats). With the default
-// DeviceCPU policy this is a no-op beyond bookkeeping.
-func (s *Session) recordPlacement(prog *nir.Program, bindings map[string]*Vector) {
-	elems, bytes := 0, 0
-	names := make([]string, 0, len(bindings))
-	for name, v := range bindings {
-		if v == nil {
-			continue
-		}
-		if v.Len() > elems {
-			elems = v.Len()
-		}
-		bytes += v.Len() * v.Kind().Width()
-		names = append(names, name)
-	}
-	ops := 1
-	if prog != nil {
-		ops = prog.NumInstrs
-	}
-	k := device.Kernel{
-		Name: "session-run", Elems: elems,
-		BytesIn: bytes, BytesOut: bytes,
-		OpsPerElem: float64(ops), Inputs: names,
-	}
-	chosen := s.eng.choosePlacement(s.opt.device, k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.placements = append(s.placements, Placement{
-		Elems: elems, Bytes: bytes, Device: chosen,
-	})
-	if len(s.placements) > maxPlacements {
-		s.placements = append(s.placements[:0], s.placements[len(s.placements)-maxPlacements:]...)
-	}
-}
-
-// maxPlacements bounds the placement log of a long-lived session; Stats
-// reports the most recent decisions.
-const maxPlacements = 256

@@ -3,6 +3,7 @@ package advm_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -374,34 +375,30 @@ func TestQueryScanDestinations(t *testing.T) {
 	}
 }
 
-func TestWithDevicePlacement(t *testing.T) {
+// TestDevicePolicyIsInert: the deprecated WithDevicePolicy accepts every
+// policy and changes nothing — a parallel aggregation returns the CPU
+// session's bytes and no morsel placement is counted.
+func TestDevicePolicyIsInert(t *testing.T) {
+	table := queryTable(50_000)
+	plan := advm.Scan(table, "k", "v").
+		Filter(`(\k -> k < 50)`, "k").
+		Aggregate([]string{"k"}, advm.Agg{Func: advm.AggSum, Col: "v", As: "s"})
+	var want []string
 	for _, policy := range []advm.DeviceKind{advm.DeviceCPU, advm.DeviceGPU, advm.DeviceAuto} {
-		sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds, advm.WithDevicePolicy(policy))
-		ext, _ := chunkLoopBindings(1 << 12)
-		if err := sess.Run(context.Background(), ext); err != nil {
-			t.Fatal(err)
+		sess, err := advm.NewSession(advm.WithParallelism(4), advm.WithMorselLen(4096), advm.WithDevicePolicy(policy))
+		if err != nil {
+			t.Fatalf("%v: %v", policy, err)
 		}
-		pl := sess.Stats().Placements
-		if len(pl) != 1 {
-			t.Fatalf("%v: placements=%v", policy, pl)
+		got, _ := drainAll(t, sess, plan)
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("%v: %d rows differ from the cpu policy's %d", policy, len(got), len(want))
 		}
-		switch policy {
-		case advm.DeviceCPU:
-			if pl[0].Device != "cpu" {
-				t.Fatalf("cpu policy placed on %q", pl[0].Device)
-			}
-		case advm.DeviceGPU:
-			if pl[0].Device != "gpu" {
-				t.Fatalf("gpu policy placed on %q", pl[0].Device)
-			}
-		default:
-			if pl[0].Device != "cpu" && pl[0].Device != "gpu" {
-				t.Fatalf("auto policy placed on %q", pl[0].Device)
-			}
+		if st := sess.Stats(); st.MorselPlacements != nil {
+			t.Fatalf("%v: morsel placements %v, want nil", policy, st.MorselPlacements)
 		}
-		if pl[0].Elems != 1<<12 {
-			t.Fatalf("placement elems=%d", pl[0].Elems)
-		}
+		sess.Close()
 	}
 }
 

@@ -92,7 +92,8 @@ func drainAll(t *testing.T, sess *advm.Session, plan *advm.Plan) ([]string, *adv
 // TestStoredTableByteIdentical: the same plan over the colstore-backed table
 // must produce exactly the rows of the in-RAM table, at every parallelism
 // and device policy, with and without pruning — and the pruned runs must
-// actually skip segments on the range filter.
+// actually skip segments on the range filter. The device policy is a
+// deprecated no-op; its axis checks that no policy changes a row.
 func TestStoredTableByteIdentical(t *testing.T) {
 	const rows = 24 * 1024
 	tb := buildClusteredTable(rows)

@@ -9,18 +9,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/colstore"
-	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/fused"
-	"repro/internal/gpu"
 	"repro/internal/jit"
 	"repro/internal/nir"
 	"repro/internal/vm"
 )
 
 // Engine is the process-wide execution backend of the adaptive VM: it owns
-// the worker pool that morsel-parallel queries draw from, the device placer,
-// the prepared-statement cache that lets concurrent sessions share one
+// the worker pool that morsel-parallel queries draw from, the
+// prepared-statement cache that lets concurrent sessions share one
 // adaptive VM per distinct program, and the JIT compile service every one of
 // its VMs — prepared programs and query expressions alike — gets its traces
 // from. Create one Engine per process (or per
@@ -44,10 +42,7 @@ import (
 type Engine struct {
 	opt options
 
-	mu       sync.Mutex // guards gpu/placer (lazy), cache and useClock
-	cpu      *device.CPU
-	gpu      *gpu.Device
-	placer   *device.Placer
+	mu       sync.Mutex // guards cache and useClock
 	cache    map[nir.Fingerprint]*prepEntry
 	useClock int64
 
@@ -171,15 +166,11 @@ func NewEngine(opts ...Option) (*Engine, error) {
 func newEngine(o options) *Engine {
 	e := &Engine{
 		opt:    o,
-		cpu:    device.NewCPU(),
 		cache:  make(map[nir.Fingerprint]*prepEntry),
 		fcache: fused.NewCache(0),
 		jit:    jit.NewService(),
 	}
 	e.opt.cfg.Compiler = e.jit
-	if o.device != DeviceCPU {
-		e.ensureGPU()
-	}
 	capacity := runtime.GOMAXPROCS(0)
 	if o.parallelism > capacity {
 		capacity = o.parallelism
@@ -188,21 +179,10 @@ func newEngine(o options) *Engine {
 	return e
 }
 
-// ensureGPU lazily instantiates the modeled GPU and the placer (sessions may
-// opt into device policies the engine was not created with).
-func (e *Engine) ensureGPU() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gpu == nil {
-		e.gpu = gpu.New(gpu.DefaultConfig())
-		e.placer = device.NewPlacer(e.cpu, e.gpu)
-	}
-}
-
 // Session creates a lightweight session backed by the engine: it shares the
-// engine's worker pool, prepared-statement cache and device placer. opts
-// override the engine's defaults for this session only (they do not affect
-// VMs already shared through Prepare). Closing the session does not close
+// engine's worker pool and prepared-statement cache. opts override the
+// engine's defaults for this session only (they do not affect VMs already
+// shared through Prepare). Closing the session does not close
 // the engine.
 func (e *Engine) Session(opts ...Option) (*Session, error) {
 	if e.closed.Load() {
@@ -215,9 +195,6 @@ func (e *Engine) Session(opts ...Option) (*Session, error) {
 		}
 	}
 	o.finalize()
-	if o.device != DeviceCPU {
-		e.ensureGPU()
-	}
 	e.sessions.Add(1)
 	return &Session{eng: e, opt: o}, nil
 }
@@ -440,33 +417,6 @@ func (e *Engine) Stats() EngineStats {
 
 		Tiers: tiers,
 	}
-}
-
-// placementBackend returns the engine-global placer and modeled GPU for
-// morsel-level query placement, instantiating them lazily. The returned
-// pointers are immutable once set, so callers use them without holding the
-// engine's lock.
-func (e *Engine) placementBackend() (*device.Placer, device.Device) {
-	e.ensureGPU()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.placer, e.gpu
-}
-
-// choosePlacement runs the engine's placement policy for one execution
-// (guarded: the placer learns from every decision).
-func (e *Engine) choosePlacement(policy DeviceKind, k device.Kernel) string {
-	switch policy {
-	case DeviceGPU:
-		e.ensureGPU()
-		return e.gpu.Name()
-	case DeviceAuto:
-		e.ensureGPU()
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.placer.Choose(k).Name()
-	}
-	return "cpu"
 }
 
 // Prepared is a prepared program: a concurrency-safe handle onto a shared

@@ -182,51 +182,6 @@ func ExampleWithParallelism() {
 	// Output: 433342 33334
 }
 
-// ExampleWithDevicePolicy runs a parallel query under adaptive device
-// placement: each morsel of the scan→filter/compute segment is costed and
-// dispatched to CPU workers or the simulated GPU. Placement never changes
-// results — the modeled device executes on the host — so the sum below is
-// byte-identical to CPU-only execution; only the placement counts differ.
-func ExampleWithDevicePolicy() {
-	table := advm.NewTable(advm.NewSchema("k", advm.I64, "v", advm.F64))
-	for i := int64(0); i < 200_000; i++ {
-		table.AppendRow(advm.I64Value(i%1000), advm.F64Value(float64(i%13)))
-	}
-
-	sess, _ := advm.NewSession(
-		advm.WithParallelism(4),
-		advm.WithDevicePolicy(advm.DeviceAuto))
-	defer sess.Close()
-	rows, err := sess.Query(context.Background(),
-		advm.Scan(table, "k", "v").
-			Filter(`(\k -> k < 500)`, "k").
-			Aggregate(nil, advm.Agg{Func: advm.AggSum, Col: "v", As: "sum_v"}))
-	if err != nil {
-		fmt.Println("query failed:", err)
-		return
-	}
-	defer rows.Close()
-	for rows.Next() {
-		var sum float64
-		if err := rows.Scan(&sum); err != nil {
-			fmt.Println("scan failed:", err)
-			return
-		}
-		fmt.Println(sum)
-	}
-	// The morsels ran somewhere (cpu and/or gpu), chosen by modeled cost +
-	// EWMA feedback; rows.Placements() and Stats().MorselPlacements say
-	// where.
-	var placed int64
-	for _, n := range rows.Placements() {
-		placed += n
-	}
-	fmt.Println(placed > 0)
-	// Output:
-	// 599965
-	// true
-}
-
 // ExamplePlan_Join builds a join → grouped aggregation → top-k plan. Under
 // WithParallelism the probe side fans out across morsel workers, the build
 // side is hashed in parallel into a shared read-only table, and the

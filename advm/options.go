@@ -18,11 +18,10 @@ type Option func(*options) error
 // options is the resolved configuration of one Engine or Session.
 type options struct {
 	cfg         vm.Config
-	jitEnabled  bool // trace compilation in query expression VMs
-	chunkLen    int  // scan chunk length for queries (0 = DefaultChunkLen)
-	parallelism int  // workers per query (≤1 = serial)
-	morselLen   int  // dispatch granularity for parallel queries (0 = default)
-	device      DeviceKind
+	jitEnabled  bool       // trace compilation in query expression VMs
+	chunkLen    int        // scan chunk length for queries (0 = DefaultChunkLen)
+	parallelism int        // workers per query (≤1 = serial)
+	morselLen   int        // dispatch granularity for parallel queries (0 = default)
 	tableDir    string     // root directory Session.OpenTable resolves names under
 	pruning     bool       // zone-map segment skipping on stored-table scans
 	tiered      bool       // tiered relational execution (fused hot segments)
@@ -33,7 +32,7 @@ type options struct {
 
 func defaultOptions() options {
 	return options{
-		cfg: vm.DefaultConfig(), jitEnabled: true, parallelism: 1, device: DeviceCPU,
+		cfg: vm.DefaultConfig(), jitEnabled: true, parallelism: 1,
 		pruning: true, tiered: true, tierWarm: defaultTierWarm, tierHot: defaultTierHot,
 	}
 }
@@ -200,17 +199,14 @@ func WithParallelism(n int) Option {
 
 // WithMorselLen sets the dispatch granularity of parallel queries: the
 // number of rows per morsel handed to a worker (default
-// morsel.DefaultMorselLen). It is also the unit of device placement under
-// WithDevicePolicy — each morsel is costed and placed as one kernel — so
-// smaller morsels give the placer more, finer decisions at higher dispatch
-// overhead.
+// morsel.DefaultMorselLen). Smaller morsels balance skewed loads more
+// finely at higher dispatch overhead.
 //
 // Morsel length is part of a query's result identity: grouped aggregations
 // pre-aggregate each morsel privately and merge the per-morsel tables in
 // morsel sequence order, so floating-point accumulation is blocked at
 // morsel boundaries. At a fixed morsel length results are byte-identical
-// across every worker count, device policy, execution tier and chunk
-// length; two different morsel lengths may differ in the low-order bits of
+// across every worker count, execution tier and chunk length; two different morsel lengths may differ in the low-order bits of
 // float aggregates (both are correct rounded sums, accumulated in a
 // different association). Integer and count results are identical at any
 // granularity.
@@ -300,18 +296,19 @@ func WithTierThresholds(warm, hot int64) Option {
 	}
 }
 
-// DeviceKind selects the execution-device placement policy of a session.
+// DeviceKind names a device-placement policy.
+//
+// Deprecated: every query and program runs on the host CPU whatever the
+// policy. Device placement is a cost model (package internal/device) that
+// tests assert, not an execution path; see WithDevicePolicy.
 type DeviceKind int
 
 // Device policies.
+//
+// Deprecated: see DeviceKind.
 const (
-	// DeviceCPU places all work on the host CPU (default).
 	DeviceCPU DeviceKind = iota
-	// DeviceGPU places eligible work on the modeled GPU coprocessor.
 	DeviceGPU
-	// DeviceAuto chooses per run between CPU and GPU by modeled cost
-	// (compute rate vs. transfer over the interconnect), the paper's §IV
-	// heterogeneous-hardware target.
 	DeviceAuto
 )
 
@@ -324,36 +321,17 @@ func (d DeviceKind) String() string {
 	return fmt.Sprintf("DeviceKind(%d)", int(d))
 }
 
-// WithDevicePolicy selects the device-placement policy for both program
-// runs and relational queries. The GPU backend is the modeled coprocessor of
-// the reproduction: placement decisions (and their modeled costs) are real
-// and observable through Stats, execution itself runs on the host.
+// WithDevicePolicy rejects a DeviceKind that is not one of the three
+// policies and otherwise has no effect.
 //
-// For queries executing with WithParallelism(n) > 1, the policy governs
-// where each dispatched morsel of a streaming segment — a scan with its
-// filters, computes and join probes — runs:
-//
-//   - DeviceCPU (default): every morsel on the host workers; no placement
-//     machinery is instantiated at all.
-//   - DeviceGPU: every morsel is executed under the modeled GPU, which
-//     charges launch overhead, PCIe transfers for non-resident columns and
-//     HBM-bandwidth/throughput-limited compute.
-//   - DeviceAuto: the engine-global placer costs each morsel on both
-//     devices (bias-corrected by EWMA feedback from observed CPU wall time
-//     and modeled GPU time) and picks the cheaper one. Scanned columns that
-//     were transferred become resident on the device, so repeated queries
-//     over the same table shift large scans toward the accelerator while
-//     small or cold morsels stay on the CPU.
-//
-// Results are byte-identical under every policy and every worker count: the
-// modeled GPU executes on the host, so placement only re-schedules work.
-// Decisions are observable per query via Rows.Placements and per session
-// via Stats.MorselPlacements.
+// Deprecated: the GPU of this reproduction is modeled, so placing work on
+// it could only re-schedule host execution and never saved time. Queries
+// and programs always run on the host CPU; Stats.MorselPlacements stays
+// nil.
 func WithDevicePolicy(d DeviceKind) Option {
 	return func(o *options) error {
 		switch d {
 		case DeviceCPU, DeviceGPU, DeviceAuto:
-			o.device = d
 			return nil
 		}
 		return fmt.Errorf("unknown device policy %v", d)

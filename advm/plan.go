@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/colstore"
-	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/fused"
@@ -215,9 +214,7 @@ func (p *Plan) TopK(k int, by ...Order) *Plan {
 }
 
 // builder carries per-query instantiation state: the session's options, the
-// granted worker count, the shared join tables of this query, and — when the
-// session's device policy is not CPU-only — the placement machinery that
-// wraps worker pipelines in DeviceExec.
+// granted worker count and the shared join tables of this query.
 type builder struct {
 	s         *Session
 	workers   int
@@ -229,10 +226,6 @@ type builder struct {
 	// prebuildOp) so independent build sides overlap instead of each waiting
 	// for the first probe that needs it.
 	sharedList []*engine.SharedJoinTable
-
-	placer *device.Placer            // adaptive policy: choose per morsel
-	forced device.Device             // pinned policy: every morsel on this device
-	rec    *engine.PlacementRecorder // non-nil → device placement is on
 
 	pruned map[*Plan]TableSource   // scan leaf → store it should read
 	views  []*colstore.PrunedTable // pruned views created for this query
@@ -344,9 +337,6 @@ func (p *Plan) build(b *builder) (engine.Operator, error) {
 			if err != nil {
 				return nil, err
 			}
-			if workers > 1 {
-				mk = b.placedMaker(mk, scan, stages)
-			}
 			pa, err := engine.NewParallelAgg(b.storeFor(scan), scan.columns, workers,
 				mk, p.keys, p.aggs)
 			if err != nil {
@@ -411,14 +401,13 @@ func (p *Plan) buildParallelTopK(b *builder) (engine.Operator, bool, error) {
 		return nil, false, nil
 	}
 	b.exchanges++ // claim before nested sharedJoin builds count theirs
-	mk := func(_ int, leaf engine.Operator) (engine.Operator, error) { return leaf, nil }
+	mk := func(_ int, leaf engine.Operator) (engine.Operator, error) { return b.tracedLeaf(scan, leaf), nil }
 	if len(stages) > 0 {
 		var err error
 		mk, _, err = b.pipeMaker(stages, scan)
 		if err != nil {
 			return nil, false, err
 		}
-		mk = b.placedMaker(mk, scan, stages)
 	}
 	tk, err := engine.NewParallelTopK(b.storeFor(scan), scan.columns, b.workers, mk, p.k, p.by...)
 	if err != nil {
@@ -472,7 +461,7 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 		}
 	}
 	interp := func(_ int, leaf engine.Operator) (engine.Operator, error) {
-		op := leaf
+		op := b.tracedLeaf(scan, leaf)
 		for i := len(stages) - 1; i >= 0; i-- {
 			st := stages[i]
 			if st.kind == planJoin {
@@ -505,7 +494,7 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 		// The fused loop replaces the whole stage chain, so its time lands
 		// on the top stage's span; the inner stage spans keep the plan
 		// structure but stay at zero busy while the segment runs fused.
-		return b.traced(top, fused.NewExec(prog, leaf, tables, ctrs)), nil
+		return b.traced(top, fused.NewExec(prog, b.tracedLeaf(scan, leaf), tables, ctrs)), nil
 	}, true, nil
 }
 
@@ -729,7 +718,7 @@ func (p *Plan) buildExchange(b *builder) (engine.Operator, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	ex, err := engine.NewExchange(b.storeFor(scan), scan.columns, b.workers, b.placedMaker(mk, scan, stages))
+	ex, err := engine.NewExchange(b.storeFor(scan), scan.columns, b.workers, mk)
 	if err != nil {
 		return nil, false, err
 	}
@@ -745,86 +734,6 @@ func (p *Plan) buildExchange(b *builder) (engine.Operator, bool, error) {
 	// top span for morsel leaves and dispatch statistics.
 	ex.SetTrace(b.spans[p], b.traceMorsels())
 	return ex, true, nil
-}
-
-// placedMaker wraps a worker-pipeline maker so every worker's pipeline top
-// is a DeviceExec carrying the segment's kernel spec — the hook through
-// which the exchange dispatch loops place each morsel on a device. With the
-// CPU-only policy (no recorder) the maker passes through untouched and the
-// query runs exactly as before.
-func (b *builder) placedMaker(mk func(int, engine.Operator) (engine.Operator, error),
-	scan *Plan, stages []*Plan) func(int, engine.Operator) (engine.Operator, error) {
-	if b.rec == nil {
-		return mk
-	}
-	spec := kernelSpec(b.storeFor(scan), scan, stages)
-	return func(w int, leaf engine.Operator) (engine.Operator, error) {
-		op, err := mk(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewDeviceExec(op, b.placer, b.forced, spec, b.rec), nil
-	}
-}
-
-// kernelSpec derives the per-morsel cost template of a streaming segment
-// from the plan: input volume from the scanned columns' widths, residency
-// keys from the table's identity (so repeated queries over the same table
-// hit the device's residency cache), and arithmetic intensity from the
-// stages stacked on the scan. The identity includes the row count, so a
-// table that grew since its columns became resident re-transfers instead
-// of reading stale residency (and a recycled allocation only aliases an
-// old key if it also matches the old size).
-//
-// Stored tables refine both halves: the residency key unwraps pruned views
-// to the underlying table (pruning never changes which bytes are resident),
-// and the per-row transfer cost uses the real compressed segment bytes on
-// disk instead of the decoded element width.
-func kernelSpec(store TableSource, scan *Plan, stages []*Plan) engine.KernelSpec {
-	sch := store.Schema()
-	cols := scan.columns
-	if len(cols) == 0 {
-		cols = sch.Names
-	}
-	ident := any(store)
-	if base, ok := store.(interface{ Base() *colstore.Table }); ok {
-		ident = base.Base()
-	}
-	rows := store.Rows()
-	key := fmt.Sprintf("tbl%p/r%d", ident, rows)
-	spec := engine.KernelSpec{Name: "segment@" + key}
-	sized, _ := store.(interface{ ColumnBytes(string) int64 })
-	for _, c := range cols {
-		spec.Inputs = append(spec.Inputs, key+"."+c)
-		if i := sch.ColumnIndex(c); i >= 0 {
-			w := sch.Kinds[i].Width()
-			if sized != nil && rows > 0 {
-				if bts := sized.ColumnBytes(c); bts > 0 {
-					if w = int((bts + int64(rows) - 1) / int64(rows)); w < 1 {
-						w = 1
-					}
-				}
-			}
-			spec.RowBytes += w
-		}
-	}
-	// Per-row cost approximation: a scan touches every element once; each
-	// filter evaluates a predicate (≈2 ops), each compute its arithmetic
-	// (≈2 ops + one per extra input), each probe hashes and chases (≈6).
-	ops := 1.0
-	for _, st := range stages {
-		switch st.kind {
-		case planFilter:
-			ops += 2
-		case planCompute:
-			ops += 2 + float64(len(st.cols))
-		case planJoin:
-			ops += 6
-		}
-	}
-	spec.OpsPerElem = ops
-	spec.OutRowBytes = spec.RowBytes
-	return spec
 }
 
 // fingerprint canonically serializes the plan tree — structure, lambdas,

@@ -32,9 +32,8 @@ type Rows struct {
 	op     engine.Operator
 	schema []engine.ColInfo
 	sess   *Session
-	rec    *engine.PlacementRecorder // non-nil when device placement is on
-	views  []*colstore.PrunedTable   // pruned stored-table views of this query
-	mops   []morselStatsSource       // morsel-dispatching operators of this query
+	views  []*colstore.PrunedTable // pruned stored-table views of this query
+	mops   []morselStatsSource     // morsel-dispatching operators of this query
 
 	tier     string     // tier this query executed at ("" = tiering off)
 	fusedRun bool       // fused loops were mounted for this query
@@ -233,17 +232,6 @@ func (r *Rows) Count() (int64, error) {
 // surfaces here as ErrCancelled.
 func (r *Rows) Err() error { return r.err }
 
-// Placements returns this query's morsel placement counts per device
-// ("cpu", "gpu") so far — live while the stream is being consumed, final
-// once it is drained or closed. It returns nil when the query runs without
-// device placement (CPU-only policy, or nothing fanned out).
-func (r *Rows) Placements() map[string]int64 {
-	if r.rec == nil {
-		return nil
-	}
-	return r.rec.Counts()
-}
-
 // ScanStats reports the zone-map pruning outcome of this query over its
 // disk-backed tables: how many distinct stored segments its scans read and
 // how many they skipped without touching. Live while the stream is being
@@ -303,9 +291,6 @@ func (r *Rows) close() {
 		r.cancel()
 	}
 	r.op.Close()
-	if r.rec != nil && r.sess != nil {
-		r.sess.mergeMorselPlacements(r.rec)
-	}
 	if len(r.views) > 0 && r.sess != nil {
 		// close runs at most once (guarded by r.done), so the session's
 		// lifetime counters absorb each query's totals exactly once.

@@ -33,13 +33,6 @@ type InstrStat struct {
 	Nanos  int64
 }
 
-// Placement is one device-placement decision of the session's policy.
-type Placement struct {
-	Elems  int
-	Bytes  int
-	Device string
-}
-
 // Stats is a point-in-time snapshot of the session's observability surface.
 type Stats struct {
 	// Runs and Queries count completed Session.Run calls and started
@@ -67,16 +60,12 @@ type Stats struct {
 	GuardFailures int64
 	// Instructions is the per-instruction interpreter profile.
 	Instructions []InstrStat
-	// Placements records device decisions of program runs, newest last.
-	Placements []Placement
-	// MorselPlacements counts the morsels this session's parallel queries
-	// dispatched to each device ("cpu", "gpu") under WithDevicePolicy,
-	// accumulated as queries complete. Nil when no placed query has
-	// finished.
+	// MorselPlacements is always nil: every morsel runs on the host CPU.
+	//
+	// Deprecated: queries no longer place morsels on devices, so there is
+	// nothing to count. Device placement is a cost model (package
+	// internal/device) that tests assert, not an execution path.
 	MorselPlacements map[string]int64
-	// MorselTransfer is the modeled PCIe transfer time accumulated by
-	// GPU-placed morsels (zero when everything stayed on the CPU).
-	MorselTransfer time.Duration
 	// SegmentsScanned and SegmentsSkipped count the distinct stored-table
 	// segments this session's completed queries read versus skipped via
 	// zone-map pruning (see WithScanPruning and Rows.ScanStats).
@@ -91,9 +80,9 @@ type Stats struct {
 	FusedQueries int64
 }
 
-// Stats snapshots the session's counters, state machine log,
-// per-instruction profile and placement decisions. It is safe to call
-// concurrently with Run and Query.
+// Stats snapshots the session's counters, state machine log and
+// per-instruction profile. It is safe to call concurrently with Run and
+// Query.
 func (s *Session) Stats() Stats {
 	st := Stats{
 		Runs:            s.runs.Load(),
@@ -104,16 +93,6 @@ func (s *Session) Stats() Stats {
 		MorselSteals:    s.morselSteals.Load(),
 		FusedQueries:    s.fusedQueries.Load(),
 	}
-	s.mu.Lock()
-	st.Placements = append([]Placement(nil), s.placements...)
-	if s.morselPlacements != nil {
-		st.MorselPlacements = make(map[string]int64, len(s.morselPlacements))
-		for dev, n := range s.morselPlacements {
-			st.MorselPlacements[dev] = n
-		}
-	}
-	st.MorselTransfer = s.morselTransfer
-	s.mu.Unlock()
 	vmStats(s.vm, &st)
 	return st
 }

@@ -25,7 +25,7 @@ const (
 	// time, rows, loops, tier, and one-off events (fused compile).
 	TraceOps = qtrace.LevelOps
 	// TraceMorsels additionally records one leaf span per dispatched
-	// morsel with worker, steal, and device attribution — the level
+	// morsel with worker and steal attribution — the level
 	// ExplainAnalyze and the Chrome trace export use.
 	TraceMorsels = qtrace.LevelMorsels
 )
@@ -109,6 +109,17 @@ func (b *builder) traced(p *Plan, op engine.Operator) engine.Operator {
 		return op
 	}
 	return &tracedOp{inner: op, sp: sp}
+}
+
+// tracedLeaf attaches the scan node's span to the scan leaf of a worker
+// pipeline. The engine builds those leaves itself, so they never pass
+// through traced; the leaf stays an *engine.PartScan, which a fused loop
+// over it relies on to lend. Any other leaf is returned as it is.
+func (b *builder) tracedLeaf(scan *Plan, leaf engine.Operator) engine.Operator {
+	if ps, ok := leaf.(*engine.PartScan); ok && b.spans[scan] != nil {
+		ps.SetTrace(b.spans[scan])
+	}
+	return leaf
 }
 
 // traceMorsels reports whether per-morsel leaf spans are recorded.
@@ -225,7 +236,7 @@ func (r *Rows) finishTrace() {
 // ExplainAnalyze executes the plan to completion with full tracing
 // (TraceMorsels) and renders the PostgreSQL-style EXPLAIN ANALYZE tree:
 // per-operator actual time, self time, rows and loops, per-worker morsel
-// counts, steals, devices, tier, and colstore segment skip counts.
+// counts, steals, tier, and colstore segment skip counts.
 func (s *Session) ExplainAnalyze(ctx context.Context, plan *Plan) (string, error) {
 	rows, err := s.QueryTraced(ctx, plan, TraceMorsels)
 	if err != nil {

@@ -208,6 +208,60 @@ func TestExplainAnalyzeQ3(t *testing.T) {
 	}
 }
 
+// TestTraceScanSpansCountRows: every scan span of a traced query reports the
+// rows its scans produced and the Next calls that produced them, whether the
+// scan runs serially or as the windowed leaves of morsel workers (a parallel
+// aggregation's, even with one worker, and a parallel join build's), and
+// whether fused loops run over those leaves. None of the plans filters
+// before its scans, so each scan produces its whole table.
+func TestTraceScanSpansCountRows(t *testing.T) {
+	const sf = 0.005
+	li := tpch.GenLineitem(sf, 42)
+	ord := tpch.GenOrders(sf, 42)
+	cust := tpch.GenCustomer(sf, 42)
+	plans := map[string]func() *advm.Plan{
+		"q1": func() *advm.Plan { return tpch.PlanQ1(li) },
+		"q3": func() *advm.Plan { return tpch.PlanQ3(li, ord, cust, tpch.DefaultQ3Params()) },
+	}
+	for _, par := range []int{1, 2} {
+		for _, hot := range []bool{false, true} {
+			for name, plan := range plans {
+				t.Run(fmt.Sprintf("%s/par=%d/hot=%v", name, par, hot), func(t *testing.T) {
+					opts := []advm.Option{advm.WithParallelism(par)}
+					if hot {
+						opts = append(opts, advm.WithTierThresholds(1, 1))
+					}
+					sess, err := advm.NewSession(opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sess.Close()
+					_, tr := queryTraced(t, sess, plan(), advm.TraceOps)
+					scans := 0
+					var walk func(s *qtrace.SpanJSON)
+					walk = func(s *qtrace.SpanJSON) {
+						if s.Kind == "op" && s.Name == "scan" {
+							scans++
+							want, _ := attrInt(s, "table_rows")
+							if s.Rows != want || s.Loops == 0 || s.BusyNs == 0 {
+								t.Errorf("scan span: rows=%d loops=%d busy=%dns, want rows=%d, loops and busy > 0",
+									s.Rows, s.Loops, s.BusyNs, want)
+							}
+						}
+						for _, c := range s.Children {
+							walk(c)
+						}
+					}
+					walk(tr.Tree())
+					if want := map[string]int{"q1": 1, "q3": 3}[name]; scans != want {
+						t.Fatalf("%d scan spans, want %d", scans, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestTraceResultsUnchanged: tracing must be observation only — the traced
 // run returns bit-identical rows to the untraced one.
 func TestTraceResultsUnchanged(t *testing.T) {

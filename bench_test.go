@@ -463,6 +463,16 @@ func BenchmarkExpE5_Compressed(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E6 — adaptive device placement (modeled costs reported as metrics).
 
+// e6Kernel is a kernel over elems 8-byte elements in and out, named — and
+// keyed for GPU residency — by name.
+func e6Kernel(name string, elems int, opsPerElem float64) device.Kernel {
+	return device.Kernel{
+		Name: name, Elems: elems,
+		BytesIn: elems * 8, BytesOut: elems * 8,
+		OpsPerElem: opsPerElem, Inputs: []string{name},
+	}
+}
+
 func BenchmarkExpE6_Placement(b *testing.B) {
 	for _, resident := range []bool{false, true} {
 		for _, elems := range []int{1 << 10, 1 << 16, 1 << 22} {
@@ -471,11 +481,7 @@ func BenchmarkExpE6_Placement(b *testing.B) {
 				g := gpu.New(gpu.DefaultConfig())
 				cpu := device.NewCPU()
 				placer := device.NewPlacer(cpu, g)
-				k := device.Kernel{
-					Name: name, Elems: elems,
-					BytesIn: elems * 8, BytesOut: elems * 8,
-					OpsPerElem: 4, Inputs: []string{name},
-				}
+				k := e6Kernel(name, elems, 4)
 				if resident {
 					g.MakeResident(name, k.BytesIn)
 				}

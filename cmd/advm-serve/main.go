@@ -1,12 +1,12 @@
 // Command advm-serve puts the adaptive VM behind a socket: one process-wide
-// advm.Engine — worker pool, device placer, fingerprint-keyed prepared
-// cache — served over HTTP to many concurrent clients, with admission
+// advm.Engine — worker pool, fingerprint-keyed prepared cache, JIT compile
+// service — served over HTTP to many concurrent clients, with admission
 // control, streaming NDJSON results and adaptive-telemetry endpoints.
 //
 //	advm-serve -addr :8080 -sf 0.01 -parallelism 8
 //
 //	curl -s localhost:8080/v1/query -d '{"query":"q6"}'
-//	curl -s localhost:8080/v1/query -d '{"query":"q3","opts":{"parallelism":4,"device":"auto"}}'
+//	curl -s localhost:8080/v1/query -d '{"query":"q3","opts":{"parallelism":4}}'
 //	curl -s localhost:8080/v1/query -d '{"query":"q3","trace":true}'
 //	curl -s localhost:8080/v1/prepare -d '{"src":"...","externals":{"data":"i64"}}'
 //	curl -s localhost:8080/v1/stats

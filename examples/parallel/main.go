@@ -18,8 +18,8 @@ import (
 )
 
 func main() {
-	// One engine per process: it owns the worker pool, the device placer and
-	// the prepared-statement cache.
+	// One engine per process: it owns the worker pool and the
+	// prepared-statement cache.
 	eng, err := advm.NewEngine(
 		advm.WithParallelism(4),
 		advm.WithSyncOptimizer(true),

@@ -1,10 +1,9 @@
 // Example: serving the adaptive VM — one advm.Engine behind the HTTP
-// service, hammered by concurrent clients with mixed device policies. The
-// point of serving is amortization: every client that prepares the same
-// program drives the same VM (one profile, one set of JIT traces), and
-// every query over the same table warms the same placer residency, so the
-// /v1/stats dump at the end shows cache hits ≈ clients-1 and morsel
-// placement counts accumulated across tenants.
+// service, hammered by concurrent clients with mixed parallelism. The point
+// of serving is amortization: every client that prepares the same program
+// drives the same VM (one profile, one set of JIT traces), and every repeat
+// of the same query plan climbs the same tier entry, so the /v1/stats dump
+// at the end shows cache hits ≈ clients-1 and one shared VM.
 //
 //	go run ./examples/server
 package main
@@ -40,14 +39,14 @@ func main() {
 	defer ts.Close()
 
 	// Every client prepares the same program — the engine's fingerprint
-	// cache unifies them onto one VM — then runs TPC-H Q6 under its own
-	// device policy and parallelism.
+	// cache unifies them onto one VM — then runs TPC-H Q6 at its own
+	// parallelism.
 	src := "let xs = read 0 data\nwrite out 0 (map (\\x -> (x * 3 + 7) * (x - 1)) xs)"
-	policies := []string{"cpu", "auto", "auto", "cpu", "auto", "cpu"}
+	parallelism := []int{1, 4, 4, 1, 4, 2}
 	var wg sync.WaitGroup
-	for c, policy := range policies {
+	for c, par := range parallelism {
 		wg.Add(1)
-		go func(c int, policy string) {
+		go func(c, par int) {
 			defer wg.Done()
 			post := func(path, body string) string {
 				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
@@ -67,29 +66,15 @@ func main() {
 				  "bindings":{"data":{"kind":"i64","values":[1,2,3,4,5,6,7,8]},"out":{"kind":"i64","cap":64}}}`, src))
 			for r := 0; r < 3; r++ {
 				body := post("/v1/query", fmt.Sprintf(
-					`{"query":"q6","opts":{"parallelism":4,"device":%q}}`, policy))
+					`{"query":"q6","opts":{"parallelism":%d}}`, par))
 				lines := strings.Split(strings.TrimSpace(body), "\n")
 				if r == 2 {
-					fmt.Printf("client %d (%-4s): q6 → %s\n", c, policy, lines[1])
+					fmt.Printf("client %d (parallelism %d): q6 → %s\n", c, par, lines[1])
 				}
 			}
-		}(c, policy)
+		}(c, par)
 	}
 	wg.Wait()
-
-	// Under full contention the pool degrades queries toward serial (no
-	// fan-out → no placement machinery), so run a few uncontended adaptive
-	// queries too: these are granted their workers, and repeated scans over
-	// the now-resident table shift morsels to the modeled GPU.
-	for r := 0; r < 3; r++ {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-			strings.NewReader(`{"query":"q6","opts":{"parallelism":4,"device":"auto"}}`))
-		if err != nil {
-			log.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
 
 	// The adaptive telemetry, as any monitoring system would scrape it.
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -112,8 +97,6 @@ func main() {
 			Fingerprint string `json:"fingerprint"`
 			Runs        int64  `json:"runs"`
 		} `json:"prepared"`
-		Placements map[string]int64 `json:"placements"`
-		TransferMS float64          `json:"transfer_ms"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		log.Fatal(err)
@@ -127,6 +110,4 @@ func main() {
 	}
 	fmt.Printf("admission: %d admitted, %d rejected; parallel queries: %d\n",
 		stats.Admission.Admitted, stats.Admission.Rejected, stats.Engine.ParallelQueries)
-	fmt.Printf("morsel placements across tenants: %v (modeled transfer %.2fms)\n",
-		stats.Placements, stats.TransferMS)
 }

@@ -1,7 +1,7 @@
 // Package colstore is a persistent compressed columnar table format: the
-// disk-backed storage layer the paper's cost-based placement story needs in
-// order to reason about bytes actually moved rather than synthetic in-RAM
-// slices. A table is a directory holding one file per column plus a JSON
+// disk-backed storage layer that lets queries read real compressed bytes,
+// prune segments by zone map and decode per segment, rather than scan
+// synthetic in-RAM slices. A table is a directory holding one file per column plus a JSON
 // manifest. Each column file is a sequence of independently encoded segments
 // (fixed row count, defaulting to 64k rows) whose compression scheme is
 // chosen per segment by internal/compress's analyzer, followed by a footer

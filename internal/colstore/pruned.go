@@ -182,9 +182,6 @@ func (v *PrunedTable) Scan(lo, n int, cols []int, dst []*vector.Vector) int {
 // Base returns the underlying table (for identity and costing).
 func (v *PrunedTable) Base() *Table { return v.t }
 
-// ColumnBytes delegates placement costing to the base table.
-func (v *PrunedTable) ColumnBytes(name string) int64 { return v.t.ColumnBytes(name) }
-
 // DistinctEstimate delegates to the base table's zone maps.
 func (v *PrunedTable) DistinctEstimate(col string) int { return v.t.DistinctEstimate(col) }
 

@@ -203,7 +203,7 @@ func (t *Table) Segments() int {
 }
 
 // ColumnBytes returns the on-disk encoded size of the named column, or 0 if
-// absent. Placement costing uses this to see real bytes-moved per column.
+// absent: the compressed bytes a scan of the column reads.
 func (t *Table) ColumnBytes(name string) int64 {
 	i := t.schema.ColumnIndex(name)
 	if i < 0 {

@@ -3,9 +3,9 @@
 // canonical byte encoding of query results. The invariant under test is the
 // engine's core determinism guarantee — at a fixed WithMorselLen, every
 // execution strategy the session options can select (serial,
-// WithParallelism(1..n), any WithDevicePolicy, any execution tier, any
-// chunk granularity) must produce results byte-identical to serial CPU
-// execution at that same morsel length, floating-point aggregates included.
+// WithParallelism(1..n), any execution tier, any chunk granularity) must
+// produce results byte-identical to serial execution at that same morsel
+// length, floating-point aggregates included.
 // The morsel length itself is part of the result identity: it pins the
 // blocking of per-morsel f64 pre-aggregation, so configs are compared
 // against a serial reference sharing their morsel length.

@@ -41,30 +41,28 @@ type execConfig struct {
 	name      string
 	workers   int
 	morselLen int
-	device    advm.DeviceKind
 	forceHot  bool
 }
 
 // configs covers the strategy space: every parallel structure (exchange,
 // parallel agg, shared join build), several worker counts and morsel
-// granularities, every device policy, and tiered execution forced hot —
-// WithTierThresholds(1, 1) mounts specialized fused loops on the very first
-// execution wherever the plan allows, so the fused loops face the same
-// byte-identity bar as everything else.
-// par2-cpu-hot is the configuration the benchmark runs: fused loops on
-// several CPU workers with no MorselRunner between them and the parallel
-// aggregation, so its worker pipelines lend their chunks.
+// granularities, and tiered execution forced hot — WithTierThresholds(1, 1)
+// mounts specialized fused loops on the very first execution wherever the
+// plan allows, so the fused loops face the same byte-identity bar as
+// everything else. par2-hot is the configuration the benchmark runs: fused
+// loops on several workers under the parallel aggregation, whose worker
+// pipelines lend their chunks.
 var configs = []execConfig{
-	{"par1-auto", 1, 0, advm.DeviceAuto, false},
-	{"par2-cpu", 2, 1024, advm.DeviceCPU, false},
-	{"par3-gpu", 3, 2048, advm.DeviceGPU, false},
-	{"par4-auto", 4, 1024, advm.DeviceAuto, false},
-	{"par8-auto", 8, 4096, advm.DeviceAuto, false},
-	{"par8-gpu-fine", 8, 512, advm.DeviceGPU, false},
-	{"par1-hot", 1, 0, advm.DeviceAuto, true},
-	{"par2-cpu-hot", 2, 1024, advm.DeviceCPU, true},
-	{"par4-hot", 4, 1024, advm.DeviceAuto, true},
-	{"par8-gpu-hot", 8, 512, advm.DeviceGPU, true},
+	{"par1", 1, 0, false},
+	{"par2", 2, 1024, false},
+	{"par3", 3, 2048, false},
+	{"par4", 4, 1024, false},
+	{"par8", 8, 4096, false},
+	{"par8-fine", 8, 512, false},
+	{"par1-hot", 1, 0, true},
+	{"par2-hot", 2, 1024, true},
+	{"par4-hot", 4, 1024, true},
+	{"par8-fine-hot", 8, 512, true},
 }
 
 // TestDifferential: for a spread of seeds, every execution strategy must
@@ -101,7 +99,7 @@ func TestDifferential(t *testing.T) {
 		// One serial reference per distinct morsel length: result bytes are a
 		// function of (plan, data, morsel length) — blocked f64 accumulation
 		// is pinned by the morsel boundaries — and must be *independent* of
-		// workers, devices and tier. Each reference disables tiering so it is
+		// workers and tier. Each reference disables tiering so it is
 		// the pure serial interpreter — the forced-hot configs are measured
 		// against it, not against themselves.
 		refs := map[int][]string{}
@@ -143,7 +141,6 @@ func TestDifferential(t *testing.T) {
 		for _, cfg := range configs {
 			opts := []advm.Option{
 				advm.WithParallelism(cfg.workers),
-				advm.WithDevicePolicy(cfg.device),
 				advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 			}
 			if cfg.morselLen > 0 {

@@ -10,7 +10,7 @@
 //
 // Concurrency contract: a single Operator instance is single-goroutine —
 // Open, Next and Close are never called concurrently. Parallelism enters
-// through the dispatching operators (Exchange, ParallelAgg,
+// through the dispatching operators (Exchange, ParallelAgg, ParallelTopK,
 // BuildJoinTableParallel), which instantiate one private pipeline per worker
 // over a windowed scan and run them under work-stealing morsel dispatch
 // (package morsel); worker pipelines share nothing mutable except
@@ -33,15 +33,14 @@
 // keeps — before it pulls the next; an operator over a lent leaf may then
 // lend its own output (fused.Exec emits its scratch). Every consumer that
 // holds or buffers chunks must keep owned ones and therefore must not
-// lend: Exchange and its morsel drains, a MorselRunner (DeviceExec buffers
-// a whole morsel, so ParallelAgg does not lend under one), ParallelTopK,
-// the parallel join build, serial roots and the public Rows cursor.
+// lend: Exchange and its morsel drains, ParallelTopK, the parallel join
+// build, serial roots and the public Rows cursor.
 //
 // Determinism is structural, not scheduled: exchanges emit
 // chunks in morsel sequence order and parallel aggregation folds per-morsel
 // pre-aggregation tables in morsel sequence order, so result bytes depend
 // on the morsel length (which pins how f64 accumulation is blocked) but
-// never on worker count, steal pattern, device placement or chunk length.
+// never on worker count, steal pattern or chunk length.
 package engine
 
 import (

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
-	"repro/internal/device"
 	"repro/internal/vector"
 )
 
@@ -66,25 +65,31 @@ func TestScanChunksStayValidColstore(t *testing.T) {
 	}
 }
 
-// TestParallelAggLendsPlainPipelinesOnly: a worker pipeline that ParallelAgg
-// folds chunk by chunk gets a lent leaf, one under a MorselRunner — which
-// buffers the whole morsel before the fold — keeps owned chunks.
+// TestParallelAggLendsPlainPipelinesOnly: every worker pipeline that
+// ParallelAgg folds chunk by chunk gets a lent leaf, while the dispatchers
+// that hold or buffer a morsel's chunks — Exchange and ParallelTopK — keep
+// owned ones.
 func TestParallelAggLendsPlainPipelinesOnly(t *testing.T) {
 	dsm, _ := wideTable(100)
 	plain := func(_ int, leaf Operator) (Operator, error) { return leaf, nil }
-	placed := func(_ int, leaf Operator) (Operator, error) {
-		return NewDeviceExec(leaf, nil, device.NewCPU(), KernelSpec{}, nil), nil
+	pa, err := NewParallelAgg(dsm, []string{"a", "g"}, 2, plain, nil, []Aggregate{{Func: AggSum, Col: "a", As: "s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExchange(dsm, []string{"a", "g"}, 2, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := NewParallelTopK(dsm, []string{"a", "g"}, 2, plain, 3, OrderSpec{Col: "a"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		mk   func(int, Operator) (Operator, error)
-		lent bool
-	}{{"plain", plain, true}, {"morsel-runner", placed, false}} {
-		pa, err := NewParallelAgg(dsm, []string{"a", "g"}, 2, tc.mk, nil, []Aggregate{{Func: AggSum, Col: "a", As: "s"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w, leaf := range pa.leaves {
+		name   string
+		leaves []*PartScan
+		lent   bool
+	}{{"parallel-agg", pa.leaves, true}, {"exchange", ex.leaves, false}, {"parallel-topk", tk.leaves, false}} {
+		for w, leaf := range tc.leaves {
 			if leaf.Lent() != tc.lent {
 				t.Errorf("%s: worker %d leaf lent=%v, want %v", tc.name, w, leaf.Lent(), tc.lent)
 			}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/morsel"
 	"repro/internal/qtrace"
@@ -44,6 +45,8 @@ type PartScan struct {
 	lent  bool
 	bufs  []*vector.Vector
 	chunk vector.Chunk
+
+	tsp *qtrace.Span // the scan's plan-node span; nil when untraced
 }
 
 // NewPartScan creates a windowed scan over the named columns of store (all
@@ -72,6 +75,11 @@ func (s *PartScan) Lend() { s.lent = true }
 // Lent reports whether the scan lends its chunks.
 func (s *PartScan) Lent() bool { return s.lent }
 
+// SetTrace makes every Next add its time, one loop and its rows to sp, the
+// span of the plan's scan node. The leaves of one query's worker pipelines
+// share that span. Must be called before Open.
+func (s *PartScan) SetTrace(sp *qtrace.Span) { s.tsp = sp }
+
 // SetChunkLen overrides the scan's chunk length (default
 // vector.DefaultChunkLen).
 func (s *PartScan) SetChunkLen(n int) *PartScan {
@@ -97,6 +105,20 @@ func (s *PartScan) Open(ctx context.Context) error { return ctx.Err() }
 // chunk, which bounds how far past a cancellation any downstream operator
 // can run.
 func (s *PartScan) Next(ctx context.Context) (*vector.Chunk, error) {
+	if s.tsp == nil {
+		return s.next(ctx)
+	}
+	start := time.Now()
+	c, err := s.next(ctx)
+	s.tsp.AddTime(time.Since(start))
+	s.tsp.AddLoop()
+	if c != nil {
+		s.tsp.AddRows(int64(c.SelectedLen()))
+	}
+	return c, err
+}
+
+func (s *PartScan) next(ctx context.Context) (*vector.Chunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -164,6 +186,145 @@ func (s *PartScan) newBufs(n int) []*vector.Vector {
 // Close implements Operator.
 func (s *PartScan) Close() error { return nil }
 
+// workerPipes is what every dispatching operator — Exchange, ParallelAgg,
+// ParallelTopK and the parallel join build — runs on: one windowed scan leaf
+// per worker, the private pipeline built over it, and the morsel dispatch
+// that arms a leaf, drives its pipeline and keeps the run's first error.
+type workerPipes struct {
+	traceHook
+	store     vector.Store
+	workers   int
+	morselLen int
+	leaves    []*PartScan
+	pipes     []Operator
+
+	mu     sync.Mutex // guards err and stats against concurrent readers
+	err    error
+	failed atomic.Bool
+	stats  morsel.Stats
+}
+
+// newWorkerPipes builds workers pipelines over store: mk is called once per
+// worker with that worker's scan leaf over columns and returns the pipeline
+// to run on top of it (the leaf itself for a bare scan). Each worker gets
+// private operator instances — and thus private expression VMs — so no
+// cross-worker synchronization happens on the hot path. what names the
+// operator in errors.
+func newWorkerPipes(what string, store vector.Store, columns []string, workers int,
+	mk func(worker int, leaf Operator) (Operator, error)) (*workerPipes, error) {
+	if workers < 1 {
+		return nil, fmt.Errorf("engine: %s needs ≥ 1 worker, got %d", what, workers)
+	}
+	p := &workerPipes{store: store, workers: workers, morselLen: morsel.DefaultMorselLen}
+	for w := 0; w < workers; w++ {
+		leaf, err := NewPartScan(store, columns...)
+		if err != nil {
+			return nil, err
+		}
+		pipe, err := mk(w, leaf)
+		if err != nil {
+			return nil, err
+		}
+		p.leaves = append(p.leaves, leaf)
+		p.pipes = append(p.pipes, pipe)
+	}
+	return p, nil
+}
+
+// setChunkLen overrides the chunk length of every worker's scan leaf.
+func (p *workerPipes) setChunkLen(n int) {
+	for _, leaf := range p.leaves {
+		leaf.SetChunkLen(n)
+	}
+}
+
+// setMorselLen overrides the dispatch granularity (default
+// morsel.DefaultMorselLen).
+func (p *workerPipes) setMorselLen(n int) {
+	if n > 0 {
+		p.morselLen = n
+	}
+}
+
+// Workers returns the configured worker count.
+func (p *workerPipes) Workers() int { return p.workers }
+
+// MorselStats returns the dispatch statistics of the completed run (valid
+// once the run has ended).
+func (p *workerPipes) MorselStats() morsel.Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
+}
+
+// open opens every worker pipeline over an empty window.
+func (p *workerPipes) open(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for w, pipe := range p.pipes {
+		p.leaves[w].SetRange(0, 0)
+		if err := pipe.Open(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// close closes every worker pipeline.
+func (p *workerPipes) close() {
+	for _, pipe := range p.pipes {
+		pipe.Close()
+	}
+}
+
+// run dispatches the store's rows as morsels over the workers. For each
+// morsel it arms the worker's leaf to [lo, hi) and calls do, which drains
+// the worker's pipeline and returns the rows it produced. The first error a
+// call returns is kept (firstErr) and returned; every morsel dispatched
+// after it is skipped, so only the morsels in flight finish. The operator
+// span (SetTrace) gets one leaf span per morsel at the morsels trace level
+// and the run's statistics at the end.
+func (p *workerPipes) run(do func(worker, lo int, pipe Operator) (int64, error)) error {
+	p.mu.Lock()
+	p.err = nil
+	p.mu.Unlock()
+	p.failed.Store(false)
+	rows := p.store.Rows()
+	st := morsel.RunInstrumented(rows, morsel.Options{Workers: p.workers, MorselLen: p.morselLen},
+		func(worker, lo, hi int) {
+			if p.failed.Load() {
+				return
+			}
+			msp := p.startMorsel()
+			p.leaves[worker].SetRange(lo, hi)
+			out, err := do(worker, lo, p.pipes[worker])
+			if err != nil {
+				msp.End()
+				p.mu.Lock()
+				if p.err == nil {
+					p.err = err
+				}
+				p.mu.Unlock()
+				p.failed.Store(true)
+				return
+			}
+			finishMorsel(msp, worker, lo, hi, p.morselLen, rows, p.workers, out)
+		})
+	attachMorselStats(p.tsp, st)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stats = st
+	return p.err
+}
+
+// firstErr returns the first error of the current or last run, if any.
+func (p *workerPipes) firstErr() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
+}
+
 // exMorsel is one morsel's worth of finished chunks, tagged with the
 // morsel's dense sequence number for order-preserving re-emission.
 type exMorsel struct {
@@ -189,25 +350,15 @@ const exBatchMorsels = 4
 // slower workers' ranges — and hand off finished morsels to the merge in
 // batches; only the emission is sequenced.
 type Exchange struct {
-	traceHook
-	store     vector.Store
-	workers   int
-	morselLen int
+	*workerPipes
 
 	schema []ColInfo
-	leaves []*PartScan
-	pipes  []Operator
 
-	out      chan []exMorsel
-	quit     chan struct{}
-	quitOnce *sync.Once
-	done     chan struct{}
-	cancel   context.CancelFunc
-	opened   bool
-
-	mu     sync.Mutex
-	runErr error
-	stats  morsel.Stats
+	out    chan []exMorsel
+	quit   chan struct{} // closed by Close: unblocks workers mid-push
+	done   chan struct{}
+	cancel context.CancelFunc
+	opened bool
 
 	pending map[int][]*vector.Chunk
 	queue   []*vector.Chunk
@@ -222,45 +373,25 @@ type Exchange struct {
 // hot path.
 func NewExchange(store vector.Store, columns []string, workers int,
 	build func(worker int, leaf Operator) (Operator, error)) (*Exchange, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("engine: exchange needs ≥ 1 worker, got %d", workers)
+	pipes, err := newWorkerPipes("exchange", store, columns, workers, build)
+	if err != nil {
+		return nil, err
 	}
-	e := &Exchange{store: store, workers: workers, morselLen: morsel.DefaultMorselLen}
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := build(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		e.leaves = append(e.leaves, leaf)
-		e.pipes = append(e.pipes, pipe)
-	}
-	e.schema = e.pipes[0].Schema()
-	return e, nil
+	return &Exchange{workerPipes: pipes, schema: pipes.pipes[0].Schema()}, nil
 }
 
 // SetChunkLen overrides the chunk length of every worker's scan leaf.
 func (e *Exchange) SetChunkLen(n int) *Exchange {
-	for _, leaf := range e.leaves {
-		leaf.SetChunkLen(n)
-	}
+	e.setChunkLen(n)
 	return e
 }
 
 // SetMorselLen overrides the dispatch granularity (default
 // morsel.DefaultMorselLen).
 func (e *Exchange) SetMorselLen(n int) *Exchange {
-	if n > 0 {
-		e.morselLen = n
-	}
+	e.setMorselLen(n)
 	return e
 }
-
-// Workers returns the configured worker count.
-func (e *Exchange) Workers() int { return e.workers }
 
 // Schema implements Operator.
 func (e *Exchange) Schema() []ColInfo { return e.schema }
@@ -268,36 +399,28 @@ func (e *Exchange) Schema() []ColInfo { return e.schema }
 // Open implements Operator: it opens every worker pipeline and starts the
 // morsel dispatcher.
 func (e *Exchange) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := e.open(ctx); err != nil {
 		return err
 	}
-	for w, pipe := range e.pipes {
-		e.leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return err
-		}
-	}
-	rows := e.store.Rows()
 	e.nextSeq = 0
 	e.pending = make(map[int][]*vector.Chunk)
 	e.queue = nil
-	e.runErr = nil
 	e.out = make(chan []exMorsel, e.workers)
 	e.quit = make(chan struct{})
-	e.quitOnce = new(sync.Once)
 	e.done = make(chan struct{})
 	e.opened = true
 	// The workers run under a private, cancellable context so Close can
 	// abort them mid-morsel instead of waiting for their current drains.
 	wctx, cancel := context.WithCancel(ctx)
 	e.cancel = cancel
-	go e.produce(wctx, rows)
+	go e.produce(wctx)
 	return nil
 }
 
-// produce drives morsel.Run over the worker pipelines and feeds the ordered
-// merge. It owns the out channel: closing it signals end of production.
-func (e *Exchange) produce(ctx context.Context, rows int) {
+// produce drives the morsel dispatch over the worker pipelines and feeds the
+// ordered merge. It owns the out channel: closing it signals end of
+// production.
+func (e *Exchange) produce(ctx context.Context) {
 	defer close(e.done)
 	defer e.cancel() // release the private context once production ends
 	// Per-worker handoff buffers: each worker batches up to exBatchMorsels
@@ -311,47 +434,32 @@ func (e *Exchange) produce(ctx context.Context, rows int) {
 		case <-e.quit:
 		}
 	}
-	st := morsel.RunInstrumented(rows, morsel.Options{Workers: e.workers, MorselLen: e.morselLen},
-		func(worker, lo, hi int) {
-			select {
-			case <-e.quit:
-				return // drain the remaining dispatch cheaply after a failure
-			default:
-			}
-			msp := e.startMorsel()
-			e.leaves[worker].SetRange(lo, hi)
-			chunks, err := drainMorsel(ctx, e.pipes[worker], lo, hi)
-			if err != nil {
-				msp.End()
-				e.fail(err)
-				return
-			}
-			finishMorsel(msp, e.pipes[worker], worker, lo, hi, e.morselLen, rows, e.workers, chunkRows(chunks))
-			batches[worker] = append(batches[worker], exMorsel{seq: lo / e.morselLen, chunks: chunks})
-			if len(batches[worker]) >= exBatchMorsels {
-				send(batches[worker])
-				batches[worker] = nil
-			}
-		})
+	// A morsel that fills its worker's batch hands it to the merge before
+	// its span ends, so under TraceMorsels that span includes any wait for
+	// a consumer that is behind.
+	e.run(func(worker, lo int, pipe Operator) (int64, error) {
+		chunks, err := drainMorsel(ctx, pipe)
+		if err != nil {
+			return 0, err
+		}
+		batches[worker] = append(batches[worker], exMorsel{seq: lo / e.morselLen, chunks: chunks})
+		if len(batches[worker]) >= exBatchMorsels {
+			send(batches[worker])
+			batches[worker] = nil
+		}
+		return chunkRows(chunks), nil
+	})
 	for _, batch := range batches {
 		if len(batch) > 0 {
 			send(batch)
 		}
 	}
-	e.mu.Lock()
-	e.stats = st
-	e.mu.Unlock()
-	attachMorselStats(e.tsp, st)
 	close(e.out)
 }
 
-// drainMorsel pulls every chunk the armed morsel [lo, hi) produces from a
-// worker pipeline. A MorselRunner top (DeviceExec) executes the drain as one
-// placed unit; anything else is drained inline on the calling worker.
-func drainMorsel(ctx context.Context, pipe Operator, lo, hi int) ([]*vector.Chunk, error) {
-	if mr, ok := pipe.(MorselRunner); ok {
-		return mr.RunMorsel(ctx, lo, hi)
-	}
+// drainMorsel pulls every chunk the armed morsel produces from a worker
+// pipeline.
+func drainMorsel(ctx context.Context, pipe Operator) ([]*vector.Chunk, error) {
 	var chunks []*vector.Chunk
 	for {
 		c, err := pipe.Next(ctx)
@@ -365,22 +473,8 @@ func drainMorsel(ctx context.Context, pipe Operator, lo, hi int) ([]*vector.Chun
 	}
 }
 
-// fail records the first worker error and unblocks everyone.
-func (e *Exchange) fail(err error) {
-	e.mu.Lock()
-	if e.runErr == nil {
-		e.runErr = err
-	}
-	e.mu.Unlock()
-	e.quitOnce.Do(func() { close(e.quit) })
-}
-
 // Err returns the first worker error, if any.
-func (e *Exchange) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runErr
-}
+func (e *Exchange) Err() error { return e.firstErr() }
 
 // Next implements Operator: it returns the workers' chunks in morsel
 // sequence order, buffering out-of-order completions. A worker error or a
@@ -416,31 +510,22 @@ func (e *Exchange) Next(ctx context.Context) (*vector.Chunk, error) {
 
 // Close implements Operator: it cancels the workers' private context (so
 // drains in flight abort at their next chunk boundary rather than running
-// their morsels to completion), stops the dispatcher (draining workers that
-// are mid-push), waits for them to exit, and closes the worker pipelines.
-// Safe to call without draining Next first, and idempotent.
+// their morsels to completion, and the first such abort stops the dispatch),
+// unblocks workers that are mid-push, waits for them to exit, and closes the
+// worker pipelines. Safe to call without draining Next first, and
+// idempotent.
 func (e *Exchange) Close() error {
 	if e.opened {
 		e.opened = false
 		e.cancel()
-		e.quitOnce.Do(func() { close(e.quit) })
+		close(e.quit)
 		for range e.out {
 			// Discard: unblocks workers stuck pushing finished morsels.
 		}
 		<-e.done
 	}
-	for _, pipe := range e.pipes {
-		pipe.Close()
-	}
+	e.close()
 	return nil
-}
-
-// MorselStats returns the dispatch statistics of the completed run (valid
-// after the stream is drained or closed).
-func (e *Exchange) MorselStats() morsel.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
 }
 
 // ---------------------------------------------------------------------------
@@ -499,9 +584,6 @@ func BuildJoinTableParallelTraced(ctx context.Context, store vector.Store, colum
 	workers, chunkLen, morselLen int, buildKey string,
 	mk func(worker int, leaf Operator) (Operator, error),
 	tsp *qtrace.Span, traceMorsels bool) (*JoinTable, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("engine: parallel build needs ≥ 1 worker, got %d", workers)
-	}
 	if morselLen <= 0 {
 		morselLen = morsel.DefaultMorselLen
 	}
@@ -513,86 +595,42 @@ func BuildJoinTableParallelTraced(ctx context.Context, store vector.Store, colum
 	if nm := (store.Rows() + morselLen - 1) / morselLen; nm > 0 && workers > nm {
 		workers = nm
 	}
-	leaves := make([]*PartScan, workers)
-	pipes := make([]Operator, workers)
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		if chunkLen > 0 {
-			leaf.SetChunkLen(chunkLen)
-		}
-		pipe, err := mk(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		leaves[w] = leaf
-		pipes[w] = pipe
+	p, err := newWorkerPipes("parallel build", store, columns, workers, mk)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		for _, p := range pipes {
-			p.Close()
-		}
-	}()
-	for w, pipe := range pipes {
-		leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return nil, err
-		}
+	defer p.close()
+	if chunkLen > 0 {
+		p.setChunkLen(chunkLen)
+	}
+	p.setMorselLen(morselLen)
+	p.SetTrace(tsp, traceMorsels)
+	if err := p.open(ctx); err != nil {
+		return nil, err
 	}
 
-	hook := traceHook{tsp: tsp, tmorsels: traceMorsels}
-	rows := store.Rows()
-	numMorsels := (rows + morselLen - 1) / morselLen
+	numMorsels := (store.Rows() + morselLen - 1) / morselLen
 	results := make([][]*vector.Chunk, numMorsels)
-	var mu sync.Mutex
-	var runErr error
-	var failed atomic.Bool
-	st := morsel.RunInstrumented(rows, morsel.Options{Workers: workers, MorselLen: morselLen},
-		func(worker, lo, hi int) {
-			if failed.Load() {
-				return
+	err = p.run(func(_, lo int, pipe Operator) (int64, error) {
+		chunks, err := drainMorsel(ctx, pipe)
+		if err != nil {
+			return 0, err
+		}
+		for i, c := range chunks {
+			if c.Sel() != nil {
+				chunks[i] = c.Condense()
 			}
-			msp := hook.startMorsel()
-			leaves[worker].SetRange(lo, hi)
-			var chunks []*vector.Chunk
-			for {
-				c, err := pipes[worker].Next(ctx)
-				if err != nil {
-					mu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					msp.End()
-					return
-				}
-				if c == nil {
-					break
-				}
-				cc := c
-				if c.Sel() != nil {
-					cc = c.Condense()
-				}
-				chunks = append(chunks, cc)
-			}
-			// Distinct morsels write distinct slice elements: no lock needed.
-			results[lo/morselLen] = chunks
-			finishMorsel(msp, pipes[worker], worker, lo, hi, morselLen, rows, workers, chunkRows(chunks))
-		})
-	attachMorselStats(tsp, st)
-	if runErr != nil {
-		return nil, runErr
+		}
+		// Distinct morsels write distinct slice elements: no lock needed.
+		results[lo/morselLen] = chunks
+		return chunkRows(chunks), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Stitch the morsel outputs back in table order.
-	sch := vector.Schema{}
-	for _, ci := range pipes[0].Schema() {
-		sch.Names = append(sch.Names, ci.Name)
-		sch.Kinds = append(sch.Kinds, ci.Kind)
-	}
+	sch := storeSchema(p.pipes[0].Schema())
 	out := vector.NewDSMStore(sch)
 	for _, chunks := range results {
 		for _, c := range chunks {
@@ -776,26 +814,19 @@ func (p *TableProbe) Close() error { return p.child.Close() }
 // cancel out.
 //
 // The result is therefore byte-identical at every worker count (including
-// 1), device policy and execution tier — floating-point sums included. The
+// 1) and execution tier — floating-point sums included. The
 // one knob that participates in result identity is the morsel length: a
 // group spanning several morsels accumulates blockwise, and f64 addition is
 // not associative, so different morsel lengths may legitimately differ in
 // low-order float bits. A table no longer than one morsel degenerates to
 // the strict row-order fold.
 type ParallelAgg struct {
-	traceHook
-	store     vector.Store
-	workers   int
-	morselLen int
-	spec      *aggSpec
-
-	leaves []*PartScan
-	pipes  []Operator
+	*workerPipes
+	spec   *aggSpec
 	schema []ColInfo
 
 	out     *vector.Chunk
 	emitted bool
-	stats   morsel.Stats
 }
 
 // NewParallelAgg builds a parallel aggregation over store with workers
@@ -804,68 +835,41 @@ type ParallelAgg struct {
 func NewParallelAgg(store vector.Store, columns []string, workers int,
 	mk func(worker int, leaf Operator) (Operator, error),
 	keys []string, aggs []Aggregate) (*ParallelAgg, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("engine: parallel aggregation needs ≥ 1 worker, got %d", workers)
-	}
-	a := &ParallelAgg{store: store, workers: workers, morselLen: morsel.DefaultMorselLen}
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := mk(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		// A plain pipeline is folded chunk by chunk, each chunk before the
-		// next is pulled, so its leaf may lend. A MorselRunner buffers a
-		// whole morsel before the fold and keeps owned chunks.
-		if _, buffers := pipe.(MorselRunner); !buffers {
-			leaf.Lend()
-		}
-		a.leaves = append(a.leaves, leaf)
-		a.pipes = append(a.pipes, pipe)
-	}
-	spec, sch, err := newAggSpec(a.pipes[0].Schema(), keys, aggs)
+	pipes, err := newWorkerPipes("parallel aggregation", store, columns, workers, mk)
 	if err != nil {
 		return nil, err
 	}
-	a.spec, a.schema = spec, sch
-	return a, nil
+	// Every pipeline is folded chunk by chunk, each chunk before the next is
+	// pulled, so its leaf may lend.
+	for _, leaf := range pipes.leaves {
+		leaf.Lend()
+	}
+	spec, sch, err := newAggSpec(pipes.pipes[0].Schema(), keys, aggs)
+	if err != nil {
+		return nil, err
+	}
+	return &ParallelAgg{workerPipes: pipes, spec: spec, schema: sch}, nil
 }
 
 // SetChunkLen overrides the chunk length of every worker's scan leaf.
 func (a *ParallelAgg) SetChunkLen(n int) *ParallelAgg {
-	for _, leaf := range a.leaves {
-		leaf.SetChunkLen(n)
-	}
+	a.setChunkLen(n)
 	return a
 }
 
 // SetMorselLen overrides the dispatch granularity.
 func (a *ParallelAgg) SetMorselLen(n int) *ParallelAgg {
-	if n > 0 {
-		a.morselLen = n
-	}
+	a.setMorselLen(n)
 	return a
 }
-
-// Workers returns the configured worker count.
-func (a *ParallelAgg) Workers() int { return a.workers }
 
 // Schema implements Operator.
 func (a *ParallelAgg) Schema() []ColInfo { return a.schema }
 
 // Open implements Operator.
 func (a *ParallelAgg) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := a.open(ctx); err != nil {
 		return err
-	}
-	for w, pipe := range a.pipes {
-		a.leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return err
-		}
 	}
 	a.emitted = false
 	a.out = nil
@@ -883,75 +887,35 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	}
 	a.emitted = true
 
-	var mu sync.Mutex
-	var runErr error
-	var failed atomic.Bool
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-
-	rows := a.store.Rows()
-	numMorsels := (rows + a.morselLen - 1) / a.morselLen
+	numMorsels := (a.store.Rows() + a.morselLen - 1) / a.morselLen
 	// One pre-aggregation table per morsel, slotted by sequence number. A
 	// morsel's slot is written by exactly one worker (the dispatcher claims
 	// each morsel exactly once) and read only after the run completes, so the
 	// slice needs no locking.
 	tables := make([]*aggTable, numMorsels)
 	hint := a.tableHint()
-	a.stats = morsel.RunInstrumented(rows,
-		morsel.Options{Workers: a.workers, MorselLen: a.morselLen},
-		func(worker, lo, hi int) {
-			if failed.Load() {
-				return
+	err := a.run(func(_, lo int, pipe Operator) (int64, error) {
+		// Fold chunk by chunk while draining, so a morsel's output (join
+		// fan-out included) never buffers and the pipeline's chunks may be
+		// lent (NewParallelAgg).
+		tbl := newAggTable(a.spec, hint)
+		var absorbed int64
+		for {
+			c, err := pipe.Next(ctx)
+			if err != nil {
+				return 0, err
 			}
-			msp := a.startMorsel()
-			a.leaves[worker].SetRange(lo, hi)
-			tbl := newAggTable(a.spec, hint)
-			var absorbed int64
-			absorb := func(c *vector.Chunk) {
-				tbl.absorb(c)
-				absorbed += int64(c.SelectedLen())
+			if c == nil {
+				break
 			}
-			if mr, ok := a.pipes[worker].(MorselRunner); ok {
-				// Device-placed pipeline: the whole morsel drain executes as
-				// one placed unit, then folds.
-				chunks, err := mr.RunMorsel(ctx, lo, hi)
-				if err != nil {
-					msp.End()
-					fail(err)
-					return
-				}
-				for _, c := range chunks {
-					absorb(c)
-				}
-			} else {
-				// Plain pipeline: fold chunk-by-chunk while draining, so a
-				// morsel's output (join fan-out included) never buffers and
-				// the pipeline's chunks may be lent (NewParallelAgg).
-				for {
-					c, err := a.pipes[worker].Next(ctx)
-					if err != nil {
-						msp.End()
-						fail(err)
-						return
-					}
-					if c == nil {
-						break
-					}
-					absorb(c)
-				}
-			}
-			tables[lo/a.morselLen] = tbl
-			finishMorsel(msp, a.pipes[worker], worker, lo, hi, a.morselLen, rows, a.workers, absorbed)
-		})
-	attachMorselStats(a.tsp, a.stats)
-	if runErr != nil {
-		return nil, runErr
+			tbl.absorb(c)
+			absorbed += int64(c.SelectedLen())
+		}
+		tables[lo/a.morselLen] = tbl
+		return absorbed, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1052,11 +1016,6 @@ func mergeAggTables(tables []*aggTable, workers int, spec *aggSpec) *aggTable {
 
 // Close implements Operator.
 func (a *ParallelAgg) Close() error {
-	for _, pipe := range a.pipes {
-		pipe.Close()
-	}
+	a.close()
 	return nil
 }
-
-// MorselStats returns the dispatch statistics of the completed run.
-func (a *ParallelAgg) MorselStats() morsel.Stats { return a.stats }

@@ -6,10 +6,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/morsel"
 	"repro/internal/vector"
 )
 
@@ -33,20 +30,13 @@ import (
 // morsel length participates: result bytes equal the serial TopK's at every
 // worker count, chunk length and morsel length.
 type ParallelTopK struct {
-	traceHook
-	store     vector.Store
-	workers   int
-	morselLen int
-	k         int
-	by        []OrderSpec
-
-	leaves []*PartScan
-	pipes  []Operator
+	*workerPipes
+	k      int
+	by     []OrderSpec
 	schema []ColInfo
 
 	out     *vector.Chunk
 	emitted bool
-	stats   morsel.Stats
 }
 
 // NewParallelTopK builds a parallel top-k over store with workers pipelines;
@@ -64,20 +54,11 @@ func NewParallelTopK(store vector.Store, columns []string, workers int,
 	if len(by) == 0 {
 		return nil, fmt.Errorf("engine: top-k needs at least one order column")
 	}
-	t := &ParallelTopK{store: store, workers: workers, morselLen: morsel.DefaultMorselLen, k: k, by: by}
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := mk(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		t.leaves = append(t.leaves, leaf)
-		t.pipes = append(t.pipes, pipe)
+	pipes, err := newWorkerPipes("parallel top-k", store, columns, workers, mk)
+	if err != nil {
+		return nil, err
 	}
-	t.schema = t.pipes[0].Schema()
+	t := &ParallelTopK{workerPipes: pipes, k: k, by: by, schema: pipes.pipes[0].Schema()}
 	for _, o := range by {
 		found := false
 		for _, ci := range t.schema {
@@ -95,36 +76,23 @@ func NewParallelTopK(store vector.Store, columns []string, workers int,
 
 // SetChunkLen overrides the chunk length of every worker's scan leaf.
 func (t *ParallelTopK) SetChunkLen(n int) *ParallelTopK {
-	for _, leaf := range t.leaves {
-		leaf.SetChunkLen(n)
-	}
+	t.setChunkLen(n)
 	return t
 }
 
 // SetMorselLen overrides the dispatch granularity.
 func (t *ParallelTopK) SetMorselLen(n int) *ParallelTopK {
-	if n > 0 {
-		t.morselLen = n
-	}
+	t.setMorselLen(n)
 	return t
 }
-
-// Workers returns the configured worker count.
-func (t *ParallelTopK) Workers() int { return t.workers }
 
 // Schema implements Operator.
 func (t *ParallelTopK) Schema() []ColInfo { return t.schema }
 
 // Open implements Operator.
 func (t *ParallelTopK) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := t.open(ctx); err != nil {
 		return err
-	}
-	for w, pipe := range t.pipes {
-		t.leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return err
-		}
 	}
 	t.emitted = false
 	t.out = nil
@@ -152,57 +120,33 @@ func (t *ParallelTopK) Next(ctx context.Context) (*vector.Chunk, error) {
 	}
 	t.emitted = true
 
-	var mu sync.Mutex
-	var runErr error
-	var failed atomic.Bool
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-
 	sch := storeSchema(t.schema)
-	rows := t.store.Rows()
-	numMorsels := (rows + t.morselLen - 1) / t.morselLen
+	numMorsels := (t.store.Rows() + t.morselLen - 1) / t.morselLen
 	// At most one candidate chunk (≤ k rows) per morsel, slotted by sequence
 	// number: written by exactly one worker, read after the run completes.
 	cands := make([]*vector.Chunk, numMorsels)
-	t.stats = morsel.RunInstrumented(rows,
-		morsel.Options{Workers: t.workers, MorselLen: t.morselLen},
-		func(worker, lo, hi int) {
-			if failed.Load() {
-				return
+	err := t.run(func(_, lo int, pipe Operator) (int64, error) {
+		chunks, err := drainMorsel(ctx, pipe)
+		if err != nil {
+			return 0, err
+		}
+		local := vector.NewDSMStore(sch)
+		for _, c := range chunks {
+			cc := c
+			if c.Sel() != nil {
+				cc = c.Condense()
 			}
-			msp := t.startMorsel()
-			t.leaves[worker].SetRange(lo, hi)
-			chunks, err := drainMorsel(ctx, t.pipes[worker], lo, hi)
-			if err != nil {
-				msp.End()
-				fail(err)
-				return
+			if cc.Len() > 0 {
+				local.AppendChunk(projectTo(cc, sch.Names))
 			}
-			local := vector.NewDSMStore(sch)
-			for _, c := range chunks {
-				cc := c
-				if c.Sel() != nil {
-					cc = c.Condense()
-				}
-				if cc.Len() > 0 {
-					local.AppendChunk(projectTo(cc, sch.Names))
-				}
-			}
-			finishMorsel(msp, t.pipes[worker], worker, lo, hi, t.morselLen, rows, t.workers, int64(local.Rows()))
-			if local.Rows() == 0 {
-				return
-			}
+		}
+		if local.Rows() > 0 {
 			cands[lo/t.morselLen] = topKSelect(local, t.schema, t.k, t.by)
-		})
-	attachMorselStats(t.tsp, t.stats)
-	if runErr != nil {
-		return nil, runErr
+		}
+		return int64(local.Rows()), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -222,11 +166,6 @@ func (t *ParallelTopK) Next(ctx context.Context) (*vector.Chunk, error) {
 
 // Close implements Operator.
 func (t *ParallelTopK) Close() error {
-	for _, pipe := range t.pipes {
-		pipe.Close()
-	}
+	t.close()
 	return nil
 }
-
-// MorselStats returns the dispatch statistics of the completed run.
-func (t *ParallelTopK) MorselStats() morsel.Stats { return t.stats }

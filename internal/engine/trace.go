@@ -1,8 +1,8 @@
 // Tracing hooks for the dispatching operators (Exchange, ParallelAgg,
 // ParallelTopK, parallel join build). A dispatcher is handed the span of
 // the plan node it implements via SetTrace; at the morsels level its
-// dispatch closure records one leaf span per executed morsel with worker,
-// steal, and device attribution, and the completed run attaches the
+// dispatch closure records one leaf span per executed morsel with worker
+// and steal attribution, and the completed run attaches the
 // morsel.Stats summary to the operator span. With no span set every hook
 // is a nil check.
 
@@ -40,10 +40,9 @@ func (h *traceHook) startMorsel() *qtrace.Span {
 }
 
 // finishMorsel closes a morsel leaf span with its attribution: sequence
-// number, executing worker, input/output rows, whether the morsel was
-// stolen from its initial owner's range, and the device that ran it when
-// the pipeline top is device-placed.
-func finishMorsel(sp *qtrace.Span, pipe Operator, worker, lo, hi, morselLen, totalRows, workers int, outRows int64) {
+// number, executing worker, input/output rows, and whether the morsel was
+// stolen from its initial owner's range.
+func finishMorsel(sp *qtrace.Span, worker, lo, hi, morselLen, totalRows, workers int, outRows int64) {
 	if sp == nil {
 		return
 	}
@@ -56,11 +55,6 @@ func finishMorsel(sp *qtrace.Span, pipe Operator, worker, lo, hi, morselLen, tot
 	numMorsels := (totalRows + morselLen - 1) / morselLen
 	if workers > 1 && morsel.InitialOwner(seq, numMorsels, workers) != worker {
 		sp.SetAttr("stolen", true)
-	}
-	if de, ok := pipe.(*DeviceExec); ok {
-		if dev := de.LastDevice(); dev != "" {
-			sp.SetAttr("device", dev)
-		}
 	}
 	sp.End()
 }

@@ -10,7 +10,7 @@ import (
 // ExplainAnalyze renders the span tree as a PostgreSQL-style plan with
 // actual timings: one line per operator with inclusive time, self time,
 // rows, and loops, followed by its attributes, with per-morsel leaves
-// summarized (per-worker morsel counts, steals, devices) rather than
+// summarized (per-worker morsel counts, steals) rather than
 // listed. Event spans render as bracketed markers.
 func (t *Trace) ExplainAnalyze() string {
 	if t == nil {
@@ -64,10 +64,9 @@ func attrSuffix(s *Span) string {
 }
 
 // summarizeMorsels condenses a node's morsel-leaf children into one line:
-// total morsels, per-worker counts, steal count, and device mix.
+// total morsels, per-worker counts and steal count.
 func summarizeMorsels(n *node) string {
 	perWorker := map[int]int{}
-	devices := map[string]int{}
 	total, stolen := 0, 0
 	for _, c := range n.children {
 		if c.s.Kind() != KindMorsel {
@@ -79,9 +78,6 @@ func summarizeMorsels(n *node) string {
 		}
 		if v, ok := c.s.Attr("stolen").(bool); ok && v {
 			stolen++
-		}
-		if d, ok := c.s.Attr("device").(string); ok {
-			devices[d]++
 		}
 	}
 	if total == 0 {
@@ -98,16 +94,6 @@ func summarizeMorsels(n *node) string {
 		fmt.Fprintf(&b, " w%d=%d", w, perWorker[w])
 	}
 	fmt.Fprintf(&b, " stolen=%d", stolen)
-	if len(devices) > 0 {
-		devs := make([]string, 0, len(devices))
-		for d := range devices {
-			devs = append(devs, d)
-		}
-		sort.Strings(devs)
-		for _, d := range devs {
-			fmt.Fprintf(&b, " %s=%d", d, devices[d])
-		}
-	}
 	return b.String()
 }
 

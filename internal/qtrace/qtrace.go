@@ -29,8 +29,7 @@ const (
 	// LevelOps records the query/operator span tree and event spans.
 	LevelOps
 	// LevelMorsels additionally records one leaf span per morsel
-	// executed by parallel dispatch loops (worker, steal, and device
-	// attribution).
+	// executed by parallel dispatch loops (worker and steal attribution).
 	LevelMorsels
 )
 

@@ -153,7 +153,6 @@ func buildSample(level Level) *Trace {
 		m.SetAttr("rows_in", 50)
 		if seq == 1 {
 			m.SetAttr("stolen", true)
-			m.SetAttr("device", "gpu0")
 		}
 		m.AddRows(25)
 		m.End()
@@ -214,7 +213,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		"query (wall=",
 		"workers=2",
 		"->  filter (actual=3.00ms self=2.00ms rows=100 loops=1, col=a)",
-		"morsels: 2 w0=1 w1=1 stolen=1 gpu0=1",
+		"morsels: 2 w0=1 w1=1 stolen=1",
 		"->  scan (actual=1.00ms self=1.00ms rows=200 loops=1)",
 		"[event: deopt]",
 	} {

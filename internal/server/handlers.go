@@ -226,7 +226,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// deferred second Close is a no-op.
 	rows.Close()
 	s.observe(planName, time.Since(queryStart), st.rows, rows.Trace())
-	trailer := streamTrailer{Truncated: truncated, Placements: rows.Placements()}
+	trailer := streamTrailer{Truncated: truncated}
 	if req.Trace {
 		trailer.Trace = rows.Trace().Tree()
 	}

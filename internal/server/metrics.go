@@ -26,11 +26,6 @@ type statsResponse struct {
 	Admission admissionStats  `json:"admission"`
 	Server    serverCounters  `json:"server"`
 	Prepared  []preparedInfo  `json:"prepared"`
-	// Placements counts morsels dispatched per device ("cpu", "gpu")
-	// across every cached tenant session; TransferMS is the modeled PCIe
-	// time GPU-placed morsels paid.
-	Placements map[string]int64 `json:"placements,omitempty"`
-	TransferMS float64          `json:"transfer_ms,omitempty"`
 	// SegmentsScanned/SegmentsSkipped count colstore segments decoded vs
 	// pruned by zone maps across every cached tenant session — nonzero only
 	// when registered tables are disk-backed.
@@ -176,20 +171,11 @@ func (s *Server) snapshotStats() statsResponse {
 		return resp.Prepared[i].Fingerprint < resp.Prepared[j].Fingerprint
 	})
 
-	var transfer time.Duration
 	for _, sess := range sessions {
 		st := sess.Stats()
-		for dev, n := range st.MorselPlacements {
-			if resp.Placements == nil {
-				resp.Placements = make(map[string]int64)
-			}
-			resp.Placements[dev] += n
-		}
-		transfer += st.MorselTransfer
 		resp.SegmentsScanned += st.SegmentsScanned
 		resp.SegmentsSkipped += st.SegmentsSkipped
 	}
-	resp.TransferMS = float64(transfer) / float64(time.Millisecond)
 	return resp
 }
 
@@ -398,17 +384,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("advm_server_disconnects_total", "Streams abandoned by clients mid-query.", float64(st.Server.Disconnects))
 	p.counter("advm_server_slow_queries_total", "Queries at or above the slow-query threshold.", float64(s.slowQueries.Load()))
 
-	devices := make([]string, 0, len(st.Placements))
-	for dev := range st.Placements {
-		devices = append(devices, dev)
-	}
-	sort.Strings(devices)
-	placements := make([]promSample, 0, len(devices))
-	for _, dev := range devices {
-		placements = append(placements, promSample{"device", dev, float64(st.Placements[dev])})
-	}
-	p.series("advm_morsel_placements_total", "counter", "Morsels dispatched per device.", placements...)
-	p.counter("advm_morsel_transfer_seconds", "Modeled PCIe transfer time of GPU-placed morsels.", st.TransferMS/1000)
 	p.counter("advm_segments_scanned_total", "Colstore segments decoded by stored-table scans.", float64(st.SegmentsScanned))
 	p.counter("advm_segments_skipped_total", "Colstore segments pruned by zone maps before decoding.", float64(st.SegmentsSkipped))
 

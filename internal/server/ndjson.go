@@ -37,9 +37,8 @@ type streamMeta struct {
 // fails after streaming began reports the failure here (the HTTP status is
 // already committed to 200 by then).
 type streamTrailer struct {
-	Rows       int64            `json:"rows"`
-	Truncated  bool             `json:"truncated,omitempty"`
-	Placements map[string]int64 `json:"placements,omitempty"`
+	Rows      int64 `json:"rows"`
+	Truncated bool  `json:"truncated,omitempty"`
 	// Trace is the query's span tree, present when the request asked for
 	// it with "trace": true.
 	Trace  *qtrace.SpanJSON `json:"trace,omitempty"`

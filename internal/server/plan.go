@@ -34,7 +34,7 @@ type queryRequest struct {
 	// abandons the cursor at the limit, cancelling the rest of the query.
 	Limit int64 `json:"limit,omitempty"`
 	// Trace asks for the query's execution trace — the full span tree with
-	// per-morsel worker/steal/device attribution — as a "trace" field on
+	// per-morsel worker and steal attribution — as a "trace" field on
 	// the trailing NDJSON record.
 	Trace bool `json:"trace,omitempty"`
 }
@@ -80,8 +80,6 @@ type sessionOpts struct {
 	// Config.MaxParallelism; the engine pool may grant fewer under
 	// contention).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Device selects the placement policy: "cpu" (default), "gpu", "auto".
-	Device string `json:"device,omitempty"`
 	// MorselLen and ChunkLen override dispatch granularity and scan chunk
 	// length.
 	MorselLen int `json:"morsel_len,omitempty"`
@@ -256,10 +254,10 @@ func parseAggFunc(name string) (advm.AggFunc, error) {
 
 // parseSessionOpts resolves per-request options into advm options, clamped
 // to the server's limits. Zero fields inherit the engine's defaults (so a
-// request with no options runs with the parallelism and device policy the
-// engine was created with).
+// request with no options runs with the parallelism the engine was created
+// with).
 func (s *Server) parseSessionOpts(o *sessionOpts) (sessKey, []advm.Option, error) {
-	key := sessKey{device: deviceDefault}
+	var key sessKey
 	if o == nil {
 		return key, nil, nil
 	}
@@ -269,18 +267,6 @@ func (s *Server) parseSessionOpts(o *sessionOpts) (sessKey, []advm.Option, error
 	key.parallelism = o.Parallelism
 	if key.parallelism > s.cfg.MaxParallelism {
 		key.parallelism = s.cfg.MaxParallelism
-	}
-	switch o.Device {
-	case "":
-		key.device = deviceDefault
-	case "cpu":
-		key.device = advm.DeviceCPU
-	case "gpu":
-		key.device = advm.DeviceGPU
-	case "auto":
-		key.device = advm.DeviceAuto
-	default:
-		return key, nil, badRequestf("unknown device policy %q (have cpu, gpu, auto)", o.Device)
 	}
 	// Chunk and morsel lengths size upfront buffer allocations (every scan
 	// allocates chunk-length column buffers), so clamp them like
@@ -293,9 +279,6 @@ func (s *Server) parseSessionOpts(o *sessionOpts) (sessKey, []advm.Option, error
 	if key.parallelism > 0 {
 		opts = append(opts, advm.WithParallelism(key.parallelism))
 	}
-	if key.device != deviceDefault {
-		opts = append(opts, advm.WithDevicePolicy(key.device))
-	}
 	if key.morselLen > 0 {
 		opts = append(opts, advm.WithMorselLen(key.morselLen))
 	}
@@ -304,9 +287,6 @@ func (s *Server) parseSessionOpts(o *sessionOpts) (sessKey, []advm.Option, error
 	}
 	return key, opts, nil
 }
-
-// deviceDefault marks "inherit the engine's device policy" in a sessKey.
-const deviceDefault advm.DeviceKind = -1
 
 // maxRequestLen bounds per-request chunk and morsel lengths (in rows).
 const maxRequestLen = 1 << 20

@@ -1,11 +1,11 @@
 // Package server puts the adaptive VM behind a socket: a multi-tenant HTTP
 // query service over one shared advm.Engine. The paper's adaptivity —
-// profiling → fragment JIT → trace injection, micro-adaptive reverts, device
-// residency — pays off when a long-lived VM amortizes learning across
+// profiling → fragment JIT → trace injection, micro-adaptive reverts, tiered
+// fused loops — pays off when a long-lived VM amortizes learning across
 // repeated work, which is exactly the shape of a server process: every
 // client that prepares the same program (by normalized-IR fingerprint)
-// drives the same VM, and every query over the same table warms the same
-// placer residency.
+// drives the same VM, and every repeat of a query plan climbs the same
+// tier entry.
 //
 // Endpoints:
 //
@@ -71,10 +71,9 @@ type Server struct {
 
 // sessKey identifies one per-tenant session-option combination; concurrent
 // requests with the same options share one engine session (sessions are
-// concurrency-safe), so their placement telemetry accumulates in one place.
+// concurrency-safe), so their segment counters accumulate in one place.
 type sessKey struct {
 	parallelism int
-	device      advm.DeviceKind
 	morselLen   int
 	chunkLen    int
 }
@@ -172,7 +171,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // and caching it on first use. A full cache evicts the least-recently-used
 // combination — without closing it: concurrent requests may still be
 // executing on the evicted session, which is a flyweight handle whose only
-// cost is the placement telemetry that stops being aggregated.
+// cost is the segment counters that stop being aggregated.
 func (s *Server) session(key sessKey, opts []advm.Option) (*advm.Session, error) {
 	s.mu.Lock()
 	if e, ok := s.sessions[key]; ok {

@@ -106,7 +106,6 @@ func TestHandlerErrorMapping(t *testing.T) {
 			http.StatusBadRequest, "unknown aggregate"},
 		{"bad compute kind", `{"table":"t","pipeline":[{"op":"compute","out":"w","lambda":"(\\v -> v)","kind":"i65","cols":["v"]}]}`,
 			http.StatusBadRequest, "unknown type"},
-		{"bad device policy", `{"table":"t","opts":{"device":"tpu"}}`, http.StatusBadRequest, "device policy"},
 		{"negative parallelism", `{"table":"t","opts":{"parallelism":-1}}`, http.StatusBadRequest, "non-negative"},
 		{"deadline exceeded", heavy, http.StatusGatewayTimeout, "cancelled"},
 	}
@@ -371,7 +370,8 @@ func TestEightConcurrentClients(t *testing.T) {
 }
 
 // TestStatsAndMetricsEndpoints sanity-checks both telemetry surfaces after
-// some traffic, including device-placement counts from an auto-policy query.
+// some traffic. The second query still sends the retired "device" option,
+// which the decoder ignores: it runs on the CPU like any other.
 func TestStatsAndMetricsEndpoints(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, 1<<17, false, advm.WithParallelism(4))
 	ts := httptest.NewServer(s)
@@ -384,8 +384,12 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 			{"op":"aggregate","aggs":[{"func":"count","as":"n"}]}]}`,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/query", body)
-		if got := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		got := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query: %d %s", resp.StatusCode, got)
+		}
+		if strings.Contains(got, "placements") {
+			t.Fatalf("response reports placements: %s", got)
 		}
 	}
 
@@ -395,13 +399,6 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	}
 	if stats.Admission.Admitted != 2 || stats.Admission.Running != 0 {
 		t.Fatalf("admission %+v, want admitted=2 running=0", stats.Admission)
-	}
-	var placed int64
-	for _, n := range stats.Placements {
-		placed += n
-	}
-	if placed == 0 {
-		t.Fatalf("no morsel placements recorded under the auto policy: %+v", stats.Placements)
 	}
 
 	metrics, err := http.Get(ts.URL + "/metrics")
@@ -413,7 +410,6 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 		"advm_pool_capacity ",
 		"advm_server_queries_total{status=\"ok\"} 2",
 		"advm_server_admitted_total 2",
-		"advm_morsel_placements_total{device=",
 		"advm_prepares_total ",
 	} {
 		if !strings.Contains(text, want) {

@@ -87,7 +87,9 @@ func sameRows(t *testing.T, label string, got, want []string) {
 
 // testColstoreQueries checks that Q1, Q3 and Q6 over colstore directories
 // are byte-identical to the in-RAM generator path across worker counts and
-// device policies, and that Q6's shipdate range scan prunes segments.
+// device policies, and that Q6's shipdate range scan prunes segments. The
+// device policy is a deprecated no-op; its axis checks that no policy
+// changes a row.
 func testColstoreQueries(t *testing.T, sf float64, q16Pars, q3Pars []int) {
 	fx := newColstoreFixture(t, sf, 42)
 	q3p, q6p := DefaultQ3Params(), DefaultQ6Params()

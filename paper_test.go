@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/gpu"
 	"repro/internal/vector"
 )
 
@@ -213,5 +215,86 @@ func TestPaperE13PreAgg(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// e6Crossover places kernels of 2^8 … 2^26 elements (e6Kernel, ops per
+// element) with placer, whose GPU is g, and returns the smallest exponent
+// from which every kernel goes to the GPU; 0 when none does. resident makes
+// each kernel's input resident on g first. Placement must switch at most
+// once: a kernel never goes back to the CPU as it grows.
+func e6Crossover(t *testing.T, placer *device.Placer, g *gpu.Device, ops float64, resident bool) int {
+	t.Helper()
+	cross := 0
+	for e := 8; e <= 26; e++ {
+		name := fmt.Sprintf("e6/ops=%v/resident=%v/2^%d", ops, resident, e)
+		k := e6Kernel(name, 1<<e, ops)
+		if resident {
+			g.MakeResident(name, k.BytesIn)
+		}
+		onGPU := placer.Choose(k).Name() == "gpu"
+		switch {
+		case onGPU && cross == 0:
+			cross = e
+		case !onGPU && cross != 0:
+			t.Fatalf("ops=%v resident=%v: 2^%d elements back on the cpu after the gpu took 2^%d",
+				ops, resident, e, cross)
+		}
+	}
+	return cross
+}
+
+// e6Name renders an e6Crossover result.
+func e6Name(cross int) string {
+	if cross == 0 {
+		return "never"
+	}
+	return fmt.Sprintf("2^%d", cross)
+}
+
+// TestPaperE6Placement: the placement model sends small kernels to the CPU
+// whatever their residency, keeps a cheap kernel off the GPU while its data
+// has to cross PCIe, and places it there once the data is resident; more
+// arithmetic per element moves both crossovers earlier, residency still
+// first; and a GPU observed slower than modeled pushes the crossover later.
+// The GPU is simulated, so the claim is asserted on the model's decisions,
+// not on timings.
+func TestPaperE6Placement(t *testing.T) {
+	fresh := func() (*device.Placer, *gpu.Device) {
+		g := gpu.New(gpu.DefaultConfig())
+		return device.NewPlacer(device.NewCPU(), g), g
+	}
+	for _, resident := range []bool{false, true} {
+		placer, g := fresh()
+		k := e6Kernel(fmt.Sprintf("e6/small/resident=%v", resident), 256, 1)
+		if resident {
+			g.MakeResident(k.Name, k.BytesIn)
+		}
+		if d := placer.Choose(k).Name(); d != "cpu" {
+			t.Errorf("256 elements, resident=%v: placed on %s, want cpu", resident, d)
+		}
+	}
+
+	cross := func(ops float64, resident bool) int {
+		placer, g := fresh()
+		return e6Crossover(t, placer, g, ops, resident)
+	}
+	if c := cross(1, false); c != 0 {
+		t.Errorf("ops=1, cold: crossover %s, want never up to 2^26", e6Name(c))
+	}
+	residentCross := cross(1, true)
+	if residentCross != 15 {
+		t.Errorf("ops=1, resident: crossover %s, want 2^15", e6Name(residentCross))
+	}
+	cold2, resident2 := cross(2, false), cross(2, true)
+	if cold2 != 13 || resident2 != 12 {
+		t.Errorf("ops=2: crossovers cold %s, resident %s, want 2^13 and 2^12", e6Name(cold2), e6Name(resident2))
+	}
+
+	placer, g := fresh()
+	placer.ObserveForTest("gpu", 1.2) // the GPU ran 1.2× slower than modeled
+	if c := e6Crossover(t, placer, g, 1, true); c == 0 || c <= residentCross {
+		t.Errorf("after a slow gpu observation the resident crossover is %s, want a later one than %s",
+			e6Name(c), e6Name(residentCross))
 	}
 }
