@@ -1,6 +1,8 @@
 package fused
 
 import (
+	"math"
+
 	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/vector"
@@ -10,7 +12,9 @@ import (
 // Every (column type, predicate shape, compute op) combination the compiler
 // recognizes gets its own opcode, so the execution loop dispatches once per
 // op per chunk and the inner row loops carry no interface calls, closures or
-// per-element branches beyond the operation itself.
+// per-element branches. Filter opcodes run the generic kernels of filter.go,
+// one body per comparison instantiated per column type; compute opcodes are
+// written out in loop.go.
 type opCode uint8
 
 const (
@@ -32,6 +36,11 @@ const (
 	// opFilterModEqI64 keeps rows with a%ci == cj (Go truncated %, matching
 	// the expression VM).
 	opFilterModEqI64
+	// opFilterRangeI64 keeps rows with ci <= a <= ci+uint64(cj): a lower and
+	// an upper bound on one i64 column, tested by one unsigned compare.
+	opFilterRangeI64
+	// opFilterNone keeps no row: an integer range that cannot hold.
+	opFilterNone
 
 	// Computes append a fresh output vector.
 	opAffineI64      // out = a*ci + cj
@@ -48,6 +57,9 @@ const (
 	// stream to (probe row, build row) pairs, appending payload columns.
 	opProbe
 )
+
+// isFilter reports whether c narrows the selection (runs in Exec.filter).
+func (c opCode) isFilter() bool { return opFilterLtI64 <= c && c <= opFilterNone }
 
 // op is one defunctionalized instruction of a fused program.
 type op struct {
@@ -156,9 +168,10 @@ func (p *Program) compileFilter(st Stage, slot map[string]int) bool {
 	return p.compilePred(lam.Body, lam.Params[0], a)
 }
 
-// compilePred lowers a predicate body over one column slot. Conjunctions
-// become sequential filter ops (each narrows the selection further, which is
-// exactly short-circuit && over set semantics).
+// compilePred lowers a predicate body over one column slot. A conjunction of
+// a lower and an upper bound on an i64 column becomes one range op; other
+// conjunctions become sequential filter ops (each narrows the selection
+// further, which is exactly short-circuit && over set semantics).
 func (p *Program) compilePred(e dsl.Expr, param string, a int) bool {
 	bin, ok := e.(*dsl.Bin)
 	if !ok {
@@ -166,6 +179,12 @@ func (p *Program) compilePred(e dsl.Expr, param string, a int) bool {
 	}
 	kind := p.slots[a].Kind
 	if bin.Op == dsl.OpAnd {
+		if kind == vector.I64 {
+			if o, ok := rangeOp(bin, param, a); ok {
+				p.ops = append(p.ops, o)
+				return true
+			}
+		}
 		return p.compilePred(bin.L, param, a) && p.compilePred(bin.R, param, a)
 	}
 	// (v % m) == r
@@ -206,6 +225,53 @@ func (p *Program) compilePred(e dsl.Expr, param string, a int) bool {
 	}
 	p.ops = append(p.ops, op{code: code, a: a, ci: c.I, cf: c.F})
 	return true
+}
+
+// rangeOp lowers a conjunction of one lower and one upper bound on i64 slot
+// a, in either order and with any strictness, to one range op. ok is false
+// for any other conjunction, two lower bounds included.
+func rangeOp(and *dsl.Bin, param string, a int) (op, bool) {
+	l, lLower, lNever, okL := i64Bound(and.L, param)
+	r, rLower, rNever, okR := i64Bound(and.R, param)
+	if !okL || !okR || lLower == rLower {
+		return op{}, false
+	}
+	lo, hi := l, r
+	if !lLower {
+		lo, hi = r, l
+	}
+	if lNever || rNever || lo > hi {
+		return op{code: opFilterNone, a: a}, true
+	}
+	// hi-lo may wrap past MaxInt64; as a uint64 it is the exact span.
+	return op{code: opFilterRangeI64, a: a, ci: lo, cj: hi - lo}, true
+}
+
+// i64Bound reads e as `param OP c` with an i64 constant and OP one of
+// < <= > >=. It returns the bound made inclusive (v > c is v >= c+1) and
+// whether it bounds from below. never is set for a strict bound that no
+// int64 meets (v > MaxInt64, v < MinInt64), whose inclusive form would
+// overflow.
+func i64Bound(e dsl.Expr, param string) (c int64, lower, never, ok bool) {
+	bin, isBin := e.(*dsl.Bin)
+	if !isBin || !varIs(bin.L, param) {
+		return 0, false, false, false
+	}
+	v, isConst := constOf(bin.R)
+	if !isConst || v.Kind != vector.I64 {
+		return 0, false, false, false
+	}
+	switch bin.Op {
+	case dsl.OpGe:
+		return v.I, true, false, true
+	case dsl.OpGt:
+		return v.I + 1, true, v.I == math.MaxInt64, true
+	case dsl.OpLe:
+		return v.I, false, false, true
+	case dsl.OpLt:
+		return v.I - 1, false, v.I == math.MinInt64, true
+	}
+	return 0, false, false, false
 }
 
 func (p *Program) compileCompute(st Stage, slot map[string]int) bool {

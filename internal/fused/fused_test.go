@@ -3,6 +3,7 @@ package fused_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dsl"
@@ -49,7 +50,10 @@ func TestCompileShapes(t *testing.T) {
 		ops    int
 	}{
 		{"filter-lt-i64", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> k < 10)`), Col: "k"}}, true, 1},
-		{"filter-conj", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k >= 3) && (k <= 90))`), Col: "k"}}, true, 2},
+		{"filter-conj", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k >= 3) && (k <= 90))`), Col: "k"}}, true, 1},
+		{"filter-range-reversed", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k < 90) && (k > 3))`), Col: "k"}}, true, 1},
+		{"filter-conj-not-range", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k >= 3) && (k > 10))`), Col: "k"}}, true, 2},
+		{"filter-conj-f64", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\x -> (x >= 0.5) && (x < 9.5))`), Col: "x"}}, true, 2},
 		{"filter-mod-eq", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\k -> (k % 7) == 2)`), Col: "k"}}, true, 1},
 		{"filter-f64", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\x -> x != 2.5)`), Col: "x"}}, true, 1},
 		{"filter-neg-const", []fused.Stage{{Kind: fused.StageFilter, Fn: dsl.MustParseLambda(`(\x -> x > -1.5)`), Col: "x"}}, true, 1},
@@ -161,6 +165,8 @@ func ranFusedToTheEnd(t *testing.T, ctrs *fused.Counters, fusedChunks, interpChu
 	}
 }
 
+// storesEqual fails unless got and want have the same schema and the same
+// rows in the same order.
 func storesEqual(t *testing.T, got, want *vector.DSMStore) {
 	t.Helper()
 	if got.Rows() != want.Rows() {
@@ -173,7 +179,8 @@ func storesEqual(t *testing.T, got, want *vector.DSMStore) {
 	for c := range gs.Names {
 		for r := 0; r < got.Rows(); r++ {
 			g, w := got.Col(c).Get(r), want.Col(c).Get(r)
-			if g != w {
+			// Floats compare bit for bit: NaN matches NaN, -0.0 does not match 0.0.
+			if g.I != w.I || g.S != w.S || g.B != w.B || math.Float64bits(g.F) != math.Float64bits(w.F) {
 				t.Fatalf("col %s row %d: %v, want %v", gs.Names[c], r, g, w)
 			}
 		}

@@ -22,149 +22,44 @@ import (
 // storage either way.
 func (e *Exec) runChunk(in *vector.Chunk) *vector.Chunk {
 	n := in.Len()
-	if n == 0 {
-		return nil
+	if in.SelectedLen() == 0 {
+		return nil // an empty selection must not reach a filter as "dense"
 	}
 	e.slots = e.slots[:0]
 	for i := 0; i < in.Width(); i++ {
 		e.slots = append(e.slots, in.Col(i))
 	}
-	e.idx = e.idx[:0]
-	if s := in.Sel(); s != nil {
-		e.idx = append(e.idx, s...)
-	} else {
-		for i := 0; i < n; i++ {
-			e.idx = append(e.idx, int32(i))
-		}
+	// dense: no selection exists yet and every row 0..n-1 is alive. The
+	// first filter then reads the rows directly; the first compute or probe
+	// fills the identity selection.
+	dense := in.Sel() == nil
+	if !dense {
+		e.idx = append(e.idx[:0], in.Sel()...)
 	}
 	curLen := n
 
 ops:
 	for oi := range e.prog.ops {
 		o := &e.prog.ops[oi]
+		if o.code.isFilter() {
+			var sel []int32
+			if dense {
+				e.idx, dense = resize(e.idx, n), false
+			} else {
+				sel = e.idx
+			}
+			e.idx = e.idx[:e.filter(o, sel)]
+			if len(e.idx) == 0 {
+				break ops // no row survives: the chunk ends here, filtered
+			}
+			continue
+		}
+		if dense {
+			e.identity(n)
+			dense = false
+		}
 		idx := e.idx
-		k := 0
 		switch o.code {
-
-		case opFilterLtI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] < c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterLeI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] <= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGtI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] > c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGeI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] >= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterEqI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] == c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterNeI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] != c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterModEqI64:
-			src, m, c := e.slots[o.a].I64(), o.ci, o.cj
-			for _, r := range idx {
-				if src[r]%m == c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-
-		case opFilterLtF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] < c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterLeF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] <= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGtF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] > c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGeF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] >= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterEqF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] == c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterNeF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] != c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-
 		case opAffineI64:
 			src := e.slots[o.a].I64()
 			out := e.scratchOut(oi, vector.I64, curLen)
@@ -256,6 +151,9 @@ ops:
 		}
 	}
 
+	if dense {
+		e.identity(n)
+	}
 	outRows := len(e.idx)
 	if outRows == 0 {
 		return nil
@@ -327,9 +225,61 @@ func (e *Exec) runProbe(o *op) int {
 	for _, pi := range o.payIdx {
 		e.slots = append(e.slots, vector.Condense(rows.Col(pi), vector.Sel(e.buildIdx)))
 	}
-	e.idx = e.idx[:0]
-	for i := 0; i < matched; i++ {
-		e.idx = append(e.idx, int32(i))
-	}
+	e.identity(matched)
 	return matched
+}
+
+// filter runs filter op o over the selection sel — nil for the dense first
+// filter of a chunk with no selection — into e.idx, and returns how many
+// rows survive.
+func (e *Exec) filter(o *op, sel []int32) int {
+	col, dst := e.slots[o.a], e.idx
+	switch o.code {
+	case opFilterLtI64:
+		return filterLt(col.I64(), o.ci, sel, dst)
+	case opFilterLeI64:
+		return filterLe(col.I64(), o.ci, sel, dst)
+	case opFilterGtI64:
+		return filterGt(col.I64(), o.ci, sel, dst)
+	case opFilterGeI64:
+		return filterGe(col.I64(), o.ci, sel, dst)
+	case opFilterEqI64:
+		return filterEq(col.I64(), o.ci, sel, dst)
+	case opFilterNeI64:
+		return filterNe(col.I64(), o.ci, sel, dst)
+	case opFilterModEqI64:
+		return filterModEq(col.I64(), o.ci, o.cj, sel, dst)
+	case opFilterRangeI64:
+		return filterRange(col.I64(), o.ci, uint64(o.cj), sel, dst)
+	case opFilterLtF64:
+		return filterLt(col.F64(), o.cf, sel, dst)
+	case opFilterLeF64:
+		return filterLe(col.F64(), o.cf, sel, dst)
+	case opFilterGtF64:
+		return filterGt(col.F64(), o.cf, sel, dst)
+	case opFilterGeF64:
+		return filterGe(col.F64(), o.cf, sel, dst)
+	case opFilterEqF64:
+		return filterEq(col.F64(), o.cf, sel, dst)
+	case opFilterNeF64:
+		return filterNe(col.F64(), o.cf, sel, dst)
+	}
+	return 0 // opFilterNone
+}
+
+// identity makes e.idx the selection of every row 0..n-1.
+func (e *Exec) identity(n int) {
+	e.idx = resize(e.idx, n)
+	for i := range e.idx {
+		e.idx[i] = int32(i)
+	}
+}
+
+// resize returns s with length n, reallocating only when n exceeds its
+// capacity; the contents are not kept.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }

@@ -70,46 +70,6 @@ func Intersect(a, b Sel, n int) Sel {
 	return out
 }
 
-// Union returns the sorted union of two selection vectors.
-func Union(a, b Sel) Sel {
-	out := make(Sel, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// Complement returns the rows in [0, n) that are not in s.
-func Complement(s Sel, n int) Sel {
-	if s == nil {
-		return Sel{}
-	}
-	out := make(Sel, 0, n-len(s))
-	j := 0
-	for i := int32(0); int(i) < n; i++ {
-		if j < len(s) && s[j] == i {
-			j++
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
 // SelFromMask converts a boolean mask into a selection vector.
 func SelFromMask(mask []bool) Sel {
 	out := make(Sel, 0, len(mask))

@@ -61,29 +61,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestUnionComplement(t *testing.T) {
-	a := Sel{0, 2}
-	b := Sel{1, 2, 5}
-	u := Union(a, b)
-	want := Sel{0, 1, 2, 5}
-	if len(u) != len(want) {
-		t.Fatalf("Union = %v", u)
-	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("Union = %v, want %v", u, want)
-		}
-	}
-	c := Complement(u, 6)
-	wantC := Sel{3, 4}
-	if len(c) != 2 || c[0] != 3 || c[1] != 4 {
-		t.Errorf("Complement = %v, want %v", c, wantC)
-	}
-	if len(Complement(nil, 4)) != 0 {
-		t.Error("complement of all-selected is empty")
-	}
-}
-
 func TestMaskRoundTrip(t *testing.T) {
 	mask := []bool{true, false, true, true, false}
 	s := SelFromMask(mask)
@@ -138,17 +115,25 @@ func TestMaskSelRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: Intersect(s, Complement(s)) is empty and Union covers [0,n).
+// Property: Intersect of two selections is the selection of the two masks'
+// conjunction.
 func TestSelAlgebraProperty(t *testing.T) {
-	f := func(mask []bool) bool {
-		n := len(mask)
-		s := SelFromMask(mask)
-		c := Complement(s, n)
-		if len(Intersect(s, c, n)) != 0 {
+	f := func(a, b []bool) bool {
+		n := min(len(a), len(b))
+		both := make([]bool, n)
+		for i := range both {
+			both[i] = a[i] && b[i]
+		}
+		got, want := Intersect(SelFromMask(a[:n]), SelFromMask(b[:n]), n), SelFromMask(both)
+		if len(got) != len(want) {
 			return false
 		}
-		u := Union(s, c)
-		return len(u) == n && u.Validate(n) == nil
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return got.Validate(n) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -632,7 +632,3 @@ func MinIntKind(lo, hi int64) Kind {
 	}
 	return I64
 }
-
-// Bytes returns the payload size of the vector in bytes (logical length times
-// element width). Used by the device cost models.
-func (v *Vector) Bytes() int { return v.n * v.kind.Width() }

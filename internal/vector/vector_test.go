@@ -323,15 +323,6 @@ func TestVectorString(t *testing.T) {
 	}
 }
 
-func TestBytes(t *testing.T) {
-	if FromI32([]int32{1, 2, 3}).Bytes() != 12 {
-		t.Error("Bytes i32")
-	}
-	if FromF64([]float64{1}).Bytes() != 8 {
-		t.Error("Bytes f64")
-	}
-}
-
 // Property: Convert to a wider integer kind and back is the identity.
 func TestConvertRoundTripProperty(t *testing.T) {
 	f := func(xs []int16) bool {
