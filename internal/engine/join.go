@@ -72,9 +72,9 @@ const (
 const bloomThreshold = 0.5
 
 // JoinTable is an immutable materialized-and-hashed build side: the build
-// rows in build order, plus one hash table (and Bloom filter) per partition.
+// rows in build order, plus one join index (and Bloom filter) per partition.
 // A single-partition table is what the serial HashJoin constructs; the
-// morsel-parallel build produces one partition per worker so workers hash
+// morsel-parallel build produces one partition per worker so workers index
 // without contention. The partition count never changes lookup results —
 // match lists are always in build-row order — so the partitioning is
 // invisible to probes.
@@ -82,26 +82,111 @@ type JoinTable struct {
 	rows   *vector.DSMStore
 	keyIdx int
 	mask   uint64 // partition count - 1 (0 = single partition)
-	parts  []map[int64][]int32
+	parts  []joinIndex
 	blooms []*BloomFilter
 }
 
-// NewJoinTable hashes a materialized build side into a single-partition
+// joinIndex is one partition's index: an open-addressed table over the
+// partition's distinct build keys, each key owning one run of build rows.
+// Key id d (ids are dense, in first-seen order) has key keys[d] and rows
+// rows[off[d]:off[d+1]], in build order. A lookup hashes once, walks the
+// slots linearly and returns a subslice of rows: nothing is allocated per
+// key, at build or at probe time.
+type joinIndex struct {
+	slots []int32 // key id + 1 per slot, 0 = empty; power-of-two length, load ≤ ¼
+	keys  []int64 // distinct keys by id
+	off   []int32 // len(keys)+1 run boundaries into rows
+	rows  []int32 // build row indexes grouped by key
+}
+
+// newJoinIndex indexes the build rows listed in lists — concatenated, in
+// build order — whose keys are keys[row]. It makes three passes: assign
+// each row its key id and count the rows per id, prefix-sum the counts into
+// run boundaries, and scatter the rows into their runs. Every buffer is
+// sized up front from the row count.
+func newJoinIndex(keys []int64, lists [][]int32) joinIndex {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	// Load ≤ ¼, not ½: most probes that miss then find their home slot
+	// empty, a branch that predicts well. At ½ the same miss-heavy random
+	// probes mispredict often enough to lose to a Go map (BenchmarkJoinProbe).
+	nslots := 4
+	for nslots < 4*n {
+		nslots *= 2
+	}
+	x := joinIndex{
+		slots: make([]int32, nslots),
+		keys:  make([]int64, 0, n),
+		off:   make([]int32, n+1),
+		rows:  make([]int32, n),
+	}
+	mask := uint64(nslots - 1)
+	ids := make([]int32, n) // each listed row's key id, in list order
+
+	// Pass 1: ids and counts. off[d+1] counts key d's rows.
+	j := 0
+	for _, l := range lists {
+		for _, r := range l {
+			k := keys[r]
+			h := hashI64(k) & mask
+			for x.slots[h] != 0 && x.keys[x.slots[h]-1] != k {
+				h = (h + 1) & mask
+			}
+			if x.slots[h] == 0 { // the key's first row
+				x.keys = append(x.keys, k)
+				x.slots[h] = int32(len(x.keys))
+			}
+			d := x.slots[h] - 1
+			ids[j] = d
+			x.off[d+1]++
+			j++
+		}
+	}
+	// Pass 2: prefix sum — off[d] is where key d's run starts.
+	x.off = x.off[:len(x.keys)+1]
+	for d := 1; d < len(x.off); d++ {
+		x.off[d] += x.off[d-1]
+	}
+	// Pass 3: scatter, using off[d] as key d's cursor. Afterwards off[d]
+	// is where run d ends, the start of run d+1; shifting right by one
+	// slot restores the starts.
+	j = 0
+	for _, l := range lists {
+		for _, r := range l {
+			d := ids[j]
+			x.rows[x.off[d]] = r
+			x.off[d]++
+			j++
+		}
+	}
+	copy(x.off[1:], x.off[:len(x.off)-1])
+	x.off[0] = 0
+	return x
+}
+
+// lookup returns the build rows whose key is k, in build order (nil when
+// none). The result is a capacity-clipped subslice of the index: callers
+// only read it.
+func (x *joinIndex) lookup(k int64) []int32 {
+	mask := uint64(len(x.slots) - 1)
+	for h := hashI64(k) & mask; ; h = (h + 1) & mask {
+		s := x.slots[h]
+		if s == 0 {
+			return nil
+		}
+		if x.keys[s-1] == k {
+			lo, hi := x.off[s-1], x.off[s]
+			return x.rows[lo:hi:hi]
+		}
+	}
+}
+
+// NewJoinTable indexes a materialized build side into a single-partition
 // table: match lists hold build row indexes in build order.
 func NewJoinTable(rows *vector.DSMStore, buildKey string) (*JoinTable, error) {
-	t, err := newJoinTableHeader(rows, buildKey)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[int64][]int32, rows.Rows())
-	bl := NewBloomFilter(maxi(rows.Rows(), 64))
-	for i, k := range rows.Col(t.keyIdx).I64() {
-		m[k] = append(m[k], int32(i))
-		bl.Add(k)
-	}
-	t.parts = []map[int64][]int32{m}
-	t.blooms = []*BloomFilter{bl}
-	return t, nil
+	return newPartitionedJoinTable(rows, buildKey, 1)
 }
 
 // newJoinTableHeader validates the key column and prepares an empty table.
@@ -127,11 +212,12 @@ func (t *JoinTable) part(k int64) int {
 }
 
 // lookup returns the build rows matching k, in build order.
-func (t *JoinTable) lookup(k int64) []int32 { return t.parts[t.part(k)][k] }
+func (t *JoinTable) lookup(k int64) []int32 { return t.parts[t.part(k)].lookup(k) }
 
 // Lookup returns the build rows matching k, in build order — the probe
 // primitive fused pipeline loops use directly (partitioning stays
-// invisible: match lists are identical at any partition count).
+// invisible: match lists are identical at any partition count). The slice
+// belongs to the table and must not be written.
 func (t *JoinTable) Lookup(k int64) []int32 { return t.lookup(k) }
 
 // mayContain consults the partition's Bloom filter (false = definitely

@@ -616,11 +616,6 @@ func BuildJoinTableParallelTraced(ctx context.Context, store vector.Store, colum
 		if err != nil {
 			return 0, err
 		}
-		for i, c := range chunks {
-			if c.Sel() != nil {
-				chunks[i] = c.Condense()
-			}
-		}
 		// Distinct morsels write distinct slice elements: no lock needed.
 		results[lo/morselLen] = chunks
 		return chunkRows(chunks), nil
@@ -629,9 +624,14 @@ func BuildJoinTableParallelTraced(ctx context.Context, store vector.Store, colum
 		return nil, err
 	}
 
-	// Stitch the morsel outputs back in table order.
+	// Stitch the morsel outputs back in table order into a store sized for
+	// all of them, gathering each chunk's selected rows once.
+	total := 0
+	for _, chunks := range results {
+		total += int(chunkRows(chunks))
+	}
 	sch := storeSchema(p.pipes[0].Schema())
-	out := vector.NewDSMStore(sch)
+	out := vector.NewDSMStoreCap(sch, total)
 	for _, chunks := range results {
 		for _, c := range chunks {
 			out.AppendChunk(projectTo(c, sch.Names))
@@ -640,12 +640,12 @@ func BuildJoinTableParallelTraced(ctx context.Context, store vector.Store, colum
 	return newPartitionedJoinTable(out, buildKey, workers)
 }
 
-// newPartitionedJoinTable hashes rows into a power-of-two number of
+// newPartitionedJoinTable indexes rows into a power-of-two number of
 // partitions ≥ workers in two parallel passes: each worker scatters a
 // contiguous key range into per-(worker, partition) row lists — hashing
-// every key exactly once — and each partition then concatenates its lists
-// in worker order (contiguous ranges, so concatenation preserves build
-// order) while inserting into its private map. The partition count affects
+// every key exactly once — and each partition then indexes its lists in
+// worker order (contiguous ranges, so that order is build order) into its
+// private join index and Bloom filter. The partition count affects
 // scheduling only, never results.
 func newPartitionedJoinTable(rows *vector.DSMStore, buildKey string, workers int) (*JoinTable, error) {
 	t, err := newJoinTableHeader(rows, buildKey)
@@ -657,7 +657,7 @@ func newPartitionedJoinTable(rows *vector.DSMStore, buildKey string, workers int
 		nparts *= 2
 	}
 	t.mask = uint64(nparts - 1)
-	t.parts = make([]map[int64][]int32, nparts)
+	t.parts = make([]joinIndex, nparts)
 	t.blooms = make([]*BloomFilter, nparts)
 	keys := rows.Col(t.keyIdx).I64()
 
@@ -669,7 +669,13 @@ func newPartitionedJoinTable(rows *vector.DSMStore, buildKey string, workers int
 		go func(w int) {
 			defer wg.Done()
 			lo, hi := len(keys)*w/workers, len(keys)*(w+1)/workers
+			// The hash spreads rows evenly: an eighth of slack over the
+			// fair share keeps almost every list from growing.
+			per := (hi-lo)/nparts + (hi-lo)/(8*nparts) + 8
 			lists := make([][]int32, nparts)
+			for p := range lists {
+				lists[p] = make([]int32, 0, per)
+			}
 			for i := lo; i < hi; i++ {
 				p := t.part(keys[i])
 				lists[p] = append(lists[p], int32(i))
@@ -679,25 +685,24 @@ func newPartitionedJoinTable(rows *vector.DSMStore, buildKey string, workers int
 	}
 	wg.Wait()
 
-	// Pass 2: per-partition map build over the worker lists in worker order.
+	// Pass 2: per-partition index over the worker lists in worker order.
 	for p := 0; p < nparts; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			lists := make([][]int32, workers)
 			n := 0
-			for w := 0; w < workers; w++ {
-				n += len(scattered[w][p])
+			for w := range lists {
+				lists[w] = scattered[w][p]
+				n += len(lists[w])
 			}
-			m := make(map[int64][]int32, n)
 			bl := NewBloomFilter(maxi(n, 64))
-			for w := 0; w < workers; w++ {
-				for _, i := range scattered[w][p] {
-					k := keys[i]
-					m[k] = append(m[k], i)
-					bl.Add(k)
+			for _, l := range lists {
+				for _, i := range l {
+					bl.Add(keys[i])
 				}
 			}
-			t.parts[p] = m
+			t.parts[p] = newJoinIndex(keys, lists)
 			t.blooms[p] = bl
 		}(p)
 	}

@@ -35,13 +35,14 @@ type Exec struct {
 	probeIdx []int32
 	buildIdx []int32
 	slots    []*vector.Vector
-	scratch  []*vector.Vector // compute outputs, indexed by op
-	names    []string         // output column names, shared by emitted chunks
+	scratch  []*vector.Vector   // compute outputs, indexed by op
+	gathered [][]*vector.Vector // a lent Exec's probe outputs, indexed by op
+	names    []string           // output column names, shared by emitted chunks
 
 	// lend is set at Open when the leaf is a lent engine.PartScan: the
 	// consumer is then done with each chunk before the next Next, so the
-	// loop emits its slots, scratch and e.idx in the reused out header
-	// instead of copying them.
+	// loop emits its slots, scratch, probe buffers and e.idx in the reused
+	// out header instead of copying them.
 	lend bool
 	out  vector.Chunk
 }
@@ -51,7 +52,7 @@ type Exec struct {
 // nil.
 func NewExec(prog *Program, leaf engine.Operator, tables []*engine.SharedJoinTable, ctrs *Counters) *Exec {
 	e := &Exec{prog: prog, leaf: leaf, tables: tables, ctrs: ctrs,
-		scratch: make([]*vector.Vector, len(prog.ops))}
+		scratch: make([]*vector.Vector, len(prog.ops)), gathered: make([][]*vector.Vector, len(prog.ops))}
 	for _, s := range prog.slots {
 		e.names = append(e.names, s.Name)
 	}

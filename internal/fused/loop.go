@@ -10,16 +10,16 @@ import (
 // Compute ops write into per-Exec scratch reused across chunks. How the
 // output aliases that scratch depends on who consumes it. A lent Exec (its
 // leaf is a lent engine.PartScan) emits the slots themselves — input
-// columns, scratch and probe output — with e.idx as the selection, in one
-// reused chunk header: the chunk is valid only until the next Next, and
-// the loop allocates nothing a probe does not. An owned Exec's chunk never
-// aliases scratch, so callers may hold it across Next calls: when a filter
-// (or the input's selection) dropped rows, every column is condensed to the
+// columns, scratch and the probe buffers — with e.idx as the selection, in
+// one reused chunk header: the chunk is valid only until the next Next, and
+// once its buffers have grown the loop allocates nothing per chunk. An
+// owned Exec's chunk never aliases scratch, so callers may hold it across
+// Next calls: its probes gather into fresh vectors; when a filter (or the
+// input's selection) dropped rows, every column is condensed to the
 // survivors into fresh storage and the chunk has no selection vector; when
 // no row was dropped, input columns are shared read-only with the input
 // chunk, as the interpreter's shallow chunks share them, and computed
-// columns are copied out of scratch. Probe output is condensed fresh
-// storage either way.
+// columns are copied out of scratch.
 func (e *Exec) runChunk(in *vector.Chunk) *vector.Chunk {
 	n := in.Len()
 	if in.SelectedLen() == 0 {
@@ -140,7 +140,7 @@ ops:
 			e.slots = append(e.slots, out)
 
 		case opProbe:
-			matched := e.runProbe(o)
+			matched := e.runProbe(oi, o)
 			if matched == 0 {
 				// No row survives: later ops would read payload slots
 				// runProbe never built, so the chunk ends here, filtered.
@@ -203,13 +203,27 @@ func (e *Exec) scratchOut(oi int, kind vector.Kind, n int) *vector.Vector {
 // over the matches. With no match nothing is gathered and the slots are left
 // as they were: the caller ends the chunk. Like the interpreted probe, it
 // emits a chunk's whole fan-out at once.
-func (e *Exec) runProbe(o *op) int {
+//
+// Probe keys arrive in runs (a fact table clustered by its foreign key), so
+// a row whose key equals the previous selected row's reuses that row's
+// match list without hashing. The memo lives for one call: the next call
+// may probe another table. A lent Exec gathers into buffers of its own,
+// reused chunk after chunk; an owned Exec gathers into fresh vectors.
+func (e *Exec) runProbe(oi int, o *op) int {
 	t := e.resolved[o.table]
 	keys := e.slots[o.a].I64()
 	e.probeIdx = e.probeIdx[:0]
 	e.buildIdx = e.buildIdx[:0]
+	var (
+		prev    int64
+		matches []int32
+		memo    bool // prev and matches hold the previous selected row's key
+	)
 	for _, r := range e.idx {
-		for _, m := range t.Lookup(keys[r]) {
+		if k := keys[r]; !memo || k != prev {
+			prev, matches, memo = k, t.Lookup(k), true
+		}
+		for _, m := range matches {
 			e.probeIdx = append(e.probeIdx, r)
 			e.buildIdx = append(e.buildIdx, m)
 		}
@@ -218,15 +232,36 @@ func (e *Exec) runProbe(o *op) int {
 	if matched == 0 {
 		return 0
 	}
+	var bufs []*vector.Vector // a lent Exec's reused outputs, one per slot
+	if e.lend {
+		if e.gathered[oi] == nil {
+			e.gathered[oi] = make([]*vector.Vector, len(e.slots)+len(o.payIdx))
+		}
+		bufs = e.gathered[oi]
+	}
 	for i, v := range e.slots {
-		e.slots[i] = vector.Condense(v, vector.Sel(e.probeIdx))
+		e.slots[i] = gatherSlot(bufs, i, v, e.probeIdx)
 	}
 	rows := t.Rows()
 	for _, pi := range o.payIdx {
-		e.slots = append(e.slots, vector.Condense(rows.Col(pi), vector.Sel(e.buildIdx)))
+		e.slots = append(e.slots, gatherSlot(bufs, len(e.slots), rows.Col(pi), e.buildIdx))
 	}
 	e.identity(matched)
 	return matched
+}
+
+// gatherSlot gathers src's rows sel for a probe's output slot i: into a
+// fresh vector when bufs is nil (an owned Exec), else into bufs[i], which
+// keeps its storage from chunk to chunk.
+func gatherSlot(bufs []*vector.Vector, i int, src *vector.Vector, sel []int32) *vector.Vector {
+	if bufs == nil {
+		return vector.Condense(src, sel)
+	}
+	if bufs[i] == nil {
+		bufs[i] = vector.New(src.Kind(), 0, len(sel))
+	}
+	vector.CondenseInto(bufs[i], src, sel)
+	return bufs[i]
 }
 
 // filter runs filter op o over the selection sel — nil for the dense first

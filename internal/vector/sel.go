@@ -102,45 +102,55 @@ func Condense(v *Vector, s Sel) *Vector {
 	if s == nil {
 		return v.Clone()
 	}
-	out := New(v.Kind(), len(s), len(s))
-	switch v.Kind() {
-	case Bool:
-		src, dst := v.Bool(), out.Bool()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	case I8:
-		src, dst := v.I8(), out.I8()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	case I16:
-		src, dst := v.I16(), out.I16()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	case I32:
-		src, dst := v.I32(), out.I32()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	case I64:
-		src, dst := v.I64(), out.I64()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	case F64:
-		src, dst := v.F64(), out.F64()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	case Str:
-		src, dst := v.Str(), out.Str()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
-	}
+	out := New(v.Kind(), 0, len(s))
+	CondenseInto(out, v, s)
 	return out
+}
+
+// CondenseInto overwrites dst with the selected elements of src, in order:
+// dst's length becomes len(s), or src's length with a nil selection. dst
+// keeps its storage when that is large enough, so a caller gathering into
+// the same dst chunk after chunk allocates only while it grows. dst and src
+// must be distinct vectors of the same kind.
+func CondenseInto(dst, src *Vector, s Sel) {
+	if s == nil {
+		dst.SetLen(src.Len())
+		dst.CopyFrom(0, src, 0, src.Len())
+		return
+	}
+	dst.SetLen(len(s))
+	gatherAt(dst, 0, src, s)
+}
+
+// gatherAt writes src's selected elements into dst[lo:lo+len(s)], which
+// must exist. Kinds must match.
+func gatherAt(dst *Vector, lo int, src *Vector, s Sel) {
+	if src.kind != dst.kind {
+		panic(fmt.Sprintf("vector: gather kind mismatch %v vs %v", dst.kind, src.kind))
+	}
+	switch src.kind {
+	case Bool:
+		gather(dst.b[lo:lo+len(s)], src.b, s)
+	case I8:
+		gather(dst.i8[lo:lo+len(s)], src.i8, s)
+	case I16:
+		gather(dst.i16[lo:lo+len(s)], src.i16, s)
+	case I32:
+		gather(dst.i32[lo:lo+len(s)], src.i32, s)
+	case I64:
+		gather(dst.i64[lo:lo+len(s)], src.i64, s)
+	case F64:
+		gather(dst.f64[lo:lo+len(s)], src.f64, s)
+	case Str:
+		gather(dst.str[lo:lo+len(s)], src.str, s)
+	}
+}
+
+// gather sets dst[i] = src[s[i]].
+func gather[T any](dst, src []T, s Sel) {
+	for i, x := range s {
+		dst[i] = src[x]
+	}
 }
 
 func min(a, b int) int {

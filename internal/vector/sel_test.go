@@ -98,6 +98,47 @@ func TestCondenseVector(t *testing.T) {
 	}
 }
 
+// TestCondenseIntoReusesStorage: CondenseInto gathers every kind exactly as
+// Condense does, keeps dst's storage while it is large enough, copies all
+// of src under a nil selection, and refuses a dst of another kind.
+func TestCondenseIntoReusesStorage(t *testing.T) {
+	for _, k := range []Kind{Bool, I8, I16, I32, I64, F64, Str} {
+		src := NewLen(k, 6)
+		for i := 0; i < 6; i++ {
+			switch k {
+			case Bool:
+				src.Set(i, BoolValue(i%2 == 1))
+			case F64:
+				src.Set(i, F64Value(float64(i)+0.5))
+			case Str:
+				src.Set(i, StrValue(string(rune('a'+i))))
+			default:
+				src.Set(i, IntValue(k, int64(i)))
+			}
+		}
+		dst := New(k, 0, 4)
+		CondenseInto(dst, src, Sel{5, 1, 4})
+		if want := Condense(src, Sel{5, 1, 4}); !dst.Equal(want) {
+			t.Fatalf("%v: CondenseInto = %v, want %v", k, dst, want)
+		}
+		before := dst.Cap()
+		CondenseInto(dst, src, Sel{2})
+		if dst.Len() != 1 || !dst.Get(0).Equal(src.Get(2)) || dst.Cap() != before {
+			t.Fatalf("%v: regather = %v (cap %d, was %d)", k, dst, dst.Cap(), before)
+		}
+		CondenseInto(dst, src, nil)
+		if !dst.Equal(src) {
+			t.Fatalf("%v: nil selection = %v, want all of %v", k, dst, src)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("gathering i64 into an f64 vector must panic")
+		}
+	}()
+	CondenseInto(NewLen(F64, 0), FromI64([]int64{1}), Sel{0})
+}
+
 // Property: mask→sel→mask is the identity.
 func TestMaskSelRoundTripProperty(t *testing.T) {
 	f := func(mask []bool) bool {

@@ -74,10 +74,14 @@ type DSMStore struct {
 }
 
 // NewDSMStore creates an empty DSM table with the given schema.
-func NewDSMStore(schema Schema) *DSMStore {
+func NewDSMStore(schema Schema) *DSMStore { return NewDSMStoreCap(schema, 0) }
+
+// NewDSMStoreCap creates an empty DSM table whose columns have room for
+// capacity rows, so appending that many rows never reallocates.
+func NewDSMStoreCap(schema Schema, capacity int) *DSMStore {
 	st := &DSMStore{schema: schema}
 	for _, k := range schema.Kinds {
-		st.cols = append(st.cols, New(k, 0, 0))
+		st.cols = append(st.cols, New(k, 0, capacity))
 	}
 	return st
 }
@@ -92,19 +96,22 @@ func (st *DSMStore) Rows() int { return st.rows }
 func (st *DSMStore) Col(i int) *Vector { return st.cols[i] }
 
 // AppendChunk appends all (selected) rows of a chunk whose columns match the
-// schema by position.
+// schema by position. Selected rows are gathered straight into the table's
+// columns, without condensing the chunk first.
 func (st *DSMStore) AppendChunk(c *Chunk) {
 	if c.Width() != len(st.cols) {
 		panic(fmt.Sprintf("DSMStore.AppendChunk: %d columns, want %d", c.Width(), len(st.cols)))
 	}
-	cc := c
-	if c.Sel() != nil {
-		cc = c.Condense()
+	sel := c.Sel()
+	for i, col := range st.cols {
+		if sel == nil {
+			col.AppendVector(c.Col(i))
+			continue
+		}
+		col.SetLen(st.rows + len(sel))
+		gatherAt(col, st.rows, c.Col(i), sel)
 	}
-	for i := range st.cols {
-		st.cols[i].AppendVector(cc.Col(i))
-	}
-	st.rows += cc.Len()
+	st.rows += c.SelectedLen()
 }
 
 // AppendRow appends one row given as scalar values.

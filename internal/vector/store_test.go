@@ -151,6 +151,19 @@ func TestAppendChunk(t *testing.T) {
 		t.Error("selection not honoured in DSM append")
 	}
 
+	// A presized store takes selected rows without reallocating, after
+	// rows appended whole.
+	pre := NewDSMStoreCap(sch, 5)
+	pre.AppendChunk(ChunkOf("a", FromI64([]int64{7, 8, 9}), "b", FromF64([]float64{70, 80, 90})))
+	a := pre.Col(0).I64()
+	pre.AppendChunk(c)
+	if pre.Rows() != 5 || &pre.Col(0).I64()[0] != &a[0] {
+		t.Fatalf("presized store: %d rows, reallocated %v", pre.Rows(), &pre.Col(0).I64()[0] != &a[0])
+	}
+	if got := pre.Col(0).I64(); got[3] != 1 || got[4] != 3 || pre.Col(1).F64()[4] != 30 {
+		t.Errorf("presized store rows = %v %v", got, pre.Col(1).F64())
+	}
+
 	nsm := NewNSMStore(sch)
 	nsm.AppendChunk(c)
 	dst := []*Vector{NewLen(I64, 2), NewLen(F64, 2)}
