@@ -43,12 +43,10 @@ func chunkLoopBindings(n int) (map[string]*advm.Vector, []int64) {
 
 func TestSessionRunCompilesHotLoop(t *testing.T) {
 	sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds,
-		advm.WithSyncOptimizer(true),
 		// Micro-adaptive revert off: on a loaded host the heuristic can
 		// deoptimize the traces this test asserts are injected.
 		advm.WithMicroAdaptive(false),
 		advm.WithHotThresholds(2, time.Hour),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	)
 	for run := 0; run < 3; run++ {
 		ext, want := chunkLoopBindings(1 << 15)
@@ -113,10 +111,8 @@ write shr 0 (map (\y -> y >> 2) ys)
 `
 	kinds := map[string]advm.Kind{"a": advm.I64, "b": advm.I64, "shl": advm.I64, "shr": advm.I64}
 	sess := advm.MustCompile(src, kinds,
-		advm.WithSyncOptimizer(true),
 		advm.WithMicroAdaptive(false),
-		advm.WithHotThresholds(1, 0),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
+		advm.WithHotThresholds(1, 0))
 	traced := false
 	for run := 0; run < 10 && !traced; run++ {
 		traced = len(sess.Stats().CompiledSegments) > 0
@@ -141,7 +137,6 @@ write shr 0 (map (\y -> y >> 2) ys)
 func TestSessionRunConcurrent(t *testing.T) {
 	sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds,
 		advm.WithHotThresholds(4, 0),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -225,9 +220,6 @@ func TestErrorTaxonomy(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	if _, err := advm.NewSession(advm.WithChunkLen(0)); err == nil {
 		t.Fatal("chunk length 0 accepted")
-	}
-	if _, err := advm.NewSession(advm.WithOptimizeInterval(-time.Second)); err == nil {
-		t.Fatal("negative optimize interval accepted")
 	}
 	if _, err := advm.NewSession(advm.WithDevicePolicy(advm.DeviceKind(99))); err == nil {
 		t.Fatal("unknown device accepted")
@@ -409,8 +401,7 @@ func TestWithJITFalseOrderIndependent(t *testing.T) {
 		{advm.WithJIT(false), advm.WithHotThresholds(1, time.Nanosecond)},
 		{advm.WithHotThresholds(1, time.Nanosecond), advm.WithJIT(false)},
 	} {
-		sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds,
-			append(opts, advm.WithSyncOptimizer(true))...)
+		sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds, opts...)
 		for run := 0; run < 3; run++ {
 			ext, _ := chunkLoopBindings(1 << 14)
 			if err := sess.Run(context.Background(), ext); err != nil {

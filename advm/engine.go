@@ -19,7 +19,7 @@ import (
 // Engine is the process-wide execution backend of the adaptive VM: it owns
 // the worker pool that morsel-parallel queries draw from, the
 // prepared-statement cache that lets concurrent sessions share one
-// adaptive VM per distinct program, and the JIT compile service every one of
+// adaptive VM per distinct program, and the JIT template cache every one of
 // its VMs — prepared programs and query expressions alike — gets its traces
 // from. Create one Engine per process (or per
 // tenant) and hand out lightweight sessions from it:
@@ -48,11 +48,10 @@ type Engine struct {
 
 	pool *workerPool
 
-	// jit generates trace code in the background and caches it by fragment
-	// shape: no Run or Query ever waits for code generation, and a program
-	// or lambda that differs from an earlier one only in its constants
-	// reuses that one's code (see EngineStats.JITTemplates).
-	jit *jit.Service
+	// jit caches trace code by fragment shape: a program or lambda that
+	// differs from an earlier one only in its constants reuses that one's
+	// code (see EngineStats.JITTemplates).
+	jit *jit.Cache
 
 	tablesMu sync.Mutex
 	tables   map[string]*colstore.Table // open stored tables by directory
@@ -168,9 +167,9 @@ func newEngine(o options) *Engine {
 		opt:    o,
 		cache:  make(map[nir.Fingerprint]*prepEntry),
 		fcache: fused.NewCache(0),
-		jit:    jit.NewService(),
+		jit:    jit.NewCache(),
 	}
-	e.opt.cfg.Compiler = e.jit
+	e.opt.cfg.Templates = e.jit
 	capacity := runtime.GOMAXPROCS(0)
 	if o.parallelism > capacity {
 		capacity = o.parallelism
@@ -240,8 +239,8 @@ func (e *Engine) Prepare(src string, externals map[string]Kind) (*Prepared, erro
 
 // evictLRU drops the least-recently-prepared cache entry (caller holds mu).
 // Outstanding Prepared handles keep the evicted VM alive and functional —
-// it runs with the traces it has — but the engine stops unifying future
-// Prepare calls onto it and stops generating code for it.
+// it keeps compiling as it turns hot — but the engine stops unifying future
+// Prepare calls onto it.
 func (e *Engine) evictLRU() {
 	var victim *prepEntry
 	for _, entry := range e.cache {
@@ -251,7 +250,6 @@ func (e *Engine) evictLRU() {
 	}
 	if victim != nil {
 		delete(e.cache, victim.fp)
-		victim.vm.Close()
 		e.cacheEvictions.Add(1)
 	}
 }
@@ -284,16 +282,13 @@ func (e *Engine) OpenTable(dir string) (*StoredTable, error) {
 // Close marks the engine closed: subsequent Prepare, Session, Run and Query
 // calls — including on sessions and prepared statements already handed out —
 // return an error matching ErrClosed, the worker pool stops granting
-// parallel workers, and the compile service drops its queue and stops its
-// workers. Executions already in flight finish normally (interpreting
-// whatever was not yet compiled), with one
+// parallel workers. Executions already in flight finish normally, with one
 // exception: stored tables opened through OpenTable have their file mappings
 // released by Close, so queries streaming from them must be drained first.
 // Close is idempotent.
 func (e *Engine) Close() error {
 	e.closed.Store(true)
 	e.pool.close()
-	e.jit.Close()
 	e.tablesMu.Lock()
 	tables := e.tables
 	e.tables = nil
@@ -340,20 +335,19 @@ type EngineStats struct {
 	//
 	// Deprecated: kept only so existing readers compile; it will be removed.
 	FusedDeopts int64
-	// JITTemplates is the population of the compile service's template
-	// cache: one entry per distinct fragment shape — operators, kinds and
-	// dataflow, blind to constants and names — whose trace code has been
-	// generated. JITTemplateMisses counts the code generations started
-	// (each charged the modeled compile latency, on a background worker);
-	// JITTemplateHits counts the fragments served from the cache or from a
-	// generation already under way. JITCompileQueueDepth is the number of
-	// generations queued or running right now; JITCompilesDropped counts
-	// those abandoned because the requesting VM was gone while others were
-	// waiting, the queue was full or the engine closed.
+	// JITTemplates is the population of the engine's template cache: one
+	// entry per distinct fragment shape — operators, kinds and dataflow,
+	// blind to constants and names — whose trace code has been generated.
+	// JITTemplateMisses counts the code generations (each inline, on the
+	// goroutine whose hot check asked for it); JITTemplateHits counts the
+	// fragments served from the cache.
 	JITTemplates                       int
 	JITTemplateHits, JITTemplateMisses int64
-	JITCompileQueueDepth               int
-	JITCompilesDropped                 int64
+	// JITBuildNanos is the time spent generating templates and
+	// JITBindNanos the time spent binding fragments to them (shape and
+	// register derivation included), summed over every request. A modeled
+	// compile latency (JITOptions.CompileLatency) is in neither.
+	JITBuildNanos, JITBindNanos int64
 	// Tiers is the per-fingerprint hotness state of tiered execution,
 	// sorted by fingerprint.
 	Tiers []TierInfo
@@ -409,11 +403,11 @@ func (e *Engine) Stats() EngineStats {
 		FusedPrograms:    fusedProgs,
 		FusedQueries:     e.fusedQueries.Load(),
 
-		JITTemplates:         js.Templates,
-		JITTemplateHits:      js.Hits,
-		JITTemplateMisses:    js.Misses,
-		JITCompileQueueDepth: js.QueueDepth,
-		JITCompilesDropped:   js.Dropped,
+		JITTemplates:      js.Templates,
+		JITTemplateHits:   js.Hits,
+		JITTemplateMisses: js.Misses,
+		JITBuildNanos:     js.BuildNanos,
+		JITBindNanos:      js.BindNanos,
 
 		Tiers: tiers,
 	}

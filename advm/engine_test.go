@@ -18,9 +18,7 @@ import (
 func hotEngine(t *testing.T, opts ...advm.Option) *advm.Engine {
 	t.Helper()
 	eng, err := advm.NewEngine(append([]advm.Option{
-		advm.WithSyncOptimizer(true),
 		advm.WithHotThresholds(2, 200*time.Microsecond),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +213,7 @@ func TestSessionAndEngineClose(t *testing.T) {
 // TestStandaloneSessionCloseReleasesEngine: Compile/NewSession sessions own
 // a private engine; closing the session closes it.
 func TestStandaloneSessionCloseReleasesEngine(t *testing.T) {
-	sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds, advm.WithSyncOptimizer(true))
+	sess := advm.MustCompile(chunkLoopSrc, chunkLoopKinds)
 	bind, _ := chunkLoopBindings(64)
 	if err := sess.Run(context.Background(), bind); err != nil {
 		t.Fatal(err)

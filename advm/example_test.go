@@ -26,9 +26,7 @@ loop {
 `
 	sess := advm.MustCompile(src,
 		map[string]advm.Kind{"data": advm.I64, "out": advm.I64},
-		advm.WithSyncOptimizer(true),
 		advm.WithHotThresholds(1, 0),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	)
 
 	data := []int64{1, 2, 3, 4}
@@ -92,9 +90,7 @@ func ExampleSession_Query() {
 // re-learned per connection.
 func ExampleEngine_Prepare() {
 	eng, _ := advm.NewEngine(
-		advm.WithSyncOptimizer(true),
 		advm.WithHotThresholds(1, 0),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	)
 	defer eng.Close()
 

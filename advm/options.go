@@ -74,34 +74,11 @@ func WithHotThresholds(calls int64, cumulative time.Duration) Option {
 	}
 }
 
-// WithSyncOptimizer selects synchronous optimization for program runs: the
-// VM examines the profile only between runs and waits for the traces of hot
-// segments — still generated through the engine's compile service and its
-// template cache — before Run returns. Deterministic — useful for tests, and
-// for benchmarks that must charge compile time to the measured total. By
-// default no Run or Query ever waits for code generation.
-func WithSyncOptimizer(sync bool) Option {
-	return func(o *options) error { o.cfg.Sync = sync; return nil }
-}
-
 // WithMicroAdaptive toggles micro-adaptive revert: the VM keeps comparing
 // injected traces against the interpreter's historical cost and deoptimizes
 // traces that turn out to be a loss. On by default.
 func WithMicroAdaptive(on bool) Option {
 	return func(o *options) error { o.cfg.MicroAdaptive = on; return nil }
-}
-
-// WithOptimizeInterval sets how often a running program re-examines its
-// profile for segments that turned hot (every run additionally ends with one
-// examination).
-func WithOptimizeInterval(d time.Duration) Option {
-	return func(o *options) error {
-		if d <= 0 {
-			return fmt.Errorf("optimize interval must be positive, got %v", d)
-		}
-		o.cfg.OptimizeInterval = d
-		return nil
-	}
 }
 
 // JITOptions tunes trace compilation without exposing the internal compiler
@@ -110,19 +87,17 @@ type JITOptions struct {
 	// TileSize is the register-blocking window of fused element-wise runs
 	// (0 = default).
 	TileSize int
-	// CompileLatency models code-generation cost for a fragment of n
-	// operations: the engine's background compile service stalls that long
-	// when it generates the code of a fragment shape it has not seen, before
-	// the traces are injected. Nil selects the calibrated default model;
-	// NoCompileLatency disables the model entirely.
+	// CompileLatency, when non-nil, models code-generation cost for a
+	// fragment of n operations: the run whose hot check generates the code
+	// of a fragment shape the engine has not seen stalls that long before
+	// the traces are injected. Nil (the default) charges nothing beyond
+	// what generating the code really costs.
 	CompileLatency func(n int) time.Duration
 }
 
-// NoCompileLatency disables the modeled code-generation cost.
-func NoCompileLatency(int) time.Duration { return 0 }
-
-// DefaultCompileLatency is the calibrated code-generation cost model for a
-// fragment of n operations.
+// DefaultCompileLatency is a code-generation cost model for a fragment of n
+// operations, for studying the paper's compile-effort trade-off: short
+// programs cannot win back the latency, long ones can.
 func DefaultCompileLatency(n int) time.Duration { return jit.DefaultCompileLatency(n) }
 
 // WithJITOptions tunes trace compilation.

@@ -431,7 +431,7 @@ func (p *Plan) stageOn(s *Session, child engine.Operator) (engine.Operator, erro
 	if err != nil {
 		return nil, err
 	}
-	j := engine.ExprJIT{On: s.opt.jitEnabled, Opt: s.opt.cfg.JIT, Compiler: s.eng.jit}
+	j := engine.ExprJIT{On: s.opt.jitEnabled, Opt: s.opt.cfg.JIT, Templates: s.eng.jit}
 	switch p.kind {
 	case planFilter:
 		return engine.NewFilter(child, fn, p.col).SetMode(p.mode).SetJIT(j), nil

@@ -51,7 +51,7 @@ type Stats struct {
 	InjectedTraces, RevertedTraces int
 	// TemplateHits and TemplateMisses split the injected traces by where
 	// their code came from: hits were instantiated from a template the
-	// engine's compile service had already generated (for an earlier program
+	// engine's template cache already held (generated for an earlier program
 	// or lambda of the same shape, whatever its constants); misses had their
 	// code generated for this program.
 	TemplateHits, TemplateMisses int

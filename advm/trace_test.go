@@ -318,7 +318,6 @@ func TestTracingOffLeavesNoTraceState(t *testing.T) {
 		eng, err := advm.NewEngine(
 			advm.WithParallelism(1),
 			advm.WithTierThresholds(2, 3),
-			advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -380,7 +379,6 @@ func BenchmarkQ6Trace(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			eng, err := advm.NewEngine(
 				advm.WithParallelism(1),
-				advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 			)
 			if err != nil {
 				b.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/interp"
-	"repro/internal/jit"
 	"repro/internal/morsel"
 	"repro/internal/nir"
 	"repro/internal/tpch"
@@ -156,7 +155,7 @@ func BenchmarkExpF1_F2_Figure2(b *testing.B) {
 
 	b.Run("interpret", func(b *testing.B) {
 		p := advm.MustCompile(dsl.Figure2Source, kinds,
-			advm.WithSyncOptimizer(true), advm.WithJIT(false))
+			advm.WithJIT(false))
 		e := ext()
 		for i := 0; i < b.N; i++ {
 			if err := p.Run(b.Context(), e); err != nil {
@@ -171,10 +170,8 @@ func BenchmarkExpF1_F2_Figure2(b *testing.B) {
 		// *with* injected traces, and on a slow or loaded host the revert
 		// heuristic can deoptimize them mid-warmup and fail the setup check.
 		p := advm.MustCompile(dsl.Figure2Source, kinds,
-			advm.WithSyncOptimizer(true),
 			advm.WithMicroAdaptive(false),
-			advm.WithHotThresholds(2, 200*time.Microsecond),
-			advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
+			advm.WithHotThresholds(2, 200*time.Microsecond))
 		e := ext()
 		// Warm to steady state (traces injected).
 		for i := 0; i < 4; i++ {
@@ -197,10 +194,9 @@ func BenchmarkExpF1_F2_Figure2(b *testing.B) {
 		}
 	})
 	b.Run("full_cycle", func(b *testing.B) {
-		// Cost of one complete Figure-1 cycle including (modeled) codegen.
+		// Cost of one complete Figure-1 cycle, code generation included.
 		for i := 0; i < b.N; i++ {
 			p := advm.MustCompile(dsl.Figure2Source, kinds,
-				advm.WithSyncOptimizer(true),
 				advm.WithHotThresholds(1, 200*time.Microsecond))
 			e := ext()
 			if err := p.Run(b.Context(), e); err != nil { // interpret + optimize epilogue
@@ -266,7 +262,7 @@ func BenchmarkExpE1_Q1(b *testing.B) {
 	b.Run("adaptive_vm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := tpch.Q1Engine(b.Context(), st, tpch.Q1Cutoff, tpch.Q1Options{
-				JIT: true, JITOpt: jit.Options{CompileLatency: jit.NoCompileLatency},
+				JIT: true,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -276,46 +272,72 @@ func BenchmarkExpE1_Q1(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // E2 — interpretation vs compilation for short vs long programs (total time
-// including modeled compile latency).
+// including the opt-in modeled compile latency).
 
-func BenchmarkExpE2_ShortVsLong(b *testing.B) {
-	src := `
+// e2Src is E2's program: one loop of element-wise constant arithmetic over
+// its input d, which traces fuse (about 1.4× the interpreter's speed).
+const e2Src = `
 mut i
 i := 0
 loop {
   let xs = read i d
   if len(xs) == 0 then break
-  write o i (map (\x -> (x * 3 + 7) * (x - 1) + x / 3) xs)
+  write o i (map (\x -> ((((x * 3 + 7) * 5 - 2) * 11 + 13) * 7 - 5) * 3 + 1) xs)
   i := i + len(xs)
 }`
+
+// e2Runs is how often E2 runs its program on one fresh VM: enough that a
+// long program's compile cost, with the scheduling delay of waking from the
+// modeled latency on a loaded host, is a small share of its total time.
+const e2Runs = 16
+
+// e2Session compiles E2's program on a fresh VM, interpreted for good or
+// with the JIT on and code generation charged the paper's latency model,
+// and binds it to rows input rows. Micro-adaptive revert is off: E2 prices
+// compilation, and a revert on a noisy measurement would turn the JIT leg
+// into interpretation plus the compile cost.
+func e2Session(tb testing.TB, rows int, jit bool) (*advm.Session, map[string]*vector.Vector) {
+	tb.Helper()
+	opts := []advm.Option{advm.WithJIT(false)}
+	if jit {
+		opts = []advm.Option{
+			advm.WithHotThresholds(4, 200*time.Microsecond),
+			advm.WithMicroAdaptive(false),
+			advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.DefaultCompileLatency}),
+		}
+	}
+	sess, err := advm.Compile(e2Src, map[string]vector.Kind{"d": vector.I64, "o": vector.I64}, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sess, map[string]*vector.Vector{
+		"d": i64Data(rows, func(i int) int64 { return int64(i) }),
+		"o": vector.New(vector.I64, 0, rows),
+	}
+}
+
+// e2Run runs the session's program e2Runs times.
+func e2Run(tb testing.TB, sess *advm.Session, ext map[string]*vector.Vector) {
+	tb.Helper()
+	for r := 0; r < e2Runs; r++ {
+		if err := sess.Run(tb.Context(), ext); err != nil {
+			tb.Fatal(err)
+		}
+		ext["o"].SetLen(0)
+	}
+}
+
+func BenchmarkExpE2_ShortVsLong(b *testing.B) {
 	for _, rows := range []int{1 << 12, 1 << 20} {
 		for _, mode := range []string{"interpret", "jit_with_compile_cost"} {
 			b.Run(fmt.Sprintf("%s/rows=%d", mode, rows), func(b *testing.B) {
-				kinds := map[string]vector.Kind{"d": vector.I64, "o": vector.I64}
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					opts := []advm.Option{advm.WithSyncOptimizer(true)}
-					if mode == "interpret" {
-						opts = append(opts, advm.WithJIT(false))
-					} else {
-						opts = append(opts,
-							advm.WithHotThresholds(4, 200*time.Microsecond),
-							advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.DefaultCompileLatency}))
-					}
-					p := advm.MustCompile(src, kinds, opts...)
-					ext := map[string]*vector.Vector{
-						"d": i64Data(rows, func(i int) int64 { return int64(i) }),
-						"o": vector.New(vector.I64, 0, rows),
-					}
+					sess, ext := e2Session(b, rows, mode != "interpret")
 					b.StartTimer()
 					// Fresh VM each iteration: total time includes any
 					// compilation the VM decides to do.
-					for r := 0; r < 4; r++ {
-						if err := p.Run(b.Context(), ext); err != nil {
-							b.Fatal(err)
-						}
-						ext["o"].SetLen(0)
-					}
+					e2Run(b, sess, ext)
 				}
 			})
 		}
@@ -571,10 +593,7 @@ loop {
 		}
 	}
 	run := func(b *testing.B, compiled bool) {
-		opts := []advm.Option{
-			advm.WithSyncOptimizer(true),
-			advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
-		}
+		opts := []advm.Option{}
 		if compiled {
 			opts = append(opts, advm.WithHotThresholds(2, 200*time.Microsecond))
 		} else {
@@ -857,9 +876,7 @@ loop {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			p := advm.MustCompile(src, kinds,
-				advm.WithSyncOptimizer(true),
 				advm.WithHotThresholds(2, 200*time.Microsecond),
-				advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 				advm.WithPartitionBudget(c.maxInputs, 32))
 			for r := 0; r < 4; r++ {
 				if err := p.Run(b.Context(), ext); err != nil {

@@ -45,7 +45,6 @@ func main() {
 	flag.Var(bindFlag{&outs}, "out", "output binding name=kind")
 	runs := flag.Int("runs", 1, "number of executions (later runs exercise compiled traces)")
 	timeout := flag.Duration("timeout", 0, "abort the whole invocation after this duration (0 = none)")
-	sync := flag.Bool("sync", true, "optimize synchronously between runs (deterministic)")
 	hotCalls := flag.Int64("hot-calls", 2, "executions after which a segment counts as hot (0 disables compilation)")
 	showTransitions := flag.Bool("transitions", false, "print the VM state-machine log")
 	showPlan := flag.Bool("plan", false, "print the final execution plan")
@@ -106,7 +105,7 @@ func main() {
 		outNames = append(outNames, name)
 	}
 
-	opts := []advm.Option{advm.WithSyncOptimizer(*sync)}
+	var opts []advm.Option
 	if *hotCalls > 0 {
 		// Only the call-count trigger: the flag alone decides hotness.
 		opts = append(opts, advm.WithHotThresholds(*hotCalls, 0))

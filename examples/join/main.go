@@ -28,7 +28,6 @@ func main() {
 
 	eng, err := advm.NewEngine(
 		advm.WithParallelism(4),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	)
 	if err != nil {
 		log.Fatal(err)

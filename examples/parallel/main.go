@@ -22,9 +22,7 @@ func main() {
 	// prepared-statement cache.
 	eng, err := advm.NewEngine(
 		advm.WithParallelism(4),
-		advm.WithSyncOptimizer(true),
 		advm.WithHotThresholds(2, 200*time.Microsecond),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	)
 	if err != nil {
 		log.Fatal(err)

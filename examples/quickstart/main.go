@@ -28,7 +28,6 @@ func main() {
 	sess, err := advm.Compile(dsl.Figure2Source, map[string]advm.Kind{
 		"some_data": advm.I64, "v": advm.I64, "w": advm.I64,
 	},
-		advm.WithSyncOptimizer(true), // optimize between runs for a deterministic demo
 		advm.WithHotThresholds(2, 200*time.Microsecond),
 	)
 	if err != nil {

@@ -57,7 +57,7 @@ func main() {
 		return tpch.Q1Compact(cl, tpch.Q1Cutoff), nil
 	})
 	adaptive := timeIt("adaptive VM (vectorized + JIT traces)", func() (tpch.Q1Result, error) {
-		sess, err := advm.NewSession() // JIT on, modeled compile latency
+		sess, err := advm.NewSession() // JIT on
 		if err != nil {
 			return nil, err
 		}

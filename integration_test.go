@@ -9,14 +9,12 @@ import (
 	"repro/advm"
 	"repro/internal/dsl"
 	"repro/internal/engine"
-	"repro/internal/jit"
 	"repro/internal/tpch"
 )
 
 // TestEndToEndFigure2AllExecutionModes is the repo-level integration test:
-// the paper's example program must produce identical results interpreted,
-// compiled synchronously, and compiled by the background compile service —
-// all driven through the public advm API.
+// the paper's example program must produce identical results interpreted
+// and compiled — both driven through the public advm API.
 func TestEndToEndFigure2AllExecutionModes(t *testing.T) {
 	kinds := map[string]advm.Kind{"some_data": advm.I64, "v": advm.I64, "w": advm.I64}
 	data := make([]int64, 4096)
@@ -38,22 +36,11 @@ func TestEndToEndFigure2AllExecutionModes(t *testing.T) {
 		return v, w
 	}
 
-	vI, wI := run(1, advm.WithSyncOptimizer(true), advm.WithJIT(false))
+	vI, wI := run(1, advm.WithJIT(false))
 
-	vS, wS := run(3,
-		advm.WithSyncOptimizer(true),
-		advm.WithHotThresholds(2, 200*time.Microsecond),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-
-	vA, wA := run(5,
-		advm.WithHotThresholds(2, 200*time.Microsecond),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
-
-	if !vI.Equal(vS) || !wI.Equal(wS) {
-		t.Fatal("sync-compiled output differs from interpreted")
-	}
-	if !vI.Equal(vA) || !wI.Equal(wA) {
-		t.Fatal("async-compiled output differs from interpreted")
+	vC, wC := run(3, advm.WithHotThresholds(2, 200*time.Microsecond))
+	if !vI.Equal(vC) || !wI.Equal(wC) {
+		t.Fatal("compiled output differs from interpreted")
 	}
 	// Spot-check semantics against the figure's specification.
 	if vI.Len() != 4096 {
@@ -84,7 +71,7 @@ func TestEndToEndQ6AllStrategies(t *testing.T) {
 	for _, mode := range []engine.EvalMode{engine.EvalFull, engine.EvalSelective, engine.EvalAdaptive} {
 		for _, useJIT := range []bool{false, true} {
 			got, err := tpch.Q6Engine(t.Context(), st, p, tpch.Q1Options{
-				JIT: useJIT, JITOpt: jit.Options{CompileLatency: jit.NoCompileLatency}, Mode: mode,
+				JIT: useJIT, Mode: mode,
 			})
 			if err != nil {
 				t.Fatalf("mode=%v jit=%v: %v", mode, useJIT, err)
@@ -121,8 +108,7 @@ func TestEndToEndQ3ParallelByteIdentical(t *testing.T) {
 	p := tpch.DefaultQ3Params()
 
 	eng, err := advm.NewEngine(
-		advm.WithParallelism(8),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
+		advm.WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +175,6 @@ func testEndToEndQueryStreaming(t *testing.T, workers int) {
 	want := tpch.Q1HyPer(st, tpch.Q1Cutoff)
 
 	sess, err := advm.NewSession(
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 		advm.WithParallelism(workers))
 	if err != nil {
 		t.Fatal(err)

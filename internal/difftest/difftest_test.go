@@ -110,7 +110,6 @@ func TestDifferential(t *testing.T) {
 			opts := []advm.Option{
 				advm.WithParallelism(1),
 				advm.WithTieredExecution(false),
-				advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 			}
 			if morselLen > 0 {
 				opts = append(opts, advm.WithMorselLen(morselLen))
@@ -141,7 +140,6 @@ func TestDifferential(t *testing.T) {
 		for _, cfg := range configs {
 			opts := []advm.Option{
 				advm.WithParallelism(cfg.workers),
-				advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 			}
 			if cfg.morselLen > 0 {
 				opts = append(opts, advm.WithMorselLen(cfg.morselLen))
@@ -208,7 +206,6 @@ func TestTemplateWarmEngineIdentical(t *testing.T) {
 	common := []advm.Option{
 		advm.WithTieredExecution(false),
 		advm.WithChunkLen(64),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 	}
 	workers := []int{1, 4, 8}
 	warm := make([]*advm.Engine, len(workers))
@@ -317,7 +314,6 @@ func TestTopKTiesDeterminism(t *testing.T) {
 				opts := []advm.Option{
 					advm.WithParallelism(workers),
 					advm.WithTieredExecution(false),
-					advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}),
 				}
 				if morselLen > 0 {
 					opts = append(opts, advm.WithMorselLen(morselLen))

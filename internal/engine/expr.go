@@ -36,14 +36,14 @@ type exprVM struct {
 type ExprJIT struct {
 	// On enables compilation; off, the expression is interpreted for good.
 	On bool
-	// Opt tunes compilation (tile size, modeled compile latency).
+	// Opt tunes compilation (tile size, opt-in modeled compile latency).
 	Opt jit.Options
-	// Compiler is the engine's compile service. Expression VMs are private
+	// Templates is the engine's template cache. Expression VMs are private
 	// to one operator instance of one query, but their traces come from the
-	// service's shared template cache, so a lambda shape's code generation
-	// is paid once per engine — by a background worker — and not once per
-	// operator, worker and query. Nil gives each VM a private service.
-	Compiler *jit.Service
+	// shared cache, so a lambda shape's code is generated once per engine
+	// and not once per operator, worker and query. Nil gives each VM a
+	// private cache.
+	Templates *jit.Cache
 }
 
 // vmConfigForExpr is the expression VMs' configuration: a chunk is one run,
@@ -56,7 +56,7 @@ func vmConfigForExpr(j ExprJIT) vm.Config {
 		cfg.HotNanos = 1 << 62
 	}
 	cfg.JIT = j.Opt
-	cfg.Compiler = j.Compiler
+	cfg.Templates = j.Templates
 	return cfg
 }
 
@@ -166,15 +166,6 @@ func (e *exprVM) evalWindow(ctx context.Context, inputs []*vector.Vector) (*vect
 
 // Profile exposes the underlying VM profile (for tests and reports).
 func (e *exprVM) Profile() *profile.Profile { return e.vm.Interp.Prof }
-
-// close retires the VM with its operator: compiles still queued for it are
-// dropped instead of generated. Safe on a nil receiver (operator never
-// opened).
-func (e *exprVM) close() {
-	if e != nil {
-		e.vm.Close()
-	}
-}
 
 // EvalMode selects how Compute and Filter treat incoming selection vectors
 // (§III-C: "one could also specialize for different selectivities").
@@ -330,7 +321,6 @@ func (c *Compute) Next(ctx context.Context) (*vector.Chunk, error) {
 
 // Close implements Operator.
 func (c *Compute) Close() error {
-	c.evm.close()
 	return c.child.Close()
 }
 
@@ -457,7 +447,6 @@ func (f *Filter) Next(ctx context.Context) (*vector.Chunk, error) {
 
 // Close implements Operator.
 func (f *Filter) Close() error {
-	f.evm.close()
 	return f.child.Close()
 }
 

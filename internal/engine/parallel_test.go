@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/dsl"
-	"repro/internal/jit"
 	"repro/internal/vector"
 )
 
@@ -30,9 +29,9 @@ func genTable(t testing.TB, n int, seed int64) *vector.DSMStore {
 // pipelineOn builds the test pipeline filter(k<700) → compute(v2 = v*3+1) →
 // compute(g = f*1.5) on an arbitrary leaf.
 func pipelineOn(leaf Operator) Operator {
-	f := NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < 700)`), "k").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
-	c1 := NewCompute(f, "v2", dsl.MustParseLambda(`(\v -> v * 3 + 1)`), vector.I64, "v").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
-	return NewCompute(c1, "g", dsl.MustParseLambda(`(\x -> x * 1.5)`), vector.F64, "f").SetJIT(ExprJIT{On: true, Opt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	f := NewFilter(leaf, dsl.MustParseLambda(`(\k -> k < 700)`), "k").SetJIT(ExprJIT{On: true})
+	c1 := NewCompute(f, "v2", dsl.MustParseLambda(`(\v -> v * 3 + 1)`), vector.I64, "v").SetJIT(ExprJIT{On: true})
+	return NewCompute(c1, "g", dsl.MustParseLambda(`(\x -> x * 1.5)`), vector.F64, "f").SetJIT(ExprJIT{On: true})
 }
 
 // materialize collects every selected row of op into flat slices.

@@ -18,18 +18,20 @@
 //     for; guard failure falls back to interpretation of the member
 //     instructions (deoptimization), matching §III-C's fallback story.
 //
-// Real machine-code generation is unavailable in Go (no JIT ecosystem); the
-// compile-effort side of the paper's trade-off is therefore modeled by a
-// configurable latency charged before a trace becomes available. The default
-// grows linearly with fragment size, mirroring "optimizer passes tend to
-// take longer with an increasing amount of code".
+// Real machine-code generation is unavailable in Go (no JIT ecosystem), so
+// a trace is built from Go closures, and building one costs microseconds.
+// The compile-effort side of the paper's trade-off can still be studied
+// through an opt-in latency model (Options.CompileLatency, e.g.
+// DefaultCompileLatency, which grows linearly with fragment size, mirroring
+// "optimizer passes tend to take longer with an increasing amount of code");
+// without one, code generation costs what it costs.
 //
 // Code is generated per fragment *shape*, not per fragment (shape.go,
 // template.go): a template is register- and constant-blind, and a Trace is a
-// template bound to one program's registers. The Service (service.go) keeps
-// templates in an engine-wide cache and generates missing ones on background
-// workers, so the latency above is paid once per shape and never by the
-// goroutine that runs the program.
+// template bound to one program's registers. The Cache (cache.go) keeps
+// templates engine-wide and generates a missing one inline, on the goroutine
+// that asks for it, so each shape is generated once and every later fragment
+// of that shape is only bound.
 package jit
 
 import (
@@ -46,10 +48,10 @@ import (
 type Options struct {
 	// TileSize is the register-block window for fused element-wise runs.
 	TileSize int
-	// CompileLatency models the cost of code generation + optimization for
-	// a fragment of n nodes: generating a template stalls for this long
-	// before the template becomes available. Nil means
-	// DefaultCompileLatency; use NoCompileLatency to disable.
+	// CompileLatency, when non-nil, models the cost of code generation +
+	// optimization for a fragment of n nodes: the goroutine that generates
+	// a template stalls for this long before its trace is returned. Nil
+	// means no modeled cost.
 	CompileLatency func(n int) time.Duration
 	// Guard, when non-nil, is checked before every trace execution; a false
 	// result triggers deoptimization (interpret the member instructions).
@@ -60,14 +62,12 @@ type Options struct {
 // within L1 (256 × 8 B = 2 KiB per live buffer).
 const DefaultTileSize = 256
 
-// DefaultCompileLatency is the simulated cost of generating and optimizing
-// machine code for a fragment of n nodes.
+// DefaultCompileLatency is a simulated cost of generating and optimizing
+// machine code for a fragment of n nodes, for studies of the compile-effort
+// trade-off (the paper's short- versus long-running programs).
 func DefaultCompileLatency(n int) time.Duration {
 	return 500*time.Microsecond + time.Duration(n)*200*time.Microsecond
 }
-
-// NoCompileLatency disables the compile-cost model (for tests).
-func NoCompileLatency(int) time.Duration { return 0 }
 
 // Trace is a compiled fragment, pluggable into the interpreter as a plan
 // step: a template patched with one program's registers and instructions.
@@ -75,9 +75,8 @@ type Trace struct {
 	tmpl *template
 	binding
 	guard func(*interp.Env) bool
-	// cached: the template came out of a Service's cache (or an in-flight
-	// compile another program had already paid for) instead of being
-	// generated for this trace.
+	// cached: the template came out of a Cache instead of being generated
+	// for this trace.
 	cached bool
 
 	// Stats for the VM's micro-adaptive comparison (atomics: the VM reads
@@ -88,9 +87,9 @@ type Trace struct {
 	deopts atomic.Int64
 }
 
-// Compile builds a trace for a fragment, charging the simulated compile
-// latency before returning. It generates the fragment's code afresh on the
-// caller's goroutine; VMs compile through a Service instead.
+// Compile builds a trace for a fragment, charging the modeled compile
+// latency, if any, before returning. It generates the fragment's code afresh;
+// VMs compile through a Cache instead.
 func Compile(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment, opt Options) (*Trace, error) {
 	s, b := shapeOf(prog, g, frag, opt)
 	t, err := compileTemplate(s)
@@ -106,7 +105,7 @@ func Compile(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment, opt 
 // latency is the modeled code-generation time for a fragment of n nodes.
 func (o Options) latency(n int) time.Duration {
 	if o.CompileLatency == nil {
-		return DefaultCompileLatency(n)
+		return 0
 	}
 	return o.CompileLatency(n)
 }

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -77,7 +78,7 @@ func runBoth(t *testing.T, src string, ext func() map[string]*vector.Vector) (in
 	for name, v := range ext() {
 		kinds[name] = v.Kind()
 	}
-	opt := Options{CompileLatency: NoCompileLatency}
+	opt := Options{}
 
 	// Interpreted run.
 	prog := dsl.MustParse(src)
@@ -233,8 +234,7 @@ write out 0 m
 	}
 	blocked := true
 	tr, err := Compile(np, g, frags[0], Options{
-		CompileLatency: NoCompileLatency,
-		Guard:          func(*interp.Env) bool { return !blocked },
+		Guard: func(*interp.Env) bool { return !blocked },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,28 +287,49 @@ write out 0 m
 	}
 }
 
+// TestCompileLatencyModel: the opt-in model is charged once, on the goroutine
+// whose request generated the template, and never on a hit — on another
+// goroutine or on the same one. Without a model nothing is charged.
 func TestCompileLatencyModel(t *testing.T) {
-	src := `
-let xs = read 0 data 64
-let m = map (\x -> x + 1) xs
-write out 0 m
-`
-	prog := dsl.MustParse(src)
-	np, err := nir.Normalize(prog, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
-	if err != nil {
-		t.Fatal(err)
+	const latency = 100 * time.Millisecond
+	var charged atomic.Int64
+	opt := Options{CompileLatency: func(int) time.Duration {
+		charged.Add(1)
+		return latency
+	}}
+	c := NewCache()
+	request := func(src string, opt Options) (hit bool, took time.Duration) {
+		np, _, g, units := fragmentOf(t, src)
+		start := time.Now()
+		traces, err := c.Traces(np, g, scheduled(units), opt)
+		if err != nil {
+			t.Error(err)
+			return false, 0
+		}
+		return traces[0].TemplateHit(), time.Since(start)
 	}
-	it := interp.New(np)
-	g := depgraph.Build(it.Segments[0].Instrs, nil)
-	frags := depgraph.Partition(g, depgraph.DefaultConstraints())
-	start := time.Now()
-	if _, err := Compile(np, g, frags[0], Options{
-		CompileLatency: func(n int) time.Duration { return 20 * time.Millisecond },
-	}); err != nil {
-		t.Fatal(err)
+	if hit, d := request(affineSrc(3, 4), opt); hit || d < latency {
+		t.Fatalf("miss: hit=%v, took %v; want the %v model charged to the caller", hit, d, latency)
 	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("compile latency not charged: %v", d)
+	done := make(chan time.Duration)
+	go func() {
+		hit, d := request(affineSrc(5, 6), opt)
+		if !hit {
+			t.Error("second program of the shape missed the cache")
+		}
+		done <- d
+	}()
+	if d := <-done; d >= latency/2 {
+		t.Fatalf("a hit on another goroutine took %v: it was charged", d)
+	}
+	if hit, d := request(affineSrc(7, 8), opt); !hit || d >= latency/2 {
+		t.Fatalf("a hit on the missing goroutine: hit=%v, took %v", hit, d)
+	}
+	if n := charged.Load(); n != 1 {
+		t.Fatalf("model charged %d times, want once", n)
+	}
+	if hit, d := request("let xs = read 0 data 512\nwrite out 0 (map (\\x -> x - 3) xs)\n", Options{}); hit || d >= latency/2 {
+		t.Fatalf("a miss without a model: hit=%v, took %v", hit, d)
 	}
 	if d := DefaultCompileLatency(10); d <= DefaultCompileLatency(1) {
 		t.Error("compile latency must grow with fragment size")
@@ -364,7 +385,7 @@ write out 0 r
 					steps = append(steps, &interp.InstrStep{In: seg.Instrs[u.Node]})
 					continue
 				}
-				tr, err := Compile(np, g, u.Fragment, Options{CompileLatency: NoCompileLatency, TileSize: 8})
+				tr, err := Compile(np, g, u.Fragment, Options{TileSize: 8})
 				if err != nil {
 					return false
 				}

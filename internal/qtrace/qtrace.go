@@ -468,25 +468,35 @@ func morselSeq(s *Span) int64 {
 	return -1
 }
 
-// selfNs returns the span's busy time minus the busy time of its direct
-// KindOp children, clamped at zero. Morsel leaves and events don't carry
-// busy time of their own accounting stream, so they're excluded.
+// selfNs returns the span's busy time minus the busy time of its nearest
+// timed KindOp descendants, clamped at zero. Morsel leaves and events don't
+// carry busy time of their own accounting stream, so they're excluded.
 func (n *node) selfNs() int64 {
-	self := n.s.BusyNs()
-	for _, c := range n.children {
-		if c.s.Kind() == KindOp {
-			self -= c.s.BusyNs()
-		}
-	}
-	if self < 0 {
-		self = 0
-	}
-	return self
+	return max(n.s.BusyNs()-n.timedBelowNs(), 0)
 }
 
-// OpSelfTimes returns per-operator-name self time (busy minus direct
-// operator children's busy, clamped ≥ 0) in nanoseconds, summed over all
-// KindOp spans. Used to feed per-operator latency histograms.
+// timedBelowNs sums the busy time of the nearest KindOp descendants that
+// report any: an op child reporting none — a fused stage folded into the
+// span above it — is looked through, so the time of the scan under it is
+// not counted twice.
+func (n *node) timedBelowNs() int64 {
+	var ns int64
+	for _, c := range n.children {
+		if c.s.Kind() != KindOp {
+			continue
+		}
+		if b := c.s.BusyNs(); b > 0 {
+			ns += b
+		} else {
+			ns += c.timedBelowNs()
+		}
+	}
+	return ns
+}
+
+// OpSelfTimes returns per-operator-name self time (busy minus the nearest
+// timed operator descendants' busy, clamped ≥ 0) in nanoseconds, summed
+// over all KindOp spans. Used to feed per-operator latency histograms.
 func (t *Trace) OpSelfTimes() map[string]int64 {
 	if t == nil {
 		return nil

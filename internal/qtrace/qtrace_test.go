@@ -197,6 +197,27 @@ func TestSelfTimeClampsNegative(t *testing.T) {
 	}
 }
 
+// TestSelfTimeLooksThroughFoldedStages: a fused segment's time lands on its
+// top span, and the stages folded into it report none. The top span's self
+// time excludes the scan below them, which reports its own.
+func TestSelfTimeLooksThroughFoldedStages(t *testing.T) {
+	tr := New(LevelOps)
+	root := tr.Root("query")
+	compute := root.Child(KindOp, "compute")
+	compute.AddTime(10 * time.Millisecond)
+	filter := compute.Child(KindOp, "filter")
+	scan := filter.Child(KindOp, "scan")
+	scan.AddTime(2 * time.Millisecond)
+	tr.Finish()
+	self := tr.OpSelfTimes()
+	want := map[string]int64{"compute": int64(8 * time.Millisecond), "filter": 0, "scan": int64(2 * time.Millisecond)}
+	for name, ns := range want {
+		if self[name] != ns {
+			t.Errorf("%s self = %d, want %d", name, self[name], ns)
+		}
+	}
+}
+
 func TestSetAttrReplaces(t *testing.T) {
 	tr := New(LevelOps)
 	sp := tr.Root("q")

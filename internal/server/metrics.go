@@ -51,13 +51,13 @@ type engineStatsJSON struct {
 	FusedCacheHits   int64 `json:"fused_cache_hits"`
 	FusedPrograms    int   `json:"fused_programs"`
 	FusedQueries     int64 `json:"fused_queries"`
-	// The JIT compile service: trace code is generated once per fragment
-	// shape on background workers and cached; see advm.EngineStats.
-	JITTemplates         int   `json:"jit_templates"`
-	JITTemplateHits      int64 `json:"jit_template_hits"`
-	JITTemplateMisses    int64 `json:"jit_template_misses"`
-	JITCompileQueueDepth int   `json:"jit_compile_queue_depth"`
-	JITCompilesDropped   int64 `json:"jit_compiles_dropped"`
+	// The JIT template cache: trace code is generated once per fragment
+	// shape and cached; see advm.EngineStats.
+	JITTemplates      int   `json:"jit_templates"`
+	JITTemplateHits   int64 `json:"jit_template_hits"`
+	JITTemplateMisses int64 `json:"jit_template_misses"`
+	JITBuildNanos     int64 `json:"jit_template_build_ns"`
+	JITBindNanos      int64 `json:"jit_bind_ns"`
 }
 
 // tierInfoJSON is one plan fingerprint's tiered-execution state.
@@ -83,7 +83,7 @@ type preparedInfo struct {
 	InjectedTraces int    `json:"injected_traces"`
 	RevertedTraces int    `json:"reverted_traces"`
 	// TemplateHits counts the injected traces whose code the engine's
-	// compile service already had (generated for an earlier program of the
+	// template cache already held (generated for an earlier program of the
 	// same shape); TemplateMisses those generated for this program.
 	TemplateHits   int    `json:"template_hits"`
 	TemplateMisses int    `json:"template_misses"`
@@ -110,11 +110,11 @@ func engineJSON(st advm.EngineStats) engineStatsJSON {
 		FusedPrograms:    st.FusedPrograms,
 		FusedQueries:     st.FusedQueries,
 
-		JITTemplates:         st.JITTemplates,
-		JITTemplateHits:      st.JITTemplateHits,
-		JITTemplateMisses:    st.JITTemplateMisses,
-		JITCompileQueueDepth: st.JITCompileQueueDepth,
-		JITCompilesDropped:   st.JITCompilesDropped,
+		JITTemplates:      st.JITTemplates,
+		JITTemplateHits:   st.JITTemplateHits,
+		JITTemplateMisses: st.JITTemplateMisses,
+		JITBuildNanos:     st.JITBuildNanos,
+		JITBindNanos:      st.JITBindNanos,
 	}
 }
 
@@ -361,11 +361,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("advm_fused_programs", "Specialized programs resident in the fused code cache.", float64(st.Engine.FusedPrograms))
 	p.counter("advm_fused_queries_total", "Queries that executed fused loops.", float64(st.Engine.FusedQueries))
 
-	p.gauge("advm_jit_templates", "Fragment shapes whose trace code is resident in the compile service's template cache.", float64(st.Engine.JITTemplates))
-	p.counter("advm_jit_template_hits_total", "Trace fragments served from a cached template or a compile already under way.", float64(st.Engine.JITTemplateHits))
-	p.counter("advm_jit_template_misses_total", "Template compiles started (each pays the modeled compile latency on a background worker).", float64(st.Engine.JITTemplateMisses))
-	p.gauge("advm_jit_compile_queue_depth", "Template compiles queued or running.", float64(st.Engine.JITCompileQueueDepth))
-	p.counter("advm_jit_compiles_dropped_total", "Compiles abandoned: requesting VM gone, queue full or engine closed.", float64(st.Engine.JITCompilesDropped))
+	p.gauge("advm_jit_templates", "Fragment shapes whose trace code is resident in the template cache.", float64(st.Engine.JITTemplates))
+	p.counter("advm_jit_template_hits_total", "Trace fragments served from a cached template.", float64(st.Engine.JITTemplateHits))
+	p.counter("advm_jit_template_misses_total", "Templates generated, inline at the hot check that needed them.", float64(st.Engine.JITTemplateMisses))
+	p.counter("advm_jit_template_build_seconds_total", "Time spent generating templates.", float64(st.Engine.JITBuildNanos)/1e9)
+	p.counter("advm_jit_bind_seconds_total", "Time spent binding fragments to templates.", float64(st.Engine.JITBindNanos)/1e9)
 
 	p.gauge("advm_server_inflight", "Queries currently executing.", float64(st.Admission.Running))
 	p.gauge("advm_server_queue_depth", "Requests currently queued for admission.", float64(st.Admission.Queued))

@@ -242,11 +242,11 @@ func TestMetricsExposition(t *testing.T) {
 		"advm_admission_wait_seconds":    "histogram",
 		"advm_operator_self_seconds":     "histogram",
 
-		"advm_jit_templates":              "gauge",
-		"advm_jit_template_hits_total":    "counter",
-		"advm_jit_template_misses_total":  "counter",
-		"advm_jit_compile_queue_depth":    "gauge",
-		"advm_jit_compiles_dropped_total": "counter",
+		"advm_jit_templates":                    "gauge",
+		"advm_jit_template_hits_total":          "counter",
+		"advm_jit_template_misses_total":        "counter",
+		"advm_jit_template_build_seconds_total": "counter",
+		"advm_jit_bind_seconds_total":           "counter",
 	}
 	for name, typ := range wantTypes {
 		if types[name] != typ {

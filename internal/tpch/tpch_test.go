@@ -6,7 +6,6 @@ import (
 
 	"repro/advm"
 	"repro/internal/engine"
-	"repro/internal/jit"
 	"repro/internal/vector"
 )
 
@@ -54,8 +53,7 @@ func TestQ1StrategiesAgree(t *testing.T) {
 	}
 
 	adaptive, err := Q1Engine(t.Context(), st, Q1Cutoff, Q1Options{
-		JIT:    true,
-		JITOpt: jit.Options{CompileLatency: jit.NoCompileLatency},
+		JIT: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +99,7 @@ func TestQ6StrategiesAgree(t *testing.T) {
 	if rel < -1e-9 || rel > 1e-9 {
 		t.Fatalf("Q6 engine = %v, hyper = %v", got, want)
 	}
-	gotJIT, err := Q6Engine(t.Context(), st, p, Q1Options{JIT: true, JITOpt: jit.Options{CompileLatency: jit.NoCompileLatency}})
+	gotJIT, err := Q6Engine(t.Context(), st, p, Q1Options{JIT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +205,7 @@ func TestGenCustomerJoinable(t *testing.T) {
 func collectQ3(t *testing.T, workers int, li, ord, cust *vector.DSMStore, p Q3Params) Q3Result {
 	t.Helper()
 	sess, err := advm.NewSession(
-		advm.WithParallelism(workers),
-		advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.NoCompileLatency}))
+		advm.WithParallelism(workers))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,12 @@
 // fragments into fused traces, injects them into the interpreter, and keeps
 // interpreting the partially optimized program.
 //
-// Code generation never runs on the goroutine that executes the program: a
-// hot segment is partitioned in place (microseconds) and its fragments are
-// handed to a jit.Service, which answers from its template cache or
-// generates the missing templates on background workers while the VM keeps
-// interpreting. Finished traces are swapped into the segment's plan
-// atomically and take effect at the next segment boundary.
+// Code generation runs inline, at the hot check that finds a segment hot:
+// the segment is partitioned in place and its fragments' traces come from a
+// jit.Cache, which binds cached templates and generates missing ones on the
+// spot — microseconds either way. The traces are swapped into the segment's
+// plan atomically and take effect at the next segment boundary, inside the
+// run that made the segment hot.
 //
 // The VM is micro-adaptive in the sense of [24] generalized by the paper:
 // after injecting a trace it keeps comparing the trace's measured cost
@@ -22,7 +22,6 @@ package vm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -70,22 +69,14 @@ type Config struct {
 	// HotNanos is the cumulative time after which a segment is considered
 	// hot regardless of call count.
 	HotNanos int64
-	// OptimizeInterval is how often a running program re-examines its
-	// profile (every run also ends with one examination).
-	OptimizeInterval time.Duration
 	// JIT configures trace compilation (tile size, compile-latency model).
 	JIT jit.Options
-	// Compiler is the compile service the VM requests traces from: the
+	// Templates is the template cache the VM takes its traces from: the
 	// owning engine's, so templates are shared with every other VM. Nil
-	// gives the VM a private service, released by Close.
-	Compiler *jit.Service
+	// gives the VM a private cache.
+	Templates *jit.Cache
 	// Constraints configure the dependency-graph partitioner.
 	Constraints depgraph.Constraints
-	// Sync makes optimization synchronous: the VM examines hot segments
-	// only between program runs and waits for their traces — generated
-	// through the same service and template cache — before returning.
-	// For deterministic tests; production VMs never wait for codegen.
-	Sync bool
 	// MicroAdaptive keeps comparing injected traces against the
 	// interpreter's historical cost and reverts losing traces.
 	MicroAdaptive bool
@@ -98,19 +89,17 @@ type Config struct {
 // DefaultConfig returns a production-shaped configuration.
 func DefaultConfig() Config {
 	return Config{
-		HotCalls:         8,
-		HotNanos:         int64(200 * time.Microsecond),
-		OptimizeInterval: time.Millisecond,
-		Constraints:      depgraph.DefaultConstraints(),
-		MicroAdaptive:    true,
-		RevertFactor:     1.1,
+		HotCalls:      8,
+		HotNanos:      int64(200 * time.Microsecond),
+		Constraints:   depgraph.DefaultConstraints(),
+		MicroAdaptive: true,
+		RevertFactor:  1.1,
 	}
 }
 
 // segState tracks per-segment optimization status.
 type segState struct {
 	compiled bool
-	pending  bool // traces requested from the compile service, not yet back
 	reverted bool // compilation tried and lost; do not recompile
 	settled  bool // compiled and measured long enough to thin profiling out
 	traces   []*jit.Trace
@@ -133,8 +122,6 @@ type VM struct {
 	transitions  []Transition
 	segs         []segState
 	guards       map[int]func(*interp.Env) bool // segment → situation guard
-	ownsCompiler bool
-	closed       atomic.Bool
 	optimizing   atomic.Bool
 	pollCount    atomic.Int64
 	lastOptimize atomic.Int64 // time of the last optimizer pass, ns since start
@@ -148,9 +135,6 @@ func New(prog *nir.Program, cfg Config) *VM {
 	if cfg.RevertFactor == 0 {
 		cfg.RevertFactor = 1.1
 	}
-	if cfg.OptimizeInterval == 0 {
-		cfg.OptimizeInterval = time.Millisecond
-	}
 	it := interp.New(prog)
 	it.Profiling = true
 	vm := &VM{
@@ -161,28 +145,12 @@ func New(prog *nir.Program, cfg Config) *VM {
 		segs:   make([]segState, len(it.Segments)),
 		guards: map[int]func(*interp.Env) bool{},
 	}
-	if vm.cfg.Compiler == nil {
-		vm.cfg.Compiler = jit.NewService()
-		vm.ownsCompiler = true
+	if vm.cfg.Templates == nil {
+		vm.cfg.Templates = jit.NewCache()
 	}
 	vm.state.Store(int32(StateInterpret))
 	return vm
 }
-
-// Close tells the VM it will not be run again: compiles still queued on its
-// behalf are dropped instead of generated, traces that arrive late are
-// discarded, and a private compile service is released. Running a closed VM
-// still works; it just stops optimizing. Close is idempotent.
-func (vm *VM) Close() {
-	if vm.closed.Swap(true) {
-		return
-	}
-	if vm.ownsCompiler {
-		vm.cfg.Compiler.Close()
-	}
-}
-
-func (vm *VM) alive() bool { return !vm.closed.Load() }
 
 // NewEnv binds external arrays for a program execution.
 func (vm *VM) NewEnv(ext map[string]*vector.Vector) (*interp.Env, error) {
@@ -227,20 +195,16 @@ func (vm *VM) Run(env *interp.Env) error {
 // aborts within one chunk of the cancellation and the returned error wraps
 // ctx.Err().
 //
-// The Optimize→GenerateCode→InjectFunctions cycle accompanies the run
-// without ever stalling it: the interpreter examines the profile at segment
-// boundaries (at most once per OptimizeInterval) and once more when the run
-// ends, hot segments are handed to the compile service, and the run goes on
-// interpreting until their traces are swapped in — by the service's worker,
-// or right away when the templates were cached. With Sync the examination
-// happens only after the run and waits for the traces.
+// The Optimize→GenerateCode→InjectFunctions cycle accompanies the run: the
+// interpreter examines the profile at segment boundaries (at most once per
+// optimizeInterval) and once more when the run ends, and each hot segment
+// gets its traces right there, from the template cache, before the run
+// goes on.
 func (vm *VM) RunContext(ctx context.Context, env *interp.Env) error {
-	if !vm.cfg.Sync {
-		env.SetPoll(vm.poll)
-		// Deferred so a panic out of the interpreter (propagated to an
-		// embedder that recovers) leaves a reusable environment behind.
-		defer env.SetPoll(nil)
-	}
+	env.SetPoll(vm.poll)
+	// Deferred so a panic out of the interpreter (propagated to an embedder
+	// that recovers) leaves a reusable environment behind.
+	defer env.SetPoll(nil)
 	err := vm.Interp.RunContext(ctx, env)
 	if err == nil {
 		// A failed or cancelled run gets no epilogue: its profile describes
@@ -251,27 +215,30 @@ func (vm *VM) RunContext(ctx context.Context, env *interp.Env) error {
 }
 
 // poll runs at segment boundaries of a run and examines the profile when
-// none of the VM's runs has for an OptimizeInterval. It runs on the
+// none of the VM's runs has for an optimizeInterval. It runs on the
 // interpreting goroutine, so adaptivity does not depend on a background
-// goroutine winning the scheduler (GOMAXPROCS=1); what it starts is only
-// ever a request to the compile service.
+// goroutine winning the scheduler (GOMAXPROCS=1).
 func (vm *VM) poll() {
 	if vm.pollCount.Add(1)%pollStride != 0 {
 		return
 	}
 	last := time.Duration(vm.lastOptimize.Load())
-	if time.Since(vm.start)-last < vm.cfg.OptimizeInterval {
+	if time.Since(vm.start)-last < optimizeInterval {
 		return
 	}
 	vm.MaybeOptimize()
 }
 
 // pollStride amortizes the time.Since call in poll across segment
-// executions.
-const pollStride = 16
+// executions, and optimizeInterval bounds how often a running program
+// re-examines its profile (every run also ends with one examination).
+const (
+	pollStride       = 16
+	optimizeInterval = time.Millisecond
+)
 
-// MaybeOptimize examines the profile, requests traces for hot segments that
-// are not yet compiled, and reverts regressing traces. It is safe to call
+// MaybeOptimize examines the profile, compiles hot segments that are not yet
+// compiled, and reverts regressing traces. It is safe to call
 // concurrently with Run and with itself (concurrent callers coalesce into
 // one pass).
 func (vm *VM) MaybeOptimize() {
@@ -310,7 +277,7 @@ func (vm *VM) maybeOptimizeSegment(segID int) {
 	vm.mu.Lock()
 	st := vm.segs[segID]
 	vm.mu.Unlock()
-	if st.compiled || st.pending || st.reverted {
+	if st.compiled || st.reverted {
 		return
 	}
 	calls, nanos, _ := vm.segmentStats(segID, nil)
@@ -333,57 +300,40 @@ func (vm *VM) maybeOptimizeSegment(segID int) {
 		return
 	}
 
-	// GenerateCode: ask the compile service for one trace per fragment.
+	// GenerateCode: one trace per fragment, from the template cache.
 	vm.transition(StateGenerateCode, segID, fmt.Sprintf("%d fragments", len(frags)))
-	req := jit.Request{Prog: vm.Prog, Graph: g, Opt: vm.cfg.JIT, Alive: vm.alive}
+	scheduled := make([]*depgraph.Fragment, 0, len(frags)) // the order inject expects
 	for _, u := range units {
 		if u.Fragment != nil {
-			req.Frags = append(req.Frags, u.Fragment)
+			scheduled = append(scheduled, u.Fragment)
 		}
 	}
+	opt := vm.cfg.JIT
 	vm.mu.Lock()
 	if gd, ok := vm.guards[segID]; ok {
-		req.Opt.Guard = gd
+		opt.Guard = gd
 	}
-	vm.segs[segID].pending = true
 	vm.mu.Unlock()
-
-	if vm.cfg.Sync {
-		traces, err := vm.cfg.Compiler.CompileNow(req)
-		vm.compiled(segID, units, traces, err)
+	traces, err := vm.cfg.Templates.Traces(vm.Prog, g, scheduled, opt)
+	if err != nil {
+		vm.giveUp(segID, "compile failed: "+err.Error())
 		return
 	}
-	req.Done = func(traces []*jit.Trace, err error) { vm.compiled(segID, units, traces, err) }
-	if traces, pending, err := vm.cfg.Compiler.Submit(req); !pending {
-		vm.compiled(segID, units, traces, err)
-	}
+	vm.inject(segID, units, traces)
 }
 
 // giveUp leaves the segment interpreted for good (until Recompile).
 func (vm *VM) giveUp(segID int, why string) {
 	vm.transition(StateInterpret, segID, why)
 	vm.mu.Lock()
-	vm.segs[segID].pending = false
 	vm.segs[segID].reverted = true
 	vm.mu.Unlock()
 	vm.Interp.SetProfileSampling(segID, settledSampleEvery)
 }
 
-// compiled receives the compile service's answer for a segment — on the
-// requesting goroutine when the templates were cached, on a service worker
-// otherwise — and injects the traces.
-func (vm *VM) compiled(segID int, units []depgraph.Unit, traces []*jit.Trace, err error) {
-	if !vm.alive() {
-		return
-	}
-	if err != nil {
-		why := "compile failed: "
-		if errors.Is(err, jit.ErrDropped) {
-			why = "compile dropped: "
-		}
-		vm.giveUp(segID, why+err.Error())
-		return
-	}
+// inject installs a segment's traces, one per fragment unit in schedule
+// order, beside the units left interpreted.
+func (vm *VM) inject(segID int, units []depgraph.Unit, traces []*jit.Trace) {
 	seg := vm.Interp.Segments[segID]
 	steps := make([]interp.Step, 0, len(units))
 	members := map[int]bool{}
@@ -417,7 +367,7 @@ func (vm *VM) compiled(segID int, units []depgraph.Unit, traces []*jit.Trace, er
 	}
 	vm.mu.Lock()
 	st := &vm.segs[segID]
-	st.compiled, st.pending, st.settled = true, false, false
+	st.compiled, st.settled = true, false
 	st.traces = traces
 	st.interpNanos = 0
 	if calls > 0 {

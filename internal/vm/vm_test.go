@@ -65,10 +65,8 @@ func wantOut(ext map[string]*vector.Vector) []int64 {
 func TestFigure1StateMachine(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
-	cfg.Sync = true
 	cfg.HotCalls = 2
 	cfg.HotNanos = 1 << 62
-	cfg.JIT.CompileLatency = jit.NoCompileLatency
 	// This test observes the compile cycle; micro-adaptive revert under a
 	// loaded machine could legitimately deoptimize the trace between runs
 	// and empty CompiledSegments (revert has its own test).
@@ -80,7 +78,7 @@ func TestFigure1StateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First run interprets and (in the Sync epilogue) compiles.
+	// First run interprets and compiles at a hot check.
 	if err := v.Run(env); err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +94,9 @@ func TestFigure1StateMachine(t *testing.T) {
 	wantCycle := []State{StateOptimize, StateGenerateCode, StateInjectFunctions, StateInterpret}
 	if !containsSubsequence(seq, wantCycle) {
 		t.Fatalf("transition log misses the Figure-1 cycle: %v", v.Transitions())
+	}
+	if v.State() != StateInterpret {
+		t.Fatalf("state %v after the cycle, want %v", v.State(), StateInterpret)
 	}
 
 	// Second run executes through the injected traces and must agree.
@@ -140,17 +141,15 @@ func containsSubsequence(seq, sub []State) bool {
 	return j == len(sub)
 }
 
-// TestCompileServiceInjectsMidRun uses the default asynchronous mode on a
-// long-running loop: the compile service's worker must generate and inject
-// the traces while Run is still executing.
+// TestCompileServiceInjectsMidRun: on a long-running loop the hot check at a
+// segment boundary compiles the loop body, and the traces run for the rest
+// of the same execution.
 func TestCompileServiceInjectsMidRun(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
 	cfg.HotCalls = 2
-	cfg.OptimizeInterval = 200 * time.Microsecond
-	cfg.JIT.CompileLatency = jit.NoCompileLatency
 	// As in TestFigure1StateMachine: on a loaded machine micro-adaptive revert
-	// can deoptimize the delivered traces before Run returns and empty
+	// can deoptimize the injected traces before Run returns and empty
 	// CompiledSegments (revert has its own test).
 	cfg.MicroAdaptive = false
 	v := New(np, cfg)
@@ -164,7 +163,7 @@ func TestCompileServiceInjectsMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(v.CompiledSegments()) == 0 {
-		t.Fatal("compile service never delivered the hot loop's traces")
+		t.Fatal("the hot loop was never compiled")
 	}
 	trExecuted := int64(0)
 	for _, segID := range v.CompiledSegments() {
@@ -191,12 +190,12 @@ func TestMicroAdaptiveRevert(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	// Exercise the revert decision logic directly.
 	cfg2 := DefaultConfig()
-	cfg2.Sync = true
 	cfg2.HotCalls = 2
 	cfg2.HotNanos = 1 << 62
-	cfg2.JIT.CompileLatency = jit.NoCompileLatency
 	v2 := New(np, cfg2)
-	ext := mkData(1 << 16)
+	// Short runs where a run must end compiled: its traces get too few calls
+	// to be judged before it ends, wherever in the run they were injected.
+	ext := mkData(shortRun)
 	env, _ := v2.NewEnv(ext)
 	if err := v2.Run(env); err != nil {
 		t.Fatal(err)
@@ -232,7 +231,7 @@ func TestMicroAdaptiveRevert(t *testing.T) {
 	}
 	// ...until Recompile clears the block.
 	v2.Recompile()
-	env4, _ := v2.NewEnv(mkData(1 << 16))
+	env4, _ := v2.NewEnv(mkData(shortRun))
 	if err := v2.Run(env4); err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +239,9 @@ func TestMicroAdaptiveRevert(t *testing.T) {
 		t.Fatal("Recompile did not re-enable optimization")
 	}
 }
+
+// shortRun is an input of fewer chunks than judgeCalls.
+const shortRun = 4 * vector.DefaultChunkLen
 
 func containsInt(xs []int, x int) bool {
 	for _, v := range xs {
@@ -256,10 +258,8 @@ func containsInt(xs []int, x int) bool {
 func TestGuardedTraceFallsBackOnSituationChange(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
-	cfg.Sync = true
 	cfg.HotCalls = 2
 	cfg.HotNanos = 1 << 62
-	cfg.JIT.CompileLatency = jit.NoCompileLatency
 	v := New(np, cfg)
 
 	situationOK := true
@@ -267,8 +267,7 @@ func TestGuardedTraceFallsBackOnSituationChange(t *testing.T) {
 		v.SetGuard(segID, func(*interp.Env) bool { return situationOK })
 	}
 
-	ext := mkData(1 << 15)
-	env, _ := v.NewEnv(ext)
+	env, _ := v.NewEnv(mkData(shortRun))
 	if err := v.Run(env); err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +335,10 @@ loop {
 `
 	np := normalizeSrc(t, src, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
-	cfg.Sync = true
 	cfg.HotCalls = 2
 	cfg.HotNanos = 1 << 62
-	cfg.JIT.CompileLatency = jit.NoCompileLatency
 	cfg.JIT.TileSize = 1
 	v := New(np, cfg)
-	defer v.Close()
 
 	filterID, segID := -1, -1
 	for _, seg := range v.Interp.Segments {
@@ -357,8 +353,8 @@ loop {
 	}
 	v.Interp.Prof.Record(filterID, 0, int64(time.Hour))
 
-	run := func() []int64 {
-		ext := mkData(1 << 15)
+	run := func(n int) []int64 {
+		ext := mkData(n)
 		env, err := v.NewEnv(ext)
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +364,7 @@ loop {
 		}
 		return ext["out"].I64()
 	}
-	run() // interprets, then compiles in the Sync epilogue
+	run(shortRun) // interprets and compiles, too short to judge the traces
 	if !containsInt(v.CompiledSegments(), segID) {
 		t.Fatalf("segment %d with the map chain was not compiled; transitions: %v", segID, v.Transitions())
 	}
@@ -381,7 +377,7 @@ loop {
 	}
 	var got []int64
 	for i := 0; i < 3; i++ {
-		got = run()
+		got = run(1 << 15)
 	}
 	if containsInt(v.CompiledSegments(), segID) {
 		t.Fatalf("a trace an order of magnitude slower than the interpreter survived beside an expensive uncompiled instruction; transitions: %v", v.Transitions())
@@ -402,84 +398,19 @@ loop {
 	}
 }
 
-// TestRunNeverWaitsForCodegen: with a 200 ms compile latency a cold run of a
-// loop that turns hot within its first chunks still returns in a fraction of
-// that — the request goes to the compile service and the run keeps
-// interpreting — and once the worker has delivered, a later run executes
-// through the injected trace.
-func TestRunNeverWaitsForCodegen(t *testing.T) {
-	const latency = 200 * time.Millisecond
-	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
-	cfg := DefaultConfig()
-	cfg.HotCalls = 2
-	cfg.JIT.CompileLatency = func(int) time.Duration { return latency }
-	v := New(np, cfg)
-	defer v.Close()
-
-	run := func() time.Duration {
-		ext := mkData(1 << 16)
-		env, err := v.NewEnv(ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if err := v.Run(env); err != nil {
-			t.Fatal(err)
-		}
-		d := time.Since(start)
-		want := wantOut(ext)
-		for i, got := range ext["out"].I64() {
-			if got != want[i] {
-				t.Fatalf("out[%d] = %d, want %d", i, got, want[i])
-			}
-		}
-		return d
-	}
-	if d := run(); d > latency/2 {
-		t.Fatalf("cold run took %v with a %v compile latency: it waited for code generation", d, latency)
-	}
-	requested := false
-	for _, tr := range v.Transitions() {
-		requested = requested || tr.To == StateGenerateCode
-	}
-	if !requested {
-		t.Fatalf("the cold run never asked for code; transitions: %v", v.Transitions())
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(v.CompiledSegments()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if len(v.CompiledSegments()) == 0 {
-		t.Fatalf("the compile service never delivered; transitions: %v", v.Transitions())
-	}
-	run()
-	var calls int64
-	for _, segID := range v.CompiledSegments() {
-		for _, tr := range v.Traces(segID) {
-			calls += tr.Calls()
-		}
-	}
-	if calls == 0 && len(v.CompiledSegments()) > 0 {
-		t.Fatal("the later run did not execute the injected trace")
-	}
-}
-
-// TestSyncCompilesThroughSharedTemplates: two Sync VMs for programs of one
-// shape on one compile service. The second finds the first's template: same
-// path, same cache, no second code generation.
+// TestSyncCompilesThroughSharedTemplates: two VMs for programs of one shape
+// on one template cache. The second finds the first's template: no second
+// code generation.
 func TestSyncCompilesThroughSharedTemplates(t *testing.T) {
-	svc := jit.NewService()
-	defer svc.Close()
+	templates := jit.NewCache()
 	kinds := map[string]vector.Kind{"data": vector.I64, "out": vector.I64}
 	for i, c := range []string{"7", "9"} {
 		np := normalizeSrc(t, strings.ReplaceAll(bigLoopSrc, "7", c), kinds)
 		cfg := DefaultConfig()
-		cfg.Sync = true
 		cfg.HotCalls = 2
 		cfg.HotNanos = 1 << 62
 		cfg.MicroAdaptive = false
-		cfg.JIT.CompileLatency = jit.NoCompileLatency
-		cfg.Compiler = svc
+		cfg.Templates = templates
 		v := New(np, cfg)
 		env, err := v.NewEnv(mkData(1 << 14))
 		if err != nil {
@@ -495,10 +426,9 @@ func TestSyncCompilesThroughSharedTemplates(t *testing.T) {
 		if i == 0 && hits != 0 || i == 1 && misses != 0 {
 			t.Fatalf("VM %d: %d template hits, %d misses; the first VM must generate, the second must reuse", i, hits, misses)
 		}
-		v.Close() // a shared service stays open
 	}
-	if st := svc.Stats(); st.Misses == 0 || st.Hits != st.Misses {
-		t.Fatalf("service stats %+v, want every shape generated once and hit once", st)
+	if st := templates.Stats(); st.Misses == 0 || st.Hits != st.Misses {
+		t.Fatalf("cache stats %+v, want every shape generated once and hit once", st)
 	}
 }
 
@@ -508,13 +438,10 @@ func TestSyncCompilesThroughSharedTemplates(t *testing.T) {
 func TestSettledSegmentThinsProfiling(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
-	cfg.Sync = true
 	cfg.HotCalls = 2
 	cfg.HotNanos = 1 << 62
 	cfg.RevertFactor = 1e9 // judge, never revert
-	cfg.JIT.CompileLatency = jit.NoCompileLatency
 	v := New(np, cfg)
-	defer v.Close()
 	const chunks = 1 << 7
 	for i := 0; i < 4; i++ {
 		env, err := v.NewEnv(mkData(chunks * vector.DefaultChunkLen))
@@ -543,8 +470,8 @@ func TestSettledSegmentThinsProfiling(t *testing.T) {
 	if !settled {
 		t.Fatalf("segment %d was not settled after %d trace calls", loop, tr.Calls())
 	}
-	// Three traced runs: the first is timed in full until the judgement, the
-	// others on one chunk in settledSampleEvery.
+	// The trace is timed in full until the judgement, then on one chunk in
+	// settledSampleEvery.
 	if timed, calls := tr.TimedCalls(), tr.Calls(); timed > calls/2 {
 		t.Fatalf("%d of %d trace executions were timed; profiling was not thinned out", timed, calls)
 	}

@@ -1,13 +1,16 @@
 package repro
 
 // Tests of the paper's qualitative claims, asserted on quantities the engine
-// counts rather than on timings, so they hold on any host. Each uses the
-// data of the matching BenchmarkExp* in bench_test.go, which prices the same
-// claim under `go test -bench`.
+// counts rather than on timings, so they hold on any host — except where
+// the claim is about time (E2), which is asserted as a wide ratio and
+// skipped under -short and -race. Each uses the data of the matching
+// BenchmarkExp* in bench_test.go, which prices the same claim under
+// `go test -bench`.
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/engine"
@@ -26,6 +29,44 @@ func sameStore(a, b *vector.DSMStore) bool {
 		}
 	}
 	return true
+}
+
+// TestPaperE2ShortVsLong: with code generation priced by the paper's latency
+// model, compiling is a loss for a short program — it is over before its
+// traces can win the latency back — and a win for a long one. Each side is
+// the fastest of three interleaved trials; the short program must lose by
+// at least 2×.
+func TestPaperE2ShortVsLong(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing claim: skipped under -short and -race")
+	}
+	best := map[bool]map[int]time.Duration{false: {}, true: {}}
+	for trial := 0; trial < 3; trial++ {
+		for _, rows := range []int{1 << 12, 1 << 20} {
+			for _, jit := range []bool{false, true} {
+				sess, ext := e2Session(t, rows, jit)
+				start := time.Now()
+				e2Run(t, sess, ext)
+				d := time.Since(start)
+				if jit && sess.Stats().InjectedTraces == 0 {
+					t.Fatalf("%d rows: the JIT injected no trace", rows)
+				}
+				if b, ok := best[jit][rows]; !ok || d < b {
+					best[jit][rows] = d
+				}
+			}
+		}
+	}
+	t.Logf("interpreter / JIT with compile cost: 4 096 rows %v / %v, 1M rows %v / %v",
+		best[false][1<<12], best[true][1<<12], best[false][1<<20], best[true][1<<20])
+	if short := 1 << 12; best[true][short] < 2*best[false][short] {
+		t.Errorf("%d rows: JIT with compile cost %v, interpreter %v; want the JIT at least 2× slower",
+			short, best[true][short], best[false][short])
+	}
+	if long := 1 << 20; best[true][long] >= best[false][long] {
+		t.Errorf("%d rows: JIT with compile cost %v, interpreter %v; want the JIT faster",
+			long, best[true][long], best[false][long])
+	}
 }
 
 // TestPaperE3Selectivity: adaptive compute evaluates selectively — over the
