@@ -356,7 +356,7 @@ func (p *Plan) build(b *builder) (engine.Operator, error) {
 			// still morsel-dispatched, so its leaf spans keep the trace's
 			// morsel accounting identical at every parallelism.
 			pa.SetTrace(b.spans[p], b.traceMorsels())
-			return b.traced(p, pa), nil
+			return b.tracedSelfTimed(p, pa), nil
 		}
 		child, err := p.child.build(b)
 		if err != nil {

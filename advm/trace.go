@@ -111,6 +111,19 @@ func (b *builder) traced(p *Plan, op engine.Operator) engine.Operator {
 	return &tracedOp{inner: op, sp: sp}
 }
 
+// tracedSelfTimed is traced for an operator that charges the span its own
+// busy time, summed over its workers (engine.ParallelAgg): the wrapper
+// times Open and counts loops and rows, leaves the busy time of Next to the
+// operator, and reports the time its caller waits as call time, which the
+// span above subtracts for its own self time.
+func (b *builder) tracedSelfTimed(p *Plan, op engine.Operator) engine.Operator {
+	sp := b.spans[p]
+	if sp == nil {
+		return op
+	}
+	return &tracedOp{inner: op, sp: sp, selfTimed: true}
+}
+
 // tracedLeaf attaches the scan node's span to the scan leaf of a worker
 // pipeline. The engine builds those leaves itself, so they never pass
 // through traced; the leaf stays an *engine.PartScan, which a fused loop
@@ -136,8 +149,9 @@ func (b *builder) traceEvent(name string) {
 // instantiate one tracedOp per worker over a shared span; the counters are
 // atomics, so the sharing is contention-light and race-free.
 type tracedOp struct {
-	inner engine.Operator
-	sp    *qtrace.Span
+	inner     engine.Operator
+	sp        *qtrace.Span
+	selfTimed bool // inner charges sp the busy time of its Next itself
 }
 
 func (t *tracedOp) Schema() []engine.ColInfo { return t.inner.Schema() }
@@ -145,14 +159,22 @@ func (t *tracedOp) Schema() []engine.ColInfo { return t.inner.Schema() }
 func (t *tracedOp) Open(ctx context.Context) error {
 	start := time.Now()
 	err := t.inner.Open(ctx)
-	t.sp.AddTime(time.Since(start))
+	d := time.Since(start)
+	t.sp.AddTime(d)
+	if t.selfTimed {
+		t.sp.AddCallTime(d)
+	}
 	return err
 }
 
 func (t *tracedOp) Next(ctx context.Context) (*vector.Chunk, error) {
 	start := time.Now()
 	c, err := t.inner.Next(ctx)
-	t.sp.AddTime(time.Since(start))
+	if t.selfTimed {
+		t.sp.AddCallTime(time.Since(start))
+	} else {
+		t.sp.AddTime(time.Since(start))
+	}
 	t.sp.AddLoop()
 	if c != nil {
 		t.sp.AddRows(int64(c.SelectedLen()))

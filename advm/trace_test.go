@@ -262,6 +262,85 @@ func TestTraceScanSpansCountRows(t *testing.T) {
 	}
 }
 
+// TestParallelAggChargesWorkerTime: a traced parallel aggregate over a
+// fused segment — q1's filter and computes, q3's join probes — charges its
+// span the time of every morsel on every worker plus merge and emit, so it
+// is never shorter than the fused loop below it summed over workers: its
+// self time is the fold's, not a wall time minus worker time clamped at
+// zero. q3's serial top-k above it still has a self time of its own: it
+// subtracts the time it waited for the aggregate, not the workers' time.
+func TestParallelAggChargesWorkerTime(t *testing.T) {
+	const sf = 0.005
+	li := tpch.GenLineitem(sf, 42)
+	ord := tpch.GenOrders(sf, 42)
+	cust := tpch.GenCustomer(sf, 42)
+	plans := map[string]func() *advm.Plan{
+		"q1": func() *advm.Plan { return tpch.PlanQ1(li) },
+		"q3": func() *advm.Plan { return tpch.PlanQ3(li, ord, cust, tpch.DefaultQ3Params()) },
+	}
+	// find returns the first span named name, depth first.
+	var find func(s *qtrace.SpanJSON, name string) *qtrace.SpanJSON
+	find = func(s *qtrace.SpanJSON, name string) *qtrace.SpanJSON {
+		if s.Name == name {
+			return s
+		}
+		for _, c := range s.Children {
+			if f := find(c, name); f != nil {
+				return f
+			}
+		}
+		return nil
+	}
+	// timedBelow is qtrace's self-time rule: the nearest op descendants
+	// that report busy time.
+	var timedBelow func(s *qtrace.SpanJSON) int64
+	timedBelow = func(s *qtrace.SpanJSON) int64 {
+		var ns int64
+		for _, c := range s.Children {
+			if c.Kind != "op" {
+				continue
+			}
+			if c.BusyNs > 0 {
+				ns += c.BusyNs
+			} else {
+				ns += timedBelow(c)
+			}
+		}
+		return ns
+	}
+	for name, plan := range plans {
+		sess, err := advm.NewSession(advm.WithParallelism(2), advm.WithTierThresholds(1, 1), advm.WithMorselLen(2048))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		for run := range 4 {
+			rows, err := sess.QueryTraced(t.Context(), plan(), advm.TraceMorsels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rows.Count(); err != nil {
+				t.Fatal(err)
+			}
+			if tier := rows.Tier(); tier != "hot" {
+				t.Fatalf("%s run %d ran at tier %q, want hot", name, run, tier)
+			}
+			agg := find(rows.Trace().Tree(), "aggregate")
+			if agg == nil || agg.Loops == 0 || agg.Rows == 0 {
+				t.Fatalf("%s run %d: no looped aggregate span with rows", name, run)
+			}
+			below := timedBelow(agg)
+			if below == 0 || agg.BusyNs < below || agg.SelfNs != agg.BusyNs-below {
+				t.Fatalf("%s run %d: aggregate busy=%dns self=%dns over children busy=%dns; want busy ≥ children > 0 and self = busy − children",
+					name, run, agg.BusyNs, agg.SelfNs, below)
+			}
+			if topk := find(rows.Trace().Tree(), "topk"); topk != nil && (topk.SelfNs <= 0 || topk.SelfNs >= topk.BusyNs) {
+				t.Fatalf("%s run %d: topk busy=%dns self=%dns; want 0 < self < busy", name, run, topk.BusyNs, topk.SelfNs)
+			}
+		}
+	}
+}
+
 // TestTraceResultsUnchanged: tracing must be observation only — the traced
 // run returns bit-identical rows to the untraced one.
 func TestTraceResultsUnchanged(t *testing.T) {

@@ -227,9 +227,10 @@ func keysEqual(kinds []vector.Kind, a *keyCols, ra int, b *keyCols, rb int) bool
 //
 // It is the building block shared by the serial HashAgg (one global table)
 // and the morsel-parallel aggregation (one table per morsel). absorb folds a
-// chunk in two passes — keys to a group-id vector, then one typed loop per
-// accumulator — and merge folds another table the same way, its key and
-// accumulator columns standing in for the chunk's.
+// chunk in two steps — keys to a group-id vector, then fold, whose sums run
+// row-major in blocks of up to four accumulators per pass over the rows —
+// and merge folds another table the same way, its key and accumulator
+// columns standing in for the chunk's.
 type aggTable struct {
 	spec  *aggSpec
 	n     int // group count
@@ -248,6 +249,10 @@ type aggTable struct {
 	gids  []int32          // group id per input row
 	fresh []int32          // input row of each group the current call created
 	in    []*vector.Vector // input column per aggregate
+	// fold's block lists and the ones the row count adds (see fold).
+	ints []sumCol[int64]
+	flts []sumCol[float64]
+	ones []int64
 }
 
 // aggTablePool recycles aggTables — key index, key and accumulator columns
@@ -617,22 +622,30 @@ func extend[T any](s []T, n int) []T {
 	return s
 }
 
-// fold runs one typed loop per accumulator over the rows group mapped to
-// t.gids: vals[ai] is aggregate ai's input column, read at rows sel[i] (or
-// i), and counts holds each row's row count (nil: one each). An aggregate
-// that shares another's accumulator is skipped. Groups group just created
-// are first seeded: sums and counts with zero, min, max and first with the
-// value of the row that created them.
+// fold folds the rows group mapped to t.gids into the accumulators: vals[ai]
+// is aggregate ai's input column, read at rows sel[i] (or i), and counts
+// holds each row's row count (nil: one each). An aggregate that shares
+// another's accumulator is skipped. Groups group just created are first
+// seeded: sums and counts with zero, min, max and first with the value of
+// the row that created them.
+//
+// The sum family runs row-major. The row count and every i64 sum or avg
+// over an i64 column go into one block list, every f64 sum or avg over an
+// f64 column into another, and each list runs as blocks of up to
+// sumBlockWidth accumulators: one pass over the rows per block, each row
+// adding into every accumulator of the block. Column at a time, each
+// accumulator would be its own pass, and while a run of rows falls into one
+// group every add waits for the store of the add before it to the same
+// slot; a row that updates several accumulators makes that many independent
+// chains progress at once. The bytes cannot change: each accumulator still
+// adds its group's rows one by one in row order, only the loops that do it
+// are merged. Min, max, first and sums over narrow integer columns keep one
+// loop per accumulator (foldRows).
 func (t *aggTable) fold(vals []*vector.Vector, counts []int64, sel vector.Sel) {
 	gids := t.gids
 	t.count = extend(t.count, t.n)
-	if counts == nil {
-		for _, g := range gids {
-			t.count[g]++
-		}
-	} else {
-		foldRows(AggSum, t.count, len(t.count), gids, counts, sel, nil)
-	}
+	ints := append(t.ints[:0], sumCol[int64]{acc: t.count, src: counts})
+	flts := t.flts[:0]
 	for ai, a := range t.spec.aggs {
 		acc, col := t.acc[ai], vals[ai]
 		if acc == nil || t.spec.accOf[ai] != ai {
@@ -640,11 +653,18 @@ func (t *aggTable) fold(vals []*vector.Vector, counts []int64, sel vector.Sel) {
 		}
 		old := acc.Len()
 		acc.SetLen(t.n)
+		sum := a.Func == AggSum || a.Func == AggAvg
 		switch {
 		case a.Func == AggFirst:
 			for j, r := range t.fresh {
 				acc.CopyFrom(old+j, col, int(r), 1)
 			}
+		case sum && acc.Kind() == vector.F64:
+			clear(acc.F64()[old:])
+			flts = append(flts, sumCol[float64]{acc: acc.F64(), src: col.F64()})
+		case sum && col.Kind() == vector.I64:
+			clear(acc.I64()[old:])
+			ints = append(ints, sumCol[int64]{acc: acc.I64(), src: col.I64()})
 		case acc.Kind() == vector.F64:
 			foldRows(a.Func, acc.F64(), old, gids, col.F64(), sel, t.fresh)
 		default:
@@ -660,11 +680,137 @@ func (t *aggTable) fold(vals []*vector.Vector, counts []int64, sel vector.Sel) {
 			}
 		}
 	}
+	switch {
+	case counts == nil && len(ints) == 1:
+		// A row count with no i64 sum beside it keeps its own loop.
+		cnt := t.count
+		for _, g := range gids {
+			cnt[g]++
+		}
+		ints = ints[:0]
+	case counts == nil:
+		// The row count adds 1 per row: it rides in the first int block as
+		// a column of ones, as long as the columns it is read beside.
+		t.ones = ones(t.ones, len(ints[1].src))
+		ints[0].src = t.ones
+	}
+	sumBlocks(ints, gids, sel)
+	sumBlocks(flts, gids, sel)
+	// Drop the columns the lists point at, so a pooled table pins no chunk.
+	t.ints, t.flts = ints[:0], flts[:0]
+	clear(ints)
+	clear(flts)
 }
 
-// foldRows is the per-aggregate primitive: it seeds the groups from old on
-// (zero for sums, src[fresh[j]] for min and max) and then folds src[sel[i]]
-// (or src[i]) into acc[gids[i]], in row order.
+// sumCol is one accumulator of a sum block and the column that feeds it.
+type sumCol[T int64 | float64] struct {
+	acc, src []T
+}
+
+// sumBlockWidth is the most accumulators one row-major pass updates.
+const sumBlockWidth = 4
+
+// ones returns s if it holds at least n ones, else n fresh ones.
+func ones(s []int64, n int) []int64 {
+	if len(s) >= n {
+		return s
+	}
+	s = make([]int64, n)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}
+
+// sumBlocks runs the list in blocks of sumBlockWidth accumulators and a
+// tail block of the rest.
+func sumBlocks[T int64 | float64](list []sumCol[T], gids []int32, sel vector.Sel) {
+	for len(list) > 0 {
+		n := min(len(list), sumBlockWidth)
+		sumBlock(list[:n], gids, sel)
+		list = list[n:]
+	}
+}
+
+// sumBlock adds src[sel[i]] (or src[i]) into acc[gids[i]] for the one to
+// four accumulators of b in one pass over the rows. Each width is written
+// out so every row's adds are independent instructions of one iteration.
+func sumBlock[T int64 | float64](b []sumCol[T], gids []int32, sel vector.Sel) {
+	n := len(gids)
+	switch len(b) {
+	case 1:
+		a0, s0 := b[0].acc, b[0].src
+		if sel == nil {
+			s0 = s0[:n]
+			for i, g := range gids {
+				a0[g] += s0[i]
+			}
+			return
+		}
+		for i, g := range gids {
+			a0[g] += s0[sel[i]]
+		}
+	case 2:
+		a0, a1 := b[0].acc, b[1].acc
+		s0, s1 := b[0].src, b[1].src
+		if sel == nil {
+			s0, s1 = s0[:n], s1[:n]
+			for i, g := range gids {
+				a0[g] += s0[i]
+				a1[g] += s1[i]
+			}
+			return
+		}
+		for i, g := range gids {
+			r := sel[i]
+			a0[g] += s0[r]
+			a1[g] += s1[r]
+		}
+	case 3:
+		a0, a1, a2 := b[0].acc, b[1].acc, b[2].acc
+		s0, s1, s2 := b[0].src, b[1].src, b[2].src
+		if sel == nil {
+			s0, s1, s2 = s0[:n], s1[:n], s2[:n]
+			for i, g := range gids {
+				a0[g] += s0[i]
+				a1[g] += s1[i]
+				a2[g] += s2[i]
+			}
+			return
+		}
+		for i, g := range gids {
+			r := sel[i]
+			a0[g] += s0[r]
+			a1[g] += s1[r]
+			a2[g] += s2[r]
+		}
+	case 4:
+		a0, a1, a2, a3 := b[0].acc, b[1].acc, b[2].acc, b[3].acc
+		s0, s1, s2, s3 := b[0].src, b[1].src, b[2].src, b[3].src
+		if sel == nil {
+			s0, s1, s2, s3 = s0[:n], s1[:n], s2[:n], s3[:n]
+			for i, g := range gids {
+				a0[g] += s0[i]
+				a1[g] += s1[i]
+				a2[g] += s2[i]
+				a3[g] += s3[i]
+			}
+			return
+		}
+		for i, g := range gids {
+			r := sel[i]
+			a0[g] += s0[r]
+			a1[g] += s1[r]
+			a2[g] += s2[r]
+			a3[g] += s3[r]
+		}
+	}
+}
+
+// foldRows is the one-accumulator primitive of min, max and sums over
+// narrow integer columns: it seeds the groups from old on (zero for sums,
+// src[fresh[j]] for min and max) and then folds src[sel[i]] (or src[i])
+// into acc[gids[i]], in row order.
 func foldRows[A int64 | float64, T int8 | int16 | int32 | int64 | float64](fn AggFunc, acc []A, old int, gids []int32, src []T, sel vector.Sel, fresh []int32) {
 	switch fn {
 	case AggMin:

@@ -33,8 +33,9 @@
 // keeps — before it pulls the next; an operator over a lent leaf may then
 // lend its own output (fused.Exec emits its scratch). Every consumer that
 // holds or buffers chunks must keep owned ones and therefore must not
-// lend: Exchange and its morsel drains, ParallelTopK, the parallel join
-// build, serial roots and the public Rows cursor.
+// lend: Exchange and its morsel drains, ParallelTopK, the serial TopK
+// (which holds a one-chunk child's output and selects in place), the
+// parallel join build, serial roots and the public Rows cursor.
 //
 // Determinism is structural, not scheduled: exchanges emit
 // chunks in morsel sequence order and parallel aggregation folds per-morsel

@@ -825,6 +825,13 @@ func (p *TableProbe) Close() error { return p.child.Close() }
 // not associative, so different morsel lengths may legitimately differ in
 // low-order float bits. A table no longer than one morsel degenerates to
 // the strict row-order fold.
+//
+// A traced ParallelAgg charges its own span (SetTrace) the time its work
+// takes on every worker: each morsel from its first pull to its last fold,
+// plus the merge and the emit. Its children report the pipeline's share of
+// the same morsels, so its self time is the fold, merge and emit, and it is
+// never shorter than its children summed over workers. Whoever wraps it
+// must not charge the wall time of Next as well.
 type ParallelAgg struct {
 	*workerPipes
 	spec   *aggSpec
@@ -900,6 +907,9 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	tables := make([]*aggTable, numMorsels)
 	hint := a.tableHint()
 	err := a.run(func(_, lo int, pipe Operator) (int64, error) {
+		if a.tsp != nil {
+			defer a.charge(time.Now())
+		}
 		// Fold chunk by chunk while draining, so a morsel's output (join
 		// fan-out included) never buffers and the pipeline's chunks may be
 		// lent (NewParallelAgg).
@@ -929,11 +939,17 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	// Merge the per-morsel tables in a sequence-ordered pairwise tree — each
 	// merge's right operand holds strictly later rows than its left — and
 	// emit in key order.
+	if a.tsp != nil {
+		defer a.charge(time.Now())
+	}
 	final := mergeAggTables(tables, a.workers, a.spec)
 	a.out = emitAggChunk(a.schema, final)
 	final.release()
 	return a.out, nil
 }
+
+// charge adds the time since start to the operator's span.
+func (a *ParallelAgg) charge(start time.Time) { a.tsp.AddTime(time.Since(start)) }
 
 // DistinctEstimator is implemented by stores whose metadata carries
 // per-column distinct-value estimates (the colstore's zone maps).

@@ -7,8 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/dsl"
+	"repro/internal/qtrace"
 	"repro/internal/vector"
 )
 
@@ -366,6 +368,48 @@ func TestParallelAggAllRowsFiltered(t *testing.T) {
 	}
 	if got := materialize(t, pa); len(got) != 0 {
 		t.Fatalf("parallel groups = %d, want 0", len(got))
+	}
+}
+
+// timedOp charges sp the time of every Next of the operator it wraps, as
+// a traced stage of a worker pipeline does, and sleeps d inside it.
+type timedOp struct {
+	Operator
+	sp *qtrace.Span
+	d  time.Duration
+}
+
+func (o *timedOp) Next(ctx context.Context) (*vector.Chunk, error) {
+	start := time.Now()
+	time.Sleep(o.d)
+	c, err := o.Operator.Next(ctx)
+	o.sp.AddTime(time.Since(start))
+	return c, err
+}
+
+// TestParallelAggChargesMorselTime: a traced ParallelAgg charges its span
+// every morsel's time on every worker, so it covers its children's time
+// summed over workers however the workers overlap, and its self time
+// (busy minus children) is what it spends outside them.
+func TestParallelAggChargesMorselTime(t *testing.T) {
+	st := genTable(t, 8*512, 46)
+	tr := qtrace.New(qtrace.LevelOps)
+	aggSp := tr.Root("query").Child(qtrace.KindOp, "aggregate")
+	childSp := aggSp.Child(qtrace.KindOp, "compute")
+	pa, err := NewParallelAgg(st, nil, 2, func(_ int, leaf Operator) (Operator, error) {
+		return &timedOp{Operator: leaf, sp: childSp, d: time.Millisecond}, nil
+	}, []string{"k"}, []Aggregate{{Func: AggSum, Col: "f", As: "s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa.SetMorselLen(512).SetTrace(aggSp, false)
+	if _, err := Collect(t.Context(), pa); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	// Every morsel pulls one chunk and the end of its window: 16 sleeps.
+	if child := childSp.BusyNs(); child < (16*time.Millisecond).Nanoseconds() || aggSp.BusyNs() < child {
+		t.Fatalf("aggregate busy=%dns over children busy=%dns; want children ≥ 16ms and aggregate ≥ children", aggSp.BusyNs(), child)
 	}
 }
 

@@ -141,7 +141,7 @@ func (t *ParallelTopK) Next(ctx context.Context) (*vector.Chunk, error) {
 			}
 		}
 		if local.Rows() > 0 {
-			cands[lo/t.morselLen] = topKSelect(local, t.schema, t.k, t.by)
+			cands[lo/t.morselLen] = topKSelect(storeChunk(local), t.schema, t.k, t.by)
 		}
 		return int64(local.Rows()), nil
 	})
@@ -160,7 +160,7 @@ func (t *ParallelTopK) Next(ctx context.Context) (*vector.Chunk, error) {
 			all.AppendChunk(c)
 		}
 	}
-	t.out = topKSelect(all, t.schema, t.k, t.by)
+	t.out = topKSelect(storeChunk(all), t.schema, t.k, t.by)
 	return t.out, nil
 }
 

@@ -86,42 +86,94 @@ func (t *TopK) Next(ctx context.Context) (*vector.Chunk, error) {
 	if t.emitted {
 		return nil, nil
 	}
-	rows, err := collectOpen(ctx, t.child)
+	in, err := t.drain(ctx)
 	if err != nil {
 		return nil, err
 	}
 	t.emitted = true
-	t.out = topKSelect(rows, t.schema, t.k, t.by)
+	t.out = topKSelect(in, t.schema, t.k, t.by)
 	return t.out, nil
 }
 
-// topKSelect returns the first k rows (all of them when fewer) of rows
-// under the order columns, ties broken by row index, as one condensed chunk
-// in schema column order. A k-row max-heap under that total order keeps the
-// k smallest rows seen so far, so a later row only enters by ordering
-// strictly before the heap's worst row. Shared by the serial TopK and the
-// morsel-parallel ParallelTopK — one comparator and one materialization
-// path is what makes the parallel fold byte-identical to the serial one.
-func topKSelect(rows *vector.DSMStore, schema []ColInfo, k int, by []OrderSpec) *vector.Chunk {
+// drain returns the child's whole output as one chunk. A child that emits a
+// single chunk — an aggregation emits its result as one — is selected in
+// place, so its rows are not copied; the chunks of any other child are
+// collected into one store first. Holding the first chunk across the next
+// Next is safe because the child of a serial TopK emits owned chunks.
+func (t *TopK) drain(ctx context.Context) (*vector.Chunk, error) {
+	sch := storeSchema(t.schema)
+	var only *vector.Chunk
+	var rows *vector.DSMStore
+	for {
+		c, err := t.child.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if c == nil {
+			break
+		}
+		if only == nil && rows == nil {
+			only = c
+			continue
+		}
+		if rows == nil {
+			rows = vector.NewDSMStore(sch)
+			rows.AppendChunk(projectTo(only, sch.Names))
+			only = nil
+		}
+		rows.AppendChunk(projectTo(c, sch.Names))
+	}
+	if only != nil {
+		return only, nil
+	}
+	if rows == nil {
+		rows = vector.NewDSMStore(sch)
+	}
+	return storeChunk(rows), nil
+}
+
+// storeChunk returns a chunk over the columns of st, without copying.
+func storeChunk(st *vector.DSMStore) *vector.Chunk {
+	cols := make([]*vector.Vector, len(st.Schema().Names))
+	for i := range cols {
+		cols[i] = st.Col(i)
+	}
+	return vector.ChunkFrom(st.Schema().Names, cols)
+}
+
+// topKSelect returns the first k of c's selected rows (all of them when
+// fewer) under the order columns, ties broken by input order, as one
+// condensed chunk in schema column order. A k-row max-heap under that total
+// order keeps the k smallest rows seen so far, so a later row only enters
+// by ordering strictly before the heap's worst row. Shared by the serial
+// TopK and the morsel-parallel ParallelTopK — one comparator and one
+// materialization path is what makes the parallel fold byte-identical to
+// the serial one.
+func topKSelect(c *vector.Chunk, schema []ColInfo, k int, by []OrderSpec) *vector.Chunk {
+	sel := c.Sel()
+	n := c.SelectedLen()
 	cols := make([]func(a, b int) int, len(by))
 	for i, o := range by {
-		asc := compareRows(rows.Col(rows.Schema().ColumnIndex(o.Col)))
+		asc := compareRows(c.MustColumn(o.Col))
 		cols[i] = asc
 		if o.Desc {
 			cols[i] = func(a, b int) int { return asc(b, a) }
 		}
 	}
+	// The heap holds positions among the selected rows; a position's row is
+	// rowAt(sel, position), and positions are input order.
 	order := func(a, b int32) int {
+		ra, rb := rowAt(sel, int(a)), rowAt(sel, int(b))
 		for _, c := range cols {
-			if r := c(int(a), int(b)); r != 0 {
+			if r := c(ra, rb); r != 0 {
 				return r
 			}
 		}
 		return cmp.Compare(a, b)
 	}
 	less := func(a, b int32) bool { return order(a, b) < 0 }
-	heap := make(vector.Sel, 0, min(k, rows.Rows()))
-	for r := int32(0); int(r) < rows.Rows(); r++ {
+	heap := make(vector.Sel, 0, min(k, n))
+	for r := int32(0); int(r) < n; r++ {
 		if len(heap) < cap(heap) {
 			heap = append(heap, r)
 			for i := len(heap) - 1; i > 0 && less(heap[(i-1)/2], heap[i]); i = (i - 1) / 2 {
@@ -148,9 +200,12 @@ func topKSelect(rows *vector.DSMStore, schema []ColInfo, k int, by []OrderSpec) 
 		}
 	}
 	slices.SortFunc(heap, order)
+	for i, p := range heap {
+		heap[i] = int32(rowAt(sel, int(p)))
+	}
 	out := vector.NewChunk()
-	for i, ci := range schema {
-		out.Add(ci.Name, vector.Condense(rows.Col(i), heap))
+	for _, ci := range schema {
+		out.Add(ci.Name, vector.Condense(c.MustColumn(ci.Name), heap))
 	}
 	return out
 }

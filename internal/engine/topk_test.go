@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -196,5 +198,126 @@ func TestTopKNaNDeterministic(t *testing.T) {
 	tail := all.Col(1).F64()[all.Rows()-len(nanKeys):]
 	if !math.IsInf(all.Col(1).F64()[all.Rows()-len(nanKeys)-1], 1) || slices.ContainsFunc(tail, func(v float64) bool { return !math.IsNaN(v) }) {
 		t.Fatalf("ascending order does not end with +Inf then every NaN row")
+	}
+}
+
+// chunkSource emits the given chunks, in order, as an operator's output.
+type chunkSource struct {
+	schema []ColInfo
+	chunks []*vector.Chunk
+	next   int
+}
+
+func (c *chunkSource) Schema() []ColInfo { return c.schema }
+
+func (c *chunkSource) Open(context.Context) error { c.next = 0; return nil }
+
+func (c *chunkSource) Next(context.Context) (*vector.Chunk, error) {
+	if c.next == len(c.chunks) {
+		return nil, nil
+	}
+	c.next++
+	return c.chunks[c.next-1], nil
+}
+
+func (c *chunkSource) Close() error { return nil }
+
+// TestTopKSelectsOneChunkInPlace: over a child that emits one chunk, as an
+// aggregation does, TopK selects in place and returns the bytes it returns
+// when the same rows arrive in several chunks and are collected first — the
+// stable sort's first k rows — while allocating less than one copy of its
+// input.
+func TestTopKSelectsOneChunkInPlace(t *testing.T) {
+	st := aggMatrixTable(4096, 50, 47)
+	var schema []ColInfo
+	cols := make([]*vector.Vector, len(st.Schema().Names))
+	for i, name := range st.Schema().Names {
+		schema = append(schema, ColInfo{Name: name, Kind: st.Schema().Kinds[i]})
+		cols[i] = st.Col(i)
+	}
+	names := st.Schema().Names
+	split := func(sel vector.Sel) []*vector.Chunk {
+		var out []*vector.Chunk
+		for _, w := range [][2]int{{0, 1000}, {1000, 1001}, {1001, 4096}} {
+			part := make([]*vector.Vector, len(cols))
+			for i, c := range cols {
+				part[i] = c.Slice(w[0], w[1])
+			}
+			c := vector.ChunkFrom(names, part)
+			if sel != nil {
+				var s vector.Sel
+				for _, r := range sel {
+					if int(r) >= w[0] && int(r) < w[1] {
+						s = append(s, r-int32(w[0]))
+					}
+				}
+				c.SetSel(s)
+			}
+			out = append(out, c)
+		}
+		return out
+	}
+	by := []OrderSpec{{Col: "f", Desc: true}, {Col: "s"}}
+	const k = 10
+	topk := func(chunks []*vector.Chunk) *vector.DSMStore {
+		tk, err := NewTopK(&chunkSource{schema: schema, chunks: chunks}, k, by...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Collect(t.Context(), tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	flt := st.Col(st.Schema().ColumnIndex("flt")).I64()
+	var half vector.Sel
+	for r, v := range flt {
+		if v < 50 {
+			half = append(half, int32(r))
+		}
+	}
+	for _, sel := range []vector.Sel{nil, half} {
+		one := vector.ChunkFrom(names, cols)
+		one.SetSel(sel)
+		got := topk([]*vector.Chunk{one})
+		if want := topk(split(sel)); !slices.Equal(encodeStore(got), encodeStore(want)) {
+			t.Fatalf("sel=%v: one chunk selects %v, split chunks %v", sel != nil, encodeStore(got), encodeStore(want))
+		}
+		// The stable sort's first k rows, by the k2 and v columns they carry.
+		rows := make([]int, 0, st.Rows())
+		for r := range st.Rows() {
+			if sel == nil || slices.Contains(sel, int32(r)) {
+				rows = append(rows, r)
+			}
+		}
+		f, s := st.Col(st.Schema().ColumnIndex("f")).F64(), st.Col(st.Schema().ColumnIndex("s")).Str()
+		slices.SortStableFunc(rows, func(a, b int) int {
+			if c := compareF64(f[b], f[a]); c != 0 {
+				return c
+			}
+			return cmp.Compare(s[a], s[b])
+		})
+		v := st.Col(st.Schema().ColumnIndex("v")).I64()
+		for i, r := range rows[:k] {
+			if g := got.Col(got.Schema().ColumnIndex("v")).I64()[i]; g != v[r] {
+				t.Fatalf("sel=%v: row %d has v=%d, want row %d's %d", sel != nil, i, g, r, v[r])
+			}
+		}
+	}
+	// Bytes allocated per TopK: in place, less than one copy of the input.
+	allocated := func(chunks []*vector.Chunk) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			topk(chunks)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	input := uint64(st.Rows()) * 8 * 8 // 8 of the 11 columns are 8-byte numbers
+	inPlace, collected := allocated([]*vector.Chunk{vector.ChunkFrom(names, cols)}), allocated(split(nil))
+	if inPlace >= input || inPlace >= collected {
+		t.Fatalf("TopK over one chunk allocates %d B, over split chunks %d B; want less than the input's %d B and than the split", inPlace, collected, input)
 	}
 }

@@ -107,6 +107,7 @@ type Span struct {
 	start int64 // ns since trace epoch
 
 	busy   atomic.Int64 // accumulated operator time across workers, ns
+	call   atomic.Int64 // time its caller waited in its calls, if busy is its workers' (AddCallTime), ns
 	rows   atomic.Int64
 	loops  atomic.Int64
 	worker atomic.Int32 // executing worker, -1 if unattributed
@@ -252,6 +253,17 @@ func (s *Span) AddTime(d time.Duration) {
 		return
 	}
 	s.busy.Add(int64(d))
+}
+
+// AddCallTime accumulates the time the operator's caller spent in its
+// calls. Only an operator whose busy time is summed over its own workers
+// reports it (a parallel aggregate); the span above it then subtracts this
+// time, not the busy time, when it computes its own self time.
+func (s *Span) AddCallTime(d time.Duration) {
+	if s == nil {
+		return
+	}
+	s.call.Add(int64(d))
 }
 
 // AddRows accumulates rows produced.
@@ -478,14 +490,17 @@ func (n *node) selfNs() int64 {
 // timedBelowNs sums the busy time of the nearest KindOp descendants that
 // report any: an op child reporting none — a fused stage folded into the
 // span above it — is looked through, so the time of the scan under it is
-// not counted twice.
+// not counted twice. A child that reports call time (AddCallTime) counts
+// that instead: its busy time is its workers', not its caller's.
 func (n *node) timedBelowNs() int64 {
 	var ns int64
 	for _, c := range n.children {
 		if c.s.Kind() != KindOp {
 			continue
 		}
-		if b := c.s.BusyNs(); b > 0 {
+		if call := c.s.call.Load(); call > 0 {
+			ns += call
+		} else if b := c.s.BusyNs(); b > 0 {
 			ns += b
 		} else {
 			ns += c.timedBelowNs()

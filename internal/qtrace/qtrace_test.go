@@ -105,6 +105,7 @@ func TestNilHooksAllocateNothing(t *testing.T) {
 		{"Span.End", func() { sp.End() }},
 		{"Trace.Finish", func() { tr.Finish() }},
 		{"Span.AddTime", func() { sp.AddTime(time.Millisecond) }},
+		{"Span.AddCallTime", func() { sp.AddCallTime(time.Millisecond) }},
 		{"Span.AddRows", func() { sp.AddRows(7) }},
 		{"Span.AddLoop", func() { sp.AddLoop() }},
 		{"Span.SetWorker", func() { sp.SetWorker(3) }},
