@@ -124,22 +124,6 @@ func WithJIT(on bool) Option {
 	}
 }
 
-// WithPartitionBudget bounds the greedy dependency-graph partitioner's
-// fragments: maxInputs distinct arrays and inflowing registers per compiled
-// fragment (the paper's TLB-derived budget) and maxNodes operations per
-// fragment. A non-positive value keeps the default for that bound.
-func WithPartitionBudget(maxInputs, maxNodes int) Option {
-	return func(o *options) error {
-		if maxInputs > 0 {
-			o.cfg.Constraints.MaxInputs = maxInputs
-		}
-		if maxNodes > 0 {
-			o.cfg.Constraints.MaxNodes = maxNodes
-		}
-		return nil
-	}
-}
-
 // WithParallelism sets how many workers a query may fan out across
 // (default 1 = serial). Streaming plan segments — scans with their filters,
 // computes and hash-join probes — then execute morsel-parallel: the table's

@@ -489,11 +489,16 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 		return interp, false, nil
 	}
 	b.fusedWrapped = true
+	// The fused loop replaces the whole stage chain, so its time lands on
+	// the top stage's span; the inner stage spans keep the plan structure
+	// and say which span ran them.
+	if len(stages) > 1 && b.spans[top] != nil {
+		for _, st := range stages[1:] {
+			b.spans[st].SetAttr(qtrace.AttrFusedInto, b.spans[top].Name())
+		}
+	}
 	ctrs := b.fuseCtrs
 	return func(_ int, leaf engine.Operator) (engine.Operator, error) {
-		// The fused loop replaces the whole stage chain, so its time lands
-		// on the top stage's span; the inner stage spans keep the plan
-		// structure but stay at zero busy while the segment runs fused.
 		return b.traced(top, fused.NewExec(prog, b.tracedLeaf(scan, leaf), tables, ctrs)), nil
 	}, true, nil
 }

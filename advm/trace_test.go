@@ -480,3 +480,38 @@ func BenchmarkQ6Trace(b *testing.B) {
 		})
 	}
 }
+
+// TestExplainAnalyzeFusedStages: once q6 and q3 run hot, the stages a fused
+// loop folds report no timings of their own; EXPLAIN ANALYZE names the span
+// that ran each of them instead of printing zeros.
+func TestExplainAnalyzeFusedStages(t *testing.T) {
+	const sf = 0.005
+	li := tpch.GenLineitem(sf, 42)
+	ord := tpch.GenOrders(sf, 42)
+	cust := tpch.GenCustomer(sf, 42)
+	plans := map[string]func() *advm.Plan{
+		"q6": func() *advm.Plan { return tpch.PlanQ6(li, tpch.DefaultQ6Params()) },
+		"q3": func() *advm.Plan { return tpch.PlanQ3(li, ord, cust, tpch.DefaultQ3Params()) },
+	}
+	for name, plan := range plans {
+		t.Run(name, func(t *testing.T) {
+			sess, err := advm.NewSession(advm.WithTierThresholds(1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			out, err := sess.ExplainAnalyze(context.Background(), plan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "tier=hot") || !strings.Contains(out, "fused into") {
+				t.Fatalf("hot %s: no fused stage in:\n%s", name, out)
+			}
+			for _, line := range strings.Split(out, "\n") {
+				if strings.Contains(line, "->") && strings.Contains(line, "loops=0") {
+					t.Errorf("hot %s: stage line with loops=0: %q\n%s", name, line, out)
+				}
+			}
+		})
+	}
+}

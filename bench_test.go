@@ -1,10 +1,10 @@
 // Package repro holds the experiment benchmark harness: one Benchmark per
 // table, figure or quantitative claim of the paper that the reproduction
-// covers (T1, F1–F3, E1–E14). paper_test.go asserts the claims that have a
-// counted form (E12, E13) as tests, and the programs under examples/ print
-// T1's kernel count, F1/F2, E1, E3, E5 and E6 in human-readable form;
-// end-to-end performance is measured by the repo benchmark (BENCHMARK.json
-// and benchmark/).
+// covers (T1, F1–F3, E1–E9, E11–E14). paper_test.go asserts the claims
+// that have a counted form (E12, E13) as tests, and the programs under
+// examples/ print T1's kernel count, F1/F2, E1, E3, E5 and E6 in
+// human-readable form; end-to-end performance is measured by the repo
+// benchmark (BENCHMARK.json and benchmark/).
 package repro
 
 import (
@@ -25,6 +25,7 @@ import (
 	"repro/internal/nir"
 	"repro/internal/tpch"
 	"repro/internal/vector"
+	"repro/internal/vm"
 )
 
 // ---------------------------------------------------------------------------
@@ -241,33 +242,31 @@ func BenchmarkExpF3_Partition(b *testing.B) {
 
 func BenchmarkExpE1_Q1(b *testing.B) {
 	st := tpch.GenLineitem(0.01, 42)
-	cl := tpch.Compact(st)
 	b.Run("tuple_at_a_time_compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tpch.Q1HyPer(st, tpch.Q1Cutoff)
 		}
 	})
-	b.Run("vectorized_interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tpch.Q1Engine(b.Context(), st, tpch.Q1Cutoff, tpch.Q1Options{JIT: false, PreAgg: engine.PreAggOff}); err != nil {
+	for _, c := range []struct {
+		name string
+		opts []advm.Option
+	}{
+		{"vectorized_interpreted", []advm.Option{advm.WithJIT(false), advm.WithTieredExecution(false)}},
+		{"adaptive_vm", nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sess, err := advm.NewSession(c.opts...)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("vectorized_compact_preagg", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tpch.Q1Compact(cl, tpch.Q1Cutoff)
-		}
-	})
-	b.Run("adaptive_vm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tpch.Q1Engine(b.Context(), st, tpch.Q1Cutoff, tpch.Q1Options{
-				JIT: true,
-			}); err != nil {
-				b.Fatal(err)
+			defer sess.Close()
+			for i := 0; i < b.N; i++ {
+				if _, err := tpch.QueryQ1(b.Context(), sess, st); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -673,47 +672,6 @@ write o 0 (gen (\j -> t) 1)`
 }
 
 // ---------------------------------------------------------------------------
-// E10 — DSM vs NSM storage layouts ([33]).
-
-func BenchmarkExpE10_Layout(b *testing.B) {
-	schema := vector.NewSchema(
-		"c0", vector.I64, "c1", vector.I64, "c2", vector.I64, "c3", vector.I64,
-		"c4", vector.I64, "c5", vector.I64, "c6", vector.I64, "c7", vector.I64,
-	)
-	n := 1 << 18
-	dsm := vector.NewDSMStore(schema)
-	nsm := vector.NewNSMStore(schema)
-	row := make([]vector.Value, 8)
-	for i := 0; i < n; i++ {
-		for c := range row {
-			row[c] = vector.I64Value(int64(i * (c + 1)))
-		}
-		dsm.AppendRow(row...)
-		nsm.AppendRow(row...)
-	}
-	scan := func(b *testing.B, st vector.Store, cols []int) {
-		dst := make([]*vector.Vector, len(cols))
-		for i := range dst {
-			dst[i] = vector.NewLen(vector.I64, vector.DefaultChunkLen)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var total int64
-			for pos := 0; pos < n; pos += vector.DefaultChunkLen {
-				got := st.Scan(pos, vector.DefaultChunkLen, cols, dst)
-				for _, v := range dst[0].I64()[:got] {
-					total += v
-				}
-			}
-		}
-	}
-	b.Run("dsm/narrow_1of8", func(b *testing.B) { scan(b, dsm, []int{3}) })
-	b.Run("nsm/narrow_1of8", func(b *testing.B) { scan(b, nsm, []int{3}) })
-	b.Run("dsm/wide_8of8", func(b *testing.B) { scan(b, dsm, []int{0, 1, 2, 3, 4, 5, 6, 7}) })
-	b.Run("nsm/wide_8of8", func(b *testing.B) { scan(b, nsm, []int{0, 1, 2, 3, 4, 5, 6, 7}) })
-}
-
-// ---------------------------------------------------------------------------
 // E11 — morsel-driven parallelism.
 
 func BenchmarkExpE11_Morsel(b *testing.B) {
@@ -725,17 +683,15 @@ func BenchmarkExpE11_Morsel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(8 * n))
+			accs := make([]int64, workers)
 			for i := 0; i < b.N; i++ {
-				morsel.Fold(n, morsel.Options{Workers: workers},
-					func() int64 { return 0 },
-					func(acc int64, lo, hi int) int64 {
-						for j := lo; j < hi; j++ {
-							acc += data[j] * 3
-						}
-						return acc
-					},
-					func(a, c int64) int64 { return a + c },
-				)
+				morsel.Run(n, morsel.Options{Workers: workers}, func(worker, lo, hi int) {
+					acc := accs[worker]
+					for j := lo; j < hi; j++ {
+						acc += data[j] * 3
+					}
+					accs[worker] = acc
+				})
 			}
 		})
 	}
@@ -875,22 +831,27 @@ loop {
 		{"budget=32_unconstrained", 32},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			p := advm.MustCompile(src, kinds,
-				advm.WithHotThresholds(2, 200*time.Microsecond),
-				advm.WithPartitionBudget(c.maxInputs, 32))
-			for r := 0; r < 4; r++ {
-				if err := p.Run(b.Context(), ext); err != nil {
+			cfg := vm.DefaultConfig()
+			cfg.HotCalls, cfg.HotNanos = 2, int64(200*time.Microsecond)
+			cfg.Constraints.MaxInputs, cfg.Constraints.MaxNodes = c.maxInputs, 32
+			m := vm.New(mustNormalize(b, src, kinds), cfg)
+			run := func() {
+				env, err := m.NewEnv(ext)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.RunContext(b.Context(), env); err != nil {
 					b.Fatal(err)
 				}
 				ext["o"].SetLen(0)
 			}
+			for r := 0; r < 4; r++ {
+				run()
+			}
 			b.SetBytes(int64(6 * 8 * (1 << 18)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := p.Run(b.Context(), ext); err != nil {
-					b.Fatal(err)
-				}
-				ext["o"].SetLen(0)
+				run()
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/advm"
 	"repro/internal/dsl"
-	"repro/internal/engine"
 	"repro/internal/tpch"
 )
 
@@ -61,21 +60,38 @@ func TestEndToEndFigure2AllExecutionModes(t *testing.T) {
 	}
 }
 
-// TestEndToEndQ6AllStrategies ties the relational layer to the VM: Q6 must
-// agree between the hand-compiled loop and the engine with and without JIT,
-// across evaluation flavors.
+// TestEndToEndQ6AllStrategies ties the relational layer to the VM: a
+// PlanQ6-shaped plan must agree with the hand-compiled loop with and without
+// JIT, across evaluation flavors.
 func TestEndToEndQ6AllStrategies(t *testing.T) {
 	st := tpch.GenLineitem(0.002, 99)
 	p := tpch.DefaultQ6Params()
 	want := tpch.Q6HyPer(st, p.ShipLo, p.ShipHi, p.DiscLo, p.DiscHi, p.QtyMax)
-	for _, mode := range []engine.EvalMode{engine.EvalFull, engine.EvalSelective, engine.EvalAdaptive} {
+	for _, mode := range []advm.EvalMode{advm.EvalFull, advm.EvalSelective, advm.EvalAdaptive} {
+		plan := advm.Scan(st, "l_quantity", "l_extendedprice", "l_discount", "l_shipdate").
+			FilterMode(mode, fmt.Sprintf(`(\d -> (d >= %d) && (d < %d))`, p.ShipLo, p.ShipHi), "l_shipdate").
+			FilterMode(mode, fmt.Sprintf(`(\x -> (x >= %v) && (x <= %v))`, p.DiscLo, p.DiscHi), "l_discount").
+			FilterMode(mode, fmt.Sprintf(`(\q -> q < %d)`, p.QtyMax), "l_quantity").
+			ComputeMode(mode, "revenue", `(\p d -> p * d)`, advm.F64, "l_extendedprice", "l_discount").
+			Aggregate(nil, advm.Agg{Func: advm.AggSum, Col: "revenue", As: "revenue"})
 		for _, useJIT := range []bool{false, true} {
-			got, err := tpch.Q6Engine(t.Context(), st, p, tpch.Q1Options{
-				JIT: useJIT, Mode: mode,
-			})
+			sess, err := advm.NewSession(advm.WithJIT(useJIT))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			rows, err := sess.Query(t.Context(), plan)
 			if err != nil {
 				t.Fatalf("mode=%v jit=%v: %v", mode, useJIT, err)
 			}
+			var got float64
+			if !rows.Next() {
+				t.Fatalf("mode=%v jit=%v: no row: %v", mode, useJIT, rows.Err())
+			}
+			if err := rows.Scan(&got); err != nil {
+				t.Fatal(err)
+			}
+			rows.Close()
 			rel := (got - want) / want
 			if rel < -1e-9 || rel > 1e-9 {
 				t.Fatalf("mode=%v jit=%v: %v vs %v", mode, useJIT, got, want)
@@ -180,24 +196,11 @@ func testEndToEndQueryStreaming(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	rows, err := sess.Query(t.Context(), tpch.PlanQ1(st))
+	got, err := tpch.QueryQ1(t.Context(), sess, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rows.Close()
-	var got tpch.Q1Result
-	for rows.Next() {
-		var g tpch.Q1Group
-		if err := rows.Scan(&g.Returnflag, &g.Linestatus, &g.SumQty, &g.SumBasePrice,
-			&g.SumDiscPrice, &g.SumCharge, &g.AvgQty, &g.AvgPrice, &g.AvgDisc, &g.CountOrder); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, g)
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Equal(tpch.SortQ1(got), 1e-9); err != nil {
+	if err := want.Equal(got, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }

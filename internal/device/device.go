@@ -1,16 +1,16 @@
-// Package device abstracts execution targets for the VM's third research
+// Package device models execution targets for the VM's third research
 // target (§IV): running (parts of) a program "on multiple hardware
 // platforms, making adaptive decisions which strategy to use ... but also on
 // which hardware".
 //
-// A Device combines a cost model with (host-side) execution. The CPU device
-// reports measured wall time; the simulated GPU (package gpu) executes the
-// same computation on the host for result correctness but reports modeled
-// time derived from a launch-overhead + transfer + throughput model. The
-// Placer chooses a device per kernel using the models, corrected by
-// observed/modeled feedback (EWMA), which reproduces the canonical
-// CPU-vs-GPU crossover: small or non-resident inputs favour the CPU; large,
-// device-resident inputs favour the GPU.
+// A Device is a cost model. The CPU models throughput from a calibrated
+// per-element cost and memory bandwidth; the simulated GPU (package gpu)
+// adds launch overhead, PCIe transfer for non-resident inputs and device
+// memory residency. The Placer chooses a device per kernel using the
+// models, corrected by a learned per-device bias (EWMA), which reproduces
+// the canonical CPU-vs-GPU crossover: small or non-resident inputs favour
+// the CPU; large, device-resident inputs favour the GPU. No query runs on a
+// chosen device: placement is a model that TestPaperE6Placement asserts.
 package device
 
 import (
@@ -22,7 +22,7 @@ import (
 
 // Kernel describes one data-parallel work item for costing purposes.
 type Kernel struct {
-	// Name identifies the kernel for residency and feedback tracking.
+	// Name labels the kernel for its callers; the cost models do not read it.
 	Name string
 	// Elems is the number of elements processed.
 	Elems int
@@ -34,32 +34,24 @@ type Kernel struct {
 	Inputs []string
 }
 
-// Cost is the device-reported cost of an execution.
+// Cost is a device's modeled cost of a kernel.
 type Cost struct {
-	// Modeled is the cost the device charges (measured wall time for the
-	// CPU, modeled time for simulated hardware).
+	// Modeled is the total modeled time.
 	Modeled time.Duration
 	// Transfer is the portion spent moving data (simulated devices only).
 	Transfer time.Duration
 }
 
-// Device is an execution target.
+// Device is an execution target's cost model.
 type Device interface {
 	// Name returns the device name ("cpu", "gpu").
 	Name() string
-	// Estimate predicts the cost of k before running it.
+	// Estimate predicts the cost of k.
 	Estimate(k Kernel) Cost
-	// Run executes work (host-side) and returns the device-accounted cost.
-	Run(k Kernel, work func()) Cost
-	// MakeResident pins an input array in device memory so subsequent
-	// kernels skip its transfer. No-op for the CPU.
-	MakeResident(name string, bytes int)
-	// Resident reports whether the named array is in device memory.
-	Resident(name string) bool
 }
 
 // CPU is the host device: zero launch overhead, no transfers, throughput
-// modeled from calibrated per-element cost; Run reports measured time.
+// modeled from calibrated per-element cost and memory bandwidth.
 type CPU struct {
 	// NsPerElemOp calibrates Estimate (default 1.0 ns per element-op).
 	NsPerElemOp float64
@@ -75,40 +67,19 @@ func (c *CPU) Name() string { return "cpu" }
 
 // Estimate implements Device.
 func (c *CPU) Estimate(k Kernel) Cost {
-	compute := float64(k.Elems) * maxf(k.OpsPerElem, 1) * c.NsPerElemOp
+	compute := float64(k.Elems) * max(k.OpsPerElem, 1) * c.NsPerElemOp
 	mem := float64(k.BytesIn+k.BytesOut) / c.BytesPerNs
-	return Cost{Modeled: time.Duration(maxf(compute, mem))}
+	return Cost{Modeled: time.Duration(max(compute, mem))}
 }
 
-// Run implements Device: executes work and reports measured wall time.
-func (c *CPU) Run(k Kernel, work func()) Cost {
-	start := time.Now()
-	work()
-	return Cost{Modeled: time.Since(start)}
-}
-
-// MakeResident implements Device (no-op: host memory is always resident).
-func (c *CPU) MakeResident(string, int) {}
-
-// Resident implements Device (host memory is always resident).
-func (c *CPU) Resident(string) bool { return true }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Placer picks a device per kernel: model-based with EWMA feedback from the
-// costs devices actually report, so a mis-calibrated model self-corrects —
-// the cross-hardware generalization of micro-adaptivity.
+// Placer picks a device per kernel: model-based, with each device's
+// estimates scaled by a bias learned (EWMA) from observed/estimated cost
+// ratios, so a mis-calibrated model self-corrects — the cross-hardware
+// generalization of micro-adaptivity.
 //
-// A Placer is safe for concurrent use: morsel-parallel query execution
-// places kernels from many workers at once, and an engine-global placer is
-// shared by every session, so Choose, Execute and DecisionCounts
-// synchronize internally. Reading the Devices slice or the Decisions map
-// directly is only safe while no placements are in flight.
+// A Placer is safe for concurrent use: Choose, ObserveForTest, Bias and
+// DecisionCounts synchronize internally. Reading the Devices slice or the
+// Decisions map directly is only safe while no placements are in flight.
 type Placer struct {
 	Devices []Device
 
@@ -146,29 +117,6 @@ func (p *Placer) Choose(k Kernel) Device {
 	return best
 }
 
-// Execute places and runs the kernel, feeding the observed/modeled cost
-// back into the bias for that device. The work itself runs outside the
-// placer's lock, so concurrent workers execute their kernels in parallel
-// and only the decision and the feedback serialize.
-func (p *Placer) Execute(k Kernel, work func()) (Device, Cost) {
-	d := p.Choose(k)
-	est := d.Estimate(k).Modeled
-	cost := d.Run(k, work)
-	if est > 0 && cost.Modeled > 0 {
-		p.observe(d.Name(), float64(cost.Modeled)/float64(est))
-	}
-	return d, cost
-}
-
-// observe feeds one observed/estimated cost ratio into a device's bias.
-func (p *Placer) observe(deviceName string, ratio float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.bias[deviceName]; ok {
-		e.Observe(ratio)
-	}
-}
-
 // Bias returns the current learned bias multiplier for a device (1 when the
 // device is unknown or has no feedback yet).
 func (p *Placer) Bias(deviceName string) float64 {
@@ -194,5 +142,9 @@ func (p *Placer) DecisionCounts() map[string]int {
 // ObserveForTest feeds a raw observed/estimated cost ratio into a device's
 // bias, for tests that simulate mis-calibrated models.
 func (p *Placer) ObserveForTest(deviceName string, ratio float64) {
-	p.observe(deviceName, ratio)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.bias[deviceName]; ok {
+		e.Observe(ratio)
+	}
 }

@@ -19,78 +19,47 @@ func TestCPUEstimateComputeVsMemoryBound(t *testing.T) {
 	}
 }
 
-func TestCPURunMeasures(t *testing.T) {
-	cpu := NewCPU()
-	cost := cpu.Run(Kernel{}, func() { time.Sleep(time.Millisecond) })
-	if cost.Modeled < time.Millisecond {
-		t.Fatalf("measured %v", cost.Modeled)
-	}
-}
-
 // fakeDevice has a fixed estimate, for placer tests.
 type fakeDevice struct {
 	name string
 	est  time.Duration
-	runs int
 }
 
-func (f *fakeDevice) Name() string             { return f.name }
-func (f *fakeDevice) Estimate(Kernel) Cost     { return Cost{Modeled: f.est} }
-func (f *fakeDevice) MakeResident(string, int) {}
-func (f *fakeDevice) Resident(string) bool     { return true }
-func (f *fakeDevice) Run(k Kernel, work func()) Cost {
-	f.runs++
-	work()
-	return Cost{Modeled: f.est}
-}
+func (f *fakeDevice) Name() string         { return f.name }
+func (f *fakeDevice) Estimate(Kernel) Cost { return Cost{Modeled: f.est} }
 
 func TestPlacerPicksCheapest(t *testing.T) {
 	slow := &fakeDevice{name: "slow", est: time.Millisecond}
 	fast := &fakeDevice{name: "fast", est: time.Microsecond}
 	p := NewPlacer(slow, fast)
-	if d := p.Choose(Kernel{}); d.Name() != "fast" {
-		t.Fatalf("chose %s", d.Name())
+	for range 2 {
+		if d := p.Choose(Kernel{}); d.Name() != "fast" {
+			t.Fatalf("chose %s", d.Name())
+		}
 	}
-	ran := false
-	d, cost := p.Execute(Kernel{}, func() { ran = true })
-	if !ran || d.Name() != "fast" || cost.Modeled != time.Microsecond {
-		t.Fatal("execute misbehaved")
-	}
-	if fast.runs != 1 || slow.runs != 0 {
-		t.Fatal("work ran on the wrong device")
-	}
-	if p.Decisions["fast"] != 2 {
-		t.Fatalf("decisions = %v", p.Decisions)
+	if got := p.DecisionCounts(); got["fast"] != 2 || got["slow"] != 0 {
+		t.Fatalf("decisions = %v", got)
 	}
 }
 
 func TestPlacerBiasCorrection(t *testing.T) {
-	// A device whose estimates are 10× optimistic: after feedback the
+	// A device whose estimates are 20× optimistic: after feedback the
 	// placer must learn to distrust it.
 	liar := &fakeDevice{name: "liar", est: time.Microsecond}
 	honest := &fakeDevice{name: "honest", est: 5 * time.Microsecond}
 	p := NewPlacer(liar, honest)
-	// Simulate executions where the liar's observed cost is 10× its
-	// estimate by feeding the bias directly through Execute on a device
-	// that reports a different run cost.
-	liarActual := &fakeDevice{name: "liar", est: time.Microsecond}
-	_ = liarActual
-	// Execute runs Estimate then Run; our fake returns est for both, so
-	// emulate mis-estimation by swapping the est between calls.
-	for i := 0; i < 10; i++ {
-		liar.est = time.Microsecond // estimate phase
-		d := p.Choose(Kernel{})
-		if d.Name() != "liar" && i == 0 {
-			t.Fatal("liar should win initially")
-		}
-		// Feed observed = 20µs against estimate = 1µs.
-		liar.est = time.Microsecond
-		est := liar.Estimate(Kernel{}).Modeled
-		liar.est = 20 * time.Microsecond
-		cost := liar.Run(Kernel{}, func() {})
-		liar.est = time.Microsecond
-		_ = est
-		p.ObserveForTest("liar", float64(cost.Modeled)/float64(time.Microsecond))
+	if d := p.Choose(Kernel{}); d.Name() != "liar" {
+		t.Fatalf("liar should win before any feedback; chose %s", d.Name())
+	}
+	for range 10 {
+		// Observed 20µs against the liar's 1µs estimate.
+		p.ObserveForTest("liar", 20)
+	}
+	if b := p.Bias("liar"); b <= 5 {
+		t.Fatalf("liar bias = %v after ten 20× observations, want > 5", b)
+	}
+	if b := p.Bias("unknown"); b != 1 {
+		t.Fatalf("unknown device bias = %v, want 1", b)
 	}
 	if d := p.Choose(Kernel{}); d.Name() != "honest" {
 		t.Fatalf("placer failed to learn the bias; chose %s", d.Name())

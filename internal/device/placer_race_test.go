@@ -12,7 +12,9 @@ import (
 // TestPlacerConcurrent hammers one Placer from many goroutines — the shape
 // of an engine-global placer under morsel-parallel queries from concurrent
 // sessions. Run under -race in CI: the decision counts, the EWMA feedback
-// and the GPU's residency cache all synchronize internally.
+// and the GPU's residency cache all synchronize internally. A kernel placed
+// on the GPU makes its input resident there, and its observed/estimated
+// cost ratio feeds back into that device's bias.
 func TestPlacerConcurrent(t *testing.T) {
 	g := gpu.New(gpu.DefaultConfig())
 	p := device.NewPlacer(device.NewCPU(), g)
@@ -39,7 +41,11 @@ func TestPlacerConcurrent(t *testing.T) {
 				case 0:
 					p.Choose(k)
 				case 1:
-					p.Execute(k, func() {})
+					d := p.Choose(k)
+					if d == g {
+						g.MakeResident(k.Inputs[0], k.BytesIn)
+					}
+					p.ObserveForTest(d.Name(), 1.05)
 				default:
 					p.ObserveForTest("gpu", 1.1)
 					p.ObserveForTest("cpu", 0.9)
@@ -54,7 +60,7 @@ func TestPlacerConcurrent(t *testing.T) {
 	for _, n := range counts {
 		total += n
 	}
-	// Iterations with i%3 ∈ {0, 1} place a kernel (Choose or Execute).
+	// Iterations with i%3 ∈ {0, 1} place a kernel.
 	perWorker := (kernelsPerWorker + 2) / 3 // i%3 == 0
 	perWorker += (kernelsPerWorker + 1) / 3 // i%3 == 1
 	want := workers * perWorker
@@ -64,7 +70,7 @@ func TestPlacerConcurrent(t *testing.T) {
 	if b := p.Bias("cpu"); b <= 0 {
 		t.Fatalf("cpu bias not positive: %v", b)
 	}
-	if g.TransferTotal() < 0 {
-		t.Fatal("negative transfer total")
+	if b := p.Bias("gpu"); b <= 0 {
+		t.Fatalf("gpu bias not positive: %v", b)
 	}
 }

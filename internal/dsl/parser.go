@@ -186,13 +186,6 @@ func (p *parser) errAt(pos Position, format string, args ...any) error {
 	return fmt.Errorf("dsl: %s: %s", pos, fmt.Sprintf(format, args...))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Declarations and statements
 

@@ -436,7 +436,7 @@ func (f *Filter) Next(ctx context.Context) (*vector.Chunk, error) {
 		passed := out.SelectedLen()
 		f.RowsOut += int64(passed)
 		if f.RowsIn > 0 {
-			f.selEW.Observe(float64(passed) / float64(maxi(1, chunk.SelectedLen())))
+			f.selEW.Observe(float64(passed) / float64(max(1, chunk.SelectedLen())))
 		}
 		if passed == 0 {
 			continue // fully filtered chunk: pull the next one
@@ -456,11 +456,4 @@ func shallowChunk(c *vector.Chunk) *vector.Chunk {
 		out.Add(c.Name(i), c.Col(i))
 	}
 	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -70,7 +70,7 @@ func TestScanChunksStayValidColstore(t *testing.T) {
 // that hold or buffer a morsel's chunks — Exchange and ParallelTopK — keep
 // owned ones.
 func TestParallelAggLendsPlainPipelinesOnly(t *testing.T) {
-	dsm, _ := wideTable(100)
+	dsm := wideTable(100)
 	plain := func(_ int, leaf Operator) (Operator, error) { return leaf, nil }
 	pa, err := NewParallelAgg(dsm, []string{"a", "g"}, 2, plain, nil, []Aggregate{{Func: AggSum, Col: "a", As: "s"}})
 	if err != nil {

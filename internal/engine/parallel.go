@@ -696,7 +696,7 @@ func newPartitionedJoinTable(rows *vector.DSMStore, buildKey string, workers int
 				lists[w] = scattered[w][p]
 				n += len(lists[w])
 			}
-			bl := NewBloomFilter(maxi(n, 64))
+			bl := NewBloomFilter(max(n, 64))
 			for _, l := range lists {
 				for _, i := range l {
 					bl.Add(keys[i])

@@ -1,9 +1,9 @@
-// Package gpu simulates a discrete GPU behind the device.Device interface.
+// Package gpu models a discrete GPU behind the device.Device interface.
 //
 // No CUDA bindings exist for this environment (the paper's target-3
-// experiments are hardware-gated), so the device executes kernels on the
-// host — results are bit-identical — while charging *modeled* time from the
-// canonical discrete-GPU cost structure:
+// experiments are hardware-gated), so the device is a cost model only: it
+// runs nothing and charges *modeled* time from the canonical discrete-GPU
+// cost structure:
 //
 //	cost = launch overhead
 //	     + PCIe transfer for non-resident inputs (+ results read back)
@@ -48,10 +48,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Device is the simulated GPU. It is safe for concurrent use: morsel
-// workers run kernels (and update residency) from many goroutines at once,
-// so the residency cache and the transfer accounting synchronize
-// internally.
+// Device is the simulated GPU. It is safe for concurrent use: the
+// residency cache synchronizes internally.
 type Device struct {
 	cfg Config
 
@@ -59,10 +57,6 @@ type Device struct {
 	resident map[string]int
 	used     int
 	order    []string // FIFO eviction order
-
-	// TotalTransfer accumulates modeled transfer time for reports (guarded
-	// by mu; use TransferTotal for a concurrent-safe read).
-	TotalTransfer time.Duration
 }
 
 // New creates a simulated GPU.
@@ -78,8 +72,7 @@ func (d *Device) Name() string { return "gpu" }
 // transferBytes sums the sizes of non-resident inputs (caller holds mu).
 func (d *Device) transferBytes(k device.Kernel) int {
 	if len(k.Inputs) == 0 {
-		// Unnamed inputs: charge the full input volume unless nothing is
-		// resident at all (conservative).
+		// Unnamed inputs cannot be resident: charge the full volume.
 		return k.BytesIn
 	}
 	bytes := 0
@@ -97,97 +90,37 @@ func (d *Device) Estimate(k device.Kernel) device.Cost {
 	d.mu.Lock()
 	transfer := time.Duration(float64(d.transferBytes(k)+k.BytesOut) / d.cfg.PCIeBytesPerNs)
 	d.mu.Unlock()
-	compute := float64(k.Elems) * maxf(k.OpsPerElem, 1) / d.cfg.ElemOpsPerNs
+	compute := float64(k.Elems) * max(k.OpsPerElem, 1) / d.cfg.ElemOpsPerNs
 	hbm := float64(k.BytesIn+k.BytesOut) / d.cfg.HBMBytesPerNs
-	total := d.cfg.LaunchOverhead + transfer + time.Duration(maxf(compute, hbm))
+	total := d.cfg.LaunchOverhead + transfer + time.Duration(max(compute, hbm))
 	return device.Cost{Modeled: total, Transfer: transfer}
 }
 
-// Run implements device.Device: executes the host-side work for correctness
-// and returns the modeled cost (not wall time — this is the documented
-// simulation substitution). The work runs outside the device's lock, so
-// concurrent kernels overlap like streams on real hardware.
-func (d *Device) Run(k device.Kernel, work func()) device.Cost {
-	work()
-	cost := d.Estimate(k)
-	d.mu.Lock()
-	d.TotalTransfer += cost.Transfer
-	// Inputs transferred for a kernel become resident (simple cache).
-	per := k.BytesIn / max(len(k.Inputs), 1)
-	for _, in := range k.Inputs {
-		d.makeResident(in, per)
-	}
-	d.mu.Unlock()
-	return cost
-}
-
-// TransferTotal returns the accumulated modeled transfer time.
-func (d *Device) TransferTotal() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.TotalTransfer
-}
-
-// MakeResident implements device.Device with FIFO eviction.
+// MakeResident pins an input array in device memory, evicting the oldest
+// resident arrays (FIFO) to make room, so later kernels over it skip its
+// transfer. An array larger than the whole memory is not made resident
+// and evicts nothing.
 func (d *Device) MakeResident(name string, bytes int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.makeResident(name, bytes)
-}
-
-// makeResident is MakeResident with mu held.
-func (d *Device) makeResident(name string, bytes int) {
-	if _, ok := d.resident[name]; ok {
+	if _, ok := d.resident[name]; ok || bytes > d.cfg.MemoryBytes {
 		return
 	}
-	for d.used+bytes > d.cfg.MemoryBytes && len(d.order) > 0 {
+	for d.used+bytes > d.cfg.MemoryBytes {
 		victim := d.order[0]
 		d.order = d.order[1:]
 		d.used -= d.resident[victim]
 		delete(d.resident, victim)
-	}
-	if d.used+bytes > d.cfg.MemoryBytes {
-		return // does not fit at all
 	}
 	d.resident[name] = bytes
 	d.order = append(d.order, name)
 	d.used += bytes
 }
 
-// Resident implements device.Device.
+// Resident reports whether the named array is in device memory.
 func (d *Device) Resident(name string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, ok := d.resident[name]
 	return ok
-}
-
-// Evict drops an array from device memory (for failure-injection tests).
-func (d *Device) Evict(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if b, ok := d.resident[name]; ok {
-		d.used -= b
-		delete(d.resident, name)
-		for i, n := range d.order {
-			if n == name {
-				d.order = append(d.order[:i], d.order[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

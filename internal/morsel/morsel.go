@@ -212,28 +212,6 @@ func InitialOwner(seq, morsels, workers int) int {
 	return w
 }
 
-// Fold computes a parallel reduction: each worker folds its morsels into a
-// private accumulator created by mk, and combine merges the per-worker
-// accumulators in worker order. Because work-stealing assigns morsels to
-// workers nondeterministically, combine must be commutative+associative (or
-// the caller must not care about fold order) — order-sensitive reductions
-// should accumulate per morsel sequence number instead.
-func Fold[T any](n int, opt Options, mk func() T, fold func(acc T, lo, hi int) T, combine func(a, b T) T) T {
-	opt = opt.normalize()
-	accs := make([]T, opt.Workers)
-	for i := range accs {
-		accs[i] = mk()
-	}
-	Run(n, opt, func(worker, lo, hi int) {
-		accs[worker] = fold(accs[worker], lo, hi)
-	})
-	out := accs[0]
-	for _, a := range accs[1:] {
-		out = combine(out, a)
-	}
-	return out
-}
-
 // Stats instruments a run for skew analysis.
 type Stats struct {
 	MorselsPerWorker []int64

@@ -65,6 +65,23 @@ func TestRunSingleWorkerKeepsMorselGranularity(t *testing.T) {
 	}
 }
 
+// sumInts folds x(0..n-1) through Run into one accumulator per worker, then
+// adds the accumulators: the pattern for commutative reductions, since
+// which worker runs a morsel is not deterministic.
+func sumInts(n int, opt Options, x func(i int) int64) int64 {
+	accs := make([]int64, opt.Workers)
+	Run(n, opt, func(worker, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			accs[worker] += x(i)
+		}
+	})
+	var sum int64
+	for _, a := range accs {
+		sum += a
+	}
+	return sum
+}
+
 func TestFoldSum(t *testing.T) {
 	n := 500_000
 	data := make([]int64, n)
@@ -73,18 +90,8 @@ func TestFoldSum(t *testing.T) {
 		data[i] = int64(i % 97)
 		want += data[i]
 	}
-	got := Fold(n, Options{Workers: 6, MorselLen: 4096},
-		func() int64 { return 0 },
-		func(acc int64, lo, hi int) int64 {
-			for i := lo; i < hi; i++ {
-				acc += data[i]
-			}
-			return acc
-		},
-		func(a, b int64) int64 { return a + b },
-	)
-	if got != want {
-		t.Fatalf("Fold = %d, want %d", got, want)
+	if got := sumInts(n, Options{Workers: 6, MorselLen: 4096}, func(i int) int64 { return data[i] }); got != want {
+		t.Fatalf("fold = %d, want %d", got, want)
 	}
 }
 
@@ -183,16 +190,14 @@ func TestParallelSpeedup(t *testing.T) {
 	}
 	work := func(workers int) time.Duration {
 		start := time.Now()
-		Fold(n, Options{Workers: workers, MorselLen: 8192},
-			func() float64 { return 0 },
-			func(acc float64, lo, hi int) float64 {
-				for i := lo; i < hi; i++ {
-					acc += data[i] * 1.0001
-				}
-				return acc
-			},
-			func(a, b float64) float64 { return a + b },
-		)
+		accs := make([]float64, workers)
+		Run(n, Options{Workers: workers, MorselLen: 8192}, func(worker, lo, hi int) {
+			acc := accs[worker]
+			for i := lo; i < hi; i++ {
+				acc += data[i] * 1.0001
+			}
+			accs[worker] = acc
+		})
 		return time.Since(start)
 	}
 	seq := work(1)
@@ -202,7 +207,8 @@ func TestParallelSpeedup(t *testing.T) {
 	}
 }
 
-// Property: Fold(sum) equals sequential sum for random sizes and options.
+// Property: a sum folded through Run's per-worker accumulators equals the
+// sequential sum for random sizes and options.
 func TestFoldProperty(t *testing.T) {
 	f := func(raw []int32, workers uint8, morsel uint16) bool {
 		n := len(raw)
@@ -210,17 +216,8 @@ func TestFoldProperty(t *testing.T) {
 		for _, x := range raw {
 			want += int64(x)
 		}
-		got := Fold(n, Options{Workers: int(workers%8) + 1, MorselLen: int(morsel%512) + 1},
-			func() int64 { return 0 },
-			func(acc int64, lo, hi int) int64 {
-				for i := lo; i < hi; i++ {
-					acc += int64(raw[i])
-				}
-				return acc
-			},
-			func(a, b int64) int64 { return a + b },
-		)
-		return got == want
+		opt := Options{Workers: int(workers%8) + 1, MorselLen: int(morsel%512) + 1}
+		return sumInts(n, opt, func(i int) int64 { return int64(raw[i]) }) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -7,11 +7,16 @@ import (
 	"time"
 )
 
+// AttrFusedInto tags an operator span whose stage a fused loop ran: its
+// value is the name of the span above it that the loop reports into.
+const AttrFusedInto = "fused_into"
+
 // ExplainAnalyze renders the span tree as a PostgreSQL-style plan with
 // actual timings: one line per operator with inclusive time, self time,
 // rows, and loops, followed by its attributes, with per-morsel leaves
 // summarized (per-worker morsel counts, steals) rather than
-// listed. Event spans render as bracketed markers.
+// listed. An operator tagged AttrFusedInto has no timings of its own and
+// renders as "fused into <span>". Event spans render as bracketed markers.
 func (t *Trace) ExplainAnalyze() string {
 	if t == nil {
 		return "tracing disabled\n"
@@ -33,6 +38,10 @@ func writeExplainNode(b *strings.Builder, n *node, depth int) {
 	case KindQuery:
 		fmt.Fprintf(b, "%s (wall=%s%s)\n", n.s.Name(), fmtNs(n.s.DurNs()), attrSuffix(n.s))
 	default: // KindOp
+		if into, ok := n.s.Attr(AttrFusedInto).(string); ok {
+			fmt.Fprintf(b, "%s->  %s (fused into %s%s)\n", indent(depth), n.s.Name(), into, attrSuffix(n.s))
+			break
+		}
 		fmt.Fprintf(b, "%s->  %s (actual=%s self=%s rows=%d loops=%d%s)\n",
 			indent(depth), n.s.Name(), fmtNs(n.s.BusyNs()), fmtNs(n.selfNs()),
 			n.s.Rows(), n.s.Loops(), attrSuffix(n.s))
@@ -58,7 +67,9 @@ func attrSuffix(s *Span) string {
 	}
 	var b strings.Builder
 	for _, a := range attrs {
-		fmt.Fprintf(&b, ", %s=%v", a.Key, a.Value)
+		if a.Key != AttrFusedInto {
+			fmt.Fprintf(&b, ", %s=%v", a.Key, a.Value)
+		}
 	}
 	return b.String()
 }

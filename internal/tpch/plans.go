@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 
 	"repro/advm"
@@ -14,8 +15,8 @@ import (
 
 // PlanQ1 builds the full TPC-H Q1 (filter → disc_price → charge → grouped
 // aggregation, all eight aggregates) as a public plan over a lineitem table
-// — in-RAM or opened from a colstore directory. Column names match
-// Q1Engine's output.
+// — in-RAM or opened from a colstore directory. Its columns are Q1Group's
+// fields, in order.
 func PlanQ1(st advm.TableSource) *advm.Plan {
 	return advm.Scan(st,
 		"l_returnflag", "l_linestatus", "l_quantity",
@@ -32,6 +33,30 @@ func PlanQ1(st advm.TableSource) *advm.Plan {
 			advm.Agg{Func: advm.AggAvg, Col: "l_extendedprice", As: "avg_price"},
 			advm.Agg{Func: advm.AggAvg, Col: "l_discount", As: "avg_disc"},
 			advm.Agg{Func: advm.AggCount, As: "count_order"})
+}
+
+// QueryQ1 runs PlanQ1 over st in sess and returns its groups in the order
+// Q1HyPer returns them.
+func QueryQ1(ctx context.Context, sess *advm.Session, st advm.TableSource) (Q1Result, error) {
+	rows, err := sess.Query(ctx, PlanQ1(st))
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	var res Q1Result
+	for rows.Next() {
+		var g Q1Group
+		if err := rows.Scan(&g.Returnflag, &g.Linestatus, &g.SumQty, &g.SumBasePrice,
+			&g.SumDiscPrice, &g.SumCharge, &g.AvgQty, &g.AvgPrice, &g.AvgDisc,
+			&g.CountOrder); err != nil {
+			return nil, err
+		}
+		res = append(res, g)
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	return SortQ1(res), nil
 }
 
 // PlanQ3 builds TPC-H Q3, the shipping-priority query, as a public plan:

@@ -177,12 +177,8 @@ type Q1Group struct {
 type Q1Result []Q1Group
 
 // SortQ1 orders groups canonically (by returnflag, then linestatus), the
-// ordering Equal expects. Exposed for callers assembling a Q1Result from a
-// streamed aggregation.
-func SortQ1(rs Q1Result) Q1Result { return sortQ1(rs) }
-
-// sortQ1 orders groups canonically.
-func sortQ1(rs Q1Result) Q1Result {
+// ordering Equal expects.
+func SortQ1(rs Q1Result) Q1Result {
 	sort.Slice(rs, func(a, b int) bool {
 		if rs[a].Returnflag != rs[b].Returnflag {
 			return rs[a].Returnflag < rs[b].Returnflag
@@ -275,7 +271,7 @@ func Q1HyPer(st *vector.DSMStore, cutoff int64) Q1Result {
 			AvgDisc:  a.sumDco / float64(a.count),
 		})
 	}
-	return sortQ1(out)
+	return SortQ1(out)
 }
 
 // Q6HyPer is the tuple-at-a-time Q6 baseline: revenue = Σ ep·disc for

@@ -37,48 +37,44 @@ func TestGeneratorDistributions(t *testing.T) {
 	}
 }
 
+// strategySessions are the execution strategies PlanQ1 and PlanQ6 must
+// agree under: vectorized interpretation only (no JIT traces, no fused
+// tier), and the default adaptive VM.
+func strategySessions(t *testing.T) map[string]*advm.Session {
+	t.Helper()
+	out := map[string]*advm.Session{}
+	for name, opts := range map[string][]advm.Option{
+		"vectorized": {advm.WithJIT(false), advm.WithTieredExecution(false)},
+		"adaptive":   nil,
+	} {
+		sess, err := advm.NewSession(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		out[name] = sess
+	}
+	return out
+}
+
+// strategyRuns runs each plan often enough to pass the default tier
+// thresholds, so the adaptive session answers cold, compiled and fused.
+const strategyRuns = 10
+
 func TestQ1StrategiesAgree(t *testing.T) {
 	st := GenLineitem(0.002, 42)
 	hyper := Q1HyPer(st, Q1Cutoff)
 	if len(hyper) != 4 {
 		t.Fatalf("Q1 groups = %d, want 4", len(hyper))
 	}
-
-	vect, err := Q1Engine(t.Context(), st, Q1Cutoff, Q1Options{JIT: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hyper.Equal(vect, 1e-9); err != nil {
-		t.Fatalf("vectorized differs from tuple-at-a-time: %v", err)
-	}
-
-	adaptive, err := Q1Engine(t.Context(), st, Q1Cutoff, Q1Options{
-		JIT: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hyper.Equal(adaptive, 1e-9); err != nil {
-		t.Fatalf("adaptive differs: %v", err)
-	}
-
-	compact := Q1Compact(Compact(st), Q1Cutoff)
-	if err := hyper.Equal(compact, 1e-9); err != nil {
-		t.Fatalf("compact differs: %v", err)
-	}
-}
-
-func TestQ1EngineFlavorCombinations(t *testing.T) {
-	st := GenLineitem(0.001, 7)
-	want := Q1HyPer(st, Q1Cutoff)
-	for _, mode := range []engine.EvalMode{engine.EvalFull, engine.EvalSelective, engine.EvalAdaptive} {
-		for _, pre := range []engine.PreAggMode{engine.PreAggOn, engine.PreAggOff, engine.PreAggAdaptive} {
-			got, err := Q1Engine(t.Context(), st, Q1Cutoff, Q1Options{Mode: mode, PreAgg: pre})
+	for name, sess := range strategySessions(t) {
+		for run := 0; run < strategyRuns; run++ {
+			got, err := QueryQ1(t.Context(), sess, st)
 			if err != nil {
-				t.Fatalf("mode=%v pre=%v: %v", mode, pre, err)
+				t.Fatal(err)
 			}
-			if err := want.Equal(got, 1e-9); err != nil {
-				t.Fatalf("mode=%v pre=%v: %v", mode, pre, err)
+			if err := hyper.Equal(got, 1e-9); err != nil {
+				t.Fatalf("%s run %d differs from tuple-at-a-time: %v", name, run, err)
 			}
 		}
 	}
@@ -91,21 +87,24 @@ func TestQ6StrategiesAgree(t *testing.T) {
 	if want == 0 {
 		t.Fatal("Q6 revenue must be non-zero on generated data")
 	}
-	got, err := Q6Engine(t.Context(), st, p, Q1Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := (got - want) / want
-	if rel < -1e-9 || rel > 1e-9 {
-		t.Fatalf("Q6 engine = %v, hyper = %v", got, want)
-	}
-	gotJIT, err := Q6Engine(t.Context(), st, p, Q1Options{JIT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel = (gotJIT - want) / want
-	if rel < -1e-9 || rel > 1e-9 {
-		t.Fatalf("Q6 adaptive = %v, hyper = %v", gotJIT, want)
+	for name, sess := range strategySessions(t) {
+		for run := 0; run < strategyRuns; run++ {
+			rows, err := sess.Query(t.Context(), PlanQ6(st, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got float64
+			if !rows.Next() {
+				t.Fatalf("%s: Q6 returned no row: %v", name, rows.Err())
+			}
+			if err := rows.Scan(&got); err != nil {
+				t.Fatal(err)
+			}
+			rows.Close()
+			if rel := (got - want) / want; rel < -1e-9 || rel > 1e-9 {
+				t.Fatalf("%s run %d: Q6 = %v, hyper = %v", name, run, got, want)
+			}
+		}
 	}
 }
 
@@ -124,20 +123,6 @@ func TestQ6SelectivityIsLow(t *testing.T) {
 	sel := float64(pass) / float64(st.Rows())
 	if sel < 0.005 || sel > 0.05 {
 		t.Fatalf("Q6 selectivity = %v, want ≈0.02", sel)
-	}
-}
-
-func TestCompactEncodingRoundTrip(t *testing.T) {
-	st := GenLineitem(0.001, 3)
-	cl := Compact(st)
-	if cl.N != st.Rows() {
-		t.Fatal("row count")
-	}
-	price := st.Col(ColExtendedprice).F64()
-	for i := 0; i < cl.N; i++ {
-		if float64(cl.PriceC[i])/100 != price[i] {
-			t.Fatalf("price not exact cents at %d: %v vs %v", i, float64(cl.PriceC[i])/100, price[i])
-		}
 	}
 }
 
@@ -312,13 +297,5 @@ func TestLoadOrGenReuses(t *testing.T) {
 	}
 	if reloaded, err := LoadTable(path); err != nil || reloaded.Rows() != a.Rows() {
 		t.Fatalf("cache not repaired: %v", err)
-	}
-}
-
-func BenchmarkQ1Compact(b *testing.B) {
-	cl := Compact(GenLineitem(0.01, 42))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Q1Compact(cl, Q1Cutoff)
 	}
 }

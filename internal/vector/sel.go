@@ -152,10 +152,3 @@ func gather[T any](dst, src []T, s Sel) {
 		dst[i] = src[x]
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,17 +2,10 @@ package vector
 
 import "fmt"
 
-// This file implements the two table-storage layouts contrasted in the
-// paper's §II transformation list via [33] (Zukowski et al., "DSM vs. NSM"):
-//
-//   - DSM (decomposed storage model): one contiguous array per column. Reads
-//     that touch few columns stream only those arrays.
-//   - NSM (n-ary storage model): rows laid out contiguously. Reads that touch
-//     all columns of a row enjoy locality; reads that touch few columns drag
-//     the whole row through the cache.
-//
-// Both implement Store, so experiment E10 can scan either through the same
-// code path.
+// This file implements table storage in the decomposed storage model
+// (DSM, [33]): one contiguous array per column, so a read that touches few
+// columns streams only those arrays. It is the engine's only in-RAM layout;
+// stored tables (internal/colstore) are columnar too.
 
 // Schema describes the columns of a stored table.
 type Schema struct {
@@ -152,153 +145,4 @@ func (st *DSMStore) View(lo, n int, cols []int, dst []*Vector) int {
 // clip returns how many of the rows [lo, lo+n) exist.
 func (st *DSMStore) clip(lo, n int) int {
 	return max(0, min(n, st.rows-lo))
-}
-
-// NSMStore stores fixed-width rows contiguously (row-major). String columns
-// are kept in a side array since they are not fixed width; the row holds an
-// index into it. This mirrors how real NSM pages store out-of-line data.
-type NSMStore struct {
-	schema  Schema
-	rowSize int
-	offsets []int
-	data    []byte
-	strings []string
-	rows    int
-}
-
-// NewNSMStore creates an empty NSM table with the given schema.
-func NewNSMStore(schema Schema) *NSMStore {
-	st := &NSMStore{schema: schema}
-	for _, k := range schema.Kinds {
-		st.offsets = append(st.offsets, st.rowSize)
-		switch k {
-		case Bool, I8:
-			st.rowSize++
-		case I16:
-			st.rowSize += 2
-		case I32:
-			st.rowSize += 4
-		case I64, F64, Str:
-			st.rowSize += 8 // Str stores an 8-byte index into st.strings
-		default:
-			panic(fmt.Sprintf("NSMStore: unsupported kind %v", k))
-		}
-	}
-	return st
-}
-
-// Schema returns the table schema.
-func (st *NSMStore) Schema() Schema { return st.schema }
-
-// Rows returns the row count.
-func (st *NSMStore) Rows() int { return st.rows }
-
-// RowSize returns the fixed byte width of one row.
-func (st *NSMStore) RowSize() int { return st.rowSize }
-
-func putU64(b []byte, x uint64) {
-	b[0] = byte(x)
-	b[1] = byte(x >> 8)
-	b[2] = byte(x >> 16)
-	b[3] = byte(x >> 24)
-	b[4] = byte(x >> 32)
-	b[5] = byte(x >> 40)
-	b[6] = byte(x >> 48)
-	b[7] = byte(x >> 56)
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// AppendRow appends one row given as scalar values.
-func (st *NSMStore) AppendRow(vals ...Value) {
-	if len(vals) != len(st.schema.Kinds) {
-		panic("NSMStore.AppendRow: arity mismatch")
-	}
-	base := len(st.data)
-	st.data = append(st.data, make([]byte, st.rowSize)...)
-	row := st.data[base:]
-	for i, v := range vals {
-		off := st.offsets[i]
-		switch st.schema.Kinds[i] {
-		case Bool:
-			if v.B {
-				row[off] = 1
-			}
-		case I8:
-			row[off] = byte(int8(v.I))
-		case I16:
-			x := uint16(int16(v.I))
-			row[off] = byte(x)
-			row[off+1] = byte(x >> 8)
-		case I32:
-			x := uint32(int32(v.I))
-			row[off] = byte(x)
-			row[off+1] = byte(x >> 8)
-			row[off+2] = byte(x >> 16)
-			row[off+3] = byte(x >> 24)
-		case I64:
-			putU64(row[off:], uint64(v.I))
-		case F64:
-			putU64(row[off:], mathFloat64bits(v.F))
-		case Str:
-			putU64(row[off:], uint64(len(st.strings)))
-			st.strings = append(st.strings, v.S)
-		}
-	}
-	st.rows++
-}
-
-// AppendChunk appends all (selected) rows of a chunk matching the schema.
-func (st *NSMStore) AppendChunk(c *Chunk) {
-	cc := c
-	if c.Sel() != nil {
-		cc = c.Condense()
-	}
-	vals := make([]Value, cc.Width())
-	for r := 0; r < cc.Len(); r++ {
-		for i := 0; i < cc.Width(); i++ {
-			vals[i] = cc.Col(i).Get(r)
-		}
-		st.AppendRow(vals...)
-	}
-}
-
-// Scan implements Store by gathering the requested fields out of each row.
-func (st *NSMStore) Scan(lo, n int, cols []int, dst []*Vector) int {
-	if lo >= st.rows {
-		return 0
-	}
-	if lo+n > st.rows {
-		n = st.rows - lo
-	}
-	for k := range cols {
-		dst[k].SetLen(n)
-	}
-	for r := 0; r < n; r++ {
-		row := st.data[(lo+r)*st.rowSize:]
-		for k, ci := range cols {
-			off := st.offsets[ci]
-			switch st.schema.Kinds[ci] {
-			case Bool:
-				dst[k].Bool()[r] = row[off] != 0
-			case I8:
-				dst[k].I8()[r] = int8(row[off])
-			case I16:
-				dst[k].I16()[r] = int16(uint16(row[off]) | uint16(row[off+1])<<8)
-			case I32:
-				dst[k].I32()[r] = int32(uint32(row[off]) | uint32(row[off+1])<<8 |
-					uint32(row[off+2])<<16 | uint32(row[off+3])<<24)
-			case I64:
-				dst[k].I64()[r] = int64(getU64(row[off:]))
-			case F64:
-				dst[k].F64()[r] = mathFloat64frombits(getU64(row[off:]))
-			case Str:
-				dst[k].Str()[r] = st.strings[getU64(row[off:])]
-			}
-		}
-	}
-	return n
 }

@@ -1,52 +1,26 @@
 package vector
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func testSchema() Schema {
 	return NewSchema("id", I64, "qty", I32, "price", F64, "flag", Str, "ok", Bool)
 }
 
+// testRow is row i of a testSchema table filled by fillStore.
+func testRow(i int) []Value {
+	return []Value{
+		I64Value(int64(i)),
+		IntValue(I32, int64(i%50)),
+		F64Value(float64(i) * 1.5),
+		StrValue(string(rune('A' + i%3))),
+		BoolValue(i%2 == 0),
+	}
+}
+
 func fillStore(t *testing.T, appendRow func(...Value), n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		appendRow(
-			I64Value(int64(i)),
-			IntValue(I32, int64(i%50)),
-			F64Value(float64(i)*1.5),
-			StrValue(string(rune('A'+i%3))),
-			BoolValue(i%2 == 0),
-		)
-	}
-}
-
-func scanAll(st Store, cols []int) []*Vector {
-	sch := st.Schema()
-	dst := make([]*Vector, len(cols))
-	for i, c := range cols {
-		dst[i] = NewLen(sch.Kinds[c], st.Rows())
-	}
-	st.Scan(0, st.Rows(), cols, dst)
-	return dst
-}
-
-func TestDSMvsNSMEquivalence(t *testing.T) {
-	dsm := NewDSMStore(testSchema())
-	nsm := NewNSMStore(testSchema())
-	fillStore(t, dsm.AppendRow, 137)
-	fillStore(t, nsm.AppendRow, 137)
-	if dsm.Rows() != 137 || nsm.Rows() != 137 {
-		t.Fatalf("rows: dsm=%d nsm=%d", dsm.Rows(), nsm.Rows())
-	}
-	cols := []int{0, 1, 2, 3, 4}
-	d := scanAll(dsm, cols)
-	n := scanAll(nsm, cols)
-	for i := range cols {
-		if !d[i].Equal(n[i]) {
-			t.Errorf("column %d differs between DSM and NSM:\n%v\n%v", i, d[i], n[i])
-		}
+		appendRow(testRow(i)...)
 	}
 }
 
@@ -66,8 +40,9 @@ func TestScanPartial(t *testing.T) {
 	}
 }
 
-// TestDSMViewMatchesScan: a view presents exactly the rows a copying scan
-// produces, clamped at the table end, and shares the table's storage.
+// TestDSMViewMatchesScan: a copying scan returns the rows appended, every
+// kind included; a view presents exactly the rows that scan produces,
+// clamped at the table end, and shares the table's storage.
 func TestDSMViewMatchesScan(t *testing.T) {
 	dsm := NewDSMStore(testSchema())
 	fillStore(t, dsm.AppendRow, 40)
@@ -84,9 +59,14 @@ func TestDSMViewMatchesScan(t *testing.T) {
 		if s, v := dsm.Scan(lo, n, cols, scanned), dsm.View(lo, n, cols, viewed); s != v {
 			t.Fatalf("[%d,+%d): Scan produced %d rows, View %d", lo, n, s, v)
 		}
-		for i := range cols {
+		for i, c := range cols {
 			if !viewed[i].Equal(scanned[i]) {
 				t.Errorf("[%d,+%d) column %d: view %v, scan %v", lo, n, i, viewed[i], scanned[i])
+			}
+			for r := 0; r < scanned[i].Len(); r++ {
+				if want := testRow(lo + r)[c]; !scanned[i].Get(r).Equal(want) {
+					t.Errorf("[%d,+%d) column %d row %d: scanned %v, appended %v", lo, n, c, r, scanned[i].Get(r), want)
+				}
 			}
 		}
 		if &viewed[0].I64()[0] != &dsm.Col(0).I64()[lo] {
@@ -124,19 +104,6 @@ func TestSliceGrowthNeverWritesParent(t *testing.T) {
 	}
 }
 
-func TestNSMScanSubsetOfColumns(t *testing.T) {
-	nsm := NewNSMStore(testSchema())
-	fillStore(t, nsm.AppendRow, 10)
-	dst := []*Vector{NewLen(F64, 10), NewLen(Str, 10)}
-	nsm.Scan(0, 10, []int{2, 3}, dst)
-	if dst[0].F64()[2] != 3.0 {
-		t.Errorf("price[2] = %v", dst[0].F64()[2])
-	}
-	if dst[1].Str()[4] != "B" {
-		t.Errorf("flag[4] = %q", dst[1].Str()[4])
-	}
-}
-
 func TestAppendChunk(t *testing.T) {
 	sch := NewSchema("a", I64, "b", F64)
 	c := ChunkOf("a", FromI64([]int64{1, 2, 3}), "b", FromF64([]float64{10, 20, 30}))
@@ -164,13 +131,6 @@ func TestAppendChunk(t *testing.T) {
 		t.Errorf("presized store rows = %v %v", got, pre.Col(1).F64())
 	}
 
-	nsm := NewNSMStore(sch)
-	nsm.AppendChunk(c)
-	dst := []*Vector{NewLen(I64, 2), NewLen(F64, 2)}
-	nsm.Scan(0, 2, []int{0, 1}, dst)
-	if dst[0].I64()[1] != 3 || dst[1].F64()[1] != 30 {
-		t.Error("selection not honoured in NSM append")
-	}
 }
 
 func TestSchemaColumnIndex(t *testing.T) {
@@ -223,20 +183,4 @@ func TestChunkAddLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	c.Add("y", FromI64([]int64{1}))
-}
-
-// Property: any row stored through NSM reads back identically via Scan.
-func TestNSMRoundTripProperty(t *testing.T) {
-	sch := NewSchema("a", I64, "b", I16, "c", F64)
-	f := func(a int64, b int16, cf float64) bool {
-		st := NewNSMStore(sch)
-		st.AppendRow(I64Value(a), IntValue(I16, int64(b)), F64Value(cf))
-		dst := []*Vector{NewLen(I64, 1), NewLen(I16, 1), NewLen(F64, 1)}
-		st.Scan(0, 1, []int{0, 1, 2}, dst)
-		return dst[0].I64()[0] == a && dst[1].I16()[0] == b &&
-			(dst[2].F64()[0] == cf || cf != cf)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
