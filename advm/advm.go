@@ -6,8 +6,7 @@
 // An Engine is the process-wide backend: it owns the worker pool for
 // morsel-parallel query execution and the prepared-statement cache through
 // which concurrent sessions share one adaptive VM per distinct program — and
-// therefore share its profile, injected JIT traces and micro-adaptive
-// decisions:
+// therefore share its profile and injected JIT traces:
 //
 //	eng, err := advm.NewEngine(advm.WithParallelism(8))
 //	defer eng.Close()
@@ -28,8 +27,8 @@
 // Underneath either surface, the VM starts out interpreting the normalized
 // program with pre-compiled vectorized kernels, profiles it, greedily
 // partitions hot dependency graphs into fragments, JIT-compiles them into
-// fused traces, injects the traces into the running interpreter, and
-// micro-adaptively reverts traces that lose. Execution honors ctx at chunk
+// fused traces, and injects the traces into the running interpreter, where
+// they stay. Execution honors ctx at chunk
 // boundaries, so cancellation and deadlines cut a long run short within one
 // chunk, reported as ErrCancelled.
 //
@@ -56,7 +55,7 @@
 //
 // Session.Stats and Engine.Stats expose the observability surface: the
 // Figure-1 state machine transition log, the per-instruction profile,
-// injected and reverted trace counts, and the prepared-statement cache and
+// injected trace counts, and the prepared-statement cache and
 // worker pool counters.
 package advm
 

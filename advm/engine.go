@@ -35,8 +35,7 @@ import (
 // artifacts are reused. Prepared programs are cached by the canonical
 // fingerprint of their normalized IR, so every session executing the same
 // program — however it spells its variables — drives the same VM, whose
-// profile, injected traces and micro-adaptive decisions keep improving with
-// the combined traffic.
+// profile and injected traces build up from the combined traffic.
 //
 // All Engine methods are safe for concurrent use.
 type Engine struct {

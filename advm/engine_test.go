@@ -144,9 +144,8 @@ func TestConcurrentSharedPreparedStress(t *testing.T) {
 		t.Fatal("shared VM never compiled — adaptivity was not exercised")
 	}
 	// One shared VM ⇒ one set of traces for the single hot segment, not one
-	// per session or per goroutine. (A micro-adaptive revert+respecialize
-	// could legitimately add a second injection; per-user re-learning would
-	// show ≥ goroutines of them.)
+	// per session or per goroutine: per-user re-learning would show
+	// ≥ goroutines injections.
 	if st.InjectedTraces >= goroutines {
 		t.Fatalf("InjectedTraces = %d — looks like per-user re-learning, want shared traces", st.InjectedTraces)
 	}

@@ -74,13 +74,6 @@ func WithHotThresholds(calls int64, cumulative time.Duration) Option {
 	}
 }
 
-// WithMicroAdaptive toggles micro-adaptive revert: the VM keeps comparing
-// injected traces against the interpreter's historical cost and deoptimizes
-// traces that turn out to be a loss. On by default.
-func WithMicroAdaptive(on bool) Option {
-	return func(o *options) error { o.cfg.MicroAdaptive = on; return nil }
-}
-
 // JITOptions tunes trace compilation without exposing the internal compiler
 // configuration.
 type JITOptions struct {

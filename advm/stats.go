@@ -2,7 +2,6 @@ package advm
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/vm"
@@ -16,7 +15,7 @@ type Transition struct {
 	At time.Duration
 	// Segment is the affected program segment, -1 when not applicable.
 	Segment int
-	// Note is a human-readable annotation ("hot: calls=…", "revert: …").
+	// Note is a human-readable annotation ("hot: calls=…", "inject …").
 	Note string
 }
 
@@ -46,17 +45,25 @@ type Stats struct {
 	Transitions []Transition
 	// CompiledSegments lists segments currently running injected traces.
 	CompiledSegments []int
-	// InjectedTraces and RevertedTraces count optimizer injections and
-	// micro-adaptive deoptimizations over the session's lifetime.
-	InjectedTraces, RevertedTraces int
+	// InjectedTraces counts optimizer injections over the session's
+	// lifetime. An injected segment stays compiled, so this is one per
+	// compiled segment.
+	InjectedTraces int
+	// RevertedTraces is always 0: injected traces are never reverted.
+	//
+	// Deprecated: the VM no longer judges traces against the interpreter,
+	// so there is nothing to count. Kept only so existing readers compile;
+	// it will be removed.
+	RevertedTraces int
 	// TemplateHits and TemplateMisses split the injected traces by where
 	// their code came from: hits were instantiated from a template the
 	// engine's template cache already held (generated for an earlier program
 	// or lambda of the same shape, whatever its constants); misses had their
 	// code generated for this program.
 	TemplateHits, TemplateMisses int
-	// GuardFailures counts trace guard misses (situation changes executed
-	// through the interpreted fallback) across currently installed traces.
+	// GuardFailures is always 0: traces carry no situation guards.
+	//
+	// Deprecated: kept only so existing readers compile; it will be removed.
 	GuardFailures int64
 	// Instructions is the per-instruction interpreter profile.
 	Instructions []InstrStat
@@ -112,20 +119,13 @@ func vmStats(v *vm.VM, st *Stats) {
 			At: tr.At, Segment: tr.Segment, Note: tr.Note,
 		})
 		if tr.To == vm.StateInjectFunctions {
-			if strings.HasPrefix(tr.Note, "revert:") {
-				st.RevertedTraces++
-			} else {
-				st.InjectedTraces++
-			}
+			st.InjectedTraces++
 		}
 	}
 	st.CompiledSegments = v.CompiledSegments()
 	st.TemplateHits, st.TemplateMisses = v.TemplateStats()
 	prof := v.Interp.Prof
 	for _, seg := range v.Interp.Segments {
-		for _, tr := range v.Traces(seg.ID) {
-			st.GuardFailures += tr.Deopts()
-		}
 		for _, in := range seg.Instrs {
 			st.Instructions = append(st.Instructions, InstrStat{
 				ID: in.ID, Instr: in.String(),

@@ -30,7 +30,7 @@ func affineBindings() (map[string]*advm.Vector, []int64) {
 // through its trace, matches an engine with the JIT off.
 func TestSameShapeProgramsShareOneTemplate(t *testing.T) {
 	const n = 16
-	eng, err := advm.NewEngine(advm.WithHotThresholds(2, 0), advm.WithMicroAdaptive(false))
+	eng, err := advm.NewEngine(advm.WithHotThresholds(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSameShapeProgramsShareOneTemplate(t *testing.T) {
 // engine with the JIT off generates and binds nothing.
 func TestJITCountersPriceBuildAndBind(t *testing.T) {
 	ctx := context.Background()
-	eng, err := advm.NewEngine(advm.WithHotThresholds(1, 0), advm.WithMicroAdaptive(false))
+	eng, err := advm.NewEngine(advm.WithHotThresholds(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

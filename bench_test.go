@@ -167,11 +167,7 @@ func BenchmarkExpF1_F2_Figure2(b *testing.B) {
 		}
 	})
 	b.Run("adaptive_steady", func(b *testing.B) {
-		// Micro-adaptive revert off: this bench measures the steady state
-		// *with* injected traces, and on a slow or loaded host the revert
-		// heuristic can deoptimize them mid-warmup and fail the setup check.
 		p := advm.MustCompile(dsl.Figure2Source, kinds,
-			advm.WithMicroAdaptive(false),
 			advm.WithHotThresholds(2, 200*time.Microsecond))
 		e := ext()
 		// Warm to steady state (traces injected).
@@ -292,16 +288,13 @@ const e2Runs = 16
 
 // e2Session compiles E2's program on a fresh VM, interpreted for good or
 // with the JIT on and code generation charged the paper's latency model,
-// and binds it to rows input rows. Micro-adaptive revert is off: E2 prices
-// compilation, and a revert on a noisy measurement would turn the JIT leg
-// into interpretation plus the compile cost.
+// and binds it to rows input rows.
 func e2Session(tb testing.TB, rows int, jit bool) (*advm.Session, map[string]*vector.Vector) {
 	tb.Helper()
 	opts := []advm.Option{advm.WithJIT(false)}
 	if jit {
 		opts = []advm.Option{
 			advm.WithHotThresholds(4, 200*time.Microsecond),
-			advm.WithMicroAdaptive(false),
 			advm.WithJITOptions(advm.JITOptions{CompileLatency: advm.DefaultCompileLatency}),
 		}
 	}
@@ -484,11 +477,11 @@ func BenchmarkExpE5_Compressed(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E6 — adaptive device placement (modeled costs reported as metrics).
 
-// e6Kernel is a kernel over elems 8-byte elements in and out, named — and
-// keyed for GPU residency — by name.
+// e6Kernel is a kernel over elems 8-byte elements in and out, whose one
+// input is keyed for GPU residency by name.
 func e6Kernel(name string, elems int, opsPerElem float64) device.Kernel {
 	return device.Kernel{
-		Name: name, Elems: elems,
+		Elems:   elems,
 		BytesIn: elems * 8, BytesOut: elems * 8,
 		OpsPerElem: opsPerElem, Inputs: []string{name},
 	}

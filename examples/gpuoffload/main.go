@@ -26,7 +26,7 @@ func main() {
 		for _, elems := range []int{1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 24} {
 			name := fmt.Sprintf("col-%d-%v", elems, resident)
 			k := device.Kernel{
-				Name: name, Elems: elems,
+				Elems:   elems,
 				BytesIn: elems * 8, BytesOut: elems * 8,
 				OpsPerElem: 4, Inputs: []string{name},
 			}

@@ -5,7 +5,8 @@
 // positive doubles consecutively into w. The VM starts interpreting,
 // profiles the loop body, greedily partitions its dependency graph
 // (Figure 3), JIT-compiles the two fragments and injects them — all visible
-// in the session's Stats and plan report.
+// in the session's Stats and plan report. It exits 1 when the hot run ends
+// with no compiled segment.
 //
 // Run: go run ./examples/quickstart
 package main
@@ -61,6 +62,9 @@ func main() {
 	}
 	fmt.Println("\ncurrent plan:")
 	fmt.Print(sess.PlanReport())
-	fmt.Printf("\nruns=%d injected traces=%d reverted=%d compiled segments=%v\n",
-		st.Runs, st.InjectedTraces, st.RevertedTraces, st.CompiledSegments)
+	fmt.Printf("\nruns=%d injected traces=%d compiled segments=%v\n",
+		st.Runs, st.InjectedTraces, st.CompiledSegments)
+	if len(st.CompiledSegments) == 0 {
+		log.Fatal("the hot run ended with no compiled segment")
+	}
 }

@@ -22,8 +22,6 @@ import (
 
 // Kernel describes one data-parallel work item for costing purposes.
 type Kernel struct {
-	// Name labels the kernel for its callers; the cost models do not read it.
-	Name string
 	// Elems is the number of elements processed.
 	Elems int
 	// BytesIn / BytesOut are the data volumes the kernel touches.

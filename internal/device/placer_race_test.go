@@ -28,7 +28,6 @@ func TestPlacerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < kernelsPerWorker; i++ {
 				k := device.Kernel{
-					Name:  fmt.Sprintf("k%d", i%7),
 					Elems: 1 << (8 + uint(i%12)),
 					// Shared residency keys across workers: concurrent
 					// MakeResident/Resident on the same names.

@@ -8,7 +8,7 @@ import (
 
 func kernelOf(elems int, inputs ...string) device.Kernel {
 	return device.Kernel{
-		Name: "k", Elems: elems,
+		Elems:   elems,
 		BytesIn: elems * 8, BytesOut: 8,
 		OpsPerElem: 2, Inputs: inputs,
 	}

@@ -11,8 +11,8 @@ import (
 
 // ExecInstr executes one normalized instruction against env, returning the
 // number of tuples processed (for profiling). It is the single place where
-// opcodes meet kernels; fused traces bypass it, the interpreter and trace
-// guard-failure fallbacks go through it.
+// opcodes meet kernels; fused traces bypass it, the interpreter goes through
+// it.
 func ExecInstr(env *Env, in *nir.Instr) (int, error) {
 	switch in.Op {
 	case nir.OpConst:

@@ -199,22 +199,15 @@ func (it *Interpreter) InstallPlan(segID int, p *Plan) error {
 // every (≤ 1 = all of them, the default). The VM thins profiling out once a
 // segment's optimization decision is final: the per-instruction clock reads
 // are the dominant interpretation overhead of a hot loop, and a settled
-// segment only needs them to keep Stats and the micro-adaptive comparison
-// fed. Sampled executions are recorded with weight every, so counters stay
-// estimates of the true totals.
+// segment only needs them to keep Stats fed. Sampled executions are
+// recorded with weight every, so counters stay estimates of the true
+// totals.
 func (it *Interpreter) SetProfileSampling(segID, every int) {
 	it.sampleEvery[segID].Store(int32(every))
 }
 
 // Plan returns the currently installed plan of a segment.
 func (it *Interpreter) Plan(segID int) *Plan { return it.plans[segID].Load() }
-
-// ResetPlans restores every segment to full interpretation (deoptimization).
-func (it *Interpreter) ResetPlans() {
-	for i, seg := range it.Segments {
-		it.plans[i].Store(seg.DefaultPlan())
-	}
-}
 
 // Run executes the whole program against env.
 func (it *Interpreter) Run(env *Env) error {

@@ -79,7 +79,7 @@ func (c *Cache) Traces(prog *nir.Program, g *depgraph.Graph, frags []*depgraph.F
 		c.clock++
 		e.use = c.clock
 		bound := time.Now()
-		traces[i] = e.tmpl.bind(bindings[i], opt, hit)
+		traces[i] = e.tmpl.bind(bindings[i], hit)
 		bindNanos += time.Since(bound).Nanoseconds()
 	}
 	c.bindNanos += bindNanos

@@ -12,11 +12,8 @@
 //   - adjacent constant-operand map pairs collapse into a single fused
 //     kernel ((a[i] op1 c1) op2 c2), halving memory traffic for constant
 //     chains — the loop fusion a real JIT gets from its optimizer;
-//   - per-operation profiling disappears; the trace is measured as a whole,
-//     which is what the VM's micro-adaptive choice needs;
-//   - an optional guard captures the "situation" the trace is specialized
-//     for; guard failure falls back to interpretation of the member
-//     instructions (deoptimization), matching §III-C's fallback story.
+//   - per-operation profiling disappears; the trace is measured as a whole
+//     and recorded under its first member instruction.
 //
 // Real machine-code generation is unavailable in Go (no JIT ecosystem), so
 // a trace is built from Go closures, and building one costs microseconds.
@@ -35,7 +32,6 @@
 package jit
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/depgraph"
@@ -53,9 +49,6 @@ type Options struct {
 	// a template stalls for this long before its trace is returned. Nil
 	// means no modeled cost.
 	CompileLatency func(n int) time.Duration
-	// Guard, when non-nil, is checked before every trace execution; a false
-	// result triggers deoptimization (interpret the member instructions).
-	Guard func(*interp.Env) bool
 }
 
 // DefaultTileSize keeps the per-window working set of a fused run well
@@ -74,17 +67,9 @@ func DefaultCompileLatency(n int) time.Duration {
 type Trace struct {
 	tmpl *template
 	binding
-	guard func(*interp.Env) bool
 	// cached: the template came out of a Cache instead of being generated
 	// for this trace.
 	cached bool
-
-	// Stats for the VM's micro-adaptive comparison (atomics: the VM reads
-	// them while other goroutines run the trace).
-	calls  atomic.Int64
-	timed  atomic.Int64
-	nanos  atomic.Int64
-	deopts atomic.Int64
 }
 
 // Compile builds a trace for a fragment, charging the modeled compile
@@ -99,7 +84,7 @@ func Compile(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment, opt 
 	if d := opt.latency(t.nodes); d > 0 {
 		time.Sleep(d)
 	}
-	return t.bind(b, opt, false), nil
+	return t.bind(b, false), nil
 }
 
 // latency is the modeled code-generation time for a fragment of n nodes.
@@ -120,52 +105,17 @@ func (tr *Trace) Describe() string { return tr.tmpl.label }
 // generated template rather than compiled for this program.
 func (tr *Trace) TemplateHit() bool { return tr.cached }
 
-// Calls returns how often the trace executed (guard passes only).
-func (tr *Trace) Calls() int64 { return tr.calls.Load() }
-
-// TimedCalls returns how many executions contributed to NanosPerCall.
-func (tr *Trace) TimedCalls() int64 { return tr.timed.Load() }
-
-// Deopts returns how often the guard failed.
-func (tr *Trace) Deopts() int64 { return tr.deopts.Load() }
-
-// NanosPerCall reports the trace's observed mean cost over the executions
-// that were timed: those the interpreter profiled (all of them until the
-// segment's optimization decision is final, a sample afterwards), minus the
-// first, which pays one-time buffer allocation and cache warmup that would
-// bias the micro-adaptive comparison against fresh traces.
-func (tr *Trace) NanosPerCall() float64 {
-	c := tr.timed.Load()
-	if c <= 0 {
-		return 0
-	}
-	return float64(tr.nanos.Load()) / float64(c)
-}
-
-// Run implements interp.Step: execute the compiled ops, or deoptimize to
-// the interpreter when the guard fails. The execution is timed only when the
-// interpreter profiles it (prof non-nil).
+// Run implements interp.Step: execute the compiled ops. The execution is
+// timed and recorded only when the interpreter profiles it (prof non-nil).
 func (tr *Trace) Run(env *interp.Env, prof *profile.Profile) error {
-	if tr.guard != nil && !tr.guard(env) {
-		tr.deopts.Add(1)
-		return tr.deopt(env, prof)
-	}
 	if prof == nil {
-		if err := tr.exec(env); err != nil {
-			return err
-		}
-		tr.calls.Add(1)
-		return nil
+		return tr.exec(env)
 	}
 	start := time.Now()
 	if err := tr.exec(env); err != nil {
 		return err
 	}
 	elapsed := time.Since(start).Nanoseconds()
-	if tr.calls.Add(1) > 1 {
-		tr.nanos.Add(elapsed) // first call is warmup; see NanosPerCall
-		tr.timed.Add(1)
-	}
 	n := 0
 	if d := tr.tmpl.firstDst; d >= 0 {
 		n = env.FlowOf(tr.regs[d]).Len()
@@ -177,17 +127,6 @@ func (tr *Trace) Run(env *interp.Env, prof *profile.Profile) error {
 func (tr *Trace) exec(env *interp.Env) error {
 	for _, op := range tr.tmpl.ops {
 		if err := op(tr, env); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// deopt interprets the member instructions (guard failure path).
-func (tr *Trace) deopt(env *interp.Env, prof *profile.Profile) error {
-	for _, in := range tr.instrs {
-		step := interp.InstrStep{In: in}
-		if err := step.Run(env, prof); err != nil {
 			return err
 		}
 	}

@@ -98,6 +98,7 @@ func runBoth(t *testing.T, src string, ext func() map[string]*vector.Vector) (in
 
 	// Traced run.
 	it2 := interp.New(np)
+	it2.Profiling = true
 	traces := installTraces(t, it2, np, opt)
 	if len(traces) == 0 {
 		t.Fatalf("no traces compiled for:\n%s", np)
@@ -111,7 +112,7 @@ func runBoth(t *testing.T, src string, ext func() map[string]*vector.Vector) (in
 		t.Fatalf("traced run: %v", err)
 	}
 	for _, tr := range traces {
-		if tr.Calls() == 0 && tr.Deopts() == 0 {
+		if it2.Prof.Calls(tr.Covers()[0]) == 0 {
 			t.Errorf("trace %s never executed", tr.Describe())
 		}
 	}
@@ -212,79 +213,6 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestGuardDeoptimization(t *testing.T) {
-	src := `
-let xs = read 0 data 1024
-let m = map (\x -> x + 1) xs
-write out 0 m
-`
-	prog := dsl.MustParse(src)
-	np, err := nir.Normalize(prog, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := interp.New(np)
-	seg := it.Segments[0]
-	g := depgraph.Build(seg.Instrs, nil)
-	frags := depgraph.Partition(g, depgraph.DefaultConstraints())
-	if len(frags) != 1 {
-		t.Fatalf("fragments = %d", len(frags))
-	}
-	blocked := true
-	tr, err := Compile(np, g, frags[0], Options{
-		Guard: func(*interp.Env) bool { return !blocked },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := depgraph.Schedule(g, frags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps []interp.Step
-	for _, u := range units {
-		if u.Fragment != nil {
-			steps = append(steps, tr)
-		} else {
-			steps = append(steps, &interp.InstrStep{In: seg.Instrs[u.Node]})
-		}
-	}
-	if err := it.InstallPlan(seg.ID, &interp.Plan{Steps: steps}); err != nil {
-		t.Fatal(err)
-	}
-
-	run := func() *vector.Vector {
-		data := make([]int64, 1024)
-		for i := range data {
-			data[i] = int64(i)
-		}
-		out := vector.New(vector.I64, 0, 1024)
-		env, err := interp.NewEnv(np, map[string]*vector.Vector{
-			"data": vector.FromI64(data), "out": out,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := it.Run(env); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	out1 := run() // guard blocked → deopt path
-	if tr.Deopts() != 1 || tr.Calls() != 0 {
-		t.Fatalf("deopts=%d calls=%d, want 1/0", tr.Deopts(), tr.Calls())
-	}
-	blocked = false
-	out2 := run() // guard passes → compiled path
-	if tr.Calls() != 1 {
-		t.Fatalf("calls=%d, want 1", tr.Calls())
-	}
-	if !out1.Equal(out2) {
-		t.Fatal("deopt path and compiled path disagree")
-	}
 }
 
 // TestCompileLatencyModel: the opt-in model is charged once, on the goroutine

@@ -17,10 +17,9 @@ import (
 // through the bound instruction at run time. compileTemplate sees only the
 // shape, which is what makes equal shape keys imply interchangeable code.
 type shape struct {
-	instrs  []shapeInstr
-	slots   []shapeSlot
-	tile    int
-	guarded bool
+	instrs []shapeInstr
+	slots  []shapeSlot
+	tile   int
 }
 
 // shapeInstr is one member instruction with its operands as slots (-1 =
@@ -63,7 +62,7 @@ func shapeOf(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment, opt 
 	if tile <= 0 {
 		tile = DefaultTileSize
 	}
-	s := &shape{tile: tile, guarded: opt.Guard != nil, instrs: make([]shapeInstr, 0, len(frag.Nodes))}
+	s := &shape{tile: tile, instrs: make([]shapeInstr, 0, len(frag.Nodes))}
 	var b binding
 
 	member := make(map[*nir.Instr]bool, len(frag.Nodes))
@@ -143,7 +142,6 @@ func (s *shape) key() shapeKey {
 		}
 	}
 	u(s.tile)
-	flag(s.guarded)
 	u(len(s.slots))
 	for _, sl := range s.slots {
 		u(int(sl.kind))

@@ -75,7 +75,7 @@ func canonFragment(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment
 	}
 	exts := map[string]int{}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "tile=%d guard=%v\n", opt.TileSize, opt.Guard != nil)
+	fmt.Fprintf(&sb, "tile=%d\n", opt.TileSize)
 	for _, n := range frag.Nodes {
 		in := g.Nodes[n].Instr
 		ext := "_"

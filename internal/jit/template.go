@@ -32,8 +32,8 @@ type template struct {
 type templateOp func(tr *Trace, env *interp.Env) error
 
 // bind patches a concrete program into the template.
-func (t *template) bind(b binding, opt Options, cached bool) *Trace {
-	return &Trace{tmpl: t, binding: b, guard: opt.Guard, cached: cached}
+func (t *template) bind(b binding, cached bool) *Trace {
+	return &Trace{tmpl: t, binding: b, cached: cached}
 }
 
 // compileTemplate generates the code for a shape. It must depend on nothing

@@ -81,7 +81,6 @@ type preparedInfo struct {
 	Fingerprint    string `json:"fingerprint"`
 	Runs           int64  `json:"runs"`
 	InjectedTraces int    `json:"injected_traces"`
-	RevertedTraces int    `json:"reverted_traces"`
 	// TemplateHits counts the injected traces whose code the engine's
 	// template cache already held (generated for an earlier program of the
 	// same shape); TemplateMisses those generated for this program.
@@ -160,7 +159,6 @@ func (s *Server) snapshotStats() statsResponse {
 			Fingerprint:    p.Fingerprint(),
 			Runs:           st.Runs,
 			InjectedTraces: st.InjectedTraces,
-			RevertedTraces: st.RevertedTraces,
 			TemplateHits:   st.TemplateHits,
 			TemplateMisses: st.TemplateMisses,
 			State:          st.State,

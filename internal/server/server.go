@@ -1,11 +1,10 @@
 // Package server puts the adaptive VM behind a socket: a multi-tenant HTTP
 // query service over one shared advm.Engine. The paper's adaptivity —
-// profiling → fragment JIT → trace injection, micro-adaptive reverts, tiered
-// fused loops — pays off when a long-lived VM amortizes learning across
-// repeated work, which is exactly the shape of a server process: every
-// client that prepares the same program (by normalized-IR fingerprint)
-// drives the same VM, and every repeat of a query plan climbs the same
-// tier entry.
+// profiling → fragment JIT → trace injection, tiered fused loops — pays
+// off when a long-lived VM amortizes learning across repeated work, which
+// is exactly the shape of a server process: every client that prepares the
+// same program (by normalized-IR fingerprint) drives the same VM, and every
+// repeat of a query plan climbs the same tier entry.
 //
 // Endpoints:
 //

@@ -12,12 +12,9 @@
 // plan atomically and take effect at the next segment boundary, inside the
 // run that made the segment hot.
 //
-// The VM is micro-adaptive in the sense of [24] generalized by the paper:
-// after injecting a trace it keeps comparing the trace's measured cost
-// against the interpreter's historical cost for the same instructions, and
-// reverts (deoptimizes) when compilation turned out to be a loss. Traces can
-// carry situation guards; guard failures execute the interpreted fallback
-// and are counted, and persistent guard failure triggers re-specialization.
+// A segment's traces stay installed for the life of the VM, and from
+// injection on the segment is profiled on one execution in
+// settledSampleEvery.
 package vm
 
 import (
@@ -77,35 +74,22 @@ type Config struct {
 	Templates *jit.Cache
 	// Constraints configure the dependency-graph partitioner.
 	Constraints depgraph.Constraints
-	// MicroAdaptive keeps comparing injected traces against the
-	// interpreter's historical cost and reverts losing traces.
-	MicroAdaptive bool
-	// RevertFactor: a trace is reverted when its per-call cost exceeds the
-	// interpreter's historical per-call cost for the same instructions by
-	// this factor (default 1.1).
-	RevertFactor float64
 }
 
 // DefaultConfig returns a production-shaped configuration.
 func DefaultConfig() Config {
 	return Config{
-		HotCalls:      8,
-		HotNanos:      int64(200 * time.Microsecond),
-		Constraints:   depgraph.DefaultConstraints(),
-		MicroAdaptive: true,
-		RevertFactor:  1.1,
+		HotCalls:    8,
+		HotNanos:    int64(200 * time.Microsecond),
+		Constraints: depgraph.DefaultConstraints(),
 	}
 }
 
 // segState tracks per-segment optimization status.
 type segState struct {
-	compiled bool
-	reverted bool // compilation tried and lost; do not recompile
-	settled  bool // compiled and measured long enough to thin profiling out
-	traces   []*jit.Trace
-	// interpNanos is the interpreter's historical cost per segment execution
-	// of the instructions the traces replaced.
-	interpNanos float64
+	compiled    bool
+	interpreted bool // left interpreted for good: nothing to compile, or compiling failed
+	traces      []*jit.Trace
 }
 
 // VM is the adaptive virtual machine for one normalized program. It may be
@@ -121,7 +105,6 @@ type VM struct {
 	mu           sync.Mutex
 	transitions  []Transition
 	segs         []segState
-	guards       map[int]func(*interp.Env) bool // segment → situation guard
 	optimizing   atomic.Bool
 	pollCount    atomic.Int64
 	lastOptimize atomic.Int64 // time of the last optimizer pass, ns since start
@@ -132,9 +115,6 @@ type VM struct {
 
 // New creates a VM for prog.
 func New(prog *nir.Program, cfg Config) *VM {
-	if cfg.RevertFactor == 0 {
-		cfg.RevertFactor = 1.1
-	}
 	it := interp.New(prog)
 	it.Profiling = true
 	vm := &VM{
@@ -143,7 +123,6 @@ func New(prog *nir.Program, cfg Config) *VM {
 		cfg:    cfg,
 		start:  time.Now(),
 		segs:   make([]segState, len(it.Segments)),
-		guards: map[int]func(*interp.Env) bool{},
 	}
 	if vm.cfg.Templates == nil {
 		vm.cfg.Templates = jit.NewCache()
@@ -173,15 +152,6 @@ func (vm *VM) transition(to State, seg int, note string) {
 	vm.transitions = append(vm.transitions, Transition{
 		From: from, To: to, At: time.Since(vm.start), Segment: seg, Note: note,
 	})
-	vm.mu.Unlock()
-}
-
-// SetGuard installs a situation guard for every trace subsequently compiled
-// for the segment containing instruction instrID. Guard failure executes the
-// interpreted fallback (deoptimization).
-func (vm *VM) SetGuard(segID int, g func(*interp.Env) bool) {
-	vm.mu.Lock()
-	vm.guards[segID] = g
 	vm.mu.Unlock()
 }
 
@@ -237,10 +207,9 @@ const (
 	optimizeInterval = time.Millisecond
 )
 
-// MaybeOptimize examines the profile, compiles hot segments that are not yet
-// compiled, and reverts regressing traces. It is safe to call
-// concurrently with Run and with itself (concurrent callers coalesce into
-// one pass).
+// MaybeOptimize examines the profile and compiles hot segments that are not
+// yet compiled. It is safe to call concurrently with Run and with itself
+// (concurrent callers coalesce into one pass).
 func (vm *VM) MaybeOptimize() {
 	if !vm.optimizing.CompareAndSwap(false, true) {
 		return // another caller is already optimizing
@@ -249,38 +218,28 @@ func (vm *VM) MaybeOptimize() {
 	vm.lastOptimize.Store(int64(time.Since(vm.start)))
 	for segID := range vm.Interp.Segments {
 		vm.maybeOptimizeSegment(segID)
-		if vm.cfg.MicroAdaptive {
-			vm.maybeRevertSegment(segID)
-		}
 	}
 }
 
-// segmentStats reads the segment's profile once: how often it executed, the
-// time its instructions took in total, and the share of that time spent in
-// the instructions listed in members (nil = none).
-func (vm *VM) segmentStats(segID int, members map[int]bool) (calls, nanos, memberNanos int64) {
+// segmentStats reads the segment's profile once: how often it executed and
+// the time its instructions took in total.
+func (vm *VM) segmentStats(segID int) (calls, nanos int64) {
 	prof := vm.Interp.Prof
 	for _, in := range vm.Interp.Segments[segID].Instrs {
-		if c := prof.Calls(in.ID); c > calls {
-			calls = c
-		}
-		ns := prof.Nanos(in.ID)
-		nanos += ns
-		if members[in.ID] {
-			memberNanos += ns
-		}
+		calls = max(calls, prof.Calls(in.ID))
+		nanos += prof.Nanos(in.ID)
 	}
-	return calls, nanos, memberNanos
+	return calls, nanos
 }
 
 func (vm *VM) maybeOptimizeSegment(segID int) {
 	vm.mu.Lock()
 	st := vm.segs[segID]
 	vm.mu.Unlock()
-	if st.compiled || st.reverted {
+	if st.compiled || st.interpreted {
 		return
 	}
-	calls, nanos, _ := vm.segmentStats(segID, nil)
+	calls, nanos := vm.segmentStats(segID)
 	if calls < vm.cfg.HotCalls && nanos < vm.cfg.HotNanos {
 		return
 	}
@@ -308,13 +267,7 @@ func (vm *VM) maybeOptimizeSegment(segID int) {
 			scheduled = append(scheduled, u.Fragment)
 		}
 	}
-	opt := vm.cfg.JIT
-	vm.mu.Lock()
-	if gd, ok := vm.guards[segID]; ok {
-		opt.Guard = gd
-	}
-	vm.mu.Unlock()
-	traces, err := vm.cfg.Templates.Traces(vm.Prog, g, scheduled, opt)
+	traces, err := vm.cfg.Templates.Traces(vm.Prog, g, scheduled, vm.cfg.JIT)
 	if err != nil {
 		vm.giveUp(segID, "compile failed: "+err.Error())
 		return
@@ -322,11 +275,11 @@ func (vm *VM) maybeOptimizeSegment(segID int) {
 	vm.inject(segID, units, traces)
 }
 
-// giveUp leaves the segment interpreted for good (until Recompile).
+// giveUp leaves the segment interpreted for good.
 func (vm *VM) giveUp(segID int, why string) {
 	vm.transition(StateInterpret, segID, why)
 	vm.mu.Lock()
-	vm.segs[segID].reverted = true
+	vm.segs[segID].interpreted = true
 	vm.mu.Unlock()
 	vm.Interp.SetProfileSampling(segID, settledSampleEvery)
 }
@@ -336,7 +289,6 @@ func (vm *VM) giveUp(segID int, why string) {
 func (vm *VM) inject(segID int, units []depgraph.Unit, traces []*jit.Trace) {
 	seg := vm.Interp.Segments[segID]
 	steps := make([]interp.Step, 0, len(units))
-	members := map[int]bool{}
 	hits := 0
 	next := 0
 	for _, u := range units {
@@ -347,9 +299,6 @@ func (vm *VM) inject(segID int, units []depgraph.Unit, traces []*jit.Trace) {
 		tr := traces[next]
 		next++
 		steps = append(steps, tr)
-		for _, id := range tr.Covers() {
-			members[id] = true
-		}
 		if tr.TemplateHit() {
 			hits++
 		}
@@ -358,110 +307,26 @@ func (vm *VM) inject(segID int, units []depgraph.Unit, traces []*jit.Trace) {
 	// InjectFunctions: install the partially compiled plan.
 	vm.transition(StateInjectFunctions, segID,
 		fmt.Sprintf("inject %d traces (%d from cached templates) into %d-step plan", len(traces), hits, len(steps)))
-	// Record what the interpreter spent on the instructions the traces
-	// replace — one reading, before the traces start skewing the profile.
-	calls, _, memberNanos := vm.segmentStats(segID, members)
 	if err := vm.Interp.InstallPlan(segID, &interp.Plan{Steps: steps}); err != nil {
 		vm.giveUp(segID, "inject failed: "+err.Error())
 		return
 	}
 	vm.mu.Lock()
 	st := &vm.segs[segID]
-	st.compiled, st.settled = true, false
+	st.compiled = true
 	st.traces = traces
-	st.interpNanos = 0
-	if calls > 0 {
-		st.interpNanos = float64(memberNanos) / float64(calls)
-	}
 	vm.templateHits += hits
 	vm.templateMisses += len(traces) - hits
 	vm.mu.Unlock()
-	if !vm.cfg.MicroAdaptive {
-		vm.Interp.SetProfileSampling(segID, settledSampleEvery)
-	}
+	vm.Interp.SetProfileSampling(segID, settledSampleEvery)
 	vm.transition(StateInterpret, segID, "resume with partially optimized program")
 }
 
-// Traces are judged against the interpreter once each has judgeCalls timed
-// executions: fewer, and one slow chunk decides. A segment whose decision is
-// then final — compiled and not losing, or left interpreted for good — is
-// profiled on one execution in settledSampleEvery: the per-instruction clock
-// reads are the largest fixed cost of a hot loop, and from here on they only
-// feed Stats and the continuing revert check.
-const (
-	judgeCalls         = 16
-	settledSampleEvery = 16
-)
-
-// maybeRevertSegment reverts a compiled segment whose traces measure slower
-// than the interpreter did on the same instructions (micro-adaptivity), or
-// whose guards keep failing.
-func (vm *VM) maybeRevertSegment(segID int) {
-	vm.mu.Lock()
-	st := vm.segs[segID]
-	vm.mu.Unlock()
-	if !st.compiled {
-		return
-	}
-
-	var traceNanos float64
-	var guardFailures int64
-	measured := true
-	for _, tr := range st.traces {
-		if tr.TimedCalls() < judgeCalls {
-			measured = false
-		}
-		traceNanos += tr.NanosPerCall()
-		guardFailures += tr.Deopts()
-	}
-	if !measured || st.interpNanos == 0 {
-		// Persistent guard failure with no successful calls: the situation
-		// changed for good; drop the stale specialization so the segment
-		// can be re-specialized later.
-		if guardFailures >= 16 {
-			vm.revert(segID, "persistent guard failure")
-		}
-		return
-	}
-	if traceNanos > st.interpNanos*vm.cfg.RevertFactor {
-		vm.revert(segID, fmt.Sprintf("trace %.0fns/call vs interp %.0fns/call", traceNanos, st.interpNanos))
-		return
-	}
-	if !st.settled {
-		vm.mu.Lock()
-		vm.segs[segID].settled = true
-		vm.mu.Unlock()
-		vm.Interp.SetProfileSampling(segID, settledSampleEvery)
-	}
-}
-
-func (vm *VM) revert(segID int, why string) {
-	vm.transition(StateInjectFunctions, segID, "revert: "+why)
-	seg := vm.Interp.Segments[segID]
-	if err := vm.Interp.InstallPlan(segID, seg.DefaultPlan()); err == nil {
-		vm.mu.Lock()
-		vm.segs[segID].compiled = false
-		vm.segs[segID].reverted = true
-		vm.segs[segID].traces = nil
-		vm.mu.Unlock()
-		vm.Interp.SetProfileSampling(segID, settledSampleEvery)
-	}
-	vm.transition(StateInterpret, segID, "deoptimized")
-}
-
-// Recompile clears the reverted flag of every segment so the optimizer may
-// specialize again (used after a known workload shift, together with a
-// profile reset).
-func (vm *VM) Recompile() {
-	vm.mu.Lock()
-	for i := range vm.segs {
-		if vm.segs[i].reverted {
-			vm.segs[i].reverted = false
-			vm.Interp.SetProfileSampling(i, 1)
-		}
-	}
-	vm.mu.Unlock()
-}
+// A segment whose optimization is final — compiled, or left interpreted for
+// good — is profiled on one execution in settledSampleEvery: the
+// per-instruction clock reads are the largest fixed cost of a hot loop, and
+// from here on they only feed Stats.
+const settledSampleEvery = 16
 
 // CompiledSegments returns the IDs of segments currently running compiled
 // plans.

@@ -1,12 +1,12 @@
 package vm
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/depgraph"
 	"repro/internal/dsl"
-	"repro/internal/interp"
 	"repro/internal/jit"
 	"repro/internal/nir"
 	"repro/internal/vector"
@@ -67,10 +67,6 @@ func TestFigure1StateMachine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HotCalls = 2
 	cfg.HotNanos = 1 << 62
-	// This test observes the compile cycle; micro-adaptive revert under a
-	// loaded machine could legitimately deoptimize the trace between runs
-	// and empty CompiledSegments (revert has its own test).
-	cfg.MicroAdaptive = false
 	v := New(np, cfg)
 
 	ext := mkData(1 << 16)
@@ -99,7 +95,18 @@ func TestFigure1StateMachine(t *testing.T) {
 		t.Fatalf("state %v after the cycle, want %v", v.State(), StateInterpret)
 	}
 
-	// Second run executes through the injected traces and must agree.
+	// Second run executes through the injected traces and must agree. The
+	// segment is compiled from its first execution on, so whatever its
+	// traces' first members gain in the profile was recorded by the traces.
+	recorded := func() (n int64) {
+		for _, segID := range v.CompiledSegments() {
+			for _, tr := range v.Traces(segID) {
+				n += v.Interp.Prof.Calls(tr.Covers()[0])
+			}
+		}
+		return n
+	}
+	before := recorded()
 	ext2 := mkData(1 << 16)
 	env2, err := v.NewEnv(ext2)
 	if err != nil {
@@ -118,15 +125,7 @@ func TestFigure1StateMachine(t *testing.T) {
 			t.Fatalf("out[%d]=%d want %d", i, got[i], want[i])
 		}
 	}
-	executed := false
-	for _, segID := range v.CompiledSegments() {
-		for _, tr := range v.Traces(segID) {
-			if tr.Calls() > 0 {
-				executed = true
-			}
-		}
-	}
-	if !executed {
+	if recorded() == before {
 		t.Fatal("no trace executed on the second run")
 	}
 }
@@ -148,10 +147,6 @@ func TestCompileServiceInjectsMidRun(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
 	cfg.HotCalls = 2
-	// As in TestFigure1StateMachine: on a loaded machine micro-adaptive revert
-	// can deoptimize the injected traces before Run returns and empty
-	// CompiledSegments (revert has its own test).
-	cfg.MicroAdaptive = false
 	v := New(np, cfg)
 
 	ext := mkData(1 << 21) // ~2M rows: thousands of chunks
@@ -165,10 +160,14 @@ func TestCompileServiceInjectsMidRun(t *testing.T) {
 	if len(v.CompiledSegments()) == 0 {
 		t.Fatal("the hot loop was never compiled")
 	}
+	// A trace records its executions under its first member only; the
+	// interpreter records every member. A first member ahead of the last
+	// one therefore counts trace executions.
 	trExecuted := int64(0)
 	for _, segID := range v.CompiledSegments() {
 		for _, tr := range v.Traces(segID) {
-			trExecuted += tr.Calls()
+			ids := tr.Covers()
+			trExecuted += v.Interp.Prof.Calls(ids[0]) - v.Interp.Prof.Calls(ids[len(ids)-1])
 		}
 	}
 	if trExecuted == 0 {
@@ -183,142 +182,9 @@ func TestCompileServiceInjectsMidRun(t *testing.T) {
 	}
 }
 
-// TestMicroAdaptiveRevert: when the compiled trace is slower (simulated by a
-// pathological tile size making it do no fusion but more bookkeeping, plus a
-// forced cost), the VM must revert to interpretation.
-func TestMicroAdaptiveRevert(t *testing.T) {
-	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
-	// Exercise the revert decision logic directly.
-	cfg2 := DefaultConfig()
-	cfg2.HotCalls = 2
-	cfg2.HotNanos = 1 << 62
-	v2 := New(np, cfg2)
-	// Short runs where a run must end compiled: its traces get too few calls
-	// to be judged before it ends, wherever in the run they were injected.
-	ext := mkData(shortRun)
-	env, _ := v2.NewEnv(ext)
-	if err := v2.Run(env); err != nil {
-		t.Fatal(err)
-	}
-	if len(v2.CompiledSegments()) == 0 {
-		t.Fatal("not compiled")
-	}
-	segID := v2.CompiledSegments()[0]
-	// Pretend the interpreter was much faster than the measured traces. Only
-	// this segment is doctored; other segments' traces may legitimately stay
-	// compiled, so every check below targets segID.
-	v2.mu.Lock()
-	v2.segs[segID].interpNanos = 0.0001
-	v2.mu.Unlock()
-	// Run again so traces accumulate ≥4 calls, then let the optimizer see
-	// the regression.
-	for i := 0; i < 4; i++ {
-		env2, _ := v2.NewEnv(mkData(1 << 16))
-		if err := v2.Run(env2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if containsInt(v2.CompiledSegments(), segID) {
-		t.Fatalf("regressing trace was not reverted; transitions: %v", v2.Transitions())
-	}
-	// Reverted segments must not be recompiled...
-	env3, _ := v2.NewEnv(mkData(1 << 16))
-	if err := v2.Run(env3); err != nil {
-		t.Fatal(err)
-	}
-	if containsInt(v2.CompiledSegments(), segID) {
-		t.Fatal("reverted segment was recompiled without Recompile()")
-	}
-	// ...until Recompile clears the block.
-	v2.Recompile()
-	env4, _ := v2.NewEnv(mkData(shortRun))
-	if err := v2.Run(env4); err != nil {
-		t.Fatal(err)
-	}
-	if !containsInt(v2.CompiledSegments(), segID) {
-		t.Fatal("Recompile did not re-enable optimization")
-	}
-}
-
-// shortRun is an input of fewer chunks than judgeCalls.
-const shortRun = 4 * vector.DefaultChunkLen
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// TestGuardedTraceFallsBackOnSituationChange installs a guard keyed on an
-// external "situation" and verifies execution stays correct through guard
-// failures.
-func TestGuardedTraceFallsBackOnSituationChange(t *testing.T) {
-	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
-	cfg := DefaultConfig()
-	cfg.HotCalls = 2
-	cfg.HotNanos = 1 << 62
-	v := New(np, cfg)
-
-	situationOK := true
-	for segID := range v.Interp.Segments {
-		v.SetGuard(segID, func(*interp.Env) bool { return situationOK })
-	}
-
-	env, _ := v.NewEnv(mkData(shortRun))
-	if err := v.Run(env); err != nil {
-		t.Fatal(err)
-	}
-	if len(v.CompiledSegments()) == 0 {
-		t.Fatal("not compiled")
-	}
-
-	var traces []*jit.Trace
-	for _, segID := range v.CompiledSegments() {
-		traces = append(traces, v.Traces(segID)...)
-	}
-
-	// Situation changes: guards fail, VM must still produce correct output
-	// through the deopt path.
-	situationOK = false
-	ext2 := mkData(1 << 15)
-	env2, _ := v.NewEnv(ext2)
-	if err := v.Run(env2); err != nil {
-		t.Fatal(err)
-	}
-	want := wantOut(ext2)
-	got := ext2["out"].I64()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("deopt path wrong at %d", i)
-		}
-	}
-	deopts := int64(0)
-	for _, tr := range traces {
-		deopts += tr.Deopts()
-	}
-	if deopts == 0 {
-		t.Fatal("guards never fired")
-	}
-	// Persistent guard failure must eventually drop the stale
-	// specialization so the VM can re-specialize for the new situation.
-	if len(v.CompiledSegments()) != 0 {
-		t.Fatal("stale specialization kept despite persistent guard failure")
-	}
-}
-
-// TestRevertComparesMemberInstructionsOnly is the regression test for the
-// micro-adaptive baseline: a losing trace must be reverted even when it sits
-// beside an expensive instruction that was never compiled. The trace here
-// really loses — a one-element tile makes its fused run dispatch a kernel per
-// element — and the segment's filter, which stays interpreted, is made to look
-// a thousand times more expensive than everything else in the profile.
-// Measured against the whole segment's interpreter cost (the old baseline)
-// the trace would look like a bargain forever.
-func TestRevertComparesMemberInstructionsOnly(t *testing.T) {
-	src := `
+// filterLoopSrc is a chunked loop whose body maps and condenses: a
+// multi-segment program with more than one compilable fragment.
+const filterLoopSrc = `
 mut i
 mut k
 i := 0
@@ -333,67 +199,48 @@ loop {
   i := i + len(xs)
 }
 `
-	np := normalizeSrc(t, src, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
-	cfg := DefaultConfig()
-	cfg.HotCalls = 2
-	cfg.HotNanos = 1 << 62
-	cfg.JIT.TileSize = 1
-	v := New(np, cfg)
 
-	filterID, segID := -1, -1
-	for _, seg := range v.Interp.Segments {
-		for _, in := range seg.Instrs {
-			if in.Op == nir.OpSelectCmp || in.Op == nir.OpSelect {
-				filterID, segID = in.ID, seg.ID
-			}
-		}
-	}
-	if filterID < 0 {
-		t.Fatalf("no filter instruction in:\n%s", np)
-	}
-	v.Interp.Prof.Record(filterID, 0, int64(time.Hour))
-
-	run := func(n int) []int64 {
-		ext := mkData(n)
-		env, err := v.NewEnv(ext)
+// TestInjectedTracesStayInstalled: with the default configuration, a hot
+// multi-segment program run many times injects each compiled segment's
+// traces exactly once, and they stay installed: the segment logs nothing
+// after it resumes, stays in CompiledSegments and keeps the same traces.
+func TestInjectedTracesStayInstalled(t *testing.T) {
+	np := normalizeSrc(t, filterLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
+	v := New(np, DefaultConfig())
+	installed := map[int][]*jit.Trace{} // segment → the traces first seen installed
+	for run := 0; run < 200; run++ {
+		env, err := v.NewEnv(mkData(8 * vector.DefaultChunkLen))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := v.Run(env); err != nil {
 			t.Fatal(err)
 		}
-		return ext["out"].I64()
-	}
-	run(shortRun) // interprets and compiles, too short to judge the traces
-	if !containsInt(v.CompiledSegments(), segID) {
-		t.Fatalf("segment %d with the map chain was not compiled; transitions: %v", segID, v.Transitions())
-	}
-	for _, tr := range v.Traces(segID) {
-		for _, id := range tr.Covers() {
-			if id == filterID {
-				t.Fatal("the filter was compiled into a trace; the test needs it interpreted")
+		for seg, trs := range installed {
+			if got := v.Traces(seg); len(got) != len(trs) || &got[0] != &trs[0] {
+				t.Fatalf("run %d: segment %d's traces changed after injection; transitions: %v", run, seg, v.Transitions())
 			}
 		}
-	}
-	var got []int64
-	for i := 0; i < 3; i++ {
-		got = run(1 << 15)
-	}
-	if containsInt(v.CompiledSegments(), segID) {
-		t.Fatalf("a trace an order of magnitude slower than the interpreter survived beside an expensive uncompiled instruction; transitions: %v", v.Transitions())
-	}
-	var want []int64
-	for _, x := range mkData(1 << 15)["data"].I64() {
-		if y := (x*3 + 7) * (x - 1); y > 0 {
-			want = append(want, y)
+		for _, seg := range v.CompiledSegments() {
+			if _, ok := installed[seg]; !ok {
+				installed[seg] = v.Traces(seg)
+			}
+		}
+		if got := v.CompiledSegments(); len(got) != len(installed) {
+			t.Fatalf("run %d: compiled segments %v, want the %d ever injected", run, got, len(installed))
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("out has %d elements, want %d", len(got), len(want))
+	if len(installed) == 0 {
+		t.Fatalf("nothing compiled in 200 runs; transitions: %v", v.Transitions())
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("out[%d] = %d, want %d", i, got[i], want[i])
+	bySeg := map[int][]State{}
+	for _, tr := range v.Transitions() {
+		bySeg[tr.Segment] = append(bySeg[tr.Segment], tr.To)
+	}
+	want := []State{StateOptimize, StateGenerateCode, StateInjectFunctions, StateInterpret}
+	for seg := range installed {
+		if got := bySeg[seg]; !slices.Equal(got, want) {
+			t.Fatalf("segment %d logged %v, want one cycle %v", seg, got, want)
 		}
 	}
 }
@@ -409,7 +256,6 @@ func TestSyncCompilesThroughSharedTemplates(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.HotCalls = 2
 		cfg.HotNanos = 1 << 62
-		cfg.MicroAdaptive = false
 		cfg.Templates = templates
 		v := New(np, cfg)
 		env, err := v.NewEnv(mkData(1 << 14))
@@ -432,18 +278,17 @@ func TestSyncCompilesThroughSharedTemplates(t *testing.T) {
 	}
 }
 
-// TestSettledSegmentThinsProfiling: once a compiled segment has been judged,
-// only one execution in settledSampleEvery is timed, while the profile's
+// TestSettledSegmentThinsProfiling: an injected segment is profiled on one
+// execution in settledSampleEvery from injection on, while the profile's
 // counters — scaled by the sampling weight — keep tracking true totals.
 func TestSettledSegmentThinsProfiling(t *testing.T) {
 	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
 	cfg := DefaultConfig()
 	cfg.HotCalls = 2
 	cfg.HotNanos = 1 << 62
-	cfg.RevertFactor = 1e9 // judge, never revert
 	v := New(np, cfg)
-	const chunks = 1 << 7
-	for i := 0; i < 4; i++ {
+	const chunks = 1<<7 + 5
+	run := func() {
 		env, err := v.NewEnv(mkData(chunks * vector.DefaultChunkLen))
 		if err != nil {
 			t.Fatal(err)
@@ -452,34 +297,97 @@ func TestSettledSegmentThinsProfiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var loop int
-	var tr *jit.Trace
-	for _, segID := range v.CompiledSegments() {
-		for _, cand := range v.Traces(segID) {
-			if tr == nil || cand.Calls() > tr.Calls() {
-				loop, tr = segID, cand
-			}
-		}
-	}
-	if tr == nil {
+	run() // compiles the loop
+	segs := v.CompiledSegments()
+	if len(segs) == 0 {
 		t.Fatalf("nothing compiled; transitions: %v", v.Transitions())
 	}
-	v.mu.Lock()
-	settled := v.segs[loop].settled
-	v.mu.Unlock()
-	if !settled {
-		t.Fatalf("segment %d was not settled after %d trace calls", loop, tr.Calls())
+	id := v.Traces(segs[0])[0].Covers()[0]
+	before := v.Interp.Prof.Calls(id)
+	for i := 0; i < 3; i++ {
+		run()
 	}
-	// The trace is timed in full until the judgement, then on one chunk in
-	// settledSampleEvery.
-	if timed, calls := tr.TimedCalls(), tr.Calls(); timed > calls/2 {
-		t.Fatalf("%d of %d trace executions were timed; profiling was not thinned out", timed, calls)
+	// Each sampled execution records the settledSampleEvery executions it
+	// stands for, so a profile that grows only in whole periods was sampled
+	// on every trace call since injection. A full profile would grow by the
+	// true count: 3×(chunks+1) for the loop header, which also runs the
+	// final read that finds the input exhausted, or 3×chunks for the body.
+	// chunks is chosen so that neither is a whole period.
+	grew, ran := v.Interp.Prof.Calls(id)-before, int64(3*(chunks+1))
+	if grew%settledSampleEvery != 0 {
+		t.Fatalf("profile grew by %d, not a whole number of %d-execution samples: the injected segment was not thinned", grew, settledSampleEvery)
 	}
-	// The segment executed 4×(chunks+1) times; the weighted profile of its
-	// first traced instruction must stay within a sampling period of that.
-	got := v.Interp.Prof.Calls(tr.Covers()[0])
-	if want := int64(4 * (chunks + 1)); got < want-2*settledSampleEvery || got > want+2*settledSampleEvery {
-		t.Fatalf("profile reports %d executions of a segment that ran %d times", got, want)
+	if grew < ran-2*settledSampleEvery || grew > ran+2*settledSampleEvery {
+		t.Fatalf("profile reports %d executions of a segment that ran %d times", grew, ran)
+	}
+}
+
+// TestFailedInjectLeavesSegmentInterpreted: a plan the interpreter refuses
+// to install leaves the segment interpreted for good — no later hot check
+// optimizes it again — and the program's results stay correct.
+func TestFailedInjectLeavesSegmentInterpreted(t *testing.T) {
+	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
+	cfg := DefaultConfig()
+	cfg.HotCalls = 2
+	cfg.HotNanos = 1 << 62
+	v := New(np, cfg)
+	body := -1
+	for _, seg := range v.Interp.Segments {
+		if body < 0 || len(seg.Instrs) > len(v.Interp.Segments[body].Instrs) {
+			body = seg.ID
+		}
+	}
+	// A plan of one interpreted instruction does not cover the segment.
+	v.inject(body, []depgraph.Unit{{Node: 0}}, nil)
+	if got := v.Transitions(); !strings.HasPrefix(got[len(got)-1].Note, "inject failed") {
+		t.Fatalf("the refused plan was not reported; transitions: %v", got)
+	}
+	logged := len(v.Transitions())
+	for run := 0; run < 3; run++ {
+		ext := mkData(1 << 14)
+		env, err := v.NewEnv(ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Run(env); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ext["out"].I64(), wantOut(ext)) {
+			t.Fatalf("run %d: wrong output after a refused plan", run)
+		}
+	}
+	if slices.Contains(v.CompiledSegments(), body) {
+		t.Fatal("the segment was compiled after its plan was refused")
+	}
+	for _, tr := range v.Transitions()[logged:] {
+		if tr.Segment == body {
+			t.Fatalf("segment %d was optimized again after its plan was refused: %v", body, tr)
+		}
+	}
+}
+
+// TestMaybeOptimizeCoalesces: a pass that finds another one in flight
+// returns at once instead of examining the profile a second time.
+func TestMaybeOptimizeCoalesces(t *testing.T) {
+	np := normalizeSrc(t, bigLoopSrc, map[string]vector.Kind{"data": vector.I64, "out": vector.I64})
+	cfg := DefaultConfig()
+	cfg.HotCalls = 1
+	v := New(np, cfg)
+	env, err := v.NewEnv(mkData(1 << 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.optimizing.Store(true) // a pass in flight
+	if err := v.Run(env); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Transitions(); len(got) != 0 {
+		t.Fatalf("a pass ran beside the one in flight: %v", got)
+	}
+	v.optimizing.Store(false)
+	v.MaybeOptimize()
+	if len(v.CompiledSegments()) == 0 {
+		t.Fatalf("the hot loop was not compiled once the pass was free; transitions: %v", v.Transitions())
 	}
 }
 

@@ -309,7 +309,7 @@ func TestPaperE6Placement(t *testing.T) {
 		placer, g := fresh()
 		k := e6Kernel(fmt.Sprintf("e6/small/resident=%v", resident), 256, 1)
 		if resident {
-			g.MakeResident(k.Name, k.BytesIn)
+			g.MakeResident(k.Inputs[0], k.BytesIn)
 		}
 		if d := placer.Choose(k).Name(); d != "cpu" {
 			t.Errorf("256 elements, resident=%v: placed on %s, want cpu", resident, d)
