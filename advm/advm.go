@@ -326,17 +326,19 @@ func (s *Session) QueryTraced(ctx context.Context, plan *Plan, level TraceLevel)
 	// and give prunable stored-table scans a segment-skipping view.
 	b.annotatePruning(plan)
 	if s.opt.tiered {
-		// Tiered execution: count this execution against the plan's
-		// engine-wide hotness entry. At the warm threshold the builder starts
-		// compiling fusable segments (priming the code cache); at the hot
-		// threshold it mounts the fused loops.
+		// Tiered execution: count this execution against the engine-wide
+		// hotness entry of the plan's shape (its numeric literals elided), so
+		// a new variant of a hot shape runs hot at once. At the warm
+		// threshold the builder starts compiling fusable segments (priming
+		// the code cache, keyed with literals); at the hot threshold it
+		// mounts the fused loops.
 		fp := plan.fingerprint()
 		ent := s.eng.tierEntryFor(fp)
 		n := ent.execs.Add(1)
 		if n == s.opt.tierWarm || (n == s.opt.tierHot && s.opt.tierHot != s.opt.tierWarm) {
 			s.eng.tierUps.Add(1)
 		}
-		b.tierFP, b.tierN, b.tierEnt = fp, n, ent
+		b.tierN, b.tierEnt = n, ent
 		if n >= s.opt.tierWarm {
 			b.fuseCtrs = &fused.Counters{}
 		}

@@ -55,7 +55,7 @@ type Engine struct {
 	tablesMu sync.Mutex
 	tables   map[string]*colstore.Table // open stored tables by directory
 
-	// Tiered relational execution: per-fingerprint hotness state and the
+	// Tiered relational execution: per-shape hotness state and the
 	// engine-wide fused-code cache (see WithTieredExecution).
 	tiersMu   sync.Mutex
 	tiers     map[string]*tierEntry
@@ -74,21 +74,22 @@ type Engine struct {
 	closed          atomic.Bool
 }
 
-// tierEntry is the hotness state of one canonical plan fingerprint.
+// tierEntry is the hotness state of one plan shape's fingerprint.
 type tierEntry struct {
 	fp        string
-	execs     atomic.Int64 // completed+started Query calls for this plan
+	execs     atomic.Int64 // completed+started Query calls for this shape
 	fusedRuns atomic.Int64 // queries that executed fused loops
 	use       int64        // last-use stamp for LRU eviction (under tiersMu)
 }
 
-// maxTierEntries bounds the per-fingerprint hotness map the same way the
-// prepared-statement cache is bounded: endlessly distinct plans recycle
-// slots (losing only their execution counts) instead of growing the engine.
+// maxTierEntries bounds the per-shape hotness map the same way the
+// prepared-statement cache is bounded: endlessly distinct plan shapes
+// recycle slots (losing only their execution counts) instead of growing the
+// engine.
 const maxTierEntries = 256
 
-// tierEntryFor returns the hotness state for a plan fingerprint, creating
-// it on first use and evicting the least-recently-queried entry on
+// tierEntryFor returns the hotness state for a plan shape's fingerprint,
+// creating it on first use and evicting the least-recently-queried entry on
 // overflow.
 func (e *Engine) tierEntryFor(fp string) *tierEntry {
 	e.tiersMu.Lock()
@@ -319,8 +320,8 @@ type EngineStats struct {
 	// ParallelQueries counts queries that executed with more than one
 	// worker.
 	ParallelQueries int64
-	// TierUps counts plan fingerprints crossing the warm or hot thresholds
-	// of tiered relational execution.
+	// TierUps counts plan shapes crossing the warm or hot thresholds of
+	// tiered relational execution.
 	TierUps int64
 	// FusedCompiles and FusedCacheHits count fused-segment compilations and
 	// code-cache hits; FusedPrograms is the current cache population
@@ -347,22 +348,23 @@ type EngineStats struct {
 	// register derivation included), summed over every request. A modeled
 	// compile latency (JITOptions.CompileLatency) is in neither.
 	JITBuildNanos, JITBindNanos int64
-	// Tiers is the per-fingerprint hotness state of tiered execution,
-	// sorted by fingerprint.
+	// Tiers is the hotness state of tiered execution per plan shape
+	// (numeric literals elided), sorted by fingerprint.
 	Tiers []TierInfo
 }
 
-// TierInfo is the hotness state of one plan fingerprint under tiered
-// relational execution.
+// TierInfo is the hotness state of one plan shape (numeric literals
+// elided) under tiered relational execution.
 type TierInfo struct {
-	// Fingerprint is the canonical plan fingerprint (a short hash of the
-	// plan's structure, lambdas and scanned schemas).
+	// Fingerprint is the plan shape's fingerprint: a short hash of the
+	// plan's structure, its lambdas with every numeric literal elided to
+	// its lexical kind, and its scanned schemas.
 	Fingerprint string
-	// Tier is the fingerprint's current tier under the engine's thresholds:
+	// Tier is the shape's current tier under the engine's thresholds:
 	// "cold", "warm" or "hot".
 	Tier string
-	// Execs counts queries of this plan; FusedRuns how many executed fused
-	// loops.
+	// Execs counts queries of this shape, over all its literal variants;
+	// FusedRuns how many executed fused loops.
 	Execs, FusedRuns int64
 }
 

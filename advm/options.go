@@ -37,8 +37,9 @@ func defaultOptions() options {
 	}
 }
 
-// Default tier thresholds: a plan fingerprint compiles its streaming
-// segments on its 4th execution and runs them fused from the 8th.
+// Default tier thresholds: a plan shape (numeric literals elided) compiles
+// its streaming segments on its 4th execution and runs them fused from the
+// 8th.
 const (
 	defaultTierWarm = 4
 	defaultTierHot  = 8
@@ -215,13 +216,16 @@ func WithScanPruning(on bool) Option {
 }
 
 // WithTieredExecution toggles tiered relational execution (default on).
-// When on, every Query counts executions per canonical plan fingerprint:
+// When on, every Query counts executions per plan shape (numeric literals
+// elided), so plans that differ only in their constants tier up together:
 // cold plans run the vectorized operator interpreter; at the warm threshold
 // a plan's streaming segments — scan→filter→compute→probe chains — are
 // compiled into specialized fused loops and cached engine-wide (keyed by
-// the segment's canonical plan serialization); at the hot threshold
+// the segment's canonical plan serialization, literals included, so each
+// variant runs its own program with its constants); at the hot threshold
 // queries execute the fused loops, each of which runs every chunk it starts
-// to the end of its stream. Results are byte-identical at every tier;
+// to the end of its stream. A new variant of a hot shape compiles its
+// segments at its first execution and runs them fused. Results are byte-identical at every tier;
 // transitions are observable via Rows.Tier, Session.Stats and Engine.Stats.
 func WithTieredExecution(on bool) Option {
 	return func(o *options) error {
@@ -230,8 +234,8 @@ func WithTieredExecution(on bool) Option {
 	}
 }
 
-// WithTierThresholds sets the execution counts at which a plan fingerprint
-// tiers up: its segments compile at the warm-th execution and run fused
+// WithTierThresholds sets the execution counts at which a plan shape
+// (numeric literals elided) tiers up: its segments compile at the warm-th execution and run fused
 // from the hot-th on (defaults 4 and 8). warm must be ≥ 1 and hot ≥ warm;
 // WithTierThresholds(1, 1) fuses from the very first execution, which is
 // how the differential tests force every tier.

@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/colstore"
@@ -233,7 +232,6 @@ type builder struct {
 	morselOps []morselStatsSource // dispatching operators built for this query
 
 	// Tiered execution state for this query (zero values = tiering off).
-	tierFP       string          // canonical plan fingerprint
 	tierN        int64           // this query's 1-based execution count
 	tierEnt      *tierEntry      // engine-wide hotness entry
 	fuseCtrs     *fused.Counters // non-nil → plan is at least warm
@@ -337,6 +335,7 @@ func (p *Plan) build(b *builder) (engine.Operator, error) {
 			if err != nil {
 				return nil, err
 			}
+			b.markWorkerSpans(stages, scan)
 			pa, err := engine.NewParallelAgg(b.storeFor(scan), scan.columns, workers,
 				mk, p.keys, p.aggs)
 			if err != nil {
@@ -401,6 +400,7 @@ func (p *Plan) buildParallelTopK(b *builder) (engine.Operator, bool, error) {
 		return nil, false, nil
 	}
 	b.exchanges++ // claim before nested sharedJoin builds count theirs
+	b.markWorkerSpans(stages, scan)
 	mk := func(_ int, leaf engine.Operator) (engine.Operator, error) { return b.tracedLeaf(scan, leaf), nil }
 	if len(stages) > 0 {
 		var err error
@@ -664,6 +664,7 @@ func (b *builder) sharedJoin(p *Plan) (*engine.SharedJoinTable, error) {
 			if err != nil {
 				return nil, err
 			}
+			b.markWorkerSpans(stages, scan)
 			// One scratch pipeline resolves the build side's static schema.
 			scratch, err := engine.NewPartScan(b.storeFor(scan), scan.columns...)
 			if err != nil {
@@ -723,6 +724,7 @@ func (p *Plan) buildExchange(b *builder) (engine.Operator, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	b.markWorkerSpans(stages, scan)
 	ex, err := engine.NewExchange(b.storeFor(scan), scan.columns, b.workers, mk)
 	if err != nil {
 		return nil, false, err
@@ -741,37 +743,44 @@ func (p *Plan) buildExchange(b *builder) (engine.Operator, bool, error) {
 	return ex, true, nil
 }
 
-// fingerprint canonically serializes the plan tree — structure, lambdas,
-// evaluation modes, column names, aggregate, join and top-k specs, plus each
-// scanned table's schema and row count — and hashes it into a compact hex
-// key. Table identity is the schema and size rather than the pointer, so an
-// in-RAM copy and a colstore-backed copy of the same data share one hotness
-// entry. Distinct plans may collide in principle (it is a 64-bit hash), but
-// a collision only shares a hotness counter: the fused code cache is keyed
-// by the unhashed serialization (segmentKey), so it can never execute a loop
-// compiled for a different plan shape.
+// fingerprint is the plan's hotness key: its canonical serialization in
+// shape form — every numeric literal inside a filter or compute lambda
+// elided to a placeholder of its lexical kind — hashed into a compact hex
+// key. Plans that differ only in their constants (a Q6 with other dates)
+// therefore count executions together, as one plan shape, and a shape that
+// is hot runs fused at the first execution of each new variant. Table
+// identity is the schema and size rather than the pointer, so an in-RAM copy
+// and a colstore-backed copy of the same data share one hotness entry.
+// Distinct shapes may collide in principle (it is a 64-bit hash), but a
+// collision only shares a hotness counter: the fused code cache is keyed by
+// the unhashed full serialization, literals included (segmentKey), so each
+// variant compiles its own program and none can execute a loop compiled for
+// another.
 func (p *Plan) fingerprint() string {
 	h := fnv.New64a()
-	p.writeFP(h)
+	h.Write(p.appendFP(make([]byte, 0, 512), true))
 	return fmt.Sprintf("p%016x", h.Sum64())
 }
 
-// segmentKey is the plan subtree's canonical serialization, unhashed: the
-// fused code cache's key for the streaming segment topped by p.
+// segmentKey is the plan subtree's canonical serialization, unhashed and
+// with its literals: the fused code cache's key for the streaming segment
+// topped by p.
 func (p *Plan) segmentKey() string {
-	var sb strings.Builder
-	p.writeFP(&sb)
-	return sb.String()
+	return string(p.appendFP(nil, false))
 }
 
-// writeFP streams the canonical serialization of the plan subtree. It is
-// injective: names and lambdas are %q-quoted, counts and kinds are numbers
-// closed by a fixed delimiter, and a build side is bracketed by {}.
-func (p *Plan) writeFP(w io.Writer) {
+// appendFP appends the canonical serialization of the plan subtree to dst.
+// It is injective: names and lambdas are %q-quoted, counts and kinds are
+// numbers closed by a fixed delimiter, and a build side is bracketed by {}.
+// With shape set, each lambda is written as its dsl.AppendShape instead,
+// which is self-delimiting and injective up to the values of numeric
+// literals.
+func (p *Plan) appendFP(dst []byte, shape bool) []byte {
 	switch p.kind {
 	case planScan:
 		sch := p.table.Schema()
-		fmt.Fprintf(w, "scan/%d:", p.table.Rows())
+		dst = append(dst, "scan/"...)
+		dst = append(strconv.AppendInt(dst, int64(p.table.Rows()), 10), ':')
 		cols := p.columns
 		if len(cols) == 0 {
 			cols = sch.Names
@@ -781,40 +790,54 @@ func (p *Plan) writeFP(w io.Writer) {
 			if i := sch.ColumnIndex(c); i >= 0 {
 				k = sch.Kinds[i]
 			}
-			fmt.Fprintf(w, "%q=%d,", c, k)
+			dst = append(strconv.AppendQuote(dst, c), '=')
+			dst = append(strconv.AppendUint(dst, uint64(k), 10), ',')
 		}
 	case planFilter:
-		p.child.writeFP(w)
-		fmt.Fprintf(w, ";F%d%q@%q", p.mode, p.lambda, p.col)
+		dst = p.child.appendFP(dst, shape)
+		dst = strconv.AppendInt(append(dst, ";F"...), int64(p.mode), 10)
+		dst = strconv.AppendQuote(append(p.appendLambda(dst, shape), '@'), p.col)
 	case planCompute:
-		p.child.writeFP(w)
-		fmt.Fprintf(w, ";C%d%q->%q=%d/", p.mode, p.lambda, p.out, p.outKind)
+		dst = p.child.appendFP(dst, shape)
+		dst = strconv.AppendInt(append(dst, ";C"...), int64(p.mode), 10)
+		dst = strconv.AppendQuote(append(p.appendLambda(dst, shape), "->"...), p.out)
+		dst = append(strconv.AppendUint(append(dst, '='), uint64(p.outKind), 10), '/')
 		for _, c := range p.cols {
-			fmt.Fprintf(w, "%q,", c)
+			dst = append(strconv.AppendQuote(dst, c), ',')
 		}
 	case planAggregate:
-		p.child.writeFP(w)
-		io.WriteString(w, ";A")
+		dst = append(p.child.appendFP(dst, shape), ";A"...)
 		for _, k := range p.keys {
-			fmt.Fprintf(w, "%q,", k)
+			dst = append(strconv.AppendQuote(dst, k), ',')
 		}
-		io.WriteString(w, "/")
+		dst = append(dst, '/')
 		for _, a := range p.aggs {
-			fmt.Fprintf(w, "%d%q>%q,", a.Func, a.Col, a.As)
+			dst = strconv.AppendQuote(strconv.AppendUint(dst, uint64(a.Func), 10), a.Col)
+			dst = append(strconv.AppendQuote(append(dst, '>'), a.As), ',')
 		}
 	case planJoin:
-		p.child.writeFP(w)
-		io.WriteString(w, ";J{")
-		p.buildSide.writeFP(w)
-		fmt.Fprintf(w, "}%q=%q/", p.probeKey, p.buildKey)
+		dst = append(p.child.appendFP(dst, shape), ";J{"...)
+		dst = append(p.buildSide.appendFP(dst, shape), '}')
+		dst = strconv.AppendQuote(append(strconv.AppendQuote(dst, p.probeKey), '='), p.buildKey)
+		dst = append(dst, '/')
 		for _, c := range p.payload {
-			fmt.Fprintf(w, "%q,", c)
+			dst = append(strconv.AppendQuote(dst, c), ',')
 		}
 	case planTopK:
-		p.child.writeFP(w)
-		fmt.Fprintf(w, ";T%d/", p.k)
+		dst = append(p.child.appendFP(dst, shape), ";T"...)
+		dst = append(strconv.AppendInt(dst, int64(p.k), 10), '/')
 		for _, o := range p.by {
-			fmt.Fprintf(w, "%q:%v,", o.Col, o.Desc)
+			dst = append(strconv.AppendBool(append(strconv.AppendQuote(dst, o.Col), ':'), o.Desc), ',')
 		}
 	}
+	return dst
+}
+
+// appendLambda appends the node's lambda to a serialization: quoted, or in
+// shape form with its numeric literals elided.
+func (p *Plan) appendLambda(dst []byte, shape bool) []byte {
+	if shape {
+		return dsl.AppendShape(dst, p.lambda)
+	}
+	return strconv.AppendQuote(dst, p.lambda)
 }

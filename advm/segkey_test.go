@@ -224,3 +224,20 @@ func FuzzSegmentKey(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkPlanFingerprint prices the hotness key every tiered Query
+// computes before it builds anything: a TPC-H Q6 plan with the standard
+// parameters.
+func BenchmarkPlanFingerprint(b *testing.B) {
+	li := keyTable{sch: NewSchema("l_quantity", I64, "l_extendedprice", F64, "l_discount", F64, "l_shipdate", I64), rows: 60000}
+	plan := Scan(li, "l_quantity", "l_extendedprice", "l_discount", "l_shipdate").
+		Filter(`(\d -> (d >= 730) && (d < 1095))`, "l_shipdate").
+		Filter(`(\x -> (x >= 0.05) && (x <= 0.07))`, "l_discount").
+		Filter(`(\q -> q < 24)`, "l_quantity").
+		Compute("revenue", `(\p d -> p * d)`, F64, "l_extendedprice", "l_discount").
+		Aggregate(nil, Agg{Func: AggSum, Col: "revenue", As: "revenue"})
+	b.ReportAllocs()
+	for b.Loop() {
+		plan.fingerprint()
+	}
+}

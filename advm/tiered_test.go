@@ -220,3 +220,92 @@ func collectAllRows(t *testing.T, rows *advm.Rows) [][]advm.Value {
 	}
 	return out
 }
+
+// TestLiteralVariantsShareTierUp: hotness is counted per plan shape, so Q6
+// plans that differ only in their constants climb one cold → warm → hot
+// ladder together — the eighth variant runs fused at its first execution —
+// while each variant compiles and runs its own program, byte-identical to
+// untiered execution. A plan that differs in an operator, a column or a
+// literal's kind is another shape with its own entry.
+func TestLiteralVariantsShareTierUp(t *testing.T) {
+	st := tpch.GenLineitem(0.01, 42)
+	eng, err := advm.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess, err := eng.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := advm.NewSession(advm.WithTieredExecution(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	run := func(plan *advm.Plan) *advm.Rows {
+		t.Helper()
+		want := collectRows(t, ref, plan)
+		rows, err := sess.Query(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier, fusedRun := rows.Tier(), rows.Fused()
+		if got := collectAllRows(t, rows); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("tier %s: result %v differs from untiered %v", tier, got, want)
+		}
+		if fusedRun != (tier == "hot") {
+			t.Fatalf("tier %s: Fused() = %v", tier, fusedRun)
+		}
+		return rows
+	}
+
+	bands := [][2]float64{{0.02, 0.04}, {0.03, 0.05}, {0.04, 0.06}, {0.05, 0.07}, {0.06, 0.08}}
+	for i := 0; i < 10; i++ {
+		lo := int64(100 + 170*i)
+		p := tpch.Q6Params{ShipLo: lo, ShipHi: lo + int64(60+30*i), DiscLo: bands[i%5][0], DiscHi: bands[i%5][1], QtyMax: int64(20 + i)}
+		want := "hot"
+		switch n := i + 1; {
+		case n < 4:
+			want = "cold"
+		case n < 8:
+			want = "warm"
+		}
+		if got := run(tpch.PlanQ6(st, p)).Tier(); got != want {
+			t.Fatalf("variant %d ran at tier %q, want %q", i+1, got, want)
+		}
+	}
+	es := eng.Stats()
+	if len(es.Tiers) != 1 || es.Tiers[0].Execs != 10 || es.Tiers[0].FusedRuns != 3 {
+		t.Fatalf("Tiers = %+v, want one shape with 10 execs and 3 fused runs", es.Tiers)
+	}
+	if es.FusedCompiles != 7 {
+		t.Fatalf("FusedCompiles = %d, want 7 (one program per variant from the warm threshold on)", es.FusedCompiles)
+	}
+
+	q6Like := func(qtyFilter, qtyCol string, discLo string) *advm.Plan {
+		return advm.Scan(st, "l_quantity", "l_extendedprice", "l_discount", "l_shipdate").
+			Filter(`(\d -> (d >= 730) && (d < 1095))`, "l_shipdate").
+			Filter(`(\x -> (x >= `+discLo+`) && (x <= 0.07))`, "l_discount").
+			Filter(qtyFilter, qtyCol).
+			Compute("revenue", `(\p d -> p * d)`, advm.F64, "l_extendedprice", "l_discount").
+			Aggregate(nil, advm.Agg{Func: advm.AggSum, Col: "revenue", As: "revenue"})
+	}
+	if got := run(q6Like(`(\q -> q < 24)`, "l_quantity", "0.05")).Tier(); got != "hot" {
+		t.Fatalf("a Q6 spelled by hand ran at tier %q, want hot: it is the same shape", got)
+	}
+	others := map[string]*advm.Plan{
+		"operator":     q6Like(`(\q -> q <= 24)`, "l_quantity", "0.05"),
+		"column":       q6Like(`(\q -> q < 24)`, "l_shipdate", "0.05"),
+		"literal kind": q6Like(`(\q -> q < 24)`, "l_quantity", "0"),
+	}
+	for name, plan := range others {
+		if got := run(plan).Tier(); got != "cold" {
+			t.Fatalf("%s variant ran at tier %q, want cold: it is another shape", name, got)
+		}
+	}
+	if n := len(eng.Stats().Tiers); n != 1+len(others) {
+		t.Fatalf("%d shapes, want %d", n, 1+len(others))
+	}
+}

@@ -115,13 +115,27 @@ func (b *builder) traced(p *Plan, op engine.Operator) engine.Operator {
 // busy time, summed over its workers (engine.ParallelAgg): the wrapper
 // times Open and counts loops and rows, leaves the busy time of Next to the
 // operator, and reports the time its caller waits as call time, which the
-// span above subtracts for its own self time.
+// span above subtracts for its own self time. The span is marked summed.
 func (b *builder) tracedSelfTimed(p *Plan, op engine.Operator) engine.Operator {
 	sp := b.spans[p]
 	if sp == nil {
 		return op
 	}
+	sp.SetSummed()
 	return &tracedOp{inner: op, sp: sp, selfTimed: true}
+}
+
+// markWorkerSpans marks the spans of a segment that morsel workers run as
+// summed: each worker's private pipeline charges the same stage and scan
+// spans, so their busy time adds up over workers.
+func (b *builder) markWorkerSpans(stages []*Plan, scan *Plan) {
+	if b.trace == nil {
+		return
+	}
+	for _, st := range stages {
+		b.spans[st].SetSummed()
+	}
+	b.spans[scan].SetSummed()
 }
 
 // tracedLeaf attaches the scan node's span to the scan leaf of a worker

@@ -515,3 +515,46 @@ func TestExplainAnalyzeFusedStages(t *testing.T) {
 		})
 	}
 }
+
+// TestExplainAnalyzeMarksSummedTime: on a parallel q3, EXPLAIN ANALYZE says
+// which kind of time each span shows. The aggregate and the stages its
+// workers run are charged by every worker at once and print actual(sum)=;
+// the top-k above them and the join builds are timed by one caller and
+// print a wall time, actual=. Both tiers render the same way.
+func TestExplainAnalyzeMarksSummedTime(t *testing.T) {
+	const sf = 0.005
+	li := tpch.GenLineitem(sf, 42)
+	ord := tpch.GenOrders(sf, 42)
+	cust := tpch.GenCustomer(sf, 42)
+	for _, hot := range []bool{false, true} {
+		opts := []advm.Option{advm.WithParallelism(2)}
+		if hot {
+			opts = append(opts, advm.WithTierThresholds(1, 1))
+		}
+		sess, err := advm.NewSession(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sess.ExplainAnalyze(context.Background(), tpch.PlanQ3(li, ord, cust, tpch.DefaultQ3Params()))
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{
+			"topk":       "actual=",
+			"aggregate":  "actual(sum)=",
+			"compute":    "actual(sum)=",
+			"join-build": "actual=",
+		}
+		for _, line := range strings.Split(out, "\n") {
+			for name, kind := range want {
+				if strings.Contains(line, "->  "+name+" (") && !strings.Contains(line, "("+kind) {
+					t.Errorf("hot=%v: %s line does not print %s: %q", hot, name, kind, line)
+				}
+			}
+		}
+		if strings.Count(out, "actual(sum)=") < 3 || t.Failed() {
+			t.Fatalf("hot=%v: EXPLAIN ANALYZE:\n%s", hot, out)
+		}
+	}
+}

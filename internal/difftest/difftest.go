@@ -15,6 +15,11 @@
 // table (shared build + worker probes), grouped aggregation with
 // order-sensitive f64 sums (per-morsel tables merged in sequence order),
 // and top-k (stable merge under ties).
+//
+// Case.Redraw adds a literal axis: the same plan structure with every
+// numeric literal of its lambdas drawn again. Redraws share one plan shape,
+// so on an engine at the default tier thresholds the later ones run hot,
+// each through a fused program compiled with its own constants.
 package difftest
 
 import (
@@ -41,7 +46,43 @@ type Case struct {
 	StoredPlan *advm.Plan
 	Desc       string
 
-	stored []*colstore.Table
+	planSeed int64
+	stored   []*colstore.Table
+}
+
+// Redraws is the number of literal variants Case.Redraw serves: the base
+// plan, ordinary redraws, and the special redraws below, placed late enough
+// that an engine at the default tier thresholds (hot from a shape's 8th
+// execution) runs them hot.
+const Redraws = 12
+
+// The special redraws. Each applies to the literal sites it names and draws
+// every other site as an ordinary redraw.
+const (
+	// RedrawEmptyRange turns every i64 range filter into one with lo > hi,
+	// which the fused compiler lowers to a filter that keeps nothing.
+	RedrawEmptyRange = 8
+	// RedrawExtremes puts every i64 filter bound and i64 factor at
+	// MaxInt64, or at -MaxInt64 where the base literal is negative (MinInt64
+	// is not a DSL literal: its magnitude overflows), so `v < -MaxInt64` is
+	// an inclusive bound at MinInt64 and factors wrap.
+	RedrawExtremes = 9
+	// RedrawModZero sets every modulus to 0: the fused compiler declines the
+	// segment, which runs interpreted, where x % 0 is 0.
+	RedrawModZero = 10
+)
+
+// Redraw returns the case's in-RAM plan with literal redraw r in
+// [0, Redraws) and its description; redraw 0 is Plan itself. A redraw keeps
+// every structural choice and each literal's lexical kind and sign (a '-' is
+// a token of the lambda), so all redraws of a case share one plan shape.
+func (c *Case) Redraw(r int) (*advm.Plan, string) {
+	g := &gen{rng: rand.New(rand.NewSource(c.planSeed)), special: r}
+	if r > 0 {
+		g.lits = rand.New(rand.NewSource(c.planSeed + int64(r)))
+	}
+	p := g.genPlan(c.Probe, c.Build)
+	return p, fmt.Sprintf("redraw %d: %s", r, strings.Join(g.desc, " → "))
 }
 
 // Close releases the file mappings of any colstore-backed tables the case
@@ -65,8 +106,13 @@ type col struct {
 
 // gen carries generator state.
 type gen struct {
-	rng  *rand.Rand
-	desc []string
+	rng *rand.Rand
+	// lits, when set, draws every numeric literal of a redraw. The structural
+	// draws from rng are still made — literal draws included, then discarded —
+	// so the plan's structure does not move.
+	lits    *rand.Rand
+	special int // the redraw number, for the special redraws
+	desc    []string
 	// lastAggSchema remembers the output columns of the last generated
 	// aggregate, so a stacked top-k can sort on them.
 	lastAggSchema []col
@@ -100,10 +146,10 @@ func newCase(seed int64, dir string) (*Case, error) {
 	g := &gen{rng: rand.New(rand.NewSource(seed))}
 	probe := g.genProbeTable()
 	build := g.genBuildTable()
-	c := &Case{Probe: probe, Build: build}
 	// The plan generator runs from its own derived seed so it can be replayed
 	// verbatim against a different pair of table sources.
 	planSeed := g.rng.Int63()
+	c := &Case{Probe: probe, Build: build, planSeed: planSeed}
 	pg := &gen{rng: rand.New(rand.NewSource(planSeed))}
 	c.Plan = pg.genPlan(probe, build)
 	c.Desc = fmt.Sprintf("seed=%d rows=%d/%d: %s", seed, probe.Rows(), build.Rows(), strings.Join(pg.desc, " → "))
@@ -236,17 +282,40 @@ func (g *gen) genFilter(p *advm.Plan, cols []col) *advm.Plan {
 		switch g.rng.Intn(3) {
 		case 0:
 			cut := g.rng.Int63n(120000) - 60000
+			if g.lits != nil {
+				cut = g.bound(cut, 1+g.lits.Int63n(60000))
+			}
 			lambda = fmt.Sprintf(`(\v -> v < %d)`, cut)
 		case 1:
 			m := int64(2 + g.rng.Intn(7))
 			r := g.rng.Int63n(m)
+			if g.lits != nil {
+				m = int64(2 + g.lits.Intn(7))
+				r = g.lits.Int63n(m)
+				m = g.modulus(m)
+			}
 			lambda = fmt.Sprintf(`(\v -> (v %% %d) == %d)`, m, r)
 		default:
 			lo := g.rng.Int63n(400)
-			lambda = fmt.Sprintf(`(\v -> (v >= %d) && (v < %d))`, lo, lo+g.rng.Int63n(300))
+			hi := lo + g.rng.Int63n(300)
+			if g.lits != nil {
+				lo = g.lits.Int63n(400)
+				hi = lo + g.lits.Int63n(300)
+				switch g.special {
+				case RedrawEmptyRange:
+					lo, hi = hi+1, lo
+				case RedrawExtremes:
+					hi = math.MaxInt64
+				}
+			}
+			lambda = fmt.Sprintf(`(\v -> (v >= %d) && (v < %d))`, lo, hi)
 		}
 	} else {
 		cut := (g.rng.Float64() - 0.5) * 1.2e4
+		if g.lits != nil {
+			// A magnitude in (0, 6e3], signed like the base draw.
+			cut = math.Copysign((1-g.lits.Float64())*6e3, cut)
+		}
 		if g.rng.Intn(2) == 0 {
 			lambda = fmt.Sprintf(`(\v -> v < %g)`, cut)
 		} else {
@@ -269,10 +338,18 @@ func (g *gen) genCompute(p *advm.Plan, cols []col) (*advm.Plan, []col) {
 		kind = advm.I64
 		switch g.rng.Intn(3) {
 		case 0:
-			lambda = fmt.Sprintf(`(\v -> v * %d + %d)`, 1+g.rng.Int63n(5), g.rng.Int63n(100))
+			a, b := 1+g.rng.Int63n(5), g.rng.Int63n(100)
+			if g.lits != nil {
+				a, b = g.bound(1, 1+g.lits.Int63n(5)), g.lits.Int63n(100)
+			}
+			lambda = fmt.Sprintf(`(\v -> v * %d + %d)`, a, b)
 			inputs = []string{c1.name}
 		case 1:
-			lambda = fmt.Sprintf(`(\v -> (v %% %d) * 3)`, 2+g.rng.Int63n(9))
+			m := 2 + g.rng.Int63n(9)
+			if g.lits != nil {
+				m = g.modulus(2 + g.lits.Int63n(9))
+			}
+			lambda = fmt.Sprintf(`(\v -> (v %% %d) * 3)`, m)
 			inputs = []string{c1.name}
 		default:
 			// Two-input compute over i64 columns.
@@ -287,7 +364,11 @@ func (g *gen) genCompute(p *advm.Plan, cols []col) (*advm.Plan, []col) {
 		kind = advm.F64
 		switch g.rng.Intn(2) {
 		case 0:
-			lambda = fmt.Sprintf(`(\v -> v * %g + %g)`, 0.5+g.rng.Float64(), g.rng.Float64()*10)
+			a, b := 0.5+g.rng.Float64(), g.rng.Float64()*10
+			if g.lits != nil {
+				a, b = 0.5+g.lits.Float64(), g.lits.Float64()*10
+			}
+			lambda = fmt.Sprintf(`(\v -> v * %g + %g)`, a, b)
 			inputs = []string{c1.name}
 		default:
 			lambda = `(\v -> v * v)`
@@ -306,6 +387,9 @@ func (g *gen) genJoin(p *advm.Plan, cols []col, build advm.TableSource) (*advm.P
 	note := "join[k=bk"
 	if g.rng.Intn(2) == 0 {
 		cut := g.rng.Int63n(900) + 50
+		if g.lits != nil {
+			cut = g.bound(cut, g.lits.Int63n(900)+50)
+		}
 		b = b.Filter(fmt.Sprintf(`(\v -> v < %d)`, cut), "p")
 		note += fmt.Sprintf(" | build p<%d", cut)
 	}
@@ -320,6 +404,26 @@ func (g *gen) genJoin(p *advm.Plan, cols []col, build advm.TableSource) (*advm.P
 		cols = append(cols, col{pay, kind})
 	}
 	return p, cols
+}
+
+// bound is a redrawn i64 bound or factor: mag ≥ 1, signed like the base
+// literal, or ±MaxInt64 in RedrawExtremes.
+func (g *gen) bound(base, mag int64) int64 {
+	if g.special == RedrawExtremes {
+		mag = math.MaxInt64
+	}
+	if base < 0 {
+		return -mag
+	}
+	return mag
+}
+
+// modulus is a redrawn modulus m, or 0 in RedrawModZero.
+func (g *gen) modulus(m int64) int64 {
+	if g.special == RedrawModZero {
+		return 0
+	}
+	return m
 }
 
 func (g *gen) genAggregate(p *advm.Plan, cols []col) *advm.Plan {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/advm"
@@ -188,6 +189,76 @@ func TestDifferential(t *testing.T) {
 	if fusedQueries == 0 {
 		t.Fatal("forced-hot configs never mounted a fused loop across all seeds")
 	}
+}
+
+// TestLiteralRedraws is the literal axis: one engine at the default tier
+// thresholds runs every redraw of each case's plan. The redraws share one
+// plan shape, so from the 8th on they run hot, each through a fused program
+// compiled with its own constants — an empty i64 range and bounds and
+// factors at ±MaxInt64 among them — and every one must give the untiered
+// serial result byte for byte, or fail with the same error. A zero modulus
+// (x % 0 is 0 in the interpreter) makes the fused compiler decline the
+// segment, which then runs interpreted at the hot tier.
+func TestLiteralRedraws(t *testing.T) {
+	seeds := int64(16)
+	if testing.Short() {
+		seeds = 6
+	}
+	ctx := context.Background()
+	eng, err := advm.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess, err := eng.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ref, err := advm.NewSession(advm.WithParallelism(1), advm.WithTieredExecution(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	var hotFused, modZeroDeclined int
+	for seed := int64(1); seed <= seeds; seed++ {
+		c := NewCase(seed)
+		for r := 0; r < Redraws; r++ {
+			plan, desc := c.Redraw(r)
+			want, wantErr := Collect(ctx, ref, plan)
+			before := sess.Stats().FusedQueries
+			got, err := Collect(ctx, sess, plan)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("seed %d %s: error %v, untiered %v", seed, desc, err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d %s: %d rows, untiered produced %d", seed, desc, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d %s: row %d differs\n got: %s\nwant: %s", seed, desc, i, got[i], want[i])
+				}
+			}
+			fusedRun := sess.Stats().FusedQueries > before
+			if r >= 7 && fusedRun {
+				hotFused++
+			}
+			if r == RedrawModZero && strings.Contains(desc, "% 0)") && !fusedRun {
+				modZeroDeclined++
+			}
+		}
+	}
+	// A redraw that started a shape of its own would run cold: hot fused
+	// redraws show that the redraws shared one hotness entry, and each of
+	// them ran a program with its own constants.
+	if hotFused == 0 {
+		t.Fatal("no hot redraw ran fused across all seeds")
+	}
+	if modZeroDeclined == 0 {
+		t.Fatal("no zero-modulus redraw ran interpreted at the hot tier")
+	}
+	t.Logf("%d hot redraws ran fused; %d zero-modulus redraws declined fusion", hotFused, modZeroDeclined)
 }
 
 // TestTemplateWarmEngineIdentical pits a fresh engine against engines that

@@ -99,8 +99,14 @@ func (lx *lexer) skipSpaceAndComments() {
 	}
 }
 
-// multi-character operators, longest first.
-var multiOps = []string{"==", "!=", "<=", ">=", "<<", ">>", ":=", "->", "&&", "||"}
+// isMultiOp reports whether op is one of the two-character operators.
+func isMultiOp(op string) bool {
+	switch op {
+	case "==", "!=", "<=", ">=", "<<", ">>", ":=", "->", "&&", "||":
+		return true
+	}
+	return false
+}
 
 // next returns the next token.
 func (lx *lexer) next() (token, error) {
@@ -194,21 +200,18 @@ func (lx *lexer) next() (token, error) {
 		return token{kind: tokString, text: text, pos: pos}, nil
 	}
 
-	// multi-char operators
-	for _, op := range multiOps {
-		if strings.HasPrefix(lx.src[lx.off:], op) {
-			for range op {
-				lx.advance()
-			}
-			return token{kind: tokOp, text: op, pos: pos}, nil
-		}
+	// two-char operators
+	if lx.off+2 <= len(lx.src) && isMultiOp(lx.src[lx.off:lx.off+2]) {
+		lx.advance()
+		lx.advance()
+		return token{kind: tokOp, text: lx.src[lx.off-2 : lx.off], pos: pos}, nil
 	}
 
 	// single-char operators / punctuation
 	switch c {
 	case '+', '-', '*', '/', '%', '&', '|', '^', '<', '>', '=', '(', ')', '{', '}', ',', '\\', '!', '[', ']':
 		lx.advance()
-		return token{kind: tokOp, text: string(c), pos: pos}, nil
+		return token{kind: tokOp, text: lx.src[lx.off-1 : lx.off], pos: pos}, nil
 	}
 	return token{}, lx.errorf(pos, "unexpected character %q", c)
 }

@@ -7,10 +7,10 @@
 //
 // The tier boundary mirrors the paper's micro-adaptive machinery on the
 // query side: cold plans run the existing vectorized interpreter; once a
-// plan fingerprint crosses the warm threshold its segment is compiled and
-// cached (keyed by the segment's canonical plan serialization, which the
-// caller supplies; see Cache); at the hot threshold queries execute the
-// cached fused loop. A fused loop runs every chunk it starts, to the end of
+// plan shape (its numeric literals elided) crosses the warm threshold its
+// segment is compiled and cached (keyed by the segment's canonical plan
+// serialization, literals included, which the caller supplies; see Cache);
+// at the hot threshold queries execute the cached fused loop. A fused loop runs every chunk it starts, to the end of
 // the stream: it emits exactly the bytes the interpreted operator chain
 // would, whatever the data's selectivity or join fan-out.
 //

@@ -15,8 +15,11 @@ const AttrFusedInto = "fused_into"
 // actual timings: one line per operator with inclusive time, self time,
 // rows, and loops, followed by its attributes, with per-morsel leaves
 // summarized (per-worker morsel counts, steals) rather than
-// listed. An operator tagged AttrFusedInto has no timings of its own and
-// renders as "fused into <span>". Event spans render as bracketed markers.
+// listed. The inclusive time is a wall time (actual=) or, for a span its
+// workers charge concurrently (Span.SetSummed), their summed time
+// (actual(sum)=), which may exceed the query's wall time. An operator tagged
+// AttrFusedInto has no timings of its own and renders as "fused into
+// <span>". Event spans render as bracketed markers.
 func (t *Trace) ExplainAnalyze() string {
 	if t == nil {
 		return "tracing disabled\n"
@@ -42,8 +45,12 @@ func writeExplainNode(b *strings.Builder, n *node, depth int) {
 			fmt.Fprintf(b, "%s->  %s (fused into %s%s)\n", indent(depth), n.s.Name(), into, attrSuffix(n.s))
 			break
 		}
-		fmt.Fprintf(b, "%s->  %s (actual=%s self=%s rows=%d loops=%d%s)\n",
-			indent(depth), n.s.Name(), fmtNs(n.s.BusyNs()), fmtNs(n.selfNs()),
+		actual := "actual"
+		if n.s.Summed() {
+			actual = "actual(sum)"
+		}
+		fmt.Fprintf(b, "%s->  %s (%s=%s self=%s rows=%d loops=%d%s)\n",
+			indent(depth), n.s.Name(), actual, fmtNs(n.s.BusyNs()), fmtNs(n.selfNs()),
 			n.s.Rows(), n.s.Loops(), attrSuffix(n.s))
 	}
 	if line := summarizeMorsels(n); line != "" {

@@ -111,6 +111,7 @@ type Span struct {
 	rows   atomic.Int64
 	loops  atomic.Int64
 	worker atomic.Int32 // executing worker, -1 if unattributed
+	summed atomic.Bool  // busy is a sum over the workers sharing the span (SetSummed)
 
 	mu    sync.Mutex
 	end   int64 // ns since trace epoch; 0 = still open
@@ -264,6 +265,25 @@ func (s *Span) AddCallTime(d time.Duration) {
 		return
 	}
 	s.call.Add(int64(d))
+}
+
+// SetSummed marks the span's busy time as a sum over the workers that
+// charge it concurrently rather than a wall time: the span of a parallel
+// aggregate and the stage spans of morsel workers' pipelines. EXPLAIN
+// ANALYZE prints such a span's time as actual(sum)=.
+func (s *Span) SetSummed() {
+	if s == nil {
+		return
+	}
+	s.summed.Store(true)
+}
+
+// Summed reports whether SetSummed marked the span.
+func (s *Span) Summed() bool {
+	if s == nil {
+		return false
+	}
+	return s.summed.Load()
 }
 
 // AddRows accumulates rows produced.

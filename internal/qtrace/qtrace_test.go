@@ -63,8 +63,9 @@ func TestNilTraceIsSafe(t *testing.T) {
 	sp.AddLoop()
 	sp.SetWorker(3)
 	sp.SetAttr("k", 1)
+	sp.SetSummed()
 	sp.End()
-	if sp.DurNs() != 0 || sp.BusyNs() != 0 || sp.Rows() != 0 || sp.Loops() != 0 ||
+	if sp.DurNs() != 0 || sp.BusyNs() != 0 || sp.Rows() != 0 || sp.Loops() != 0 || sp.Summed() ||
 		sp.Worker() != -1 || sp.Attrs() != nil || sp.Attr("k") != nil {
 		t.Fatal("nil span accessors must return zero values")
 	}
@@ -109,6 +110,7 @@ func TestNilHooksAllocateNothing(t *testing.T) {
 		{"Span.AddRows", func() { sp.AddRows(7) }},
 		{"Span.AddLoop", func() { sp.AddLoop() }},
 		{"Span.SetWorker", func() { sp.SetWorker(3) }},
+		{"Span.SetSummed", func() { sp.SetSummed() }},
 		{"Trace.Now", func() { _ = tr.Now() }},
 		{"Trace.Level", func() { _ = tr.Level() }},
 		{"Trace.Morsels", func() { _ = tr.Morsels() }},
@@ -120,7 +122,7 @@ func TestNilHooksAllocateNothing(t *testing.T) {
 		{"Span accessors", func() {
 			_, _, _, _ = sp.ID(), sp.Parent(), sp.Kind(), sp.Name()
 			_, _, _, _ = sp.StartNs(), sp.EndNs(), sp.DurNs(), sp.BusyNs()
-			_, _, _ = sp.Rows(), sp.Loops(), sp.Worker()
+			_, _, _, _ = sp.Rows(), sp.Loops(), sp.Worker(), sp.Summed()
 			_, _ = sp.Attrs(), sp.Attr("k")
 		}},
 	}
@@ -143,6 +145,7 @@ func buildSample(level Level) *Trace {
 	op.AddRows(100)
 	op.AddLoop()
 	child := op.Child(KindOp, "scan")
+	child.SetSummed() // the morsel workers' partition scans
 	child.AddTime(1 * time.Millisecond)
 	child.AddRows(200)
 	child.AddLoop()
@@ -236,7 +239,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		"workers=2",
 		"->  filter (actual=3.00ms self=2.00ms rows=100 loops=1, col=a)",
 		"morsels: 2 w0=1 w1=1 stolen=1",
-		"->  scan (actual=1.00ms self=1.00ms rows=200 loops=1)",
+		"->  scan (actual(sum)=1.00ms self=1.00ms rows=200 loops=1)",
 		"[event: deopt]",
 	} {
 		if !strings.Contains(out, want) {

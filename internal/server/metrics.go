@@ -31,9 +31,10 @@ type statsResponse struct {
 	// when registered tables are disk-backed.
 	SegmentsScanned int64 `json:"segments_scanned"`
 	SegmentsSkipped int64 `json:"segments_skipped"`
-	// Tiers is the per-plan-fingerprint hotness state of tiered execution:
-	// watching a repeated query climb cold → warm → hot here is watching the
-	// engine decide to fuse its hot segment into a specialized loop.
+	// Tiers is the hotness state of tiered execution per plan shape (numeric
+	// literals elided): watching a repeated query climb cold → warm → hot
+	// here is watching the engine decide to fuse its hot segment into a
+	// specialized loop.
 	Tiers []tierInfoJSON `json:"tiers,omitempty"`
 }
 
@@ -60,7 +61,7 @@ type engineStatsJSON struct {
 	JITBindNanos      int64 `json:"jit_bind_ns"`
 }
 
-// tierInfoJSON is one plan fingerprint's tiered-execution state.
+// tierInfoJSON is one plan shape's tiered-execution state.
 type tierInfoJSON struct {
 	Fingerprint string `json:"fingerprint"`
 	Tier        string `json:"tier"`
@@ -353,7 +354,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("advm_sessions_total", "Sessions handed out by the engine.", float64(st.Engine.Sessions))
 	p.counter("advm_parallel_queries_total", "Queries that executed with more than one worker.", float64(st.Engine.ParallelQueries))
 
-	p.counter("advm_tier_ups_total", "Plan fingerprints crossing the warm or hot tier threshold.", float64(st.Engine.TierUps))
+	p.counter("advm_tier_ups_total", "Plan shapes crossing the warm or hot tier threshold.", float64(st.Engine.TierUps))
 	p.counter("advm_fused_compiles_total", "Hot plan segments compiled into specialized fused loops.", float64(st.Engine.FusedCompiles))
 	p.counter("advm_fused_cache_hits_total", "Fused-loop executions answered from the code cache.", float64(st.Engine.FusedCacheHits))
 	p.gauge("advm_fused_programs", "Specialized programs resident in the fused code cache.", float64(st.Engine.FusedPrograms))
