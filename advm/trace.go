@@ -196,8 +196,17 @@ func (t *tracedOp) Next(ctx context.Context) (*vector.Chunk, error) {
 	return c, err
 }
 
+// grouper is an aggregation operator that names its grouping path
+// (engine.HashAgg, engine.ParallelAgg).
+type grouper interface{ GroupPath() string }
+
 func (t *tracedOp) Close() error {
 	err := t.inner.Close()
+	if g, ok := t.inner.(grouper); ok {
+		if path := g.GroupPath(); path != "" {
+			t.sp.SetAttr("group", path)
+		}
+	}
 	t.sp.End()
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/advm"
+	"repro/internal/colstore"
 	"repro/internal/qtrace"
 	"repro/internal/tpch"
 )
@@ -555,6 +556,59 @@ func TestExplainAnalyzeMarksSummedTime(t *testing.T) {
 		}
 		if strings.Count(out, "actual(sum)=") < 3 || t.Failed() {
 			t.Fatalf("hot=%v: EXPLAIN ANALYZE:\n%s", hot, out)
+		}
+	}
+}
+
+// TestExplainAnalyzeGroupPath: the aggregate line of EXPLAIN ANALYZE names
+// how its rows found their groups. Hot q1 over a generated table and over
+// its colstore copy groups its two coded keys through the dense table; the
+// same table with the keys as plain strings hashes them row by row.
+func TestExplainAnalyzeGroupPath(t *testing.T) {
+	const sf = 0.005
+	li := tpch.GenLineitem(sf, 42)
+	root := t.TempDir()
+	if err := colstore.Write(root+"/lineitem", li, colstore.WriteOptions{SegmentRows: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	plain := advm.NewTable(li.Schema())
+	for r := 0; r < li.Rows(); r++ {
+		row := make([]advm.Value, len(li.Schema().Names))
+		for c := range row {
+			row[c] = li.Col(c).Get(r)
+		}
+		plain.AppendRow(row...)
+	}
+	sess, err := advm.NewSession(advm.WithTierThresholds(1, 1), advm.WithParallelism(2), advm.WithTableDir(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	stored, err := sess.OpenTable("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		table advm.TableSource
+		want  string
+	}{
+		{"ram", li, "group=dense-codes"},
+		{"colstore", stored, "group=dense-codes"},
+		{"plain", plain, "group=hashed-strings"},
+	} {
+		out, err := sess.ExplainAnalyze(context.Background(), tpch.PlanQ1(tc.table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var agg string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "aggregate") {
+				agg = line
+			}
+		}
+		if !strings.Contains(out, "tier=hot") || !strings.Contains(agg, tc.want) {
+			t.Errorf("%s: want a hot q1 whose aggregate shows %s:\n%s", tc.name, tc.want, out)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -13,10 +14,17 @@ import (
 
 // Table is an opened colstore table. It implements vector.Store, decoding
 // lazily one segment at a time: the first touch of a segment parses its
-// compress.Block (and, for strings, its local dictionary) out of the mapped
-// file and caches the parsed form — roughly the compressed footprint, never
-// the decoded column — so chunked scans pay one parse per segment and then
-// cheap range decodes per chunk.
+// compress.Block out of the mapped file and caches the parsed form — roughly
+// the compressed footprint, never the decoded column — so chunked scans pay
+// one parse per segment and then cheap range decodes per chunk.
+//
+// A Str column scans as codes (vector.FromCodes) over one dictionary for
+// the whole column, merged from the segments' local dictionaries on the
+// column's first scan, with a remap per segment from its local codes to the
+// column's. A chunk that spans segments therefore carries one dictionary,
+// and every chunk of every scan of the column shares it. The merge reads
+// every segment's dictionary whatever range or pruning the first scan has,
+// and the table holds the column's distinct strings until it is closed.
 type Table struct {
 	dir     string
 	schema  vector.Schema
@@ -33,12 +41,19 @@ type column struct {
 	segs  []segMeta
 	// cache[i] holds segment i's parsed form once first touched.
 	cache []atomic.Pointer[segHandle]
+
+	// Str columns: the column dictionary (strDict).
+	dictOnce sync.Once
+	dict     []string
+	remaps   [][]int32 // per segment: local code → column code
+	blockOff []uint64  // per segment: where its block follows its local dictionary
+	dictErr  error
 }
 
 // segHandle is the parsed (still compressed) form of one segment.
 type segHandle struct {
 	block *compress.Block
-	dict  []string // string columns: local dictionary the block's codes index
+	remap []int32 // string columns: the block's local codes → column codes
 }
 
 // Open opens a colstore table directory for reading.
@@ -146,24 +161,11 @@ func (c *column) segment(i int) (*segHandle, error) {
 	payload := c.data[s.off : s.off+s.len]
 	h := &segHandle{}
 	if c.kind == vector.Str {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("%w: segment %d dictionary truncated", ErrCorrupt, i)
+		if _, err := c.strDict(); err != nil {
+			return nil, err
 		}
-		nd := int(binary.LittleEndian.Uint32(payload))
-		if nd > len(payload) {
-			return nil, fmt.Errorf("%w: segment %d dictionary count %d", ErrCorrupt, i, nd)
-		}
-		pos := 4
-		for j := 0; j < nd; j++ {
-			l, n := binary.Uvarint(payload[pos:])
-			if n <= 0 || uint64(pos+n)+l > uint64(len(payload)) {
-				return nil, fmt.Errorf("%w: segment %d dictionary truncated", ErrCorrupt, i)
-			}
-			pos += n
-			h.dict = append(h.dict, string(payload[pos:pos+int(l)]))
-			pos += int(l)
-		}
-		payload = payload[pos:]
+		h.remap = c.remaps[i]
+		payload = payload[c.blockOff[i]:]
 	}
 	b, used, err := compress.DecodeBlock(payload)
 	if err != nil {
@@ -175,7 +177,7 @@ func (c *column) segment(i int) (*segHandle, error) {
 	}
 	if c.kind == vector.Str {
 		for _, v := range b.RunValues() {
-			if v < 0 || v >= int64(len(h.dict)) {
+			if v < 0 || v >= int64(len(h.remap)) {
 				return nil, fmt.Errorf("%w: segment %d code %d outside dictionary", ErrCorrupt, i, v)
 			}
 		}
@@ -183,6 +185,51 @@ func (c *column) segment(i int) (*segHandle, error) {
 	h.block = b
 	c.cache[i].Store(h)
 	return h, nil
+}
+
+// strDict returns the Str column's dictionary, building it and the
+// segments' remaps on first use: it parses every segment's local
+// dictionary and gives each distinct string one column code, in order of
+// first occurrence.
+func (c *column) strDict() ([]string, error) {
+	c.dictOnce.Do(func() {
+		index := map[string]int32{}
+		c.remaps = make([][]int32, len(c.segs))
+		c.blockOff = make([]uint64, len(c.segs))
+		for i, s := range c.segs {
+			payload := c.data[s.off : s.off+s.len]
+			if len(payload) < 4 {
+				c.dictErr = fmt.Errorf("%w: segment %d dictionary truncated", ErrCorrupt, i)
+				return
+			}
+			nd := int(binary.LittleEndian.Uint32(payload))
+			if nd > len(payload) {
+				c.dictErr = fmt.Errorf("%w: segment %d dictionary count %d", ErrCorrupt, i, nd)
+				return
+			}
+			remap := make([]int32, nd)
+			pos := 4
+			for j := range remap {
+				l, n := binary.Uvarint(payload[pos:])
+				if n <= 0 || uint64(pos+n)+l > uint64(len(payload)) {
+					c.dictErr = fmt.Errorf("%w: segment %d dictionary truncated", ErrCorrupt, i)
+					return
+				}
+				pos += n
+				str := payload[pos : pos+int(l)]
+				code, ok := index[string(str)]
+				if !ok {
+					code = int32(len(c.dict))
+					c.dict = append(c.dict, string(str))
+					index[c.dict[code]] = code
+				}
+				remap[j] = code
+				pos += int(l)
+			}
+			c.remaps[i], c.blockOff[i] = remap, uint64(pos)
+		}
+	})
+	return c.dict, c.dictErr
 }
 
 // Schema implements vector.Store.
@@ -257,7 +304,10 @@ func (t *Table) Scan(lo, n int, cols []int, dst []*vector.Vector) int {
 }
 
 // ScanChecked is Scan with lazily discovered corruption surfaced as an
-// ErrCorrupt-wrapped error instead of a panic.
+// ErrCorrupt-wrapped error instead of a panic. A Str dst becomes coded over
+// the column's dictionary. Since that dictionary is merged from all of the
+// column's segments, one corrupt segment dictionary fails every scan of the
+// column, ranges within healthy segments included.
 func (t *Table) ScanChecked(lo, n int, cols []int, dst []*vector.Vector) (int, error) {
 	if lo >= t.rows {
 		return 0, nil
@@ -266,7 +316,6 @@ func (t *Table) ScanChecked(lo, n int, cols []int, dst []*vector.Vector) (int, e
 		n = t.rows - lo
 	}
 	for k, ci := range cols {
-		dst[k].SetLen(n)
 		if err := t.scanColumn(ci, lo, n, dst[k]); err != nil {
 			return 0, err
 		}
@@ -275,11 +324,22 @@ func (t *Table) ScanChecked(lo, n int, cols []int, dst []*vector.Vector) (int, e
 }
 
 // scanColumn fills dst with rows [lo, lo+n) of column ci. It allocates
-// nothing: I64 and F64 rows decode straight into dst (a float's stored form
-// is its IEEE bits, so the F64 buffer is written as int64), and Str
-// dictionary codes go through a fixed stack block.
+// nothing once the column dictionary exists: I64 and F64 rows decode
+// straight into dst (a float's stored form is its IEEE bits, so the F64
+// buffer is written as int64), and Str codes go through a fixed stack
+// block.
 func (t *Table) scanColumn(ci, lo, n int, dst *vector.Vector) error {
 	c := t.cols[ci]
+	var codes []int32
+	if c.kind == vector.Str {
+		dict, err := c.strDict()
+		if err != nil {
+			return err
+		}
+		codes = dst.SetCoded(dict, n)
+	} else {
+		dst.SetLen(n)
+	}
 	filled := 0
 	for filled < n {
 		row := lo + filled
@@ -300,7 +360,7 @@ func (t *Table) scanColumn(ci, lo, n int, dst *vector.Vector) error {
 			out := dst.F64()[filled : filled+take]
 			err = h.decode(unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(out))), take), from, si)
 		case vector.Str:
-			err = h.decodeStr(dst.Str()[filled:filled+take], from, si)
+			err = h.decodeCodes(codes[filled:filled+take], from, si)
 		}
 		if err != nil {
 			return err
@@ -319,13 +379,14 @@ func (h *segHandle) decode(dst []int64, from, si int) error {
 	return nil
 }
 
-// strBlock is how many dictionary codes decodeStr decodes per call, through
-// a stack buffer.
+// strBlock is how many dictionary codes decodeCodes decodes per call,
+// through a stack buffer.
 const strBlock = 256
 
-// decodeStr fills out with the strings of segment si's rows [from,
-// from+len(out)), checking every code against the segment's dictionary.
-func (h *segHandle) decodeStr(out []string, from, si int) error {
+// decodeCodes fills out with the column codes of segment si's rows [from,
+// from+len(out)), checking every stored code against the segment's local
+// dictionary before remapping it.
+func (h *segHandle) decodeCodes(out []int32, from, si int) error {
 	var codes [strBlock]int64
 	for done := 0; done < len(out); {
 		m := min(len(out)-done, strBlock)
@@ -333,10 +394,10 @@ func (h *segHandle) decodeStr(out []string, from, si int) error {
 			return err
 		}
 		for i, code := range codes[:m] {
-			if code < 0 || code >= int64(len(h.dict)) {
+			if uint64(code) >= uint64(len(h.remap)) {
 				return fmt.Errorf("%w: segment %d code %d outside dictionary", ErrCorrupt, si, code)
 			}
-			out[done+i] = h.dict[code]
+			out[done+i] = h.remap[code]
 		}
 		done += m
 	}

@@ -79,6 +79,7 @@ func writeColumn(dir string, st vector.Store, ci, segRows int) error {
 	var metas []segMeta
 	vals := make([]int64, segRows)
 	vec := vector.NewLen(kind, segRows)
+	var local segDict
 	for lo := 0; lo < rows; lo += segRows {
 		n := segRows
 		if lo+n > rows {
@@ -100,7 +101,7 @@ func writeColumn(dir string, st vector.Store, ci, segRows int) error {
 			}
 			buf, meta, err = appendF64Segment(buf, meta, iv, vec.F64()[:n])
 		case vector.Str:
-			buf, meta, err = appendStrSegment(buf, meta, vec.Str()[:n], vals)
+			buf, meta, err = local.appendSegment(buf, meta, vec, vals)
 		}
 		if err != nil {
 			return fmt.Errorf("colstore: column %q: %w", sch.Names[ci], err)
@@ -169,33 +170,75 @@ func appendF64Segment(buf []byte, meta segMeta, bits []int64, floats []float64) 
 	return buf, meta, nil
 }
 
-// appendStrSegment dictionary-encodes a string segment locally: the segment
-// dictionary in first-occurrence order, then the codes as a compressed
-// int64 block. The zone map's distinct count is exact.
-func appendStrSegment(buf []byte, meta segMeta, data []string, codes []int64) ([]byte, segMeta, error) {
-	index := map[string]int64{}
-	var dict []string
-	for i, s := range data {
-		code, ok := index[s]
-		if !ok {
-			code = int64(len(dict))
-			index[s] = code
-			dict = append(dict, s)
-		}
-		codes[i] = code
+// segDict builds one string segment's local dictionary: its distinct
+// strings in order of first occurrence. It is reused from segment to
+// segment of a column.
+type segDict struct {
+	index map[string]int64
+	dict  []string
+	// byCode holds, for a coded input, the local code + 1 of each input
+	// code (0 = not seen in this segment); touched lists the ones set.
+	byCode  []int64
+	touched []int32
+}
+
+// code returns the local code of s, adding s if the segment lacks it.
+func (d *segDict) code(s string) int64 {
+	c, ok := d.index[s]
+	if !ok {
+		c = int64(len(d.dict))
+		d.index[s] = c
+		d.dict = append(d.dict, s)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
-	for _, s := range dict {
+	return c
+}
+
+// appendSegment dictionary-encodes the string segment vec locally: the
+// segment dictionary, then the local codes as a compressed int64 block. A
+// coded vec is read as codes, each input code looked up once per segment;
+// equal strings under two input codes still get one local code, so the
+// bytes are those of the plain strings. The zone map's distinct count is
+// exact.
+func (d *segDict) appendSegment(buf []byte, meta segMeta, vec *vector.Vector, codes []int64) ([]byte, segMeta, error) {
+	if d.index == nil {
+		d.index = map[string]int64{}
+	}
+	clear(d.index)
+	d.dict = d.dict[:0]
+	codes = codes[:vec.Len()]
+	if vec.Coded() {
+		in := vec.Dict()
+		if len(d.byCode) < len(in) {
+			d.byCode = make([]int64, len(in))
+		}
+		for _, c := range d.touched {
+			d.byCode[c] = 0
+		}
+		d.touched = d.touched[:0]
+		for i, c := range vec.Codes() {
+			if d.byCode[c] == 0 {
+				d.byCode[c] = d.code(in[c]) + 1
+				d.touched = append(d.touched, c)
+			}
+			codes[i] = d.byCode[c] - 1
+		}
+	} else {
+		for i, s := range vec.Str() {
+			codes[i] = d.code(s)
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.dict)))
+	for _, s := range d.dict {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
-	b, err := compress.Compress(codes[:len(data)], compress.Analyze(codes[:len(data)]))
+	b, err := compress.Compress(codes, compress.Analyze(codes))
 	if err != nil {
 		return nil, meta, err
 	}
 	buf = compress.AppendBlock(buf, b)
 	meta.scheme = uint8(b.Scheme())
-	meta.distinct = uint32(len(dict))
+	meta.distinct = uint32(len(d.dict))
 	return buf, meta, nil
 }
 

@@ -16,6 +16,12 @@
 // order-sensitive f64 sums (per-morsel tables merged in sequence order),
 // and top-k (stable merge under ties).
 //
+// Every case also runs over a copy of its probe table whose Str column is
+// dictionary-coded (Case.Coded, Case.CodedPlan): coded and plain strings
+// must give the same bytes. Some cases draw that column from a domain too
+// large for the aggregation's dense code table, so a grouping on it takes
+// the code-id path.
+//
 // Case.Redraw adds a literal axis: the same plan structure with every
 // numeric literal of its lambdas drawn again. Redraws share one plan shape,
 // so on an engine at the default tier thresholds the later ones run hot,
@@ -32,6 +38,7 @@ import (
 
 	"repro/advm"
 	"repro/internal/colstore"
+	"repro/internal/vector"
 )
 
 // Case is one generated differential scenario: a plan over generated
@@ -44,7 +51,11 @@ type Case struct {
 	Build      *advm.Table
 	Plan       *advm.Plan
 	StoredPlan *advm.Plan
-	Desc       string
+	// Coded is Probe with its Str column dictionary-coded, and CodedPlan
+	// Plan over it.
+	Coded     *advm.Table
+	CodedPlan *advm.Plan
+	Desc      string
 
 	planSeed int64
 	stored   []*colstore.Table
@@ -144,21 +155,33 @@ func NewCaseStored(seed int64, dir string) (*Case, error) {
 
 func newCase(seed int64, dir string) (*Case, error) {
 	g := &gen{rng: rand.New(rand.NewSource(seed))}
-	probe := g.genProbeTable()
+	// Every fourth case draws s from a large domain; its own rng keeps the
+	// other draws, and so every other case, as they were.
+	var wide *rand.Rand
+	if seed%4 == 3 {
+		wide = rand.New(rand.NewSource(seed))
+	}
+	probe := g.genProbeTable(wide)
 	build := g.genBuildTable()
 	// The plan generator runs from its own derived seed so it can be replayed
 	// verbatim against a different pair of table sources.
 	planSeed := g.rng.Int63()
-	c := &Case{Probe: probe, Build: build, planSeed: planSeed}
+	c := &Case{Probe: probe, Build: build, Coded: codedCopy(probe), planSeed: planSeed}
 	pg := &gen{rng: rand.New(rand.NewSource(planSeed))}
 	c.Plan = pg.genPlan(probe, build)
+	c.CodedPlan = (&gen{rng: rand.New(rand.NewSource(planSeed))}).genPlan(c.Coded, build)
 	c.Desc = fmt.Sprintf("seed=%d rows=%d/%d: %s", seed, probe.Rows(), build.Rows(), strings.Join(pg.desc, " → "))
+	if wide != nil {
+		c.Desc += " [wide s]"
+	}
 	if dir == "" {
 		return c, nil
 	}
 	// Small, varied segments: even the few-thousand-row tables span many
-	// segments, so zone-map pruning has real decisions to make.
-	segRows := []int{512, 1024, 4096}[g.rng.Intn(3)]
+	// segments, so zone-map pruning has real decisions to make, and a
+	// chunk's rows come from several segments, each with its own string
+	// dictionary.
+	segRows := []int{300, 512, 1024, 4096}[g.rng.Intn(4)]
 	sources := make([]advm.TableSource, 0, 2)
 	for i, tb := range []*advm.Table{probe, build} {
 		sub := filepath.Join(dir, fmt.Sprintf("t%d", i))
@@ -181,22 +204,41 @@ func newCase(seed int64, dir string) (*Case, error) {
 }
 
 // genProbeTable builds the scan-side table: small-domain i64 group keys, a
-// wide i64, an f64 measure, a short string, and an i64 join key.
-func (g *gen) genProbeTable() *advm.Table {
+// wide i64, an f64 measure, a short string, and an i64 join key. With wide,
+// the string is drawn from wide out of wideDomain values instead of five.
+func (g *gen) genProbeTable(wide *rand.Rand) *advm.Table {
 	rows := 2000 + g.rng.Intn(18000)
 	st := advm.NewTable(advm.NewSchema(
 		"a", advm.I64, "b", advm.I64, "x", advm.F64, "s", advm.Str, "k", advm.I64))
 	groups := []string{"red", "green", "blue", "teal", "plum"}
 	for i := 0; i < rows; i++ {
-		st.AppendRow(
-			advm.I64Value(g.rng.Int63n(40)),
-			advm.I64Value(g.rng.Int63n(100000)-50000),
-			advm.F64Value((g.rng.Float64()-0.5)*1e4),
-			advm.StrValue(groups[g.rng.Intn(len(groups))]),
-			advm.I64Value(g.rng.Int63n(600)),
-		)
+		a := g.rng.Int63n(40)
+		b := g.rng.Int63n(100000) - 50000
+		x := (g.rng.Float64() - 0.5) * 1e4
+		s := groups[g.rng.Intn(len(groups))]
+		if wide != nil {
+			s = fmt.Sprintf("w%04d", wide.Intn(wideDomain))
+		}
+		st.AppendRow(advm.I64Value(a), advm.I64Value(b), advm.F64Value(x), advm.StrValue(s),
+			advm.I64Value(g.rng.Int63n(600)))
 	}
 	return st
+}
+
+// wideDomain is the number of distinct strings of a wide s column: more
+// than the aggregation's dense code table takes alone.
+const wideDomain = 6000
+
+// codedCopy returns tb with its Str columns dictionary-coded.
+func codedCopy(tb *advm.Table) *advm.Table {
+	cols := make([]*vector.Vector, len(tb.Schema().Names))
+	for i := range cols {
+		cols[i] = tb.Col(i)
+		if cols[i].Kind() == advm.Str {
+			cols[i] = vector.Encode(cols[i].Str())
+		}
+	}
+	return vector.DSMStoreOf(tb.Schema(), cols...)
 }
 
 // genBuildTable builds the join build side: keys overlapping the probe's k

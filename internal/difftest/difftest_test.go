@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/advm"
+	"repro/internal/colstore"
 )
 
 // tableDigest hashes every value of every column of the tables. Scans of
@@ -67,10 +70,13 @@ var configs = []execConfig{
 }
 
 // TestDifferential: for a spread of seeds, every execution strategy must
-// produce results byte-identical to serial CPU execution. Every other seed
-// additionally backs the tables with compressed colstore directories and
-// runs the same plan over the disk-backed copies through every strategy —
-// the zone-map-pruned, per-segment-decoded scans must reproduce the in-RAM
+// produce results byte-identical to serial CPU execution. Each strategy
+// also runs the plan over the probe table with its Str column
+// dictionary-coded, which must give the plain table's bytes. Every other
+// seed additionally backs the tables with compressed colstore directories
+// and runs the same plan over the disk-backed copies through every
+// strategy — the zone-map-pruned, per-segment-decoded scans, whose strings
+// arrive as codes over one column dictionary, must reproduce the in-RAM
 // serial reference bit for bit.
 func TestDifferential(t *testing.T) {
 	seeds := int64(24)
@@ -91,9 +97,9 @@ func TestDifferential(t *testing.T) {
 			c = NewCase(seed)
 		}
 		// Every run below must leave the in-RAM tables as generated.
-		digest := tableDigest(c.Probe, c.Build)
+		digest := tableDigest(c.Probe, c.Build, c.Coded)
 		checkTables := func(leg string) {
-			if tableDigest(c.Probe, c.Build) != digest {
+			if tableDigest(c.Probe, c.Build, c.Coded) != digest {
 				t.Fatalf("%s [%s]: the run wrote into an in-RAM table", c.Desc, leg)
 			}
 		}
@@ -131,7 +137,7 @@ func TestDifferential(t *testing.T) {
 		plans := []struct {
 			name string
 			plan *advm.Plan
-		}{{"ram", c.Plan}}
+		}{{"ram", c.Plan}, {"coded", c.CodedPlan}}
 		if c.StoredPlan != nil {
 			plans = append(plans, struct {
 				name string
@@ -458,6 +464,82 @@ func TestCaseDeterministic(t *testing.T) {
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatalf("same seed, row %d differs", i)
+		}
+	}
+}
+
+// TestCodedWideKeys groups on a Str column with more distinct values than
+// the aggregation's dense code table takes, alone and beside an i64 key, so
+// the coded table and its colstore copy (300-row segments, each with its
+// own dictionary) group through code ids. Every strategy of configs must
+// give the bytes of the serial plain-string reference.
+func TestCodedWideKeys(t *testing.T) {
+	ctx := context.Background()
+	// The first seed whose table is long enough to draw about 5 000 of the
+	// wideDomain strings.
+	var probe *advm.Table
+	for seed := int64(1); probe == nil || probe.Rows() < 15000; seed++ {
+		g := &gen{rng: rand.New(rand.NewSource(seed))}
+		probe = g.genProbeTable(rand.New(rand.NewSource(seed)))
+	}
+	coded := codedCopy(probe)
+	dir := t.TempDir()
+	if err := colstore.Write(dir, probe, colstore.WriteOptions{SegmentRows: 300}); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := colstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	for _, keys := range [][]string{{"s"}, {"a", "s"}} {
+		plan := func(tb advm.TableSource) *advm.Plan {
+			return advm.Scan(tb, "a", "x", "s").
+				Filter(`(\x -> x < 3000.0)`, "x").
+				Aggregate(keys, advm.Agg{Func: advm.AggSum, Col: "x", As: "sum_x"}, advm.Agg{Func: advm.AggCount, As: "n"})
+		}
+		for _, cfg := range configs {
+			opts := []advm.Option{advm.WithParallelism(1), advm.WithTieredExecution(false)}
+			if cfg.morselLen > 0 {
+				opts = append(opts, advm.WithMorselLen(cfg.morselLen))
+			}
+			ref, err := advm.NewSession(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Collect(ctx, ref, plan(probe))
+			ref.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = []advm.Option{advm.WithParallelism(cfg.workers)}
+			if cfg.morselLen > 0 {
+				opts = append(opts, advm.WithMorselLen(cfg.morselLen))
+			}
+			if cfg.forceHot {
+				opts = append(opts, advm.WithTierThresholds(1, 1))
+			}
+			sess, err := advm.NewSession(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, tb := range map[string]advm.TableSource{"coded": coded, "colstore": stored} {
+				got, err := Collect(ctx, sess, plan(tb))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("keys=%v [%s/%s]: %d rows differ from the plain reference's %d", keys, cfg.name, name, len(got), len(want))
+				}
+				out, err := sess.ExplainAnalyze(ctx, plan(tb))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(out, "group=code-ids") {
+					t.Fatalf("keys=%v [%s/%s]: the wide key did not group through code ids:\n%s", keys, cfg.name, name, out)
+				}
+			}
+			sess.Close()
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"repro/internal/profile"
 	"repro/internal/vector"
@@ -130,9 +129,6 @@ type aggSpec struct {
 	// Both add the same rows in the same order into the same kind, so one
 	// accumulator serves both bit for bit; avg divides it at emission.
 	accOf []int
-	// strKey is set when a key is Str: groupPair then consults the table's
-	// identity memo.
-	strKey bool
 }
 
 // newAggSpec resolves an aggregation over a child schema and returns it
@@ -145,7 +141,6 @@ func newAggSpec(child []ColInfo, keys []string, aggs []Aggregate) (*aggSpec, []C
 	s := &aggSpec{keys: keys, aggs: aggs}
 	for _, ci := range schema[:len(keys)] {
 		s.keyKinds = append(s.keyKinds, ci.Kind)
-		s.strKey = s.strKey || ci.Kind == vector.Str
 	}
 	for ai, a := range aggs {
 		kind := schema[len(keys)+ai].Kind
@@ -182,10 +177,13 @@ func newAggSpec(child []ColInfo, keys []string, aggs []Aggregate) (*aggSpec, []C
 func (s *aggSpec) columns(c *vector.Chunk, vals []*vector.Vector) keyCols {
 	var in keyCols
 	for k, name := range s.keys {
-		if col := c.MustColumn(name); s.keyKinds[k] == vector.I64 {
-			in.i[k] = col.I64()
-		} else {
-			in.s[k] = col.Str()
+		switch col := c.MustColumn(name); {
+		case s.keyKinds[k] == vector.I64:
+			in.i[k], in.form[k] = col.I64(), keyI64
+		case col.Coded():
+			in.c[k], in.d[k], in.form[k] = col.Codes(), col.Dict(), keyCodes
+		default:
+			in.s[k], in.form[k] = col.Str(), keyStrs
 		}
 	}
 	for ai, a := range s.aggs {
@@ -196,25 +194,60 @@ func (s *aggSpec) columns(c *vector.Chunk, vals []*vector.Vector) keyCols {
 	return in
 }
 
-// keyCols holds group-key columns by key position: an i64 key in i, a str
-// key in s.
+// keyForm is how a group-key column holds its values.
+type keyForm uint8
+
+const (
+	keyI64   keyForm = iota // i64 values in i
+	keyCodes                // a coded Str vector's codes in c, into d
+	keyIDs                  // an aggTable's Str key ids in i, into d
+	keyStrs                 // plain strings in s
+)
+
+// keyCols holds group-key columns by key position, each in the form form
+// names. An aggTable's own keys are keyCols too — i64 values, or Str key ids
+// into the key's distinct values d — so merging reads another table's keys
+// as it reads a chunk's.
 type keyCols struct {
-	i [2][]int64
-	s [2][]string
+	i    [2][]int64
+	c    [2][]int32
+	s    [2][]string
+	d    [2][]string
+	form [2]keyForm
 }
 
-// keysEqual reports whether row ra of a and row rb of b carry the same key.
-func keysEqual(kinds []vector.Kind, a *keyCols, ra int, b *keyCols, rb int) bool {
-	for k, kind := range kinds {
-		if kind == vector.I64 {
-			if a.i[k][ra] != b.i[k][rb] {
-				return false
-			}
-		} else if a.s[k][ra] != b.s[k][rb] {
-			return false
+// groupPath is a bit set of the ways an aggregation mapped its input rows
+// to groups (GroupPath).
+type groupPath uint8
+
+const (
+	// pathDense: every key coded, each row's group one load from a table
+	// indexed by the codes.
+	pathDense groupPath = 1 << iota
+	// pathIDs: Str keys turned into key ids through a remap of their
+	// dictionary, the ids grouped like i64 keys.
+	pathIDs
+	// pathStrings: a Str key hashed row by row.
+	pathStrings
+	// pathInts: i64 keys only.
+	pathInts
+)
+
+var groupPathNames = [...]string{"dense-codes", "code-ids", "hashed-strings", "hashed-ints"}
+
+// String names the paths in p, joined by "+". A shape with a Str key is
+// named by its Str keys' paths alone.
+func (p groupPath) String() string {
+	if p != pathInts {
+		p &^= pathInts
+	}
+	var names []string
+	for i, name := range groupPathNames {
+		if p&(1<<i) != 0 {
+			names = append(names, name)
 		}
 	}
-	return true
+	return strings.Join(names, "+")
 }
 
 // aggTable is a columnar grouped-aggregation accumulator. Groups have dense
@@ -224,6 +257,13 @@ func keysEqual(kinds []vector.Kind, a *keyCols, ra int, b *keyCols, rb int) bool
 // that serves count and avg alike. There are no
 // nulls, so every group has at least one row: min, max and first are seeded
 // from a group's first row instead of tracking what each group has seen.
+//
+// A Str key is kept as key ids: strs gives each distinct string of the key
+// an id in first-seen order, keys.d holds the strings by id, and the group
+// index works on ids exactly as on i64 keys. A coded key column resolves
+// each dictionary entry to its id once, so strings are hashed once per
+// entry, not per row; with every key coded over small dictionaries, rows
+// find their group through a dense table indexed by the codes.
 //
 // It is the building block shared by the serial HashAgg (one global table)
 // and the morsel-parallel aggregation (one table per morsel). absorb folds a
@@ -242,12 +282,19 @@ type aggTable struct {
 	// over the per-group key hashes.
 	slots  []int32
 	hashes []uint64
-	// memo is the identity memo of shapes with a Str key (see groupPair).
-	memo [memoSlots]memoEntry
+	// strs assigns the ids of each Str key's strings.
+	strs [2]strIDs
+	// dense maps a pair of codes (code0·|dict1| + code1) to group id + 1
+	// (0 = not seen yet), for the dictionaries denseDicts.
+	dense      []int32
+	denseDicts [2][]string
+	// paths records how absorb grouped rows (GroupPath).
+	paths groupPath
 
 	// Scratch reused across calls.
 	gids  []int32          // group id per input row
 	fresh []int32          // input row of each group the current call created
+	ids   [2][]int64       // per input row, a Str key's id
 	in    []*vector.Vector // input column per aggregate
 	// fold's block lists and the ones the row count adds (see fold).
 	ints []sumCol[int64]
@@ -280,6 +327,12 @@ func newAggTable(spec *aggSpec, hint int) *aggTable {
 			t.acc[ai] = vector.New(kind, 0, hint)
 		}
 	}
+	for k, kind := range spec.keyKinds {
+		t.keys.form[k] = keyI64
+		if kind == vector.Str {
+			t.keys.form[k] = keyIDs
+		}
+	}
 	if len(spec.keys) > 0 {
 		size := 16
 		for size < 2*hint {
@@ -293,13 +346,14 @@ func newAggTable(spec *aggSpec, hint int) *aggTable {
 }
 
 // release returns the table to the pool. Strings are cleared so the pooled
-// columns and the memo pin nothing, and shared accumulators are unshared:
+// columns and remaps pin nothing, and shared accumulators are unshared:
 // the next spec may not share, and two slots holding one vector would fold
 // two aggregates into it.
 func (t *aggTable) release() {
 	for k := range t.keys.i {
-		clear(t.keys.s[k])
-		t.keys.i[k], t.keys.s[k] = t.keys.i[k][:0], t.keys.s[k][:0]
+		clear(t.keys.d[k])
+		t.keys.i[k], t.keys.d[k] = t.keys.i[k][:0], t.keys.d[k][:0]
+		t.strs[k].reset()
 	}
 	for ai, acc := range t.acc {
 		if acc == nil {
@@ -314,12 +368,10 @@ func (t *aggTable) release() {
 		}
 		acc.SetLen(0)
 	}
-	if t.spec.strKey {
-		clear(t.memo[:])
-	}
 	clear(t.in)
 	clear(t.slots)
-	t.n, t.spec = 0, nil
+	t.denseDicts = [2][]string{}
+	t.n, t.spec, t.paths = 0, nil, 0
 	t.count, t.hashes = t.count[:0], t.hashes[:0]
 	aggTablePool.Put(t)
 }
@@ -338,7 +390,7 @@ func (t *aggTable) absorb(c *vector.Chunk) {
 		return
 	}
 	in := t.spec.columns(c, t.in)
-	t.group(&in, sel, n)
+	t.paths |= t.group(&in, sel, n)
 	t.fold(t.in, nil, sel)
 }
 
@@ -371,45 +423,146 @@ func rowAt(sel vector.Sel, i int) int {
 
 // group maps n input rows — rows sel[i], or i without a selection — to
 // group ids in t.gids, creating a group for every unseen key and recording
-// the input row that created it in t.fresh.
-func (t *aggTable) group(in *keyCols, sel vector.Sel, n int) {
+// the input row that created it in t.fresh. It returns the path it took.
+func (t *aggTable) group(in *keyCols, sel vector.Sel, n int) groupPath {
 	t.gids = extend(t.gids[:0], n)
 	t.fresh = t.fresh[:0]
-	if len(t.spec.keys) > 0 {
-		t.groupHashed(in, sel)
-	} else if t.n == 0 {
-		t.n = 1
-		t.fresh = append(t.fresh, int32(rowAt(sel, 0)))
+	if len(t.spec.keys) == 0 {
+		if t.n == 0 {
+			t.n = 1
+			t.fresh = append(t.fresh, int32(rowAt(sel, 0)))
+		}
+		return 0
+	}
+	if t.denseFits(in) {
+		t.groupDense(in, sel)
+		return pathDense
+	}
+	var cols [2][]int64
+	var path groupPath
+	for k := range t.spec.keys {
+		var p groupPath
+		cols[k], p = t.keyInts(in, k, sel)
+		path |= p
+	}
+	groupInts(t, sel, cols[0], cols[1])
+	return path
+}
+
+// keyInts returns key k of in as an i64 column over the input rows: an i64
+// key as it is, a Str key as its ids, written for the rows sel selects into
+// t.ids[k]. It also returns the path that took: pathInts, pathIDs or
+// pathStrings.
+func (t *aggTable) keyInts(in *keyCols, k int, sel vector.Sel) ([]int64, groupPath) {
+	x, vals := &t.strs[k], &t.keys.d[k]
+	var rows int
+	switch in.form[k] {
+	case keyI64:
+		return in.i[k], pathInts
+	case keyCodes:
+		rows = len(in.c[k])
+	case keyIDs:
+		rows = len(in.i[k])
+		// A table's strings grow and are recycled in place: its ids never
+		// match a remap cached for an earlier one.
+		x.forget()
+	case keyStrs:
+		rows = len(in.s[k])
+	}
+	if cap(t.ids[k]) < rows {
+		t.ids[k] = make([]int64, rows)
+	}
+	ids := t.ids[k][:rows]
+	switch {
+	case in.form[k] == keyStrs:
+		strIDsOf(x, vals, ids, in.s[k], sel, len(t.gids))
+		return ids, pathStrings
+	case in.form[k] == keyCodes:
+		codeIDs(x, vals, ids, in.c[k], in.d[k], sel, len(t.gids))
+	default:
+		codeIDs(x, vals, ids, in.i[k], in.d[k], sel, len(t.gids))
+	}
+	return ids, pathIDs
+}
+
+// denseMax is the largest product of dictionary sizes the dense path
+// indexes: its table is cleared for every aggTable that uses it, and most
+// of a large table's entries miss. Measured per 16 384-row morsel of two
+// uniformly random coded keys (2 vCPUs), the dense table beats code ids
+// at a product of 4 096 (0.22–0.33 against 0.40–0.60 ms) and ties or loses
+// from 16 384 on.
+const denseMax = 1 << 12
+
+// denseFits reports whether in's keys take the dense path — every key
+// coded, the product of the dictionary sizes at most denseMax — and
+// readies t.dense for their dictionaries.
+func (t *aggTable) denseFits(in *keyCols) bool {
+	size := 1
+	for k := range t.spec.keys {
+		if in.form[k] != keyCodes {
+			return false
+		}
+		if size *= len(in.d[k]); size > denseMax {
+			return false
+		}
+	}
+	for k := range t.spec.keys {
+		if !sameSlice(t.denseDicts[k], in.d[k]) {
+			t.dense = extend(t.dense[:0], size)
+			clear(t.dense)
+			t.denseDicts = in.d
+			break
+		}
+	}
+	return true
+}
+
+// sameSlice reports whether a and b are the same slice: the same length
+// and, when not empty, the same first element.
+func sameSlice(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// groupDense maps rows whose keys are all coded to groups through t.dense:
+// a row's group is dense[code0·|dict1| + code1] - 1, and only a row whose
+// entry is still 0 — the first of its code pair in this table — resolves
+// the codes to key ids and finds or creates its group.
+func (t *aggTable) groupDense(in *keyCols, sel vector.Sel) {
+	gids, dense := t.gids, t.dense
+	a := in.c[0]
+	if len(t.spec.keys) == 1 {
+		for i := range gids {
+			r := rowAt(sel, i)
+			g := dense[a[r]]
+			if g == 0 {
+				g = t.denseMiss(in, int(a[r]), r)
+			}
+			gids[i] = g - 1
+		}
+		return
+	}
+	b, nb := in.c[1], int32(len(in.d[1]))
+	for i := range gids {
+		r := rowAt(sel, i)
+		x := a[r]*nb + b[r]
+		g := dense[x]
+		if g == 0 {
+			g = t.denseMiss(in, int(x), r)
+		}
+		gids[i] = g - 1
 	}
 }
 
-// groupHashed is group for every keyed shape: groupInts for i64 keys,
-// groupMemo specialized to the key columns' element types for shapes with a
-// Str key.
-func (t *aggTable) groupHashed(in *keyCols, sel vector.Sel) {
-	k := t.spec.keyKinds
-	if !t.spec.strKey {
-		groupInts(t, sel, in.i[0], in.i[1])
-		return
+// denseMiss fills dense entry x from row r, the first row of its codes:
+// it resolves each code to its key id and finds or creates the group.
+func (t *aggTable) denseMiss(in *keyCols, x, r int) int32 {
+	var ids [2]int64
+	for k := range t.spec.keys {
+		ids[k] = t.strs[k].idOf(&t.keys.d[k], in.d[k], in.c[k][r])
 	}
-	var memo memoCols
-	ns := 0
-	for j, kind := range k {
-		if kind == vector.I64 {
-			memo.i = in.i[j]
-		} else {
-			memo.s[ns] = in.s[j]
-			ns++
-		}
-	}
-	switch {
-	case k[0] == vector.I64:
-		groupMemo(t, sel, &memo, in.i[0], in.s[1], &t.keys.i[0], &t.keys.s[1], hashI64, hashStr64)
-	case len(k) == 2 && k[1] == vector.I64:
-		groupMemo(t, sel, &memo, in.s[0], in.i[1], &t.keys.s[0], &t.keys.i[1], hashStr64, hashI64)
-	default:
-		groupMemo(t, sel, &memo, in.s[0], in.s[1], &t.keys.s[0], &t.keys.s[1], hashStr64, hashStr64)
-	}
+	g := findGroup(t, ids[0], ids[1], r) + 1
+	t.dense[x] = g
+	return g
 }
 
 // groupInts maps rows to groups by one i64 key column a, or two a and b: it
@@ -460,66 +613,16 @@ func groupInts(t *aggTable, sel vector.Sel, a, b []int64) {
 	}
 }
 
-// memoCols are the key columns the identity memo reads: the Str keys in key
-// order and the i64 key of a shape that mixes the two; nil where a shape has
-// none.
-type memoCols struct {
-	s [2][]string
-	i []int64
-}
-
-// groupMemo maps rows to groups by one key column a, or two a and b, at
-// least one of them Str; memo holds the same columns. A row whose keys are
-// identical to the entry of t.memo its identity selects — every Str key with
-// the same length and data pointer, the i64 key equal — takes the entry's
-// group id without hashing; any other row probes and refills the entry.
-//
-// Rows meet the memo because equal values already share storage: a
-// generated or served table holds one literal per value, and a colstore
-// segment decodes every row of one dictionary entry to that entry's own
-// string. Identity implies equal bytes since Go strings are immutable and
-// nothing in this module builds a string over mutable memory
-// (unsafe.String); an entry holds its strings, not just their addresses, so
-// no later string can reuse a memoized address.
-func groupMemo[A, B int64 | string](t *aggTable, sel vector.Sel, memo *memoCols, a []A, b []B, ta *[]A, tb *[]B, ha func(A) uint64, hb func(B) uint64) {
+// findGroup returns the group of the key (a, b) of i64 values or key ids —
+// b is ignored with one key: it hashes the key and probes the slots,
+// checking candidates against the stored keys, and creates the group for
+// input row r if the key is new.
+func findGroup(t *aggTable, a, b int64, r int) int32 {
 	two := len(t.spec.keys) == 2
-	ms0, ms1, mi := memo.s[0], memo.s[1], memo.i
-	gids := t.gids
-	for i := range gids {
-		r := rowAt(sel, i)
-		s0 := ms0[r]
-		var s1 string
-		var iv int64
-		if ms1 != nil {
-			s1 = ms1[r]
-		}
-		if mi != nil {
-			iv = mi[r]
-		}
-		me := &t.memo[memoSlot(s0, s1, iv)]
-		if me.g != 0 && sameStr(me.s[0], s0) && sameStr(me.s[1], s1) && me.i == iv {
-			gids[i] = me.g - 1
-			continue
-		}
-		var br B
-		if two {
-			br = b[r]
-		}
-		g := findGroup(t, a[r], br, r, ta, tb, ha, hb)
-		*me = memoEntry{s: [2]string{s0, s1}, i: iv, g: g + 1}
-		gids[i] = g
-	}
-}
-
-// findGroup returns the group of key (a, b) — b is ignored with one key —
-// whose stored key columns are ta and tb: it hashes the key and probes the
-// slots, checking candidates against the stored keys, and creates the group
-// for input row r if the key is new.
-func findGroup[A, B int64 | string](t *aggTable, a A, b B, r int, ta *[]A, tb *[]B, ha func(A) uint64, hb func(B) uint64) int32 {
-	two := len(t.spec.keys) == 2
-	h := ha(a)
+	ta, tb := &t.keys.i[0], &t.keys.i[1]
+	h := hashI64(a)
 	if two {
-		h = h*hashMul ^ hb(b)
+		h = h*hashMul ^ hashI64(b)
 	}
 	mask := uint64(len(t.slots) - 1)
 	for s := h & mask; ; s = (s + 1) & mask {
@@ -545,38 +648,96 @@ func findGroup[A, B int64 | string](t *aggTable, a A, b B, r int, ta *[]A, tb *[
 	}
 }
 
-// memoBits sizes aggTable's identity memo: 1<<memoBits direct-mapped
-// entries in a fixed array of the pooled table, so memoizing allocates
-// nothing.
-const (
-	memoBits  = 6
-	memoSlots = 1 << memoBits
-)
-
-// memoEntry is one identity memo entry: a key as memoCols orders it and its
-// group id + 1 (0 = empty).
-type memoEntry struct {
-	s [2]string
-	i int64
-	g int32
+// strIDs gives the distinct strings of one Str key of a table ids in
+// first-seen order; the strings themselves, by id, are the table's keys.d
+// entry for the key, which every method takes as vals. A linear-probing
+// index over their hashes finds a string's id, and remap caches the ids of
+// one input dictionary.
+type strIDs struct {
+	hashes []uint64
+	slots  []int32 // id + 1; 0 = empty
+	// remap[code] is the id + 1 of dict[code], 0 while not looked up.
+	dict  []string
+	remap []int32
 }
 
-// memoSlot is the memo entry of a key: the top bits of a multiplicative
-// hash of the Str keys' data pointers and the i64 key. Lengths are left out
-// on purpose: every prefix of one backing string shares an entry, so the
-// length check of the hit test is exercised by every such key, not only by
-// the rare hash collision.
-func memoSlot(s0, s1 string, i int64) int {
-	h := strPtr(s0)*hashMul ^ (strPtr(s1)^uint64(i))*0xbf58476d1ce4e5b9
-	return int(h >> (64 - memoBits))
+// id returns the id of s, giving s the next id if it has none.
+func (x *strIDs) id(vals *[]string, s string) int64 {
+	if len(x.slots) == 0 {
+		x.slots = make([]int32, 16)
+	}
+	h := hashStr64(s)
+	mask := uint64(len(x.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := x.slots[i]
+		if e == 0 {
+			*vals = append(*vals, s)
+			x.hashes = append(x.hashes, h)
+			x.slots[i] = int32(len(*vals))
+			if 2*len(*vals) > len(x.slots) {
+				x.slots = slotsFor(x.hashes, 2*len(x.slots))
+			}
+			return int64(len(*vals) - 1)
+		}
+		if id := e - 1; x.hashes[id] == h && (*vals)[id] == s {
+			return int64(id)
+		}
+	}
 }
 
-func strPtr(s string) uint64 { return uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))) }
+// remapFor returns the remap for dict, cleared unless it already serves
+// dict.
+func (x *strIDs) remapFor(dict []string) []int32 {
+	if !sameSlice(x.dict, dict) || len(x.remap) != len(dict) {
+		x.dict = dict
+		x.remap = extend(x.remap[:0], len(dict))
+		clear(x.remap)
+	}
+	return x.remap
+}
 
-// sameStr reports whether two strings are the same string: the same length
-// and data pointer.
-func sameStr(x, y string) bool {
-	return len(x) == len(y) && unsafe.StringData(x) == unsafe.StringData(y)
+// idOf returns the id of dict[code], looking the string up only the first
+// time the code comes.
+func (x *strIDs) idOf(vals *[]string, dict []string, code int32) int64 {
+	remap := x.remapFor(dict)
+	if remap[code] == 0 {
+		remap[code] = int32(x.id(vals, dict[code])) + 1
+	}
+	return int64(remap[code] - 1)
+}
+
+// forget drops the cached remap.
+func (x *strIDs) forget() { x.dict = nil }
+
+// reset empties x for a new table, keeping its storage.
+func (x *strIDs) reset() {
+	clear(x.slots)
+	x.hashes = x.hashes[:0]
+	clear(x.remap)
+	x.dict = nil
+}
+
+// codeIDs writes the id of each selected row's code into ids[r]: the
+// string of a code is looked up once, in the remap of dict.
+func codeIDs[C int32 | int64](x *strIDs, vals *[]string, ids []int64, codes []C, dict []string, sel vector.Sel, n int) {
+	remap := x.remapFor(dict)
+	for i := 0; i < n; i++ {
+		r := rowAt(sel, i)
+		c := codes[r]
+		if remap[c] == 0 {
+			remap[c] = int32(x.id(vals, dict[c])) + 1
+		}
+		ids[r] = int64(remap[c] - 1)
+	}
+}
+
+// strIDsOf writes the id of each selected row's string into ids[r],
+// hashing it.
+func strIDsOf(x *strIDs, vals *[]string, ids []int64, strs []string, sel vector.Sel, n int) {
+	for i := 0; i < n; i++ {
+		r := rowAt(sel, i)
+		ids[r] = x.id(vals, strs[r])
+	}
 }
 
 // aggHashSeed seeds the string hash of the key index. Hashes decide probe
@@ -600,17 +761,21 @@ func hashI64(v int64) uint64 {
 }
 
 // rehash doubles the slot table, keeping the load factor at most one half.
-func (t *aggTable) rehash() {
-	slots := make([]int32, 2*len(t.slots))
-	mask := uint64(len(slots) - 1)
-	for g, h := range t.hashes {
+func (t *aggTable) rehash() { t.slots = slotsFor(t.hashes, 2*len(t.slots)) }
+
+// slotsFor returns a linear-probing table of size slots (a power of two)
+// holding index + 1 of every hash in hashes.
+func slotsFor(hashes []uint64, size int) []int32 {
+	slots := make([]int32, size)
+	mask := uint64(size - 1)
+	for g, h := range hashes {
 		s := h & mask
 		for slots[s] != 0 {
 			s = (s + 1) & mask
 		}
 		slots[s] = int32(g) + 1
 	}
-	t.slots = slots
+	return slots
 }
 
 // extend returns s resized to n elements, the ones past its old length
@@ -860,7 +1025,8 @@ func (t *aggTable) keyOrder() []int32 {
 				if kind == vector.I64 {
 					c = cmp.Compare(t.keys.i[k][a], t.keys.i[k][b])
 				} else {
-					c = strings.Compare(t.keys.s[k][a], t.keys.s[k][b])
+					ids, vals := t.keys.i[k], t.keys.d[k]
+					c = strings.Compare(vals[ids[a]], vals[ids[b]])
 				}
 				if c != 0 {
 					return c
@@ -890,11 +1056,16 @@ func emitAggChunk(schema []ColInfo, t *aggTable) *vector.Chunk {
 	out := vector.NewChunk()
 	nk := len(t.spec.keys)
 	for k, ci := range schema[:nk] {
+		ids := gather(t.keys.i[k], perm)
 		if ci.Kind == vector.I64 {
-			out.Add(ci.Name, vector.FromI64(gather(t.keys.i[k], perm)))
-		} else {
-			out.Add(ci.Name, vector.FromStr(gather(t.keys.s[k], perm)))
+			out.Add(ci.Name, vector.FromI64(ids))
+			continue
 		}
+		strs := make([]string, len(ids))
+		for i, id := range ids {
+			strs[i] = t.keys.d[k][id]
+		}
+		out.Add(ci.Name, vector.FromStr(strs))
 	}
 	for ai, a := range t.spec.aggs {
 		ci, acc := schema[nk+ai], t.acc[ai]
@@ -944,6 +1115,7 @@ type HashAgg struct {
 
 	hitEW  *profile.EWMA
 	useNow bool
+	paths  groupPath
 	// PreAggHits / PreAggMisses / PreAggFlushes instrument the flavor.
 	PreAggHits, PreAggMisses, PreAggFlushes int64
 }
@@ -997,18 +1169,23 @@ func (h *HashAgg) Open(ctx context.Context) error {
 	return nil
 }
 
-// preAggSlot is the direct-mapped slot of row r's key.
-func preAggSlot(kinds []vector.Kind, in *keyCols, r int) int {
+// preAggSlot is the direct-mapped slot of row r of the key columns cols,
+// which hold i64 values or t's key ids. It is a function of the key's
+// values, not its ids, so a key keeps its slot when compaction moves the
+// groups to a table that numbers the strings anew, and of nothing else, so
+// eviction — and with it the blocking of f64 sums — is the same in every
+// process.
+func (t *aggTable) preAggSlot(cols *[2][]int64, r int) int {
 	var i [2]int64
 	var s [2]string
-	for k, kind := range kinds {
+	for k, kind := range t.spec.keyKinds {
 		if kind == vector.I64 {
-			i[k] = in.i[k][r]
+			i[k] = cols[k][r]
 		} else {
-			s[k] = in.s[k][r]
+			s[k] = t.keys.d[k][cols[k][r]]
 		}
 	}
-	return int((uint64(i[0])*0x9e3779b97f4a7c15 ^ uint64(len(s[0]))<<32 ^ uint64(i[1]) ^ hashStr(s[0]) ^ hashStr(s[1])) % preAggSlots)
+	return int((uint64(i[0])*hashMul ^ uint64(len(s[0]))<<32 ^ uint64(i[1]) ^ hashStr(s[0]) ^ hashStr(s[1])) % preAggSlots)
 }
 
 // preAgg is the cache-resident pre-aggregation table of [12]: preAggSlots
@@ -1060,23 +1237,33 @@ func (h *HashAgg) preAggregate(p *preAgg, c *vector.Chunk) (hits, misses int) {
 	t.gids = extend(t.gids[:0], n)
 	t.fresh = t.fresh[:0]
 	p.evict = p.evict[:0]
+	var cols [2][]int64
+	two := len(h.spec.keys) == 2
+	for k := range h.spec.keys {
+		var path groupPath
+		cols[k], path = t.keyInts(&in, k, sel)
+		h.paths |= path
+	}
+	ka, kb := &t.keys.i[0], &t.keys.i[1]
 	for i := range t.gids {
 		r := rowAt(sel, i)
-		s := preAggSlot(h.spec.keyKinds, &in, r)
+		var a, b int64
+		a = cols[0][r]
+		if two {
+			b = cols[1][r]
+		}
+		s := t.preAggSlot(&cols, r)
 		g := p.slot[s]
-		if g >= 0 && keysEqual(h.spec.keyKinds, &t.keys, int(g), &in, r) {
+		if g >= 0 && (*ka)[g] == a && (!two || (*kb)[g] == b) {
 			hits++
 		} else {
 			misses++
 			if g >= 0 {
 				p.evict = append(p.evict, g)
 			}
-			for k, kind := range h.spec.keyKinds {
-				if kind == vector.I64 {
-					t.keys.i[k] = append(t.keys.i[k], in.i[k][r])
-				} else {
-					t.keys.s[k] = append(t.keys.s[k], in.s[k][r])
-				}
+			*ka = append(*ka, a)
+			if two {
+				*kb = append(*kb, b)
 			}
 			g = int32(t.n)
 			t.fresh = append(t.fresh, int32(r))
@@ -1145,6 +1332,7 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 		}
 		if pre == nil {
 			h.tbl.absorb(chunk)
+			h.paths |= h.tbl.paths
 			continue
 		}
 		hits, misses := h.preAggregate(pre, chunk)
@@ -1169,6 +1357,11 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 
 // Close implements Operator.
 func (h *HashAgg) Close() error { return h.child.Close() }
+
+// GroupPath names how the aggregation mapped its input rows to groups:
+// "dense-codes", "code-ids", "hashed-strings" or "hashed-ints" (see
+// aggTable), "" before it ran or without keys.
+func (h *HashAgg) GroupPath() string { return h.paths.String() }
 
 func hashStr(s string) uint64 {
 	var h uint64 = 1469598103934665603

@@ -18,11 +18,12 @@ import (
 // i64/i32/f64 measures (f carries NaN and ties for min/max), and flt, which
 // the selection-vector variant filters on.
 //
-// The str keys also probe the identity memo of groupPair: every s value is
-// its own string, while s2 repeats three literals; s3 holds prefixes of one
-// backing string, so its values share a data pointer and differ in length;
-// and s4 is a clone of s2, the same bytes under another identity. s3 draws
-// from its own rng, so the other columns keep their values.
+// The str keys vary how equal values share storage, which no grouping may
+// read as identity: every s value is its own string, while s2 repeats three
+// literals; s3 holds prefixes of one backing string, so its values share a
+// data pointer and differ in length; and s4 is a clone of s2, the same
+// bytes under another identity. s3 draws from its own rng, so the other
+// columns keep their values.
 func aggMatrixTable(n, card int, seed int64) *vector.DSMStore {
 	rng := rand.New(rand.NewSource(seed))
 	prefixRng := rand.New(rand.NewSource(seed + 1))

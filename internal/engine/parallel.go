@@ -839,6 +839,7 @@ type ParallelAgg struct {
 
 	out     *vector.Chunk
 	emitted bool
+	paths   groupPath
 }
 
 // NewParallelAgg builds a parallel aggregation over store with workers
@@ -885,8 +886,13 @@ func (a *ParallelAgg) Open(ctx context.Context) error {
 	}
 	a.emitted = false
 	a.out = nil
+	a.paths = 0
 	return nil
 }
+
+// GroupPath names how the per-morsel tables mapped their rows to groups,
+// as HashAgg.GroupPath does.
+func (a *ParallelAgg) GroupPath() string { return a.paths.String() }
 
 // Next implements Operator: the first call runs the whole parallel
 // aggregation synchronously and emits the single result chunk.
@@ -941,6 +947,11 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	// emit in key order.
 	if a.tsp != nil {
 		defer a.charge(time.Now())
+	}
+	for _, t := range tables {
+		if t != nil {
+			a.paths |= t.paths
+		}
 	}
 	final := mergeAggTables(tables, a.workers, a.spec)
 	a.out = emitAggChunk(a.schema, final)

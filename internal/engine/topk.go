@@ -219,6 +219,10 @@ func compareRows(v *vector.Vector) func(a, b int) int {
 		d := v.F64()
 		return func(a, b int) int { return compareF64(d[a], d[b]) }
 	case vector.Str:
+		if v.Coded() {
+			codes, dict := v.Codes(), v.Dict()
+			return func(a, b int) int { return cmp.Compare(dict[codes[a]], dict[codes[b]]) }
+		}
 		return compareOrdered(v.Str())
 	case vector.Bool:
 		d := v.Bool()

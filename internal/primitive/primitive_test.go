@@ -453,30 +453,37 @@ func TestGatherKinds(t *testing.T) {
 			}
 		}
 		zero := vector.NewLen(k, 1).Get(0)
-		for _, ik := range intKinds {
-			idx := vector.NewLen(ik, len(positions))
-			for i, j := range positions {
-				idx.Set(i, vector.IntValue(ik, j))
-			}
-			for _, sel := range []vector.Sel{nil, {0, 2, 3, 7}} {
-				dst := vector.NewLen(k, len(positions))
-				sentinel := data.Get(1) // differs from zero for every kind
-				dst.Fill(sentinel)
-				Gather(dst, data, idx, sel)
+		datas := []*vector.Vector{data}
+		if k == vector.Str {
+			// A coded data vector gathers through its codes.
+			datas = append(datas, vector.Encode(data.Str()))
+		}
+		for _, data := range datas {
+			for _, ik := range intKinds {
+				idx := vector.NewLen(ik, len(positions))
 				for i, j := range positions {
-					want := sentinel
-					if sel == nil || slices.Contains(sel, int32(i)) {
-						want = zero
-						if inRange(j) {
-							want = data.Get(int(j))
+					idx.Set(i, vector.IntValue(ik, j))
+				}
+				for _, sel := range []vector.Sel{nil, {0, 2, 3, 7}} {
+					dst := vector.NewLen(k, len(positions))
+					sentinel := data.Get(1) // differs from zero for every kind
+					dst.Fill(sentinel)
+					Gather(dst, data, idx, sel)
+					for i, j := range positions {
+						want := sentinel
+						if sel == nil || slices.Contains(sel, int32(i)) {
+							want = zero
+							if inRange(j) {
+								want = data.Get(int(j))
+							}
+						}
+						if got := dst.Get(i); !got.Equal(want) {
+							t.Errorf("gather %v by %v sel=%v: dst[%d] (idx %d) = %v, want %v", k, ik, sel, i, j, got, want)
 						}
 					}
-					if got := dst.Get(i); !got.Equal(want) {
-						t.Errorf("gather %v by %v sel=%v: dst[%d] (idx %d) = %v, want %v", k, ik, sel, i, j, got, want)
+					if allocs := testing.AllocsPerRun(10, func() { Gather(dst, data, idx, sel) }); allocs != 0 {
+						t.Errorf("gather %v by %v sel=%v: %v allocations per call", k, ik, sel, allocs)
 					}
-				}
-				if allocs := testing.AllocsPerRun(10, func() { Gather(dst, data, idx, sel) }); allocs != 0 {
-					t.Errorf("gather %v by %v sel=%v: %v allocations per call", k, ik, sel, allocs)
 				}
 			}
 		}

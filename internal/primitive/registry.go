@@ -234,6 +234,10 @@ func Gather(dst, data, idx *vector.Vector, sel vector.Sel) {
 	case vector.F64:
 		gatherKind[float64](dst, data, idx, sel)
 	case vector.Str:
+		if data.Coded() {
+			gatherCoded(dst, data, idx, sel)
+			return
+		}
 		gatherKind[string](dst, data, idx, sel)
 	default:
 		panic(fmt.Sprintf("primitive: cannot gather into a %v vector", dst.Kind()))
@@ -275,6 +279,45 @@ func gather[T vector.Elem, I integer](dst, data []T, idx []I, sel vector.Sel) {
 		} else {
 			dst[i] = zero
 		}
+	}
+}
+
+// gatherCoded is gather from a dictionary-coded data vector into a plain
+// dst: it reads each gathered row's string through its code, so a chunk's
+// gather costs its own rows, not a decode of all of data.
+func gatherCoded(dst, data, idx *vector.Vector, sel vector.Sel) {
+	d, codes, dict := dst.Str(), data.Codes(), data.Dict()
+	switch idx.Kind() {
+	case vector.I8:
+		gatherCodes(d, codes, dict, idx.I8(), sel)
+	case vector.I16:
+		gatherCodes(d, codes, dict, idx.I16(), sel)
+	case vector.I32:
+		gatherCodes(d, codes, dict, idx.I32(), sel)
+	case vector.I64:
+		gatherCodes(d, codes, dict, idx.I64(), sel)
+	default:
+		panic(fmt.Sprintf("primitive: index vector must be integer, got %v", idx.Kind()))
+	}
+}
+
+func gatherCodes[I integer](dst []string, codes []int32, dict []string, idx []I, sel vector.Sel) {
+	n := int64(len(codes))
+	at := func(i int) {
+		if j := int64(idx[i]); j >= 0 && j < n {
+			dst[i] = dict[codes[j]]
+		} else {
+			dst[i] = ""
+		}
+	}
+	if sel == nil {
+		for i := range dst {
+			at(i)
+		}
+		return
+	}
+	for _, i := range sel {
+		at(int(i))
 	}
 }
 

@@ -655,3 +655,34 @@ func TestTieredExecutionOverHTTP(t *testing.T) {
 		t.Fatalf("/metrics still exports a deopt series:\n%s", text)
 	}
 }
+
+// TestQ6WholeNumberBoundFuses: a client that sends a whole-number discount
+// bound gets the same Q6 plan shape as any other, so the hot execution runs
+// fused, and its rows match an untiered engine's.
+func TestQ6WholeNumberBoundFuses(t *testing.T) {
+	const query = `{"query":"q6","params":{"disc_lo":0,"disc_hi":0.07}}`
+	rows := func(body string) string {
+		lines := strings.Split(strings.TrimSpace(body), "\n")
+		return strings.Join(lines[:len(lines)-1], "\n") // drop the trailer
+	}
+	s, _ := newTestServer(t, Config{}, 16, true, advm.WithTierThresholds(1, 1))
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp := postJSON(t, ts.URL+"/v1/query", query)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("q6: %d %s", resp.StatusCode, body)
+	}
+	if stats := getStats(t, ts.URL); stats.Engine.FusedQueries < 1 {
+		t.Fatalf("fused_queries = %d: the hot q6 with disc_lo 0 did not run fused", stats.Engine.FusedQueries)
+	}
+
+	refSrv, _ := newTestServer(t, Config{}, 16, true, advm.WithTieredExecution(false))
+	rs := httptest.NewServer(refSrv)
+	defer rs.Close()
+	refResp := postJSON(t, rs.URL+"/v1/query", query)
+	refBody := readAll(t, refResp)
+	if got, want := rows(body), rows(refBody); got != want || got == "" {
+		t.Fatalf("hot q6 rows %q, untiered %q", got, want)
+	}
+}

@@ -92,6 +92,15 @@ func writeTable(w io.Writer, st *vector.DSMStore) error {
 				return err
 			}
 		case vector.Str:
+			if col.Coded() {
+				dict := col.Dict()
+				for _, c := range col.Codes() {
+					if err := writeString(w, dict[c]); err != nil {
+						return err
+					}
+				}
+				break
+			}
 			for _, s := range col.Str() {
 				if err := writeString(w, s); err != nil {
 					return err
@@ -144,7 +153,7 @@ func readTable(r io.Reader) (*vector.DSMStore, error) {
 		return nil, err
 	}
 	n := int(rows)
-	chunk := vector.NewChunk()
+	cols := make([]*vector.Vector, len(sch.Names))
 	for c := range sch.Names {
 		var col *vector.Vector
 		switch sch.Kinds[c] {
@@ -193,17 +202,13 @@ func readTable(r io.Reader) (*vector.DSMStore, error) {
 				}
 				data[i] = s
 			}
-			col = vector.FromStr(data)
+			col = vector.Encode(data)
 		default:
 			return nil, fmt.Errorf("tpch: unsupported column kind %v", sch.Kinds[c])
 		}
-		chunk.Add(sch.Names[c], col)
+		cols[c] = col
 	}
-	st := vector.NewDSMStore(sch)
-	if n > 0 {
-		st.AppendChunk(chunk)
-	}
-	return st, nil
+	return vector.DSMStoreOf(sch, cols...), nil
 }
 
 func writeString(w io.Writer, s string) error {

@@ -3,6 +3,8 @@ package tpch
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/advm"
 )
@@ -93,8 +95,20 @@ func PlanQ3(li, ord, cust advm.TableSource, p Q3Params) *advm.Plan {
 func PlanQ6(st advm.TableSource, p Q6Params) *advm.Plan {
 	return advm.Scan(st, "l_quantity", "l_extendedprice", "l_discount", "l_shipdate").
 		Filter(fmt.Sprintf(`(\d -> (d >= %d) && (d < %d))`, p.ShipLo, p.ShipHi), "l_shipdate").
-		Filter(fmt.Sprintf(`(\x -> (x >= %v) && (x <= %v))`, p.DiscLo, p.DiscHi), "l_discount").
+		Filter(fmt.Sprintf(`(\x -> (x >= %s) && (x <= %s))`, floatLit(p.DiscLo), floatLit(p.DiscHi)), "l_discount").
 		Filter(fmt.Sprintf(`(\q -> q < %d)`, p.QtyMax), "l_quantity").
 		Compute("revenue", `(\p d -> p * d)`, advm.F64, "l_extendedprice", "l_discount").
 		Aggregate(nil, advm.Agg{Func: advm.AggSum, Col: "revenue", As: "revenue"})
+}
+
+// floatLit writes a finite f64 as a DSL float literal that parses back to
+// the same bits. A whole number gets a ".0": written as "0" it would lex as
+// an i64 literal, which makes another plan shape and one the fused
+// compiler declines (an f64 column against an i64 constant).
+func floatLit(v float64) string {
+	s := strconv.FormatFloat(v, 'g', -1, 64)
+	if !strings.ContainsAny(s, ".e") {
+		s += ".0"
+	}
+	return s
 }

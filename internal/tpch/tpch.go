@@ -57,19 +57,38 @@ func LineitemSchema() vector.Schema {
 	)
 }
 
-// GenLineitem generates a lineitem table at the given scale factor.
+// Returnflags and Linestatuses are the dictionaries of the generated
+// l_returnflag and l_linestatus columns, which are dictionary-coded.
+var (
+	Returnflags  = []string{"A", "N", "R"}
+	Linestatuses = []string{"F", "O"}
+)
+
+// Codes of Returnflags and Linestatuses.
+const (
+	flagA, flagN, flagR = 0, 1, 2
+	statusF, statusO    = 0, 1
+)
+
+// GenLineitem generates a lineitem table at the given scale factor. Every
+// column is allocated once at its final length, and l_returnflag and
+// l_linestatus are coded over Returnflags and Linestatuses from the start:
+// a row of either costs a 4-byte code.
 func GenLineitem(sf float64, seed int64) *vector.DSMStore {
 	n := int(sf * LineitemRows)
 	rng := rand.New(rand.NewSource(seed))
-	st := vector.NewDSMStore(LineitemSchema())
+	orderkeys, qtys, ships := make([]int64, n), make([]int64, n), make([]int64, n)
+	prices, discounts, taxes := make([]float64, n), make([]float64, n), make([]float64, n)
+	flags, statuses := make([]int32, n), make([]int32, n)
 	for i := 0; i < n; i++ {
-		orderkey := int64(i/4 + 1)
+		orderkeys[i] = int64(i/4 + 1)
 		qty := rng.Int63n(50) + 1
+		qtys[i] = qty
 		// Exact-cent prices keep the fixed-point compact plan bit-compatible
 		// with the float plans.
-		price := float64(qty*(90000+int64(rng.Intn(100001)))) / 100
-		discount := float64(rng.Intn(11)) / 100
-		tax := float64(rng.Intn(9)) / 100
+		prices[i] = float64(qty*(90000+int64(rng.Intn(100001)))) / 100
+		discounts[i] = float64(rng.Intn(11)) / 100
+		taxes[i] = float64(rng.Intn(9)) / 100
 		// Shipdates cluster by row position — rows arrive roughly in ship
 		// order, as in a real TPC-H load — with ±90 days of noise, so each
 		// marginal stays near-uniform over the domain while disk segments get
@@ -81,34 +100,32 @@ func GenLineitem(sf float64, seed int64) *vector.DSMStore {
 		if shipdate >= ShipdateMax {
 			shipdate = ShipdateMax - 1
 		}
+		ships[i] = shipdate
 		// Returnflag/linestatus correlate with shipdate as in TPC-H: lines
 		// shipped after the receipt horizon are N/O; older ones A|R / F.
-		var flag, status string
 		switch {
 		case shipdate > 1750:
-			flag, status = "N", "O"
+			flags[i], statuses[i] = flagN, statusO
 		case shipdate > 1700:
-			flag, status = "N", "F" // the small N|F boundary group
+			flags[i], statuses[i] = flagN, statusF // the small N|F boundary group
 		default:
-			if rng.Intn(2) == 0 {
-				flag = "A"
-			} else {
-				flag = "R"
+			flags[i] = flagA
+			if rng.Intn(2) != 0 {
+				flags[i] = flagR
 			}
-			status = "F"
+			statuses[i] = statusF
 		}
-		st.AppendRow(
-			vector.I64Value(orderkey),
-			vector.I64Value(qty),
-			vector.F64Value(price),
-			vector.F64Value(discount),
-			vector.F64Value(tax),
-			vector.StrValue(flag),
-			vector.StrValue(status),
-			vector.I64Value(shipdate),
-		)
 	}
-	return st
+	return vector.DSMStoreOf(LineitemSchema(),
+		vector.FromI64(orderkeys),
+		vector.FromI64(qtys),
+		vector.FromF64(prices),
+		vector.FromF64(discounts),
+		vector.FromF64(taxes),
+		vector.FromCodes(flags, Returnflags),
+		vector.FromCodes(statuses, Linestatuses),
+		vector.FromI64(ships),
+	)
 }
 
 // GenOrders generates a small orders table keyed compatibly with lineitem's
@@ -118,28 +135,27 @@ func GenLineitem(sf float64, seed int64) *vector.DSMStore {
 func GenOrders(sf float64, seed int64) *vector.DSMStore {
 	n := int(sf*LineitemRows) / 4
 	rng := rand.New(rand.NewSource(seed + 1))
-	st := vector.NewDSMStore(vector.NewSchema(
+	keys, dates, custs, prios := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := 0; i < n; i++ {
+		keys[i] = int64(i + 1)
+		dates[i] = int64(rng.Intn(ShipdateMax))
+		custs[i] = rng.Int63n(int64(n/10 + 1))
+		prios[i] = int64(rng.Intn(3))
+	}
+	return vector.DSMStoreOf(vector.NewSchema(
 		"o_orderkey", vector.I64,
 		"o_orderdate", vector.I64,
 		"o_custkey", vector.I64,
 		"o_shippriority", vector.I64,
-	))
-	for i := 0; i < n; i++ {
-		st.AppendRow(
-			vector.I64Value(int64(i+1)),
-			vector.I64Value(int64(rng.Intn(ShipdateMax))),
-			vector.I64Value(rng.Int63n(int64(n/10+1))),
-			vector.I64Value(int64(rng.Intn(3))),
-		)
-	}
-	return st
+	), vector.FromI64(keys), vector.FromI64(dates), vector.FromI64(custs), vector.FromI64(prios))
 }
 
 // MktSegments are the customer market segments, indexed by segment key. The
 // DSL has no string predicates, so queries filter on the dictionary code
 // (c_segkey) and the name column exists for presentation — exactly how a
-// dictionary-encoded column behaves in a real columnar store.
-var MktSegments = [...]string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
+// dictionary-encoded column behaves in a real columnar store: c_mktsegment
+// is coded over MktSegments, its codes the segment keys.
+var MktSegments = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
 
 // GenCustomer generates the customer table keyed compatibly with GenOrders'
 // o_custkey domain at the same scale factor.
@@ -147,22 +163,21 @@ func GenCustomer(sf float64, seed int64) *vector.DSMStore {
 	nOrders := int(sf*LineitemRows) / 4
 	n := nOrders/10 + 1
 	rng := rand.New(rand.NewSource(seed + 2))
-	st := vector.NewDSMStore(vector.NewSchema(
+	keys, segkeys, nations := make([]int64, n), make([]int64, n), make([]int64, n)
+	segments := make([]int32, n)
+	for i := 0; i < n; i++ {
+		seg := rng.Intn(len(MktSegments))
+		keys[i] = int64(i)
+		segkeys[i] = int64(seg)
+		segments[i] = int32(seg)
+		nations[i] = int64(rng.Intn(25))
+	}
+	return vector.DSMStoreOf(vector.NewSchema(
 		"c_custkey", vector.I64,
 		"c_segkey", vector.I64,
 		"c_mktsegment", vector.Str,
 		"c_nationkey", vector.I64,
-	))
-	for i := 0; i < n; i++ {
-		seg := rng.Intn(len(MktSegments))
-		st.AppendRow(
-			vector.I64Value(int64(i)),
-			vector.I64Value(int64(seg)),
-			vector.StrValue(MktSegments[seg]),
-			vector.I64Value(int64(rng.Intn(25))),
-		)
-	}
-	return st
+	), vector.FromI64(keys), vector.FromI64(segkeys), vector.FromCodes(segments, MktSegments), vector.FromI64(nations))
 }
 
 // Q1Group is one Q1 result group.
@@ -227,7 +242,8 @@ func (r Q1Result) Equal(other Q1Result, eps float64) error {
 
 // Q1HyPer answers Q1 with a single hand-written tuple-at-a-time loop — the
 // statically compiled data-centric plan of [17], the paper's "HyPer
-// mimicking" baseline.
+// mimicking" baseline. It reads the two key columns as codes and keeps one
+// accumulator per code pair.
 func Q1HyPer(st *vector.DSMStore, cutoff int64) Q1Result {
 	type acc struct {
 		sumQty, count                       int64
@@ -237,21 +253,17 @@ func Q1HyPer(st *vector.DSMStore, cutoff int64) Q1Result {
 	price := st.Col(ColExtendedprice).F64()
 	disc := st.Col(ColDiscount).F64()
 	tax := st.Col(ColTax).F64()
-	flag := st.Col(ColReturnflag).Str()
-	status := st.Col(ColLinestatus).Str()
+	flag, flags := keyCodes(st.Col(ColReturnflag))
+	status, statuses := keyCodes(st.Col(ColLinestatus))
 	ship := st.Col(ColShipdate).I64()
 
-	accs := map[[2]string]*acc{}
+	ns := int32(len(statuses))
+	accs := make([]acc, len(flags)*len(statuses))
 	for i := range ship {
 		if ship[i] > cutoff {
 			continue
 		}
-		key := [2]string{flag[i], status[i]}
-		a, ok := accs[key]
-		if !ok {
-			a = &acc{}
-			accs[key] = a
-		}
+		a := &accs[flag[i]*ns+status[i]]
 		a.sumQty += qty[i]
 		a.count++
 		a.sumBase += price[i]
@@ -261,9 +273,12 @@ func Q1HyPer(st *vector.DSMStore, cutoff int64) Q1Result {
 		a.sumDco += disc[i]
 	}
 	var out Q1Result
-	for key, a := range accs {
+	for k, a := range accs {
+		if a.count == 0 {
+			continue
+		}
 		out = append(out, Q1Group{
-			Returnflag: key[0], Linestatus: key[1],
+			Returnflag: flags[k/int(ns)], Linestatus: statuses[k%int(ns)],
 			SumQty: a.sumQty, CountOrder: a.count,
 			SumBasePrice: a.sumBase, SumDiscPrice: a.sumDisc, SumCharge: a.sumCharge,
 			AvgQty:   float64(a.sumQty) / float64(a.count),
@@ -272,6 +287,16 @@ func Q1HyPer(st *vector.DSMStore, cutoff int64) Q1Result {
 		})
 	}
 	return SortQ1(out)
+}
+
+// keyCodes returns a key column's codes and dictionary, coding the column
+// first when it is plain. The dictionary must hold each string once, as the
+// generator's and vector.Encode's do.
+func keyCodes(v *vector.Vector) ([]int32, []string) {
+	if !v.Coded() {
+		v = vector.Encode(v.Str())
+	}
+	return v.Codes(), v.Dict()
 }
 
 // Q6HyPer is the tuple-at-a-time Q6 baseline: revenue = Σ ep·disc for

@@ -1,10 +1,12 @@
 package tpch
 
 import (
+	"math"
 	"os"
 	"testing"
 
 	"repro/advm"
+	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/vector"
 )
@@ -297,5 +299,67 @@ func TestLoadOrGenReuses(t *testing.T) {
 	}
 	if reloaded, err := LoadTable(path); err != nil || reloaded.Rows() != a.Rows() {
 		t.Fatalf("cache not repaired: %v", err)
+	}
+}
+
+// TestFloatLitParsesBack: every Q6 bound is written as a float literal
+// that the DSL reads back to the same bits — whole numbers included, which
+// %v would print as integer literals.
+func TestFloatLitParsesBack(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -3, 0.05, 0.07, 1e-7, 1e21, 123456789, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		lit := floatLit(v)
+		e, err := dsl.ParseLambda(`(\x -> x >= ` + lit + `)`)
+		if err != nil {
+			t.Fatalf("%v: %q does not parse: %v", v, lit, err)
+		}
+		c, ok := e.Body.(*dsl.Bin).R.(*dsl.Const)
+		if !ok || c.Val.Kind != vector.F64 || math.Float64bits(c.Val.F) != math.Float64bits(v) {
+			t.Fatalf("%v: %q parses to %#v, want the f64 %v", v, lit, e.Body.(*dsl.Bin).R, v)
+		}
+	}
+}
+
+// TestQ6WholeNumberBoundsFuse: a Q6 whose discount bounds are whole numbers
+// keeps the plan shape of every other Q6, so at the hot tier it runs as a
+// fused loop, and its revenue matches an untiered session's bit for bit.
+func TestQ6WholeNumberBoundsFuse(t *testing.T) {
+	st := GenLineitem(0.002, 11)
+	hot, err := advm.NewSession(advm.WithTierThresholds(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hot.Close()
+	ref, err := advm.NewSession(advm.WithTieredExecution(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	revenue := func(sess *advm.Session, p Q6Params) float64 {
+		rows, err := sess.Query(t.Context(), PlanQ6(st, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var got float64
+		if !rows.Next() {
+			t.Fatalf("Q6 returned no row: %v", rows.Err())
+		}
+		if err := rows.Scan(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, p := range []Q6Params{
+		{ShipLo: 730, ShipHi: 1095, DiscLo: 0, DiscHi: 0.07, QtyMax: 24},
+		{ShipLo: 730, ShipHi: 1095, DiscLo: 0.05, DiscHi: 1, QtyMax: 24},
+	} {
+		before := hot.Stats().FusedQueries
+		got := revenue(hot, p)
+		if hot.Stats().FusedQueries == before {
+			t.Errorf("%+v: the hot Q6 did not run fused", p)
+		}
+		if want := revenue(ref, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v: hot Q6 = %v, untiered %v", p, got, want)
+		}
 	}
 }

@@ -111,8 +111,10 @@ func Condense(v *Vector, s Sel) *Vector {
 // dst's length becomes len(s), or src's length with a nil selection. dst
 // keeps its storage when that is large enough, so a caller gathering into
 // the same dst chunk after chunk allocates only while it grows. dst and src
-// must be distinct vectors of the same kind.
+// must be distinct vectors of the same kind; dst takes src's form, so a
+// coded src gathers codes into a dst coded over the same dictionary.
 func CondenseInto(dst, src *Vector, s Sel) {
+	dst.adopt(src)
 	if s == nil {
 		dst.SetLen(src.Len())
 		dst.CopyFrom(0, src, 0, src.Len())
@@ -123,10 +125,26 @@ func CondenseInto(dst, src *Vector, s Sel) {
 }
 
 // gatherAt writes src's selected elements into dst[lo:lo+len(s)], which
-// must exist. Kinds must match.
+// must exist. Kinds must match. Like CopyFrom it keeps dst's form.
 func gatherAt(dst *Vector, lo int, src *Vector, s Sel) {
 	if src.kind != dst.kind {
 		panic(fmt.Sprintf("vector: gather kind mismatch %v vs %v", dst.kind, src.kind))
+	}
+	if dst.kind == Str && (dst.coded || src.coded) {
+		if dst.coded && !dst.takesCodesOf(src) {
+			dst.toPlain()
+		}
+		switch {
+		case dst.coded:
+			gather(dst.codes[lo:lo+len(s)], src.codes, s)
+			return
+		case src.coded:
+			out := dst.str[lo : lo+len(s)]
+			for i, x := range s {
+				out[i] = src.dict[src.codes[x]]
+			}
+			return
+		}
 	}
 	switch src.kind {
 	case Bool:

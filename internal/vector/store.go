@@ -79,6 +79,25 @@ func NewDSMStoreCap(schema Schema, capacity int) *DSMStore {
 	return st
 }
 
+// DSMStoreOf makes a DSM table of the given columns, which it takes over;
+// they must match the schema's kinds and have equal lengths. A generator
+// that fills its columns itself builds its table this way without copying.
+func DSMStoreOf(schema Schema, cols ...*Vector) *DSMStore {
+	if len(cols) != len(schema.Kinds) {
+		panic(fmt.Sprintf("vector.DSMStoreOf: %d columns for %d schema entries", len(cols), len(schema.Kinds)))
+	}
+	st := &DSMStore{schema: schema, cols: cols}
+	for i, col := range cols {
+		if col.Kind() != schema.Kinds[i] || col.Len() != cols[0].Len() {
+			panic(fmt.Sprintf("vector.DSMStoreOf: column %q is %v[%d]", schema.Names[i], col.Kind(), col.Len()))
+		}
+	}
+	if len(cols) > 0 {
+		st.rows = cols[0].Len()
+	}
+	return st
+}
+
 // Schema returns the table schema.
 func (st *DSMStore) Schema() Schema { return st.schema }
 
@@ -97,6 +116,9 @@ func (st *DSMStore) AppendChunk(c *Chunk) {
 	}
 	sel := c.Sel()
 	for i, col := range st.cols {
+		if st.rows == 0 {
+			col.adopt(c.Col(i))
+		}
 		if sel == nil {
 			col.AppendVector(c.Col(i))
 			continue
@@ -118,20 +140,23 @@ func (st *DSMStore) AppendRow(vals ...Value) {
 	st.rows++
 }
 
-// Scan implements Store by copying slices of the requested columns.
+// Scan implements Store by copying slices of the requested columns. A dst
+// vector takes its column's form, so a coded column scans as codes.
 func (st *DSMStore) Scan(lo, n int, cols []int, dst []*Vector) int {
 	if n = st.clip(lo, n); n == 0 {
 		return 0
 	}
 	for k, ci := range cols {
 		dst[k].SetLen(n)
+		dst[k].adopt(st.cols[ci])
 		dst[k].CopyFrom(0, st.cols[ci], lo, n)
 	}
 	return n
 }
 
 // View implements Viewer: it points the dst vectors at the requested
-// columns' own storage without copying or allocating.
+// columns' own storage without copying or allocating. A coded column's
+// view shares its codes and dictionary.
 func (st *DSMStore) View(lo, n int, cols []int, dst []*Vector) int {
 	if n = st.clip(lo, n); n == 0 {
 		return 0

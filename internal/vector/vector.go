@@ -11,6 +11,7 @@ package vector
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -102,19 +103,28 @@ func ParseKind(s string) (Kind, error) {
 // Vector is a typed, variable-length column of values. The zero Vector is
 // invalid; use New or one of the From constructors.
 //
-// Exactly one of the storage slices is non-nil, matching kind. Accessors
-// (I64, F64, ...) panic on kind mismatch: a mismatch is a programming error
-// in the engine, not a user-facing condition.
+// Exactly one of the storage slices holds the elements, matching kind.
+// Accessors (I64, F64, ...) panic on kind mismatch: a mismatch is a
+// programming error in the engine, not a user-facing condition.
+//
+// A Str vector is either plain, its strings in str, or dictionary-coded
+// (see FromCodes): one int32 code per row in codes, indexing dict. A
+// dictionary is shared by reference between every vector coded over it and
+// is never mutated, so copying, slicing and gathering a coded vector moves
+// 4-byte codes and keeps the dictionary. A coded vector's str is nil.
 type Vector struct {
-	kind Kind
-	n    int
-	b    []bool
-	i8   []int8
-	i16  []int16
-	i32  []int32
-	i64  []int64
-	f64  []float64
-	str  []string
+	kind  Kind
+	n     int
+	coded bool
+	b     []bool
+	i8    []int8
+	i16   []int16
+	i32   []int32
+	i64   []int64
+	f64   []float64
+	str   []string
+	codes []int32
+	dict  []string
 }
 
 // New returns a zero-filled vector of the given kind and length with capacity
@@ -191,6 +201,9 @@ func (v *Vector) Cap() int {
 	case F64:
 		return cap(v.f64)
 	case Str:
+		if v.coded {
+			return cap(v.codes)
+		}
 		return cap(v.str)
 	}
 	return 0
@@ -218,7 +231,11 @@ func (v *Vector) SetLen(n int) {
 	case F64:
 		v.f64 = v.f64[:n]
 	case Str:
-		v.str = v.str[:n]
+		if v.coded {
+			v.codes = v.codes[:n]
+		} else {
+			v.str = v.str[:n]
+		}
 	}
 	v.n = n
 }
@@ -254,6 +271,12 @@ func (v *Vector) grow(n int) {
 		copy(s, v.f64)
 		v.f64 = s
 	case Str:
+		if v.coded {
+			s := make([]int32, len(v.codes), c)
+			copy(s, v.codes)
+			v.codes = s
+			break
+		}
 		s := make([]string, len(v.str), c)
 		copy(s, v.str)
 		v.str = s
@@ -284,8 +307,18 @@ func (v *Vector) I64() []int64 { v.kindCheck(I64); return v.i64 }
 // F64 returns the backing float64 slice. Panics if the kind differs.
 func (v *Vector) F64() []float64 { v.kindCheck(F64); return v.f64 }
 
-// Str returns the backing string slice. Panics if the kind differs.
-func (v *Vector) Str() []string { v.kindCheck(Str); return v.str }
+// Str returns the backing string slice. Panics if the kind differs. For a
+// coded vector it returns the rows decoded into a new slice: a copy, so
+// writing into it does not change the vector, and reading it writes
+// nothing to the vector, which other goroutines may share. Code that reads
+// a coded vector's strings often should take Codes and Dict instead.
+func (v *Vector) Str() []string {
+	v.kindCheck(Str)
+	if v.coded {
+		return v.decode()
+	}
+	return v.str
+}
 
 // Elem is the set of Go element types a Vector stores, one per Kind.
 type Elem interface {
@@ -295,7 +328,10 @@ type Elem interface {
 // Data returns the backing slice as []T: the generic form of the Bool, I8,
 // …, Str accessors, and like them it panics if T does not match the kind.
 // It does not allocate: the switch is on the type of a nil *T, and the
-// slice is reached through a pointer to its field, so nothing is boxed.
+// slice is reached through a pointer to its field, so nothing is boxed. A
+// coded vector's strings are decoded into a new slice as Str decodes them,
+// so kernels only ever write into plain vectors (the interpreter's output
+// buffers are).
 func Data[T Elem](v *Vector) []T {
 	var p any
 	var k Kind
@@ -314,13 +350,21 @@ func Data[T Elem](v *Vector) []T {
 		p, k = &v.f64, F64
 	case *string:
 		p, k = &v.str, Str
+		if v.coded {
+			s := v.decode()
+			p = &s
+		}
 	}
 	v.kindCheck(k)
 	return *p.(*[]T)
 }
 
-// Clone returns a deep copy of v.
+// Clone returns a deep copy of v. A coded vector's copy shares its
+// dictionary.
 func (v *Vector) Clone() *Vector {
+	if v.coded {
+		return FromCodes(slices.Clone(v.codes), v.dict)
+	}
 	out := New(v.kind, v.n, v.n)
 	switch v.kind {
 	case Bool:
@@ -356,6 +400,10 @@ func (v *Vector) slice(lo, hi int) Vector {
 		panic(fmt.Sprintf("vector.Slice: range [%d:%d] out of bounds (len %d)", lo, hi, v.n))
 	}
 	w := Vector{kind: v.kind, n: hi - lo}
+	if v.coded {
+		w.coded, w.codes, w.dict = true, v.codes[lo:hi:hi], v.dict[:len(v.dict):len(v.dict)]
+		return w
+	}
 	switch v.kind {
 	case Bool:
 		w.b = v.b[lo:hi:hi]
@@ -375,10 +423,28 @@ func (v *Vector) slice(lo, hi int) Vector {
 	return w
 }
 
-// CopyFrom copies src[srcLo:srcLo+n] into v[dstLo:dstLo+n]. Kinds must match.
+// CopyFrom copies src[srcLo:srcLo+n] into v[dstLo:dstLo+n]. Kinds must
+// match. It keeps v's form: codes copy as codes into a vector coded over
+// the same dictionary, a plain v receives strings, and a v coded over
+// another dictionary is first decoded to plain.
 func (v *Vector) CopyFrom(dstLo int, src *Vector, srcLo, n int) {
 	if src.kind != v.kind {
 		panic(fmt.Sprintf("vector.CopyFrom: kind mismatch %v vs %v", v.kind, src.kind))
+	}
+	if v.kind == Str && (v.coded || src.coded) {
+		if v.coded && !v.takesCodesOf(src) {
+			v.toPlain()
+		}
+		switch {
+		case v.coded:
+			copy(v.codes[dstLo:dstLo+n], src.codes[srcLo:srcLo+n])
+			return
+		case src.coded:
+			for i, c := range src.codes[srcLo : srcLo+n] {
+				v.str[dstLo+i] = src.dict[c]
+			}
+			return
+		}
 	}
 	switch v.kind {
 	case Bool:
@@ -398,8 +464,13 @@ func (v *Vector) CopyFrom(dstLo int, src *Vector, srcLo, n int) {
 	}
 }
 
-// AppendVector appends all elements of src to v. Kinds must match.
+// AppendVector appends all elements of src to v. Kinds must match. An
+// empty v takes src's form first, so appending coded vectors to an empty
+// one builds a coded vector over their dictionary.
 func (v *Vector) AppendVector(src *Vector) {
+	if v.n == 0 {
+		v.adopt(src)
+	}
 	old := v.n
 	v.SetLen(old + src.n)
 	v.CopyFrom(old, src, 0, src.n)
@@ -479,12 +550,16 @@ func (v *Vector) Get(i int) Value {
 	case F64:
 		return Value{Kind: F64, F: v.f64[i]}
 	case Str:
+		if v.coded {
+			return Value{Kind: Str, S: v.dict[v.codes[i]]}
+		}
 		return Value{Kind: Str, S: v.str[i]}
 	}
 	panic("vector.Get: invalid vector")
 }
 
-// Set writes Value x into element i, converting between integer widths.
+// Set writes Value x into element i, converting between integer widths. A
+// string written into a coded vector is encoded through its dictionary.
 func (v *Vector) Set(i int, x Value) {
 	switch v.kind {
 	case Bool:
@@ -504,7 +579,11 @@ func (v *Vector) Set(i int, x Value) {
 			v.f64[i] = float64(x.I)
 		}
 	case Str:
-		v.str[i] = x.S
+		if v.coded {
+			v.codes[i] = v.encode(x.S)
+		} else {
+			v.str[i] = x.S
+		}
 	default:
 		panic("vector.Set: invalid vector")
 	}
